@@ -1,12 +1,14 @@
 //! Schedule-synthesis bench: confirm every surviving warning of the
-//! 27-app Table 1 corpus and write `BENCH_confirm.json` (schema
-//! `nadroid-confirm-bench/1`).
+//! 27-app Table 1 corpus and write `BENCH_confirm.json`, one
+//! `nadroid-ledger/1` record of kind `confirm` (also appended to
+//! `Result/ledger.jsonl`; its keys are listed in the "Run ledger & perf
+//! gate" section of `docs/observability.md`).
 //!
-//! The document records the corpus-wide verdict tally, total explored
-//! states, wall clock, and one row per app with its verdict counts and
-//! the `wp:`-digested population of *confirmed* warning ids — all
-//! deterministic, so the perf gate compares them exactly. The run is
-//! also appended to `Result/ledger.jsonl` as a `confirm` record.
+//! The record holds the corpus-wide verdict tally, total explored
+//! states, wall clock, each app's verdict counts and wall time under
+//! `app.<App>.*`, and the `wp:`-digested population of *confirmed*
+//! warning ids per app — counts and populations are deterministic, so
+//! the perf gate compares them exactly.
 //!
 //! Self-checks (exit nonzero on violation):
 //! - at least one warning corpus-wide is `confirmed`,
@@ -17,15 +19,19 @@
 //!
 //! Usage: `confirm_bench [--threads <N>] [--out <file>] [--only <substr>]`
 //! (`--only` restricts the sweep to matching app names for debugging;
-//! restricted runs skip the corpus-wide self-checks and the ledger.)
+//! restricted runs write `--out` but skip the corpus-wide self-checks
+//! and the ledger.)
 
 use nadroid_bench::analyze_program;
+use nadroid_bench::measure::commit_bench_record;
 use nadroid_confirm::{confirm_survivors, ConfirmConfig, ConfirmOutcome};
 use nadroid_core::warning_population_digest;
 use nadroid_corpus::{generate, spec_for, table1_rows, PaperRow};
 use nadroid_detector::warning_id;
 use nadroid_dynamic::{decode_schedule, replay};
-use std::fmt::Write as _;
+use nadroid_ledger::{AppPopulation, Kind, Population, Record};
+use std::collections::BTreeMap;
+use std::path::Path;
 use std::time::Instant;
 
 /// One app's confirmation sweep.
@@ -180,76 +186,76 @@ fn main() {
     let survivors: usize = apps.iter().map(|a| a.survivors).sum();
     let states: u64 = apps.iter().map(|a| a.states).sum();
     let replays_verified = confirmed - failures.len();
-    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
+
+    let mut rec = Record::new(Kind::Confirm);
+    rec.note = format!("confirm_bench --threads {threads}");
+    rec.env.threads = threads as u64;
+    rec.times.insert("confirm.wall_secs".into(), wall_secs);
+    rec.counters.insert("apps".into(), apps.len() as u64);
+    let mut tallies = BTreeMap::new();
+    for (k, n) in [
+        ("confirmed", confirmed),
+        ("unconfirmed", unconfirmed),
+        ("infeasible", infeasible),
+    ] {
+        rec.counters.insert(format!("confirm.{k}"), n as u64);
+        tallies.insert(k.to_string(), n as u64);
+    }
+    for (k, n) in [
+        ("survivors", survivors as u64),
+        ("states", states),
+        ("replays_verified", replays_verified as u64),
+    ] {
+        rec.counters.insert(format!("confirm.{k}"), n);
+    }
+    let mut populations = Vec::new();
+    for a in &apps {
+        let app = |k: &str| format!("app.{}.{k}", a.name);
+        rec.times.insert(app("wall_secs"), a.micros as f64 / 1e6);
+        for (k, n) in [
+            ("survivors", a.survivors),
+            ("confirmed", a.confirmed),
+            ("unconfirmed", a.unconfirmed),
+            ("infeasible", a.infeasible),
+        ] {
+            rec.counters.insert(app(k), n as u64);
+        }
+        rec.counters.insert(app("states"), a.states);
+        populations.push(AppPopulation {
+            app: a.name.to_string(),
+            digest: a.digest.clone(),
+            ids: a.confirmed_ids.clone(),
+        });
+    }
+    populations.sort_by(|a, b| a.app.cmp(&b.app));
+    rec.population = Some(Population {
+        apps: populations,
+        tallies,
+    });
+
+    // Restricted (`--only`) runs never land in the ledger — their
+    // tallies are not comparable to full sweeps.
+    let committed = if only.is_some() {
+        eprintln!("confirm_bench: --only run, skipping the ledger");
+        std::fs::write(&out_path, rec.to_json_line() + "\n")
+            .map_err(|e| format!("write {out_path}: {e}"))
+    } else {
+        commit_bench_record(&rec, Path::new(&out_path))
+    };
+    if let Err(e) = committed {
+        eprintln!("confirm_bench: {e}");
+        std::process::exit(1);
+    }
+
     let throughput = if wall_secs > 0.0 {
         survivors as f64 / wall_secs
     } else {
         0.0
     };
-
-    let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"schema\": \"nadroid-confirm-bench/1\",");
-    let _ = writeln!(out, "  \"apps\": {},", apps.len());
-    let _ = writeln!(out, "  \"cores\": {cores},");
-    let _ = writeln!(out, "  \"threads\": {threads},");
-    let _ = writeln!(out, "  \"wall_secs\": {wall_secs:.6},");
-    let _ = writeln!(out, "  \"throughput_warnings_per_sec\": {throughput:.2},");
-    let _ = writeln!(out, "  \"survivors\": {survivors},");
-    let _ = writeln!(
-        out,
-        "  \"tally\": {{ \"confirmed\": {confirmed}, \"unconfirmed\": {unconfirmed}, \"infeasible\": {infeasible} }},"
-    );
-    let _ = writeln!(out, "  \"states\": {states},");
-    let _ = writeln!(out, "  \"replays_verified\": {replays_verified},");
-    let _ = writeln!(out, "  \"per_app\": [");
-    for (i, a) in apps.iter().enumerate() {
-        let ids = a
-            .confirmed_ids
-            .iter()
-            .map(|id| format!("\"{id}\""))
-            .collect::<Vec<_>>()
-            .join(", ");
-        let comma = if i + 1 < apps.len() { "," } else { "" };
-        let _ = writeln!(
-            out,
-            "    {{ \"app\": \"{}\", \"survivors\": {}, \"confirmed\": {}, \"unconfirmed\": {}, \
-             \"infeasible\": {}, \"states\": {}, \"micros\": {}, \"digest\": \"{}\", \
-             \"confirmed_ids\": [{ids}] }}{comma}",
-            a.name, a.survivors, a.confirmed, a.unconfirmed, a.infeasible, a.states, a.micros,
-            a.digest
-        );
-    }
-    let _ = writeln!(out, "  ]");
-    out.push_str("}\n");
-    std::fs::write(&out_path, &out).expect("write bench json");
-
-    // One step: regenerate the BENCH document *and* append the run to
-    // the longitudinal ledger. Restricted (`--only`) runs never land in
-    // the ledger — their tallies are not comparable to full sweeps.
-    match only.is_some() {
-        true => eprintln!("confirm_bench: --only run, skipping the ledger"),
-        false => match nadroid_core::parse_json(&out)
-            .and_then(|v| nadroid_ledger::record_from_bench_confirm(&v))
-        {
-            Ok(mut rec) => {
-                rec.note = format!("confirm_bench --threads {threads}");
-                let ledger_path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-                    .join("../..")
-                    .join(nadroid_ledger::DEFAULT_PATH);
-                match nadroid_ledger::append(&ledger_path, &rec) {
-                    Ok(()) => eprintln!("appended confirm record to {}", ledger_path.display()),
-                    Err(e) => eprintln!("could not append ledger record: {e}"),
-                }
-            }
-            Err(e) => eprintln!("could not build ledger record: {e}"),
-        },
-    }
-
     eprintln!(
         "confirm_bench: {confirmed} confirmed / {unconfirmed} unconfirmed / {infeasible} infeasible \
-         over {survivors} survivor(s), {states} state(s), {wall_secs:.2}s"
+         over {survivors} survivor(s), {states} state(s), {wall_secs:.2}s ({throughput:.2} warnings/s)"
     );
-    println!("wrote {out_path}");
 
     let mut failed = false;
     for f in &failures {

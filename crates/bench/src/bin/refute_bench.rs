@@ -1,14 +1,16 @@
 //! Refutation-study bench: analyze the dedicated refutation corpus
-//! ([`nadroid_corpus::refute_specs`]) and write `BENCH_refute.json`
-//! (schema `nadroid-refute-bench/1`).
+//! ([`nadroid_corpus::refute_specs`]) and write `BENCH_refute.json`,
+//! one `nadroid-ledger/1` record of kind `refute` (also appended to
+//! `Result/ledger.jsonl`; its keys are listed in the "Run ledger & perf
+//! gate" section of `docs/observability.md`).
 //!
-//! The document records a Figure-5-style stage tally extended by the
+//! The record holds a Figure-5-style stage tally extended by the
 //! refutation stage (potential → after sound → after unsound →
-//! refuted → after refutation), the per-reason refutation counts, and
-//! one row per app with its post-refutation surviving warning ids and
-//! their `wp:` digest — all deterministic, so the perf gate compares
-//! them exactly. The run is also appended to `Result/ledger.jsonl` as
-//! a `refute` record.
+//! refuted → after refutation), the per-reason refutation counts, each
+//! app's stage counts and wall time under `app.<App>.*`, and each
+//! app's post-refutation surviving warning ids with their `wp:` digest
+//! — counts and populations are deterministic, so the perf gate
+//! compares them exactly.
 //!
 //! Self-checks (exit nonzero on violation):
 //! - every planted `Refute*` cluster is refuted, with exactly the
@@ -19,12 +21,14 @@
 //! Usage: `refute_bench [--threads <N>] [--out <file>]`
 
 use nadroid_bench::analyze_program;
+use nadroid_bench::measure::commit_bench_record;
 use nadroid_core::warning_population_digest;
 use nadroid_corpus::{generate, refute_specs, AppSpec, Expectation, PatternKind};
 use nadroid_detector::warning_id;
 use nadroid_filters::refute::RefutationReason;
+use nadroid_ledger::{AppPopulation, Kind, Population, Record};
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
+use std::path::Path;
 use std::time::Instant;
 
 /// One app's refutation sweep.
@@ -201,76 +205,60 @@ fn main() {
             *reasons.entry(k).or_insert(0) += n;
         }
     }
-    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
 
-    let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"schema\": \"nadroid-refute-bench/1\",");
-    let _ = writeln!(out, "  \"apps\": {},", apps.len());
-    let _ = writeln!(out, "  \"cores\": {cores},");
-    let _ = writeln!(out, "  \"threads\": {threads},");
-    let _ = writeln!(out, "  \"wall_secs\": {wall_secs:.6},");
-    let _ = writeln!(
-        out,
-        "  \"tally\": {{ \"potential\": {potential}, \"after_sound\": {after_sound}, \
-         \"after_unsound\": {after_unsound}, \"refuted\": {refuted}, \
-         \"after_refutation\": {after_refutation} }},"
-    );
-    let reason_fields = reasons
-        .iter()
-        .map(|(k, n)| format!("\"{k}\": {n}"))
-        .collect::<Vec<_>>()
-        .join(", ");
-    let _ = writeln!(out, "  \"reasons\": {{ {reason_fields} }},");
-    let _ = writeln!(out, "  \"per_app\": [");
-    for (i, a) in apps.iter().enumerate() {
-        let ids = a
-            .surviving_ids
-            .iter()
-            .map(|id| format!("\"{id}\""))
-            .collect::<Vec<_>>()
-            .join(", ");
-        let comma = if i + 1 < apps.len() { "," } else { "" };
-        let _ = writeln!(
-            out,
-            "    {{ \"app\": \"{}\", \"potential\": {}, \"after_sound\": {}, \
-             \"after_unsound\": {}, \"refuted\": {}, \"after_refutation\": {}, \
-             \"micros\": {}, \"digest\": \"{}\", \"surviving_ids\": [{ids}] }}{comma}",
-            a.name,
-            a.potential,
-            a.after_sound,
-            a.after_unsound,
-            a.refuted,
-            a.after_refutation,
-            a.micros,
-            a.digest
-        );
+    let mut rec = Record::new(Kind::Refute);
+    rec.note = format!("refute_bench --threads {threads}");
+    rec.env.threads = threads as u64;
+    rec.times.insert("refute.wall_secs".into(), wall_secs);
+    rec.counters.insert("apps".into(), apps.len() as u64);
+    let mut tallies = BTreeMap::new();
+    for (k, n) in [
+        ("potential", potential),
+        ("after_sound", after_sound),
+        ("after_unsound", after_unsound),
+        ("refuted", refuted),
+        ("after_refutation", after_refutation),
+    ] {
+        rec.counters.insert(format!("refute.{k}"), n as u64);
+        tallies.insert(k.to_string(), n as u64);
     }
-    let _ = writeln!(out, "  ]");
-    out.push_str("}\n");
-    std::fs::write(&out_path, &out).expect("write bench json");
-
-    // One step: regenerate the BENCH document *and* append the run to
-    // the longitudinal ledger.
-    match nadroid_core::parse_json(&out).and_then(|v| nadroid_ledger::record_from_bench_refute(&v))
-    {
-        Ok(mut rec) => {
-            rec.note = format!("refute_bench --threads {threads}");
-            let ledger_path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-                .join("../..")
-                .join(nadroid_ledger::DEFAULT_PATH);
-            match nadroid_ledger::append(&ledger_path, &rec) {
-                Ok(()) => eprintln!("appended refute record to {}", ledger_path.display()),
-                Err(e) => eprintln!("could not append ledger record: {e}"),
-            }
+    for (k, n) in &reasons {
+        rec.counters.insert(format!("refute.reason.{k}"), *n as u64);
+        tallies.insert(format!("reason.{k}"), *n as u64);
+    }
+    let mut populations = Vec::new();
+    for a in &apps {
+        let app = |k: &str| format!("app.{}.{k}", a.name);
+        rec.times.insert(app("wall_secs"), a.micros as f64 / 1e6);
+        for (k, n) in [
+            ("potential", a.potential),
+            ("after_sound", a.after_sound),
+            ("after_unsound", a.after_unsound),
+            ("refuted", a.refuted),
+            ("after_refutation", a.after_refutation),
+        ] {
+            rec.counters.insert(app(k), n as u64);
         }
-        Err(e) => eprintln!("could not build ledger record: {e}"),
+        populations.push(AppPopulation {
+            app: a.name.clone(),
+            digest: a.digest.clone(),
+            ids: a.surviving_ids.clone(),
+        });
+    }
+    populations.sort_by(|a, b| a.app.cmp(&b.app));
+    rec.population = Some(Population {
+        apps: populations,
+        tallies,
+    });
+    if let Err(e) = commit_bench_record(&rec, Path::new(&out_path)) {
+        eprintln!("refute_bench: {e}");
+        std::process::exit(1);
     }
 
     eprintln!(
         "refute_bench: {potential} potential -> {after_sound} after sound -> {after_unsound} \
          after unsound -> {refuted} refuted -> {after_refutation} reported, {wall_secs:.2}s"
     );
-    println!("wrote {out_path}");
 
     if !violations.is_empty() {
         for v in &violations {

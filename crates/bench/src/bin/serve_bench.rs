@@ -27,23 +27,26 @@
 //!    same value it echoes, into the same histogram implementation, so
 //!    any drift means the telemetry plumbing is lying.
 //!
-//! `BENCH_serve.json` schema (`nadroid-serve-bench/3`): see the fields
-//! written below; all times are microseconds. Schema /3 added the host
-//! fingerprint (`cores`, `threads`, `workers`) so serve numbers are
-//! comparable across machines, and every run also appends a
-//! `serve_bench` record to the `Result/ledger.jsonl` run ledger.
+//! `BENCH_serve.json` is one `nadroid-ledger/1` record of kind
+//! `serve_bench` (all latencies in microseconds, with the host
+//! fingerprint in `env`), also appended to `Result/ledger.jsonl`; its
+//! keys are listed in the "Run ledger & perf gate" section of
+//! `docs/observability.md`. Derived ratios — throughput, hit rate, the
+//! ConnectBot speedup — are printed, not stored.
 //!
 //! Run with `cargo run --release -p nadroid-bench --bin serve_bench`
 //! (`--concurrency <N>`, `--out <file>`).
 
+use nadroid_bench::measure::commit_bench_record;
 use nadroid_core::{parse_json, JsonValue};
 use nadroid_corpus::{generate, spec_for, table1_rows};
 use nadroid_ir::print_program;
+use nadroid_ledger::{Kind, Record};
 use nadroid_obs::Histogram;
 use nadroid_serve::client::Client;
 use nadroid_serve::protocol::{AnalyzeOpts, Request, Response};
 use nadroid_serve::server::{ServeConfig, Server};
-use std::fmt::Write as _;
+use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -110,33 +113,26 @@ fn run_pass(addr: std::net::SocketAddr, programs: &Arc<Vec<String>>, concurrency
     (samples, wall)
 }
 
-fn pass_json(out: &mut String, label: &str, samples: &[Sample], wall_secs: f64) {
-    let client = hist_of(samples.iter().map(|s| s.client_us));
-    let server = hist_of(samples.iter().map(|s| s.server_us));
-    let throughput = if wall_secs > 0.0 {
+/// Record one pass: request count, wall seconds, and client/server
+/// latency percentiles. Returns the pass throughput for the summary.
+fn record_pass(rec: &mut Record, label: &str, samples: &[Sample], wall_secs: f64) -> f64 {
+    rec.counters
+        .insert(format!("{label}.requests"), samples.len() as u64);
+    rec.times.insert(format!("{label}.wall_secs"), wall_secs);
+    for (side, h) in [
+        ("client", hist_of(samples.iter().map(|s| s.client_us))),
+        ("server", hist_of(samples.iter().map(|s| s.server_us))),
+    ] {
+        for (p, q) in [("p50", 0.50), ("p95", 0.95), ("p99", 0.99)] {
+            rec.percentiles
+                .insert(format!("{label}.{side}_{p}_us"), h.percentile(q));
+        }
+    }
+    if wall_secs > 0.0 {
         samples.len() as f64 / wall_secs
     } else {
         0.0
-    };
-    let _ = writeln!(out, "  \"{label}\": {{");
-    let _ = writeln!(out, "    \"requests\": {},", samples.len());
-    let _ = writeln!(out, "    \"wall_secs\": {wall_secs:.6},");
-    let _ = writeln!(out, "    \"throughput_rps\": {throughput:.2},");
-    let _ = writeln!(
-        out,
-        "    \"client_p50_us\": {}, \"client_p95_us\": {}, \"client_p99_us\": {},",
-        client.percentile(0.50),
-        client.percentile(0.95),
-        client.percentile(0.99)
-    );
-    let _ = writeln!(
-        out,
-        "    \"server_p50_us\": {}, \"server_p95_us\": {}, \"server_p99_us\": {}",
-        server.percentile(0.50),
-        server.percentile(0.95),
-        server.percentile(0.99)
-    );
-    let _ = writeln!(out, "  }},");
+    }
 }
 
 /// Pull `count`/percentile fields for one histogram series out of the
@@ -153,23 +149,26 @@ fn series_stats(metrics: &JsonValue, name: &str) -> Option<(u64, u64, u64, u64, 
     ))
 }
 
-fn server_block(out: &mut String, metrics: &JsonValue) {
-    let _ = writeln!(out, "  \"server\": {{");
-    let series = [
+/// Record the server's own per-endpoint distributions from the
+/// `metrics` op.
+fn record_server(rec: &mut Record, metrics: &JsonValue) {
+    for name in [
         "serve.latency.analyze.miss",
         "serve.latency.analyze.hit",
         "serve.queue_wait.analyze",
-    ];
-    for (i, name) in series.iter().enumerate() {
-        let (count, p50, p95, p99, max) =
-            series_stats(metrics, name).unwrap_or_else(|| panic!("metrics series `{name}` missing"));
-        let comma = if i + 1 < series.len() { "," } else { "" };
-        let _ = writeln!(
-            out,
-            "    \"{name}\": {{ \"count\": {count}, \"p50_us\": {p50}, \"p95_us\": {p95}, \"p99_us\": {p99}, \"max_us\": {max} }}{comma}"
-        );
+    ] {
+        let (count, p50, p95, p99, max) = series_stats(metrics, name)
+            .unwrap_or_else(|| panic!("metrics series `{name}` missing"));
+        rec.counters.insert(format!("{name}.count"), count);
+        for (p, v) in [
+            ("p50_us", p50),
+            ("p95_us", p95),
+            ("p99_us", p99),
+            ("max_us", max),
+        ] {
+            rec.percentiles.insert(format!("{name}.{p}"), v);
+        }
     }
-    let _ = writeln!(out, "  }},");
 }
 
 fn main() {
@@ -262,60 +261,43 @@ fn main() {
         .server_us;
     let speedup = cb_cold as f64 / (cb_warm.max(1)) as f64;
 
-    // Host fingerprint (new in /3): serve latencies are only comparable
-    // across runs when the hardware and thread config are on record.
-    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
-    let threads = stat("threads");
-    let workers = stat("workers");
-
-    let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"schema\": \"nadroid-serve-bench/3\",");
-    let _ = writeln!(out, "  \"apps\": {},", programs.len());
-    let _ = writeln!(out, "  \"concurrency\": {concurrency},");
-    let _ = writeln!(out, "  \"cores\": {cores},");
-    let _ = writeln!(out, "  \"threads\": {threads},");
-    let _ = writeln!(out, "  \"workers\": {workers},");
-    pass_json(&mut out, "cold", &cold, cold_wall);
-    pass_json(&mut out, "warm", &warm, warm_wall);
-    server_block(&mut out, &metrics);
-    let _ = writeln!(out, "  \"cache_hit_rate\": {hit_rate:.4},");
-    let _ = writeln!(out, "  \"cache_bytes\": {},", stat("cache_bytes"));
-    let _ = writeln!(out, "  \"cache_entries\": {},", stat("cache_entries"));
-    let _ = writeln!(out, "  \"cache_evictions\": {},", stat("cache_evictions"));
-    let _ = writeln!(out, "  \"rejected\": {},", stat("rejected"));
-    let _ = writeln!(
-        out,
-        "  \"connectbot\": {{ \"cold_us\": {cb_cold}, \"warm_us\": {cb_warm}, \"speedup\": {speedup:.1} }}"
-    );
-    out.push_str("}\n");
-    std::fs::write(&out_path, &out).expect("write bench json");
-
-    // One step: regenerate the BENCH document *and* append the run to
-    // the longitudinal ledger.
-    match parse_json(&out).and_then(|v| nadroid_ledger::record_from_bench_serve(&v)) {
-        Ok(mut rec) => {
-            rec.note = format!("serve_bench --concurrency {concurrency}");
-            let ledger_path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-                .join("../..")
-                .join(nadroid_ledger::DEFAULT_PATH);
-            match nadroid_ledger::append(&ledger_path, &rec) {
-                Ok(()) => eprintln!("appended serve_bench record to {}", ledger_path.display()),
-                Err(e) => eprintln!("could not append ledger record: {e}"),
-            }
-        }
-        Err(e) => eprintln!("could not build ledger record: {e}"),
+    let mut rec = Record::new(Kind::ServeBench);
+    rec.note = format!("serve_bench --concurrency {concurrency}");
+    // Serve latencies are only comparable across runs when the thread
+    // config is on record: the server's effective inner threads.
+    rec.env.threads = stat("threads");
+    rec.counters.insert("apps".into(), programs.len() as u64);
+    rec.counters
+        .insert("concurrency".into(), concurrency as u64);
+    rec.counters.insert("workers".into(), stat("workers"));
+    let cold_rps = record_pass(&mut rec, "cold", &cold, cold_wall);
+    let warm_rps = record_pass(&mut rec, "warm", &warm, warm_wall);
+    record_server(&mut rec, &metrics);
+    for k in [
+        "cache_bytes",
+        "cache_entries",
+        "cache_evictions",
+        "rejected",
+    ] {
+        rec.counters.insert(k.into(), stat(k));
+    }
+    rec.percentiles.insert("connectbot.cold_us".into(), cb_cold);
+    rec.percentiles.insert("connectbot.warm_us".into(), cb_warm);
+    if let Err(e) = commit_bench_record(&rec, Path::new(&out_path)) {
+        eprintln!("serve_bench: {e}");
+        std::process::exit(1);
     }
 
     let cold_server = hist_of(cold.iter().map(|s| s.server_us));
     let warm_client = hist_of(warm.iter().map(|s| s.client_us));
     let warm_server = hist_of(warm.iter().map(|s| s.server_us));
     eprintln!(
-        "serve_bench: cold p50 {}us, warm p50 {}us, hit rate {:.0}%, connectbot {cb_cold}us -> {cb_warm}us ({speedup:.0}x)",
+        "serve_bench: cold p50 {}us ({cold_rps:.2} req/s), warm p50 {}us ({warm_rps:.2} req/s), \
+         hit rate {:.0}%, connectbot {cb_cold}us -> {cb_warm}us ({speedup:.0}x)",
         cold_server.percentile(0.5),
         warm_server.percentile(0.5),
         hit_rate * 100.0
     );
-    println!("wrote {out_path}");
 
     let mut failed = false;
     if speedup < 20.0 {

@@ -1,76 +1,41 @@
 //! Regenerate the §8.8 phase-time breakdown: modeling vs detection vs
 //! filtering, summed over the whole suite, with the detection sub-phases
-//! (points-to / escape / pair enumeration) broken out — plus a
-//! machine-readable `BENCH_timing.json` at the repo root for
-//! before/after comparisons.
+//! (points-to / escape / pair enumeration) broken out — and commit the
+//! run as `BENCH_timing.json` at the repo root.
 //!
 //! The paper reports modeling at 1.19%, static detection at 95.73%, and
 //! filtering at 3.08% of the analysis time. Our detection phase (the
 //! k-object-sensitive points-to + escape + pair enumeration) similarly
 //! dominates; absolute times are not comparable (simulator substrate).
 //!
-//! `BENCH_timing.json` schema (`nadroid-timing/4`):
-//!
-//! - `suite.wall_secs` — elapsed wall-clock for the parallel suite run;
-//! - `suite.cpu_secs` — per-app phase totals summed across all (parallel)
-//!   app runs, so it exceeds `wall_secs` on a multi-core host;
-//! - `phase_cpu_secs` — the same CPU-semantics sum broken down by phase,
-//!   encoded by `nadroid_core::phase_timings_json` (the encoder the CLI
-//!   run-report also uses);
-//! - `counters` — suite-wide sums of a few recorder counters, including
-//!   `hb.edges` and `detector.mhp_prepruned` (the timed run enables the
-//!   HB-closure MHP pre-prune, so its savings are visible here);
-//! - `hb.closure_secs` — total HB Datalog closure time across apps;
-//! - `datalog_closure` — the isolated engine workload below;
-//! - `scale` — the corpus-scale thread-scaling curve (new in /4): the
-//!   deterministic 1000-app population analyzed once per inner-thread
-//!   count (1/2/4/8), with `cores` recording how much hardware
-//!   parallelism the measuring machine actually had (speedups are
-//!   machine-bound; the deterministic counters are not). Per-curve-row
-//!   keys carry a `_t<N>` suffix so the flat `extract_num` scanner can
-//!   address them individually.
+//! `BENCH_timing.json` is one `nadroid-ledger/1` record of kind
+//! `timing`, also appended to `Result/ledger.jsonl`; its keys are
+//! listed in the "Run ledger & perf gate" section of
+//! `docs/observability.md`.
 //!
 //! Run with `cargo run --release -p nadroid-bench --bin timing`; add
-//! `--scale [N]` to (re-)measure the corpus-scale curve too (a plain
-//! run carries the committed curve forward unchanged — it is far more
-//! expensive than the suite). With `--check <tolerance>` it instead
-//! re-measures the suite, compares against the committed
-//! `BENCH_timing.json`, and validates the committed scale block
-//! structurally (curve rows present for threads 1/2/4/8, deterministic
-//! counters identical across the curve), exiting nonzero if any guarded
-//! time blew past `tolerance ×` the baseline (plus a small absolute
-//! slack for scheduler jitter) or a deterministic invariant changed —
-//! the CI bench-regression guard.
+//! `--scale [N]` to (re-)measure the corpus-scale thread curve too (a
+//! plain run carries the committed `scale.*` keys forward unchanged —
+//! the curve is far more expensive than the suite). `nadroid perf gate
+//! --against BENCH_timing.json` is the CI regression guard.
 
-use nadroid_bench::measure::measure_suite;
+use nadroid_bench::measure::{commit_bench_record, measure_suite};
 use nadroid_ledger as ledger;
-
-/// Extract the first `"key": <number>` value from a JSON document.
-fn extract_num(json: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\":");
-    let at = json.find(&pat)? + pat.len();
-    let rest = json[at..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || "+-.eE".contains(c)))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
 
 /// The inner-thread counts the scaling curve covers. Thread counts
 /// beyond the machine's cores are deliberately included: they prove the
-/// determinism claim under real oversubscription, and `cores` in the
-/// artifact tells readers which rows could physically speed up.
+/// determinism claim under real oversubscription, and the record's
+/// `env.cores` tells readers which rows could physically speed up.
 const CURVE_THREADS: [usize; 4] = [1, 2, 4, 8];
 
-/// Measure the corpus-scale thread-scaling curve and render the `scale`
-/// JSON block (everything between `"scale":` and its closing brace,
-/// newline-terminated, ready for [`with_scale_block`]).
+/// Measure the corpus-scale thread-scaling curve into `rec`: one
+/// `scale.wall_secs_t<N>` time per thread count and one `scale.*`
+/// counter per deterministic aggregate.
 ///
 /// Asserts the deterministic-counter invariant on the spot: the
 /// aggregate `detector.pairs_examined` and `pointsto.queue_pops` (and
 /// the warning total) must be identical at every thread count.
-fn measure_scale(total: usize) -> String {
-    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
+fn measure_scale(total: usize, rec: &mut ledger::Record) {
     let mut runs = Vec::new();
     for &t in &CURVE_THREADS {
         let run = nadroid_bench::run_scale(total, t);
@@ -78,6 +43,8 @@ fn measure_scale(total: usize) -> String {
             "scale: {} apps at threads={t}: {:?} wall, {} pairs examined, {} queue pops, {} warnings",
             run.apps, run.wall, run.pairs_examined, run.queue_pops, run.warnings
         );
+        rec.times
+            .insert(format!("scale.wall_secs_t{t}"), run.wall.as_secs_f64());
         runs.push(run);
     }
     let first = &runs[0];
@@ -89,240 +56,54 @@ fn measure_scale(total: usize) -> String {
             run.threads
         );
     }
-    let rows: Vec<String> = runs
-        .iter()
-        .map(|r| {
-            format!(
-                concat!(
-                    "      {{\n",
-                    "        \"threads\": {},\n",
-                    "        \"wall_secs_t{}\": {:.6},\n",
-                    "        \"pairs_examined_t{}\": {},\n",
-                    "        \"queue_pops_t{}\": {},\n",
-                    "        \"warnings_t{}\": {}\n",
-                    "      }}"
-                ),
-                r.threads,
-                r.threads,
-                r.wall.as_secs_f64(),
-                r.threads,
-                r.pairs_examined,
-                r.threads,
-                r.queue_pops,
-                r.threads,
-                r.warnings,
-            )
-        })
-        .collect();
-    format!(
-        "  \"scale\": {{\n    \"scale_apps\": {total},\n    \"cores\": {cores},\n    \"curve\": [\n{}\n    ]\n  }}\n",
-        rows.join(",\n")
-    )
-}
-
-/// Splice a `scale` block into a suite document as its last member.
-fn with_scale_block(json: &str, block: &str) -> String {
-    let body = json
-        .trim_end()
-        .strip_suffix('}')
-        .expect("suite json ends with the top-level brace")
-        .trim_end();
-    format!("{body},\n{block}}}\n")
-}
-
-/// Pull the `scale` block back out of a committed document (it is
-/// always the last top-level member), so a plain suite re-measure can
-/// carry the expensive curve forward unchanged.
-fn extract_scale_block(doc: &str) -> Option<String> {
-    let start = doc.find("  \"scale\": {")?;
-    let end = doc.trim_end().strip_suffix('}')?.trim_end().len();
-    let block = doc.get(start..end)?;
-    block.ends_with('}').then(|| format!("{block}\n"))
-}
-
-/// Structural validation of the committed scale block: curve rows for
-/// every [`CURVE_THREADS`] entry, and deterministic aggregates that do
-/// not move across the curve. Machine-independent — `--check` never
-/// re-measures the corpus-scale population. Returns the violation count.
-fn check_scale(baseline: &str) -> usize {
-    let mut violations = 0;
-    for key in ["scale_apps", "cores"] {
-        if extract_num(baseline, key).is_none() {
-            println!("bench-check FAIL: scale key \"{key}\" missing from baseline");
-            violations += 1;
-        }
+    for (name, v) in [
+        ("apps", total as u64),
+        ("pairs_examined", first.pairs_examined),
+        ("queue_pops", first.queue_pops),
+        ("warnings", first.warnings),
+    ] {
+        rec.counters.insert(format!("scale.{name}"), v);
     }
-    let mut pairs = Vec::new();
-    let mut pops = Vec::new();
-    for t in CURVE_THREADS {
-        if extract_num(baseline, &format!("wall_secs_t{t}")).is_none() {
-            println!("bench-check FAIL: scale curve row for threads={t} missing");
-            violations += 1;
-        }
-        pairs.push(extract_num(baseline, &format!("pairs_examined_t{t}")));
-        pops.push(extract_num(baseline, &format!("queue_pops_t{t}")));
-    }
-    for (name, series) in [("pairs_examined", &pairs), ("queue_pops", &pops)] {
-        if series.iter().any(Option::is_none) || series.windows(2).any(|w| w[0] != w[1]) {
-            println!("bench-check FAIL: \"{name}\" varies across the thread curve: {series:?}");
-            violations += 1;
-        } else {
-            println!(
-                "bench-check ok: \"{name}\" identical across threads {CURVE_THREADS:?} ({:.0})",
-                series[0].unwrap_or(0.0)
-            );
-        }
-    }
-    violations
-}
-
-fn baseline_path() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("BENCH_timing.json")
-}
-
-/// Compare a fresh measurement against the committed baseline. Returns
-/// the number of violations (printed as they are found).
-fn check(current: &str, baseline: &str, tol: f64) -> usize {
-    // Wall/CPU-time keys: noisy, so guarded with a multiplicative
-    // tolerance plus an absolute slack (tiny phases jitter wildly in
-    // relative terms).
-    const SLACK_SECS: f64 = 0.25;
-    let mut violations = 0;
-    for key in ["wall_secs", "cpu_secs", "total", "run_secs"] {
-        let (Some(base), Some(cur)) = (extract_num(baseline, key), extract_num(current, key))
-        else {
-            println!("bench-check FAIL: key \"{key}\" missing from baseline or current run");
-            violations += 1;
-            continue;
-        };
-        let limit = base * tol + SLACK_SECS;
-        if cur > limit {
-            println!(
-                "bench-check FAIL: \"{key}\" = {cur:.6}s exceeds {tol}x baseline {base:.6}s (+{SLACK_SECS}s slack)"
-            );
-            violations += 1;
-        } else {
-            println!(
-                "bench-check ok: \"{key}\" {cur:.6}s vs baseline {base:.6}s (limit {limit:.6}s)"
-            );
-        }
-    }
-    // Deterministic keys: exact equality.
-    for key in ["derived_tuples", "apps"] {
-        let (base, cur) = (extract_num(baseline, key), extract_num(current, key));
-        if base == cur && base.is_some() {
-            println!("bench-check ok: \"{key}\" = {:.0}", base.unwrap_or(0.0));
-        } else {
-            println!("bench-check FAIL: \"{key}\" changed: baseline {base:?}, current {cur:?}");
-            violations += 1;
-        }
-    }
-    // The schema/4 scale block: validated structurally, never re-run.
-    violations += check_scale(baseline);
-    violations
 }
 
 fn main() {
-    const USAGE: &str = "usage: timing [--check <tolerance>] [--scale [N]]";
+    const USAGE: &str = "usage: timing [--scale [N]]";
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut check_tol: Option<f64> = None;
-    let mut scale_apps: Option<usize> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--check" => {
-                check_tol = Some(
-                    args.get(i + 1)
-                        .and_then(|t| t.parse::<f64>().ok())
-                        .unwrap_or_else(|| {
-                            eprintln!("{USAGE}");
-                            std::process::exit(2);
-                        }),
-                );
-                i += 2;
-            }
-            "--scale" => {
-                // Optional count; defaults to the 1000-app population.
-                if let Some(n) = args.get(i + 1).and_then(|v| v.parse::<usize>().ok()) {
-                    scale_apps = Some(n);
-                    i += 2;
-                } else {
-                    scale_apps = Some(1000);
-                    i += 1;
-                }
-            }
-            other => {
-                eprintln!("unknown argument {other}; {USAGE}");
-                std::process::exit(2);
-            }
+    let scale_apps = match args.as_slice() {
+        [] => None,
+        [flag] if flag == "--scale" => Some(1000),
+        [flag, n] if flag == "--scale" => Some(n.parse::<usize>().unwrap_or_else(|_| {
+            eprintln!("{USAGE}");
+            std::process::exit(2);
+        })),
+        _ => {
+            eprintln!("{USAGE}");
+            std::process::exit(2);
         }
-    }
-    if check_tol.is_some() && scale_apps.is_some() {
-        eprintln!("--check validates the committed scale block; it cannot re-measure it. {USAGE}");
-        std::process::exit(2);
-    }
+    };
 
     let m = measure_suite();
-
-    if let Some(tol) = check_tol {
-        let path = baseline_path();
-        let baseline = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-            eprintln!("could not read baseline {}: {e}", path.display());
-            std::process::exit(2);
-        });
-        let violations = check(&m.json, &baseline, tol);
-        if violations > 0 {
-            println!(
-                "bench-check: {violations} violation(s) against {}",
-                path.display()
-            );
-            std::process::exit(1);
-        }
-        println!("bench-check: all keys within {tol}x of {}", path.display());
-        return;
-    }
-
     println!("Phase times per app:");
     println!("{}", m.table);
     print!("{}", m.breakdown);
 
-    let out = baseline_path();
-    // A fresh scale curve when asked; otherwise carry the committed one
-    // forward so a plain suite re-measure never drops the (expensive)
-    // corpus-scale artifact.
-    let json = if let Some(n) = scale_apps {
-        with_scale_block(&m.json, &measure_scale(n))
-    } else if let Some(block) = std::fs::read_to_string(&out)
-        .ok()
-        .as_deref()
-        .and_then(extract_scale_block)
-    {
-        println!("carrying forward the committed scale block (re-measure with --scale)");
-        with_scale_block(&m.json, &block)
-    } else {
-        m.json
-    };
-    match std::fs::write(&out, &json) {
-        Ok(()) => println!("wrote {}", out.display()),
-        Err(e) => eprintln!("could not write {}: {e}", out.display()),
+    let mut rec = m.record;
+    rec.note = "timing driver".to_string();
+    let out = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../..")
+        .join("BENCH_timing.json");
+    if let Some(n) = scale_apps {
+        measure_scale(n, &mut rec);
+    } else if let Some(committed) = ledger::read(&out).ok().and_then(|mut r| r.pop()) {
+        println!("carrying forward the committed scale curve (re-measure with --scale)");
+        let is_scale = |k: &String| k.starts_with("scale.");
+        rec.times
+            .extend(committed.times.into_iter().filter(|(k, _)| is_scale(k)));
+        rec.counters
+            .extend(committed.counters.into_iter().filter(|(k, _)| is_scale(k)));
     }
-
-    // Regenerating the BENCH document and appending the run to the
-    // ledger are one step: the longitudinal history never misses a
-    // baseline refresh.
-    match nadroid_core::parse_json(&json).and_then(|v| ledger::record_from_bench_timing(&v)) {
-        Ok((mut rec, _violations)) => {
-            rec.note = "timing driver".to_string();
-            let ledger_path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-                .join("../..")
-                .join(ledger::DEFAULT_PATH);
-            match ledger::append(&ledger_path, &rec) {
-                Ok(()) => println!("appended {} record to {}", rec.kind.as_str(), ledger_path.display()),
-                Err(e) => eprintln!("could not append ledger record: {e}"),
-            }
-        }
-        Err(e) => eprintln!("could not build ledger record: {e}"),
+    if let Err(e) = commit_bench_record(&rec, &out) {
+        eprintln!("timing: {e}");
+        std::process::exit(1);
     }
 }

@@ -37,7 +37,7 @@ pub struct AppRun {
     pub recorder: obs::Recorder,
     /// The rendered JSON run report for this app.
     pub report: String,
-    /// The `nadroid-provenance/3` JSON document: stable warning ids,
+    /// The `nadroid-provenance/4` JSON document: stable warning ids,
     /// derivation trees, per-filter audit trail, and HB evidence.
     pub provenance: String,
     /// Stable ids of the warnings surviving all filters, in report order.

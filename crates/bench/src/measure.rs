@@ -1,13 +1,15 @@
 //! Suite measurement shared by the `timing` driver and the `nadroid
-//! perf` family: the §8.8 phase-time breakdown as a `nadroid-timing/4`
-//! document, and full ledger records for the run ledger.
+//! perf` family: the §8.8 phase-time breakdown as a `timing` ledger
+//! record, full `suite` records for the run ledger, and the one-step
+//! write every bench driver ends with.
 
 use crate::{run_rows_parallel, run_rows_parallel_timed, render_table, AppRun};
-use nadroid_core::{phase_timings_json, PhaseTimings};
+use nadroid_core::PhaseTimings;
 use nadroid_corpus::table1_rows;
 use nadroid_datalog::{Database, RuleSet, Term};
 use nadroid_ledger as ledger;
 use nadroid_obs::Histogram;
+use std::path::Path;
 use std::time::{Duration, Instant};
 
 /// A fixed Datalog closure workload (chain + shortcut edges, n = 200)
@@ -37,10 +39,19 @@ pub fn datalog_throughput() -> (u64, f64, Duration) {
     (stats.derived, stats.tuples_per_sec(), stats.duration)
 }
 
-/// Sum a recorder counter across all app runs.
-fn counter_sum(runs: &[AppRun], name: &str) -> u64 {
-    runs.iter().map(|r| r.recorder.counter_value(name)).sum()
-}
+/// A §8.8 phase: its ledger name and how to read it from the timings.
+type Phase = (&'static str, fn(&PhaseTimings) -> Duration);
+
+/// The §8.8 phases, in report order.
+const PHASES: [Phase; 7] = [
+    ("modeling", |t| t.modeling),
+    ("hb", |t| t.hb),
+    ("detection", |t| t.detection),
+    ("pointsto", |t| t.pointsto),
+    ("escape", |t| t.escape),
+    ("detect", |t| t.detect),
+    ("filtering", |t| t.filtering),
+];
 
 fn sum_timings(runs: &[AppRun]) -> PhaseTimings {
     let mut sum = PhaseTimings::default();
@@ -56,11 +67,47 @@ fn sum_timings(runs: &[AppRun]) -> PhaseTimings {
     sum
 }
 
-/// The result of one timed suite run: the `nadroid-timing/4` JSON
-/// document (without a `scale` block) plus human-readable renderings.
+/// A ledger record of `kind` holding what every suite run measures:
+/// wall and CPU seconds, per-phase CPU seconds summed across the
+/// (parallel) app runs, the app count, and every recorder counter
+/// summed over the apps. Time-valued `*_micros` counters are folded
+/// into `times` so the counter section stays exactly comparable.
+fn suite_record(kind: ledger::Kind, runs: &[AppRun], wall: Duration) -> ledger::Record {
+    let sum = sum_timings(runs);
+    let mut rec = ledger::Record::new(kind);
+    rec.times
+        .insert("suite.wall_secs".into(), wall.as_secs_f64());
+    rec.times
+        .insert("suite.cpu_secs".into(), sum.total().as_secs_f64());
+    for (name, pick) in PHASES {
+        rec.times
+            .insert(format!("phase.{name}"), pick(&sum).as_secs_f64());
+    }
+    rec.times
+        .insert("phase.total".into(), sum.total().as_secs_f64());
+
+    rec.counters.insert("apps".into(), runs.len() as u64);
+    let mut counter_totals: std::collections::BTreeMap<String, u64> = Default::default();
+    for run in runs {
+        for (name, v) in run.recorder.counters() {
+            *counter_totals.entry(name).or_insert(0) += v;
+        }
+    }
+    for (name, v) in counter_totals {
+        if let Some(stem) = name.strip_suffix("_micros") {
+            rec.times.insert(format!("{stem}_secs"), v as f64 / 1e6);
+        } else {
+            rec.counters.insert(name, v);
+        }
+    }
+    rec
+}
+
+/// The result of one timed suite run: its `timing` ledger record
+/// (without the scale curve) plus human-readable renderings.
 pub struct SuiteMeasurement {
-    /// The machine-readable document.
-    pub json: String,
+    /// The record the `timing` driver commits as `BENCH_timing.json`.
+    pub record: ledger::Record,
     /// Per-app phase-time table.
     pub table: String,
     /// The §8.8 percentage breakdown plus the Datalog workload line.
@@ -68,10 +115,10 @@ pub struct SuiteMeasurement {
 }
 
 /// Run the timed suite (provenance off, MHP pre-prune on — the §8.8
-/// baseline workload) and render the `nadroid-timing/4` document the
-/// `timing` driver commits as `BENCH_timing.json`. The gate's fresh
-/// measurements use this too, so current and baseline always describe
-/// the same workload.
+/// baseline workload) plus the isolated Datalog closure workload, and
+/// record both. The `timing` driver commits this record as
+/// `BENCH_timing.json`, and the gate's fresh measurements use it too,
+/// so current and baseline always describe the same workload.
 #[must_use]
 pub fn measure_suite() -> SuiteMeasurement {
     let suite_start = Instant::now();
@@ -79,35 +126,26 @@ pub fn measure_suite() -> SuiteMeasurement {
     // analysis pipeline, not the post-run debugging exporter.
     let runs = run_rows_parallel_timed(&table1_rows());
     let suite_wall = suite_start.elapsed();
+    let mut record = suite_record(ledger::Kind::Timing, &runs, suite_wall);
+
+    let header: Vec<&str> = std::iter::once("app")
+        .chain(PHASES.iter().map(|&(name, _)| name))
+        .collect();
+    let rows: Vec<Vec<String>> = runs
+        .iter()
+        .map(|run| {
+            std::iter::once(run.row.name.to_owned())
+                .chain(
+                    PHASES
+                        .iter()
+                        .map(|(_, pick)| format!("{:?}", pick(&run.timings))),
+                )
+                .collect()
+        })
+        .collect();
+    let table = render_table(&header, &rows);
 
     let sum = sum_timings(&runs);
-    let mut rows = Vec::new();
-    for run in &runs {
-        rows.push(vec![
-            run.row.name.to_owned(),
-            format!("{:?}", run.timings.modeling),
-            format!("{:?}", run.timings.hb),
-            format!("{:?}", run.timings.detection),
-            format!("{:?}", run.timings.pointsto),
-            format!("{:?}", run.timings.escape),
-            format!("{:?}", run.timings.detect),
-            format!("{:?}", run.timings.filtering),
-        ]);
-    }
-    let table = render_table(
-        &[
-            "app",
-            "modeling",
-            "hb",
-            "detection",
-            "pointsto",
-            "escape",
-            "detect",
-            "filtering",
-        ],
-        &rows,
-    );
-
     let total = sum.total();
     let pct = |d: Duration| d.as_secs_f64() / total.as_secs_f64() * 100.0;
     let mut breakdown = String::new();
@@ -117,43 +155,16 @@ pub fn measure_suite() -> SuiteMeasurement {
         "§8.8 breakdown over the {}-app suite (paper: 1.19% / 95.73% / 3.08%):",
         runs.len()
     );
-    let _ = writeln!(
-        breakdown,
-        "  modeling  : {:>12?}  {:5.2}%",
-        sum.modeling,
-        pct(sum.modeling)
-    );
-    let _ = writeln!(breakdown, "  hb        : {:>12?}  {:5.2}%", sum.hb, pct(sum.hb));
-    let _ = writeln!(
-        breakdown,
-        "  detection : {:>12?}  {:5.2}%",
-        sum.detection,
-        pct(sum.detection)
-    );
-    let _ = writeln!(
-        breakdown,
-        "    pointsto: {:>12?}  {:5.2}%",
-        sum.pointsto,
-        pct(sum.pointsto)
-    );
-    let _ = writeln!(
-        breakdown,
-        "    escape  : {:>12?}  {:5.2}%",
-        sum.escape,
-        pct(sum.escape)
-    );
-    let _ = writeln!(
-        breakdown,
-        "    detect  : {:>12?}  {:5.2}%",
-        sum.detect,
-        pct(sum.detect)
-    );
-    let _ = writeln!(
-        breakdown,
-        "  filtering : {:>12?}  {:5.2}%",
-        sum.filtering,
-        pct(sum.filtering)
-    );
+    for (name, pick) in PHASES {
+        // Detection's sub-phases are indented under it.
+        let label = if matches!(name, "pointsto" | "escape" | "detect") {
+            format!("    {name:<8}")
+        } else {
+            format!("  {name:<10}")
+        };
+        let d = pick(&sum);
+        let _ = writeln!(breakdown, "{label}: {d:>12?}  {:5.2}%", pct(d));
+    }
     let _ = writeln!(
         breakdown,
         "  total(cpu): {total:>12?}  (suite wall-clock {suite_wall:?}, parallel)"
@@ -164,110 +175,32 @@ pub fn measure_suite() -> SuiteMeasurement {
         breakdown,
         "datalog closure workload (n=200): {derived} tuples in {engine_time:?} = {tps:.0} tuples/sec"
     );
+    record
+        .counters
+        .insert("datalog.derived_tuples".into(), derived);
+    record
+        .times
+        .insert("datalog.run_secs".into(), engine_time.as_secs_f64());
 
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"schema\": \"nadroid-timing/4\",\n",
-            "  \"apps\": {},\n",
-            "  \"suite\": {{\n",
-            "    \"wall_secs\": {:.6},\n",
-            "    \"cpu_secs\": {:.6}\n",
-            "  }},\n",
-            "  \"phase_cpu_secs\": {},\n",
-            "  \"counters\": {{\n",
-            "    \"pointsto.queue_pops\": {},\n",
-            "    \"detector.pairs_examined\": {},\n",
-            "    \"detector.racy_pairs\": {},\n",
-            "    \"detector.mhp_prepruned\": {},\n",
-            "    \"hb.edges\": {}\n",
-            "  }},\n",
-            "  \"hb\": {{\n",
-            "    \"closure_secs\": {:.6}\n",
-            "  }},\n",
-            "  \"datalog_closure\": {{\n",
-            "    \"n\": 200,\n",
-            "    \"derived_tuples\": {},\n",
-            "    \"run_secs\": {:.6},\n",
-            "    \"tuples_per_sec\": {:.0}\n",
-            "  }}\n",
-            "}}\n"
-        ),
-        runs.len(),
-        suite_wall.as_secs_f64(),
-        total.as_secs_f64(),
-        phase_timings_json(&sum, "  "),
-        counter_sum(&runs, "pointsto.queue_pops"),
-        counter_sum(&runs, "detector.pairs_examined"),
-        counter_sum(&runs, "detector.racy_pairs"),
-        counter_sum(&runs, "detector.mhp_prepruned"),
-        counter_sum(&runs, "hb.edges"),
-        counter_sum(&runs, "hb.closure_micros") as f64 / 1e6,
-        derived,
-        engine_time.as_secs_f64(),
-        tps,
-    );
     SuiteMeasurement {
-        json,
+        record,
         table,
         breakdown,
     }
 }
 
 /// Run the full suite (provenance *on*, so surviving warning ids are
-/// available) and build a complete ledger record: per-phase times,
-/// every deterministic counter, per-phase latency histograms across the
-/// 27 apps, and the warning population with per-app digests and the
-/// Figure-5 tallies. Time-valued `*_micros` counters are folded into
-/// `times` so the counter section stays exactly comparable.
+/// available) and build a complete ledger record: the suite record
+/// [`measure_suite`] also starts from, plus per-phase latency
+/// histograms across the 27 apps and the warning population with
+/// per-app digests and the Figure-5 tallies.
 #[must_use]
 pub fn suite_ledger_record(kind: ledger::Kind) -> ledger::Record {
     let start = Instant::now();
     let runs = run_rows_parallel(&table1_rows());
-    let wall = start.elapsed();
-    let sum = sum_timings(&runs);
+    let mut rec = suite_record(kind, &runs, start.elapsed());
 
-    let mut rec = ledger::Record::new(kind);
-    rec.times.insert("suite.wall_secs".into(), wall.as_secs_f64());
-    rec.times
-        .insert("suite.cpu_secs".into(), sum.total().as_secs_f64());
-    for (name, d) in [
-        ("modeling", sum.modeling),
-        ("hb", sum.hb),
-        ("detection", sum.detection),
-        ("pointsto", sum.pointsto),
-        ("escape", sum.escape),
-        ("detect", sum.detect),
-        ("filtering", sum.filtering),
-    ] {
-        rec.times.insert(format!("phase.{name}"), d.as_secs_f64());
-    }
-
-    rec.counters.insert("apps".into(), runs.len() as u64);
-    let mut counter_totals: std::collections::BTreeMap<String, u64> = Default::default();
-    for run in &runs {
-        for (name, v) in run.recorder.counters() {
-            *counter_totals.entry(name).or_insert(0) += v;
-        }
-    }
-    for (name, v) in counter_totals {
-        if let Some(stem) = name.strip_suffix("_micros") {
-            // Time-valued counters are times, not deterministic counts.
-            rec.times.insert(format!("{stem}_secs"), v as f64 / 1e6);
-        } else {
-            rec.counters.insert(name, v);
-        }
-    }
-
-    for (name, pick) in [
-        ("modeling", (|t: &PhaseTimings| t.modeling) as fn(&PhaseTimings) -> Duration),
-        ("hb", |t| t.hb),
-        ("detection", |t| t.detection),
-        ("pointsto", |t| t.pointsto),
-        ("escape", |t| t.escape),
-        ("detect", |t| t.detect),
-        ("filtering", |t| t.filtering),
-    ] {
+    for (name, pick) in PHASES {
         let mut h = Histogram::new();
         for run in &runs {
             h.record(u64::try_from(pick(&run.timings).as_micros()).unwrap_or(u64::MAX));
@@ -305,4 +238,28 @@ pub fn suite_ledger_record(kind: ledger::Kind) -> ledger::Record {
         .collect();
     rec.population = Some(ledger::Population { apps, tallies });
     rec
+}
+
+/// Write `rec` as the one-line `BENCH_*.json` artifact at `out`, then
+/// append the same record to the repository's run ledger
+/// ([`ledger::DEFAULT_PATH`] under the repo root): refreshing a
+/// baseline and recording it in the history are one step.
+///
+/// # Errors
+///
+/// Names the file that could not be written.
+pub fn commit_bench_record(rec: &ledger::Record, out: &Path) -> Result<(), String> {
+    std::fs::write(out, rec.to_json_line() + "\n")
+        .map_err(|e| format!("write {}: {e}", out.display()))?;
+    println!("wrote {}", out.display());
+    let ledger_path = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../..")
+        .join(ledger::DEFAULT_PATH);
+    ledger::append(&ledger_path, rec)?;
+    println!(
+        "appended {} record to {}",
+        rec.kind.as_str(),
+        ledger_path.display()
+    );
+    Ok(())
 }

@@ -191,16 +191,15 @@ pub enum Command {
 /// docs/observability.md for the record schema and diff semantics.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PerfCommand {
-    /// Append one record: a fresh 27-app suite measurement, or a
-    /// conversion of an existing `BENCH_*.json` document.
+    /// Append one record: a fresh 27-app suite measurement, or the
+    /// record a committed `BENCH_*.json` artifact holds.
     Record {
-        /// BENCH file to convert (`nadroid-timing/*`,
-        /// `nadroid-serve-bench/*`, or `nadroid-confirm-bench/*`);
-        /// `None` measures the suite afresh.
+        /// BENCH file to copy the record from; `None` measures the
+        /// suite afresh.
         from: Option<String>,
         /// Override the record kind (`timing`, `serve_bench`, `suite`,
-        /// `ci`, `confirm`). Defaults to `suite` for fresh measurements
-        /// and to the source driver's kind for conversions.
+        /// `ci`, `confirm`, `refute`). Defaults to `suite` for fresh
+        /// measurements and to the BENCH record's own kind.
         kind: Option<String>,
         /// Free-form annotation stored on the record.
         note: Option<String>,
@@ -329,8 +328,8 @@ RUN LEDGER (see docs/observability.md):
     per-app warning-population digests. Record selectors are `last`,
     `prev`, a 1-based index from the oldest, or `-N` from the newest.
     perf record       append a record: a fresh 27-app suite
-                      measurement, or --from <BENCH.json> to convert a
-                      committed BENCH_timing/BENCH_serve document
+                      measurement, or --from <BENCH.json> to copy the
+                      record a committed BENCH_*.json artifact holds
     perf list         one summary line per ledger record
     perf diff <a> <b> compare two records: counters and populations
                       exactly, timings/latencies under the noise model
@@ -934,8 +933,7 @@ pub fn run(cmd: &Command) -> Result<String, CliError> {
         } => {
             let program = load(path)?;
             // Any observability output wants a recorder installed for the
-            // duration of the analysis; the Datalog crosscheck rides along
-            // so rule-level engine spans appear in the capture.
+            // duration of the analysis; observing never changes the work.
             let observing = trace.is_some() || report.is_some() || *stats;
             let config = AnalysisConfig {
                 k: *k,
@@ -944,7 +942,6 @@ pub fn run(cmd: &Command) -> Result<String, CliError> {
                 } else {
                     FilterKind::unsound().to_vec()
                 },
-                datalog_crosscheck: observing,
                 mhp_preprune: *mhp_preprune,
                 ..AnalysisConfig::default()
             };
@@ -1033,29 +1030,15 @@ baseline: {suppressed} suppressed, {} new
             // everything `explain` prints — render from it instead of
             // re-running the whole pipeline, but only when its recorded
             // program hash matches the current source content (mtimes
-            // lie under copies, checkouts and touch(1)). A stale or
-            // corrupt document falls through to a live solve.
+            // lie under copies, checkouts and touch(1)). A stale, corrupt,
+            // or older-schema document falls through to a live solve.
             let program = load(path)?;
             let want_hash = nadroid_core::program_hash(&program);
-            if let Some((prov_path, doc, schema)) = fresh_provenance_sibling(path, &want_hash) {
+            if let Some((prov_path, doc)) = fresh_provenance_sibling(path, &want_hash) {
                 if let Ok(text) =
                     nadroid_core::render_explain_from_json(&doc, warning_id.as_deref())
                 {
-                    // An older (still readable) document renders fine but
-                    // predates newer sections — say so in one line rather
-                    // than silently omitting them.
-                    let stale = if schema == nadroid_core::PROVENANCE_SCHEMA {
-                        String::new()
-                    } else {
-                        format!(
-                            "note: {prov_path} uses schema {schema}; current is {}. \
-                             Re-run `nadroid analyze --provenance` to refresh it.\n",
-                            nadroid_core::PROVENANCE_SCHEMA
-                        )
-                    };
-                    return Ok(format!(
-                        "(from cached provenance: {prov_path})\n{stale}{text}"
-                    ));
+                    return Ok(format!("(from cached provenance: {prov_path})\n{text}"));
                 }
             }
             let analysis = analyze(&program, &AnalysisConfig::default());
@@ -1370,38 +1353,14 @@ fn diff_options(min_effect: Option<&str>) -> ledger::DiffOptions {
     opts
 }
 
-/// Convert a BENCH document on disk into a ledger record, dispatching
-/// on its `schema`. Returns the record plus any structural violations
-/// the converter found (thread-variant counters in a timing scale
-/// curve) — `perf gate` treats those as failures in their own right.
-fn record_from_bench_file(path: &str) -> Result<(ledger::Record, Vec<String>), CliError> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| CliError(format!("cannot read {path}: {e}")))?;
-    let doc = nadroid_core::parse_json(&text).map_err(|e| CliError(format!("{path}: {e}")))?;
-    let schema = doc
-        .get("schema")
-        .and_then(nadroid_core::JsonValue::as_str)
-        .ok_or_else(|| CliError(format!("{path}: missing top-level `schema`")))?;
-    if schema.starts_with("nadroid-timing/") {
-        ledger::record_from_bench_timing(&doc).map_err(|e| CliError(format!("{path}: {e}")))
-    } else if schema.starts_with("nadroid-serve-bench/") {
-        ledger::record_from_bench_serve(&doc)
-            .map(|r| (r, Vec::new()))
-            .map_err(|e| CliError(format!("{path}: {e}")))
-    } else if schema.starts_with("nadroid-confirm-bench/") {
-        ledger::record_from_bench_confirm(&doc)
-            .map(|r| (r, Vec::new()))
-            .map_err(|e| CliError(format!("{path}: {e}")))
-    } else if schema.starts_with("nadroid-refute-bench/") {
-        ledger::record_from_bench_refute(&doc)
-            .map(|r| (r, Vec::new()))
-            .map_err(|e| CliError(format!("{path}: {e}")))
-    } else {
-        Err(CliError(format!(
-            "{path}: unsupported schema `{schema}` \
-             (expected nadroid-timing/*, nadroid-serve-bench/*, nadroid-confirm-bench/*, \
-             or nadroid-refute-bench/*)"
-        )))
+/// The one record a committed `BENCH_*.json` artifact holds.
+fn bench_record(path: &str) -> Result<ledger::Record, CliError> {
+    let mut records = ledger::read(std::path::Path::new(path)).map_err(CliError::from)?;
+    match records.pop() {
+        Some(rec) if records.is_empty() => Ok(rec),
+        _ => Err(CliError(format!(
+            "{path}: expected exactly one nadroid-ledger/1 record"
+        ))),
     }
 }
 
@@ -1416,16 +1375,16 @@ fn run_perf(perf: &PerfCommand) -> Result<String, CliError> {
             note,
             ledger: over,
         } => {
-            let (mut rec, violations) = match from {
+            let mut rec = match from {
                 Some(f) => {
-                    let (mut rec, violations) = record_from_bench_file(f)?;
+                    let mut rec = bench_record(f)?;
                     rec.note = format!("perf record --from {f}");
-                    (rec, violations)
+                    rec
                 }
                 None => {
                     let mut rec = nadroid_bench::measure::suite_ledger_record(ledger::Kind::Suite);
                     rec.note = "perf record (fresh suite measurement)".to_string();
-                    (rec, Vec::new())
+                    rec
                 }
             };
             if let Some(k) = kind {
@@ -1437,15 +1396,11 @@ fn run_perf(perf: &PerfCommand) -> Result<String, CliError> {
             let path = ledger_path(over.as_deref());
             ledger::append(&path, &rec).map_err(CliError::from)?;
             let count = ledger::read(&path).map_err(CliError::from)?.len();
-            let mut out = format!(
+            Ok(format!(
                 "appended to {} ({count} record(s)):\n{}\n",
                 path.display(),
                 rec.summary_line(count)
-            );
-            for v in &violations {
-                out.push_str(&format!("  warning: {v}\n"));
-            }
-            Ok(out)
+            ))
         }
         PerfCommand::List { ledger: over } => {
             let path = ledger_path(over.as_deref());
@@ -1484,18 +1439,10 @@ fn run_perf(perf: &PerfCommand) -> Result<String, CliError> {
         } => {
             let path = ledger_path(over.as_deref());
             let opts = diff_options(min_effect.as_deref());
-            // The baseline: a committed BENCH document, or a prior
-            // ledger record. A baseline that is itself structurally
-            // violated (thread-variant scale counters) fails outright.
+            // The baseline: a committed BENCH record, or a prior ledger
+            // record.
             let (base, base_label) = if std::path::Path::new(against).is_file() {
-                let (rec, violations) = record_from_bench_file(against)?;
-                if !violations.is_empty() {
-                    return Err(CliError(format!(
-                        "FAIL: baseline {against} carries structural violation(s):\n  {}",
-                        violations.join("\n  ")
-                    )));
-                }
-                (rec, against.clone())
+                (bench_record(against)?, against.clone())
             } else {
                 let records = ledger::read(&path).map_err(CliError::from)?;
                 let i = ledger::select(records.len(), against).map_err(CliError::from)?;
@@ -1504,21 +1451,17 @@ fn run_perf(perf: &PerfCommand) -> Result<String, CliError> {
             // The current side: a chosen ledger record, or a fresh
             // measurement of the same workload the timing driver
             // records, so counters line up exactly with BENCH_timing.
-            let (cur, cur_label, cur_violations) = match current {
+            let (cur, cur_label) = match current {
                 Some(sel) => {
                     let records = ledger::read(&path).map_err(CliError::from)?;
                     let i = ledger::select(records.len(), sel).map_err(CliError::from)?;
-                    (records[i].clone(), label(&records, i), Vec::new())
+                    (records[i].clone(), label(&records, i))
                 }
                 None => {
-                    let m = nadroid_bench::measure::measure_suite();
-                    let doc = nadroid_core::parse_json(&m.json)
-                        .map_err(|e| CliError(format!("fresh measurement JSON: {e}")))?;
-                    let (mut rec, violations) =
-                        ledger::record_from_bench_timing(&doc).map_err(CliError::from)?;
+                    let mut rec = nadroid_bench::measure::measure_suite().record;
                     rec.kind = ledger::Kind::Ci;
                     rec.note = format!("perf gate --against {against}");
-                    (rec, "fresh suite measurement".to_string(), violations)
+                    (rec, "fresh suite measurement".to_string())
                 }
             };
             if *record {
@@ -1526,12 +1469,9 @@ fn run_perf(perf: &PerfCommand) -> Result<String, CliError> {
             }
             let verdict = ledger::gate(&base, &cur, &opts);
             let mut out = ledger::render_diff(&base_label, &cur_label, &verdict.deltas);
-            for v in &cur_violations {
-                out.push_str(&format!("  [violation  ] {v}\n"));
-            }
             out.push_str(&verdict.summary());
             out.push('\n');
-            if verdict.pass() && cur_violations.is_empty() {
+            if verdict.pass() {
                 Ok(out)
             } else {
                 Err(CliError(out))
@@ -1692,10 +1632,9 @@ fn render_metrics_text(json: &str) -> Result<String, CliError> {
 /// The `<app>.provenance.json` sibling of `path`, when it exists and
 /// records `want_hash` as its `program_hash` — validation by content,
 /// not mtime, so a document that merely *looks* newer than the DSL file
-/// can never answer for a program whose text changed. The third element
-/// is the document's recorded schema, so `explain` can note when the
-/// sibling predates the current [`nadroid_core::PROVENANCE_SCHEMA`].
-fn fresh_provenance_sibling(path: &str, want_hash: &str) -> Option<(String, String, String)> {
+/// can never answer for a program whose text changed. (A sibling in an
+/// older schema is turned away by `render_explain_from_json`.)
+fn fresh_provenance_sibling(path: &str, want_hash: &str) -> Option<(String, String)> {
     let prov = std::path::Path::new(path).with_extension("provenance.json");
     let doc = std::fs::read_to_string(&prov).ok()?;
     let recorded = nadroid_core::parse_json(&doc).ok()?;
@@ -1706,12 +1645,7 @@ fn fresh_provenance_sibling(path: &str, want_hash: &str) -> Option<(String, Stri
     {
         return None;
     }
-    let schema = recorded
-        .get("schema")
-        .and_then(nadroid_core::JsonValue::as_str)
-        .unwrap_or("")
-        .to_owned();
-    Some((prov.to_string_lossy().into_owned(), doc, schema))
+    Some((prov.to_string_lossy().into_owned(), doc))
 }
 
 #[cfg(test)]
@@ -2121,19 +2055,20 @@ activity M { cb onClick { } }",
         .unwrap();
         assert!(out.contains("run stats:"), "--stats appends the tree:\n{out}");
         assert!(out.contains("analyze"), "{out}");
-        // The crosscheck solve feeds the engine gauges: throughput plus
-        // the provenance-arena footprint (zero when recording is off).
+        // The HB graph's own Datalog solve feeds the engine gauges:
+        // throughput plus the provenance-arena footprint (zero when
+        // recording is off).
         assert!(out.contains("datalog.tuples_per_sec"), "{out}");
         assert!(out.contains("datalog.prov_arena_bytes"), "{out}");
 
         let trace = std::fs::read_to_string(&trace_path).unwrap();
         assert!(trace.contains("\"traceEvents\""), "{trace}");
-        // The four pipeline phases plus detection sub-phases and the
-        // engine crosscheck all appear as spans.
+        // The four pipeline phases plus detection sub-phases and the HB
+        // graph's rule evaluations all appear as spans.
         for name in ["analyze", "modeling", "detection", "pointsto", "escape", "detect", "filtering"] {
             assert!(trace.contains(&format!("\"name\": \"{name}\"")), "missing {name}:\n{trace}");
         }
-        assert!(trace.contains("datalog.rule:vP"), "rule-level spans:\n{trace}");
+        assert!(trace.contains("datalog.rule:mustHb"), "rule-level spans:\n{trace}");
 
         let report = std::fs::read_to_string(&report_path).unwrap();
         assert!(report.contains("\"app\": \"Obs\""), "{report}");
@@ -2383,8 +2318,8 @@ activity M { cb onClick { } }",
         std::fs::create_dir_all(&dir).unwrap();
 
         // A whole-document schema match, mismatch, and absence.
-        let doc = dir.join("bench.json");
-        std::fs::write(&doc, "{\"schema\": \"nadroid-timing/4\", \"apps\": 27}\n").unwrap();
+        let doc = dir.join("prov.json");
+        std::fs::write(&doc, "{\"schema\": \"nadroid-provenance/4\", \"apps\": 27}\n").unwrap();
         let check = |path: &std::path::Path, lines: bool, want: &str| {
             run(&Command::CheckJson {
                 path: path.to_string_lossy().into_owned(),
@@ -2392,15 +2327,15 @@ activity M { cb onClick { } }",
                 expect_schema: Some(want.to_owned()),
             })
         };
-        let out = check(&doc, false, "nadroid-timing/4").unwrap();
-        assert!(out.contains("OK (1 JSON value(s), schema nadroid-timing/4)"), "{out}");
-        let err = check(&doc, false, "nadroid-timing/3").unwrap_err().to_string();
-        assert!(err.contains("schema is `nadroid-timing/4`"), "{err}");
-        assert!(err.contains("expected `nadroid-timing/3`"), "{err}");
+        let out = check(&doc, false, "nadroid-provenance/4").unwrap();
+        assert!(out.contains("OK (1 JSON value(s), schema nadroid-provenance/4)"), "{out}");
+        let err = check(&doc, false, "nadroid-provenance/3").unwrap_err().to_string();
+        assert!(err.contains("schema is `nadroid-provenance/4`"), "{err}");
+        assert!(err.contains("expected `nadroid-provenance/3`"), "{err}");
 
         let bare = dir.join("bare.json");
         std::fs::write(&bare, "{\"apps\": 27}\n").unwrap();
-        let err = check(&bare, false, "nadroid-timing/4").unwrap_err().to_string();
+        let err = check(&bare, false, "nadroid-provenance/4").unwrap_err().to_string();
         assert!(err.contains("missing top-level `schema`"), "{err}");
 
         // JSONL: every line is pinned, and the failing line is named.
@@ -2629,7 +2564,7 @@ activity M { cb onClick { } }",
     }
 
     #[test]
-    fn explain_notes_a_stale_provenance_schema() {
+    fn explain_reanalyzes_past_a_stale_provenance_schema() {
         let dir = std::env::temp_dir().join("nadroid_cli_prov_stale_schema");
         std::fs::create_dir_all(&dir).unwrap();
         let app = dir.join("app.dsl");
@@ -2669,27 +2604,20 @@ activity M { cb onClick { } }",
             warning_id: None,
         };
 
-        // Current schema: cached path, no staleness notice.
+        // Current schema: served from the sibling.
         let fresh = run(&explain_cmd).unwrap();
         assert!(fresh.contains("from cached provenance"), "{fresh}");
-        assert!(!fresh.contains("note: "), "{fresh}");
+        let (_, live) = fresh.split_once('\n').unwrap();
 
-        // Rewrite the sibling as the previous (still readable) schema:
-        // the same rendering, prefixed by exactly one staleness line.
+        // A sibling in an older schema is stale, like a hash mismatch:
+        // it is ignored and the program re-analyzed.
         let doc = std::fs::read_to_string(&prov)
             .unwrap()
             .replace("nadroid-provenance/4", "nadroid-provenance/3");
         std::fs::write(&prov, doc).unwrap();
         let stale = run(&explain_cmd).unwrap();
-        assert!(stale.contains("from cached provenance"), "{stale}");
-        assert!(
-            stale.contains("uses schema nadroid-provenance/3; current is nadroid-provenance/4"),
-            "{stale}"
-        );
-        assert!(
-            stale.contains("Re-run `nadroid analyze --provenance`"),
-            "{stale}"
-        );
+        assert!(!stale.contains("from cached provenance"), "{stale}");
+        assert_eq!(stale, live);
     }
 
     #[test]

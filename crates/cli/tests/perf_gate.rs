@@ -2,8 +2,8 @@
 //! ledger with one injected counter change and one warning-population
 //! change must exit nonzero with a verdict naming the regressed
 //! counter and the exact warning ids that moved; identical records
-//! must pass; and a BENCH document gated against its own conversion
-//! must pass (the converter is deterministic).
+//! must pass; and every committed BENCH file, itself a ledger record,
+//! must pass when gated against its own copy in a ledger.
 
 use nadroid_ledger::{AppPopulation, Env, Kind, Population, Record};
 use std::process::Command;
@@ -112,46 +112,59 @@ fn identical_records_pass_the_gate() {
     assert!(text.contains("PASS: no regressions, no drift"), "{text}");
 }
 
-/// `perf record --from BENCH_timing.json` followed by
-/// `perf gate --against BENCH_timing.json --current last` must pass:
-/// both sides are conversions of the same committed document, so every
-/// counter and population entry matches exactly.
+/// Every committed `BENCH_*.json` is one `nadroid-ledger/1` record
+/// written by its driver: `perf record --from` copies it as exactly one
+/// record of that driver's kind, and `perf gate --against <file>
+/// --current last` passes, since both sides hold the same record.
 #[test]
-fn bench_document_gates_cleanly_against_its_own_conversion() {
-    let dir = temp_dir("perf_gate_bench");
-    let ledger = dir.join("ledger.jsonl");
-    let bench = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_timing.json");
+fn every_bench_file_gates_cleanly_against_its_own_record() {
+    for (file, kind) in [
+        ("BENCH_timing.json", "timing"),
+        ("BENCH_serve.json", "serve_bench"),
+        ("BENCH_confirm.json", "confirm"),
+        ("BENCH_refute.json", "refute"),
+    ] {
+        let dir = temp_dir(&format!("perf_gate_{kind}"));
+        let ledger = dir.join("ledger.jsonl");
+        let bench = format!("{}/../../{file}", env!("CARGO_MANIFEST_DIR"));
 
-    let rec = Command::new(env!("CARGO_BIN_EXE_nadroid"))
-        .args([
-            "perf",
-            "record",
-            "--from",
-            bench,
-            "--ledger",
-            ledger.to_str().unwrap(),
-        ])
-        .output()
-        .expect("spawn nadroid");
-    assert!(
-        rec.status.success(),
-        "record --from failed: {}",
-        String::from_utf8_lossy(&rec.stderr)
-    );
-    let listed = Command::new(env!("CARGO_BIN_EXE_nadroid"))
-        .args(["perf", "list", "--ledger", ledger.to_str().unwrap()])
-        .output()
-        .expect("spawn nadroid");
-    let listing = String::from_utf8_lossy(&listed.stdout);
-    assert!(listing.contains("1 record(s)"), "{listing}");
-    assert!(listing.contains("#1 timing"), "{listing}");
+        let rec = Command::new(env!("CARGO_BIN_EXE_nadroid"))
+            .args([
+                "perf",
+                "record",
+                "--from",
+                &bench,
+                "--ledger",
+                ledger.to_str().unwrap(),
+            ])
+            .output()
+            .expect("spawn nadroid");
+        assert!(
+            rec.status.success(),
+            "{file}: record --from failed: {}",
+            String::from_utf8_lossy(&rec.stderr)
+        );
+        let listed = Command::new(env!("CARGO_BIN_EXE_nadroid"))
+            .args(["perf", "list", "--ledger", ledger.to_str().unwrap()])
+            .output()
+            .expect("spawn nadroid");
+        let listing = String::from_utf8_lossy(&listed.stdout);
+        assert!(listing.contains(": 1 record(s)"), "{file}: {listing}");
+        assert!(
+            listing.contains(&format!("#1 {kind} ")),
+            "{file}: {listing}"
+        );
 
-    let out = gate(&ledger, &["--against", bench, "--current", "last"]);
-    assert!(
-        out.status.success(),
-        "gate against the source document must pass: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("PASS: no regressions, no drift"), "{text}");
+        let out = gate(&ledger, &["--against", &bench, "--current", "last"]);
+        assert!(
+            out.status.success(),
+            "{file}: gate against the source record must pass: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let text = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            text.contains("PASS: no regressions, no drift"),
+            "{file}: {text}"
+        );
+    }
 }

@@ -24,7 +24,7 @@
 //!    exhausted, inconclusive).
 //!
 //! Verdicts are recorded in the provenance document (the
-//! `nadroid-provenance/3` `confirmation` block, see
+//! `nadroid-provenance/4` `confirmation` block, see
 //! [`attach_confirmations`]) and reported under the `nadroid-confirm/1`
 //! schema ([`render_confirm_json`]). Batch confirmation
 //! ([`confirm_survivors`]) runs one search per *distinct* (use, free)
@@ -498,7 +498,7 @@ pub fn confirm_by_id(
 }
 
 /// Copy the batch verdicts into the matching provenance entries (the
-/// `nadroid-provenance/3` `confirmation` block). Entries without a
+/// `nadroid-provenance/4` `confirmation` block). Entries without a
 /// verdict — pruned warnings — keep `confirmation: None`. Returns how
 /// many entries were filled.
 pub fn attach_confirmations(

@@ -373,11 +373,10 @@ pub fn render_json(analysis: &Analysis<'_>) -> String {
     out
 }
 
-/// Render phase timings as a JSON object (seconds, six decimals) — the
-/// single encoder shared by the CLI run-report and the bench drivers'
-/// `BENCH_timing.json`, so the two files always agree on field names:
-/// `modeling`, `hb`, `detection` with its `pointsto`/`escape`/`detect`
-/// sub-phases, `filtering`, and `total`.
+/// Render phase timings as a JSON object (seconds, six decimals) for
+/// the run report: `modeling`, `hb`, `detection` with its
+/// `pointsto`/`escape`/`detect` sub-phases, `filtering`, and `total` —
+/// the same names the ledger's `phase.<name>` times use.
 #[must_use]
 pub fn phase_timings_json(t: &PhaseTimings, indent: &str) -> String {
     let s = |d: std::time::Duration| format!("{:.6}", d.as_secs_f64());

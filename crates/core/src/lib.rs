@@ -74,13 +74,6 @@ pub struct AnalysisConfig {
     pub sound_filters: Vec<FilterKind>,
     /// Unsound filters to apply after the sound ones.
     pub unsound_filters: Vec<FilterKind>,
-    /// Also run the context-insensitive Datalog baseline after filtering
-    /// and record agreement counters/spans. Off by default — it is the
-    /// architecture-validation pass (the role bddbddb played for Chord),
-    /// not part of the pipeline, and its time is excluded from
-    /// [`PhaseTimings`]. The CLI enables it when tracing so rule-level
-    /// Datalog spans appear in the capture.
-    pub datalog_crosscheck: bool,
     /// Drop racy pairs whose use is must-ordered before its free
     /// (`must_hb(use, free)` in the [`HbGraph`] closure) before they enter
     /// the filter pipeline. Off by default: the pruned pairs never reach
@@ -115,7 +108,6 @@ impl Default for AnalysisConfig {
             detector: DetectorOptions::default(),
             sound_filters: FilterKind::sound().to_vec(),
             unsound_filters: FilterKind::unsound().to_vec(),
-            datalog_crosscheck: false,
             mhp_preprune: false,
             refutation: true,
             threads,
@@ -308,10 +300,6 @@ fn analyze_inner<'p>(program: &'p Program, config: &AnalysisConfig) -> Analysis<
     drop(_filtering_span);
     let filtering = t2.elapsed();
 
-    if config.datalog_crosscheck {
-        datalog_crosscheck(program, &threads, &pts);
-    }
-
     Analysis {
         program,
         config: config.clone(),
@@ -332,25 +320,6 @@ fn analyze_inner<'p>(program: &'p Program, config: &AnalysisConfig) -> Analysis<
             escape: escape_time,
             detect: detect_time,
         },
-    }
-}
-
-/// The architecture-validation pass (the role bddbddb played for Chord):
-/// solve the context-insensitive Andersen baseline on the Datalog engine
-/// — emitting rule-level `datalog.*` spans into the installed recorder —
-/// and record how far the k-sensitive solver's variable coverage agrees.
-/// Deliberately outside [`PhaseTimings`]: it validates the pipeline, it
-/// is not part of it.
-fn datalog_crosscheck(program: &Program, threads: &ThreadModel, pts: &PointsTo) {
-    let _s = obs::span("datalog.crosscheck");
-    let baseline = nadroid_pointsto::datalog_baseline(program, threads);
-    if obs::recording() {
-        obs::counter("crosscheck.baseline_vars", baseline.len() as u64);
-        let covered = baseline
-            .keys()
-            .filter(|&&(m, l)| !pts.pts(m, l).is_empty())
-            .count();
-        obs::counter("crosscheck.vars_covered_by_solver", covered as u64);
     }
 }
 

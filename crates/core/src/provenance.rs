@@ -35,10 +35,9 @@ use nadroid_filters::{FilterKind, FilterVerdict};
 use nadroid_hb::HbEdgeKind;
 use std::fmt::Write as _;
 
-/// The provenance schema the current build writes. `nadroid explain`
-/// prints a one-line staleness notice when a cached
-/// `<app>.provenance.json` sibling carries an older (still readable)
-/// schema.
+/// The provenance schema the current build writes — and the only one
+/// [`render_explain_from_json`] reads: a cached document in an older
+/// schema is stale, and `nadroid explain` re-analyzes instead.
 pub const PROVENANCE_SCHEMA: &str = "nadroid-provenance/4";
 
 /// One node of a derivation tree, pre-rendered in source terms (the
@@ -486,8 +485,8 @@ fn write_derivation_json(out: &mut String, d: &DerivationNode, indent: usize) {
 
 /// The provenance fields `nadroid explain` renders, decoupled from the
 /// live [`Analysis`] so the same rendering serves both a fresh run and a
-/// previously-exported `nadroid-provenance/2` or `/3` document (the
-/// serve result cache and the CLI's provenance-file fast path).
+/// previously-exported [`PROVENANCE_SCHEMA`] document (the serve result
+/// cache and the CLI's provenance-file fast path).
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct ExplainEntry {
     id: String,
@@ -625,23 +624,19 @@ pub fn render_explain(analysis: &Analysis<'_>, id: Option<&str>) -> String {
 }
 
 /// Render the `nadroid explain` text from a serialized
-/// `nadroid-provenance/4` (or legacy `/2` or `/3`) document instead of
-/// a live analysis — the fast path when the provenance was already computed
-/// (by `analyze --provenance`, the table1 driver, `nadroid confirm`, or
-/// the serve result cache).
+/// [`PROVENANCE_SCHEMA`] document instead of a live analysis — the fast
+/// path when the provenance was already computed (by
+/// `analyze --provenance`, the table1 driver, `nadroid confirm`, or the
+/// serve result cache).
 ///
 /// # Errors
 ///
 /// Returns a message when the document is not parseable JSON or does not
-/// carry the `nadroid-provenance/2`, `/3`, or `/4` schema.
+/// carry [`PROVENANCE_SCHEMA`] (older schemas are stale, not legacy).
 pub fn render_explain_from_json(doc: &str, id: Option<&str>) -> Result<String, String> {
     let v = crate::json::parse_json(doc)?;
-    let schema = v.get("schema").and_then(JsonValue::as_str);
-    if !matches!(
-        schema,
-        Some("nadroid-provenance/2" | "nadroid-provenance/3" | "nadroid-provenance/4")
-    ) {
-        return Err("not a nadroid-provenance/2, /3, or /4 document".into());
+    if v.get("schema").and_then(JsonValue::as_str) != Some(PROVENANCE_SCHEMA) {
+        return Err(format!("not a {PROVENANCE_SCHEMA} document"));
     }
     let warnings = v
         .get("warnings")
@@ -899,9 +894,11 @@ mod tests {
         );
         assert!(render_explain_from_json("{}", None).is_err());
         assert!(render_explain_from_json("not json", None).is_err());
-        // Legacy /2 documents (no confirmation field) still render.
-        let legacy = doc.replace("nadroid-provenance/4", "nadroid-provenance/2");
-        assert!(render_explain_from_json(&legacy, None).is_ok());
+        // Older schemas are stale, not legacy: they are rejected.
+        for old in ["nadroid-provenance/2", "nadroid-provenance/3"] {
+            let stale = doc.replace("nadroid-provenance/4", old);
+            assert!(render_explain_from_json(&stale, None).is_err(), "{old}");
+        }
     }
 
     #[test]

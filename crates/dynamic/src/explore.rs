@@ -150,9 +150,45 @@ pub fn explore_guided(
     cfg: ExploreConfig,
     guide: Option<&dyn Guide>,
 ) -> Exploration {
+    let is_goal = |w: &World<'_>| w.npe.as_ref().is_some_and(|npe| goal.matches(npe));
+    match search(program, cfg, guide, is_goal) {
+        Search::Found { world, states } => Exploration::Witness(Witness {
+            npe: world.npe.expect("a goal world holds its NPE"),
+            trace: world.trace,
+            schedule: world.schedule,
+            states_explored: states,
+        }),
+        Search::Exhausted { states, complete } => Exploration::Exhausted { states, complete },
+    }
+}
+
+/// How [`search`] ended: the first goal world, or the
+/// [`Exploration::Exhausted`] statistics.
+enum Search<'p> {
+    Found {
+        world: Box<World<'p>>,
+        states: usize,
+    },
+    Exhausted {
+        states: usize,
+        complete: bool,
+    },
+}
+
+/// The one schedule-search kernel behind [`explore_guided`] and
+/// [`explore_no_sleep`]: a depth-first walk from the initial world with
+/// state-fingerprint deduplication, stopping at the first world that
+/// satisfies `is_goal`. A world holding an NPE is terminal — it never
+/// steps further, and is returned only when it is itself the goal.
+fn search<'p>(
+    program: &'p Program,
+    cfg: ExploreConfig,
+    guide: Option<&dyn Guide>,
+    is_goal: impl Fn(&World<'p>) -> bool,
+) -> Search<'p> {
     let mut initial = World::new(program);
     initial.max_loop_iters = cfg.max_loop_iters;
-    let mut stack: Vec<World<'_>> = vec![initial];
+    let mut stack: Vec<World<'p>> = vec![initial];
     let mut visited: HashSet<u64> = HashSet::new();
     let mut states = 0usize;
     // Stays true only while every reachable step was actually taken:
@@ -161,21 +197,19 @@ pub fn explore_guided(
 
     while let Some(world) = stack.pop() {
         if states >= cfg.max_states {
-            return Exploration::Exhausted {
+            return Search::Exhausted {
                 states,
                 complete: false,
             };
         }
         states += 1;
-        if let Some(npe) = &world.npe {
-            if goal.matches(npe) {
-                return Exploration::Witness(Witness {
-                    npe: npe.clone(),
-                    trace: world.trace.clone(),
-                    schedule: world.schedule.clone(),
-                    states_explored: states,
-                });
-            }
+        if is_goal(&world) {
+            return Search::Found {
+                world: Box::new(world),
+                states,
+            };
+        }
+        if world.npe.is_some() {
             continue;
         }
         let enabled = world.enabled_steps();
@@ -205,9 +239,7 @@ pub fn explore_guided(
         }
         // Ascending (priority, index): the stack pops the
         // highest-priority successor first, and priority ties keep the
-        // plain explorer's pop order (descending enabled-step index) so
-        // an unguided `explore_guided` is step-for-step identical to
-        // the original `explore`.
+        // unguided pop order (descending enabled-step index).
         successors.sort_by_key(|&(priority, i, _)| (priority, i));
         for (_, _, step) in successors {
             let mut next = world.clone();
@@ -216,14 +248,12 @@ pub fn explore_guided(
             }
             // Check NPEs eagerly: a throwing state has the same heap and
             // frame shape as its parent, so it must not be deduplicated.
-            if let Some(npe) = &next.npe {
-                if goal.matches(npe) {
-                    return Exploration::Witness(Witness {
-                        npe: npe.clone(),
-                        trace: next.trace.clone(),
-                        schedule: next.schedule.clone(),
-                        states_explored: states,
-                    });
+            if next.npe.is_some() {
+                if is_goal(&next) {
+                    return Search::Found {
+                        world: Box::new(next),
+                        states,
+                    };
                 }
                 continue;
             }
@@ -233,7 +263,7 @@ pub fn explore_guided(
             }
         }
     }
-    Exploration::Exhausted { states, complete }
+    Search::Exhausted { states, complete }
 }
 
 /// Convenience: search for any NPE with default bounds.
@@ -418,42 +448,13 @@ pub fn fingerprint(w: &World<'_>) -> u64 {
 /// that leaves the app backgrounded and idle with a wake lock still held.
 #[must_use]
 pub fn explore_no_sleep(program: &Program, cfg: ExploreConfig) -> Option<Vec<String>> {
-    let mut initial = World::new(program);
-    initial.max_loop_iters = cfg.max_loop_iters;
-    let mut stack: Vec<World<'_>> = vec![initial];
-    let mut visited: HashSet<u64> = HashSet::new();
-    let mut states = 0usize;
-    while let Some(world) = stack.pop() {
-        if states >= cfg.max_states {
-            return None;
-        }
-        states += 1;
-        if world.npe.is_some() {
-            continue;
-        }
-        if world.holds_wakelock() && world.quiescent_background() {
-            let mut trace = world.trace.clone();
+    let is_goal = |w: &World<'_>| w.npe.is_none() && w.holds_wakelock() && w.quiescent_background();
+    match search(program, cfg, None, is_goal) {
+        Search::Found { world, .. } => {
+            let mut trace = world.trace;
             trace.push("QUIESCENT with wake lock held".to_owned());
-            return Some(trace);
+            Some(trace)
         }
-        if world.steps >= cfg.max_steps {
-            continue;
-        }
-        for step in world.enabled_steps() {
-            if let Step::Dispatch(_) = step {
-                if world.events >= cfg.max_events {
-                    continue;
-                }
-            }
-            let mut next = world.clone();
-            if !next.step(&step) {
-                continue;
-            }
-            let fp = fingerprint(&next);
-            if visited.insert(fp) {
-                stack.push(next);
-            }
-        }
+        Search::Exhausted { .. } => None,
     }
-    None
 }

@@ -1,7 +1,7 @@
 //! A compact, stable text codec for [`Step`] sequences.
 //!
 //! Confirmed warnings carry their minimized witness schedule in the
-//! provenance document (`nadroid-provenance/3`), and CI replays that
+//! provenance document (`nadroid-provenance/4`), and CI replays that
 //! schedule from a *separate process* to verify the NPE reproduces —
 //! so schedules need a serialization that survives a round trip
 //! through JSON and the shell. The encoding is a space-separated token

@@ -5,8 +5,11 @@
 //! of run it was, the environment it ran on, wall/CPU and per-phase
 //! timings, the deterministic obs counters, latency histogram
 //! snapshots in the `obs::hist` bucket encoding, and a digest of the
-//! warning population per app. [`diff`] compares two records with a
-//! noise model instead of a blanket tolerance:
+//! warning population per app. The bench drivers commit the same
+//! record, as a single line, as their `BENCH_*.json` artifact, so a
+//! committed baseline is read back with [`read`] like any ledger.
+//! [`diff`] compares two records with a noise model instead of a
+//! blanket tolerance:
 //!
 //! - **counters and populations are exact** — the analysis is
 //!   deterministic, so any change is drift worth explaining;
@@ -663,10 +666,10 @@ fn time_beyond(budget_base: f64, cur: f64, opts: &DiffOptions) -> bool {
 }
 
 /// Compare two records under the noise model. Keys present in only one
-/// record are skipped (BENCH-derived baselines legitimately carry
-/// fewer sections than fresh suite records); environment differences
-/// are informational. Histogram tail percentiles gate only when both
-/// sides hold enough samples for the quantile to be an estimate
+/// record are skipped (the committed `BENCH_timing.json` record carries
+/// a scale curve that a fresh suite measurement lacks); environment
+/// differences are informational. Histogram tail percentiles gate only
+/// when both sides hold enough samples for the quantile to be an estimate
 /// (`count >= 5/(1-p)`: 10 for p50, 50 for p90, 500 for p99) —
 /// under-sampled tail moves are reported as info, because a p99 over a
 /// handful of one-shot wall times is just the max and tracks scheduler
@@ -948,342 +951,6 @@ pub fn gate(base: &Record, cur: &Record, opts: &DiffOptions) -> Verdict {
     }
 }
 
-fn num(v: &JsonValue, path: &[&str]) -> Result<f64, String> {
-    let mut cur = v;
-    for p in path {
-        cur = cur.get(p).ok_or_else(|| format!("missing {}", path.join(".")))?;
-    }
-    cur.as_f64().ok_or_else(|| format!("{} is not a number", path.join(".")))
-}
-
-fn unum(v: &JsonValue, path: &[&str]) -> Result<u64, String> {
-    let mut cur = v;
-    for p in path {
-        cur = cur.get(p).ok_or_else(|| format!("missing {}", path.join(".")))?;
-    }
-    cur.as_u64()
-        .ok_or_else(|| format!("{} is not an unsigned number", path.join(".")))
-}
-
-/// Convert a `nadroid-timing/*` BENCH document into a ledger record.
-/// Returns the record plus any structural violations found in the
-/// scale curve (counters that should be thread-invariant but were
-/// not) — the gate treats those as failures in their own right.
-///
-/// # Errors
-///
-/// Rejects documents without a `nadroid-timing/` schema or with the
-/// required sections missing.
-pub fn record_from_bench_timing(v: &JsonValue) -> Result<(Record, Vec<String>), String> {
-    let schema = v
-        .get("schema")
-        .and_then(JsonValue::as_str)
-        .ok_or("missing schema")?;
-    if !schema.starts_with("nadroid-timing/") {
-        return Err(format!("schema {schema:?} is not a nadroid-timing document"));
-    }
-    let mut rec = Record::new(Kind::Timing);
-    let mut violations = Vec::new();
-
-    rec.counters.insert("apps".into(), unum(v, &["apps"])?);
-    rec.times
-        .insert("suite.wall_secs".into(), num(v, &["suite", "wall_secs"])?);
-    rec.times
-        .insert("suite.cpu_secs".into(), num(v, &["suite", "cpu_secs"])?);
-    if let Some(JsonValue::Obj(members)) = v.get("phase_cpu_secs") {
-        for (k, pv) in members {
-            if let Some(x) = pv.as_f64() {
-                rec.times.insert(format!("phase.{k}"), x);
-            }
-        }
-    }
-    if let Some(JsonValue::Obj(members)) = v.get("counters") {
-        for (k, cv) in members {
-            let x = cv
-                .as_u64()
-                .ok_or_else(|| format!("counter {k:?} is not an unsigned number"))?;
-            rec.counters.insert(k.clone(), x);
-        }
-    }
-    rec.times
-        .insert("hb.closure_secs".into(), num(v, &["hb", "closure_secs"])?);
-    rec.counters.insert(
-        "datalog.derived_tuples".into(),
-        unum(v, &["datalog_closure", "derived_tuples"])?,
-    );
-    rec.times.insert(
-        "datalog.run_secs".into(),
-        num(v, &["datalog_closure", "run_secs"])?,
-    );
-
-    if let Some(scale) = v.get("scale") {
-        rec.counters
-            .insert("scale.apps".into(), unum(scale, &["scale_apps"])?);
-        rec.env.cores = unum(scale, &["cores"])?;
-        let curve = scale
-            .get("curve")
-            .and_then(JsonValue::as_arr)
-            .ok_or("scale.curve missing")?;
-        // The scale counters must be thread-invariant: collapse them to
-        // one counter each and record a violation if any thread count
-        // disagreed.
-        let mut collapsed: BTreeMap<&str, Vec<u64>> = BTreeMap::new();
-        for point in curve {
-            let t = unum(point, &["threads"])?;
-            rec.times.insert(
-                format!("scale.wall_secs_t{t}"),
-                num(point, &[&format!("wall_secs_t{t}")])?,
-            );
-            for name in ["pairs_examined", "queue_pops", "warnings"] {
-                collapsed
-                    .entry(name)
-                    .or_default()
-                    .push(unum(point, &[&format!("{name}_t{t}")])?);
-            }
-        }
-        for (name, vals) in collapsed {
-            if let Some(&first) = vals.first() {
-                if vals.iter().any(|&x| x != first) {
-                    violations.push(format!(
-                        "scale.{name} varies across thread counts: {vals:?}"
-                    ));
-                }
-                rec.counters.insert(format!("scale.{name}"), first);
-            }
-        }
-    }
-    Ok((rec, violations))
-}
-
-/// Convert a `nadroid-serve-bench/*` BENCH document into a ledger
-/// record. Derived ratios (throughput, hit rate, speedup) are skipped —
-/// their inputs are all recorded, and ratios of noisy quantities make
-/// poor gate subjects.
-///
-/// # Errors
-///
-/// Rejects documents without a `nadroid-serve-bench/` schema or with
-/// required sections missing.
-pub fn record_from_bench_serve(v: &JsonValue) -> Result<Record, String> {
-    let schema = v
-        .get("schema")
-        .and_then(JsonValue::as_str)
-        .ok_or("missing schema")?;
-    if !schema.starts_with("nadroid-serve-bench/") {
-        return Err(format!(
-            "schema {schema:?} is not a nadroid-serve-bench document"
-        ));
-    }
-    let mut rec = Record::new(Kind::ServeBench);
-    rec.counters.insert("apps".into(), unum(v, &["apps"])?);
-    rec.counters
-        .insert("concurrency".into(), unum(v, &["concurrency"])?);
-    for pass in ["cold", "warm"] {
-        let pv = v.get(pass).ok_or_else(|| format!("missing {pass} pass"))?;
-        rec.counters
-            .insert(format!("{pass}.requests"), unum(pv, &["requests"])?);
-        rec.times
-            .insert(format!("{pass}.wall_secs"), num(pv, &["wall_secs"])?);
-        for side in ["client", "server"] {
-            for p in ["p50", "p95", "p99"] {
-                let field = format!("{side}_{p}_us");
-                rec.percentiles
-                    .insert(format!("{pass}.{field}"), unum(pv, &[&field])?);
-            }
-        }
-    }
-    if let Some(JsonValue::Obj(members)) = v.get("server") {
-        for (series, sv) in members {
-            rec.counters
-                .insert(format!("{series}.count"), unum(sv, &["count"])?);
-            for p in ["p50_us", "p95_us", "p99_us", "max_us"] {
-                rec.percentiles
-                    .insert(format!("{series}.{p}"), unum(sv, &[p])?);
-            }
-        }
-    }
-    for k in ["cache_bytes", "cache_entries", "cache_evictions", "rejected"] {
-        rec.counters.insert(k.into(), unum(v, &[k])?);
-    }
-    rec.percentiles.insert(
-        "connectbot.cold_us".into(),
-        unum(v, &["connectbot", "cold_us"])?,
-    );
-    rec.percentiles.insert(
-        "connectbot.warm_us".into(),
-        unum(v, &["connectbot", "warm_us"])?,
-    );
-    // Schema /3 records the host fingerprint; older documents fall back
-    // to the capturing process's own.
-    if let Some(cores) = v.get("cores").and_then(JsonValue::as_u64) {
-        rec.env.cores = cores;
-    }
-    if let Some(threads) = v.get("threads").and_then(JsonValue::as_u64) {
-        rec.env.threads = threads;
-    }
-    if let Some(workers) = v.get("workers").and_then(JsonValue::as_u64) {
-        rec.counters.insert("workers".into(), workers);
-    }
-    Ok(rec)
-}
-
-/// Convert a `nadroid-confirm-bench/*` BENCH document into a ledger
-/// record. Verdict tallies, explored-state counts, and the per-app
-/// confirmed-warning populations are all deterministic, so they land
-/// as drift-exact counters and a [`Population`]; only `wall_secs`
-/// rides the noise-tolerant timing lane.
-///
-/// # Errors
-///
-/// Rejects documents without a `nadroid-confirm-bench/` schema or with
-/// required sections missing.
-pub fn record_from_bench_confirm(v: &JsonValue) -> Result<Record, String> {
-    let schema = v
-        .get("schema")
-        .and_then(JsonValue::as_str)
-        .ok_or("missing schema")?;
-    if !schema.starts_with("nadroid-confirm-bench/") {
-        return Err(format!(
-            "schema {schema:?} is not a nadroid-confirm-bench document"
-        ));
-    }
-    let mut rec = Record::new(Kind::Confirm);
-    rec.counters.insert("apps".into(), unum(v, &["apps"])?);
-    rec.times
-        .insert("confirm.wall_secs".into(), num(v, &["wall_secs"])?);
-    let mut tallies = BTreeMap::new();
-    for k in ["confirmed", "unconfirmed", "infeasible"] {
-        let n = unum(v, &["tally", k])?;
-        rec.counters.insert(format!("confirm.{k}"), n);
-        tallies.insert(k.to_string(), n);
-    }
-    rec.counters
-        .insert("confirm.states".into(), unum(v, &["states"])?);
-    rec.counters.insert(
-        "confirm.replays_verified".into(),
-        unum(v, &["replays_verified"])?,
-    );
-    let per_app = v
-        .get("per_app")
-        .and_then(JsonValue::as_arr)
-        .ok_or("missing per_app")?;
-    let mut apps = Vec::new();
-    for row in per_app {
-        let app = row
-            .get("app")
-            .and_then(JsonValue::as_str)
-            .ok_or("per_app row missing app")?
-            .to_string();
-        let digest = row
-            .get("digest")
-            .and_then(JsonValue::as_str)
-            .ok_or("per_app row missing digest")?
-            .to_string();
-        let ids = row
-            .get("confirmed_ids")
-            .and_then(JsonValue::as_arr)
-            .ok_or("per_app row missing confirmed_ids")?
-            .iter()
-            .filter_map(JsonValue::as_str)
-            .map(str::to_string)
-            .collect();
-        apps.push(AppPopulation { app, digest, ids });
-    }
-    apps.sort_by(|a, b| a.app.cmp(&b.app));
-    rec.population = Some(Population { apps, tallies });
-    if let Some(cores) = v.get("cores").and_then(JsonValue::as_u64) {
-        rec.env.cores = cores;
-    }
-    if let Some(threads) = v.get("threads").and_then(JsonValue::as_u64) {
-        rec.env.threads = threads;
-    }
-    Ok(rec)
-}
-
-/// Convert a `nadroid-refute-bench/*` BENCH document into a ledger
-/// record. The Figure-5-style stage tally (potential → after_sound →
-/// after_unsound → refuted → after_refutation), the per-reason
-/// refutation counts, and the per-app post-refutation warning
-/// populations are all deterministic, so they land as drift-exact
-/// counters and a [`Population`]; only `wall_secs` rides the
-/// noise-tolerant timing lane.
-///
-/// # Errors
-///
-/// Rejects documents without a `nadroid-refute-bench/` schema or with
-/// required sections missing.
-pub fn record_from_bench_refute(v: &JsonValue) -> Result<Record, String> {
-    let schema = v
-        .get("schema")
-        .and_then(JsonValue::as_str)
-        .ok_or("missing schema")?;
-    if !schema.starts_with("nadroid-refute-bench/") {
-        return Err(format!(
-            "schema {schema:?} is not a nadroid-refute-bench document"
-        ));
-    }
-    let mut rec = Record::new(Kind::Refute);
-    rec.counters.insert("apps".into(), unum(v, &["apps"])?);
-    rec.times
-        .insert("refute.wall_secs".into(), num(v, &["wall_secs"])?);
-    let mut tallies = BTreeMap::new();
-    for k in [
-        "potential",
-        "after_sound",
-        "after_unsound",
-        "refuted",
-        "after_refutation",
-    ] {
-        let n = unum(v, &["tally", k])?;
-        rec.counters.insert(format!("refute.{k}"), n);
-        tallies.insert(k.to_string(), n);
-    }
-    if let Some(JsonValue::Obj(members)) = v.get("reasons") {
-        for (k, rv) in members {
-            let n = rv
-                .as_u64()
-                .ok_or_else(|| format!("reason {k:?} is not an unsigned number"))?;
-            rec.counters.insert(format!("refute.reason.{k}"), n);
-            tallies.insert(format!("reason.{k}"), n);
-        }
-    }
-    let per_app = v
-        .get("per_app")
-        .and_then(JsonValue::as_arr)
-        .ok_or("missing per_app")?;
-    let mut apps = Vec::new();
-    for row in per_app {
-        let app = row
-            .get("app")
-            .and_then(JsonValue::as_str)
-            .ok_or("per_app row missing app")?
-            .to_string();
-        let digest = row
-            .get("digest")
-            .and_then(JsonValue::as_str)
-            .ok_or("per_app row missing digest")?
-            .to_string();
-        let ids = row
-            .get("surviving_ids")
-            .and_then(JsonValue::as_arr)
-            .ok_or("per_app row missing surviving_ids")?
-            .iter()
-            .filter_map(JsonValue::as_str)
-            .map(str::to_string)
-            .collect();
-        apps.push(AppPopulation { app, digest, ids });
-    }
-    apps.sort_by(|a, b| a.app.cmp(&b.app));
-    rec.population = Some(Population { apps, tallies });
-    if let Some(cores) = v.get("cores").and_then(JsonValue::as_u64) {
-        rec.env.cores = cores;
-    }
-    if let Some(threads) = v.get("threads").and_then(JsonValue::as_u64) {
-        rec.env.threads = threads;
-    }
-    Ok(rec)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1495,156 +1162,6 @@ mod tests {
         assert!(select(0, "last").is_err());
         assert!(select(1, "prev").is_err());
         assert!(select(5, "nope").is_err());
-    }
-
-    #[test]
-    fn bench_timing_conversion_extracts_counters_times_and_scale() {
-        let doc = r#"{
-          "schema": "nadroid-timing/4", "apps": 27,
-          "suite": {"wall_secs": 0.4, "cpu_secs": 0.3},
-          "phase_cpu_secs": {"modeling": 0.1, "total": 0.3},
-          "counters": {"hb.edges": 1134, "pointsto.queue_pops": 12677},
-          "hb": {"closure_secs": 0.0011},
-          "datalog_closure": {"n": 200, "derived_tuples": 40000, "run_secs": 0.14, "tuples_per_sec": 283561},
-          "scale": {"scale_apps": 1000, "cores": 4, "curve": [
-            {"threads": 1, "wall_secs_t1": 0.13, "pairs_examined_t1": 62965, "queue_pops_t1": 45205, "warnings_t1": 183},
-            {"threads": 2, "wall_secs_t2": 0.11, "pairs_examined_t2": 62965, "queue_pops_t2": 45205, "warnings_t2": 184}
-          ]}
-        }"#;
-        let v = parse_json(doc).unwrap();
-        let (rec, violations) = record_from_bench_timing(&v).unwrap();
-        assert_eq!(rec.kind, Kind::Timing);
-        assert_eq!(rec.counters["hb.edges"], 1134);
-        assert_eq!(rec.counters["apps"], 27);
-        assert_eq!(rec.counters["scale.apps"], 1000);
-        assert_eq!(rec.counters["scale.pairs_examined"], 62965);
-        assert_eq!(rec.counters["datalog.derived_tuples"], 40000);
-        assert_eq!(rec.env.cores, 4);
-        assert!((rec.times["phase.modeling"] - 0.1).abs() < 1e-12);
-        assert!((rec.times["scale.wall_secs_t2"] - 0.11).abs() < 1e-12);
-        // warnings differ between t1 and t2 -> one violation.
-        assert_eq!(violations.len(), 1, "{violations:?}");
-        assert!(violations[0].contains("scale.warnings"), "{violations:?}");
-    }
-
-    #[test]
-    fn bench_serve_conversion_extracts_percentiles() {
-        let doc = r#"{
-          "schema": "nadroid-serve-bench/3", "apps": 27, "concurrency": 2,
-          "cores": 8, "threads": 2, "workers": 2,
-          "cold": {"requests": 27, "wall_secs": 4.7, "throughput_rps": 5.7,
-                   "client_p50_us": 9983, "client_p95_us": 2228223, "client_p99_us": 3221964,
-                   "server_p50_us": 1855, "server_p95_us": 2228223, "server_p99_us": 3213493},
-          "warm": {"requests": 27, "wall_secs": 0.02, "throughput_rps": 1349.9,
-                   "client_p50_us": 543, "client_p95_us": 7679, "client_p99_us": 8275,
-                   "server_p50_us": 58, "server_p95_us": 343, "server_p99_us": 411},
-          "server": {"serve.latency.analyze.hit": {"count": 27, "p50_us": 58, "p95_us": 343, "p99_us": 411, "max_us": 411}},
-          "cache_hit_rate": 0.5, "cache_bytes": 8569169, "cache_entries": 27,
-          "cache_evictions": 0, "rejected": 0,
-          "connectbot": {"cold_us": 735916, "warm_us": 321, "speedup": 2292.6}
-        }"#;
-        let v = parse_json(doc).unwrap();
-        let rec = record_from_bench_serve(&v).unwrap();
-        assert_eq!(rec.kind, Kind::ServeBench);
-        assert_eq!(rec.env.cores, 8);
-        assert_eq!(rec.env.threads, 2);
-        assert_eq!(rec.counters["workers"], 2);
-        assert_eq!(rec.percentiles["warm.server_p99_us"], 411);
-        assert_eq!(rec.percentiles["serve.latency.analyze.hit.p99_us"], 411);
-        assert_eq!(rec.percentiles["connectbot.warm_us"], 321);
-        assert_eq!(rec.counters["serve.latency.analyze.hit.count"], 27);
-        assert!(!rec.counters.contains_key("cache_hit_rate"));
-    }
-
-    #[test]
-    fn bench_confirm_conversion_extracts_tally_and_population() {
-        let doc = r#"{
-          "schema": "nadroid-confirm-bench/1", "apps": 27,
-          "cores": 8, "threads": 2, "wall_secs": 1.25,
-          "tally": {"confirmed": 30, "unconfirmed": 4, "infeasible": 3},
-          "states": 812345, "replays_verified": 30,
-          "per_app": [
-            {"app": "ConnectBot", "survivors": 2, "confirmed": 2, "unconfirmed": 0,
-             "infeasible": 0, "states": 86, "micros": 1200, "digest": "wp:00000000deadbeef",
-             "confirmed_ids": ["w:48869f4494d10ec9", "w:7e171093770b937d"]},
-            {"app": "Aard", "survivors": 1, "confirmed": 1, "unconfirmed": 0,
-             "infeasible": 0, "states": 40, "micros": 800, "digest": "wp:0000000000c0ffee",
-             "confirmed_ids": ["w:0000000000000001"]}
-          ]
-        }"#;
-        let v = parse_json(doc).unwrap();
-        let rec = record_from_bench_confirm(&v).unwrap();
-        assert_eq!(rec.kind, Kind::Confirm);
-        assert_eq!(rec.counters["apps"], 27);
-        assert_eq!(rec.counters["confirm.confirmed"], 30);
-        assert_eq!(rec.counters["confirm.infeasible"], 3);
-        assert_eq!(rec.counters["confirm.states"], 812_345);
-        assert_eq!(rec.counters["confirm.replays_verified"], 30);
-        assert_eq!(rec.env.cores, 8);
-        assert_eq!(rec.env.threads, 2);
-        assert!((rec.times["confirm.wall_secs"] - 1.25).abs() < 1e-12);
-        let pop = rec.population.as_ref().expect("population recorded");
-        assert_eq!(pop.tallies["confirmed"], 30);
-        // Apps come back sorted regardless of document order.
-        assert_eq!(pop.apps[0].app, "Aard");
-        assert_eq!(pop.apps[1].ids.len(), 2);
-        // The record survives a JSONL round trip.
-        let line = rec.to_json_line();
-        let back = Record::from_json(&parse_json(&line).unwrap()).unwrap();
-        assert_eq!(back, rec);
-        // A verdict flip is drift, not noise.
-        let mut moved = rec.clone();
-        *moved.counters.get_mut("confirm.confirmed").unwrap() -= 1;
-        let verdict = gate(&rec, &moved, &DiffOptions::default());
-        assert!(!verdict.pass());
-        assert!(verdict.deltas.iter().any(|d| d.key == "counters.confirm.confirmed"));
-    }
-
-    #[test]
-    fn bench_refute_conversion_extracts_stage_tally_and_reasons() {
-        let doc = r#"{
-          "schema": "nadroid-refute-bench/1", "apps": 6,
-          "cores": 8, "threads": 2, "wall_secs": 0.42,
-          "tally": {"potential": 30, "after_sound": 25, "after_unsound": 24,
-                    "refuted": 21, "after_refutation": 3},
-          "reasons": {"extended-order": 8, "disabled": 13, "unreachable": 0},
-          "per_app": [
-            {"app": "RefuteDialogs", "potential": 7, "after_unsound": 4, "refuted": 3,
-             "after_refutation": 1, "micros": 900, "digest": "wp:00000000deadbeef",
-             "surviving_ids": ["w:0000000000000001"]},
-            {"app": "RefuteAlarms", "potential": 5, "after_unsound": 4, "refuted": 4,
-             "after_refutation": 0, "micros": 700, "digest": "wp:0000000000c0ffee",
-             "surviving_ids": []}
-          ]
-        }"#;
-        let v = parse_json(doc).unwrap();
-        let rec = record_from_bench_refute(&v).unwrap();
-        assert_eq!(rec.kind, Kind::Refute);
-        assert_eq!(rec.counters["apps"], 6);
-        assert_eq!(rec.counters["refute.refuted"], 21);
-        assert_eq!(rec.counters["refute.after_refutation"], 3);
-        assert_eq!(rec.counters["refute.reason.disabled"], 13);
-        assert_eq!(rec.env.cores, 8);
-        assert!((rec.times["refute.wall_secs"] - 0.42).abs() < 1e-12);
-        let pop = rec.population.as_ref().expect("population recorded");
-        assert_eq!(pop.tallies["refuted"], 21);
-        assert_eq!(pop.tallies["reason.extended-order"], 8);
-        // Apps come back sorted regardless of document order.
-        assert_eq!(pop.apps[0].app, "RefuteAlarms");
-        assert_eq!(pop.apps[1].ids, vec!["w:0000000000000001".to_string()]);
-        // The record survives a JSONL round trip.
-        let line = rec.to_json_line();
-        let back = Record::from_json(&parse_json(&line).unwrap()).unwrap();
-        assert_eq!(back, rec);
-        // A refutation-count flip is drift, not noise.
-        let mut moved = rec.clone();
-        *moved.counters.get_mut("refute.refuted").unwrap() -= 1;
-        let verdict = gate(&rec, &moved, &DiffOptions::default());
-        assert!(!verdict.pass());
-        assert!(verdict
-            .deltas
-            .iter()
-            .any(|d| d.key == "counters.refute.refuted"));
     }
 
     #[test]

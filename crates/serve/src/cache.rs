@@ -4,7 +4,7 @@
 //! this), so a result is fully identified by *what* was analyzed and
 //! *how*: the key is `(fnv64(program source), fnv64(config))`. Values
 //! carry everything a response needs — the summary counts, the stable
-//! warning ids, and the rendered `nadroid-provenance/3` document — so a
+//! warning ids, and the rendered `nadroid-provenance/4` document — so a
 //! warm request (including `explain` queries) is a lookup plus a string
 //! copy, never a re-solve.
 //!
@@ -67,7 +67,7 @@ pub struct CachedResult {
     pub summary: Summary,
     /// Stable ids (`w:` + 16 hex) of the warnings surviving all filters.
     pub warning_ids: Vec<String>,
-    /// The full `nadroid-provenance/3` document — `explain` queries are
+    /// The full `nadroid-provenance/4` document — `explain` queries are
     /// answered from this without re-solving.
     pub provenance_json: String,
     /// The `nadroid-confirm/1` document, filled in (and the provenance

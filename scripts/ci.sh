@@ -26,13 +26,11 @@
 #    and replays it in a fresh `nadroid replay` process — the NPE must
 #    reproduce and match the warning's use/free sites,
 # 6. perf/drift gate: re-measure the timing suite and run
-#    `nadroid perf gate` against the committed BENCH_timing.json —
-#    deterministic counters and the warning population compare exactly,
-#    wall/CPU times under the documented noise budget (3x + 0.25s), and
-#    the scale curve's thread-invariant counters are validated
-#    structurally during conversion — with the fresh run appended to
-#    the run ledger (Result/ledger.jsonl, schema nadroid-ledger/1) as a
-#    `ci` record; the verdict names the exact counter, percentile, or
+#    `nadroid perf gate` against the committed BENCH_timing.json record —
+#    deterministic counters compare exactly, wall/CPU times under the
+#    documented noise budget (3x + 0.25s) — with the fresh run appended
+#    to the run ledger (Result/ledger.jsonl, schema nadroid-ledger/1) as
+#    a `ci` record; the verdict names the exact counter, percentile, or
 #    warning ids that moved,
 # 7. serve smoke gate: start the daemon with --threads 2 (inner
 #    parallelism under admission control) plus an access log and a
@@ -43,9 +41,9 @@
 #    Prometheus text rendering), clean shutdown — then the JSONL
 #    access log and a slow-request trace must validate under
 #    `nadroid check-json`, and the serve load bench refreshes
-#    BENCH_serve.json (schema nadroid-serve-bench/3, host fingerprint
-#    included) and enforces the 20x warm-vs-cold ConnectBot speedup
-#    plus its telemetry-agreement self-checks,
+#    BENCH_serve.json (host fingerprint included) and enforces the 20x
+#    warm-vs-cold ConnectBot speedup plus its telemetry-agreement
+#    self-checks,
 # 8. confirmation drift gate: confirm_bench re-runs dynamic
 #    confirmation over the whole corpus (its own self-checks require
 #    >=1 confirmed, >=1 infeasible, and every confirmed schedule to
@@ -63,10 +61,9 @@
 #    surviving populations are drift-exact; the Gallery explain smoke
 #    then checks the rendered `refutation:` contradiction chains and
 #    pins the provenance sidecar to nadroid-provenance/4,
-# 10. schema pins: BENCH_timing.json, BENCH_serve.json,
-#    BENCH_confirm.json, BENCH_refute.json, the metrics document, and
-#    every Result/ledger.jsonl line must carry their declared schemas
-#    (`check-json --expect-schema`).
+# 10. schema pins: every BENCH_*.json must be one nadroid-ledger/1
+#    record, and the metrics document and every Result/ledger.jsonl line
+#    must carry their declared schemas (`check-json --expect-schema`).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -117,12 +114,10 @@ echo "$replay_out" | grep -q 'NPE reproduced' || {
 echo "$replay_out" | grep -q "matches warning $confirm_id" || {
     echo "ci.sh: replayed NPE does not match the warning:"; echo "$replay_out"; exit 1; }
 
-# --- perf/drift gate (replaces the old `timing --check 3`) ---
-# Convert the committed BENCH_timing.json to a ledger record (failing
-# on structural violations in its scale curve), re-measure the suite,
-# and compare under the noise model; the fresh run lands in
-# Result/ledger.jsonl as a `ci` record either way.
-"$bin" check-json BENCH_timing.json --expect-schema nadroid-timing/4
+# --- perf/drift gate ---
+# Re-measure the suite and compare it against the committed
+# BENCH_timing.json record under the noise model; the fresh run lands
+# in Result/ledger.jsonl as a `ci` record either way.
 "$bin" perf gate --against BENCH_timing.json --record
 
 # --- serve smoke gate ---
@@ -253,13 +248,13 @@ echo "$refute_explain" | grep -q 'status: survived all filters' || {
 echo "$refute_explain" | grep -q 'no witness exists' || {
     echo "ci.sh: gallery refutation chains missing contradiction" >&2; exit 1; }
 
-# Schema pins for the refreshed artifacts, and the run ledger — which
-# now holds at least the `ci` gate record plus the serve_bench,
-# confirm_bench, and refute_bench records from this very run — must
-# validate line by line.
-"$bin" check-json BENCH_serve.json --expect-schema nadroid-serve-bench/3
-"$bin" check-json BENCH_confirm.json --expect-schema nadroid-confirm-bench/1
-"$bin" check-json BENCH_refute.json --expect-schema nadroid-refute-bench/1
+# Schema pins: every BENCH artifact (three of them refreshed above) is
+# one nadroid-ledger/1 record, and the run ledger — which now holds at
+# least the `ci` gate record plus the serve_bench, confirm_bench, and
+# refute_bench records from this very run — must validate line by line.
+for bench in BENCH_*.json; do
+    "$bin" check-json "$bench" --expect-schema nadroid-ledger/1
+done
 "$bin" check-json Result/ledger.jsonl --lines --expect-schema nadroid-ledger/1
 "$bin" perf list
 

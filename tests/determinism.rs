@@ -70,7 +70,6 @@ fn thread_count_never_changes_the_output() {
     let run = |threads: usize| {
         let config = AnalysisConfig {
             threads,
-            datalog_crosscheck: true,
             ..AnalysisConfig::default()
         };
         let recorder = nadroid::obs::Recorder::new();
