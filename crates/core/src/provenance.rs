@@ -33,6 +33,7 @@ use nadroid_detector::{derive_racy_pairs, describe_fact, warning_id, UafWarning}
 use nadroid_filters::refute::{Refutation, RefutationReason};
 use nadroid_filters::{FilterKind, FilterVerdict};
 use nadroid_hb::HbEdgeKind;
+use nadroid_obs as obs;
 use std::fmt::Write as _;
 
 /// The provenance schema the current build writes — and the only one
@@ -199,13 +200,17 @@ impl Analysis<'_> {
     /// call it once and reuse the result.
     #[must_use]
     pub fn warning_provenances(&self) -> Vec<WarningProvenance> {
-        let prov = derive_racy_pairs(
-            self.program,
-            &self.threads,
-            &self.pts,
-            &self.escape,
-            self.config.detector,
-        );
+        let _span = obs::span("provenance");
+        let prov = {
+            let _s = obs::span("provenance.derive");
+            derive_racy_pairs(
+                self.program,
+                &self.threads,
+                &self.pts,
+                &self.escape,
+                self.config.detector,
+            )
+        };
         let filters = self.filters();
         self.warnings
             .iter()
@@ -319,6 +324,7 @@ pub fn render_provenance_json_with(
     analysis: &Analysis<'_>,
     provenances: &[WarningProvenance],
 ) -> String {
+    let _span = obs::span("provenance.json");
     let mut out = String::from("{\n");
     let _ = writeln!(out, "  \"schema\": \"{PROVENANCE_SCHEMA}\",");
     let _ = writeln!(out, "  \"app\": \"{}\",", esc(analysis.program().name()));

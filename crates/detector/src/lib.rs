@@ -23,6 +23,7 @@ use nadroid_ir::walk::{self, InstrCtx};
 use nadroid_ir::{Callee, FieldId, InstrId, Local, MethodId, Op, Program};
 use nadroid_pointsto::{Escape, ObjId, PointsTo};
 use nadroid_threadify::{ThreadId, ThreadModel};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Whether an access reads (use) or nulls (free) the field.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -422,11 +423,17 @@ impl RacyPairProvenance {
 ///
 /// `sharedObj` holds the thread-escaping objects (all objects when
 /// `options.require_escape` is off), and `distinctThreads` materializes
-/// thread disequality, which the engine has no built-in for. The derived
-/// `racyPair` set equals the warnings of [`detect`] for the same options,
-/// except that `eager_lockset` pruning is *not* encoded — with it on,
-/// warnings are a subset of `racyPair`, and every warning still has a
-/// derivation.
+/// thread disequality, which the engine has no built-in for. It holds
+/// only the pairs `(t1, t2)`, `t1 ≠ t2`, where `t1` runs a use and `t2`
+/// a free of the same field: per-field use × free threads, not all |T|²
+/// thread pairs. That is exact, because `aliasedPair(u, f)` requires
+/// `u` and `f` to access one field, so these are the only thread pairs
+/// the `racyPair` body can bind.
+///
+/// The derived `racyPair` set equals the warnings of [`detect`] for the
+/// same options, except that `eager_lockset` pruning is *not* encoded —
+/// with it on, warnings are a subset of `racyPair`, and every warning
+/// still has a derivation.
 #[must_use]
 pub fn derive_racy_pairs(
     program: &Program,
@@ -447,28 +454,36 @@ pub fn derive_racy_pairs(
     let aliased_pair = db.relation("aliasedPair", 2);
     let racy_pair = db.relation("racyPair", 4);
 
+    // Per field, the threads running a use / a free of it.
+    let mut use_threads: BTreeMap<FieldId, BTreeSet<ThreadId>> = BTreeMap::new();
+    let mut free_threads: BTreeMap<FieldId, BTreeSet<ThreadId>> = BTreeMap::new();
     for a in collect_accesses(program) {
-        let (at, pt) = match a.kind {
-            AccessKind::Use => (use_at, pts_use),
-            AccessKind::Free => (free_at, pts_free),
+        let (at, pt, by_field) = match a.kind {
+            AccessKind::Use => (use_at, pts_use, &mut use_threads),
+            AccessKind::Free => (free_at, pts_free, &mut free_threads),
         };
         db.insert(at, &[a.instr.raw(), a.field.raw()]);
         for &o in pts.pts(a.method, a.base) {
             db.insert(pt, &[a.instr.raw(), o.0]);
         }
-        for &t in threads.threads_of_method(a.method) {
+        let on = threads.threads_of_method(a.method);
+        for &t in on {
             db.insert(runs_on, &[a.instr.raw(), t.raw()]);
         }
+        by_field.entry(a.field).or_default().extend(on);
     }
     for o in pts.objs().iter() {
         if !options.require_escape || escape.is_shared(o) {
             db.insert(shared_obj, &[o.0]);
         }
     }
-    for (t1, _) in threads.threads() {
-        for (t2, _) in threads.threads() {
-            if t1 != t2 {
-                db.insert(distinct_threads, &[t1.raw(), t2.raw()]);
+    for (field, users) in &use_threads {
+        let Some(freers) = free_threads.get(field) else { continue };
+        for &t1 in users {
+            for &t2 in freers {
+                if t1 != t2 {
+                    db.insert(distinct_threads, &[t1.raw(), t2.raw()]);
+                }
             }
         }
     }

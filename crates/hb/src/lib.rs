@@ -572,40 +572,14 @@ impl HbGraph {
 
     /// A shortest witness path `a = t0 → t1 → … → tk = b` through the
     /// direct sound MHB edges, when `must_hb(a, b)` holds — the per-edge
-    /// provenance behind a closure fact.
+    /// provenance behind a closure fact. The closure answers first: a
+    /// pair it does not order returns `None` without walking the graph.
     #[must_use]
     pub fn must_hb_path(&self, a: ThreadId, b: ThreadId) -> Option<Vec<ThreadId>> {
-        if a == b {
+        if a == b || !self.must_hb(a, b) {
             return None;
         }
-        let mut succ: BTreeMap<ThreadId, Vec<ThreadId>> = BTreeMap::new();
-        for e in &self.edges {
-            if e.kind.is_must() {
-                succ.entry(e.src).or_default().push(e.dst);
-            }
-        }
-        let mut prev: BTreeMap<ThreadId, ThreadId> = BTreeMap::new();
-        let mut queue = VecDeque::from([a]);
-        let mut seen = HashSet::from([a]);
-        while let Some(t) = queue.pop_front() {
-            if t == b {
-                let mut path = vec![b];
-                let mut cur = b;
-                while let Some(&p) = prev.get(&cur) {
-                    path.push(p);
-                    cur = p;
-                }
-                path.reverse();
-                return Some(path);
-            }
-            for &next in succ.get(&t).into_iter().flatten() {
-                if seen.insert(next) {
-                    prev.insert(next, t);
-                    queue.push_back(next);
-                }
-            }
-        }
-        None
+        shortest_path(a, b, self.must_edges())
     }
 
     /// Whether the predicate-extended sound closure orders `a` strictly
@@ -689,43 +663,22 @@ impl HbGraph {
     /// A shortest witness path through the direct sound MHB edges *plus*
     /// the predicate-derived edges, when [`HbGraph::pred_must_hb`] holds
     /// — the per-edge provenance behind a predicate-extended closure
-    /// fact.
+    /// fact. Like [`HbGraph::must_hb_path`], it asks the closure first.
     #[must_use]
     pub fn pred_must_hb_path(&self, a: ThreadId, b: ThreadId) -> Option<Vec<ThreadId>> {
-        if a == b {
+        if a == b || !self.pred_must_hb(a, b) {
             return None;
         }
-        let mut succ: BTreeMap<ThreadId, Vec<ThreadId>> = BTreeMap::new();
-        for e in &self.edges {
-            if e.kind.is_must() {
-                succ.entry(e.src).or_default().push(e.dst);
-            }
-        }
-        for e in &self.pred_edges {
-            succ.entry(e.src).or_default().push(e.dst);
-        }
-        let mut prev: BTreeMap<ThreadId, ThreadId> = BTreeMap::new();
-        let mut queue = VecDeque::from([a]);
-        let mut seen = HashSet::from([a]);
-        while let Some(t) = queue.pop_front() {
-            if t == b {
-                let mut path = vec![b];
-                let mut cur = b;
-                while let Some(&p) = prev.get(&cur) {
-                    path.push(p);
-                    cur = p;
-                }
-                path.reverse();
-                return Some(path);
-            }
-            for &next in succ.get(&t).into_iter().flatten() {
-                if seen.insert(next) {
-                    prev.insert(next, t);
-                    queue.push_back(next);
-                }
-            }
-        }
-        None
+        let pred = self.pred_edges.iter().map(|e| (e.src, e.dst));
+        shortest_path(a, b, self.must_edges().chain(pred))
+    }
+
+    /// The direct sound MHB edges as `(src, dst)` pairs, in edge order.
+    fn must_edges(&self) -> impl Iterator<Item = (ThreadId, ThreadId)> + '_ {
+        self.edges
+            .iter()
+            .filter(|e| e.kind.is_must())
+            .map(|e| (e.src, e.dst))
     }
 
     /// Number of direct edges.
@@ -745,6 +698,41 @@ impl HbGraph {
     pub fn database(&self) -> &Database {
         &self.db
     }
+}
+
+/// A breadth-first shortest path `a → … → b` over `edges`, ties broken
+/// by edge order; `None` when `b` is unreachable from `a`.
+fn shortest_path(
+    a: ThreadId,
+    b: ThreadId,
+    edges: impl Iterator<Item = (ThreadId, ThreadId)>,
+) -> Option<Vec<ThreadId>> {
+    let mut succ: BTreeMap<ThreadId, Vec<ThreadId>> = BTreeMap::new();
+    for (src, dst) in edges {
+        succ.entry(src).or_default().push(dst);
+    }
+    let mut prev: BTreeMap<ThreadId, ThreadId> = BTreeMap::new();
+    let mut queue = VecDeque::from([a]);
+    let mut seen = HashSet::from([a]);
+    while let Some(t) = queue.pop_front() {
+        if t == b {
+            let mut path = vec![b];
+            let mut cur = b;
+            while let Some(&p) = prev.get(&cur) {
+                path.push(p);
+                cur = p;
+            }
+            path.reverse();
+            return Some(path);
+        }
+        for &next in succ.get(&t).into_iter().flatten() {
+            if seen.insert(next) {
+                prev.insert(next, t);
+                queue.push_back(next);
+            }
+        }
+    }
+    None
 }
 
 #[cfg(feature = "metrics")]

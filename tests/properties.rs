@@ -9,8 +9,9 @@ use nadroid::corpus::{generate, AppSpec, PatternKind};
 use nadroid::dynamic::{explore, ExploreConfig, Goal};
 use nadroid::ir::{parse_program, print_program};
 use nadroid::pointsto::{datalog_baseline, AllocKey, PointsTo};
-use nadroid::threadify::ThreadModel;
+use nadroid::threadify::{ThreadId, ThreadModel};
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 
 /// Strategy: a random multiset of patterns (small, to keep the dynamic
 /// checks tractable).
@@ -64,7 +65,7 @@ proptest! {
         for (mid, m) in app.program.methods() {
             for l in 0..m.num_locals() {
                 let local = nadroid::ir::Local(l);
-                let solver_keys: std::collections::BTreeSet<AllocKey> =
+                let solver_keys: BTreeSet<AllocKey> =
                     pts.pts(mid, local).iter().map(|&o| pts.objs().key(o)).collect();
                 let base_keys = baseline.get(&(mid, local)).cloned().unwrap_or_default();
                 prop_assert_eq!(solver_keys, base_keys);
@@ -186,6 +187,48 @@ proptest! {
                 for &c in &ids {
                     if g.must_hb(a, b) && g.must_hb(b, c) {
                         prop_assert!(g.must_hb(a, c), "must_hb is transitive");
+                    }
+                }
+            }
+        }
+    }
+
+    /// The witness-path queries answer from the closure first, so they
+    /// must agree with it: over every ordered pair of threads that appear
+    /// in a warning, a path exists iff the closure orders the pair, and
+    /// each hop of a path is a direct edge of the relation the closure
+    /// is built from (must edges, plus `predEdge` for the `pred_` form).
+    #[test]
+    fn witness_paths_agree_with_the_closure(spec in spec_strategy(2)) {
+        let app = generate(&spec);
+        let analysis = analyze(&app.program, &AnalysisConfig::default());
+        let g = analysis.hb();
+        let must: BTreeSet<(ThreadId, ThreadId)> = g
+            .edges()
+            .iter()
+            .filter(|e| e.kind.is_must())
+            .map(|e| (e.src, e.dst))
+            .collect();
+        let mut pred = must.clone();
+        pred.extend(g.pred_edges().iter().map(|e| (e.src, e.dst)));
+        let ids: BTreeSet<ThreadId> = analysis
+            .warnings()
+            .iter()
+            .flat_map(|w| [w.use_thread, w.free_thread])
+            .collect();
+        for &a in &ids {
+            for &b in &ids {
+                let paths = [
+                    (g.must_hb_path(a, b), g.must_hb(a, b), &must),
+                    (g.pred_must_hb_path(a, b), g.pred_must_hb(a, b), &pred),
+                ];
+                for (path, ordered, edges) in paths {
+                    prop_assert_eq!(path.is_some(), ordered);
+                    let Some(path) = path else { continue };
+                    prop_assert_eq!(path.first(), Some(&a));
+                    prop_assert_eq!(path.last(), Some(&b));
+                    for hop in path.windows(2) {
+                        prop_assert!(edges.contains(&(hop[0], hop[1])), "hop is not a direct edge");
                     }
                 }
             }
