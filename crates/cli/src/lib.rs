@@ -2367,7 +2367,6 @@ activity M { cb onClick { } }",
         base.env = ledger::Env {
             cores: 8,
             threads: 1,
-            features: vec!["obs".into()],
             profile: "release".into(),
         };
         base.counters.insert("detector.pairs_examined".into(), 666_419);

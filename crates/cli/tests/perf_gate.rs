@@ -21,7 +21,6 @@ fn fixed_env() -> Env {
     Env {
         cores: 8,
         threads: 1,
-        features: vec!["obs".to_string()],
         profile: "release".to_string(),
     }
 }

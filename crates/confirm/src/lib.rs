@@ -276,14 +276,14 @@ pub struct ConfirmOutcome {
 }
 
 /// Confirm one warning: HB and reachability fast paths, then the
-/// directed phase, then the bounded fallback.
+/// directed phase, then the bounded fallback. A fired ambient cancel
+/// token (a serve deadline) answers `Unconfirmed` before any search.
 #[must_use]
 pub fn confirm_warning(
     analysis: &Analysis<'_>,
     w: &UafWarning,
     cfg: &ConfirmConfig,
 ) -> Confirmation {
-    #[cfg(feature = "metrics")]
     if nadroid_obs::cancel::should_stop() {
         return Confirmation {
             verdict: ConfirmVerdict::Unconfirmed,
@@ -294,11 +294,8 @@ pub fn confirm_warning(
         };
     }
     let c = confirm_uncounted(analysis, w, cfg);
-    #[cfg(feature = "metrics")]
-    {
-        nadroid_obs::counter(&format!("confirm.{}", c.verdict), 1);
-        nadroid_obs::counter("confirm.states", c.states_explored);
-    }
+    nadroid_obs::counter(&format!("confirm.{}", c.verdict), 1);
+    nadroid_obs::counter("confirm.states", c.states_explored);
     c
 }
 
@@ -658,6 +655,31 @@ mod tests {
         assert_eq!(npe.loaded_from, Some(w.use_access.instr));
         assert_eq!(npe.freed_by, Some(w.free_access.instr));
         assert!(r.confirmation.npe_at.is_some());
+    }
+
+    #[test]
+    fn a_cancelled_token_stops_every_search_before_it_runs() {
+        let p = parse_program(FIG1A).unwrap();
+        let a = analyze(&p, &AnalysisConfig::default());
+        let token = nadroid_obs::cancel::CancelToken::new();
+        token.cancel();
+        let outcome = {
+            let _scope = token.install();
+            confirm_survivors(&a, &ConfirmConfig::default())
+        };
+        assert!(!outcome.results.is_empty(), "{outcome:?}");
+        assert_eq!(
+            outcome.tally.unconfirmed,
+            outcome.results.len(),
+            "{outcome:?}"
+        );
+        for r in &outcome.results {
+            let c = &r.confirmation;
+            assert_eq!(c.verdict, ConfirmVerdict::Unconfirmed, "{r:?}");
+            assert_eq!(c.reason, "cancelled before the search ran");
+            assert_eq!(c.states_explored, 0);
+            assert!(c.schedule.is_none());
+        }
     }
 
     #[test]

@@ -33,11 +33,9 @@
 //! of its premises — in a compact side arena (one `u32` tag per row plus
 //! one record per derived tuple). [`Database::explain`] replays those
 //! records into a [`Derivation`] tree that bottoms out in base (EDB)
-//! facts. Recording is off by default and the machinery can be compiled
-//! out entirely with `--no-default-features` (the `provenance` feature);
-//! in either off state the join loop pays nothing. The naive reference
-//! engine mirrors the same API so the differential suite covers
-//! derivations, not just contents.
+//! facts. Recording is off by default; while it is off the join loop
+//! pays only a flag check. The naive reference engine mirrors the same
+//! API so the differential suite covers derivations, not just contents.
 //!
 //! # Example: transitive closure
 //!
@@ -302,11 +300,9 @@ impl Derivation {
 }
 
 /// Per-row provenance tag meaning "base fact / not derived by a rule".
-#[cfg(feature = "provenance")]
 const NO_PROV: u32 = u32::MAX;
 
 /// One derivation record: the rule plus a span of the premise list.
-#[cfg(feature = "provenance")]
 #[derive(Debug, Clone, Copy)]
 struct ProvRecord {
     rule: u32,
@@ -317,7 +313,6 @@ struct ProvRecord {
 /// The compact side arena of derivation records. Premises are stored as
 /// `(relation, arena row)` pairs — rows are stable because tuple arenas
 /// never shrink or reorder.
-#[cfg(feature = "provenance")]
 #[derive(Debug, Default)]
 struct ProvArena {
     records: Vec<ProvRecord>,
@@ -325,37 +320,29 @@ struct ProvArena {
 }
 
 /// Per-(rule, delta-position) premise capture threaded through the join
-/// recursion. When inactive (recording off, or the whole `provenance`
-/// feature disabled) every method is a no-op the optimizer removes.
+/// recursion. While inactive (recording off) every method is a no-op.
 #[derive(Debug, Default)]
 struct ProvBuf {
-    #[cfg(feature = "provenance")]
     active: bool,
     /// Arena row of the candidate match per body position.
-    #[cfg(feature = "provenance")]
     path: Vec<u32>,
     /// One `path` snapshot per emitted head tuple, flattened.
-    #[cfg(feature = "provenance")]
     rows: Vec<u32>,
 }
 
 impl ProvBuf {
-    fn reset(&mut self, _n_atoms: usize, _active: bool) {
-        #[cfg(feature = "provenance")]
-        {
-            self.active = _active;
-            self.path.clear();
-            self.path.resize(_n_atoms, 0);
-            self.rows.clear();
-        }
+    fn reset(&mut self, n_atoms: usize, active: bool) {
+        self.active = active;
+        self.path.clear();
+        self.path.resize(n_atoms, 0);
+        self.rows.clear();
     }
 
     /// Note the matched arena row for body position `pos`.
     #[inline]
-    fn enter(&mut self, _pos: usize, _row_id: u32) {
-        #[cfg(feature = "provenance")]
+    fn enter(&mut self, pos: usize, row_id: u32) {
         if self.active {
-            self.path[_pos] = _row_id;
+            self.path[pos] = row_id;
         }
     }
 
@@ -363,14 +350,12 @@ impl ProvBuf {
     /// tuple, keeping `rows` parallel to the scratch output.
     #[inline]
     fn emit(&mut self) {
-        #[cfg(feature = "provenance")]
         if self.active {
             self.rows.extend_from_slice(&self.path);
         }
     }
 
     /// The premise rows of the `i`-th emitted head tuple.
-    #[cfg(feature = "provenance")]
     fn premise_rows(&self, i: usize) -> &[u32] {
         let n = self.path.len();
         &self.rows[i * n..(i + 1) * n]
@@ -403,7 +388,6 @@ struct RelationData {
     hwm: u32,
     /// While recording: one derivation-record index per row, parallel to
     /// the arena (`NO_PROV` = base fact). Empty when recording is off.
-    #[cfg(feature = "provenance")]
     prov: Vec<u32>,
 }
 
@@ -536,9 +520,7 @@ pub struct Database {
     /// fixpoint instead of re-deriving from scratch.
     last_rules: Option<RuleSet>,
     stats: EngineStats,
-    #[cfg(feature = "provenance")]
     prov: ProvArena,
-    #[cfg(feature = "provenance")]
     record_provenance: bool,
 }
 
@@ -589,7 +571,6 @@ impl Database {
             r.name
         );
         let added = r.insert_row(tuple);
-        #[cfg(feature = "provenance")]
         if added && self.record_provenance {
             self.relations[rel.index()].prov.push(NO_PROV);
         }
@@ -637,22 +618,18 @@ impl Database {
     /// Enabling tags every already-present row as a base fact, so a
     /// database can start recording mid-life; rows derived while
     /// recording was off are indistinguishable from EDB facts. Disabling
-    /// discards all recorded provenance. With the crate built without
-    /// the `provenance` feature this is a no-op.
-    pub fn set_provenance(&mut self, _on: bool) {
-        #[cfg(feature = "provenance")]
-        {
-            self.record_provenance = _on;
-            if _on {
-                for r in &mut self.relations {
-                    let rows = r.rows() as usize;
-                    r.prov.resize(rows, NO_PROV);
-                }
-            } else {
-                self.prov = ProvArena::default();
-                for r in &mut self.relations {
-                    r.prov = Vec::new();
-                }
+    /// discards all recorded provenance.
+    pub fn set_provenance(&mut self, on: bool) {
+        self.record_provenance = on;
+        if on {
+            for r in &mut self.relations {
+                let rows = r.rows() as usize;
+                r.prov.resize(rows, NO_PROV);
+            }
+        } else {
+            self.prov = ProvArena::default();
+            for r in &mut self.relations {
+                r.prov = Vec::new();
             }
         }
     }
@@ -660,14 +637,7 @@ impl Database {
     /// Whether derivation recording is currently enabled.
     #[must_use]
     pub fn provenance_enabled(&self) -> bool {
-        #[cfg(feature = "provenance")]
-        {
-            self.record_provenance
-        }
-        #[cfg(not(feature = "provenance"))]
-        {
-            false
-        }
+        self.record_provenance
     }
 
     /// The derivation tree of a recorded tuple: how it was first derived,
@@ -679,22 +649,14 @@ impl Database {
     /// iteration-start snapshot), so depth is bounded by the iteration
     /// count of the recording runs.
     #[must_use]
-    pub fn explain(&self, _rel: RelId, _tuple: &[u32]) -> Option<Derivation> {
-        #[cfg(feature = "provenance")]
-        {
-            if !self.record_provenance {
-                return None;
-            }
-            let row = self.relations[_rel.index()].find_row(_tuple)?;
-            Some(self.derivation_of(_rel, row))
+    pub fn explain(&self, rel: RelId, tuple: &[u32]) -> Option<Derivation> {
+        if !self.record_provenance {
+            return None;
         }
-        #[cfg(not(feature = "provenance"))]
-        {
-            None
-        }
+        let row = self.relations[rel.index()].find_row(tuple)?;
+        Some(self.derivation_of(rel, row))
     }
 
-    #[cfg(feature = "provenance")]
     fn derivation_of(&self, rel: RelId, row: u32) -> Derivation {
         let r = &self.relations[rel.index()];
         let tuple = r.row(row).to_vec();
@@ -721,21 +683,13 @@ impl Database {
         }
     }
 
-    /// Total provenance-arena size in bytes (0 when recording is off or
-    /// the `provenance` feature is disabled).
+    /// Total provenance-arena size in bytes (0 when recording is off).
     #[must_use]
     pub fn provenance_bytes(&self) -> u64 {
-        #[cfg(feature = "provenance")]
-        {
-            let tags: usize = self.relations.iter().map(|r| r.prov.len()).sum();
-            (self.prov.records.len() * std::mem::size_of::<ProvRecord>()
-                + self.prov.premises.len() * std::mem::size_of::<(RelId, u32)>()
-                + tags * std::mem::size_of::<u32>()) as u64
-        }
-        #[cfg(not(feature = "provenance"))]
-        {
-            0
-        }
+        let tags: usize = self.relations.iter().map(|r| r.prov.len()).sum();
+        (self.prov.records.len() * std::mem::size_of::<ProvRecord>()
+            + self.prov.premises.len() * std::mem::size_of::<(RelId, u32)>()
+            + tags * std::mem::size_of::<u32>()) as u64
     }
 
     /// Run the rules to fixpoint with semi-naive evaluation.
@@ -760,7 +714,6 @@ impl Database {
         let compiled: Vec<CompiledRule> = rules.rules.iter().map(compile_rule).collect();
         let mut stats = EngineStats::default();
         let record = self.provenance_enabled();
-        #[cfg(feature = "provenance")]
         let records_before = self.prov.records.len();
 
         // With unchanged rules the previous fixpoint still holds, so only
@@ -830,7 +783,7 @@ impl Database {
                 }
                 continue;
             }
-            for (_rule_idx, crule) in compiled.iter().enumerate() {
+            for (rule_idx, crule) in compiled.iter().enumerate() {
                 let _rule_span = obs::span_lazy(|| {
                     format!("datalog.rule:{}", self.relations[crule.head_rel.index()].name)
                 });
@@ -845,14 +798,13 @@ impl Database {
                     if self.relations[crule.head_rel.index()].insert_row(&scratch) {
                         stats.derived += 1;
                         grew = true;
-                        #[cfg(feature = "provenance")]
                         if record {
                             // Premise-free record: derived, but by a rule
                             // with no body.
                             let rec = self.prov.records.len() as u32;
                             let start = self.prov.premises.len() as u32;
                             self.prov.records.push(ProvRecord {
-                                rule: _rule_idx as u32,
+                                rule: rule_idx as u32,
                                 start,
                                 len: 0,
                             });
@@ -888,21 +840,20 @@ impl Database {
                         &mut prov,
                     );
                     let head_idx = crule.head_rel.index();
-                    for (_emit, tuple) in scratch.chunks_exact(crule.head.len()).enumerate() {
+                    for (emit, tuple) in scratch.chunks_exact(crule.head.len()).enumerate() {
                         if self.relations[head_idx].insert_row(tuple) {
                             stats.derived += 1;
                             grew = true;
-                            #[cfg(feature = "provenance")]
                             if record {
                                 let start = self.prov.premises.len() as u32;
                                 for (atom, &row) in
-                                    crule.atoms.iter().zip(prov.premise_rows(_emit))
+                                    crule.atoms.iter().zip(prov.premise_rows(emit))
                                 {
                                     self.prov.premises.push((atom.rel, row));
                                 }
                                 let rec = self.prov.records.len() as u32;
                                 self.prov.records.push(ProvRecord {
-                                    rule: _rule_idx as u32,
+                                    rule: rule_idx as u32,
                                     start,
                                     len: crule.atoms.len() as u32,
                                 });
@@ -925,11 +876,8 @@ impl Database {
         }
         self.last_rules = Some(rules.clone());
         stats.duration = t0.elapsed();
-        #[cfg(feature = "provenance")]
-        {
-            stats.prov_records = (self.prov.records.len() - records_before) as u64;
-            stats.prov_bytes = self.provenance_bytes();
-        }
+        stats.prov_records = (self.prov.records.len() - records_before) as u64;
+        stats.prov_bytes = self.provenance_bytes();
         if obs::recording() {
             obs::counter("datalog.iterations", stats.iterations);
             obs::counter("datalog.derived", stats.derived);
@@ -1024,21 +972,20 @@ impl Database {
         });
 
         let mut grew = false;
-        for (_rule_idx, delta_pos, scratch, _prov, local) in results.into_iter().flatten() {
+        for (rule_idx, delta_pos, scratch, prov, local) in results.into_iter().flatten() {
             stats.considered += local.considered;
             stats.index_probes += local.index_probes;
-            let crule = &compiled[_rule_idx];
+            let crule = &compiled[rule_idx];
             let head_idx = crule.head_rel.index();
             if delta_pos.is_none() {
                 if self.relations[head_idx].insert_row(&scratch) {
                     stats.derived += 1;
                     grew = true;
-                    #[cfg(feature = "provenance")]
                     if record {
                         let rec = self.prov.records.len() as u32;
                         let start = self.prov.premises.len() as u32;
                         self.prov.records.push(ProvRecord {
-                            rule: _rule_idx as u32,
+                            rule: rule_idx as u32,
                             start,
                             len: 0,
                         });
@@ -1047,19 +994,18 @@ impl Database {
                 }
                 continue;
             }
-            for (_emit, tuple) in scratch.chunks_exact(crule.head.len()).enumerate() {
+            for (emit, tuple) in scratch.chunks_exact(crule.head.len()).enumerate() {
                 if self.relations[head_idx].insert_row(tuple) {
                     stats.derived += 1;
                     grew = true;
-                    #[cfg(feature = "provenance")]
                     if record {
                         let start = self.prov.premises.len() as u32;
-                        for (atom, &row) in crule.atoms.iter().zip(_prov.premise_rows(_emit)) {
+                        for (atom, &row) in crule.atoms.iter().zip(prov.premise_rows(emit)) {
                             self.prov.premises.push((atom.rel, row));
                         }
                         let rec = self.prov.records.len() as u32;
                         self.prov.records.push(ProvRecord {
-                            rule: _rule_idx as u32,
+                            rule: rule_idx as u32,
                             start,
                             len: crule.atoms.len() as u32,
                         });
@@ -1583,7 +1529,6 @@ mod tests {
     // ------- provenance recording -------
 
     /// edge 0→1→2 plus the closure rules; recording enabled up front.
-    #[cfg(feature = "provenance")]
     fn recorded_closure() -> (Database, RelId, RelId) {
         let mut db = Database::new();
         db.set_provenance(true);
@@ -1604,7 +1549,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "provenance")]
     fn explain_base_fact_is_a_leaf() {
         let (db, edge, _) = recorded_closure();
         let d = db.explain(edge, &[0, 1]).expect("recorded");
@@ -1617,7 +1561,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "provenance")]
     fn explain_reconstructs_the_derivation_tree() {
         let (db, edge, path) = recorded_closure();
         // path(0,2) :- path(0,1), edge(1,2); path(0,1) :- edge(0,1).
@@ -1638,7 +1581,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "provenance")]
     fn diamond_keeps_the_first_derivation() {
         let mut db = Database::new();
         db.set_provenance(true);
@@ -1663,7 +1605,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "provenance")]
     fn fact_template_rules_record_premise_free_derivations() {
         let mut db = Database::new();
         db.set_provenance(true);
@@ -1689,7 +1630,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "provenance")]
     fn enabling_mid_life_backfills_base_facts_and_disabling_discards() {
         let mut db = Database::new();
         let edge = db.relation("edge", 2);
@@ -1711,7 +1651,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "provenance")]
     fn explain_of_absent_tuple_is_none() {
         let (db, edge, path) = recorded_closure();
         assert_eq!(db.explain(edge, &[7, 8]), None);
@@ -1719,7 +1658,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "provenance")]
     fn stats_count_provenance_records() {
         let (db, _, _) = recorded_closure();
         let s = *db.stats();

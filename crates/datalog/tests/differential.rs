@@ -194,7 +194,6 @@ proptest! {
 /// first derivation for every tuple, and each recorded derivation must
 /// actually re-derive its conclusion — premises unify with the rule body,
 /// instantiate the head, exist in the oracle, and bottom out in EDB facts.
-#[cfg(feature = "provenance")]
 mod provenance_replay {
     use super::*;
     use nadroid_datalog::Derivation;

@@ -23,8 +23,8 @@
 //! The HB-family filters (MHB, RHB, CHB, PHB) are answered by the
 //! materialized happens-before graph ([`nadroid_hb::HbGraph`]) rather
 //! than private lineage walks; the pre-graph logic is kept as
-//! [`Filters::legacy_prunes`] and asserted equivalent under
-//! [`Filters::with_crosscheck`] (the CI parity gate).
+//! [`Filters::legacy_prunes`], the reference the parity suite
+//! (`tests/hb_parity.rs`) compares [`Filters::prunes`] against.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -257,7 +257,6 @@ pub struct Filters<'a> {
     threads: &'a ThreadModel,
     pts: &'a PointsTo,
     hb: HbSource<'a>,
-    crosscheck: bool,
 }
 
 impl<'a> Filters<'a> {
@@ -276,7 +275,6 @@ impl<'a> Filters<'a> {
             threads,
             pts,
             hb: HbSource::Owned(Box::new(HbGraph::build(program, threads))),
-            crosscheck: false,
         }
     }
 
@@ -297,17 +295,7 @@ impl<'a> Filters<'a> {
             threads,
             pts,
             hb: HbSource::Borrowed(hb),
-            crosscheck: false,
         }
-    }
-
-    /// Enable crosscheck mode: every [`Filters::prunes`] call also runs
-    /// the legacy per-filter logic and panics on disagreement. The CI
-    /// parity gate runs the evaluation corpus through this.
-    #[must_use]
-    pub fn with_crosscheck(mut self, on: bool) -> Self {
-        self.crosscheck = on;
-        self
     }
 
     /// The happens-before graph answering the HB-family filters.
@@ -322,7 +310,7 @@ impl<'a> Filters<'a> {
     /// Whether `kind` prunes `w` when applied individually.
     #[must_use]
     pub fn prunes(&self, kind: FilterKind, w: &UafWarning) -> bool {
-        let pruned = match kind {
+        match kind {
             FilterKind::Mhb => self.mhb(w),
             FilterKind::Ig => self.ig(w),
             FilterKind::Ia => self.ia(w),
@@ -332,21 +320,11 @@ impl<'a> Filters<'a> {
             FilterKind::Ma => self.ma(w),
             FilterKind::Ur => self.ur(w),
             FilterKind::Tt => self.tt(w),
-        };
-        if self.crosscheck {
-            let legacy = self.legacy_prunes(kind, w);
-            assert_eq!(
-                pruned,
-                legacy,
-                "HB-graph and legacy logic disagree on {kind} for pair {:?}",
-                w.pair()
-            );
         }
-        pruned
     }
 
-    /// The pre-graph per-filter logic, kept verbatim for crosscheck mode
-    /// and the parity suite. The filters with no HB component (IG, IA,
+    /// The pre-graph per-filter logic, kept verbatim as the parity
+    /// suite's reference. The filters with no HB component (IG, IA,
     /// MA, UR, TT) share one implementation with [`Filters::prunes`].
     #[must_use]
     pub fn legacy_prunes(&self, kind: FilterKind, w: &UafWarning) -> bool {
@@ -518,7 +496,7 @@ impl<'a> Filters<'a> {
         self.must_happen_before(w.use_thread, w.free_thread)
     }
 
-    /// Pre-graph MHB, kept for the crosscheck.
+    /// Pre-graph MHB, kept as the parity reference.
     fn legacy_mhb(&self, w: &UafWarning) -> bool {
         self.legacy_must_happen_before(w.use_thread, w.free_thread)
     }
@@ -554,7 +532,7 @@ impl<'a> Filters<'a> {
             .reentry_hb(w.use_thread, w.free_thread, w.use_access.field)
     }
 
-    /// Pre-graph RHB, kept for the crosscheck.
+    /// Pre-graph RHB, kept as the parity reference.
     fn legacy_rhb(&self, w: &UafWarning) -> bool {
         let (Some(uk), Some(fk)) = (
             self.effective_kind(w.use_thread),
@@ -586,7 +564,7 @@ impl<'a> Filters<'a> {
         self.hb().cancel_hb(w.use_thread, w.free_thread).is_some()
     }
 
-    /// Pre-graph CHB, kept for the crosscheck.
+    /// Pre-graph CHB, kept as the parity reference.
     fn legacy_chb(&self, w: &UafWarning) -> bool {
         let Some(uk) = self.effective_kind(w.use_thread) else {
             return false;
@@ -623,7 +601,7 @@ impl<'a> Filters<'a> {
         self.hb().post_hb(w.use_thread, w.free_thread)
     }
 
-    /// Pre-graph PHB, kept for the crosscheck.
+    /// Pre-graph PHB, kept as the parity reference.
     fn legacy_phb(&self, w: &UafWarning) -> bool {
         let free = self.threads.thread(w.free_thread);
         free.parent() == Some(w.use_thread)

@@ -767,11 +767,10 @@ fn unpruned_mhb_verdict_explains_the_absence() {
 
 #[test]
 fn crosscheck_mode_agrees_on_every_filter() {
-    // Graph-backed and legacy logic must agree verdict-for-verdict; the
-    // crosscheck asserts this inside prunes() itself.
+    // Graph-backed and legacy logic must agree verdict-for-verdict.
     for src in [FIG4A, FIG4B, FIG4C, FIG4D, FIG4E, FIG4F, FIG4G] {
         let s = setup(src);
-        let f = s.filters().with_crosscheck(true);
+        let f = s.filters();
         for w in &s.warnings {
             for &k in FilterKind::all() {
                 let graph = f.prunes(k, w);

@@ -164,8 +164,8 @@ impl HbGraph {
     /// the thread count, never the full pair square), then compute the
     /// `mustHb` transitive closure with the indexed-join engine.
     ///
-    /// With the `metrics` feature (default) and a recorder installed,
-    /// emits `hb.edges` and `hb.closure_micros` counters.
+    /// With a recorder installed, emits the `hb.edges`,
+    /// `hb.closure_micros` and `hb.predicate_edges` counters.
     #[must_use]
     pub fn build(program: &Program, threads: &ThreadModel) -> HbGraph {
         let mut db = Database::new();
@@ -735,7 +735,6 @@ fn shortest_path(
     None
 }
 
-#[cfg(feature = "metrics")]
 fn emit_metrics(edge_count: usize, closure: Duration, predicate_facts: usize) {
     if nadroid_obs::recording() {
         nadroid_obs::counter("hb.edges", edge_count as u64);
@@ -744,9 +743,6 @@ fn emit_metrics(edge_count: usize, closure: Duration, predicate_facts: usize) {
         nadroid_obs::counter("hb.predicate_edges", predicate_facts as u64);
     }
 }
-
-#[cfg(not(feature = "metrics"))]
-fn emit_metrics(_edge_count: usize, _closure: Duration, _predicate_facts: usize) {}
 
 /// The callback kind a modeled thread behaves as for ordering purposes
 /// (`doInBackground` bodies participate in the AsyncTask order).

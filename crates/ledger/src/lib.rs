@@ -116,8 +116,6 @@ pub struct Env {
     pub cores: u64,
     /// Effective `NADROID_THREADS` (1 when unset).
     pub threads: u64,
-    /// Enabled observability-relevant features (e.g. `obs`).
-    pub features: Vec<String>,
     /// `release` or `debug`.
     pub profile: String,
 }
@@ -133,10 +131,6 @@ impl Env {
             .ok()
             .and_then(|s| s.parse().ok())
             .unwrap_or(1);
-        let mut features = Vec::new();
-        if nadroid_obs::ENABLED {
-            features.push("obs".to_string());
-        }
         let profile = if cfg!(debug_assertions) {
             "debug"
         } else {
@@ -145,7 +139,6 @@ impl Env {
         Env {
             cores,
             threads,
-            features,
             profile: profile.to_string(),
         }
     }
@@ -239,15 +232,9 @@ impl Record {
         );
         let _ = write!(
             out,
-            ",\"env\":{{\"cores\":{},\"threads\":{},\"features\":[{}],\"profile\":\"{}\"}}",
+            ",\"env\":{{\"cores\":{},\"threads\":{},\"profile\":\"{}\"}}",
             self.env.cores,
             self.env.threads,
-            self.env
-                .features
-                .iter()
-                .map(|f| format!("\"{}\"", esc(f)))
-                .collect::<Vec<_>>()
-                .join(","),
             esc(&self.env.profile)
         );
         out.push_str(",\"times\":{");
@@ -346,16 +333,6 @@ impl Record {
                 .get("threads")
                 .and_then(JsonValue::as_u64)
                 .ok_or("missing env.threads")?,
-            features: env_v
-                .get("features")
-                .and_then(JsonValue::as_arr)
-                .map(|a| {
-                    a.iter()
-                        .filter_map(JsonValue::as_str)
-                        .map(str::to_string)
-                        .collect()
-                })
-                .unwrap_or_default(),
             profile: env_v
                 .get("profile")
                 .and_then(JsonValue::as_str)
@@ -786,17 +763,12 @@ pub fn diff(base: &Record, cur: &Record, opts: &DiffOptions) -> Vec<Delta> {
         diff_population(pb, pc, &mut out);
     }
 
-    let env_pairs: [(&str, String, String); 4] = [
+    let env_pairs: [(&str, String, String); 3] = [
         ("cores", base.env.cores.to_string(), cur.env.cores.to_string()),
         (
             "threads",
             base.env.threads.to_string(),
             cur.env.threads.to_string(),
-        ),
-        (
-            "features",
-            base.env.features.join("+"),
-            cur.env.features.join("+"),
         ),
         ("profile", base.env.profile.clone(), cur.env.profile.clone()),
     ];
@@ -962,7 +934,6 @@ mod tests {
         r.env = Env {
             cores: 8,
             threads: 4,
-            features: vec!["obs".into()],
             profile: "release".into(),
         };
         r.times.insert("suite.wall_secs".into(), 0.414548);

@@ -3,9 +3,7 @@
 //! This rides in `nadroid-obs` because it is the one dependency-free
 //! substrate crate every compute layer (points-to solver, Datalog
 //! engine) already links; like the recorder, a token is *installed* on a
-//! thread and consulted through a cheap thread-local check. Unlike the
-//! probes, cancellation is a correctness feature, so it is **not**
-//! compiled out under `--no-default-features`.
+//! thread and consulted through a cheap thread-local check.
 //!
 //! A [`CancelToken`] carries a manual flag plus an optional deadline.
 //! Hot loops call [`checkpoint`] once per worklist drain batch; when the

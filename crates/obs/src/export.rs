@@ -265,10 +265,8 @@ impl Recorder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    #[cfg(feature = "enabled")]
     use crate::{counter, gauge, span};
 
-    #[cfg(feature = "enabled")]
     fn sample() -> Recorder {
         let rec = Recorder::new();
         {
@@ -284,7 +282,6 @@ mod tests {
         rec
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn chrome_trace_has_complete_events() {
         let trace = sample().chrome_trace();
@@ -294,7 +291,6 @@ mod tests {
         assert_eq!(trace.matches("\"ph\": \"X\"").count(), 3);
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn report_json_is_balanced_and_flat() {
         let json = sample().report_json();
@@ -305,7 +301,6 @@ mod tests {
         assert_eq!(json.matches('[').count(), json.matches(']').count());
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn stats_tree_nests_by_depth() {
         let tree = sample().stats_tree();
@@ -330,7 +325,6 @@ mod tests {
         assert!(rec.stats_tree().contains("run stats:"));
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn histograms_appear_in_report_and_stats_tree() {
         let rec = Recorder::new();

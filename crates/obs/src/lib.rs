@@ -18,9 +18,7 @@
 //!
 //! Instrumentation is *scoped*, not global: nothing is recorded on a
 //! thread until a [`Recorder`] is installed there, so the uninstalled
-//! fast path is one thread-local check. Building this crate with
-//! `--no-default-features` compiles every entry point down to an empty
-//! inline function.
+//! fast path is one thread-local check.
 //!
 //! # Example
 //!
@@ -36,7 +34,6 @@
 //!         obs::counter("pointsto.queue_pops", 42);
 //!     }
 //! }
-//! # #[cfg(feature = "enabled")]
 //! assert_eq!(rec.counter_value("pointsto.queue_pops"), 42);
 //! let trace = rec.chrome_trace();
 //! assert!(trace.contains("\"traceEvents\""));
@@ -61,16 +58,8 @@ pub mod hist;
 pub use export::SpanAgg;
 pub use hist::Histogram;
 
-/// Whether instrumentation was compiled in (the `enabled` cargo
-/// feature, on by default). Environment fingerprints — the run ledger's
-/// `env.features` — record it so runs with probes compiled out are
-/// never compared against instrumented ones.
-pub const ENABLED: bool = cfg!(feature = "enabled");
-
 use std::collections::BTreeMap;
-use std::sync::atomic::AtomicU32;
-#[cfg(feature = "enabled")]
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -96,9 +85,6 @@ struct Inner {
     counters: Mutex<BTreeMap<String, u64>>,
     gauges: Mutex<BTreeMap<String, u64>>,
     hists: Mutex<BTreeMap<String, Histogram>>,
-    // Only consulted by `install`, which is a no-op when instrumentation
-    // is compiled out.
-    #[cfg_attr(not(feature = "enabled"), allow(dead_code))]
     next_tid: AtomicU32,
 }
 
@@ -146,11 +132,8 @@ impl Recorder {
     /// Spans opened under an installation must not outlive its guard.
     #[must_use]
     pub fn install(&self) -> Installed {
-        #[cfg(feature = "enabled")]
-        {
-            let tid = self.inner.next_tid.fetch_add(1, Ordering::Relaxed);
-            enabled::install(self.inner.clone(), tid);
-        }
+        let tid = self.inner.next_tid.fetch_add(1, Ordering::Relaxed);
+        local::install(self.inner.clone(), tid);
         Installed { _priv: () }
     }
 
@@ -262,12 +245,7 @@ impl Recorder {
 /// additive, so totals are exact at any thread count).
 #[must_use]
 pub fn current_recorder() -> Option<Recorder> {
-    #[cfg(feature = "enabled")]
-    {
-        enabled::current().map(|inner| Recorder { inner })
-    }
-    #[cfg(not(feature = "enabled"))]
-    None
+    local::current().map(|inner| Recorder { inner })
 }
 
 /// Guard returned by [`Recorder::install`]; uninstalls on drop.
@@ -278,8 +256,7 @@ pub struct Installed {
 
 impl Drop for Installed {
     fn drop(&mut self) {
-        #[cfg(feature = "enabled")]
-        enabled::uninstall();
+        local::uninstall();
     }
 }
 
@@ -317,8 +294,7 @@ impl Span {
 impl Drop for Span {
     fn drop(&mut self) {
         if let Some(s) = self.active.take() {
-            #[cfg(feature = "enabled")]
-            enabled::span_closed();
+            local::span_closed();
             // Duration is the difference of two epoch-relative truncated
             // offsets (not an independently truncated elapsed): quantized
             // span ends then stay monotone, so a child's `ts + dur` never
@@ -341,12 +317,7 @@ impl Drop for Span {
 /// expensive metric computation (string formatting, distinct counts).
 #[must_use]
 pub fn recording() -> bool {
-    #[cfg(feature = "enabled")]
-    {
-        enabled::current().is_some()
-    }
-    #[cfg(not(feature = "enabled"))]
-    false
+    local::current().is_some()
 }
 
 /// Open a span named `name` on the current thread. The name is copied
@@ -358,55 +329,37 @@ pub fn span(name: &str) -> Span {
 /// Open a span whose name is computed only when a recorder is
 /// installed — use on hot paths where the name is formatted.
 pub fn span_lazy<F: FnOnce() -> String>(name: F) -> Span {
-    #[cfg(feature = "enabled")]
-    {
-        if let Some((inner, tid, depth)) = enabled::span_opened() {
-            #[allow(clippy::cast_possible_truncation)]
-            let start_us = inner.epoch.elapsed().as_micros() as u64;
-            return Span {
-                active: Some(ActiveSpan {
-                    name: name(),
-                    tid,
-                    depth,
-                    start_us,
-                    inner,
-                }),
-            };
-        }
+    let Some((inner, tid, depth)) = local::span_opened() else {
+        return Span::none();
+    };
+    #[allow(clippy::cast_possible_truncation)]
+    let start_us = inner.epoch.elapsed().as_micros() as u64;
+    Span {
+        active: Some(ActiveSpan {
+            name: name(),
+            tid,
+            depth,
+            start_us,
+            inner,
+        }),
     }
-    let _ = &name;
-    Span::none()
 }
 
 /// Add `delta` to the named monotonic counter of the current thread's
 /// recorder (no-op when none is installed).
 pub fn counter(name: &str, delta: u64) {
-    #[cfg(feature = "enabled")]
-    {
-        if let Some(inner) = enabled::current() {
-            let mut c = inner.counters.lock().expect("obs counters lock");
-            *c.entry(name.to_owned()).or_insert(0) += delta;
-        }
-    }
-    #[cfg(not(feature = "enabled"))]
-    {
-        let _ = (name, delta);
+    if let Some(inner) = local::current() {
+        let mut c = inner.counters.lock().expect("obs counters lock");
+        *c.entry(name.to_owned()).or_insert(0) += delta;
     }
 }
 
 /// Set the named gauge to `value` (last write wins; no-op when no
 /// recorder is installed).
 pub fn gauge(name: &str, value: u64) {
-    #[cfg(feature = "enabled")]
-    {
-        if let Some(inner) = enabled::current() {
-            let mut g = inner.gauges.lock().expect("obs gauges lock");
-            g.insert(name.to_owned(), value);
-        }
-    }
-    #[cfg(not(feature = "enabled"))]
-    {
-        let _ = (name, value);
+    if let Some(inner) = local::current() {
+        let mut g = inner.gauges.lock().expect("obs gauges lock");
+        g.insert(name.to_owned(), value);
     }
 }
 
@@ -414,40 +367,24 @@ pub fn gauge(name: &str, value: u64) {
 /// recorder (no-op when none is installed). The serving layer feeds
 /// request latencies and phase times in microseconds through this.
 pub fn hist(name: &str, value: u64) {
-    #[cfg(feature = "enabled")]
-    {
-        if let Some(inner) = enabled::current() {
-            let mut h = inner.hists.lock().expect("obs hists lock");
-            h.entry(name.to_owned())
-                .or_default()
-                .record(value);
-        }
-    }
-    #[cfg(not(feature = "enabled"))]
-    {
-        let _ = (name, value);
+    if let Some(inner) = local::current() {
+        let mut h = inner.hists.lock().expect("obs hists lock");
+        h.entry(name.to_owned()).or_default().record(value);
     }
 }
 
 /// Raise the named gauge to at least `value` (no-op when no recorder is
 /// installed). Useful for high-water marks fed from several scopes.
 pub fn gauge_max(name: &str, value: u64) {
-    #[cfg(feature = "enabled")]
-    {
-        if let Some(inner) = enabled::current() {
-            let mut g = inner.gauges.lock().expect("obs gauges lock");
-            let e = g.entry(name.to_owned()).or_insert(0);
-            *e = (*e).max(value);
-        }
-    }
-    #[cfg(not(feature = "enabled"))]
-    {
-        let _ = (name, value);
+    if let Some(inner) = local::current() {
+        let mut g = inner.gauges.lock().expect("obs gauges lock");
+        let e = g.entry(name.to_owned()).or_insert(0);
+        *e = (*e).max(value);
     }
 }
 
-#[cfg(feature = "enabled")]
-mod enabled {
+/// The per-thread stack of installed recorders.
+mod local {
     use super::Inner;
     use std::cell::{Cell, RefCell};
     use std::sync::Arc;
@@ -521,7 +458,6 @@ mod tests {
         assert!(!recording());
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn hist_records_into_the_installed_recorder() {
         let rec = Recorder::new();
@@ -536,7 +472,6 @@ mod tests {
         assert!(rec.histogram("other").is_none());
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn merge_from_folds_metrics_but_not_spans() {
         let shared = Recorder::new();
@@ -567,7 +502,6 @@ mod tests {
         assert_eq!(per_request.counter_value("c"), 2);
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn spans_nest_and_record_depth() {
         let rec = Recorder::new();
@@ -591,7 +525,6 @@ mod tests {
         assert_eq!(by_name["d"], 1, "depth recovers after siblings close");
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn nesting_is_thread_safe_under_scoped_threads() {
         let rec = Recorder::new();
@@ -627,7 +560,6 @@ mod tests {
         assert_eq!(tids.len(), 8, "one tid per installation");
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn counters_are_atomic_across_threads() {
         let rec = Recorder::new();
@@ -645,7 +577,6 @@ mod tests {
         assert_eq!(rec.counter_value("hits"), 16_000);
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn gauges_set_and_max() {
         let rec = Recorder::new();
@@ -661,7 +592,6 @@ mod tests {
         assert_eq!(gauges["m"], 7, "gauge_max keeps the high-water mark");
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn install_restores_previous_recorder() {
         let outer = Recorder::new();
@@ -675,20 +605,5 @@ mod tests {
         counter("c", 1);
         assert_eq!(outer.counter_value("c"), 2);
         assert_eq!(inner.counter_value("c"), 10);
-    }
-
-    #[cfg(not(feature = "enabled"))]
-    #[test]
-    fn disabled_build_collects_nothing() {
-        let rec = Recorder::new();
-        let _g = rec.install();
-        let _s = span("x");
-        counter("c", 1);
-        gauge("g", 1);
-        hist("h", 1);
-        assert!(!recording());
-        assert!(rec.spans().is_empty());
-        assert!(rec.counters().is_empty());
-        assert!(rec.histograms().is_empty());
     }
 }

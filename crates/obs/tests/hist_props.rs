@@ -2,9 +2,7 @@
 //! percentile bounds, span-depth underflow tolerance, and a thread
 //! sweep that pins histogram totals as thread-count invariant.
 
-#[cfg(feature = "enabled")]
-use nadroid_obs::{hist, span, Recorder};
-use nadroid_obs::Histogram;
+use nadroid_obs::{hist, span, Histogram, Recorder};
 use proptest::prelude::*;
 
 fn hist_of(values: &[u64]) -> Histogram {
@@ -118,7 +116,6 @@ proptest! {
 
 /// A span held across its recorder's uninstall must not panic or
 /// corrupt the depth counter of whatever is installed afterwards.
-#[cfg(feature = "enabled")]
 #[test]
 fn span_outliving_its_install_does_not_underflow_depth() {
     let first = Recorder::new();
@@ -143,7 +140,6 @@ fn span_outliving_its_install_does_not_underflow_depth() {
 /// one shared recorder yields byte-identical histograms: totals are
 /// thread-count invariant because histogram recording is a plain
 /// element-wise accumulation under the registry lock.
-#[cfg(feature = "enabled")]
 #[test]
 fn histogram_totals_are_thread_count_invariant() {
     let samples: Vec<u64> = (0..800u64).map(|i| i * i % 65_537).collect();

@@ -3,8 +3,6 @@
 //! parser — no serde in the workspace) and every event must carry
 //! well-formed `ph`/`ts`/`dur` fields.
 
-#![cfg(feature = "enabled")]
-
 use nadroid_obs as obs;
 
 /// Minimal JSON value for validation.

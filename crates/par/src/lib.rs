@@ -208,14 +208,7 @@ mod tests {
                     })
                 });
             }
-            #[cfg(feature = "enabled")]
-            assert_eq!(
-                rec.counter_value("par.items"),
-                expect,
-                "threads={threads}"
-            );
-            #[cfg(not(feature = "enabled"))]
-            assert_eq!(rec.counter_value("par.items"), 0);
+            assert_eq!(rec.counter_value("par.items"), expect, "threads={threads}");
         }
     }
 

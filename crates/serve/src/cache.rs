@@ -5,8 +5,8 @@
 //! *how*: the key is `(fnv64(program source), fnv64(config))`. Values
 //! carry everything a response needs — the summary counts, the stable
 //! warning ids, and the rendered `nadroid-provenance/4` document — so a
-//! warm request (including `explain` queries) is a lookup plus a string
-//! copy, never a re-solve.
+//! warm request (including `explain` queries) is a lookup plus a
+//! reference-count bump, never a re-solve or a copy of the document.
 //!
 //! Eviction is LRU under a byte budget. Entry count stays small (one
 //! per distinct app × config), so the evictor finds the
@@ -15,6 +15,7 @@
 
 use nadroid_core::{AnalysisConfig, Summary};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// 64-bit FNV-1a — the same construction the detector's warning ids
 /// use; dependency-free and stable across platforms and reruns.
@@ -105,7 +106,7 @@ pub struct CacheStats {
 
 #[derive(Debug)]
 struct Slot {
-    result: CachedResult,
+    result: Arc<CachedResult>,
     cost: usize,
     last_used: u64,
 }
@@ -135,14 +136,15 @@ impl ResultCache {
         }
     }
 
-    /// Look up a key, refreshing its recency on a hit.
-    pub fn get(&mut self, key: &CacheKey) -> Option<CachedResult> {
+    /// Look up a key, refreshing its recency on a hit. The entry is
+    /// shared, not copied.
+    pub fn get(&mut self, key: &CacheKey) -> Option<Arc<CachedResult>> {
         self.seq += 1;
         match self.map.get_mut(key) {
             Some(slot) => {
                 slot.last_used = self.seq;
                 self.stats.hits += 1;
-                Some(slot.result.clone())
+                Some(Arc::clone(&slot.result))
             }
             None => {
                 self.stats.misses += 1;
@@ -152,12 +154,20 @@ impl ResultCache {
     }
 
     /// Insert a result, evicting least-recently-used entries until the
-    /// budget holds. A result larger than the whole budget is not
-    /// retained (it would only evict everything else and then itself).
-    pub fn insert(&mut self, key: CacheKey, result: CachedResult) {
+    /// budget holds, and return it as the shared entry. A result larger
+    /// than the whole budget is not retained (it would only evict
+    /// everything else and then itself).
+    pub fn insert(&mut self, key: CacheKey, mut result: CachedResult) -> Arc<CachedResult> {
+        // Rendering leaves spare capacity in the documents; drop it so
+        // the resident heap is what `cost_bytes` charges the budget.
+        result.provenance_json.shrink_to_fit();
+        if let Some(json) = &mut result.confirm_json {
+            json.shrink_to_fit();
+        }
+        let result = Arc::new(result);
         let cost = result.cost_bytes();
         if cost > self.budget {
-            return;
+            return result;
         }
         self.seq += 1;
         if let Some(old) = self.map.remove(&key) {
@@ -179,11 +189,12 @@ impl ResultCache {
         self.map.insert(
             key,
             Slot {
-                result,
+                result: Arc::clone(&result),
                 cost,
                 last_used: self.seq,
             },
         );
+        result
     }
 
     /// Current resident bytes.

@@ -138,17 +138,12 @@ fn config_for(opts: &AnalyzeOpts, threads: usize) -> AnalysisConfig {
 /// timings (`serve.phase.*`, microseconds), into whatever recorder the
 /// calling thread has installed.
 fn record_phase_hists(timings: &nadroid_core::PhaseTimings) {
-    #[cfg(feature = "telemetry")]
-    {
-        let us = |d: Duration| u64::try_from(d.as_micros()).unwrap_or(u64::MAX);
-        obs::hist("serve.phase.hb", us(timings.hb));
-        obs::hist("serve.phase.pointsto", us(timings.pointsto));
-        obs::hist("serve.phase.escape", us(timings.escape));
-        obs::hist("serve.phase.detect", us(timings.detect));
-        obs::hist("serve.phase.filter", us(timings.filtering));
-    }
-    #[cfg(not(feature = "telemetry"))]
-    let _ = timings;
+    let us = |d: Duration| u64::try_from(d.as_micros()).unwrap_or(u64::MAX);
+    obs::hist("serve.phase.hb", us(timings.hb));
+    obs::hist("serve.phase.pointsto", us(timings.pointsto));
+    obs::hist("serve.phase.escape", us(timings.escape));
+    obs::hist("serve.phase.detect", us(timings.detect));
+    obs::hist("serve.phase.filter", us(timings.filtering));
 }
 
 /// The telemetry outcome label for a response.
@@ -186,23 +181,21 @@ impl Shared {
         config: &AnalysisConfig,
         key: CacheKey,
         rid: &str,
-    ) -> Result<(CachedResult, bool), Response> {
+    ) -> Result<(Arc<CachedResult>, bool), Response> {
         if let Some(hit) = self.cache.lock().expect("cache lock").get(&key) {
             obs::counter("serve.cache.hits", 1);
             return Ok((hit, true));
         }
         obs::counter("serve.cache.misses", 1);
         let result = self.compute(source, opts, config, rid)?;
-        {
-            let mut cache = self.cache.lock().expect("cache lock");
-            let before = cache.stats().evictions;
-            cache.insert(key, result.clone());
-            let evicted = cache.stats().evictions - before;
-            if evicted > 0 {
-                obs::counter("serve.cache.evictions", evicted);
-            }
-            obs::gauge("serve.cache.bytes", cache.bytes() as u64);
+        let mut cache = self.cache.lock().expect("cache lock");
+        let before = cache.stats().evictions;
+        let result = cache.insert(key, result);
+        let evicted = cache.stats().evictions - before;
+        if evicted > 0 {
+            obs::counter("serve.cache.evictions", evicted);
         }
+        obs::gauge("serve.cache.bytes", cache.bytes() as u64);
         Ok((result, false))
     }
 
@@ -295,11 +288,11 @@ impl Shared {
         let micros = micros_since(t);
         let resp = match outcome {
             Ok((result, cached)) => Response::Analyze {
-                app: result.app,
+                app: result.app.clone(),
                 cached,
                 micros,
                 summary: result.summary,
-                warnings: result.warning_ids,
+                warnings: result.warning_ids.clone(),
             },
             Err(resp) => resp,
         };
@@ -323,9 +316,9 @@ impl Shared {
         rid: &str,
     ) -> Result<(String, bool), Response> {
         if let Some(hit) = self.cache.lock().expect("cache lock").get(&key) {
-            if let Some(json) = hit.confirm_json {
+            if let Some(json) = &hit.confirm_json {
                 obs::counter("serve.cache.hits", 1);
-                return Ok((json, true));
+                return Ok((json.clone(), true));
             }
         }
         obs::counter("serve.cache.misses", 1);
@@ -787,16 +780,21 @@ fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) {
     let _installed = shared.recorder.install();
     let _ = stream.set_nodelay(true);
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
+    let mut buf = Vec::new();
     loop {
-        line.clear();
-        match reader.read_line(&mut line) {
+        buf.clear();
+        match reader.read_until(b'\n', &mut buf) {
             Ok(0) | Err(_) => return, // client closed
             Ok(_) => {}
         }
-        if line.trim().is_empty() {
-            continue;
-        }
+        // A line that is not UTF-8 has still been consumed whole, so it
+        // is answered like any other malformed request and the
+        // connection keeps serving.
+        let line = match std::str::from_utf8(&buf) {
+            Ok(line) if line.trim().is_empty() => continue,
+            Ok(line) => Ok(line.trim_end()),
+            Err(e) => Err(format!("request line is not valid UTF-8: {e}")),
+        };
         shared.requests.fetch_add(1, Ordering::Relaxed);
         obs::counter("serve.requests", 1);
         // Mint the request id at accept time; every path below echoes
@@ -816,7 +814,7 @@ fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) {
             );
             resp
         };
-        let response = match Request::decode(line.trim_end()) {
+        let response = match line.and_then(Request::decode) {
             Err(message) => inline(shared, "unknown", Response::Error { message }),
             Ok(Request::Stats) => {
                 let resp = Response::Stats {

@@ -19,18 +19,10 @@
 //! - **Slow-request capture**: when a request's service time crosses
 //!   the configured threshold, its full obs span tree is serialized as
 //!   `slow-<id>.trace.json` next to the access log.
-//!
-//! The recording paths are compiled out when the crate's `telemetry`
-//! feature is off (mirroring `nadroid-obs`'s `enabled` gate): ids,
-//! uptime and the request sequence survive — they are protocol
-//! surface — but histograms, windows, the access log and slow capture
-//! all become no-ops.
 
 use crate::cache::CacheKey;
-#[cfg(feature = "telemetry")]
 use nadroid_obs as obs;
 use std::io;
-#[cfg(feature = "telemetry")]
 use std::io::Write as _;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -77,7 +69,6 @@ pub struct RequestEvent<'a> {
 const WINDOW_SLOTS: usize = 61;
 
 #[derive(Debug, Clone, Copy, Default)]
-#[cfg_attr(not(feature = "telemetry"), allow(dead_code))]
 struct Slot {
     second: u64,
     requests: u64,
@@ -88,12 +79,10 @@ struct Slot {
 /// re-stamp a slot when its second has rolled over, so the ring never
 /// needs a background sweeper.
 #[derive(Debug)]
-#[cfg_attr(not(feature = "telemetry"), allow(dead_code))]
 struct Windows {
     slots: [Slot; WINDOW_SLOTS],
 }
 
-#[cfg_attr(not(feature = "telemetry"), allow(dead_code))]
 impl Windows {
     fn new() -> Windows {
         Windows {
@@ -145,23 +134,17 @@ impl Windows {
 pub struct Telemetry {
     started: Instant,
     seq: AtomicU64,
-    #[cfg_attr(not(feature = "telemetry"), allow(dead_code))]
     slow_us: Option<u64>,
-    #[cfg_attr(not(feature = "telemetry"), allow(dead_code))]
     log_sample: u64,
-    #[cfg_attr(not(feature = "telemetry"), allow(dead_code))]
     log_seq: AtomicU64,
-    #[cfg_attr(not(feature = "telemetry"), allow(dead_code))]
     sink: Option<Mutex<io::BufWriter<std::fs::File>>>,
-    #[cfg_attr(not(feature = "telemetry"), allow(dead_code))]
     trace_dir: PathBuf,
-    #[cfg_attr(not(feature = "telemetry"), allow(dead_code))]
     windows: Mutex<Windows>,
 }
 
 impl Telemetry {
     /// Build the hub; opens (creates/truncates) the access log when one
-    /// is configured and the `telemetry` feature is on.
+    /// is configured.
     ///
     /// # Errors
     ///
@@ -175,15 +158,9 @@ impl Telemetry {
                 (!parent.as_os_str().is_empty()).then(|| parent.to_path_buf())
             })
             .unwrap_or_else(|| PathBuf::from("."));
-        let sink = if cfg!(feature = "telemetry") {
-            match cfg.access_log.as_deref() {
-                Some(path) => Some(Mutex::new(io::BufWriter::new(std::fs::File::create(
-                    path,
-                )?))),
-                None => None,
-            }
-        } else {
-            None
+        let sink = match cfg.access_log.as_deref() {
+            Some(path) => Some(Mutex::new(io::BufWriter::new(std::fs::File::create(path)?))),
+            None => None,
         };
         Ok(Telemetry {
             started: Instant::now(),
@@ -232,113 +209,79 @@ impl Telemetry {
 
     /// Whether per-request span capture is on (`--slow-us` given).
     /// The server installs a per-request recorder only when this
-    /// holds, so the feature costs nothing when unused.
+    /// holds, so capture costs nothing when unused.
     #[must_use]
     pub fn capture_enabled(&self) -> bool {
-        #[cfg(feature = "telemetry")]
-        {
-            self.slow_us.is_some()
-        }
-        #[cfg(not(feature = "telemetry"))]
-        false
+        self.slow_us.is_some()
     }
 
     /// Whether a request with this service time crosses the slow
     /// threshold.
     #[must_use]
     pub fn is_slow(&self, service_us: u64) -> bool {
-        #[cfg(feature = "telemetry")]
-        {
-            self.slow_us.is_some_and(|t| service_us >= t)
-        }
-        #[cfg(not(feature = "telemetry"))]
-        {
-            let _ = service_us;
-            false
-        }
+        self.slow_us.is_some_and(|t| service_us >= t)
     }
 
     /// Record one finished request: latency + queue-wait histograms
     /// (into the recorder installed on the calling thread), the
     /// rolling windows, and a (sampled) access-log line.
     pub fn observe(&self, ev: &RequestEvent<'_>) {
-        #[cfg(feature = "telemetry")]
-        {
-            obs::hist(
-                &format!("serve.latency.{}.{}", ev.endpoint, ev.outcome),
-                ev.service_us,
-            );
-            obs::hist(&format!("serve.queue_wait.{}", ev.endpoint), ev.queue_us);
-            let error = matches!(ev.outcome, "error" | "rejected" | "deadline");
-            let sec = self.started.elapsed().as_secs();
-            self.windows.lock().expect("windows lock").bump(sec, error);
-            if let Some(sink) = &self.sink {
-                let n = self.log_seq.fetch_add(1, Ordering::Relaxed);
-                if n.is_multiple_of(self.log_sample) {
-                    let mut line = format!(
-                        "{{\"id\":\"{}\",\"ts\":{},\"endpoint\":\"{}\",\"outcome\":\"{}\",\
-                         \"queue_us\":{},\"service_us\":{}",
-                        ev.id,
-                        Telemetry::epoch_secs(),
-                        ev.endpoint,
-                        ev.outcome,
-                        ev.queue_us,
-                        ev.service_us
-                    );
-                    if let Some(key) = ev.cache_key {
-                        use std::fmt::Write as _;
-                        let _ = write!(
-                            line,
-                            ",\"program_hash\":\"{:016x}\",\"config_hash\":\"{:016x}\"",
-                            key.program_hash, key.config_hash
-                        );
-                    }
+        obs::hist(
+            &format!("serve.latency.{}.{}", ev.endpoint, ev.outcome),
+            ev.service_us,
+        );
+        obs::hist(&format!("serve.queue_wait.{}", ev.endpoint), ev.queue_us);
+        let error = matches!(ev.outcome, "error" | "rejected" | "deadline");
+        let sec = self.started.elapsed().as_secs();
+        self.windows.lock().expect("windows lock").bump(sec, error);
+        if let Some(sink) = &self.sink {
+            let n = self.log_seq.fetch_add(1, Ordering::Relaxed);
+            if n.is_multiple_of(self.log_sample) {
+                let mut line = format!(
+                    "{{\"id\":\"{}\",\"ts\":{},\"endpoint\":\"{}\",\"outcome\":\"{}\",\
+                     \"queue_us\":{},\"service_us\":{}",
+                    ev.id,
+                    Telemetry::epoch_secs(),
+                    ev.endpoint,
+                    ev.outcome,
+                    ev.queue_us,
+                    ev.service_us
+                );
+                if let Some(key) = ev.cache_key {
                     use std::fmt::Write as _;
-                    let _ = write!(line, ",\"threads\":{}}}", ev.threads);
-                    let mut w = sink.lock().expect("access log lock");
-                    let _ = writeln!(w, "{line}");
-                    let _ = w.flush();
+                    let _ = write!(
+                        line,
+                        ",\"program_hash\":\"{:016x}\",\"config_hash\":\"{:016x}\"",
+                        key.program_hash, key.config_hash
+                    );
                 }
+                use std::fmt::Write as _;
+                let _ = write!(line, ",\"threads\":{}}}", ev.threads);
+                let mut w = sink.lock().expect("access log lock");
+                let _ = writeln!(w, "{line}");
+                let _ = w.flush();
             }
-        }
-        #[cfg(not(feature = "telemetry"))]
-        {
-            let _ = ev;
         }
     }
 
     /// `(window_secs, rps, error_rate)` for the 1s/10s/60s windows.
-    /// All zeros when the `telemetry` feature is off.
     #[must_use]
     pub fn window_rates(&self) -> [(u64, f64, f64); 3] {
-        #[cfg(feature = "telemetry")]
-        {
-            let now = self.started.elapsed().as_secs();
-            let windows = self.windows.lock().expect("windows lock");
-            [1u64, 10, 60].map(|w| {
-                let (rps, er) = windows.rate(now, w);
-                (w, rps, er)
-            })
-        }
-        #[cfg(not(feature = "telemetry"))]
-        [(1, 0.0, 0.0), (10, 0.0, 0.0), (60, 0.0, 0.0)]
+        let now = self.started.elapsed().as_secs();
+        let windows = self.windows.lock().expect("windows lock");
+        [1u64, 10, 60].map(|w| {
+            let (rps, er) = windows.rate(now, w);
+            (w, rps, er)
+        })
     }
 
     /// Serialize a slow request's trace next to the access log (or the
     /// working directory) as `slow-<id>.trace.json`; returns the path
-    /// written. A no-op returning `None` when the feature is off.
+    /// written.
     pub fn write_slow_trace(&self, id: &str, trace_json: &str) -> Option<PathBuf> {
-        #[cfg(feature = "telemetry")]
-        {
-            let path = self.trace_dir.join(format!("slow-{id}.trace.json"));
-            std::fs::write(&path, trace_json).ok()?;
-            Some(path)
-        }
-        #[cfg(not(feature = "telemetry"))]
-        {
-            let _ = (id, trace_json);
-            None
-        }
+        let path = self.trace_dir.join(format!("slow-{id}.trace.json"));
+        std::fs::write(&path, trace_json).ok()?;
+        Some(path)
     }
 }
 
@@ -370,17 +313,11 @@ mod tests {
             slow_us: Some(1000),
             ..TelemetryConfig::default()
         });
-        #[cfg(feature = "telemetry")]
-        {
-            assert!(on.capture_enabled());
-            assert!(on.is_slow(1000));
-            assert!(!on.is_slow(999));
-        }
-        #[cfg(not(feature = "telemetry"))]
-        assert!(!on.capture_enabled());
+        assert!(on.capture_enabled());
+        assert!(on.is_slow(1000));
+        assert!(!on.is_slow(999));
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn windows_roll_and_rate() {
         let mut w = Windows::new();
@@ -400,7 +337,6 @@ mod tests {
         assert!((rps_new - 1.0).abs() < 1e-9);
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn access_log_lines_are_jsonl_and_sampled() {
         let dir = std::env::temp_dir().join("nadroid_telemetry_log");
@@ -455,7 +391,6 @@ mod tests {
         assert!((rates[0].1 - 4.0).abs() < 1e-9, "rps_1s counts all: {rates:?}");
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn slow_trace_lands_next_to_the_access_log() {
         let dir = std::env::temp_dir().join("nadroid_telemetry_trace");

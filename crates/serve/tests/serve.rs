@@ -264,6 +264,55 @@ fn malformed_requests_get_structured_errors() {
 }
 
 #[test]
+fn garbage_lines_get_one_error_each_and_the_connection_keeps_serving() {
+    use std::io::{BufRead, BufReader, Write};
+
+    fn read_response(reader: &mut BufReader<std::net::TcpStream>) -> Response {
+        let mut reply = String::new();
+        let n = reader.read_line(&mut reply).expect("read response line");
+        assert!(n > 0, "server closed the connection");
+        Response::decode(reply.trim_end()).expect("response decodes")
+    }
+
+    let server = test_server(1);
+    let stream = std::net::TcpStream::connect(server.local_addr()).expect("connect");
+    let mut reader = BufReader::new(stream);
+
+    let analyze = Request::Analyze {
+        program: CONNECTBOT.to_owned(),
+        opts: AnalyzeOpts::default(),
+    }
+    .encode();
+    let garbage: [&[u8]; 3] = [
+        b"\xff\xfe\x00garbage\xc3\n",
+        &analyze.as_bytes()[..analyze.len() / 2],
+        b"{",
+    ];
+    for line in garbage {
+        let stream = reader.get_mut();
+        stream.write_all(line).unwrap();
+        if !line.ends_with(b"\n") {
+            stream.write_all(b"\n").unwrap();
+        }
+        let resp = read_response(&mut reader);
+        assert!(
+            matches!(resp, Response::Error { .. }),
+            "{:?} must get an error, got {resp:?}",
+            String::from_utf8_lossy(line)
+        );
+    }
+
+    let stream = reader.get_mut();
+    stream.write_all(analyze.as_bytes()).unwrap();
+    stream.write_all(b"\n").unwrap();
+    let resp = read_response(&mut reader);
+    let Response::Analyze { app, .. } = resp else {
+        panic!("expected analyze response, got {resp:?}");
+    };
+    assert_eq!(app, "ConnectBot");
+}
+
+#[test]
 fn shutdown_is_acknowledged_and_stops_the_server() {
     let mut server = test_server(1);
     let addr = server.local_addr();

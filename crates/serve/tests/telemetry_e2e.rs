@@ -47,7 +47,6 @@ fn every_response_echoes_a_monotonic_request_id() {
     assert!(client.last_request_id().expect("id echoed") > second.as_str());
 }
 
-#[cfg(feature = "telemetry")]
 #[test]
 fn metrics_op_exposes_per_endpoint_histograms_and_windows() {
     let server = test_server(TelemetryConfig::default());
@@ -113,7 +112,6 @@ fn metrics_op_exposes_per_endpoint_histograms_and_windows() {
     );
 }
 
-#[cfg(feature = "telemetry")]
 #[test]
 fn access_log_and_forced_slow_capture_produce_parseable_artifacts() {
     let dir = temp_dir("telemetry_e2e");

@@ -95,9 +95,7 @@ fn hb_backed_filters_match_legacy_logic_on_all_27_apps() {
     for row in table1_rows() {
         let app = generate(&spec_for(&row));
         let analysis = analyze(&app.program, &cfg);
-        // Crosscheck mode asserts graph-vs-legacy agreement inside every
-        // `prunes` call on top of the explicit comparisons below.
-        let filters = analysis.filters().with_crosscheck(true);
+        let filters = analysis.filters();
 
         // Every (warning, filter) verdict, pointwise.
         for w in analysis.warnings() {
