@@ -301,19 +301,34 @@ pub fn replay<'p>(program: &'p Program, schedule: &[Step]) -> World<'p> {
 /// for each other (e.g. a post and its dequeue) yet jointly removable,
 /// which single-step passes alone never discover.
 ///
-/// Every deletion pass re-validates the surviving schedule against the
-/// NPE before the next pass runs, so the result provably reproduces the
-/// witness; a schedule that does not reproduce the NPE in the first
-/// place is returned unchanged. The function is idempotent:
-/// `minimize_schedule` of its own output is a fixpoint.
+/// A pass never re-runs the prefix it has already settled: a kept
+/// deletion at `i` leaves `current[..i]` unchanged and a rejected one
+/// extends it by `current[i]`, so the pass keeps the world after that
+/// prefix and replays only each candidate's suffix from a clone of it.
+/// The outcome is exactly that of replaying every candidate from a
+/// fresh world.
+///
+/// Every deletion pass re-validates the surviving schedule from the
+/// initial world before the next pass runs, so the result provably
+/// reproduces the witness; a schedule that does not reproduce the NPE
+/// in the first place is returned unchanged. The function is
+/// idempotent: `minimize_schedule` of its own output is a fixpoint.
 #[must_use]
 pub fn minimize_schedule(program: &Program, schedule: &[Step], npe: &Npe) -> Vec<Step> {
-    let reproduces = |candidate: &[Step]| {
-        let world = replay(program, candidate);
+    let initial = World::new(program);
+    // Whether running `suffix` from `start` ends in the witness NPE,
+    // with [`replay`]'s rule of stopping at the first step that fails.
+    let reproduces_from = |start: &World<'_>, suffix: &[Step]| {
+        let mut world = start.clone();
+        for step in suffix {
+            if !world.step(step) {
+                break;
+            }
+        }
         world.npe.as_ref() == Some(npe)
     };
     let mut current: Vec<Step> = schedule.to_vec();
-    if !reproduces(&current) {
+    if !reproduces_from(&initial, &current) {
         debug_assert!(false, "minimize_schedule: schedule does not reproduce the NPE");
         return current;
     }
@@ -322,12 +337,20 @@ pub fn minimize_schedule(program: &Program, schedule: &[Step], npe: &Npe) -> Vec
         let mut chunk = (current.len() / 2).max(1);
         loop {
             let mut i = 0;
+            // The world after `current[..i]`, and whether a step of that
+            // prefix failed: replay stops there, so no suffix runs.
+            let mut prefix = initial.clone();
+            let mut stopped = false;
             while i + chunk <= current.len() {
-                let mut candidate = current.clone();
-                candidate.drain(i..i + chunk);
-                if reproduces(&candidate) {
-                    current = candidate;
+                let kept = if stopped {
+                    prefix.npe.as_ref() == Some(npe)
                 } else {
+                    reproduces_from(&prefix, &current[i + chunk..])
+                };
+                if kept {
+                    current.drain(i..i + chunk);
+                } else {
+                    stopped = stopped || !prefix.step(&current[i]);
                     i += 1;
                 }
             }
@@ -335,7 +358,7 @@ pub fn minimize_schedule(program: &Program, schedule: &[Step], npe: &Npe) -> Vec
             // are ever kept, so this can't fire — but the minimizer's
             // contract is that every pass ends on a verified witness.
             assert!(
-                reproduces(&current),
+                reproduces_from(&initial, &current),
                 "minimize_schedule: deletion pass invalidated the witness"
             );
             if chunk == 1 {
@@ -357,17 +380,15 @@ pub fn minimize_schedule(program: &Program, schedule: &[Step], npe: &Npe) -> Vec
 #[must_use]
 pub fn fingerprint(w: &World<'_>) -> u64 {
     let mut h = DefaultHasher::new();
-    // Heap.
-    for i in 0..w.heap.len() {
-        let r = crate::machine::HeapRef(i as u32);
-        w.heap.class_of(r).raw().hash(&mut h);
-        let obj_fields: std::collections::BTreeMap<u32, i64> = (0..w.program_field_count())
-            .filter_map(|f| {
-                let fid = nadroid_ir::FieldId::from_raw(f);
-                match w.heap.load(r, fid) {
-                    crate::machine::Value::Null => None,
-                    crate::machine::Value::Obj(o) => Some((f, i64::from(o.0))),
-                }
+    // Heap: each object's class and its non-null fields.
+    for obj in w.heap.objects() {
+        obj.class.raw().hash(&mut h);
+        let obj_fields: std::collections::BTreeMap<u32, i64> = obj
+            .fields
+            .iter()
+            .filter_map(|(f, v)| match v {
+                crate::machine::Value::Null => None,
+                crate::machine::Value::Obj(o) => Some((f.raw(), i64::from(o.0))),
             })
             .collect();
         obj_fields.hash(&mut h);

@@ -93,6 +93,12 @@ impl Heap {
         self.null_writers.get(&(r.0, field)).copied()
     }
 
+    /// Every object, indexed by [`HeapRef`].
+    #[must_use]
+    pub fn objects(&self) -> &[HeapObj] {
+        &self.objects
+    }
+
     /// The class of an object.
     #[must_use]
     pub fn class_of(&self, r: HeapRef) -> ClassId {

@@ -329,6 +329,7 @@ impl<'p> World<'p> {
         let mut heap = Heap::new();
         let mut singletons = HashMap::new();
         let mut lifecycles = HashMap::new();
+        let reachable = program.reachable_components();
         for (cid, class) in program.classes() {
             if class.role().is_component() {
                 let r = heap.alloc(cid);
@@ -336,16 +337,14 @@ impl<'p> World<'p> {
                 // Only activities an intent can reach are ever started —
                 // unreachable components keep a singleton (for static
                 // accesses) but receive no events.
-                if class.role() == ClassRole::Activity && program.component_reachable(cid) {
+                if class.role() == ClassRole::Activity && reachable[cid.index()] {
                     lifecycles.insert(cid, Lifecycle::new());
                 }
             } else if class.role() == ClassRole::Fragment && class.outer().is_some() {
                 // Fragments are framework-instantiated alongside their
                 // host activity and follow their own lifecycle automaton.
                 let host = program.outermost_class(cid);
-                if program.class(host).role() == ClassRole::Activity
-                    && program.component_reachable(host)
-                {
+                if program.class(host).role() == ClassRole::Activity && reachable[host.index()] {
                     let r = heap.alloc(cid);
                     singletons.insert(cid, r);
                     lifecycles.insert(cid, Lifecycle::new());
@@ -1088,12 +1087,6 @@ impl<'p> World<'p> {
             freed_by: prov.freed_by,
             task: tid,
         });
-    }
-
-    /// Total number of fields in the program (fingerprinting helper).
-    #[must_use]
-    pub fn program_field_count(&self) -> u32 {
-        self.program.field_ids().count() as u32
     }
 
     fn eval_cond(&mut self, tid: TaskId, cond: Cond) -> bool {

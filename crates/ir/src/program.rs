@@ -400,39 +400,49 @@ impl Program {
         format!("{}.{}#{}", class.name, method.name, id.raw())
     }
 
-    /// Whether a component is reachable from the manifest: it is the
-    /// main activity, a declared receiver, referenced from another
-    /// class's code, or the program declares no manifest at all (then
-    /// everything is assumed reachable). Non-components are always
-    /// reachable. This drives both the §8.5 "not reachable"
-    /// false-positive bucket and the dynamic interpreter's event
-    /// enablement.
+    /// Whether a component is reachable from the manifest; see
+    /// [`Program::reachable_components`], which answers for every class
+    /// in one pass.
     #[must_use]
     pub fn component_reachable(&self, component: ClassId) -> bool {
+        self.reachable_components()[component.index()]
+    }
+
+    /// Manifest reachability of every class, indexed by class id. A
+    /// component is reachable when it is the main activity, a declared
+    /// receiver, or referenced (`new` or a static access) from another
+    /// class's code, or when the program declares no manifest at all
+    /// (then everything is assumed reachable). Non-components are always
+    /// reachable. This drives both the §8.5 "not reachable"
+    /// false-positive bucket and the dynamic interpreter's event
+    /// enablement. One pass over the program's instructions.
+    #[must_use]
+    pub fn reachable_components(&self) -> Vec<bool> {
         let Some(main) = self.manifest.main_activity else {
-            return true;
+            return vec![true; self.classes.len()];
         };
-        if component == main || self.manifest.declared_receivers.contains(&component) {
-            return true;
+        let mut reachable: Vec<bool> = self
+            .classes
+            .iter()
+            .map(|c| !c.role().is_component())
+            .collect();
+        reachable[main.index()] = true;
+        for r in &self.manifest.declared_receivers {
+            reachable[r.index()] = true;
         }
-        if !self.class(component).role().is_component() {
-            return true;
+        for m in &self.methods {
+            let from = self.outermost_class(m.owner);
+            m.body.for_each_instr(&mut |i| {
+                if let crate::instr::Op::New { class, .. }
+                | crate::instr::Op::LoadStatic { class, .. } = i.op
+                {
+                    if class != from {
+                        reachable[class.index()] = true;
+                    }
+                }
+            });
         }
-        for (mid, i) in self.instrs() {
-            let from = self.outermost_class(self.method(mid).owner);
-            if from == component {
-                continue;
-            }
-            let references = match i.op {
-                crate::instr::Op::New { class, .. }
-                | crate::instr::Op::LoadStatic { class, .. } => class == component,
-                _ => false,
-            };
-            if references {
-                return true;
-            }
-        }
-        false
+        reachable
     }
 
     /// Approximate source-lines-of-code metric: the number of non-blank
