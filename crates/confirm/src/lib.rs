@@ -746,6 +746,34 @@ mod tests {
     }
 
     #[test]
+    fn frees_that_differ_only_in_the_writer_are_both_confirmed() {
+        // Both arms null `f`, so the two states after `onLongClick` differ
+        // only in which free wrote the null. A search that merges them
+        // can never attribute the later NPE to the arm it dropped.
+        let outcome = confirm_app(
+            r#"
+            app TwoFrees
+            activity Main {
+                field f: Main
+                cb onCreate { f = new Main }
+                cb onClick { use f }
+                cb onLongClick { if ? { f = null } else { f = null } }
+            }
+            "#,
+        );
+        assert_eq!(outcome.results.len(), 2, "{outcome:?}");
+        for r in &outcome.results {
+            assert_eq!(
+                r.confirmation.verdict,
+                ConfirmVerdict::Confirmed,
+                "{}: {}",
+                r.free_site,
+                r.confirmation.reason
+            );
+        }
+    }
+
+    #[test]
     fn verdicts_are_identical_across_thread_counts_and_reruns() {
         let p = parse_program(FIG1A).unwrap();
         let a = analyze(&p, &AnalysisConfig::default());

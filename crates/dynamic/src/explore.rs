@@ -373,10 +373,13 @@ pub fn minimize_schedule(program: &Program, schedule: &[Step], npe: &Npe) -> Vec
     current
 }
 
-/// A stable fingerprint of the scheduling-relevant state (heap, frames,
-/// queues, component states) — progress counters and traces excluded so
-/// that converging schedules deduplicate. Public so external search
-/// drivers (the confirm subsystem) share the explorer's deduplication.
+/// A stable fingerprint of the scheduling-relevant state (heap and the
+/// frees that wrote its nulls, frames with the provenance of their
+/// locals, queues, component states) — progress counters and traces
+/// excluded so that converging schedules deduplicate. Two worlds with
+/// equal fingerprints enable the same steps and attribute every future
+/// NPE to the same (use, free) pair. Public so external search drivers
+/// (the confirm subsystem) share the explorer's deduplication.
 #[must_use]
 pub fn fingerprint(w: &World<'_>) -> u64 {
     let mut h = DefaultHasher::new();
@@ -393,6 +396,13 @@ pub fn fingerprint(w: &World<'_>) -> u64 {
             .collect();
         obj_fields.hash(&mut h);
     }
+    let mut writers: Vec<(u32, u32, u32)> = w
+        .heap
+        .null_writers()
+        .map(|(r, f, i)| (r.0, f.raw(), i.raw()))
+        .collect();
+    writers.sort_unstable();
+    writers.hash(&mut h);
     // Tasks.
     for t in &w.tasks {
         t.done.hash(&mut h);
@@ -404,6 +414,10 @@ pub fn fingerprint(w: &World<'_>) -> u64 {
                     crate::machine::Value::Null => (-1i64).hash(&mut h),
                     crate::machine::Value::Obj(o) => i64::from(o.0).hash(&mut h),
                 }
+            }
+            for p in &f.provenance {
+                p.loaded_from.map(InstrId::raw).hash(&mut h);
+                p.freed_by.map(InstrId::raw).hash(&mut h);
             }
             let budget: std::collections::BTreeMap<_, _> =
                 f.loop_budget.iter().map(|(k, v)| (*k, *v)).collect();
@@ -437,6 +451,13 @@ pub fn fingerprint(w: &World<'_>) -> u64 {
     for r in &w.receivers {
         r.0.hash(&mut h);
     }
+    // Shown dialogs and armed alarms in delivery order (the order
+    // `enabled_steps` offers their callbacks in).
+    w.shown.hash(&mut h);
+    w.alarms.hash(&mut h);
+    let mut launched: Vec<u32> = w.launched.iter().map(|c| c.raw()).collect();
+    launched.sort_unstable();
+    launched.hash(&mut h);
     for (l, m) in &w.listeners {
         l.0.hash(&mut h);
         m.raw().hash(&mut h);

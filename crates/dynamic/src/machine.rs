@@ -93,6 +93,14 @@ impl Heap {
         self.null_writers.get(&(r.0, field)).copied()
     }
 
+    /// Every explicitly freed field holding its null, with the free
+    /// instruction that wrote it, in no particular order.
+    pub fn null_writers(&self) -> impl Iterator<Item = (HeapRef, FieldId, InstrId)> + '_ {
+        self.null_writers
+            .iter()
+            .map(|(&(r, field), &writer)| (HeapRef(r), field, writer))
+    }
+
     /// Every object, indexed by [`HeapRef`].
     #[must_use]
     pub fn objects(&self) -> &[HeapObj] {
