@@ -337,20 +337,15 @@ pub fn minimize_schedule(program: &Program, schedule: &[Step], npe: &Npe) -> Vec
         let mut chunk = (current.len() / 2).max(1);
         loop {
             let mut i = 0;
-            // The world after `current[..i]`, and whether a step of that
-            // prefix failed: replay stops there, so no suffix runs.
+            // The world after `current[..i]`. `current` reproduces the
+            // NPE, so each prefix step before the NPE succeeds and each
+            // one after it is a no-op, as it is in a full replay.
             let mut prefix = initial.clone();
-            let mut stopped = false;
             while i + chunk <= current.len() {
-                let kept = if stopped {
-                    prefix.npe.as_ref() == Some(npe)
-                } else {
-                    reproduces_from(&prefix, &current[i + chunk..])
-                };
-                if kept {
+                if reproduces_from(&prefix, &current[i + chunk..]) {
                     current.drain(i..i + chunk);
                 } else {
-                    stopped = stopped || !prefix.step(&current[i]);
+                    prefix.step(&current[i]);
                     i += 1;
                 }
             }
