@@ -696,12 +696,23 @@ mod tests {
         assert!(r.confirmation.schedule.is_none());
     }
 
+    /// The one warning whose use is in `use_cb` and whose free is in
+    /// `free_cb`.
+    fn warning_between<'a>(a: &'a Analysis<'_>, use_cb: &str, free_cb: &str) -> &'a UafWarning {
+        let p = a.program();
+        let mut found = a.warnings().iter().filter(|w| {
+            p.method(w.use_access.method).name() == use_cb
+                && p.method(w.free_access.method).name() == free_cb
+        });
+        let w = found.next().expect("the warning exists");
+        assert!(found.next().is_none(), "one warning per pair");
+        w
+    }
+
     #[test]
-    fn complete_drain_proves_infeasibility_without_fast_paths() {
-        // A free that can only run after the use's activity is gone:
-        // onDestroy is terminal, onClick needs a visible activity, so
-        // free-then-use never interleaves — and the state space is
-        // small enough that the fallback search drains it completely.
+    fn must_hb_answers_the_pairs_the_model_drains() {
+        // A free in onDestroy can never precede a UI use: MHB-Lifecycle
+        // prunes the warning, so batch confirmation never searches it.
         let p = parse_program(
             r#"
             app Drained
@@ -715,34 +726,55 @@ mod tests {
         )
         .unwrap();
         let a = analyze(&p, &AnalysisConfig::default());
-        let outcome = confirm_survivors(&a, &ConfirmConfig::default());
-        for r in &outcome.results {
-            assert_ne!(
-                r.confirmation.verdict,
-                ConfirmVerdict::Confirmed,
-                "free in onDestroy can never precede a UI use: {r:?}"
-            );
-        }
-        // Whether the drain completes depends only on the model bounds,
-        // which are deterministic — assert the stronger verdict when
-        // the search reports a full drain.
-        if outcome
+        let w = warning_between(&a, "onClick", "onDestroy");
+        let outcome = a.sound_outcomes().iter().find(|o| &o.warning == w).unwrap();
+        assert_eq!(
+            outcome.pruned_by.map(|k| k.name()),
+            Some("MHB"),
+            "{outcome:?}"
+        );
+        assert!(a.survivors().is_empty());
+        assert!(confirm_survivors(&a, &ConfirmConfig::default())
             .results
-            .iter()
-            .any(|r| r.confirmation.verdict == ConfirmVerdict::Infeasible)
-        {
-            let r = outcome
-                .results
-                .iter()
-                .find(|r| r.confirmation.verdict == ConfirmVerdict::Infeasible)
-                .unwrap();
-            assert!(
-                r.confirmation.reason.contains("drained")
-                    || r.confirmation.reason.contains("mustHb"),
-                "{:?}",
-                r.confirmation.reason
-            );
-        }
+            .is_empty());
+
+        // A service that uses its field in onCreate and frees it in
+        // onDestroy: the bounded state space drains completely without
+        // the free preceding the use, but confirm_warning proves the
+        // pair infeasible from mustHb before any search runs, so its
+        // drain verdict is not reached here.
+        let p = parse_program(
+            r#"
+            app SvcOnly
+            service Svc {
+                field f: Svc
+                cb onCreate { f = new Svc
+                              use f }
+                cb onDestroy { f = null }
+            }
+            "#,
+        )
+        .unwrap();
+        let a = analyze(&p, &AnalysisConfig::default());
+        let w = warning_between(&a, "onCreate", "onDestroy");
+        let goal = nadroid_dynamic::Goal::Pair {
+            use_instr: w.use_access.instr,
+            free_instr: w.free_access.instr,
+        };
+        assert_eq!(
+            explore_guided(&p, goal, ExploreConfig::default(), None),
+            Exploration::Exhausted {
+                states: 10,
+                complete: true
+            }
+        );
+        let c = confirm_warning(&a, w, &ConfirmConfig::default());
+        assert_eq!(c.verdict, ConfirmVerdict::Infeasible, "{c:?}");
+        assert!(
+            c.reason.starts_with("mustHb orders the use thread"),
+            "{c:?}"
+        );
+        assert_eq!(c.states_explored, 0);
     }
 
     #[test]

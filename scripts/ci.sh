@@ -11,7 +11,8 @@
 # 3. clippy with warnings promoted to errors,
 # 4. the HB parity gate, in release: the graph-backed filters must
 #    match the legacy filter logic verdict-for-verdict, and in Figure 5
-#    tallies and surviving ids, on all 27 apps,
+#    tallies and surviving ids, on all 27 apps; then the repository
+#    benchmark's smoke tests (it is a Cargo package of its own),
 # 5. provenance smoke test: `nadroid explain` on a corpus app must
 #    produce a non-empty derivation tree and a filter audit; the
 #    confirmation smoke then runs `nadroid confirm` on the same app,
@@ -30,6 +31,7 @@
 #    zero slow-capture threshold, cold request, warm request (must hit
 #    the cache), deadline-exceeded request (structured timeout, worker
 #    survives), stats consistency incl. the exported thread config, a
+#    `confirm` request (a confirmed verdict over the wire), a
 #    `metrics` request (per-endpoint percentiles, rolling rps windows,
 #    Prometheus text rendering), clean shutdown — then the JSONL
 #    access log and a slow-request trace must validate under
@@ -67,6 +69,13 @@ cargo clippy --workspace --all-targets -- -D warnings
 # HB parity gate: the graph-backed filters must reproduce the legacy
 # filter logic byte-for-byte across the whole 27-app corpus.
 cargo test -q --release --test hb_parity
+
+# Benchmark smoke: the repository benchmark is a Cargo package of its
+# own, so the workspace build above does not cover it. Its tests build
+# it and run every workload at smoke size, including the confirm
+# oracles (planted harmful pairs confirmed, witnesses replaying to the
+# exact use and free).
+cargo test -q --release --offline --manifest-path crates/bench/src/bin/benchmark/Cargo.toml
 
 explain_out=$(cargo run --release -q -p nadroid-cli --bin nadroid -- explain apps/connectbot.dsl)
 echo "$explain_out" | grep -q 'racyPair(' || {
@@ -140,6 +149,11 @@ echo "$stats_out" | grep -q '"threads_requested": 2' || {
     echo "ci.sh: serve stats missing threads_requested:"; echo "$stats_out"; exit 1; }
 echo "$stats_out" | grep -q '"threads": ' || {
     echo "ci.sh: serve stats missing effective threads:"; echo "$stats_out"; exit 1; }
+# Confirmation over the wire: the same search, minimizer and replay the
+# in-process tests run, reached through serve's confirm op.
+"$bin" request apps/connectbot.dsl --addr "$serve_addr" --confirm \
+    | grep -q '"verdict": "confirmed"' || {
+    echo "ci.sh: serve confirm request produced no confirmed verdict" >&2; exit 1; }
 # Telemetry gate: the metrics op must expose per-endpoint latency
 # percentiles, queue-wait, and rolling rps windows — and the document
 # must validate under the in-repo JSON parser.
@@ -163,7 +177,7 @@ echo "$text_out" | grep -qF 'series="serve.latency.analyze.miss",quantile="0.99"
 "$bin" request --shutdown --addr "$serve_addr" | grep -q 'shutdown acknowledged' || {
     echo "ci.sh: serve shutdown not acknowledged" >&2; exit 1; }
 wait "$serve_pid" || { echo "ci.sh: serve exited nonzero" >&2; exit 1; }
-grep -q '"requests": 8' "$serve_out" || {
+grep -q '"requests": 9' "$serve_out" || {
     echo "ci.sh: serve final stats missing/inconsistent:"; cat "$serve_out"; exit 1; }
 
 # The access log must hold one parseable JSONL record per request, and
@@ -171,8 +185,8 @@ grep -q '"requests": 8' "$serve_out" || {
 # computed request, both valid under the in-repo parser.
 "$bin" check-json "$telem_dir/access.jsonl" --lines || {
     echo "ci.sh: access log failed JSONL validation" >&2; exit 1; }
-[ "$(wc -l < "$telem_dir/access.jsonl")" -eq 8 ] || {
-    echo "ci.sh: access log line count != 8:"; cat "$telem_dir/access.jsonl"; exit 1; }
+[ "$(wc -l < "$telem_dir/access.jsonl")" -eq 9 ] || {
+    echo "ci.sh: access log line count != 9:"; cat "$telem_dir/access.jsonl"; exit 1; }
 slow_trace=$(ls "$telem_dir"/slow-r*.trace.json 2>/dev/null | head -n 1 || true)
 [ -n "$slow_trace" ] || {
     echo "ci.sh: --slow-us 0 produced no slow traces" >&2; exit 1; }

@@ -7,7 +7,7 @@
 use nadroid::core::{analyze, AnalysisConfig};
 use nadroid::corpus::{generate, AppSpec, PatternKind};
 use nadroid::dynamic::{explore, ExploreConfig, Goal};
-use nadroid::ir::{parse_program, print_program};
+use nadroid::ir::{parse_program, print_program, ClassId, Op, Program};
 use nadroid::pointsto::{datalog_baseline, AllocKey, PointsTo};
 use nadroid::threadify::{ThreadId, ThreadModel};
 use proptest::prelude::*;
@@ -30,8 +30,55 @@ fn spec_strategy(max_per_kind: usize) -> impl Strategy<Value = AppSpec> {
         })
 }
 
+/// Manifest reachability of one component by a scan of the whole
+/// program, the definition `Program::reachable_components` computes for
+/// every class in one pass.
+fn reference_component_reachable(p: &Program, component: ClassId) -> bool {
+    let Some(main) = p.manifest().main_activity() else {
+        return true;
+    };
+    if component == main || p.manifest().declared_receivers().contains(&component) {
+        return true;
+    }
+    if !p.class(component).role().is_component() {
+        return true;
+    }
+    p.instrs().into_iter().any(|(mid, i)| {
+        p.outermost_class(p.method(mid).owner()) != component
+            && matches!(
+                i.op,
+                Op::New { class, .. } | Op::LoadStatic { class, .. } if class == component
+            )
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The one-pass reachability table equals the per-component scan on
+    /// every class: with the generator's manifest, whose main activity
+    /// references every cluster but the `FpUnreachable` ones, and with
+    /// the manifest removed, when every class is reachable.
+    #[test]
+    fn reachable_components_match_the_per_component_scan(spec in spec_strategy(2)) {
+        let app = generate(&spec);
+        let printed = print_program(&app.program);
+        let (classes, _) = printed
+            .split_once("\nmanifest {")
+            .expect("generated apps have a manifest");
+        let bare = parse_program(classes).expect("the classes parse without the manifest");
+        prop_assert!(app.program.manifest().main_activity().is_some());
+        prop_assert!(bare.manifest().main_activity().is_none());
+        for p in [&app.program, &bare] {
+            let table = p.reachable_components();
+            prop_assert_eq!(table.len(), p.class_ids().count());
+            for c in p.class_ids() {
+                let name = p.class(c).name();
+                prop_assert_eq!(table[c.index()], reference_component_reachable(p, c), "{}", name);
+                prop_assert_eq!(p.component_reachable(c), table[c.index()]);
+            }
+        }
+    }
 
     /// The printer emits exactly the canonical DSL the parser accepts,
     /// and parsing it back reproduces the program.
