@@ -31,12 +31,15 @@ use crate::instr::{AndroidOp, Block, Callee, Cond, Instr, Op, Stmt};
 use crate::program::{Class, Field, Manifest, Method, Program, OUTER_FIELD};
 use nadroid_android::listeners::RegistrationApi;
 use nadroid_android::{CallbackKind, ClassRole};
+use std::collections::HashSet;
 
 /// Incremental builder for a [`Program`].
 #[derive(Debug, Default)]
 pub struct ProgramBuilder {
     name: String,
     classes: Vec<Class>,
+    /// The names in `classes`, for the duplicate check.
+    class_names: HashSet<String>,
     fields: Vec<Field>,
     methods: Vec<MethodSlot>,
     manifest: Manifest,
@@ -96,7 +99,7 @@ impl ProgramBuilder {
         outer: Option<ClassId>,
     ) -> ClassId {
         assert!(
-            !self.classes.iter().any(|c| c.name == name),
+            self.class_names.insert(name.clone()),
             "duplicate class name {name:?}"
         );
         let id = ClassId::from_raw(self.classes.len() as u32);

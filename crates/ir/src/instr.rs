@@ -254,23 +254,18 @@ impl Op {
         }
     }
 
-    /// The locals this op reads.
-    #[must_use]
-    pub fn uses(&self) -> Vec<Local> {
-        match self {
-            Op::New { .. } | Op::LoadStatic { .. } | Op::Null { .. } => vec![],
-            Op::Load { base, .. } => vec![*base],
-            Op::Store { base, src, .. } => vec![*base, *src],
-            Op::StoreNull { base, .. } => vec![*base],
-            Op::Move { src, .. } => vec![*src],
-            Op::Invoke { recv, args, .. } => {
-                let mut v: Vec<Local> = recv.iter().copied().collect();
-                v.extend(args.iter().copied());
-                v
-            }
-            Op::Return { val } => val.iter().copied().collect(),
-            Op::Android(a) => a.operand().into_iter().collect(),
-        }
+    /// The locals this op reads, in operand order.
+    pub fn uses(&self) -> impl Iterator<Item = Local> + '_ {
+        let (first, second, rest): (Option<Local>, Option<Local>, &[Local]) = match self {
+            Op::New { .. } | Op::LoadStatic { .. } | Op::Null { .. } => (None, None, &[]),
+            Op::Load { base, .. } | Op::StoreNull { base, .. } => (Some(*base), None, &[]),
+            Op::Store { base, src, .. } => (Some(*base), Some(*src), &[]),
+            Op::Move { src, .. } => (Some(*src), None, &[]),
+            Op::Invoke { recv, args, .. } => (*recv, None, args),
+            Op::Return { val } => (*val, None, &[]),
+            Op::Android(a) => (a.operand(), None, &[]),
+        };
+        first.into_iter().chain(second).chain(rest.iter().copied())
     }
 }
 
@@ -431,7 +426,7 @@ mod tests {
             field: FieldId::from_raw(0),
         };
         assert_eq!(ld.def(), Some(Local(2)));
-        assert_eq!(ld.uses(), vec![Local::THIS]);
+        assert!(ld.uses().eq([Local::THIS]));
 
         let inv = Op::Invoke {
             dst: None,
@@ -440,7 +435,7 @@ mod tests {
             args: vec![Local(3)],
         };
         assert_eq!(inv.def(), None);
-        assert_eq!(inv.uses(), vec![Local(2), Local(3)]);
+        assert!(inv.uses().eq([Local(2), Local(3)]));
     }
 
     #[test]

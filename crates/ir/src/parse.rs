@@ -9,15 +9,19 @@
 //!   `use svc`, `if svc != null { ... }`, `post Worker`, ...), which lower
 //!   to the same instructions [`crate::MethodBuilder`]'s helpers emit.
 //!
-//! Parsing is two-pass: declarations are collected first so classes,
-//! fields, and methods may be referenced before their declaration.
+//! Parsing is two-pass: the text is first parsed into an AST that borrows
+//! its names from the source, so every syntax error is reported before
+//! any name error; lowering then resolves names, with declarations
+//! collected first so classes, fields, and methods may be referenced
+//! before their declaration.
 
-use crate::builder::ProgramBuilder;
+use crate::builder::{MethodBuilder, ProgramBuilder};
 use crate::ids::{ClassId, FieldId, Local, MethodId};
 use crate::instr::{AndroidOp, Cond};
 use crate::program::{Program, OUTER_FIELD};
 use nadroid_android::listeners::RegistrationApi;
 use nadroid_android::{CallbackKind, ClassRole};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -63,9 +67,9 @@ type Result<T> = std::result::Result<T, ParseError>;
 // Lexer
 // ---------------------------------------------------------------------------
 
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Tok {
-    Ident(String),
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Tok<'a> {
+    Ident(&'a str),
     Int(u32),
     LBrace,
     RBrace,
@@ -80,7 +84,7 @@ enum Tok {
     Question,
 }
 
-impl fmt::Display for Tok {
+impl fmt::Display for Tok<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Tok::Ident(s) => write!(f, "`{s}`"),
@@ -100,119 +104,100 @@ impl fmt::Display for Tok {
     }
 }
 
-fn lex(src: &str) -> Result<Vec<(Tok, u32)>> {
-    let mut toks = Vec::new();
+/// The `char` that starts at byte `i`, decoded only when it is not ASCII.
+fn char_at(src: &str, i: usize) -> char {
+    match src.as_bytes()[i] {
+        b if b.is_ascii() => char::from(b),
+        _ => src[i..]
+            .chars()
+            .next()
+            .expect("lexing stops on char boundaries"),
+    }
+}
+
+/// The end of the identifier that continues at byte `i`: letters, digits,
+/// `_` and `$` continue it.
+fn ident_end(src: &str, mut i: usize) -> usize {
+    while i < src.len() {
+        let c = char_at(src, i);
+        if !(c.is_alphanumeric() || c == '_' || c == '$') {
+            break;
+        }
+        i += c.len_utf8();
+    }
+    i
+}
+
+/// Split the source into tokens, each with its line. Scans bytes and
+/// decodes a `char` only at a non-ASCII byte, so Unicode letters and
+/// digits continue identifiers and Unicode whitespace separates tokens.
+/// Only `\n` advances the line.
+fn lex(src: &str) -> Result<Vec<(Tok<'_>, u32)>> {
+    let bytes = src.as_bytes();
+    let mut toks = Vec::with_capacity(src.len() / 4);
     let mut line: u32 = 1;
-    let mut chars = src.chars().peekable();
-    while let Some(&c) = chars.peek() {
-        match c {
-            '\n' => {
+    let mut i = 0;
+    while let Some(&b) = bytes.get(i) {
+        let next = bytes.get(i + 1).copied();
+        let (tok, len) = match b {
+            b'\n' => {
                 line += 1;
-                chars.next();
+                i += 1;
+                continue;
             }
-            c if c.is_whitespace() => {
-                chars.next();
-            }
-            '/' => {
-                chars.next();
-                if chars.peek() == Some(&'/') {
-                    for c in chars.by_ref() {
-                        if c == '\n' {
-                            line += 1;
-                            break;
-                        }
+            b'/' if next == Some(b'/') => {
+                match bytes[i..].iter().position(|&c| c == b'\n') {
+                    Some(n) => {
+                        line += 1;
+                        i += n + 1;
                     }
-                } else {
-                    return Err(ParseError::new(
-                        line,
-                        "unexpected `/` (use `//` for comments)",
-                    ));
+                    None => i = bytes.len(),
                 }
+                continue;
             }
-            '{' => {
-                toks.push((Tok::LBrace, line));
-                chars.next();
-            }
-            '}' => {
-                toks.push((Tok::RBrace, line));
-                chars.next();
-            }
-            '(' => {
-                toks.push((Tok::LParen, line));
-                chars.next();
-            }
-            ')' => {
-                toks.push((Tok::RParen, line));
-                chars.next();
-            }
-            ':' => {
-                toks.push((Tok::Colon, line));
-                chars.next();
-            }
-            '.' => {
-                toks.push((Tok::Dot, line));
-                chars.next();
-            }
-            ',' => {
-                toks.push((Tok::Comma, line));
-                chars.next();
-            }
-            '?' => {
-                toks.push((Tok::Question, line));
-                chars.next();
-            }
-            '=' => {
-                chars.next();
-                if chars.peek() == Some(&'=') {
-                    chars.next();
-                    toks.push((Tok::EqEq, line));
-                } else {
-                    toks.push((Tok::Eq, line));
-                }
-            }
-            '!' => {
-                chars.next();
-                if chars.peek() == Some(&'=') {
-                    chars.next();
-                    toks.push((Tok::NotEq, line));
-                } else {
-                    return Err(ParseError::new(line, "unexpected `!`"));
-                }
-            }
-            c if c.is_ascii_digit() => {
-                let mut n: u32 = 0;
-                while let Some(&d) = chars.peek() {
-                    if let Some(v) = d.to_digit(10) {
-                        n = n
-                            .checked_mul(10)
-                            .and_then(|n| n.checked_add(v))
-                            .ok_or_else(|| ParseError::new(line, "integer literal too large"))?;
-                        chars.next();
-                    } else {
-                        break;
-                    }
-                }
-                toks.push((Tok::Int(n), line));
-            }
-            c if c.is_alphabetic() || c == '_' || c == '$' => {
-                let mut s = String::new();
-                while let Some(&d) = chars.peek() {
-                    if d.is_alphanumeric() || d == '_' || d == '$' {
-                        s.push(d);
-                        chars.next();
-                    } else {
-                        break;
-                    }
-                }
-                toks.push((Tok::Ident(s), line));
-            }
-            other => {
+            b'/' => {
                 return Err(ParseError::new(
                     line,
-                    format!("unexpected character {other:?}"),
+                    "unexpected `/` (use `//` for comments)",
                 ))
             }
-        }
+            b'{' => (Tok::LBrace, 1),
+            b'}' => (Tok::RBrace, 1),
+            b'(' => (Tok::LParen, 1),
+            b')' => (Tok::RParen, 1),
+            b':' => (Tok::Colon, 1),
+            b'.' => (Tok::Dot, 1),
+            b',' => (Tok::Comma, 1),
+            b'?' => (Tok::Question, 1),
+            b'=' if next == Some(b'=') => (Tok::EqEq, 2),
+            b'=' => (Tok::Eq, 1),
+            b'!' if next == Some(b'=') => (Tok::NotEq, 2),
+            b'!' => return Err(ParseError::new(line, "unexpected `!`")),
+            b'0'..=b'9' => {
+                let len = bytes[i..].iter().take_while(|d| d.is_ascii_digit()).count();
+                let n = bytes[i..i + len]
+                    .iter()
+                    .try_fold(0u32, |n, d| {
+                        n.checked_mul(10)?.checked_add(u32::from(d - b'0'))
+                    })
+                    .ok_or_else(|| ParseError::new(line, "integer literal too large"))?;
+                (Tok::Int(n), len)
+            }
+            _ => {
+                let c = char_at(src, i);
+                if c.is_whitespace() {
+                    i += c.len_utf8();
+                    continue;
+                }
+                if !(c.is_alphabetic() || c == '_' || c == '$') {
+                    return Err(ParseError::new(line, format!("unexpected character {c:?}")));
+                }
+                let end = ident_end(src, i + c.len_utf8());
+                (Tok::Ident(&src[i..end]), end - i)
+            }
+        };
+        toks.push((tok, line));
+        i += len;
     }
     Ok(toks)
 }
@@ -221,52 +206,53 @@ fn lex(src: &str) -> Result<Vec<(Tok, u32)>> {
 // AST
 // ---------------------------------------------------------------------------
 
+/// A parsed program; every name borrows from the source text.
 #[derive(Debug)]
-struct AstProgram {
-    name: String,
-    classes: Vec<AstClass>,
-    main_activity: Option<String>,
-    receivers: Vec<String>,
+struct AstProgram<'a> {
+    name: &'a str,
+    classes: Vec<AstClass<'a>>,
+    main_activity: Option<&'a str>,
+    receivers: Vec<&'a str>,
 }
 
 #[derive(Debug)]
-struct AstClass {
+struct AstClass<'a> {
     role: ClassRole,
-    name: String,
-    outer: Option<String>,
-    looper: Option<String>,
-    fields: Vec<(String, Option<String>)>,
-    methods: Vec<AstMethod>,
+    name: &'a str,
+    outer: Option<&'a str>,
+    looper: Option<&'a str>,
+    fields: Vec<(&'a str, Option<&'a str>)>,
+    methods: Vec<AstMethod<'a>>,
     line: u32,
 }
 
 #[derive(Debug)]
-struct AstMethod {
+struct AstMethod<'a> {
     is_cb: bool,
-    name: String,
+    name: &'a str,
     params: u16,
     locals: Option<u16>,
-    body: Vec<(u32, AstStmt)>,
+    body: Vec<(u32, AstStmt<'a>)>,
     line: u32,
 }
 
 /// A reference to a field from statement position.
-#[derive(Debug, Clone)]
-enum Path {
+#[derive(Debug, Clone, Copy)]
+enum Path<'a> {
     /// Bare name: a field of the enclosing class, via `this`.
-    This(String),
+    This(&'a str),
     /// `outer.f`: a field of the lexically enclosing class, via `$outer`.
-    Outer(String),
+    Outer(&'a str),
     /// `Class.f`: a field of a component class, via its static instance.
-    Static(String, String),
+    Static(&'a str, &'a str),
 }
 
-#[derive(Debug, Clone)]
-enum Rhs {
-    New(String),
+#[derive(Debug, Clone, Copy)]
+enum Rhs<'a> {
+    New(&'a str),
     Null,
-    Call(String),
-    Path(Path),
+    Call(&'a str),
+    Path(Path<'a>),
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -276,40 +262,40 @@ enum UseMode {
     Arg,
 }
 
-#[derive(Debug, Clone)]
-enum Operand {
+#[derive(Debug, Clone, Copy)]
+enum Operand<'a> {
     Local(Local),
-    Class(String),
-    Field(String),
+    Class(&'a str),
+    Field(&'a str),
 }
 
 #[derive(Debug)]
-enum AstStmt {
+enum AstStmt<'a> {
     // Canonical three-address forms.
     CNew {
         dst: Local,
-        class: String,
+        class: &'a str,
     },
     CStatic {
         dst: Local,
-        class: String,
+        class: &'a str,
     },
     CLoad {
         dst: Local,
         base: Local,
-        class: String,
-        field: String,
+        class: &'a str,
+        field: &'a str,
     },
     CStore {
         base: Local,
-        class: String,
-        field: String,
+        class: &'a str,
+        field: &'a str,
         src: Local,
     },
     CFree {
         base: Local,
-        class: String,
-        field: String,
+        class: &'a str,
+        field: &'a str,
     },
     CMove {
         dst: Local,
@@ -320,7 +306,7 @@ enum AstStmt {
     },
     CCall {
         dst: Option<Local>,
-        target: Option<(String, String)>,
+        target: Option<(&'a str, &'a str)>,
         recv: Option<Local>,
         args: Vec<Local>,
     },
@@ -329,49 +315,49 @@ enum AstStmt {
     },
     CAndroid {
         op: &'static str,
-        operand: Option<Operand>,
+        operand: Option<Operand<'a>>,
         api: Option<RegistrationApi>,
     },
     // Sugar forms.
     SAssign {
-        path: Path,
-        rhs: Rhs,
+        path: Path<'a>,
+        rhs: Rhs<'a>,
     },
     SUse {
-        path: Path,
+        path: Path<'a>,
         mode: UseMode,
     },
     SCall {
-        name: String,
+        name: &'a str,
     },
     // Structured statements (nested statements carry their lines).
     If {
-        cond: AstCond,
-        then_blk: Vec<(u32, AstStmt)>,
-        else_blk: Vec<(u32, AstStmt)>,
+        cond: AstCond<'a>,
+        then_blk: Vec<(u32, AstStmt<'a>)>,
+        else_blk: Vec<(u32, AstStmt<'a>)>,
         line: u32,
     },
     Loop {
-        body: Vec<(u32, AstStmt)>,
+        body: Vec<(u32, AstStmt<'a>)>,
     },
     Sync {
-        lock: Operand,
-        body: Vec<(u32, AstStmt)>,
+        lock: Operand<'a>,
+        body: Vec<(u32, AstStmt<'a>)>,
         line: u32,
     },
 }
 
 #[derive(Debug)]
-enum AstCond {
+enum AstCond<'a> {
     Canon {
         non_null: bool,
         base: Local,
-        class: String,
-        field: String,
+        class: &'a str,
+        field: &'a str,
     },
     Sugar {
         non_null: bool,
-        path: Path,
+        path: Path<'a>,
     },
     Opaque,
 }
@@ -380,38 +366,35 @@ enum AstCond {
 // Parser (tokens -> AST)
 // ---------------------------------------------------------------------------
 
-struct Parser {
-    toks: Vec<(Tok, u32)>,
+struct Parser<'a> {
+    toks: Vec<(Tok<'a>, u32)>,
     pos: usize,
 }
 
-impl Parser {
-    fn peek(&self) -> Option<&Tok> {
-        self.toks.get(self.pos).map(|(t, _)| t)
+impl<'a> Parser<'a> {
+    fn peek(&self) -> Option<Tok<'a>> {
+        self.toks.get(self.pos).map(|&(t, _)| t)
     }
 
     fn line(&self) -> u32 {
         self.toks
             .get(self.pos)
             .or_else(|| self.toks.last())
-            .map_or(0, |(_, l)| *l)
+            .map_or(0, |&(_, l)| l)
     }
 
-    fn next(&mut self) -> Result<Tok> {
-        let line = self.line();
+    fn next(&mut self) -> Result<Tok<'a>> {
         let t = self
-            .toks
-            .get(self.pos)
-            .map(|(t, _)| t.clone())
-            .ok_or_else(|| ParseError::new(line, "unexpected end of input"))?;
+            .peek()
+            .ok_or_else(|| ParseError::new(self.line(), "unexpected end of input"))?;
         self.pos += 1;
         Ok(t)
     }
 
-    fn expect(&mut self, want: &Tok) -> Result<()> {
+    fn expect(&mut self, want: Tok<'_>) -> Result<()> {
         let line = self.line();
         let got = self.next()?;
-        if &got == want {
+        if got == want {
             Ok(())
         } else {
             Err(ParseError::new(
@@ -421,7 +404,7 @@ impl Parser {
         }
     }
 
-    fn ident(&mut self) -> Result<String> {
+    fn ident(&mut self) -> Result<&'a str> {
         let line = self.line();
         match self.next()? {
             Tok::Ident(s) => Ok(s),
@@ -444,15 +427,10 @@ impl Parser {
     }
 
     fn eat_ident(&mut self, kw: &str) -> bool {
-        if matches!(self.peek(), Some(Tok::Ident(s)) if s == kw) {
-            self.pos += 1;
-            true
-        } else {
-            false
-        }
+        self.eat(Tok::Ident(kw))
     }
 
-    fn eat(&mut self, t: &Tok) -> bool {
+    fn eat(&mut self, t: Tok<'_>) -> bool {
         if self.peek() == Some(t) {
             self.pos += 1;
             true
@@ -461,7 +439,9 @@ impl Parser {
         }
     }
 
-    fn program(&mut self) -> Result<AstProgram> {
+    /// The whole program: every token after `app <Name>` must begin a
+    /// class or the manifest, so nothing trails it.
+    fn program(&mut self) -> Result<AstProgram<'a>> {
         let line = self.line();
         if !self.eat_ident("app") {
             return Err(ParseError::new(
@@ -475,7 +455,7 @@ impl Parser {
         let mut receivers = Vec::new();
         while let Some(tok) = self.peek() {
             let line = self.line();
-            let Tok::Ident(kw) = tok.clone() else {
+            let Tok::Ident(kw) = tok else {
                 return Err(ParseError::new(
                     line,
                     format!("expected class or manifest, found {tok}"),
@@ -483,11 +463,10 @@ impl Parser {
             };
             if kw == "manifest" {
                 self.pos += 1;
-                self.expect(&Tok::LBrace)?;
-                while !self.eat(&Tok::RBrace) {
+                self.expect(Tok::LBrace)?;
+                while !self.eat(Tok::RBrace) {
                     let l = self.line();
-                    let kw = self.ident()?;
-                    match kw.as_str() {
+                    match self.ident()? {
                         "main" => main_activity = Some(self.ident()?),
                         "receiver" => receivers.push(self.ident()?),
                         other => {
@@ -498,7 +477,7 @@ impl Parser {
                         }
                     }
                 }
-            } else if let Some(role) = ClassRole::from_keyword(&kw) {
+            } else if let Some(role) = ClassRole::from_keyword(kw) {
                 self.pos += 1;
                 classes.push(self.class(role, line)?);
             } else {
@@ -516,7 +495,7 @@ impl Parser {
         })
     }
 
-    fn class(&mut self, role: ClassRole, line: u32) -> Result<AstClass> {
+    fn class(&mut self, role: ClassRole, line: u32) -> Result<AstClass<'a>> {
         let name = self.ident()?;
         let outer = if self.eat_ident("in") {
             Some(self.ident()?)
@@ -528,34 +507,27 @@ impl Parser {
         } else {
             None
         };
-        self.expect(&Tok::LBrace)?;
+        self.expect(Tok::LBrace)?;
         let mut fields = Vec::new();
         let mut methods = Vec::new();
-        while !self.eat(&Tok::RBrace) {
+        while !self.eat(Tok::RBrace) {
             let l = self.line();
-            let kw = self.ident()?;
-            match kw.as_str() {
+            match self.ident()? {
                 "field" => {
                     let fname = self.ident()?;
-                    let ty = if self.eat(&Tok::Colon) {
+                    let ty = if self.eat(Tok::Colon) {
                         Some(self.ident()?)
                     } else {
                         None
                     };
                     fields.push((fname, ty));
                 }
-                "cb" | "fn" => methods.push(self.method(kw == "cb", l)?),
+                kw @ ("cb" | "fn") => methods.push(self.method(kw == "cb", l)?),
                 other => {
                     // Bare callback-name sugar: `onCreate { ... }`.
-                    if CallbackKind::from_method_name(other, role).is_some()
-                        || matches!(self.peek(), Some(Tok::LBrace) | Some(Tok::LParen))
-                    {
-                        self.pos -= 1;
-                        let name = self.ident()?;
-                        let is_cb = CallbackKind::from_method_name(&name, role).is_some();
-                        let mut m = self.method_tail(is_cb, name, l)?;
-                        m.is_cb = is_cb;
-                        methods.push(m);
+                    let is_cb = CallbackKind::from_method_name(other, role).is_some();
+                    if is_cb || matches!(self.peek(), Some(Tok::LBrace | Tok::LParen)) {
+                        methods.push(self.method_tail(is_cb, other, l)?);
                     } else {
                         return Err(ParseError::new(
                             l,
@@ -576,21 +548,21 @@ impl Parser {
         })
     }
 
-    fn method(&mut self, is_cb: bool, line: u32) -> Result<AstMethod> {
+    fn method(&mut self, is_cb: bool, line: u32) -> Result<AstMethod<'a>> {
         let name = self.ident()?;
         self.method_tail(is_cb, name, line)
     }
 
-    fn method_tail(&mut self, is_cb: bool, name: String, line: u32) -> Result<AstMethod> {
+    fn method_tail(&mut self, is_cb: bool, name: &'a str, line: u32) -> Result<AstMethod<'a>> {
         let mut params = 0u16;
         let mut locals = None;
-        if self.eat(&Tok::LParen) {
-            while !self.eat(&Tok::RParen) {
+        if self.eat(Tok::LParen) {
+            while !self.eat(Tok::RParen) {
                 let l = self.line();
                 let kw = self.ident()?;
-                self.expect(&Tok::Eq)?;
+                self.expect(Tok::Eq)?;
                 let n = self.int()?;
-                match kw.as_str() {
+                match kw {
                     "params" => {
                         params = u16::try_from(n)
                             .map_err(|_| ParseError::new(l, "too many parameters"))?;
@@ -607,10 +579,10 @@ impl Parser {
                         ))
                     }
                 }
-                let _ = self.eat(&Tok::Comma);
+                let _ = self.eat(Tok::Comma);
             }
         }
-        self.expect(&Tok::LBrace)?;
+        self.expect(Tok::LBrace)?;
         let body = self.block()?;
         Ok(AstMethod {
             is_cb,
@@ -622,9 +594,9 @@ impl Parser {
         })
     }
 
-    fn block(&mut self) -> Result<Vec<(u32, AstStmt)>> {
+    fn block(&mut self) -> Result<Vec<(u32, AstStmt<'a>)>> {
         let mut out = Vec::new();
-        while !self.eat(&Tok::RBrace) {
+        while !self.eat(Tok::RBrace) {
             let line = self.line();
             out.push((line, self.stmt()?));
         }
@@ -645,22 +617,22 @@ impl Parser {
     fn local(&mut self) -> Result<Local> {
         let line = self.line();
         let id = self.ident()?;
-        Self::local_of(&id).ok_or_else(|| {
+        Self::local_of(id).ok_or_else(|| {
             ParseError::new(line, format!("expected local (`this`/`tN`), found `{id}`"))
         })
     }
 
     /// Parse `Class.field` (canonical qualified field).
-    fn qfield(&mut self) -> Result<(String, String)> {
+    fn qfield(&mut self) -> Result<(&'a str, &'a str)> {
         let class = self.ident()?;
-        self.expect(&Tok::Dot)?;
+        self.expect(Tok::Dot)?;
         let field = self.ident()?;
         Ok((class, field))
     }
 
     /// Parse a sugar field path starting from an already-consumed ident.
-    fn path_from(&mut self, first: String) -> Result<Path> {
-        if self.eat(&Tok::Dot) {
+    fn path_from(&mut self, first: &'a str) -> Result<Path<'a>> {
+        if self.eat(Tok::Dot) {
             let field = self.ident()?;
             if first == "outer" {
                 Ok(Path::Outer(field))
@@ -673,9 +645,9 @@ impl Parser {
     }
 
     /// Parse an operand that is either a local, or a class/field name.
-    fn operand(&mut self) -> Result<Operand> {
+    fn operand(&mut self) -> Result<Operand<'a>> {
         let id = self.ident()?;
-        Ok(match Self::local_of(&id) {
+        Ok(match Self::local_of(id) {
             Some(l) => Operand::Local(l),
             None => {
                 if id.chars().next().is_some_and(char::is_uppercase) {
@@ -687,7 +659,7 @@ impl Parser {
         })
     }
 
-    fn android_stmt(&mut self, op: &'static str, takes_operand: bool) -> Result<AstStmt> {
+    fn android_stmt(&mut self, op: &'static str, takes_operand: bool) -> Result<AstStmt<'a>> {
         let operand = if takes_operand {
             Some(self.operand()?)
         } else {
@@ -700,14 +672,14 @@ impl Parser {
         })
     }
 
-    fn stmt(&mut self) -> Result<AstStmt> {
+    fn stmt(&mut self) -> Result<AstStmt<'a>> {
         let line = self.line();
         let first = self.ident()?;
-        match first.as_str() {
+        match first {
             "store" => {
                 let base = self.local()?;
                 let (class, field) = self.qfield()?;
-                self.expect(&Tok::Eq)?;
+                self.expect(Tok::Eq)?;
                 let src = self.local()?;
                 Ok(AstStmt::CStore {
                     base,
@@ -732,29 +704,15 @@ impl Parser {
                 Ok(AstStmt::CReturn { val: None })
             }
             "call" => self.call_stmt(None),
-            "use" => {
+            "use" | "useret" | "usearg" => {
                 let id = self.ident()?;
                 let path = self.path_from(id)?;
-                Ok(AstStmt::SUse {
-                    path,
-                    mode: UseMode::Deref,
-                })
-            }
-            "useret" => {
-                let id = self.ident()?;
-                let path = self.path_from(id)?;
-                Ok(AstStmt::SUse {
-                    path,
-                    mode: UseMode::Ret,
-                })
-            }
-            "usearg" => {
-                let id = self.ident()?;
-                let path = self.path_from(id)?;
-                Ok(AstStmt::SUse {
-                    path,
-                    mode: UseMode::Arg,
-                })
+                let mode = match first {
+                    "use" => UseMode::Deref,
+                    "useret" => UseMode::Ret,
+                    _ => UseMode::Arg,
+                };
+                Ok(AstStmt::SUse { path, mode })
             }
             "post" => self.android_stmt("post", true),
             "send" => self.android_stmt("send", true),
@@ -777,7 +735,7 @@ impl Parser {
             "listen" => {
                 let l = self.line();
                 let api_name = self.ident()?;
-                let api = RegistrationApi::from_method_name(&api_name).ok_or_else(|| {
+                let api = RegistrationApi::from_method_name(api_name).ok_or_else(|| {
                     ParseError::new(l, format!("unknown listener-registration API `{api_name}`"))
                 })?;
                 let operand = Some(self.operand()?);
@@ -789,14 +747,14 @@ impl Parser {
             }
             "if" => self.if_stmt(line),
             "loop" => {
-                self.expect(&Tok::LBrace)?;
+                self.expect(Tok::LBrace)?;
                 Ok(AstStmt::Loop {
                     body: self.block()?,
                 })
             }
             "sync" => {
                 let lock = self.operand()?;
-                self.expect(&Tok::LBrace)?;
+                self.expect(Tok::LBrace)?;
                 Ok(AstStmt::Sync {
                     lock,
                     body: self.block()?,
@@ -805,20 +763,19 @@ impl Parser {
             }
             _ => {
                 // Assignment: canonical `tN = ...` or sugar `<path> = ...`.
-                if let Some(dst) = Self::local_of(&first) {
-                    self.expect(&Tok::Eq)?;
+                if let Some(dst) = Self::local_of(first) {
+                    self.expect(Tok::Eq)?;
                     self.canon_rhs(dst, line)
                 } else {
                     let path = self.path_from(first)?;
-                    self.expect(&Tok::Eq)?;
+                    self.expect(Tok::Eq)?;
                     let rline = self.line();
-                    let kw = self.ident()?;
-                    let rhs = match kw.as_str() {
+                    let rhs = match self.ident()? {
                         "new" => Rhs::New(self.ident()?),
                         "null" => Rhs::Null,
                         "call" => Rhs::Call(self.ident()?),
-                        _ => {
-                            if Self::local_of(&kw).is_some() {
+                        kw => {
+                            if Self::local_of(kw).is_some() {
                                 return Err(ParseError::new(
                                     rline,
                                     "locals cannot be assigned to fields in sugar; use canonical `store`",
@@ -833,9 +790,8 @@ impl Parser {
         }
     }
 
-    fn canon_rhs(&mut self, dst: Local, line: u32) -> Result<AstStmt> {
-        let kw = self.ident()?;
-        match kw.as_str() {
+    fn canon_rhs(&mut self, dst: Local, line: u32) -> Result<AstStmt<'a>> {
+        match self.ident()? {
             "new" => Ok(AstStmt::CNew {
                 dst,
                 class: self.ident()?,
@@ -867,7 +823,7 @@ impl Parser {
         }
     }
 
-    fn call_stmt(&mut self, dst: Option<Local>) -> Result<AstStmt> {
+    fn call_stmt(&mut self, dst: Option<Local>) -> Result<AstStmt<'a>> {
         let line = self.line();
         let name = self.ident()?;
         if name == "opaque" {
@@ -879,7 +835,7 @@ impl Parser {
                 args,
             });
         }
-        if self.eat(&Tok::Dot) {
+        if self.eat(Tok::Dot) {
             let method = self.ident()?;
             let (recv, args) = self.call_args()?;
             return Ok(AstStmt::CCall {
@@ -905,17 +861,17 @@ impl Parser {
     }
 
     fn call_args(&mut self) -> Result<(Option<Local>, Vec<Local>)> {
-        self.expect(&Tok::LParen)?;
+        self.expect(Tok::LParen)?;
         let mut recv = None;
         let mut args = Vec::new();
         let mut first = true;
-        while !self.eat(&Tok::RParen) {
+        while !self.eat(Tok::RParen) {
             if !first {
-                self.expect(&Tok::Comma)?;
+                self.expect(Tok::Comma)?;
             }
             first = false;
             if self.eat_ident("recv") {
-                self.expect(&Tok::Eq)?;
+                self.expect(Tok::Eq)?;
                 recv = Some(self.local()?);
             } else {
                 args.push(self.local()?);
@@ -924,8 +880,8 @@ impl Parser {
         Ok((recv, args))
     }
 
-    fn if_stmt(&mut self, line: u32) -> Result<AstStmt> {
-        let cond = if self.eat(&Tok::Question) {
+    fn if_stmt(&mut self, line: u32) -> Result<AstStmt<'a>> {
+        let cond = if self.eat(Tok::Question) {
             AstCond::Opaque
         } else if self.eat_ident("notnull") {
             let base = self.local()?;
@@ -950,8 +906,7 @@ impl Parser {
             let id = self.ident()?;
             let path = self.path_from(id)?;
             let l = self.line();
-            let op = self.next()?;
-            let non_null = match op {
+            let non_null = match self.next()? {
                 Tok::NotEq => true,
                 Tok::EqEq => false,
                 other => {
@@ -969,10 +924,10 @@ impl Parser {
             }
             AstCond::Sugar { non_null, path }
         };
-        self.expect(&Tok::LBrace)?;
+        self.expect(Tok::LBrace)?;
         let then_blk = self.block()?;
         let else_blk = if self.eat_ident("else") {
-            self.expect(&Tok::LBrace)?;
+            self.expect(Tok::LBrace)?;
             self.block()?
         } else {
             Vec::new()
@@ -990,19 +945,20 @@ impl Parser {
 // Lowering (AST -> Program)
 // ---------------------------------------------------------------------------
 
-struct Lowerer {
-    classes: HashMap<String, ClassId>,
+/// Name resolution tables, keyed by names borrowed from the source.
+struct Lowerer<'a> {
+    classes: HashMap<&'a str, ClassId>,
     /// (class, field name) -> id, including `$outer` fields.
-    fields: HashMap<(ClassId, String), FieldId>,
-    methods: HashMap<(ClassId, String), MethodId>,
-    roles: HashMap<ClassId, ClassRole>,
-    outers: HashMap<ClassId, ClassId>,
+    fields: HashMap<(ClassId, &'a str), FieldId>,
+    methods: HashMap<(ClassId, &'a str), MethodId>,
+    /// The lexically enclosing class of each class, by class index.
+    outers: Vec<Option<ClassId>>,
 }
 
-impl Lowerer {
+impl Lowerer<'_> {
     fn field(&self, class: ClassId, name: &str, line: u32) -> Result<FieldId> {
         self.fields
-            .get(&(class, name.to_owned()))
+            .get(&(class, name))
             .copied()
             .ok_or_else(|| ParseError::new(line, format!("unknown field `{name}`")))
     }
@@ -1012,6 +968,10 @@ impl Lowerer {
             .get(name)
             .copied()
             .ok_or_else(|| ParseError::new(line, format!("unknown class `{name}`")))
+    }
+
+    fn method(&self, class: ClassId, name: &str) -> Option<MethodId> {
+        self.methods.get(&(class, name)).copied()
     }
 }
 
@@ -1023,58 +983,56 @@ impl Lowerer {
 /// lexically or grammatically malformed, or names an unknown class,
 /// field, or method.
 pub fn parse_program(src: &str) -> Result<Program> {
-    let toks = lex(src)?;
-    let mut parser = Parser { toks, pos: 0 };
-    let ast = parser.program()?;
-    if parser.pos != parser.toks.len() {
-        return Err(ParseError::new(
-            parser.line(),
-            "trailing input after program",
-        ));
+    let ast = Parser {
+        toks: lex(src)?,
+        pos: 0,
     }
-    lower(ast)
+    .program()?;
+    lower(&ast)
 }
 
-fn lower(ast: AstProgram) -> Result<Program> {
-    let mut b = ProgramBuilder::new(ast.name.clone());
+fn lower(ast: &AstProgram<'_>) -> Result<Program> {
+    let mut b = ProgramBuilder::new(ast.name);
+    let n_fields = ast
+        .classes
+        .iter()
+        .map(|c| c.fields.len() + usize::from(c.role.is_framework_helper()))
+        .sum();
+    let n_methods = ast.classes.iter().map(|c| c.methods.len()).sum();
     let mut lo = Lowerer {
-        classes: HashMap::new(),
-        fields: HashMap::new(),
-        methods: HashMap::new(),
-        roles: HashMap::new(),
-        outers: HashMap::new(),
+        classes: HashMap::with_capacity(ast.classes.len()),
+        fields: HashMap::with_capacity(n_fields),
+        methods: HashMap::with_capacity(n_methods),
+        outers: vec![None; ast.classes.len()],
     };
 
     // Pass 1a: classes (outer links resolved in a second sweep so an inner
     // class may precede its outer).
+    let mut ids = Vec::with_capacity(ast.classes.len());
     for c in &ast.classes {
-        if lo.classes.contains_key(&c.name) {
+        let Entry::Vacant(slot) = lo.classes.entry(c.name) else {
             return Err(ParseError::new(
                 c.line,
                 format!("duplicate class `{}`", c.name),
             ));
-        }
-        let id = b.add_class(c.name.clone(), c.role);
-        lo.classes.insert(c.name.clone(), id);
-        lo.roles.insert(id, c.role);
+        };
+        ids.push(*slot.insert(b.add_class(c.name, c.role)));
     }
-    for c in &ast.classes {
-        if let Some(outer_name) = &c.outer {
-            let inner = lo.classes[&c.name];
+    for (c, &cid) in ast.classes.iter().zip(&ids) {
+        if let Some(outer_name) = c.outer {
             let outer = lo.class(outer_name, c.line)?;
-            b.set_outer(inner, outer);
-            lo.outers.insert(inner, outer);
+            b.set_outer(cid, outer);
+            lo.outers[cid.index()] = Some(outer);
         }
-        if let Some(looper_name) = &c.looper {
-            let class = lo.classes[&c.name];
+        if let Some(looper_name) = c.looper {
             let looper = lo.class(looper_name, c.line)?;
-            if lo.roles.get(&looper) != Some(&ClassRole::LooperThread) {
+            if ast.classes[looper.index()].role != ClassRole::LooperThread {
                 return Err(ParseError::new(
                     c.line,
                     format!("`on {looper_name}`: target must be a looperthread class"),
                 ));
             }
-            b.set_looper(class, looper);
+            b.set_looper(cid, looper);
         }
     }
 
@@ -1082,51 +1040,49 @@ fn lower(ast: AstProgram) -> Result<Program> {
     // classes get their implicit `$outer` back-reference created here, in
     // class order, so field numbering is stable under print/parse
     // round-trips.
-    for c in &ast.classes {
-        let cid = lo.classes[&c.name];
-        for (fname, ty) in &c.fields {
+    for (c, &cid) in ast.classes.iter().zip(&ids) {
+        for &(fname, ty) in &c.fields {
             let ty = match ty {
                 Some(t) => Some(lo.class(t, c.line)?),
                 None => None,
             };
-            if lo.fields.contains_key(&(cid, fname.clone())) {
+            if lo.fields.contains_key(&(cid, fname)) {
                 return Err(ParseError::new(
                     c.line,
                     format!("duplicate field `{fname}`"),
                 ));
             }
-            let fid = b.add_field(cid, fname.clone(), ty);
-            lo.fields.insert((cid, fname.clone()), fid);
+            lo.fields.insert((cid, fname), b.add_field(cid, fname, ty));
         }
-        if c.role.is_framework_helper() && !lo.fields.contains_key(&(cid, OUTER_FIELD.to_owned())) {
-            let fid = b.outer_field(cid);
-            lo.fields.insert((cid, OUTER_FIELD.to_owned()), fid);
+        if c.role.is_framework_helper() {
+            if let Entry::Vacant(slot) = lo.fields.entry((cid, OUTER_FIELD)) {
+                slot.insert(b.outer_field(cid));
+            }
         }
     }
 
     // Pass 1c: method declarations (so calls may reference forward).
-    for c in &ast.classes {
-        let cid = lo.classes[&c.name];
+    let mut mids = Vec::with_capacity(n_methods);
+    for (c, &cid) in ast.classes.iter().zip(&ids) {
         for m in &c.methods {
-            if lo.methods.contains_key(&(cid, m.name.clone())) {
+            let Entry::Vacant(slot) = lo.methods.entry((cid, m.name)) else {
                 return Err(ParseError::new(
                     m.line,
                     format!("duplicate method `{}`", m.name),
                 ));
-            }
-            let mid = b.declare_method(cid, m.name.clone());
-            lo.methods.insert((cid, m.name.clone()), mid);
+            };
+            mids.push(*slot.insert(b.declare_method(cid, m.name)));
         }
     }
 
     // Pass 2: method bodies.
-    for c in &ast.classes {
-        let cid = lo.classes[&c.name];
+    let mut mids = mids.into_iter();
+    for (c, &cid) in ast.classes.iter().zip(&ids) {
         for m in &c.methods {
-            let mid = lo.methods[&(cid, m.name.clone())];
+            let mid = mids.next().expect("one id per declared method");
             let callback = if m.is_cb {
                 Some(
-                    CallbackKind::from_method_name(&m.name, c.role).ok_or_else(|| {
+                    CallbackKind::from_method_name(m.name, c.role).ok_or_else(|| {
                         ParseError::new(
                             m.line,
                             format!("`{}` is not a known callback for role `{}`", m.name, c.role),
@@ -1156,7 +1112,7 @@ fn lower(ast: AstProgram) -> Result<Program> {
     }
 
     // Manifest.
-    if let Some(main) = &ast.main_activity {
+    if let Some(main) = ast.main_activity {
         let id = lo.class(main, 0)?;
         b.set_main_activity(id);
     }
@@ -1168,24 +1124,24 @@ fn lower(ast: AstProgram) -> Result<Program> {
     Ok(b.build())
 }
 
-struct BodyCtx<'a> {
+struct BodyCtx<'l, 'a> {
     class: ClassId,
-    lo: &'a Lowerer,
+    lo: &'l Lowerer<'a>,
 }
 
-impl BodyCtx<'_> {
+impl BodyCtx<'_, '_> {
     /// Resolve a sugar path to (base local, field id), emitting any loads
     /// needed to materialize the base.
     fn resolve_path(
         &self,
-        mb: &mut crate::builder::MethodBuilder<'_>,
-        path: &Path,
+        mb: &mut MethodBuilder<'_>,
+        path: &Path<'_>,
         line: u32,
     ) -> Result<(Local, FieldId)> {
-        match path {
+        match *path {
             Path::This(f) => Ok((Local::THIS, self.lo.field(self.class, f, line)?)),
             Path::Outer(f) => {
-                let outer_cls = self.lo.outers.get(&self.class).copied().ok_or_else(|| {
+                let outer_cls = self.lo.outers[self.class.index()].ok_or_else(|| {
                     ParseError::new(
                         line,
                         "`outer.` used in a class without an `in <Outer>` clause",
@@ -1214,12 +1170,12 @@ impl BodyCtx<'_> {
     /// for class operands and loading fields for field operands.
     fn resolve_operand(
         &self,
-        mb: &mut crate::builder::MethodBuilder<'_>,
-        op: &Operand,
+        mb: &mut MethodBuilder<'_>,
+        op: &Operand<'_>,
         line: u32,
     ) -> Result<Local> {
-        match op {
-            Operand::Local(l) => Ok(*l),
+        match *op {
+            Operand::Local(l) => Ok(l),
             Operand::Class(name) => {
                 let cls = self.lo.class(name, line)?;
                 Ok(mb.new_wired(cls))
@@ -1235,9 +1191,9 @@ impl BodyCtx<'_> {
 }
 
 fn lower_block(
-    mb: &mut crate::builder::MethodBuilder<'_>,
-    ctx: &BodyCtx<'_>,
-    stmts: &[(u32, AstStmt)],
+    mb: &mut MethodBuilder<'_>,
+    ctx: &BodyCtx<'_, '_>,
+    stmts: &[(u32, AstStmt<'_>)],
 ) -> Result<()> {
     for (line, s) in stmts {
         lower_stmt(mb, ctx, s, *line)?;
@@ -1246,9 +1202,9 @@ fn lower_block(
 }
 
 fn lower_stmt(
-    mb: &mut crate::builder::MethodBuilder<'_>,
-    ctx: &BodyCtx<'_>,
-    stmt: &AstStmt,
+    mb: &mut MethodBuilder<'_>,
+    ctx: &BodyCtx<'_, '_>,
+    stmt: &AstStmt<'_>,
     line: u32,
 ) -> Result<()> {
     let lo = ctx.lo;
@@ -1297,16 +1253,12 @@ fn lower_stmt(
             target,
             recv,
             args,
-        } => match target {
+        } => match *target {
             Some((cname, mname)) => {
                 let c = lo.class(cname, line)?;
-                let m = lo
-                    .methods
-                    .get(&(c, mname.clone()))
-                    .copied()
-                    .ok_or_else(|| {
-                        ParseError::new(line, format!("unknown method `{cname}.{mname}`"))
-                    })?;
+                let m = lo.method(c, mname).ok_or_else(|| {
+                    ParseError::new(line, format!("unknown method `{cname}.{mname}`"))
+                })?;
                 mb.invoke(*dst, m, *recv, args.clone());
             }
             None => {
@@ -1380,7 +1332,7 @@ fn lower_stmt(
             };
             mb.android(aop);
         }
-        AstStmt::SAssign { path, rhs } => match rhs {
+        AstStmt::SAssign { path, rhs } => match *rhs {
             Rhs::New(cname) => {
                 let cls = lo.class(cname, line)?;
                 let (base, f) = ctx.resolve_path(mb, path, line)?;
@@ -1393,9 +1345,7 @@ fn lower_stmt(
             }
             Rhs::Call(mname) => {
                 let m = lo
-                    .methods
-                    .get(&(ctx.class, mname.clone()))
-                    .copied()
+                    .method(ctx.class, mname)
                     .ok_or_else(|| ParseError::new(line, format!("unknown method `{mname}`")))?;
                 let (base, f) = ctx.resolve_path(mb, path, line)?;
                 let t = mb.new_local();
@@ -1403,7 +1353,7 @@ fn lower_stmt(
                 mb.store(base, f, t);
             }
             Rhs::Path(src) => {
-                let (sbase, sf) = ctx.resolve_path(mb, src, line)?;
+                let (sbase, sf) = ctx.resolve_path(mb, &src, line)?;
                 let t = mb.new_local();
                 mb.load(t, sbase, sf);
                 let (dbase, df) = ctx.resolve_path(mb, path, line)?;
@@ -1428,9 +1378,7 @@ fn lower_stmt(
         }
         AstStmt::SCall { name } => {
             let m = lo
-                .methods
-                .get(&(ctx.class, name.clone()))
-                .copied()
+                .method(ctx.class, name)
                 .ok_or_else(|| ParseError::new(line, format!("unknown method `{name}`")))?;
             mb.invoke(None, m, Some(Local::THIS), vec![]);
         }
@@ -1642,14 +1590,11 @@ mod tests {
 
     #[test]
     fn lowering_errors_carry_statement_lines() {
-        let err =
-            parse_program("app A\nactivity M {\n  cb onClick {\n    use missing\n  }\n}")
-                .unwrap_err();
+        let err = parse_program("app A\nactivity M {\n  cb onClick {\n    use missing\n  }\n}")
+            .unwrap_err();
         assert_eq!(err.line(), 4, "{err}");
-        let err = parse_program(
-            "app A\nactivity M {\n  cb onClick {\n    t1 = new Nope\n  }\n}",
-        )
-        .unwrap_err();
+        let err = parse_program("app A\nactivity M {\n  cb onClick {\n    t1 = new Nope\n  }\n}")
+            .unwrap_err();
         assert_eq!(err.line(), 4, "{err}");
         assert!(err.message().contains("unknown class"), "{err}");
     }
@@ -1792,7 +1737,13 @@ handler H on M { cb handleMessage { } }",
             "#,
         );
         let printed = print_program(&p);
-        for op in ["show ", "dismiss ", "schedule ", "cancelalarm ", "startactivity "] {
+        for op in [
+            "show ",
+            "dismiss ",
+            "schedule ",
+            "cancelalarm ",
+            "startactivity ",
+        ] {
             assert!(printed.contains(op), "missing {op:?} in:\n{printed}");
         }
         assert_eq!(parse_ok(&printed), p);

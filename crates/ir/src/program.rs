@@ -2,7 +2,7 @@
 //! manifest.
 
 use crate::ids::{ClassId, FieldId, InstrId, Local, MethodId};
-use crate::instr::{Block, Instr, Op};
+use crate::instr::{Block, Instr, Op, Stmt};
 use nadroid_android::{CallbackKind, ClassRole};
 
 /// The name of the implicit field that links a framework-helper object
@@ -447,13 +447,34 @@ impl Program {
 
     /// Approximate source-lines-of-code metric: the number of non-blank
     /// lines of the canonical printed form (used for the LOC column of
-    /// Table 1).
+    /// Table 1), counted from the structure without printing.
     #[must_use]
     pub fn loc(&self) -> usize {
-        crate::print::print_program(self)
-            .lines()
-            .filter(|l| !l.trim().is_empty())
-            .count()
+        // Every `{` opens a line and every `}` closes one: a class or a
+        // manifest counts 2 plus its entries, and an `if`, `loop` or
+        // `sync` 2 plus its body, with `} else {` one more. A method with
+        // an empty body prints `{ }` on its header line.
+        fn block(b: &Block) -> usize {
+            b.0.iter()
+                .map(|s| match s {
+                    Stmt::Instr(_) => 1,
+                    Stmt::If {
+                        then_blk, else_blk, ..
+                    } => 2 + block(then_blk) + usize::from(!else_blk.is_empty()) + block(else_blk),
+                    Stmt::Loop { body } | Stmt::Sync { body, .. } => 2 + block(body),
+                })
+                .sum()
+        }
+        let classes: usize = self.classes.iter().map(|c| 2 + c.fields.len()).sum();
+        let methods: usize = self
+            .methods
+            .iter()
+            .map(|m| 1 + usize::from(!m.body.is_empty()) + block(&m.body))
+            .sum();
+        let m = &self.manifest;
+        let entries = usize::from(m.main_activity.is_some()) + m.declared_receivers.len();
+        let manifest = if entries == 0 { 0 } else { 2 + entries };
+        1 + classes + methods + manifest
     }
 }
 
