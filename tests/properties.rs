@@ -5,7 +5,9 @@
 //! here is checked against randomly composed apps.
 
 use nadroid::core::{analyze, AnalysisConfig};
-use nadroid::corpus::{generate, AppSpec, PatternKind};
+use nadroid::corpus::{
+    generate, refute_specs, scale_specs, spec_for, table1_rows, AppSpec, PatternKind,
+};
 use nadroid::dynamic::{explore, ExploreConfig, Goal};
 use nadroid::ir::{parse_program, print_program, ClassId, Op, Program};
 use nadroid::pointsto::{datalog_baseline, AllocKey, PointsTo};
@@ -52,6 +54,57 @@ fn reference_component_reachable(p: &Program, component: ClassId) -> bool {
     })
 }
 
+/// The LOC of Table 1 as defined: the non-blank lines of the canonical
+/// printed form, counted by printing it.
+fn printed_loc(p: &Program) -> usize {
+    print_program(p)
+        .lines()
+        .filter(|l| !l.trim().is_empty())
+        .count()
+}
+
+/// `Program::loc` equals the printed count on every corpus population:
+/// the 27 Table 1 apps, the 1000-app scale corpus, the refutation apps,
+/// and the hand-written `apps/*.dsl` models.
+#[test]
+fn loc_counts_the_nonblank_printed_lines_of_every_corpus_app() {
+    let paper = table1_rows();
+    let specs = paper
+        .iter()
+        .map(spec_for)
+        .chain(scale_specs(1000))
+        .chain(refute_specs());
+    for spec in specs {
+        let p = generate(&spec).program;
+        assert_eq!(p.loc(), printed_loc(&p), "{}", p.name());
+    }
+    let apps = std::fs::read_dir(concat!(env!("CARGO_MANIFEST_DIR"), "/apps")).expect("apps/");
+    for entry in apps {
+        let path = entry.expect("readable dir entry").path();
+        let text = std::fs::read_to_string(&path).expect("readable app");
+        let p = parse_program(&text).expect("the hand-written apps parse");
+        assert_eq!(p.loc(), printed_loc(&p), "{}", path.display());
+    }
+}
+
+/// A relation over `ids` as rows: `rows[i][j]` is `rel(ids[i], ids[j])`.
+fn rows(ids: &[ThreadId], rel: impl Fn(ThreadId, ThreadId) -> bool) -> Vec<Vec<bool>> {
+    ids.iter()
+        .map(|&a| ids.iter().map(|&b| rel(a, b)).collect())
+        .collect()
+}
+
+/// Whether a relation given as rows is transitive: for every a→b, the
+/// successors of b are successors of a.
+fn is_transitive(rows: &[Vec<bool>]) -> bool {
+    rows.iter().all(|succ_a| {
+        succ_a
+            .iter()
+            .zip(rows)
+            .all(|(&ab, succ_b)| !ab || succ_b.iter().zip(succ_a).all(|(&bc, &ac)| !bc || ac))
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -89,6 +142,14 @@ proptest! {
         let reparsed = parse_program(&printed).expect("canonical form parses");
         prop_assert_eq!(&app.program, &reparsed);
         prop_assert_eq!(print_program(&reparsed), printed);
+    }
+
+    /// `Program::loc` counts the printed form's non-blank lines without
+    /// printing it.
+    #[test]
+    fn loc_counts_the_nonblank_printed_lines(spec in spec_strategy(2)) {
+        let app = generate(&spec);
+        prop_assert_eq!(app.program.loc(), printed_loc(&app.program));
     }
 
     /// The analysis pipeline is deterministic.
@@ -173,33 +234,21 @@ proptest! {
                 nadroid::hb::HbGraph::build(&app.program, &threads)
             });
             let ids: Vec<_> = threads.threads().map(|(id, _)| id).collect();
-            for &a in &ids {
-                prop_assert!(!g.pred_must_hb(a, a), "predHb must be irreflexive (K={budget})");
-                for &b in &ids {
+            let pred = rows(&ids, |a, b| g.pred_must_hb(a, b));
+            prop_assert!(is_transitive(&pred), "predHb must be transitive (K={budget})");
+            for (i, &a) in ids.iter().enumerate() {
+                prop_assert!(!pred[i][i], "predHb must be irreflexive (K={budget})");
+                for (j, &b) in ids.iter().enumerate() {
                     if g.must_hb(a, b) {
-                        prop_assert!(
-                            g.pred_must_hb(a, b),
-                            "predHb must contain must_hb (K={budget})"
-                        );
+                        prop_assert!(pred[i][j], "predHb must contain must_hb (K={budget})");
                     }
-                    if g.pred_must_hb(a, b) {
-                        prop_assert!(
-                            !g.pred_must_hb(b, a),
-                            "predHb must be asymmetric (K={budget})"
-                        );
+                    if pred[i][j] {
+                        prop_assert!(!pred[j][i], "predHb must be asymmetric (K={budget})");
                     }
                     prop_assert!(
-                        !(g.must_not_hb(a, b) && g.pred_must_hb(a, b)),
+                        !(g.must_not_hb(a, b) && pred[i][j]),
                         "mustNotHb and predHb (hence mustHb) must be disjoint (K={budget})"
                     );
-                    for &c in &ids {
-                        if g.pred_must_hb(a, b) && g.pred_must_hb(b, c) {
-                            prop_assert!(
-                                g.pred_must_hb(a, c),
-                                "predHb must be transitive (K={budget})"
-                            );
-                        }
-                    }
                 }
             }
         }
@@ -215,26 +264,20 @@ proptest! {
         let threads = ThreadModel::build(&app.program);
         let g = nadroid::hb::HbGraph::build(&app.program, &threads);
         let ids: Vec<_> = threads.threads().map(|(id, _)| id).collect();
-        for &a in &ids {
-            prop_assert!(!g.must_hb(a, a), "must_hb must be irreflexive");
+        let must = rows(&ids, |a, b| g.must_hb(a, b));
+        prop_assert!(is_transitive(&must), "must_hb is transitive");
+        for (i, &a) in ids.iter().enumerate() {
+            prop_assert!(!must[i][i], "must_hb must be irreflexive");
             prop_assert!(!g.mhp(a, a), "a thread never races itself");
-            for &b in &ids {
+            for (j, &b) in ids.iter().enumerate() {
                 if g.mhp(a, b) {
                     prop_assert!(g.mhp(b, a), "mhp is symmetric");
-                    prop_assert!(
-                        !g.must_hb(a, b) && !g.must_hb(b, a),
-                        "mhp and must_hb are disjoint"
-                    );
+                    prop_assert!(!must[i][j] && !must[j][i], "mhp and must_hb are disjoint");
                 } else if a != b {
                     prop_assert!(
-                        g.must_hb(a, b) || g.must_hb(b, a),
+                        must[i][j] || must[j][i],
                         "non-mhp distinct threads are must-ordered"
                     );
-                }
-                for &c in &ids {
-                    if g.must_hb(a, b) && g.must_hb(b, c) {
-                        prop_assert!(g.must_hb(a, c), "must_hb is transitive");
-                    }
                 }
             }
         }
