@@ -450,10 +450,11 @@ impl Program {
     /// Table 1), counted from the structure without printing.
     #[must_use]
     pub fn loc(&self) -> usize {
-        // Every `{` opens a line and every `}` closes one: a class or a
-        // manifest counts 2 plus its entries, and an `if`, `loop` or
-        // `sync` 2 plus its body, with `} else {` one more. A method with
-        // an empty body prints `{ }` on its header line.
+        // Each `{` ends a header line and each `}` has a line of its own:
+        // a class or the manifest counts 2 plus a line per entry, an
+        // `if`, `loop` or `sync` 2 plus its body, and a non-empty `else`
+        // 1 (`} else {`) plus its block. A method with an empty body
+        // prints `{ }` on its header line.
         fn block(b: &Block) -> usize {
             b.0.iter()
                 .map(|s| match s {
