@@ -1026,6 +1026,7 @@ fn lower(ast: &AstProgram<'_>) -> Result<Program> {
         }
         if let Some(looper_name) = c.looper {
             let looper = lo.class(looper_name, c.line)?;
+            // Class ids number `ast.classes` in order.
             if ast.classes[looper.index()].role != ClassRole::LooperThread {
                 return Err(ParseError::new(
                     c.line,
