@@ -98,17 +98,17 @@ impl Lifecycle {
     /// Lifecycle callbacks legal in the current state, in the order the
     /// framework would consider them.
     #[must_use]
-    pub fn legal_events(&self) -> Vec<CallbackKind> {
+    pub fn legal_events(&self) -> &'static [CallbackKind] {
         use CallbackKind::*;
         use LifecycleState::*;
         match self.state {
-            Fresh => vec![OnCreate],
-            Created => vec![OnStart],
-            Started => vec![OnResume, OnStop],
-            Resumed => vec![OnPause],
-            Paused => vec![OnResume, OnStop],
-            Stopped => vec![OnRestart, OnDestroy],
-            Destroyed => vec![],
+            Fresh => &[OnCreate],
+            Created => &[OnStart],
+            Started => &[OnResume, OnStop],
+            Resumed => &[OnPause],
+            Paused => &[OnResume, OnStop],
+            Stopped => &[OnRestart, OnDestroy],
+            Destroyed => &[],
         }
     }
 
@@ -347,7 +347,7 @@ mod tests {
             let mut queue = vec![Lifecycle::new()];
             let mut deliverable_without_first = Vec::new();
             while let Some(lc) = queue.pop() {
-                for e in lc.legal_events() {
+                for &e in lc.legal_events() {
                     if e == first {
                         continue;
                     }

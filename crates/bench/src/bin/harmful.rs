@@ -65,7 +65,7 @@ fn main() {
                 witness.schedule.len(),
                 witness.states_explored
             );
-            for line in &minimal.trace {
+            for line in minimal.trace() {
                 println!("    {line}");
             }
         }

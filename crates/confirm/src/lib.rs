@@ -186,7 +186,7 @@ impl<'p> EvidenceGuide<'p> {
                 Event::Entry { method, .. } => self.method_score(*method),
                 Event::DequeuePost { looper } => world
                     .posts
-                    .get(&looper.0)
+                    .get(looper.0 as usize)
                     .and_then(std::collections::VecDeque::front)
                     .map_or(0, |p| self.method_score(p.method)),
                 Event::ServiceConnect { conn } | Event::ServiceDisconnect { conn } => {

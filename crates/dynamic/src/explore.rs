@@ -7,7 +7,9 @@
 //! dispatch orders, thread interleavings, and opaque-branch resolutions,
 //! bounded by step/event budgets and deduplicated by state fingerprints.
 
-use crate::world::{Npe, Step, World};
+use crate::machine::Value;
+use crate::world::{Npe, ServiceState, Step, World};
+use nadroid_android::lifecycle::LifecycleState;
 use nadroid_ir::{InstrId, Program};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashSet;
@@ -153,8 +155,8 @@ pub fn explore_guided(
     let is_goal = |w: &World<'_>| w.npe.as_ref().is_some_and(|npe| goal.matches(npe));
     match search(program, cfg, guide, is_goal) {
         Search::Found { world, states } => Exploration::Witness(Witness {
+            trace: world.trace(),
             npe: world.npe.expect("a goal world holds its NPE"),
-            trace: world.trace,
             schedule: world.schedule,
             states_explored: states,
         }),
@@ -375,109 +377,99 @@ pub fn minimize_schedule(program: &Program, schedule: &[Step], npe: &Npe) -> Vec
 /// equal fingerprints enable the same steps and attribute every future
 /// NPE to the same (use, free) pair. Public so external search drivers
 /// (the confirm subsystem) share the explorer's deduplication.
+///
+/// It hashes only what a schedule can change: the objects allocated
+/// after [`World::new`] (the singletons before them are fixed by the
+/// program), the set and freed field slots, and the lifecycle and
+/// service states that differ from the initial one. Variable-length
+/// sections are length-prefixed, so the cost follows what the schedule
+/// touched, not the program's component count.
 #[must_use]
 pub fn fingerprint(w: &World<'_>) -> u64 {
     let mut h = DefaultHasher::new();
-    // Heap: each object's class and its non-null fields.
-    for obj in w.heap.objects() {
-        obj.class.raw().hash(&mut h);
-        let obj_fields: std::collections::BTreeMap<u32, i64> = obj
-            .fields
-            .iter()
-            .filter_map(|(f, v)| match v {
-                crate::machine::Value::Null => None,
-                crate::machine::Value::Obj(o) => Some((f.raw(), i64::from(o.0))),
-            })
-            .collect();
-        obj_fields.hash(&mut h);
+    // Heap: the classes of the objects allocated since startup, then
+    // each set slot's value or the free that wrote its null.
+    let classes = w.heap.classes();
+    classes.len().hash(&mut h);
+    for c in &classes[w.initial_objects()..] {
+        c.raw().hash(&mut h);
     }
-    let mut writers: Vec<(u32, u32, u32)> = w
-        .heap
-        .null_writers()
-        .map(|(r, f, i)| (r.0, f.raw(), i.raw()))
-        .collect();
-    writers.sort_unstable();
-    writers.hash(&mut h);
+    let slots = w.heap.slots();
+    slots.len().hash(&mut h);
+    for s in slots {
+        let held = match (s.value, s.freed_by) {
+            (Value::Obj(o), _) => u64::from(o.0),
+            (Value::Null, writer) => 1 << 32 | u64::from(writer.map_or(u32::MAX, InstrId::raw)),
+        };
+        (s.obj.0, s.field.raw(), held).hash(&mut h);
+    }
     // Tasks.
+    w.tasks.len().hash(&mut h);
     for t in &w.tasks {
         t.done.hash(&mut h);
+        t.frames.len().hash(&mut h);
         for f in &t.frames {
             f.method.raw().hash(&mut h);
             f.pc.hash(&mut h);
             for v in &f.locals {
                 match v {
-                    crate::machine::Value::Null => (-1i64).hash(&mut h),
-                    crate::machine::Value::Obj(o) => i64::from(o.0).hash(&mut h),
+                    Value::Null => (-1i64).hash(&mut h),
+                    Value::Obj(o) => i64::from(o.0).hash(&mut h),
                 }
             }
             for p in &f.provenance {
                 p.loaded_from.map(InstrId::raw).hash(&mut h);
                 p.freed_by.map(InstrId::raw).hash(&mut h);
             }
-            let budget: std::collections::BTreeMap<_, _> =
-                f.loop_budget.iter().map(|(k, v)| (*k, *v)).collect();
-            budget.hash(&mut h);
+            f.loop_budget.hash(&mut h);
         }
     }
-    // Queues and component state.
-    let mut queues: Vec<u32> = w.posts.keys().copied().collect();
-    queues.sort_unstable();
-    for q in queues {
-        q.hash(&mut h);
-        for p in &w.posts[&q] {
+    // Queues, one per looper.
+    for q in &w.posts {
+        q.len().hash(&mut h);
+        for p in q {
             p.target.0.hash(&mut h);
             p.method.raw().hash(&mut h);
         }
     }
-    let mut lcs: Vec<(u32, u8)> = w
-        .lifecycles
-        .iter()
-        .map(|(c, l)| (c.raw(), l.state() as u8))
-        .collect();
-    lcs.sort_unstable();
-    lcs.hash(&mut h);
-    let mut fin: Vec<u32> = w.finished.iter().map(|c| c.raw()).collect();
-    fin.sort_unstable();
-    fin.hash(&mut h);
+    // Component states that left their initial state, by table index;
+    // the table length ends each list (no index equals it).
+    for (i, (_, lc)) in w.lifecycles.iter().enumerate() {
+        if lc.state() != LifecycleState::Fresh {
+            (i, lc.state() as u8).hash(&mut h);
+        }
+    }
+    w.lifecycles.len().hash(&mut h);
+    for (i, &(_, s)) in w.services.iter().enumerate() {
+        if s != ServiceState::Fresh {
+            (i, s as u8).hash(&mut h);
+        }
+    }
+    w.services.len().hash(&mut h);
+    w.finished.hash(&mut h);
+    w.connections.len().hash(&mut h);
     for (c, s) in &w.connections {
         c.0.hash(&mut h);
         (*s as u8).hash(&mut h);
     }
-    for r in &w.receivers {
-        r.0.hash(&mut h);
-    }
+    w.receivers.hash(&mut h);
     // Shown dialogs and armed alarms in delivery order (the order
     // `enabled_steps` offers their callbacks in).
     w.shown.hash(&mut h);
     w.alarms.hash(&mut h);
-    let mut launched: Vec<u32> = w.launched.iter().map(|c| c.raw()).collect();
-    launched.sort_unstable();
-    launched.hash(&mut h);
+    w.launched.hash(&mut h);
+    w.listeners.len().hash(&mut h);
     for (l, m) in &w.listeners {
         l.0.hash(&mut h);
         m.raw().hash(&mut h);
     }
+    w.async_runs.len().hash(&mut h);
     for a in &w.async_runs {
         a.obj.0.hash(&mut h);
         (a.phase as u8).hash(&mut h);
     }
-    let mut mons: Vec<(u32, u32, u32)> = w
-        .monitors
-        .iter()
-        .map(|(r, (t, d))| (r.0, t.0, *d))
-        .collect();
-    mons.sort_unstable();
-    mons.hash(&mut h);
-    let mut wl: Vec<(u32, u32)> = w.wakelocks.iter().map(|(r, n)| (r.0, *n)).collect();
-    wl.sort_unstable();
-    wl.hash(&mut h);
-    let mut svc: Vec<(u32, u8)> = w
-        .services
-        .iter()
-        .map(|(c, s)| (c.raw(), *s as u8))
-        .collect();
-    svc.sort_unstable();
-    svc.hash(&mut h);
+    w.monitors.hash(&mut h);
+    w.wakelocks.hash(&mut h);
     h.finish()
 }
 
@@ -488,7 +480,7 @@ pub fn explore_no_sleep(program: &Program, cfg: ExploreConfig) -> Option<Vec<Str
     let is_goal = |w: &World<'_>| w.npe.is_none() && w.holds_wakelock() && w.quiescent_background();
     match search(program, cfg, None, is_goal) {
         Search::Found { world, .. } => {
-            let mut trace = world.trace;
+            let mut trace = world.trace();
             trace.push("QUIESCENT with wake lock held".to_owned());
             Some(trace)
         }

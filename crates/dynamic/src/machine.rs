@@ -29,22 +29,29 @@ impl Value {
     }
 }
 
-/// One heap object: its class and reference fields.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HeapObj {
-    /// The object's class.
-    pub class: ClassId,
-    /// Field values (unset fields read as null).
-    pub fields: HashMap<FieldId, Value>,
+/// One set field slot: a field that holds a reference, or that an
+/// explicit free (`putfield null`) nulled.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Slot {
+    /// The object.
+    pub obj: HeapRef,
+    /// The field.
+    pub field: FieldId,
+    /// The field's value (`Null` only for a freed field).
+    pub value: Value,
+    /// The free instruction that wrote the null, for a freed field.
+    pub freed_by: Option<InstrId>,
 }
 
-/// The interpreter heap.
+/// The interpreter heap: the class of every object, and the set field
+/// slots in (object, field) order. A field with no slot reads as null:
+/// it was never written, or a plain store overwrote it with null. Equal
+/// heaps therefore have equal slot vectors, and a clone is two copies
+/// however many objects the heap holds.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Heap {
-    objects: Vec<HeapObj>,
-    /// Which free instruction wrote the current null in a field, for
-    /// attributing NPEs to specific (use, free) pairs.
-    null_writers: HashMap<(u32, FieldId), InstrId>,
+    classes: Vec<ClassId>,
+    slots: Vec<Slot>,
 }
 
 impl Heap {
@@ -56,73 +63,100 @@ impl Heap {
 
     /// Allocate a fresh object of `class`.
     pub fn alloc(&mut self, class: ClassId) -> HeapRef {
-        let r = HeapRef(self.objects.len() as u32);
-        self.objects.push(HeapObj {
-            class,
-            fields: HashMap::new(),
-        });
+        let r = HeapRef(self.classes.len() as u32);
+        self.classes.push(class);
         r
+    }
+
+    /// The index of `r.field`'s slot, or where it would be inserted.
+    fn find(&self, r: HeapRef, field: FieldId) -> Result<usize, usize> {
+        self.slots
+            .binary_search_by(|s| (s.obj, s.field).cmp(&(r, field)))
+    }
+
+    fn set(&mut self, slot: Slot) {
+        match self.find(slot.obj, slot.field) {
+            Ok(i) => self.slots[i] = slot,
+            Err(i) => self.slots.insert(i, slot),
+        }
     }
 
     /// Read a field (unset fields are null).
     #[must_use]
     pub fn load(&self, r: HeapRef, field: FieldId) -> Value {
-        self.objects[r.0 as usize]
-            .fields
-            .get(&field)
-            .copied()
-            .unwrap_or(Value::Null)
+        self.find(r, field)
+            .map_or(Value::Null, |i| self.slots[i].value)
     }
 
     /// Write a field.
     pub fn store(&mut self, r: HeapRef, field: FieldId, v: Value) {
-        self.objects[r.0 as usize].fields.insert(field, v);
-        self.null_writers.remove(&(r.0, field));
+        if v == Value::Null {
+            if let Ok(i) = self.find(r, field) {
+                self.slots.remove(i);
+            }
+        } else {
+            self.set(Slot {
+                obj: r,
+                field,
+                value: v,
+                freed_by: None,
+            });
+        }
     }
 
     /// Write null into a field, recording the freeing instruction.
     pub fn store_null(&mut self, r: HeapRef, field: FieldId, writer: InstrId) {
-        self.objects[r.0 as usize].fields.insert(field, Value::Null);
-        self.null_writers.insert((r.0, field), writer);
+        self.set(Slot {
+            obj: r,
+            field,
+            value: Value::Null,
+            freed_by: Some(writer),
+        });
     }
 
     /// The free instruction that wrote the current null in `r.field`,
     /// if the null came from an explicit `putfield null`.
     #[must_use]
     pub fn null_writer(&self, r: HeapRef, field: FieldId) -> Option<InstrId> {
-        self.null_writers.get(&(r.0, field)).copied()
+        self.find(r, field).ok().and_then(|i| self.slots[i].freed_by)
     }
 
     /// Every explicitly freed field holding its null, with the free
-    /// instruction that wrote it, in no particular order.
+    /// instruction that wrote it, in (object, field) order.
     pub fn null_writers(&self) -> impl Iterator<Item = (HeapRef, FieldId, InstrId)> + '_ {
-        self.null_writers
+        self.slots
             .iter()
-            .map(|(&(r, field), &writer)| (HeapRef(r), field, writer))
+            .filter_map(|s| s.freed_by.map(|writer| (s.obj, s.field, writer)))
     }
 
-    /// Every object, indexed by [`HeapRef`].
+    /// Every set field slot, in (object, field) order.
     #[must_use]
-    pub fn objects(&self) -> &[HeapObj] {
-        &self.objects
+    pub fn slots(&self) -> &[Slot] {
+        &self.slots
+    }
+
+    /// The class of every object, indexed by [`HeapRef`].
+    #[must_use]
+    pub fn classes(&self) -> &[ClassId] {
+        &self.classes
     }
 
     /// The class of an object.
     #[must_use]
     pub fn class_of(&self, r: HeapRef) -> ClassId {
-        self.objects[r.0 as usize].class
+        self.classes[r.0 as usize]
     }
 
     /// Number of live objects.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.objects.len()
+        self.classes.len()
     }
 
     /// Whether the heap is empty.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.objects.is_empty()
+        self.classes.is_empty()
     }
 }
 
@@ -284,8 +318,9 @@ pub struct Frame {
     pub provenance: Vec<Prov>,
     /// Destination local in the *caller* for the return value.
     pub ret_dst: Option<Local>,
-    /// Remaining loop iterations allowed per loop head (explorer bound).
-    pub loop_budget: HashMap<usize, u32>,
+    /// Loop iterations entered per loop head, in pc order (the explorer
+    /// bounds them by `max_loop_iters`).
+    pub loop_budget: Vec<(usize, u32)>,
 }
 
 impl Frame {
@@ -303,7 +338,7 @@ impl Frame {
             locals,
             provenance: vec![Prov::default(); n],
             ret_dst: None,
-            loop_budget: HashMap::new(),
+            loop_budget: Vec::new(),
         }
     }
 
@@ -325,6 +360,22 @@ impl Frame {
     #[must_use]
     pub fn provenance_of(&self, l: Local) -> Prov {
         self.provenance.get(l.index()).copied().unwrap_or_default()
+    }
+
+    /// Iterations entered so far at the loop head (or choice) at `pc`.
+    #[must_use]
+    pub fn loop_iters(&self, pc: usize) -> u32 {
+        self.loop_budget
+            .binary_search_by_key(&pc, |&(head, _)| head)
+            .map_or(0, |i| self.loop_budget[i].1)
+    }
+
+    /// Count one more iteration entered at the loop head at `pc`.
+    pub fn enter_loop(&mut self, pc: usize) {
+        match self.loop_budget.binary_search_by_key(&pc, |&(head, _)| head) {
+            Ok(i) => self.loop_budget[i].1 += 1,
+            Err(i) => self.loop_budget.insert(i, (pc, 1)),
+        }
     }
 }
 
@@ -408,5 +459,28 @@ mod tests {
         h.store(a, f, Value::Obj(b2));
         assert_eq!(h.load(a, f), Value::Obj(b2));
         assert_eq!(h.class_of(a), c);
+    }
+
+    #[test]
+    fn heap_slots_hold_only_references_and_frees_in_order() {
+        let mut h = Heap::new();
+        let c = ClassId::from_raw(0);
+        let (f, g) = (FieldId::from_raw(0), FieldId::from_raw(1));
+        let free = InstrId::from_raw(7);
+        let (a, b) = (h.alloc(c), h.alloc(c));
+        h.store(b, f, Value::Obj(a));
+        h.store_null(a, g, free);
+        h.store(a, f, Value::Obj(b));
+        let order: Vec<_> = h.slots().iter().map(|s| (s.obj, s.field)).collect();
+        assert_eq!(order, [(a, f), (a, g), (b, f)]);
+        assert_eq!(h.null_writer(a, g), Some(free));
+        // A plain store of null unsets the field; a reference clears the
+        // free that wrote the old null.
+        h.store(b, f, Value::Null);
+        h.store(a, g, Value::Obj(a));
+        assert_eq!(h.load(b, f), Value::Null);
+        assert_eq!(h.null_writer(a, g), None);
+        assert_eq!(h.slots().len(), 2);
+        assert_eq!(h.null_writers().count(), 0);
     }
 }

@@ -9,11 +9,11 @@
 //! only delivered to a resumed, unfinished activity.
 
 use crate::machine::{CodeCache, FlatOp, Frame, Heap, HeapRef, Prov, Value};
-use nadroid_android::lifecycle::Lifecycle;
+use nadroid_android::lifecycle::{Lifecycle, LifecycleState};
 use nadroid_android::{CallbackKind, ClassRole};
 use nadroid_ir::{AndroidOp, Callee, ClassId, Cond, InstrId, Local, MethodId, Op, Program};
 use nadroid_threadify::callback_method;
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt;
 use std::rc::Rc;
 
@@ -244,60 +244,73 @@ pub enum ConnState {
     Disconnected,
 }
 
+/// What [`World::new`] fixes for a whole run, shared by every clone:
+/// the component singletons and looper tasks, indexed by class, and the
+/// launch-gated activities.
+#[derive(Debug)]
+struct Layout {
+    /// The singleton of each component class (and hosted fragment).
+    singletons: Vec<Option<HeapRef>>,
+    /// The looper task of each `LooperThread` class, in class order.
+    loopers: Vec<(ClassId, TaskId)>,
+    /// Activities that are only reachable through an explicit
+    /// `startActivity` launch (statically targeted by a launch site
+    /// somewhere in the program): their lifecycles stay dormant until a
+    /// launch actually executes.
+    launch_gated: Vec<ClassId>,
+    /// Number of objects allocated at startup: the singletons.
+    initial_objects: usize,
+    /// Number of methods in the program.
+    methods: usize,
+}
+
 /// The whole execution state. `World` is cloneable so the explorer can
-/// branch.
+/// branch. Component state is kept in class order, so every world of a
+/// program enumerates its enabled steps in the same order.
 #[derive(Clone)]
 pub struct World<'p> {
     program: &'p Program,
     cache: Rc<std::cell::RefCell<CodeCache>>,
-    /// The heap.
+    layout: Rc<Layout>,
+    /// The heap; its first objects are the component singletons.
     pub heap: Heap,
-    /// Component singletons.
-    pub singletons: HashMap<ClassId, HeapRef>,
     /// Tasks; index 0 is the main looper; `LooperThread` classes get
     /// their own looper tasks at startup.
     pub tasks: Vec<Task>,
-    /// FIFO post queue per looper task (keyed by the task index).
-    pub posts: HashMap<u32, VecDeque<PendingPost>>,
-    /// Looper task of each `LooperThread` class.
-    pub looper_tasks: HashMap<ClassId, TaskId>,
-    /// Activity lifecycles.
-    pub lifecycles: HashMap<ClassId, Lifecycle>,
-    /// Finished activities (no further UI/lifecycle).
+    /// FIFO post queue of each looper task, indexed by task (the loopers
+    /// are the first tasks).
+    pub posts: Vec<VecDeque<PendingPost>>,
+    /// Activity and fragment lifecycles, in class order.
+    pub lifecycles: Vec<(ClassId, Lifecycle)>,
+    /// Finished activities (no further UI/lifecycle), in class order.
     pub finished: Vec<ClassId>,
     /// Bound service connections.
     pub connections: Vec<(HeapRef, ConnState)>,
-    /// Lifecycle state of each service component.
-    pub services: HashMap<ClassId, ServiceState>,
+    /// Lifecycle state of each service component, in class order.
+    pub services: Vec<(ClassId, ServiceState)>,
     /// Registered broadcast receivers.
     pub receivers: Vec<HeapRef>,
     /// Currently shown dialogs (`Dialog.show()` adds, `dismiss()` removes).
     pub shown: Vec<HeapRef>,
     /// Armed alarm targets (`AlarmManager.set` adds, `cancel` removes).
     pub alarms: Vec<HeapRef>,
-    /// Activities that are only reachable through an explicit
-    /// `startActivity` launch (statically targeted by a launch site
-    /// somewhere in the program): their lifecycles stay dormant until a
-    /// launch actually executes.
-    pub launch_gated: Vec<ClassId>,
-    /// Launch-gated activities that have been started at runtime.
+    /// Launch-gated activities that have been started at runtime, in
+    /// class order.
     pub launched: Vec<ClassId>,
     /// Imperatively armed listeners: (object, callback).
     pub listeners: Vec<(HeapRef, MethodId)>,
     /// Executed AsyncTask instances.
     pub async_runs: Vec<AsyncRun>,
     /// Held monitors: lock object -> (task, depth).
-    pub monitors: HashMap<HeapRef, (TaskId, u32)>,
+    pub monitors: BTreeMap<HeapRef, (TaskId, u32)>,
     /// Held wake locks: lock object -> acquire depth (no-sleep client).
-    pub wakelocks: HashMap<HeapRef, u32>,
+    pub wakelocks: BTreeMap<HeapRef, u32>,
     /// First NPE observed, if any.
     pub npe: Option<Npe>,
     /// Total micro-steps taken.
     pub steps: usize,
     /// Events dispatched.
     pub events: usize,
-    /// Human-readable schedule trace.
-    pub trace: Vec<String>,
     /// The exact steps taken (for deterministic replay of witnesses).
     pub schedule: Vec<Step>,
     /// Structured event log for offline race detection (populated only
@@ -321,46 +334,71 @@ impl fmt::Debug for World<'_> {
     }
 }
 
+/// The entry of `class` in a class-ordered table.
+fn by_class<T>(table: &[(ClassId, T)], class: ClassId) -> Option<&T> {
+    table
+        .binary_search_by_key(&class, |&(c, _)| c)
+        .ok()
+        .map(|i| &table[i].1)
+}
+
+/// Insert `class` into a sorted class list unless it is there already.
+fn insert_class(list: &mut Vec<ClassId>, class: ClassId) {
+    if let Err(i) = list.binary_search(&class) {
+        list.insert(i, class);
+    }
+}
+
+/// The lifecycle callback a service in `state` takes next: the framework
+/// creates a service once and destroys it once (the MHB-Lifecycle order
+/// for services).
+fn service_transition(state: ServiceState) -> Option<CallbackKind> {
+    match state {
+        ServiceState::Fresh => Some(CallbackKind::OnCreate),
+        ServiceState::Created => Some(CallbackKind::OnDestroy),
+        ServiceState::Destroyed => None,
+    }
+}
+
 impl<'p> World<'p> {
     /// A fresh world: singletons for every component class, activities in
     /// their initial lifecycle state, manifest receivers registered.
     #[must_use]
     pub fn new(program: &'p Program) -> World<'p> {
         let mut heap = Heap::new();
-        let mut singletons = HashMap::new();
-        let mut lifecycles = HashMap::new();
+        let mut singletons = Vec::new();
+        let mut lifecycles = Vec::new();
+        let mut services = Vec::new();
         let reachable = program.reachable_components();
         for (cid, class) in program.classes() {
+            let mut singleton = None;
             if class.role().is_component() {
-                let r = heap.alloc(cid);
-                singletons.insert(cid, r);
+                singleton = Some(heap.alloc(cid));
                 // Only activities an intent can reach are ever started —
                 // unreachable components keep a singleton (for static
                 // accesses) but receive no events.
                 if class.role() == ClassRole::Activity && reachable[cid.index()] {
-                    lifecycles.insert(cid, Lifecycle::new());
+                    lifecycles.push((cid, Lifecycle::new()));
+                }
+                if class.role() == ClassRole::Service {
+                    services.push((cid, ServiceState::Fresh));
                 }
             } else if class.role() == ClassRole::Fragment && class.outer().is_some() {
                 // Fragments are framework-instantiated alongside their
                 // host activity and follow their own lifecycle automaton.
                 let host = program.outermost_class(cid);
                 if program.class(host).role() == ClassRole::Activity && reachable[host.index()] {
-                    let r = heap.alloc(cid);
-                    singletons.insert(cid, r);
-                    lifecycles.insert(cid, Lifecycle::new());
+                    singleton = Some(heap.alloc(cid));
+                    lifecycles.push((cid, Lifecycle::new()));
                 }
             }
+            singletons.push(singleton);
         }
-        let services: HashMap<ClassId, ServiceState> = program
-            .classes()
-            .filter(|(_, c)| c.role() == ClassRole::Service)
-            .map(|(cid, _)| (cid, ServiceState::Fresh))
-            .collect();
         let receivers = program
             .manifest()
             .declared_receivers()
             .iter()
-            .filter_map(|c| singletons.get(c).copied())
+            .filter_map(|c| singletons.get(c.index()).copied().flatten())
             .collect();
         // Activities statically targeted by a launch site wait for the
         // launch; all other activities behave as before (started by an
@@ -378,34 +416,32 @@ impl<'p> World<'p> {
                 }
             }
         }
-        let mut tasks = vec![Task {
+        let looper = || Task {
             frames: Vec::new(),
             done: false,
             is_looper: true,
-        }];
-        let mut posts = HashMap::new();
-        posts.insert(0u32, VecDeque::new());
-        let mut looper_tasks = HashMap::new();
+        };
+        let mut tasks = vec![looper()];
+        let mut loopers = Vec::new();
         for (cid, class) in program.classes() {
             if class.role() == ClassRole::LooperThread {
-                let id = TaskId(tasks.len() as u32);
-                tasks.push(Task {
-                    frames: Vec::new(),
-                    done: false,
-                    is_looper: true,
-                });
-                posts.insert(id.0, VecDeque::new());
-                looper_tasks.insert(cid, id);
+                loopers.push((cid, TaskId(tasks.len() as u32)));
+                tasks.push(looper());
             }
         }
         World {
             program,
             cache: Rc::new(std::cell::RefCell::new(CodeCache::new())),
+            layout: Rc::new(Layout {
+                singletons,
+                loopers,
+                launch_gated,
+                initial_objects: heap.len(),
+                methods: program.method_ids().count(),
+            }),
             heap,
-            singletons,
+            posts: vec![VecDeque::new(); tasks.len()],
             tasks,
-            posts,
-            looper_tasks,
             lifecycles,
             finished: Vec::new(),
             connections: Vec::new(),
@@ -413,22 +449,50 @@ impl<'p> World<'p> {
             receivers,
             shown: Vec::new(),
             alarms: Vec::new(),
-            launch_gated,
             launched: Vec::new(),
             listeners: Vec::new(),
             async_runs: Vec::new(),
-            monitors: HashMap::new(),
-            wakelocks: HashMap::new(),
+            monitors: BTreeMap::new(),
+            wakelocks: BTreeMap::new(),
             npe: None,
             steps: 0,
             events: 0,
-            trace: Vec::new(),
             schedule: Vec::new(),
             events_log: Vec::new(),
             record_events: false,
             next_post_seq: 0,
             max_loop_iters: 1,
         }
+    }
+
+    /// The component singleton of `class`, if it has one.
+    #[must_use]
+    pub fn singleton(&self, class: ClassId) -> Option<HeapRef> {
+        self.layout.singletons.get(class.index()).copied().flatten()
+    }
+
+    /// Number of objects [`World::new`] allocated: the singletons, a
+    /// prefix of the heap fixed by the program.
+    pub(crate) fn initial_objects(&self) -> usize {
+        self.layout.initial_objects
+    }
+
+    /// The human-readable schedule trace: one `dispatch <event>` line per
+    /// dispatched event, then the throw site of the NPE, if any.
+    #[must_use]
+    pub fn trace(&self) -> Vec<String> {
+        let mut lines: Vec<String> = self
+            .schedule
+            .iter()
+            .filter_map(|step| match step {
+                Step::Dispatch(e) => Some(format!("dispatch {e}")),
+                Step::Advance { .. } => None,
+            })
+            .collect();
+        if let Some(npe) = &self.npe {
+            lines.push(format!("NPE at {} in task {}", npe.at, npe.task.0));
+        }
+        lines
     }
 
     /// The program under execution.
@@ -493,14 +557,12 @@ impl<'p> World<'p> {
     /// a no-sleep bug.
     #[must_use]
     pub fn quiescent_background(&self) -> bool {
-        let any_resumed = self.lifecycles.values().any(|lc| {
-            matches!(
-                lc.state(),
-                nadroid_android::lifecycle::LifecycleState::Resumed
-            )
-        });
+        let any_resumed = self
+            .lifecycles
+            .iter()
+            .any(|(_, lc)| lc.state() == LifecycleState::Resumed);
         let any_running = self.tasks.iter().any(|t| !t.frames.is_empty() && !t.done);
-        let any_pending = self.posts.values().any(|q| !q.is_empty());
+        let any_pending = self.posts.iter().any(|q| !q.is_empty());
         !any_resumed && !any_running && !any_pending
     }
 
@@ -516,7 +578,7 @@ impl<'p> World<'p> {
         self.program
             .class(class)
             .looper()
-            .and_then(|l| self.looper_tasks.get(&l).copied())
+            .and_then(|l| by_class(&self.layout.loopers, l).copied())
             .unwrap_or(TaskId::LOOPER)
     }
 
@@ -556,20 +618,14 @@ impl<'p> World<'p> {
             }
         }
         if self.looper_idle() {
-            for e in self.enabled_events() {
-                out.push(Step::Dispatch(e));
-            }
+            self.each_event(|e| out.push(Step::Dispatch(e)));
         }
-        // Custom loopers drain their own queues when idle.
-        for (&task_idx, queue) in &self.posts {
-            if task_idx == 0 {
-                continue; // folded into enabled_events (main-looper gating)
-            }
-            let t = &self.tasks[task_idx as usize];
-            if t.frames.is_empty() && !queue.is_empty() {
-                out.push(Step::Dispatch(Event::DequeuePost {
-                    looper: TaskId(task_idx),
-                }));
+        // Custom loopers drain their own queues when idle (the main
+        // looper's queue is one of its events, gated on it being idle).
+        for looper in 1..self.posts.len() {
+            let looper = TaskId(looper as u32);
+            if self.dequeue_enabled(looper) {
+                out.push(Step::Dispatch(Event::DequeuePost { looper }));
             }
         }
         out
@@ -586,7 +642,7 @@ impl<'p> World<'p> {
     /// which bounds loop unrolling; jumping out is always allowed.
     fn choice_false_allowed(&self, tid: TaskId) -> bool {
         let f = self.tasks[tid.0 as usize].frames.last().expect("frames");
-        f.loop_budget.get(&f.pc).copied().unwrap_or(0) < self.max_loop_iters
+        f.loop_iters(f.pc) < self.max_loop_iters
     }
 
     fn blocked_on_monitor(&self, tid: TaskId) -> bool {
@@ -609,153 +665,141 @@ impl<'p> World<'p> {
     #[must_use]
     pub fn enabled_events(&self) -> Vec<Event> {
         let mut out = Vec::new();
+        self.each_event(|e| out.push(e));
+        out
+    }
+
+    /// Emit every deliverable framework event, in a fixed order: each
+    /// source in turn, components in class order. Each source's rule is
+    /// one predicate that [`World::dispatchable`] asks as well.
+    fn each_event(&self, mut emit: impl FnMut(Event)) {
         // Lifecycle transitions of unfinished activities (and fragments,
         // whose events stop with their finished host).
-        for (&act, lc) in &self.lifecycles {
-            if self.finished.contains(&act)
-                || self.finished.contains(&self.program.outermost_class(act))
-                || self.launch_dormant(act)
-            {
-                continue;
-            }
-            for kind in lc.legal_events() {
-                if callback_method(self.program, act, kind).is_some() || kind_needed(lc, kind) {
-                    out.push(Event::Lifecycle {
-                        activity: act,
-                        kind,
-                    });
+        for &(activity, ref lc) in &self.lifecycles {
+            if self.lifecycle_live(activity) {
+                for &kind in lc.legal_events() {
+                    emit(Event::Lifecycle { activity, kind });
                 }
             }
         }
         // UI/system callbacks declared on resumed activities/fragments.
-        for (&act, lc) in &self.lifecycles {
-            if self.finished.contains(&act)
-                || self.finished.contains(&self.program.outermost_class(act))
-                || self.launch_dormant(act)
-                || !matches!(
-                    lc.state(),
-                    nadroid_android::lifecycle::LifecycleState::Resumed
-                )
-            {
+        for &(act, ref lc) in &self.lifecycles {
+            if !self.takes_ui_events(act, lc) {
                 continue;
             }
-            let Some(&target) = self.singletons.get(&act) else {
+            let Some(target) = self.singleton(act) else {
                 continue;
             };
-            for &m in self.program.class(act).methods() {
-                if let Some(k) = self.program.method(m).callback() {
-                    if k.is_ui() || k.is_system() {
-                        out.push(Event::Entry { target, method: m });
-                    }
+            for &method in self.program.class(act).methods() {
+                if self.activity_entry(method) {
+                    emit(Event::Entry { target, method });
                 }
             }
         }
         // Service lifecycle and entry callbacks: the framework creates a
         // service on demand, delivers commands/binds while it lives, and
-        // destroys it once (the MHB-Lifecycle order for services).
-        for (&svc, &state) in &self.services {
-            let Some(&target) = self.singletons.get(&svc) else {
+        // destroys it once.
+        for &(svc, state) in &self.services {
+            let Some(target) = self.singleton(svc) else {
                 continue;
             };
-            match state {
-                ServiceState::Fresh => {
-                    out.push(Event::Lifecycle {
-                        activity: svc,
-                        kind: CallbackKind::OnCreate,
-                    });
-                }
-                ServiceState::Created => {
-                    for &m in self.program.class(svc).methods() {
-                        if let Some(k) = self.program.method(m).callback() {
-                            if k.is_system() {
-                                out.push(Event::Entry { target, method: m });
-                            }
-                        }
+            if state == ServiceState::Created {
+                for &method in self.program.class(svc).methods() {
+                    if self.service_entry(method) {
+                        emit(Event::Entry { target, method });
                     }
-                    out.push(Event::Lifecycle {
-                        activity: svc,
-                        kind: CallbackKind::OnDestroy,
-                    });
                 }
-                ServiceState::Destroyed => {}
+            }
+            if let Some(kind) = service_transition(state) {
+                emit(Event::Lifecycle {
+                    activity: svc,
+                    kind,
+                });
             }
         }
         // Imperatively armed listeners (gated on their governing activity
         // still accepting UI events, when resolvable).
         for &(target, method) in &self.listeners {
             if self.listener_enabled(target) {
-                out.push(Event::Entry { target, method });
+                emit(Event::Entry { target, method });
             }
         }
         // Posted work on the main looper.
-        if self.posts.get(&0).is_some_and(|q| !q.is_empty()) {
-            out.push(Event::DequeuePost {
+        if self.dequeue_enabled(TaskId::LOOPER) {
+            emit(Event::DequeuePost {
                 looper: TaskId::LOOPER,
             });
         }
         // Service connections.
         for &(conn, state) in &self.connections {
-            match state {
-                ConnState::Bound => {
-                    if self
-                        .conn_method(conn, CallbackKind::OnServiceConnected)
-                        .is_some()
-                    {
-                        out.push(Event::ServiceConnect { conn });
-                    }
-                }
-                ConnState::Connected => {
-                    if self
-                        .conn_method(conn, CallbackKind::OnServiceDisconnected)
-                        .is_some()
-                    {
-                        out.push(Event::ServiceDisconnect { conn });
-                    }
-                }
-                // A crashed service connection stays disconnected: the
-                // paper's sound MHB-Service order (connected strictly
-                // before disconnected) relies on no reconnection.
-                ConnState::Disconnected => {}
+            if let Some(e) = self.connection_event(conn, state) {
+                emit(e);
             }
         }
         // Broadcasts.
-        for &r in &self.receivers {
-            if callback_method(self.program, self.heap.class_of(r), CallbackKind::OnReceive)
-                .is_some()
-            {
-                out.push(Event::Broadcast { receiver: r });
+        for &receiver in &self.receivers {
+            if self.takes_broadcasts(receiver) {
+                emit(Event::Broadcast { receiver });
             }
         }
         // Shown dialogs deliver onShow while shown; dismissal silences
         // them (onDismiss delivery is modeled statically only).
-        for &d in &self.shown {
-            if let Some(m) = callback_method(self.program, self.heap.class_of(d), CallbackKind::OnShow)
-            {
-                out.push(Event::Entry { target: d, method: m });
+        for &target in &self.shown {
+            if let Some(method) = self.callback_of(target, CallbackKind::OnShow) {
+                emit(Event::Entry { target, method });
             }
         }
         // Armed alarm targets deliver onAlarm until cancelled.
-        for &a in &self.alarms {
-            if let Some(m) =
-                callback_method(self.program, self.heap.class_of(a), CallbackKind::OnAlarm)
-            {
-                out.push(Event::Entry { target: a, method: m });
+        for &target in &self.alarms {
+            if let Some(method) = self.callback_of(target, CallbackKind::OnAlarm) {
+                emit(Event::Entry { target, method });
             }
         }
         // Finished AsyncTasks' onPostExecute.
-        for (i, run) in self.async_runs.iter().enumerate() {
-            if run.phase == TaskPhase::Post {
-                out.push(Event::TaskPost { run: i });
+        for (run, r) in self.async_runs.iter().enumerate() {
+            if r.phase == TaskPhase::Post {
+                emit(Event::TaskPost { run });
             }
         }
-        out
+    }
+
+    /// Whether an activity's (or hosted fragment's) lifecycle takes
+    /// events: neither it nor its host is finished, and it is not
+    /// waiting for a launch.
+    fn lifecycle_live(&self, act: ClassId) -> bool {
+        !self.finished.contains(&act)
+            && !self.finished.contains(&self.program.outermost_class(act))
+            && !self.launch_dormant(act)
+    }
+
+    /// Whether an activity or fragment takes UI events: live and resumed.
+    fn takes_ui_events(&self, act: ClassId, lc: &Lifecycle) -> bool {
+        lc.state() == LifecycleState::Resumed && self.lifecycle_live(act)
+    }
+
+    /// Whether `m` is an entry a resumed activity or fragment takes: a
+    /// UI or system callback.
+    fn activity_entry(&self, m: MethodId) -> bool {
+        self.program
+            .method(m)
+            .callback()
+            .is_some_and(|k| k.is_ui() || k.is_system())
+    }
+
+    /// Whether `m` is an entry a created service takes: a system
+    /// callback.
+    fn service_entry(&self, m: MethodId) -> bool {
+        self.program
+            .method(m)
+            .callback()
+            .is_some_and(CallbackKind::is_system)
     }
 
     /// Whether an activity's (or hosted fragment's) lifecycle is dormant
     /// pending an explicit `startActivity` launch.
     fn launch_dormant(&self, act: ClassId) -> bool {
         let host = self.program.outermost_class(act);
-        self.launch_gated.contains(&host) && !self.launched.contains(&host)
+        self.layout.launch_gated.contains(&host) && self.launched.binary_search(&host).is_err()
     }
 
     fn listener_enabled(&self, target: HeapRef) -> bool {
@@ -765,17 +809,47 @@ impl<'p> World<'p> {
         let outer = self.program.outermost_class(self.heap.class_of(target));
         if self.program.class(outer).role() == ClassRole::Activity {
             !self.finished.contains(&outer)
-                && self
-                    .lifecycles
-                    .get(&outer)
-                    .is_some_and(nadroid_android::lifecycle::Lifecycle::accepts_ui_events)
+                && by_class(&self.lifecycles, outer).is_some_and(Lifecycle::accepts_ui_events)
         } else {
             true
         }
     }
 
-    fn conn_method(&self, conn: HeapRef, kind: CallbackKind) -> Option<MethodId> {
-        callback_method(self.program, self.heap.class_of(conn), kind)
+    /// Whether a looper is idle with work queued.
+    fn dequeue_enabled(&self, looper: TaskId) -> bool {
+        let i = looper.0 as usize;
+        self.tasks.get(i).is_some_and(|t| t.is_looper && t.frames.is_empty())
+            && self.posts.get(i).is_some_and(|q| !q.is_empty())
+    }
+
+    /// The event a connection in `state` takes next, if its class has
+    /// the callback: connect when bound, disconnect when connected. A
+    /// crashed service connection stays disconnected: the paper's sound
+    /// MHB-Service order (connected strictly before disconnected)
+    /// relies on no reconnection.
+    fn connection_event(&self, conn: HeapRef, state: ConnState) -> Option<Event> {
+        let (kind, event) = match state {
+            ConnState::Bound => (
+                CallbackKind::OnServiceConnected,
+                Event::ServiceConnect { conn },
+            ),
+            ConnState::Connected => (
+                CallbackKind::OnServiceDisconnected,
+                Event::ServiceDisconnect { conn },
+            ),
+            ConnState::Disconnected => return None,
+        };
+        self.callback_of(conn, kind).map(|_| event)
+    }
+
+    /// Whether a registered receiver's class handles broadcasts.
+    fn takes_broadcasts(&self, receiver: HeapRef) -> bool {
+        self.callback_of(receiver, CallbackKind::OnReceive).is_some()
+    }
+
+    /// The `kind` callback of an object's class.
+    fn callback_of(&self, obj: HeapRef, kind: CallbackKind) -> Option<MethodId> {
+        callback_method(self.program, self.heap.class_of(obj), kind)
     }
 
     // --- step application -----------------------------------------------------
@@ -786,18 +860,16 @@ impl<'p> World<'p> {
         if self.npe.is_some() {
             return false;
         }
-        self.steps += 1;
-        self.schedule.push(step.clone());
         match step {
             Step::Advance { task, choice } => {
                 // Same validation as for dispatches below: a minimized
                 // schedule may have dropped the step that created this
                 // task, making the advance stale rather than a crash.
                 if self.tasks.get(task.0 as usize).is_none() {
-                    self.steps -= 1;
-                    self.schedule.pop();
                     return false;
                 }
+                self.steps += 1;
+                self.schedule.push(step.clone());
                 self.advance(*task, *choice)
             }
             Step::Dispatch(e) => {
@@ -805,67 +877,102 @@ impl<'p> World<'p> {
                 // minimized schedules cannot smuggle in illegal events
                 // (e.g. a disconnect before any connect).
                 if !self.dispatchable(e) {
-                    self.steps -= 1;
-                    self.schedule.pop();
                     return false;
                 }
+                self.steps += 1;
                 self.events += 1;
-                self.trace.push(format!("dispatch {e}"));
-                self.dispatch(e.clone())
+                self.schedule.push(step.clone());
+                self.dispatch(e)
             }
         }
     }
 
-    /// Whether an event may legally be dispatched right now — the same
-    /// conditions [`World::enabled_steps`] enumerates under.
+    /// Whether an event may legally be dispatched right now: exactly when
+    /// [`World::enabled_steps`] offers it. Ids out of range for the
+    /// program or the heap (a schedule decoded against another program)
+    /// answer `false`.
     fn dispatchable(&self, e: &Event) -> bool {
-        if let Event::DequeuePost { looper } = e {
-            if looper.0 != 0 {
-                let Some(t) = self.tasks.get(looper.0 as usize) else {
-                    return false;
-                };
-                return t.is_looper
-                    && t.frames.is_empty()
-                    && self.posts.get(&looper.0).is_some_and(|q| !q.is_empty());
-            }
+        if let Event::DequeuePost { looper } = *e {
+            return self.dequeue_enabled(looper);
         }
-        self.looper_idle() && self.enabled_events().contains(e)
+        if !self.looper_idle() {
+            return false;
+        }
+        match *e {
+            Event::Lifecycle { activity, kind } => {
+                if let Some(&state) = by_class(&self.services, activity) {
+                    self.singleton(activity).is_some() && service_transition(state) == Some(kind)
+                } else {
+                    by_class(&self.lifecycles, activity).is_some_and(|lc| {
+                        lc.legal_events().contains(&kind) && self.lifecycle_live(activity)
+                    })
+                }
+            }
+            Event::Entry { target, method } => self.entry_enabled(target, method),
+            Event::DequeuePost { .. } => unreachable!("answered above"),
+            Event::ServiceConnect { conn } | Event::ServiceDisconnect { conn } => self
+                .connections
+                .iter()
+                .find(|&&(c, _)| c == conn)
+                .and_then(|&(_, state)| self.connection_event(conn, state))
+                .as_ref()
+                == Some(e),
+            Event::Broadcast { receiver } => {
+                self.receivers.contains(&receiver) && self.takes_broadcasts(receiver)
+            }
+            Event::TaskPost { run } => self
+                .async_runs
+                .get(run)
+                .is_some_and(|r| r.phase == TaskPhase::Post),
+        }
     }
 
-    fn dispatch(&mut self, e: Event) -> bool {
-        match e {
+    /// Whether any source of entry events offers `method` on `target`: a
+    /// resumed activity or fragment, a created service, an armed
+    /// listener, a shown dialog or an armed alarm.
+    fn entry_enabled(&self, target: HeapRef, method: MethodId) -> bool {
+        if target.0 as usize >= self.heap.len() || method.index() >= self.layout.methods {
+            return false;
+        }
+        let class = self.heap.class_of(target);
+        let component = self.singleton(class) == Some(target)
+            && self.program.method(method).owner() == class
+            && (by_class(&self.lifecycles, class)
+                .is_some_and(|lc| self.takes_ui_events(class, lc) && self.activity_entry(method))
+                || by_class(&self.services, class) == Some(&ServiceState::Created)
+                    && self.service_entry(method));
+        component
+            || self.listeners.contains(&(target, method)) && self.listener_enabled(target)
+            || self.shown.contains(&target)
+                && self.callback_of(target, CallbackKind::OnShow) == Some(method)
+            || self.alarms.contains(&target)
+                && self.callback_of(target, CallbackKind::OnAlarm) == Some(method)
+    }
+
+    fn dispatch(&mut self, e: &Event) -> bool {
+        match *e {
             Event::Lifecycle { activity, kind } => {
-                // Service lifecycle: Fresh -> Created -> Destroyed.
-                if let Some(state) = self.services.get_mut(&activity) {
-                    let ok = match (*state, kind) {
-                        (ServiceState::Fresh, CallbackKind::OnCreate) => {
-                            *state = ServiceState::Created;
-                            true
-                        }
-                        (ServiceState::Created, CallbackKind::OnDestroy) => {
-                            *state = ServiceState::Destroyed;
-                            true
-                        }
-                        _ => false,
+                if let Ok(i) = self.services.binary_search_by_key(&activity, |&(c, _)| c) {
+                    // Service lifecycle: Fresh -> Created -> Destroyed.
+                    let state = &mut self.services[i].1;
+                    *state = match (*state, kind) {
+                        (ServiceState::Fresh, CallbackKind::OnCreate) => ServiceState::Created,
+                        (ServiceState::Created, CallbackKind::OnDestroy) => ServiceState::Destroyed,
+                        _ => return false,
                     };
-                    if !ok {
+                } else {
+                    let Ok(i) = self.lifecycles.binary_search_by_key(&activity, |&(c, _)| c) else {
+                        return false;
+                    };
+                    if self.lifecycles[i].1.fire(kind).is_err() {
                         return false;
                     }
-                    if let Some(m) = callback_method(self.program, activity, kind) {
-                        let this = Value::Obj(self.singletons[&activity]);
-                        self.push_looper_frame(m, this);
-                    }
-                    return true;
                 }
-                let Some(lc) = self.lifecycles.get_mut(&activity) else {
-                    return false;
-                };
-                if lc.fire(kind).is_err() {
-                    return false;
-                }
-                if let Some(m) = callback_method(self.program, activity, kind) {
-                    let this = Value::Obj(self.singletons[&activity]);
-                    self.push_looper_frame(m, this);
+                if let (Some(m), Some(this)) = (
+                    callback_method(self.program, activity, kind),
+                    self.singleton(activity),
+                ) {
+                    self.push_looper_frame(m, Value::Obj(this));
                 }
                 true
             }
@@ -874,7 +981,7 @@ impl<'p> World<'p> {
                 true
             }
             Event::DequeuePost { looper } => {
-                let Some(p) = self.posts.get_mut(&looper.0).and_then(VecDeque::pop_front) else {
+                let Some(p) = self.posts[looper.0 as usize].pop_front() else {
                     return false;
                 };
                 if self.record_events {
@@ -883,44 +990,33 @@ impl<'p> World<'p> {
                 self.push_frame_on(looper, p.method, Value::Obj(p.target));
                 true
             }
-            Event::ServiceConnect { conn } => {
+            Event::ServiceConnect { conn } | Event::ServiceDisconnect { conn } => {
+                let (state, kind) = match e {
+                    Event::ServiceConnect { .. } => {
+                        (ConnState::Connected, CallbackKind::OnServiceConnected)
+                    }
+                    _ => (ConnState::Disconnected, CallbackKind::OnServiceDisconnected),
+                };
                 let Some(slot) = self.connections.iter_mut().find(|(c, _)| *c == conn) else {
                     return false;
                 };
-                slot.1 = ConnState::Connected;
-                if let Some(m) = self.conn_method(conn, CallbackKind::OnServiceConnected) {
-                    self.push_looper_frame(m, Value::Obj(conn));
-                }
-                true
-            }
-            Event::ServiceDisconnect { conn } => {
-                let Some(slot) = self.connections.iter_mut().find(|(c, _)| *c == conn) else {
-                    return false;
-                };
-                slot.1 = ConnState::Disconnected;
-                if let Some(m) = self.conn_method(conn, CallbackKind::OnServiceDisconnected) {
+                slot.1 = state;
+                if let Some(m) = self.callback_of(conn, kind) {
                     self.push_looper_frame(m, Value::Obj(conn));
                 }
                 true
             }
             Event::Broadcast { receiver } => {
-                let class = self.heap.class_of(receiver);
-                if let Some(m) = callback_method(self.program, class, CallbackKind::OnReceive) {
+                if let Some(m) = self.callback_of(receiver, CallbackKind::OnReceive) {
                     self.push_looper_frame(m, Value::Obj(receiver));
                 }
                 true
             }
             Event::TaskPost { run } => {
-                let Some(r) = self.async_runs.get_mut(run) else {
-                    return false;
-                };
-                if r.phase != TaskPhase::Post {
-                    return false;
-                }
+                let r = &mut self.async_runs[run];
                 r.phase = TaskPhase::Done;
                 let obj = r.obj;
-                let class = self.heap.class_of(obj);
-                if let Some(m) = callback_method(self.program, class, CallbackKind::OnPostExecute) {
+                if let Some(m) = self.callback_of(obj, CallbackKind::OnPostExecute) {
                     self.push_looper_frame(m, Value::Obj(obj));
                 }
                 true
@@ -953,14 +1049,11 @@ impl<'p> World<'p> {
         if self.record_events {
             self.events_log.push(TraceEvent::PostEnqueue { from, seq });
         }
-        self.posts
-            .entry(looper.0)
-            .or_default()
-            .push_back(PendingPost {
-                target,
-                method,
-                seq,
-            });
+        self.posts[looper.0 as usize].push_back(PendingPost {
+            target,
+            method,
+            seq,
+        });
     }
 
     fn spawn_thread(&mut self, from: TaskId, method: MethodId, this: Value) -> TaskId {
@@ -989,12 +1082,13 @@ impl<'p> World<'p> {
         let Some(frame) = self.tasks[ti].frames.last() else {
             return false;
         };
-        let Some(op) = frame.code.ops.get(frame.pc).cloned() else {
+        let code = Rc::clone(&frame.code);
+        let Some(op) = code.ops.get(frame.pc) else {
             // Method end without explicit return.
             self.pop_frame(tid, None);
             return true;
         };
-        match op {
+        match *op {
             FlatOp::Jump { target } => {
                 self.frame_mut(tid).pc = target;
             }
@@ -1005,9 +1099,7 @@ impl<'p> World<'p> {
                 } else {
                     // Entering a loop body consumes budget; pure if-choices
                     // have jump targets *after* their pc, loops jump back.
-                    let head = f.pc;
-                    let budget = f.loop_budget.entry(head).or_insert(0);
-                    *budget += 1;
+                    f.enter_loop(f.pc);
                     f.pc += 1;
                 }
             }
@@ -1053,8 +1145,8 @@ impl<'p> World<'p> {
                 }
                 self.frame_mut(tid).pc += 1;
             }
-            FlatOp::Instr(id, op) => {
-                self.exec(tid, id, &op);
+            FlatOp::Instr(id, ref op) => {
+                self.exec(tid, id, op);
             }
         }
         true
@@ -1080,7 +1172,6 @@ impl<'p> World<'p> {
             Some(FlatOp::Instr(id, _)) => *id,
             _ => InstrId::from_raw(u32::MAX),
         };
-        self.trace.push(format!("NPE at {at} in task {}", tid.0));
         self.npe = Some(Npe {
             at,
             loaded_from: prov.loaded_from,
@@ -1167,10 +1258,7 @@ impl<'p> World<'p> {
                 f.pc += 1;
             }
             Op::LoadStatic { dst, class } => {
-                let v = self
-                    .singletons
-                    .get(class)
-                    .map_or(Value::Null, |&r| Value::Obj(r));
+                let v = self.singleton(*class).map_or(Value::Null, Value::Obj);
                 let f = self.frame_mut(tid);
                 f.set(*dst, v, Prov::default());
                 f.pc += 1;
@@ -1419,10 +1507,8 @@ impl<'p> World<'p> {
                 let this = self.frame(tid).get(Local::THIS);
                 if let Some(r) = this.as_ref() {
                     let outer = self.program.outermost_class(self.heap.class_of(r));
-                    if self.program.class(outer).role() == ClassRole::Activity
-                        && !self.finished.contains(&outer)
-                    {
-                        self.finished.push(outer);
+                    if self.program.class(outer).role() == ClassRole::Activity {
+                        insert_class(&mut self.finished, outer);
                     }
                 }
             }
@@ -1430,7 +1516,7 @@ impl<'p> World<'p> {
                 let Some(r) = self.operand_obj(tid, handler) else {
                     return;
                 };
-                for q in self.posts.values_mut() {
+                for q in &mut self.posts {
                     q.retain(|p| p.target != r);
                 }
             }
@@ -1484,8 +1570,8 @@ impl<'p> World<'p> {
                     return;
                 };
                 let class = self.heap.class_of(r);
-                if self.launch_gated.contains(&class) && !self.launched.contains(&class) {
-                    self.launched.push(class);
+                if self.layout.launch_gated.contains(&class) {
+                    insert_class(&mut self.launched, class);
                 }
             }
             AndroidOp::RegisterListener { listener, .. } => {
@@ -1506,10 +1592,4 @@ impl<'p> World<'p> {
             self.frame_mut(tid).pc += 1;
         }
     }
-}
-
-/// Lifecycle transitions are worth dispatching even without a callback
-/// body (they gate UI events).
-fn kind_needed(_lc: &Lifecycle, _kind: CallbackKind) -> bool {
-    true
 }

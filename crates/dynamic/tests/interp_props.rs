@@ -226,6 +226,6 @@ proptest! {
         prop_assert_eq!(replayed.steps, world.steps);
         prop_assert_eq!(replayed.events, world.events);
         prop_assert_eq!(replayed.heap.len(), world.heap.len());
-        prop_assert_eq!(&replayed.trace, &world.trace);
+        prop_assert_eq!(&replayed.trace(), &world.trace());
     }
 }
