@@ -13,7 +13,7 @@
 //!   does not model.
 
 use nadroid_detector::UafWarning;
-use nadroid_ir::{ClassId, Program};
+use nadroid_ir::Program;
 use nadroid_pointsto::PointsTo;
 use std::fmt;
 
@@ -70,22 +70,14 @@ pub fn classify_fp(program: &Program, pts: &PointsTo, w: &UafWarning) -> FpCause
     }
     let use_comp = program.outermost_class(program.method(w.use_access.method).owner());
     let free_comp = program.outermost_class(program.method(w.free_access.method).owner());
-    if !component_reachable(program, use_comp) || !component_reachable(program, free_comp) {
+    if !program.component_reachable(use_comp) || !program.component_reachable(free_comp) {
         return FpCause::NotReachable;
     }
     FpCause::MissingHappensBefore
 }
 
-/// Whether a component is reachable from the manifest (delegates to
-/// [`Program::component_reachable`]; kept here for API continuity).
-#[must_use]
-pub fn component_reachable(program: &Program, component: ClassId) -> bool {
-    program.component_reachable(component)
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
     use nadroid_ir::parse_program;
 
     #[test]
@@ -103,15 +95,15 @@ mod tests {
         let main = p.class_by_name("Main").unwrap();
         let second = p.class_by_name("Second").unwrap();
         let orphan = p.class_by_name("Orphan").unwrap();
-        assert!(component_reachable(&p, main));
-        assert!(component_reachable(&p, second), "statically referenced");
-        assert!(!component_reachable(&p, orphan));
+        assert!(p.component_reachable(main));
+        assert!(p.component_reachable(second), "statically referenced");
+        assert!(!p.component_reachable(orphan));
     }
 
     #[test]
     fn no_manifest_means_everything_reachable() {
         let p = parse_program("app R\nactivity A { }").unwrap();
         let a = p.class_by_name("A").unwrap();
-        assert!(component_reachable(&p, a));
+        assert!(p.component_reachable(a));
     }
 }

@@ -39,7 +39,7 @@ pub mod provenance;
 pub mod render;
 pub mod report;
 
-pub use fpclass::{classify_fp, component_reachable, FpCause};
+pub use fpclass::{classify_fp, FpCause};
 pub use json::{
     esc, fingerprint, parse_json, phase_timings_json, program_hash, render_json,
     render_run_report, warning_population_digest, JsonValue,
