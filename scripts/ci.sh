@@ -11,7 +11,9 @@
 # 3. clippy with warnings promoted to errors,
 # 4. the HB parity gate, in release: the graph-backed filters must
 #    match the legacy filter logic verdict-for-verdict, and in Figure 5
-#    tallies and surviving ids, on all 27 apps; then the repository
+#    tallies and surviving ids, on all 27 apps; then the soundness fuzz
+#    (10 seeded random apps: no pair a sound filter prunes may have a
+#    witness under bounded exploration); then the repository
 #    benchmark's smoke tests (it is a Cargo package of its own),
 # 5. provenance smoke test: `nadroid explain` on a corpus app must
 #    produce a non-empty derivation tree and a filter audit; the
@@ -69,6 +71,11 @@ cargo clippy --workspace --all-targets -- -D warnings
 # HB parity gate: the graph-backed filters must reproduce the legacy
 # filter logic byte-for-byte across the whole 27-app corpus.
 cargo test -q --release --test hb_parity
+
+# Soundness fuzz: seeded random apps mixing every pattern kind; the
+# explorer must find no witness for any pair the sound filters prune.
+# The apps and the search order are fixed, so the run is deterministic.
+cargo run --release -p nadroid-bench --bin soundness_fuzz -- 10
 
 # Benchmark smoke: the repository benchmark is a Cargo package of its
 # own, so the workspace build above does not cover it. Its tests build
