@@ -30,7 +30,9 @@
 //! ([`confirm_survivors`]) runs one search per *distinct* (use, free)
 //! pair on the ambient [`nadroid_par`] thread budget and merges in pair
 //! order, so verdicts, schedules, and tallies are byte-identical at any
-//! thread count. Nothing in the search consults a clock or randomness.
+//! thread count. Nothing in the search consults a clock or randomness,
+//! and the interpreter offers its enabled steps in one order per
+//! program, so they are byte-identical across processes too.
 
 use nadroid_core::{warning_population_digest, Analysis, Confirmation, ConfirmVerdict};
 use nadroid_detector::{warning_id, UafWarning};

@@ -143,8 +143,10 @@ pub fn explore(program: &Program, goal: Goal, cfg: ExploreConfig) -> Option<Witn
 /// The search is a depth-first exploration with state-fingerprint
 /// deduplication; with a guide, successors are pushed in ascending
 /// priority order so the highest-priority step is explored first.
-/// Everything is deterministic: no randomness, no clocks, and a fixed
-/// enabled-step order.
+/// Everything is deterministic: no randomness, no clocks, and one
+/// enabled-step order per program (tasks by index, then each event
+/// source with its components in class order), so a search repeats its
+/// states, witness and state count in every world and every process.
 #[must_use]
 pub fn explore_guided(
     program: &Program,
@@ -397,9 +399,10 @@ pub fn fingerprint(w: &World<'_>) -> u64 {
     let slots = w.heap.slots();
     slots.len().hash(&mut h);
     for s in slots {
-        let held = match (s.value, s.freed_by) {
-            (Value::Obj(o), _) => u64::from(o.0),
-            (Value::Null, writer) => 1 << 32 | u64::from(writer.map_or(u32::MAX, InstrId::raw)),
+        let held = match s.value {
+            Value::Obj(o) => u64::from(o.0),
+            // A freed field: the free that wrote its null.
+            Value::Null => 1 << 32 | u64::from(s.freed_by.map_or(u32::MAX, InstrId::raw)),
         };
         (s.obj.0, s.field.raw(), held).hash(&mut h);
     }

@@ -48,7 +48,7 @@ pub use explore::{
 };
 pub use schedule::{decode_schedule, describe_schedule, encode_schedule};
 pub use machine::{
-    flatten, CodeCache, FlatBody, FlatOp, Frame, Heap, HeapRef, Prov, Slot, Value,
+    flatten, CodeCache, FlatBody, FlatOp, Frame, Heap, HeapRef, Prov, Value,
 };
 pub use world::{
     AsyncRun, ConnState, Event, Npe, PendingPost, ServiceState, Step, Task, TaskId, TaskPhase,

@@ -32,7 +32,7 @@ impl Value {
 /// One set field slot: a field that holds a reference, or that an
 /// explicit free (`putfield null`) nulled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Slot {
+pub(crate) struct Slot {
     /// The object.
     pub obj: HeapRef,
     /// The field.
@@ -130,14 +130,12 @@ impl Heap {
     }
 
     /// Every set field slot, in (object, field) order.
-    #[must_use]
-    pub fn slots(&self) -> &[Slot] {
+    pub(crate) fn slots(&self) -> &[Slot] {
         &self.slots
     }
 
     /// The class of every object, indexed by [`HeapRef`].
-    #[must_use]
-    pub fn classes(&self) -> &[ClassId] {
+    pub(crate) fn classes(&self) -> &[ClassId] {
         &self.classes
     }
 
@@ -363,15 +361,14 @@ impl Frame {
     }
 
     /// Iterations entered so far at the loop head (or choice) at `pc`.
-    #[must_use]
-    pub fn loop_iters(&self, pc: usize) -> u32 {
+    pub(crate) fn loop_iters(&self, pc: usize) -> u32 {
         self.loop_budget
             .binary_search_by_key(&pc, |&(head, _)| head)
             .map_or(0, |i| self.loop_budget[i].1)
     }
 
     /// Count one more iteration entered at the loop head at `pc`.
-    pub fn enter_loop(&mut self, pc: usize) {
+    pub(crate) fn enter_loop(&mut self, pc: usize) {
         match self.loop_budget.binary_search_by_key(&pc, |&(head, _)| head) {
             Ok(i) => self.loop_budget[i].1 += 1,
             Err(i) => self.loop_budget.insert(i, (pc, 1)),

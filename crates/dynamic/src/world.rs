@@ -466,8 +466,7 @@ impl<'p> World<'p> {
     }
 
     /// The component singleton of `class`, if it has one.
-    #[must_use]
-    pub fn singleton(&self, class: ClassId) -> Option<HeapRef> {
+    fn singleton(&self, class: ClassId) -> Option<HeapRef> {
         self.layout.singletons.get(class.index()).copied().flatten()
     }
 
@@ -892,16 +891,12 @@ impl<'p> World<'p> {
     /// program or the heap (a schedule decoded against another program)
     /// answer `false`.
     fn dispatchable(&self, e: &Event) -> bool {
-        if let Event::DequeuePost { looper } = *e {
-            return self.dequeue_enabled(looper);
-        }
-        if !self.looper_idle() {
-            return false;
-        }
         match *e {
+            Event::DequeuePost { looper } => self.dequeue_enabled(looper),
+            _ if !self.looper_idle() => false,
             Event::Lifecycle { activity, kind } => {
                 if let Some(&state) = by_class(&self.services, activity) {
-                    self.singleton(activity).is_some() && service_transition(state) == Some(kind)
+                    service_transition(state) == Some(kind)
                 } else {
                     by_class(&self.lifecycles, activity).is_some_and(|lc| {
                         lc.legal_events().contains(&kind) && self.lifecycle_live(activity)
@@ -909,7 +904,6 @@ impl<'p> World<'p> {
                 }
             }
             Event::Entry { target, method } => self.entry_enabled(target, method),
-            Event::DequeuePost { .. } => unreachable!("answered above"),
             Event::ServiceConnect { conn } | Event::ServiceDisconnect { conn } => self
                 .connections
                 .iter()
