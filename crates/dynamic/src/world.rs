@@ -247,7 +247,6 @@ pub enum ConnState {
 /// What [`World::new`] fixes for a whole run, shared by every clone:
 /// the component singletons and looper tasks, indexed by class, and the
 /// launch-gated activities.
-#[derive(Debug)]
 struct Layout {
     /// The singleton of each component class (and hosted fragment).
     singletons: Vec<Option<HeapRef>>,
