@@ -7,7 +7,6 @@
 //! dispatch orders, thread interleavings, and opaque-branch resolutions,
 //! bounded by step/event budgets and deduplicated by state fingerprints.
 
-use crate::machine::Value;
 use crate::world::{Npe, ServiceState, Step, World};
 use nadroid_android::lifecycle::LifecycleState;
 use nadroid_ir::{InstrId, Program};
@@ -390,49 +389,30 @@ pub fn minimize_schedule(program: &Program, schedule: &[Step], npe: &Npe) -> Vec
 pub fn fingerprint(w: &World<'_>) -> u64 {
     let mut h = DefaultHasher::new();
     // Heap: the classes of the objects allocated since startup, then
-    // each set slot's value or the free that wrote its null.
+    // each set slot with its value and the free that wrote its null.
     let classes = w.heap.classes();
     classes.len().hash(&mut h);
-    for c in &classes[w.initial_objects()..] {
-        c.raw().hash(&mut h);
-    }
-    let slots = w.heap.slots();
-    slots.len().hash(&mut h);
-    for s in slots {
-        let held = match s.value {
-            Value::Obj(o) => u64::from(o.0),
-            // A freed field: the free that wrote its null.
-            Value::Null => 1 << 32 | u64::from(s.freed_by.map_or(u32::MAX, InstrId::raw)),
-        };
-        (s.obj.0, s.field.raw(), held).hash(&mut h);
-    }
+    classes[w.initial_objects()..].hash(&mut h);
+    w.heap.slots().hash(&mut h);
     // Tasks.
     w.tasks.len().hash(&mut h);
     for t in &w.tasks {
         t.done.hash(&mut h);
         t.frames.len().hash(&mut h);
         for f in &t.frames {
-            f.method.raw().hash(&mut h);
+            f.method.hash(&mut h);
             f.pc.hash(&mut h);
-            for v in &f.locals {
-                match v {
-                    Value::Null => (-1i64).hash(&mut h),
-                    Value::Obj(o) => i64::from(o.0).hash(&mut h),
-                }
-            }
-            for p in &f.provenance {
-                p.loaded_from.map(InstrId::raw).hash(&mut h);
-                p.freed_by.map(InstrId::raw).hash(&mut h);
-            }
+            f.locals.hash(&mut h);
+            f.provenance.hash(&mut h);
             f.loop_budget.hash(&mut h);
         }
     }
-    // Queues, one per looper.
+    // Queues, one per looper; a post's sequence number only names it
+    // in the event log.
     for q in &w.posts {
         q.len().hash(&mut h);
         for p in q {
-            p.target.0.hash(&mut h);
-            p.method.raw().hash(&mut h);
+            (p.target, p.method).hash(&mut h);
         }
     }
     // Component states that left their initial state, by table index;
@@ -450,27 +430,15 @@ pub fn fingerprint(w: &World<'_>) -> u64 {
     }
     w.services.len().hash(&mut h);
     w.finished.hash(&mut h);
-    w.connections.len().hash(&mut h);
-    for (c, s) in &w.connections {
-        c.0.hash(&mut h);
-        (*s as u8).hash(&mut h);
-    }
+    w.connections.hash(&mut h);
     w.receivers.hash(&mut h);
     // Shown dialogs and armed alarms in delivery order (the order
     // `enabled_steps` offers their callbacks in).
     w.shown.hash(&mut h);
     w.alarms.hash(&mut h);
     w.launched.hash(&mut h);
-    w.listeners.len().hash(&mut h);
-    for (l, m) in &w.listeners {
-        l.0.hash(&mut h);
-        m.raw().hash(&mut h);
-    }
-    w.async_runs.len().hash(&mut h);
-    for a in &w.async_runs {
-        a.obj.0.hash(&mut h);
-        (a.phase as u8).hash(&mut h);
-    }
+    w.listeners.hash(&mut h);
+    w.async_runs.hash(&mut h);
     w.monitors.hash(&mut h);
     w.wakelocks.hash(&mut h);
     h.finish()

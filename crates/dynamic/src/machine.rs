@@ -9,7 +9,7 @@ use std::rc::Rc;
 pub struct HeapRef(pub u32);
 
 /// A runtime reference value.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Hash)]
 pub enum Value {
     /// The null reference.
     #[default]
@@ -31,7 +31,7 @@ impl Value {
 
 /// One set field slot: a field that holds a reference, or that an
 /// explicit free (`putfield null`) nulled.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) struct Slot {
     /// The object.
     pub obj: HeapRef,
@@ -292,7 +292,7 @@ impl CodeCache {
 
 /// Value provenance: the load that produced a local's value and, when
 /// the value is an explicitly freed null, the free that wrote it.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub struct Prov {
     /// The `Load` instruction the value came from.
     pub loaded_from: Option<InstrId>,

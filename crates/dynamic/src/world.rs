@@ -51,7 +51,7 @@ pub struct PendingPost {
 }
 
 /// AsyncTask protocol state for one executed task instance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TaskPhase {
     /// `onPreExecute` queued/running.
     Pre,
@@ -64,7 +64,7 @@ pub enum TaskPhase {
 }
 
 /// One executed AsyncTask instance.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Hash)]
 pub struct AsyncRun {
     /// The task object.
     pub obj: HeapRef,
@@ -234,7 +234,7 @@ pub enum ServiceState {
 }
 
 /// Service-connection state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ConnState {
     /// Bound, never connected yet.
     Bound,
