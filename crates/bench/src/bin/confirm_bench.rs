@@ -15,7 +15,9 @@
 //! - at least one warning corpus-wide is `infeasible`,
 //! - every confirmed witness schedule, replayed from scratch on a
 //!   freshly generated program, reproduces an NPE whose null load and
-//!   null store are exactly the warning's use and free instructions.
+//!   null store are exactly the warning's use and free instructions,
+//! - each app's Table 1 verdict columns (`pair_verdicts`) equal its
+//!   planted labels (`GeneratedApp::planted_verdicts`).
 //!
 //! Usage: `confirm_bench [--threads <N>] [--out <file>] [--only <substr>]`
 //! (`--only` restricts the sweep to matching app names for debugging;
@@ -24,7 +26,7 @@
 
 use nadroid_bench::analyze_program;
 use nadroid_bench::measure::commit_bench_record;
-use nadroid_confirm::{confirm_survivors, ConfirmConfig, ConfirmOutcome};
+use nadroid_confirm::{confirm_survivors, pair_verdicts, ConfirmConfig, ConfirmOutcome};
 use nadroid_core::warning_population_digest;
 use nadroid_corpus::{generate, spec_for, table1_rows, PaperRow};
 use nadroid_detector::warning_id;
@@ -46,16 +48,23 @@ struct AppRow {
     /// Sorted confirmed warning ids and their order-invariant digest.
     confirmed_ids: Vec<String>,
     digest: String,
+    /// Set when the verdict columns differ from the planted labels.
+    oracle_mismatch: Option<String>,
 }
 
-/// Confirm one corpus row and replay-verify every confirmed witness.
-/// Returns the row plus any replay failures (empty on a clean run).
+/// Confirm one corpus row, replay-verify every confirmed witness and
+/// check the verdict columns against the planted labels. Returns the
+/// row plus any replay failures (empty on a clean run).
 fn run_app(row: &PaperRow, cfg: &ConfirmConfig) -> (AppRow, Vec<String>) {
     let app = generate(&spec_for(row));
     let start = Instant::now();
     let analysis = analyze_program(&app.program);
     let outcome: ConfirmOutcome = confirm_survivors(&analysis, cfg);
     let micros = start.elapsed().as_micros();
+
+    let (measured, planted) = (pair_verdicts(&analysis, &outcome), app.planted_verdicts());
+    let oracle_mismatch = (measured != planted)
+        .then(|| format!("{}: measured {measured:?}, planted {planted:?}", row.name));
 
     let mut failures = Vec::new();
     let mut confirmed_ids = Vec::new();
@@ -90,6 +99,7 @@ fn run_app(row: &PaperRow, cfg: &ConfirmConfig) -> (AppRow, Vec<String>) {
             micros,
             confirmed_ids,
             digest,
+            oracle_mismatch,
         },
         failures,
     )
@@ -260,6 +270,10 @@ fn main() {
     let mut failed = false;
     for f in &failures {
         eprintln!("confirm_bench: FAIL — replay mismatch: {f}");
+        failed = true;
+    }
+    for m in apps.iter().filter_map(|a| a.oracle_mismatch.as_ref()) {
+        eprintln!("confirm_bench: FAIL — {m}");
         failed = true;
     }
     if only.is_none() && confirmed == 0 {

@@ -1,13 +1,15 @@
 //! §8.4 / §7 demonstration: dynamically confirm the harmful UAFs of the
-//! paper-example models by searching for NullPointerException witnesses,
-//! and print the callback/thread lineage report a programmer would see.
+//! paper-example models with `nadroid-confirm`, and print the
+//! callback/thread lineage report a programmer would see plus the trace
+//! of each minimized witness schedule.
 //!
 //! Run with `cargo run --release -p nadroid-bench --bin harmful`.
 
 use nadroid_bench::render_table;
+use nadroid_confirm::{confirm_survivors, ConfirmConfig};
 use nadroid_core::{analyze, AnalysisConfig};
 use nadroid_corpus::paper;
-use nadroid_dynamic::{minimize_schedule, replay, ExploreConfig};
+use nadroid_dynamic::{decode_schedule, replay};
 
 fn main() {
     for program in [paper::connectbot(), paper::firefox()] {
@@ -48,25 +50,23 @@ fn main() {
             )
         );
 
-        let v = analysis.validate_survivors(ExploreConfig::default());
+        let outcome = confirm_survivors(&analysis, &ConfirmConfig::default());
+        let t = outcome.tally;
         println!(
-            "dynamic validation: {} harmful, {} unconfirmed",
-            v.harmful(),
-            v.false_positives.len()
+            "confirmed {}, unconfirmed {}, infeasible {}",
+            t.confirmed, t.unconfirmed, t.infeasible
         );
-        for (w, witness) in &v.confirmed {
-            let min = minimize_schedule(&program, &witness.schedule, &witness.npe);
-            let minimal = replay(&program, &min);
+        for r in &outcome.results {
+            let c = &r.confirmation;
             println!(
-                "  CONFIRMED {} / {} — minimal schedule ({} of {} steps, {} states explored):",
-                program.describe_instr(w.use_access.instr),
-                program.describe_instr(w.free_access.instr),
-                min.len(),
-                witness.schedule.len(),
-                witness.states_explored
+                "  {} {} / {}: {} ({} states explored)",
+                c.verdict, r.use_site, r.free_site, c.reason, c.states_explored
             );
-            for line in minimal.trace() {
-                println!("    {line}");
+            if let Some(schedule) = &c.schedule {
+                let steps = decode_schedule(schedule).expect("confirm emits decodable schedules");
+                for line in replay(&program, &steps).trace() {
+                    println!("    {line}");
+                }
             }
         }
         println!();

@@ -6,7 +6,7 @@
 
 use nadroid_core::{analyze, AnalysisConfig};
 use nadroid_corpus::{generate, AppSpec, PatternKind};
-use nadroid_dynamic::{explore, ExploreConfig, Goal};
+use nadroid_dynamic::{explore, replay, ExploreConfig, Goal};
 use rand::{Rng, SeedableRng};
 
 fn main() {
@@ -47,7 +47,7 @@ fn main() {
                     app.program.describe_instr(w.use_access.instr),
                     app.program.describe_instr(w.free_access.instr)
                 );
-                for line in &witness.trace {
+                for line in replay(&app.program, &witness.schedule).trace() {
                     eprintln!("  {line}");
                 }
             }

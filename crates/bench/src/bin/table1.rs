@@ -2,37 +2,49 @@
 //! filters, type of remaining UAFs, true harmful UAFs, and false-positive
 //! causes — over the 27-app suite.
 //!
+//! The harmful and FP-cause columns are measured by `nadroid-confirm`
+//! (`pair_verdicts`); the planted labels are only their oracle, which
+//! `confirm_bench` checks.
+//!
 //! Run with `cargo run --release -p nadroid-bench --bin table1`.
 
-use nadroid_bench::{render_table, run_rows_parallel, write_csv, write_reports};
+use nadroid_bench::{analyze_program, render_table, run_rows_parallel, write_csv, write_reports};
+use nadroid_confirm::{confirm_survivors, pair_verdicts, ConfirmConfig};
 use nadroid_corpus::{table1_rows, AppGroup};
 
 fn main() {
     let rows = table1_rows();
     eprintln!("analyzing {} apps in parallel ...", rows.len());
-    let all_runs = run_rows_parallel(&rows);
+    let runs = run_rows_parallel(&rows);
+    eprintln!("confirming their surviving pairs ...");
+    let verdicts: Vec<_> = runs
+        .iter()
+        .map(|run| {
+            let analysis = analyze_program(&run.app.program);
+            pair_verdicts(
+                &analysis,
+                &confirm_survivors(&analysis, &ConfirmConfig::default()),
+            )
+        })
+        .collect();
     let mut out_rows = Vec::new();
-    let mut runs = Vec::new();
     let mut totals = (0usize, 0usize, 0usize, 0usize);
-    for (row, run) in rows.iter().zip(all_runs) {
+    for ((row, run), v) in rows.iter().zip(&runs).zip(&verdicts) {
         let types = run
             .types
             .iter()
             .map(|(t, n)| format!("{t}:{n}"))
             .collect::<Vec<_>>()
             .join(" ");
-        let fp = run
-            .fp
-            .iter()
-            .map(|(c, n)| format!("{c}:{n}"))
-            .collect::<Vec<_>>()
-            .join(" ");
+        let fp =
+            v.fp.iter()
+                .map(|(c, n)| format!("{c}:{n}"))
+                .collect::<Vec<_>>()
+                .join(" ");
         totals.0 += run.summary.potential;
         totals.1 += run.summary.after_sound;
         totals.2 += run.summary.after_unsound;
-        totals.3 += run.harmful;
-        let run_for_csv = run;
-        let run = &run_for_csv;
+        totals.3 += v.harmful;
         out_rows.push(vec![
             match row.group {
                 AppGroup::Train => "train".to_owned(),
@@ -46,11 +58,10 @@ fn main() {
             format!("{} ({})", run.summary.potential, row.potential),
             format!("{} ({})", run.summary.after_sound, row.after_sound),
             format!("{} ({})", run.summary.after_unsound, row.after_unsound),
-            format!("{} ({})", run.harmful, row.harmful),
+            format!("{} ({})", v.harmful, row.harmful),
             types,
             fp,
         ]);
-        runs.push(run_for_csv);
     }
     println!("Table 1 — nAdroid's UAF analysis per app.");
     println!(
@@ -82,7 +93,8 @@ fn main() {
         totals.0, totals.1, totals.2, totals.3
     );
     let csv = std::path::Path::new("Result/ResultAnalysis.csv");
-    match write_csv(&runs, csv) {
+    let harmful: Vec<usize> = verdicts.iter().map(|v| v.harmful).collect();
+    match write_csv(&runs, &harmful, csv) {
         Ok(()) => println!("wrote {}", csv.display()),
         Err(e) => eprintln!("could not write {}: {e}", csv.display()),
     }

@@ -1,21 +1,20 @@
 //! Shared harness for the evaluation binaries and Criterion benches:
-//! suite execution, ground-truth accounting, and plain-text table
-//! rendering.
+//! suite execution and plain-text table rendering.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod measure;
 
-use nadroid_core::{analyze, Analysis, AnalysisConfig, FpCause, PairType, Summary};
-use nadroid_corpus::{generate, spec_for, Expectation, GeneratedApp, PaperRow, PatternKind};
+use nadroid_core::{analyze, Analysis, AnalysisConfig, PairType, Summary};
+use nadroid_corpus::{generate, spec_for, GeneratedApp, PaperRow};
 use nadroid_detector::UafWarning;
 use nadroid_filters::FilterKind;
 use nadroid_ir::Program;
 use nadroid_obs as obs;
 
 /// One evaluated application: the generated program, its planted ground
-/// truth, and the pipeline's results.
+/// truth, and the static pipeline's results.
 pub struct AppRun {
     /// The Table 1 reference row.
     pub row: PaperRow,
@@ -25,11 +24,6 @@ pub struct AppRun {
     pub summary: Summary,
     /// Surviving pair types.
     pub types: Vec<(PairType, usize)>,
-    /// Planted true-harmful count (ground truth; certified per pattern).
-    pub harmful: usize,
-    /// False-positive cause histogram over the surviving non-harmful
-    /// pairs (from planted ground truth).
-    pub fp: Vec<(FpCause, usize)>,
     /// Phase timings.
     pub timings: nadroid_core::PhaseTimings,
     /// This app's recorder (installed around `analyze` on the running
@@ -101,31 +95,11 @@ fn run_row_inner(row: &PaperRow, capture_provenance: bool, config: &AnalysisConf
             surviving_ids,
         )
     };
-    let harmful = app
-        .planted
-        .iter()
-        .filter(|k| matches!(k.expectation(), Expectation::Harmful(_)))
-        .count();
-    let mut fp: Vec<(FpCause, usize)> = FpCause::all()
-        .iter()
-        .map(|&c| {
-            (
-                c,
-                app.planted
-                    .iter()
-                    .filter(|k| k.expectation() == Expectation::FalsePositive(c))
-                    .count(),
-            )
-        })
-        .collect();
-    fp.retain(|(_, n)| *n > 0);
     AppRun {
         row: row.clone(),
         app,
         summary,
         types,
-        harmful,
-        fp,
         timings,
         recorder,
         report,
@@ -375,12 +349,17 @@ pub fn render_table(header: &[&str], rows: &[Vec<String>]) -> String {
 }
 
 /// Write the Table 1 results as CSV — the shape of the original
-/// artifact's `ResultAnalysis.csv` (appendix A.5).
+/// artifact's `ResultAnalysis.csv` (appendix A.5). `harmful` holds each
+/// run's confirmed count, in `runs` order.
 ///
 /// # Errors
 ///
 /// Propagates I/O errors from creating or writing the file.
-pub fn write_csv(runs: &[AppRun], path: &std::path::Path) -> std::io::Result<()> {
+pub fn write_csv(
+    runs: &[AppRun],
+    harmful: &[usize],
+    path: &std::path::Path,
+) -> std::io::Result<()> {
     use std::io::Write as _;
     if let Some(dir) = path.parent() {
         std::fs::create_dir_all(dir)?;
@@ -390,7 +369,7 @@ pub fn write_csv(runs: &[AppRun], path: &std::path::Path) -> std::io::Result<()>
         f,
         "group,app,loc,ec,pc,threads,potential,after_sound,after_unsound,harmful,paper_potential,paper_after_sound,paper_after_unsound,paper_harmful"
     )?;
-    for run in runs {
+    for (run, harmful) in runs.iter().zip(harmful) {
         writeln!(
             f,
             "{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
@@ -406,7 +385,7 @@ pub fn write_csv(runs: &[AppRun], path: &std::path::Path) -> std::io::Result<()>
             run.summary.potential,
             run.summary.after_sound,
             run.summary.after_unsound,
-            run.harmful,
+            harmful,
             run.row.potential,
             run.row.after_sound,
             run.row.after_unsound,
@@ -416,16 +395,10 @@ pub fn write_csv(runs: &[AppRun], path: &std::path::Path) -> std::io::Result<()>
     Ok(())
 }
 
-/// The number of planted patterns of each kind in an app.
-#[must_use]
-pub fn planted_count(app: &GeneratedApp, kind: PatternKind) -> usize {
-    app.planted.iter().filter(|&&k| k == kind).count()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nadroid_corpus::AppSpec;
+    use nadroid_corpus::{AppSpec, Expectation, PatternKind};
 
     #[test]
     fn run_row_matches_planted_ground_truth() {
@@ -549,7 +522,7 @@ mod tests {
         let path = std::env::temp_dir()
             .join("nadroid_csv_test")
             .join("out.csv");
-        write_csv(&runs, &path).unwrap();
+        write_csv(&runs, &[8, 0], &path).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         assert_eq!(text.lines().count(), 3, "header + 2 rows:\n{text}");
         assert!(text.starts_with("group,app,loc"));

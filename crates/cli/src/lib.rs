@@ -5,7 +5,7 @@
 //!
 //! ```console
 //! $ nadroid analyze app.dsl              # full report
-//! $ nadroid analyze app.dsl --validate   # + NPE witness search
+//! $ nadroid analyze app.dsl --validate   # + the `confirm` verdicts
 //! $ nadroid analyze app.dsl --sound-only # skip the unsound ranking tier
 //! $ nadroid nosleep app.dsl              # the §9 energy-bug client
 //! $ nadroid deva app.dsl                 # the DEvA baseline, for contrast
@@ -16,7 +16,6 @@
 #![warn(missing_docs)]
 
 use nadroid_core::{analyze, render_report, AnalysisConfig};
-use nadroid_dynamic::ExploreConfig;
 use nadroid_ledger as ledger;
 use nadroid_filters::FilterKind;
 use nadroid_ir::{parse_program, Program};
@@ -31,7 +30,7 @@ pub enum Command {
     Analyze {
         /// Path to the DSL file.
         path: String,
-        /// Also run the schedule explorer on survivors.
+        /// Also append the `confirm` verdicts on the survivors.
         validate: bool,
         /// Skip the unsound filter tier.
         sound_only: bool,
@@ -365,9 +364,10 @@ CONFIRMATION (see docs/confirm.md):
     as fallback) and classifies it `confirmed` (a minimized witness
     schedule is attached, replayable with `nadroid replay`),
     `infeasible` (proof that no interleaving within the model's bounds
-    manifests the pair), or `unconfirmed` (budget exhausted). With a
-    <warning-id> it probes that one warning (pruned ones included);
-    --all / no id confirms every survivor. --json emits the
+    manifests the pair), or `unconfirmed` (the state budget or the
+    path bounds stopped the search). A <warning-id> probes that one
+    warning (pruned ones included); --all / no id confirms every
+    survivor, as `analyze --validate` does. --json emits the
     nadroid-confirm/1 document; --provenance <f> writes the
     nadroid-provenance/4 document with verdicts attached. `replay`
     re-executes an emitted schedule in a fresh process and fails unless
@@ -1001,9 +1001,15 @@ pub fn run(cmd: &Command) -> Result<String, CliError> {
             if *json {
                 return Ok(nadroid_core::render_json(&analysis));
             }
-            let validation =
-                validate.then(|| analysis.validate_survivors(ExploreConfig::default()));
-            let mut out = render_report(&analysis, validation.as_ref());
+            let mut out = render_report(&analysis);
+            if *validate {
+                let cfg = nadroid_confirm::ConfirmConfig::default();
+                let outcome = on_threads(*threads, || {
+                    nadroid_confirm::confirm_survivors(&analysis, &cfg)
+                });
+                out.push('\n');
+                out.push_str(&render_confirm_text(&outcome.results, Some(&outcome.tally)));
+            }
             if *stats {
                 out.push('\n');
                 out.push_str(&recorder.stats_tree());
@@ -1065,12 +1071,9 @@ baseline: {suppressed} suppressed, {} new
             let analysis = analyze(&program, &config);
             let cfg = nadroid_confirm::ConfirmConfig::default();
             if let Some(id) = warning_id {
-                let one = match threads {
-                    Some(n) => nadroid_par::with_threads(*n, || {
-                        nadroid_confirm::confirm_by_id(&analysis, id, &cfg)
-                    }),
-                    None => nadroid_confirm::confirm_by_id(&analysis, id, &cfg),
-                };
+                let one = on_threads(*threads, || {
+                    nadroid_confirm::confirm_by_id(&analysis, id, &cfg)
+                });
                 let Some(r) = one else {
                     let mut out = format!("no warning with id {id}; known ids:\n");
                     for w in analysis.warnings() {
@@ -1092,12 +1095,9 @@ baseline: {suppressed} suppressed, {} new
                 }
                 return Ok(render_confirm_text(std::slice::from_ref(&r), None));
             }
-            let outcome = match threads {
-                Some(n) => nadroid_par::with_threads(*n, || {
-                    nadroid_confirm::confirm_survivors(&analysis, &cfg)
-                }),
-                None => nadroid_confirm::confirm_survivors(&analysis, &cfg),
-            };
+            let outcome = on_threads(*threads, || {
+                nadroid_confirm::confirm_survivors(&analysis, &cfg)
+            });
             if let Some(prov_path) = provenance {
                 let mut provs = analysis.warning_provenances();
                 nadroid_confirm::attach_confirmations(&mut provs, &outcome);
@@ -1477,6 +1477,14 @@ fn run_perf(perf: &PerfCommand) -> Result<String, CliError> {
                 Err(CliError(out))
             }
         }
+    }
+}
+
+/// Run `f` on `threads` workers when given, else on the ambient budget.
+fn on_threads<R>(threads: Option<usize>, f: impl FnOnce() -> R) -> R {
+    match threads {
+        Some(n) => nadroid_par::with_threads(n, f),
+        None => f(),
     }
 }
 
@@ -1907,7 +1915,13 @@ mod tests {
         })
         .unwrap();
         assert!(report.contains("nAdroid report for `Cli`"), "{report}");
-        assert!(report.contains("CONFIRMED"), "{report}");
+        // --validate appends `confirm`'s verdicts after the report.
+        assert!(
+            report.contains("confirmed 1, unconfirmed 0, infeasible 0 (1 warning(s))"),
+            "{report}"
+        );
+        assert!(report.contains("verdict: confirmed"), "{report}");
+        assert!(report.contains("witness schedule:"), "{report}");
 
         let dot = run(&Command::Dot { path: p.clone() }).unwrap();
         assert!(dot.starts_with("digraph threadification"), "{dot}");

@@ -20,8 +20,11 @@
 //!    [`ConfirmVerdict::Infeasible`] (a proof that no HB-consistent
 //!    interleaving reaches the use after the free — a `mustHb`
 //!    ordering, an unreachable component, or a complete drain of the
-//!    bounded state space), or [`ConfirmVerdict::Unconfirmed`] (budget
-//!    exhausted, inconclusive).
+//!    bounded state space), or [`ConfirmVerdict::Unconfirmed`] (the
+//!    state budget or the path bounds stopped the search, inconclusive).
+//!
+//! It is the one answer to "is this warning harmful?": the CLI, serve
+//! and Table 1's verdict columns ([`pair_verdicts`]) all ask it.
 //!
 //! Verdicts are recorded in the provenance document (the
 //! `nadroid-provenance/4` `confirmation` block, see
@@ -34,7 +37,9 @@
 //! and the interpreter offers its enabled steps in one order per
 //! program, so they are byte-identical across processes too.
 
-use nadroid_core::{warning_population_digest, Analysis, Confirmation, ConfirmVerdict};
+use nadroid_core::{
+    classify_fp, warning_population_digest, Analysis, ConfirmVerdict, Confirmation, VerdictColumns,
+};
 use nadroid_detector::{warning_id, UafWarning};
 use nadroid_dynamic::{
     encode_schedule, explore_guided, minimize_schedule, replay, Exploration, ExploreConfig, Guide,
@@ -243,7 +248,7 @@ pub struct WarningConfirmation {
 pub struct Tally {
     /// Warnings with a replay-verified witness schedule.
     pub confirmed: usize,
-    /// Warnings whose search budget ran out inconclusively.
+    /// Warnings whose search ended inconclusively.
     pub unconfirmed: usize,
     /// Warnings proven unmanifestable within the model's bounds.
     pub infeasible: usize,
@@ -287,13 +292,7 @@ pub fn confirm_warning(
     cfg: &ConfirmConfig,
 ) -> Confirmation {
     if nadroid_obs::cancel::should_stop() {
-        return Confirmation {
-            verdict: ConfirmVerdict::Unconfirmed,
-            reason: "cancelled before the search ran".to_owned(),
-            states_explored: 0,
-            schedule: None,
-            npe_at: None,
-        };
+        return unconfirmed("cancelled before the search ran".to_owned(), 0);
     }
     let c = confirm_uncounted(analysis, w, cfg);
     nadroid_obs::counter(&format!("confirm.{}", c.verdict), 1);
@@ -371,19 +370,37 @@ fn confirm_uncounted(analysis: &Analysis<'_>, w: &UafWarning, cfg: &ConfirmConfi
         Exploration::Exhausted {
             states,
             complete: false,
-        } => Confirmation {
-            verdict: ConfirmVerdict::Unconfirmed,
-            reason: format!("search budget exhausted after {} states", states_total + states as u64),
-            states_explored: states_total + states as u64,
-            schedule: None,
-            npe_at: None,
-        },
+        } => {
+            // The fallback admits every step, so only its state budget
+            // or its per-path bounds can leave it incomplete.
+            let f = &cfg.fallback;
+            let limit = if states == f.max_states {
+                format!("the {}-state budget", f.max_states)
+            } else {
+                format!("the {}-event and {}-step path bounds", f.max_events, f.max_steps)
+            };
+            let total = states_total + states as u64;
+            unconfirmed(
+                format!("{limit} stopped the fallback without a witness ({total} states in total)"),
+                total,
+            )
+        }
     }
 }
 
 fn infeasible(reason: String, states: u64) -> Confirmation {
     Confirmation {
         verdict: ConfirmVerdict::Infeasible,
+        reason,
+        states_explored: states,
+        schedule: None,
+        npe_at: None,
+    }
+}
+
+fn unconfirmed(reason: String, states: u64) -> Confirmation {
+    Confirmation {
+        verdict: ConfirmVerdict::Unconfirmed,
         reason,
         states_explored: states,
         schedule: None,
@@ -466,6 +483,29 @@ pub fn confirm_survivors(analysis: &Analysis<'_>, cfg: &ConfirmConfig) -> Confir
         });
     }
     ConfirmOutcome { results, tally }
+}
+
+/// Table 1's verdict columns for a batch: each distinct (use, free)
+/// pair is harmful when confirmed, and otherwise, unconfirmed or
+/// infeasible alike, counted under its [`classify_fp`] cause.
+#[must_use]
+pub fn pair_verdicts(analysis: &Analysis<'_>, outcome: &ConfirmOutcome) -> VerdictColumns {
+    let survivors = analysis.survivors();
+    assert_eq!(survivors.len(), outcome.results.len());
+    let mut seen = HashSet::new();
+    let mut harmful = 0;
+    let mut causes = Vec::new();
+    for (w, r) in survivors.into_iter().zip(&outcome.results) {
+        if !seen.insert(w.pair()) {
+            continue;
+        }
+        if r.confirmation.verdict == ConfirmVerdict::Confirmed {
+            harmful += 1;
+        } else {
+            causes.push(classify_fp(analysis.program(), analysis.pts(), w));
+        }
+    }
+    VerdictColumns::new(harmful, &causes)
 }
 
 /// Confirm the single warning with the given id (surviving or pruned —
@@ -777,6 +817,117 @@ mod tests {
             "{c:?}"
         );
         assert_eq!(c.states_explored, 0);
+    }
+
+    #[test]
+    fn a_complete_drain_proves_a_fifo_post_pair_infeasible() {
+        // onCreate posts the use before the free to the main looper, so
+        // FIFO delivery runs the use first on every schedule. No filter,
+        // refutation or fast path sees that order: only a complete drain
+        // of the bounded state space proves the pair infeasible.
+        for (component, drained) in [("service", 30), ("activity", 70)] {
+            let p = parse_program(&format!(
+                r#"
+                app FifoPost
+                {component} Main {{
+                    field f: Main
+                    cb onCreate {{ f = new Main  post UseR  post FreeR }}
+                }}
+                runnable UseR in Main {{ cb run {{ use outer.f }} }}
+                runnable FreeR in Main {{ cb run {{ outer.f = null }} }}
+                "#
+            ))
+            .unwrap();
+            let a = analyze(&p, &AnalysisConfig::default());
+            let s = a.summary();
+            assert_eq!(
+                (s.after_unsound, s.refuted, s.after_refutation),
+                (1, 0, 1),
+                "{component}: survives every filter, not refuted"
+            );
+            let w = a.survivors()[0];
+            assert!(!a.hb().must_hb(w.use_thread, w.free_thread), "{component}");
+            let c = confirm_warning(&a, w, &ConfirmConfig::default());
+            assert_eq!(c.verdict, ConfirmVerdict::Infeasible, "{component}: {c:?}");
+            assert_eq!(
+                c.reason,
+                format!(
+                    "bounded exploration drained the reachable state space ({drained} states) \
+                     without manifesting the pair"
+                ),
+                "{component}"
+            );
+            // The directed phase drains the same space first, but a pruned
+            // search proves nothing.
+            assert_eq!(c.states_explored, 2 * drained, "{component}");
+        }
+    }
+
+    #[test]
+    fn the_path_bounds_stop_the_path_insensitive_search() {
+        // The free is re-allocated on its own path, so no NPE is
+        // reachable; the static taxonomy blames the opaque branches. Each
+        // search ends on the 8-event bound, far short of the budget.
+        let p = parse_program(
+            r#"
+            app Fp
+            activity M {
+                field f: M
+                cb onCreate { f = new M }
+                cb onClick {
+                    if ? { } else { use f }
+                }
+                cb onLongClick {
+                    if ? { f = null  f = new M } else { }
+                }
+            }
+            "#,
+        )
+        .unwrap();
+        let a = analyze(&p, &AnalysisConfig::default());
+        let outcome = confirm_survivors(&a, &ConfirmConfig::default());
+        assert!(!outcome.results.is_empty());
+        for r in &outcome.results {
+            let c = &r.confirmation;
+            assert_eq!(c.verdict, ConfirmVerdict::Unconfirmed, "{c:?}");
+            assert_eq!(
+                c.reason,
+                "the 8-event and 400-step path bounds stopped the fallback without a witness \
+                 (174 states in total)"
+            );
+        }
+        let v = pair_verdicts(&a, &outcome);
+        assert_eq!(v.harmful, 0);
+        assert_eq!(
+            v.fp,
+            vec![(
+                nadroid_core::FpCause::PathInsensitivity,
+                outcome.results.len()
+            )]
+        );
+    }
+
+    #[test]
+    fn the_state_budget_stops_a_corpus_path_insensitive_search() {
+        let row = nadroid_corpus::table1_rows()
+            .into_iter()
+            .find(|r| r.name == "Dns66")
+            .unwrap();
+        let app = nadroid_corpus::generate(&nadroid_corpus::spec_for(&row));
+        let a = analyze(&app.program, &AnalysisConfig::default());
+        let p = a.program();
+        let w = a
+            .survivors()
+            .into_iter()
+            .find(|w| p.class(p.field(w.field).owner()).name().starts_with("FpP"))
+            .expect("Dns66 plants a path-insensitivity pair");
+        let c = confirm_warning(&a, w, &ConfirmConfig::default());
+        assert_eq!(c.verdict, ConfirmVerdict::Unconfirmed, "{c:?}");
+        assert_eq!(
+            c.reason,
+            "the 8000-state budget stopped the fallback without a witness (8087 states in total)"
+        );
+        assert_eq!(c.states_explored, 8087);
     }
 
     #[test]

@@ -76,6 +76,30 @@ pub fn classify_fp(program: &Program, pts: &PointsTo, w: &UafWarning) -> FpCause
     FpCause::MissingHappensBefore
 }
 
+/// Table 1's verdict columns for one app, over distinct (use, free)
+/// pairs.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct VerdictColumns {
+    /// Harmful UAFs.
+    pub harmful: usize,
+    /// The other pairs by §8.5 cause, in [`FpCause::all`] order, absent
+    /// causes left out.
+    pub fp: Vec<(FpCause, usize)>,
+}
+
+impl VerdictColumns {
+    /// `harmful` harmful pairs, and one other pair per entry of `causes`.
+    #[must_use]
+    pub fn new(harmful: usize, causes: &[FpCause]) -> Self {
+        let fp = FpCause::all()
+            .iter()
+            .map(|&c| (c, causes.iter().filter(|&&x| x == c).count()))
+            .filter(|&(_, n)| n > 0)
+            .collect();
+        VerdictColumns { harmful, fp }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use nadroid_ir::parse_program;

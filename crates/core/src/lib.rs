@@ -1,6 +1,7 @@
 //! The nAdroid-rs pipeline (Figure 2 of the paper): modeling →
-//! detection → filtering → reporting, plus dynamic validation and the
-//! false-positive taxonomy.
+//! detection → filtering → reporting, plus the false-positive taxonomy.
+//! The pipeline is static: dynamic confirmation of its surviving
+//! warnings sits on top of it, in `nadroid-confirm`.
 //!
 //! ```text
 //! APK  ──►  threadified program  ──►  potential UAFs  ──►  remaining UAFs
@@ -39,7 +40,7 @@ pub mod provenance;
 pub mod render;
 pub mod report;
 
-pub use fpclass::{classify_fp, FpCause};
+pub use fpclass::{classify_fp, FpCause, VerdictColumns};
 pub use json::{
     esc, fingerprint, parse_json, phase_timings_json, program_hash, render_json,
     render_run_report, warning_population_digest, JsonValue,
@@ -53,7 +54,6 @@ pub use render::render_report;
 pub use report::{classify_pair, rank_key, render_warning, Endpoint, PairType, RenderedWarning};
 
 use nadroid_detector::{detect_with, distinct_pairs, DetectorOptions, UafWarning};
-use nadroid_dynamic::{explore, ExploreConfig, Goal, Witness};
 use nadroid_filters::refute::{Refutation, Refuter};
 use nadroid_filters::{FilterKind, FilterOutcome, Filters};
 use nadroid_hb::HbGraph;
@@ -476,48 +476,6 @@ impl<'p> Analysis<'p> {
         counts
     }
 
-    /// Dynamically validate a warning: search for an NPE whose null was
-    /// loaded at the warning's use and written by its free (§7's manual
-    /// validation, automated).
-    #[must_use]
-    pub fn validate(&self, w: &UafWarning, cfg: ExploreConfig) -> Option<Witness> {
-        explore(
-            self.program,
-            Goal::Pair {
-                use_instr: w.use_access.instr,
-                free_instr: w.free_access.instr,
-            },
-            cfg,
-        )
-    }
-
-    /// Validate all surviving warnings; returns (confirmed, unconfirmed)
-    /// at distinct-pair granularity, with the FP taxonomy applied to the
-    /// unconfirmed ones.
-    #[must_use]
-    pub fn validate_survivors(&self, cfg: ExploreConfig) -> ValidationResult {
-        use std::collections::HashMap;
-        let mut by_pair: HashMap<(InstrId, InstrId), &UafWarning> = HashMap::new();
-        for w in self.survivors() {
-            by_pair.entry(w.pair()).or_insert(w);
-        }
-        let mut confirmed = Vec::new();
-        let mut false_positives = Vec::new();
-        for (_, w) in by_pair {
-            match self.validate(w, cfg) {
-                Some(witness) => confirmed.push((w.clone(), witness)),
-                None => false_positives.push((w.clone(), classify_fp(self.program, &self.pts, w))),
-            }
-        }
-        // Deterministic order for reporting.
-        confirmed.sort_by_key(|(w, _)| w.pair());
-        false_positives.sort_by_key(|(w, _)| w.pair());
-        ValidationResult {
-            confirmed,
-            false_positives,
-        }
-    }
-
     /// Surviving warnings grouped by racy field, as §7's report groups
     /// them (one entry per field, with the distinct pairs under it).
     #[must_use]
@@ -562,37 +520,6 @@ impl<'p> Analysis<'p> {
     }
 }
 
-/// Outcome of dynamically validating all survivors.
-#[derive(Debug, Clone)]
-pub struct ValidationResult {
-    /// Warnings with an NPE witness (true harmful UAFs).
-    pub confirmed: Vec<(UafWarning, Witness)>,
-    /// Warnings without a witness, with their §8.5 cause.
-    pub false_positives: Vec<(UafWarning, FpCause)>,
-}
-
-impl ValidationResult {
-    /// Count of confirmed harmful pairs.
-    #[must_use]
-    pub fn harmful(&self) -> usize {
-        self.confirmed.len()
-    }
-
-    /// Distribution of false positives over §8.5 causes.
-    #[must_use]
-    pub fn fp_histogram(&self) -> Vec<(FpCause, usize)> {
-        FpCause::all()
-            .iter()
-            .map(|&c| {
-                (
-                    c,
-                    self.false_positives.iter().filter(|(_, x)| *x == c).count(),
-                )
-            })
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -618,15 +545,6 @@ mod tests {
         assert_eq!(s.after_unsound, 1);
         let types = a.survivor_types();
         assert_eq!(types, vec![(PairType::EcPc, 1)]);
-    }
-
-    #[test]
-    fn validation_confirms_fig1a() {
-        let p = parse_program(FIG1A).unwrap();
-        let a = analyze(&p, &AnalysisConfig::default());
-        let v = a.validate_survivors(ExploreConfig::default());
-        assert_eq!(v.harmful(), 1);
-        assert!(v.false_positives.is_empty());
     }
 
     #[test]
@@ -667,16 +585,14 @@ mod tests {
         )
         .unwrap();
         let a = analyze(&p, &AnalysisConfig::default());
-        let v = a.validate_survivors(ExploreConfig::default());
         // The free is immediately followed by a re-allocation on the same
-        // path, so no NPE is reachable; the taxonomy blames the opaque
-        // branches.
-        assert_eq!(v.harmful(), 0);
-        assert!(!v.false_positives.is_empty());
-        assert!(v
-            .false_positives
+        // path, so no NPE is reachable (`nadroid-confirm` checks that on
+        // this program); the taxonomy blames the opaque branches.
+        let survivors = a.survivors();
+        assert!(!survivors.is_empty());
+        assert!(survivors
             .iter()
-            .all(|(_, c)| *c == FpCause::PathInsensitivity));
+            .all(|w| classify_fp(&p, a.pts(), w) == FpCause::PathInsensitivity));
     }
 
     // Figure 1a with a dialog listener gated by a show/dismiss pair:

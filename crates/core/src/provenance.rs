@@ -73,8 +73,9 @@ pub enum ConfirmVerdict {
     /// instruction with the warning's free as the killing store; the
     /// minimized, replay-verified schedule is attached.
     Confirmed,
-    /// The search budget was exhausted without a witness and without a
-    /// completeness proof — the warning stays a static hypothesis.
+    /// The search ended without a witness and without a completeness
+    /// proof (its state budget ran out, or its event and step bounds cut
+    /// some path) — the warning stays a static hypothesis.
     Unconfirmed,
     /// The bounded exploration drained the *entire* reachable state
     /// space (no budget truncation) without manifesting the pair, or a

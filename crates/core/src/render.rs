@@ -1,15 +1,17 @@
 //! Plain-text rendering of a complete analysis report — the artifact a
 //! programmer would read (§7): summary, ranked surviving warnings with
-//! lineages, filter attribution, and (optionally) dynamic validation.
+//! lineages, and filter attribution.
 
 use crate::report::rank_key;
-use crate::{Analysis, ValidationResult};
+use crate::Analysis;
 use nadroid_filters::FilterKind;
 use std::fmt::Write as _;
 
-/// Render the full report for an analysis.
+/// Render the static report for an analysis. Dynamic confirmation
+/// verdicts are not part of it: `nadroid analyze --validate` appends
+/// `nadroid-confirm`'s verdicts after it.
 #[must_use]
-pub fn render_report(analysis: &Analysis<'_>, validation: Option<&ValidationResult>) -> String {
+pub fn render_report(analysis: &Analysis<'_>) -> String {
     let mut out = String::new();
     let p = analysis.program();
     let s = analysis.summary();
@@ -82,34 +84,6 @@ pub fn render_report(analysis: &Analysis<'_>, validation: Option<&ValidationResu
             let _ = writeln!(out, "             {}", r.free_lineage);
         }
     }
-
-    // Validation.
-    if let Some(v) = validation {
-        out.push('\n');
-        let _ = writeln!(
-            out,
-            "dynamic validation: {} confirmed harmful, {} unconfirmed",
-            v.harmful(),
-            v.false_positives.len()
-        );
-        for (w, witness) in &v.confirmed {
-            let _ = writeln!(
-                out,
-                "  CONFIRMED {} / {}: {} schedule step(s)",
-                p.describe_instr(w.use_access.instr),
-                p.describe_instr(w.free_access.instr),
-                witness.trace.len()
-            );
-        }
-        for (w, cause) in &v.false_positives {
-            let _ = writeln!(
-                out,
-                "  unconfirmed {} / {} — likely cause: {cause}",
-                p.describe_instr(w.use_access.instr),
-                p.describe_instr(w.free_access.instr),
-            );
-        }
-    }
     out
 }
 
@@ -117,7 +91,6 @@ pub fn render_report(analysis: &Analysis<'_>, validation: Option<&ValidationResu
 mod tests {
     use super::*;
     use crate::{analyze, AnalysisConfig};
-    use nadroid_dynamic::ExploreConfig;
     use nadroid_ir::parse_program;
 
     #[test]
@@ -136,8 +109,7 @@ mod tests {
         )
         .unwrap();
         let analysis = analyze(&p, &AnalysisConfig::default());
-        let v = analysis.validate_survivors(ExploreConfig::default());
-        let report = render_report(&analysis, Some(&v));
+        let report = render_report(&analysis);
         assert!(report.contains("nAdroid report for `Rep`"), "{report}");
         assert!(report.contains("pruned warnings by filter"), "{report}");
         assert!(
@@ -145,15 +117,13 @@ mod tests {
             "the guarded pair is attributed: {report}"
         );
         assert!(report.contains("surviving warning"), "{report}");
-        assert!(report.contains("dynamic validation"), "{report}");
-        assert!(report.contains("CONFIRMED"), "{report}");
     }
 
     #[test]
     fn clean_app_reports_no_survivors() {
         let p = parse_program("app Clean\nactivity M { cb onClick { } }").unwrap();
         let analysis = analyze(&p, &AnalysisConfig::default());
-        let report = render_report(&analysis, None);
+        let report = render_report(&analysis);
         assert!(report.contains("no surviving warnings"), "{report}");
     }
 }

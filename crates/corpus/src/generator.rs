@@ -7,7 +7,8 @@
 //! only on their own fields, the app's expected analysis outcome is the
 //! multiset union of its patterns' certified expectations.
 
-use crate::patterns::PatternKind;
+use crate::patterns::{Expectation, PatternKind};
+use nadroid_core::VerdictColumns;
 use nadroid_ir::{parse_program, Program};
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -59,6 +60,24 @@ pub struct GeneratedApp {
     /// The planted patterns, in cluster-index order (cluster `i` used
     /// suffix `i` for its names).
     pub planted: Vec<PatternKind>,
+}
+
+impl GeneratedApp {
+    /// Table 1's verdict columns by construction: the planted harmful
+    /// UAFs, and the causes of the planted false positives.
+    #[must_use]
+    pub fn planted_verdicts(&self) -> VerdictColumns {
+        let mut harmful = 0;
+        let mut causes = Vec::new();
+        for k in &self.planted {
+            match k.expectation() {
+                Expectation::Harmful(_) => harmful += 1,
+                Expectation::FalsePositive(c) => causes.push(c),
+                _ => {}
+            }
+        }
+        VerdictColumns::new(harmful, &causes)
+    }
 }
 
 impl PatternKind {

@@ -110,8 +110,15 @@ mod certification {
             }
             let app = single(kind);
             let analysis = analyze(&app.program, &AnalysisConfig::default());
-            let survivor = analysis.survivors()[0].clone();
-            let witness = analysis.validate(&survivor, ExploreConfig::default());
+            let survivor = analysis.survivors()[0];
+            let witness = explore(
+                &app.program,
+                Goal::Pair {
+                    use_instr: survivor.use_access.instr,
+                    free_instr: survivor.free_access.instr,
+                },
+                ExploreConfig::default(),
+            );
             assert!(witness.is_some(), "{kind:?}: survivor must be witnessable");
         }
     }
@@ -221,13 +228,20 @@ mod certification {
         ] {
             let app = single(kind);
             let analysis = analyze(&app.program, &AnalysisConfig::default());
-            let v = analysis.validate_survivors(ExploreConfig::default());
-            assert_eq!(
-                v.harmful(),
-                0,
+            let survivors = analysis.survivors();
+            assert_eq!(survivors.len(), 1, "{kind:?}");
+            let witness = explore(
+                &app.program,
+                Goal::Pair {
+                    use_instr: survivors[0].use_access.instr,
+                    free_instr: survivors[0].free_access.instr,
+                },
+                ExploreConfig::default(),
+            );
+            assert!(
+                witness.is_none(),
                 "{kind:?}: false positives are not witnessable"
             );
-            assert_eq!(v.false_positives.len(), 1, "{kind:?}");
         }
     }
 

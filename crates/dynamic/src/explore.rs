@@ -43,9 +43,8 @@ impl Default for ExploreConfig {
 pub struct Witness {
     /// The NPE.
     pub npe: Npe,
-    /// The schedule trace (dispatched events and the throw site).
-    pub trace: Vec<String>,
-    /// The exact step sequence; [`replay`] reproduces the NPE from it.
+    /// The exact step sequence; [`replay`] reproduces the NPE from it,
+    /// and the replayed world's [`World::trace`] renders it.
     pub schedule: Vec<Step>,
     /// States explored before the witness was found.
     pub states_explored: usize,
@@ -156,7 +155,6 @@ pub fn explore_guided(
     let is_goal = |w: &World<'_>| w.npe.as_ref().is_some_and(|npe| goal.matches(npe));
     match search(program, cfg, guide, is_goal) {
         Search::Found { world, states } => Exploration::Witness(Witness {
-            trace: world.trace(),
             npe: world.npe.expect("a goal world holds its NPE"),
             schedule: world.schedule,
             states_explored: states,

@@ -15,7 +15,7 @@
 //!
 //! ```
 //! use nadroid_ir::parse_program;
-//! use nadroid_dynamic::find_any_npe;
+//! use nadroid_dynamic::{find_any_npe, replay};
 //!
 //! let p = parse_program(
 //!     r#"
@@ -30,7 +30,7 @@
 //!     "#,
 //! ).unwrap();
 //! let witness = find_any_npe(&p).expect("the ConnectBot UAF is reachable");
-//! assert!(!witness.trace.is_empty());
+//! assert!(!replay(&p, &witness.schedule).trace().is_empty());
 //! ```
 
 #![forbid(unsafe_code)]
@@ -883,7 +883,8 @@ mod tests {
             "#,
         );
         let w = find_any_npe(&p).expect("unguarded use of never-initialized field");
-        assert!(w.trace.iter().any(|l| l.contains("dispatch")));
-        assert!(w.trace.last().is_some_and(|l| l.contains("NPE")));
+        let trace = replay(&p, &w.schedule).trace();
+        assert!(trace.iter().any(|l| l.contains("dispatch")));
+        assert!(trace.last().is_some_and(|l| l.contains("NPE")));
     }
 }

@@ -4,10 +4,11 @@
 //!
 //! Run with `cargo run --example connectbot_audit`.
 
+use nadroid::confirm::{confirm_survivors, ConfirmConfig};
 use nadroid::core::{analyze, AnalysisConfig};
 use nadroid::corpus::paper;
 use nadroid::deva::run_deva;
-use nadroid::dynamic::ExploreConfig;
+use nadroid::dynamic::{decode_schedule, replay};
 
 fn main() {
     for program in [paper::connectbot(), paper::firefox()] {
@@ -33,22 +34,25 @@ fn main() {
             deva.len()
         );
 
-        // Dynamic confirmation (§7, automated).
-        let v = analysis.validate_survivors(ExploreConfig::default());
+        // Dynamic confirmation (§7, automated): a minimized witness
+        // schedule per confirmed warning.
+        let outcome = confirm_survivors(&analysis, &ConfirmConfig::default());
         println!(
-            "dynamic validation: {}/{} confirmed harmful",
-            v.harmful(),
-            s.after_unsound
+            "dynamic confirmation: {}/{} confirmed harmful",
+            outcome.tally.confirmed,
+            outcome.tally.total()
         );
-        for (w, witness) in &v.confirmed {
+        for r in &outcome.results {
+            let c = &r.confirmation;
             println!(
-                "  schedule for {} / {} ({} states):",
-                program.describe_instr(w.use_access.instr),
-                program.describe_instr(w.free_access.instr),
-                witness.states_explored
+                "  {} {} / {} ({} states):",
+                c.verdict, r.use_site, r.free_site, c.states_explored
             );
-            for line in &witness.trace {
-                println!("    {line}");
+            if let Some(schedule) = &c.schedule {
+                let steps = decode_schedule(schedule).expect("confirm emits decodable schedules");
+                for line in replay(&program, &steps).trace() {
+                    println!("    {line}");
+                }
             }
         }
         println!();

@@ -3,8 +3,9 @@
 //!
 //! Run with `cargo run --example quickstart`.
 
+use nadroid::confirm::{confirm_survivors, ConfirmConfig};
 use nadroid::core::{analyze, AnalysisConfig};
-use nadroid::dynamic::ExploreConfig;
+use nadroid::dynamic::{decode_schedule, replay};
 use nadroid::ir::parse_program;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -43,17 +44,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // Dynamic confirmation: search schedules for a NullPointerException
-    // caused by exactly this (use, free) pair.
-    let validation = analysis.validate_survivors(ExploreConfig::default());
-    println!("confirmed harmful: {}", validation.harmful());
-    for (w, witness) in &validation.confirmed {
-        println!(
-            "witness for {} / {}:",
-            program.describe_instr(w.use_access.instr),
-            program.describe_instr(w.free_access.instr)
-        );
-        for line in &witness.trace {
-            println!("  {line}");
+    // caused by exactly this (use, free) pair, then print the minimized
+    // witness schedule's trace.
+    let outcome = confirm_survivors(&analysis, &ConfirmConfig::default());
+    println!("confirmed harmful: {}", outcome.tally.confirmed);
+    for r in &outcome.results {
+        let c = &r.confirmation;
+        println!("{} / {}: {} — {}", r.use_site, r.free_site, c.verdict, c.reason);
+        if let Some(schedule) = &c.schedule {
+            for line in replay(&program, &decode_schedule(schedule)?).trace() {
+                println!("  {line}");
+            }
         }
     }
     Ok(())

@@ -13,14 +13,20 @@
 #    match the legacy filter logic verdict-for-verdict, and in Figure 5
 #    tallies and surviving ids, on all 27 apps; then the soundness fuzz
 #    (10 seeded random apps: no pair a sound filter prunes may have a
-#    witness under bounded exploration); then the repository
-#    benchmark's smoke tests (it is a Cargo package of its own),
+#    witness under bounded exploration); then the Table 1 driver, whose
+#    totals line must read potential=2320 after-sound=481
+#    after-unsound=120 harmful=88 (the harmful count is measured by
+#    nadroid-confirm, not copied from the planted labels); then the
+#    repository benchmark's smoke tests (it is a Cargo package of its
+#    own),
 # 5. provenance smoke test: `nadroid explain` on a corpus app must
 #    produce a non-empty derivation tree and a filter audit; the
 #    confirmation smoke then runs `nadroid confirm` on the same app,
 #    extracts the first confirmed warning's minimized witness schedule,
 #    and replays it in a fresh `nadroid replay` process — the NPE must
-#    reproduce and match the warning's use/free sites,
+#    reproduce and match the warning's use/free sites — and
+#    `nadroid analyze --validate` must append the same verdicts to its
+#    report (both ConnectBot UAFs confirmed),
 # 6. perf/drift gate: re-measure the timing suite and run
 #    `nadroid perf gate` against the committed BENCH_timing.json record —
 #    deterministic counters compare exactly, wall/CPU times under the
@@ -77,6 +83,12 @@ cargo test -q --release --test hb_parity
 # The apps and the search order are fixed, so the run is deterministic.
 cargo run --release -p nadroid-bench --bin soundness_fuzz -- 10
 
+# Table 1: the totals line is the paper-population invariant, and its
+# harmful count comes from confirming every survivor.
+table1_out=$(cargo run --release -q -p nadroid-bench --bin table1)
+echo "$table1_out" | grep -qF 'totals: potential=2320 after-sound=481 after-unsound=120 harmful=88' || {
+    echo "ci.sh: table1 totals drifted:"; echo "$table1_out"; exit 1; }
+
 # Benchmark smoke: the repository benchmark is a Cargo package of its
 # own, so the workspace build above does not cover it. Its tests build
 # it and run every workload at smoke size, including the confirm
@@ -111,6 +123,10 @@ echo "$replay_out" | grep -q 'NPE reproduced' || {
     echo "ci.sh: witness schedule did not reproduce the NPE:"; echo "$replay_out"; exit 1; }
 echo "$replay_out" | grep -q "matches warning $confirm_id" || {
     echo "ci.sh: replayed NPE does not match the warning:"; echo "$replay_out"; exit 1; }
+# `analyze --validate` runs the same confirmation after the report.
+validate_out=$("$bin" analyze apps/connectbot.dsl --validate)
+echo "$validate_out" | grep -q 'confirmed 2, unconfirmed 0, infeasible 0' || {
+    echo "ci.sh: analyze --validate did not confirm both UAFs:"; echo "$validate_out"; exit 1; }
 
 # --- perf/drift gate ---
 # Re-measure the suite and compare it against the committed

@@ -30,6 +30,45 @@ fn connectbot_report_has_both_figure1_warnings() {
 }
 
 #[test]
+fn validate_confirms_every_planted_harmful_uaf_of_the_generated_aard() {
+    // The generated Aard is a printed corpus app: each of its 8
+    // survivors is a planted harmful UAF, and `--validate` must confirm
+    // all of them.
+    use nadroid::corpus::{generate, spec_for, table1_rows};
+    let row = table1_rows()
+        .into_iter()
+        .find(|r| r.name == "Aard")
+        .unwrap();
+    let app = generate(&spec_for(&row));
+    let dir = std::env::temp_dir().join(format!("nadroid_cli_aard_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("aard.dsl");
+    std::fs::write(&path, nadroid::ir::print_program(&app.program)).unwrap();
+    let out = run(&Command::Analyze {
+        path: path.to_string_lossy().into_owned(),
+        validate: true,
+        sound_only: false,
+        k: 2,
+        json: false,
+        baseline: None,
+        update_baseline: false,
+        trace: None,
+        report: None,
+        provenance: None,
+        stats: false,
+        mhp_preprune: false,
+        threads: None,
+    })
+    .unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
+    assert!(out.contains("-> 8 reported"), "{out}");
+    assert!(
+        out.contains("confirmed 8, unconfirmed 0, infeasible 0"),
+        "{out}"
+    );
+}
+
+#[test]
 fn firefox_dot_shows_the_thread() {
     let out = run(&Command::Dot {
         path: app("firefox.dsl"),

@@ -29,6 +29,33 @@ fn all_27_apps_match_planted_ground_truth() {
     }
 }
 
+/// Table 1's harmful and FP-cause columns are measured by
+/// `nadroid-confirm`; the planted labels are their oracle. This covers
+/// a cheap subset (witness-heavy apps and budget-exhausting ones);
+/// `confirm_bench` checks all 27.
+#[test]
+fn measured_verdicts_match_the_planted_labels() {
+    use nadroid::confirm::{confirm_survivors, pair_verdicts, ConfirmConfig};
+    for name in [
+        "Aard",
+        "ConnectBot",
+        "QKSMS",
+        "MyTracks_2",
+        "Dns66",
+        "KissLauncher",
+    ] {
+        let row = table1_rows().into_iter().find(|r| r.name == name).unwrap();
+        let app = generate(&spec_for(&row));
+        let analysis = analyze(&app.program, &AnalysisConfig::default());
+        let outcome = confirm_survivors(&analysis, &ConfirmConfig::default());
+        assert_eq!(
+            pair_verdicts(&analysis, &outcome),
+            app.planted_verdicts(),
+            "{name}"
+        );
+    }
+}
+
 #[test]
 fn suite_totals_track_the_paper() {
     let mut potential = 0usize;

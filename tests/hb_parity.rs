@@ -81,8 +81,8 @@ fn paper_apps_have_no_predicate_facts_and_refutation_is_a_no_op() {
         assert_eq!(s.after_refutation, s.after_unsound, "{}", row.name);
         let baseline = analyze(&app.program, &off);
         assert_eq!(
-            nadroid::core::render_report(&analysis, None),
-            nadroid::core::render_report(&baseline, None),
+            nadroid::core::render_report(&analysis),
+            nadroid::core::render_report(&baseline),
             "{}: the refutation stage must not perturb the paper corpus",
             row.name
         );

@@ -2,11 +2,20 @@
 //! Figure 1 (the three harmful UAFs), Figure 4 (the seven filter
 //! examples), and the Table 3 DEvA comparison behaviours.
 
-use nadroid::core::{analyze, AnalysisConfig, PairType};
+use nadroid::confirm::{confirm_survivors, pair_verdicts, ConfirmConfig};
+use nadroid::core::{analyze, Analysis, AnalysisConfig, PairType, VerdictColumns};
 use nadroid::corpus::paper;
 use nadroid::deva::run_deva;
-use nadroid::dynamic::ExploreConfig;
 use nadroid::filters::FilterKind;
+
+/// The survivors' verdicts over distinct pairs, as `nadroid-confirm`
+/// gives them.
+fn confirm(analysis: &Analysis<'_>) -> VerdictColumns {
+    pair_verdicts(
+        analysis,
+        &confirm_survivors(analysis, &ConfirmConfig::default()),
+    )
+}
 
 #[test]
 fn figure1_connectbot_finds_and_confirms_both_uafs() {
@@ -20,9 +29,9 @@ fn figure1_connectbot_finds_and_confirms_both_uafs() {
     assert!(types.contains(&PairType::EcPc));
     assert!(types.contains(&PairType::PcPc));
 
-    let v = analysis.validate_survivors(ExploreConfig::default());
-    assert_eq!(v.harmful(), 2, "both UAFs have NPE witnesses");
-    assert!(v.false_positives.is_empty());
+    let v = confirm(&analysis);
+    assert_eq!(v.harmful, 2, "both UAFs have NPE witnesses");
+    assert!(v.fp.is_empty());
 }
 
 #[test]
@@ -33,8 +42,7 @@ fn figure1_firefox_finds_and_confirms_the_thread_uaf() {
     let rendered = analysis.rendered_survivors();
     assert_eq!(rendered[0].pair_type, PairType::CNt);
 
-    let v = analysis.validate_survivors(ExploreConfig::default());
-    assert_eq!(v.harmful(), 1);
+    assert_eq!(confirm(&analysis).harmful, 1);
 }
 
 #[test]
@@ -93,7 +101,7 @@ fn figure4_gallery_has_no_feasible_pair() {
                 use_instr: w.use_access.instr,
                 free_instr: w.free_access.instr,
             },
-            ExploreConfig::default(),
+            nadroid::dynamic::ExploreConfig::default(),
         );
         assert!(
             witness.is_none(),
@@ -195,6 +203,9 @@ fn fragment_callbacks_follow_their_own_lifecycle_dynamically() {
     .unwrap();
     let analysis = analyze(&program, &AnalysisConfig::default());
     assert_eq!(analysis.summary().after_unsound, 1);
-    let v = analysis.validate_survivors(ExploreConfig::default());
-    assert_eq!(v.harmful(), 1, "fragment UAF has an NPE witness");
+    assert_eq!(
+        confirm(&analysis).harmful,
+        1,
+        "fragment UAF has an NPE witness"
+    );
 }
