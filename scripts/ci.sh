@@ -13,12 +13,11 @@
 #    match the legacy filter logic verdict-for-verdict, and in Figure 5
 #    tallies and surviving ids, on all 27 apps; then the soundness fuzz
 #    (10 seeded random apps: no pair a sound filter prunes may have a
-#    witness under bounded exploration); then the Table 1 driver, whose
-#    totals line must read potential=2320 after-sound=481
-#    after-unsound=120 harmful=88 (the harmful count is measured by
-#    nadroid-confirm, not copied from the planted labels); then the
-#    repository benchmark's smoke tests (it is a Cargo package of its
-#    own),
+#    witness under bounded exploration); then `table1`, whose totals
+#    line must read potential=2320 after-sound=481 after-unsound=120
+#    harmful=88 (the harmful count is measured by nadroid-confirm, not
+#    copied from the planted labels); then the repository benchmark's
+#    smoke tests (it is a Cargo package of its own),
 # 5. provenance smoke test: `nadroid explain` on a corpus app must
 #    produce a non-empty derivation tree and a filter audit; the
 #    confirmation smoke then runs `nadroid confirm` on the same app,
