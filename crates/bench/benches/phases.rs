@@ -7,6 +7,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use nadroid_corpus::{generate, spec_for, table1_rows};
 use nadroid_detector::{detect, DetectorOptions};
 use nadroid_filters::{FilterKind, Filters};
+use nadroid_hb::HbGraph;
 use nadroid_pointsto::{Escape, PointsTo};
 use nadroid_threadify::ThreadModel;
 use std::hint::black_box;
@@ -44,7 +45,8 @@ fn bench_phases(c: &mut Criterion) {
     let warnings = detect(program, &threads, &pts, &esc, DetectorOptions::default());
     g.bench_function("filtering", |b| {
         b.iter(|| {
-            let filters = Filters::new(program, &threads, &pts, &esc);
+            let hb = HbGraph::build(program, &threads);
+            let filters = Filters::with_hb(program, &threads, &pts, &esc, &hb);
             let sound = filters.pipeline(warnings.clone(), FilterKind::sound());
             let survivors: Vec<_> = sound
                 .iter()

@@ -19,7 +19,7 @@ use nadroid_core::{analyze, render_report, AnalysisConfig};
 use nadroid_ledger as ledger;
 use nadroid_filters::FilterKind;
 use nadroid_ir::{parse_program, Program};
-use nadroid_serve::{AnalyzeOpts, Client, Response, ServeConfig, Server};
+use nadroid_serve::{AnalyzeOpts, Client, Request, Response, ServeConfig, Server};
 use nadroid_threadify::ThreadModel;
 use std::fmt;
 
@@ -139,31 +139,18 @@ pub enum Command {
     },
     /// Send one request to a running service.
     Request {
-        /// Path to the DSL file (not needed for `--stats`/`--shutdown`).
+        /// Path to the DSL file (needed by analyze, explain and confirm).
         path: Option<String>,
         /// Server address.
         addr: String,
-        /// Explain instead of analyze; `--id` selects one warning.
-        explain: bool,
-        /// Dynamically confirm the surviving warnings instead of
-        /// analyzing; the response carries the `nadroid-confirm/1`
-        /// document.
-        confirm: bool,
-        /// Stable warning id for `--explain`.
+        /// What to ask the server for.
+        mode: RequestMode,
+        /// Stable warning id for explain (`--id`).
         id: Option<String>,
         /// Points-to sensitivity.
         k: u32,
         /// Per-request deadline override.
         deadline_ms: Option<u64>,
-        /// Fetch the server's counters instead of analyzing.
-        stats: bool,
-        /// Fetch the `nadroid-serve-metrics/1` document as raw JSON.
-        metrics: bool,
-        /// Fetch the metrics document and render it as Prometheus-style
-        /// exposition text.
-        metrics_text: bool,
-        /// Ask the server to shut down gracefully.
-        shutdown: bool,
     },
     /// Validate that a file is well-formed JSON (or JSONL with
     /// `--lines`), using the same parser the pipeline ships. Lets CI
@@ -183,6 +170,43 @@ pub enum Command {
     Perf(PerfCommand),
     /// Print usage.
     Help,
+}
+
+/// What `nadroid request` asks the server for. A request takes one
+/// mode; with no mode flag it analyzes the file.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RequestMode {
+    /// Analyze the file.
+    Analyze,
+    /// `--explain` (or `--id <warning-id>` for one warning).
+    Explain,
+    /// `--confirm`: dynamically confirm the surviving warnings; the
+    /// response carries the `nadroid-confirm/1` document.
+    Confirm,
+    /// `--stats`: the server's counters.
+    Stats,
+    /// `--metrics`: the `nadroid-serve-metrics/1` document as raw JSON.
+    Metrics,
+    /// `--metrics-text`: the metrics document rendered as
+    /// Prometheus-style exposition text.
+    MetricsText,
+    /// `--shutdown`: ask the server to shut down gracefully.
+    Shutdown,
+}
+
+impl RequestMode {
+    /// The mode a `request` flag selects, if it is a mode flag.
+    fn of_flag(flag: &str) -> Option<RequestMode> {
+        Some(match flag {
+            "--explain" | "--id" => RequestMode::Explain,
+            "--confirm" => RequestMode::Confirm,
+            "--stats" => RequestMode::Stats,
+            "--metrics" => RequestMode::Metrics,
+            "--metrics-text" => RequestMode::MetricsText,
+            "--shutdown" => RequestMode::Shutdown,
+            _ => return None,
+        })
+    }
 }
 
 /// A `nadroid perf` subcommand. All variants read or write the run
@@ -279,10 +303,10 @@ USAGE:
     nadroid serve   [--addr <host:port>] [--workers <N>] [--threads <N>]
                     [--cache-bytes <B>] [--deadline-ms <D>]
                     [--access-log <file>] [--slow-us <T>] [--log-sample <N>]
-    nadroid request [<app.dsl>] [--addr <host:port>] [--explain]
-                    [--confirm] [--id <warning-id>] [--k <N>]
-                    [--deadline-ms <D>] [--stats] [--metrics]
-                    [--metrics-text] [--shutdown]
+    nadroid request [<app.dsl>] [--addr <host:port>] [--k <N>]
+                    [--deadline-ms <D>] [--explain | --id <warning-id>
+                    | --confirm | --stats | --metrics | --metrics-text
+                    | --shutdown]
     nadroid check-json <file> [--lines] [--expect-schema <name>]
     nadroid perf record [--from <BENCH.json>] [--kind <k>] [--note <s>]
     nadroid perf list
@@ -298,9 +322,10 @@ SERVING (see docs/serving.md):
     with admission control, a content-addressed result cache (warm
     requests are a lookup, not a re-solve), and per-request deadlines.
     `request` is the matching client; repeated requests for the same
-    app and options report `cached: true`. Every response carries a
-    server-minted `request id` (also printed by `request`) that links
-    it to the server's access log and slow-request traces.
+    app and options report `cached: true`. It takes at most one mode
+    flag (two are an error); with none it analyzes. Every response
+    carries a server-minted `request id` (also printed by `request`)
+    that links it to the server's access log and slow-request traces.
 
 SERVE TELEMETRY (see docs/observability.md):
     --access-log <f>  JSONL access log: one line per request with id,
@@ -666,32 +691,33 @@ fn parse_request(args: impl Iterator<Item = String>) -> Result<Command, CliError
     let mut args = args;
     let mut path = None;
     let mut addr = "127.0.0.1:7911".to_owned();
-    let mut explain = false;
-    let mut confirm = false;
+    // The mode and the flag that first chose it.
+    let mut mode: Option<(RequestMode, String)> = None;
     let mut id = None;
     let mut k = 2u32;
     let mut deadline_ms = None;
-    let mut stats = false;
-    let mut metrics = false;
-    let mut metrics_text = false;
-    let mut shutdown = false;
     while let Some(a) = args.next() {
         let mut value = |flag: &str| {
             args.next()
                 .ok_or_else(|| CliError(format!("{flag} needs a value")))
         };
+        if let Some(next) = RequestMode::of_flag(&a) {
+            match &mode {
+                Some((chosen, flag)) if *chosen != next => {
+                    return Err(CliError(format!(
+                        "{flag} conflicts with {a}: a request takes one mode"
+                    )));
+                }
+                Some(_) => {}
+                None => mode = Some((next, a.clone())),
+            }
+            if a == "--id" {
+                id = Some(value("--id")?);
+            }
+            continue;
+        }
         match a.as_str() {
             "--addr" => addr = value("--addr")?,
-            "--explain" => explain = true,
-            "--confirm" => confirm = true,
-            "--stats" => stats = true,
-            "--metrics" => metrics = true,
-            "--metrics-text" => metrics_text = true,
-            "--shutdown" => shutdown = true,
-            "--id" => {
-                id = Some(value("--id")?);
-                explain = true;
-            }
             "--k" => {
                 let v = value("--k")?;
                 k = v
@@ -711,26 +737,23 @@ fn parse_request(args: impl Iterator<Item = String>) -> Result<Command, CliError
             other => return Err(CliError(format!("unexpected argument `{other}`"))),
         }
     }
-    if path.is_none() && !stats && !metrics && !metrics_text && !shutdown {
+    let mode = mode.map_or(RequestMode::Analyze, |(mode, _)| mode);
+    let needs_file = matches!(
+        mode,
+        RequestMode::Analyze | RequestMode::Explain | RequestMode::Confirm
+    );
+    if needs_file && path.is_none() {
         return Err(CliError(
-            "request needs a file (or --stats / --metrics / --shutdown)".into(),
+            "request needs a file (or --stats / --metrics / --metrics-text / --shutdown)".into(),
         ));
-    }
-    if confirm && explain {
-        return Err(CliError("--confirm conflicts with --explain/--id".into()));
     }
     Ok(Command::Request {
         path,
         addr,
-        explain,
-        confirm,
+        mode,
         id,
         k,
         deadline_ms,
-        stats,
-        metrics,
-        metrics_text,
-        shutdown,
     })
 }
 
@@ -1287,51 +1310,47 @@ baseline: {suppressed} suppressed, {} new
         Command::Request {
             path,
             addr,
-            explain,
-            confirm,
+            mode,
             id,
             k,
             deadline_ms,
-            stats,
-            metrics,
-            metrics_text,
-            shutdown,
         } => {
+            let program = || -> Result<String, CliError> {
+                let path = path.as_ref().expect("parse_request guarantees a path here");
+                std::fs::read_to_string(path)
+                    .map_err(|e| CliError(format!("cannot read {path}: {e}")))
+            };
+            let opts = AnalyzeOpts {
+                k: *k,
+                sound_only: false,
+                deadline_ms: *deadline_ms,
+            };
+            let request = match mode {
+                RequestMode::Analyze => Request::Analyze {
+                    program: program()?,
+                    opts,
+                },
+                RequestMode::Explain => Request::Explain {
+                    program: program()?,
+                    id: id.clone(),
+                    opts,
+                },
+                RequestMode::Confirm => Request::Confirm {
+                    program: program()?,
+                    opts,
+                },
+                RequestMode::Stats => Request::Stats,
+                RequestMode::Metrics | RequestMode::MetricsText => Request::Metrics,
+                RequestMode::Shutdown => Request::Shutdown,
+            };
             let mut client = Client::connect(addr)
                 .map_err(|e| CliError(format!("cannot connect to {addr}: {e}")))?;
-            let response = if *stats {
-                client.stats()
-            } else if *metrics || *metrics_text {
-                client.metrics()
-            } else if *shutdown {
-                client.shutdown()
-            } else {
-                let path = path
-                    .as_ref()
-                    .expect("parse_request guarantees a path here");
-                let program = std::fs::read_to_string(path)
-                    .map_err(|e| CliError(format!("cannot read {path}: {e}")))?;
-                let opts = AnalyzeOpts {
-                    k: *k,
-                    sound_only: false,
-                    deadline_ms: *deadline_ms,
-                };
-                if *confirm {
-                    client.confirm(&program, opts)
-                } else if *explain {
-                    client.explain(&program, id.as_deref(), opts)
-                } else {
-                    client.analyze(&program, opts)
+            let response = client.request(&request).map_err(CliError)?;
+            let mut out = match (&response, mode) {
+                (Response::Metrics { json }, RequestMode::MetricsText) => {
+                    render_metrics_text(json)?
                 }
-            }
-            .map_err(CliError)?;
-            let mut out = if *metrics_text {
-                match &response {
-                    Response::Metrics { json } => render_metrics_text(json)?,
-                    other => render_response(other)?,
-                }
-            } else {
-                render_response(&response)?
+                _ => render_response(&response)?,
             };
             if let Some(rid) = client.last_request_id() {
                 out.push_str(&format!("request id: {rid}\n"));
@@ -2146,53 +2165,75 @@ activity M { cb onClick { } }",
             Command::Request {
                 path: Some("app.dsl".into()),
                 addr: "127.0.0.1:9".into(),
-                explain: false,
-                confirm: false,
+                mode: RequestMode::Analyze,
                 id: None,
                 k: 3,
                 deadline_ms: None,
-                stats: false,
-                metrics: false,
-                metrics_text: false,
-                shutdown: false,
             }
         );
-        // --id implies --explain; --stats/--shutdown need no file.
-        match parse_args(args(&["request", "app.dsl", "--id", "w:0011223344556677"])).unwrap() {
-            Command::Request { explain, id, .. } => {
-                assert!(explain);
-                assert_eq!(id.as_deref(), Some("w:0011223344556677"));
+        // Every mode flag selects its mode (--id implies --explain, in
+        // either order); --stats, --metrics, --metrics-text and
+        // --shutdown need no file, and repeating one mode is no conflict.
+        use RequestMode as M;
+        for (line, want, want_id) in [
+            ("app.dsl --id w:1", M::Explain, Some("w:1")),
+            ("app.dsl --explain --id w:1", M::Explain, Some("w:1")),
+            ("app.dsl --id w:1 --explain", M::Explain, Some("w:1")),
+            ("app.dsl --explain", M::Explain, None),
+            ("app.dsl --confirm", M::Confirm, None),
+            ("--stats", M::Stats, None),
+            ("--metrics", M::Metrics, None),
+            ("--metrics-text", M::MetricsText, None),
+            ("--shutdown", M::Shutdown, None),
+            ("--stats --stats", M::Stats, None),
+        ] {
+            let argv: Vec<&str> = std::iter::once("request").chain(line.split(' ')).collect();
+            match parse_args(args(&argv)).unwrap() {
+                Command::Request { mode, id, .. } => {
+                    assert_eq!((mode, id.as_deref()), (want, want_id), "{line}");
+                }
+                other => panic!("expected Request, got {other:?}"),
             }
-            other => panic!("expected Request, got {other:?}"),
         }
-        assert!(matches!(
-            parse_args(args(&["request", "--stats"])).unwrap(),
-            Command::Request { stats: true, .. }
-        ));
-        assert!(matches!(
-            parse_args(args(&["request", "--shutdown"])).unwrap(),
-            Command::Request { shutdown: true, .. }
-        ));
-        // --metrics/--metrics-text need no file either.
-        assert!(matches!(
-            parse_args(args(&["request", "--metrics"])).unwrap(),
-            Command::Request { metrics: true, .. }
-        ));
-        assert!(matches!(
-            parse_args(args(&["request", "--metrics-text"])).unwrap(),
-            Command::Request {
-                metrics_text: true,
-                ..
+        // Any two modes are a parse error, naming both flags.
+        let modes = [
+            vec!["--explain"],
+            vec!["--id", "w:1"],
+            vec!["--confirm"],
+            vec!["--stats"],
+            vec!["--metrics"],
+            vec!["--metrics-text"],
+            vec!["--shutdown"],
+        ];
+        for (i, a) in modes.iter().enumerate() {
+            for b in &modes[i + 1..] {
+                if a[0] == "--explain" && b[0] == "--id" {
+                    continue; // both select explain
+                }
+                let mut argv = vec!["request", "app.dsl"];
+                argv.extend(a);
+                argv.extend(b);
+                let err = parse_args(args(&argv)).expect_err(&argv.join(" "));
+                assert!(
+                    err.0.contains(a[0]) && err.0.contains(b[0]) && err.0.contains("one mode"),
+                    "{argv:?}: {}",
+                    err.0
+                );
             }
-        ));
-        assert!(matches!(
-            parse_args(args(&["request", "app.dsl", "--confirm"])).unwrap(),
-            Command::Request { confirm: true, .. }
-        ));
-        assert!(
-            parse_args(args(&["request", "app.dsl", "--confirm", "--explain"])).is_err(),
-            "--confirm conflicts with --explain"
+        }
+        assert_eq!(
+            parse_args(args(&["request", "--stats", "--shutdown"]))
+                .unwrap_err()
+                .0,
+            "--stats conflicts with --shutdown: a request takes one mode"
         );
+        assert!(parse_args(args(&["request", "--metrics", "--confirm", "app.dsl"])).is_err());
+        for mode in ["--explain", "--confirm"] {
+            assert!(
+                parse_args(args(&["request", mode])).is_err(),
+                "{mode} needs a file"
+            );
+        }
         assert!(parse_args(args(&["request"])).is_err(), "needs a file");
 
         assert_eq!(

@@ -121,17 +121,25 @@ impl JsonValue {
     }
 }
 
+/// The deepest nesting of arrays and objects [`parse_json`] accepts.
+/// The parser recurses once per level, so untrusted input (a serve
+/// request line) must not choose the depth. The deepest documents this
+/// workspace and its benchmark write nest 9 levels (a provenance
+/// sidecar's derivation trees); the limit leaves room far above that.
+pub const MAX_JSON_DEPTH: usize = 128;
+
 /// Parse a JSON document. Strict on structure (balanced, single
-/// top-level value) but tolerant of surrounding whitespace.
+/// top-level value, at most [`MAX_JSON_DEPTH`] levels of nesting) but
+/// tolerant of surrounding whitespace.
 ///
 /// # Errors
 ///
 /// Returns a message naming the byte offset of the first malformed
-/// construct.
+/// construct, or of the array or object that nests too deep.
 pub fn parse_json(src: &str) -> Result<JsonValue, String> {
     let bytes = src.as_bytes();
     let mut pos = 0usize;
-    let value = parse_value(src, bytes, &mut pos)?;
+    let value = parse_value(src, bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing garbage at byte {pos}"));
@@ -145,8 +153,19 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(src: &str, bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+/// Parse one value that sits inside `depth` arrays and objects.
+fn parse_value(
+    src: &str,
+    bytes: &[u8],
+    pos: &mut usize,
+    depth: usize,
+) -> Result<JsonValue, String> {
     skip_ws(bytes, pos);
+    if matches!(bytes.get(*pos), Some(b'[' | b'{')) && depth == MAX_JSON_DEPTH {
+        return Err(format!(
+            "nesting deeper than {MAX_JSON_DEPTH} levels at byte {pos}"
+        ));
+    }
     match bytes.get(*pos) {
         None => Err("unexpected end of input".into()),
         Some(b'n') => parse_lit(bytes, pos, "null", JsonValue::Null),
@@ -162,7 +181,7 @@ fn parse_value(src: &str, bytes: &[u8], pos: &mut usize) -> Result<JsonValue, St
                 return Ok(JsonValue::Arr(items));
             }
             loop {
-                items.push(parse_value(src, bytes, pos)?);
+                items.push(parse_value(src, bytes, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -190,7 +209,7 @@ fn parse_value(src: &str, bytes: &[u8], pos: &mut usize) -> Result<JsonValue, St
                     return Err(format!("expected `:` at byte {pos}"));
                 }
                 *pos += 1;
-                let value = parse_value(src, bytes, pos)?;
+                let value = parse_value(src, bytes, pos, depth + 1)?;
                 members.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -490,6 +509,25 @@ mod tests {
         assert!(parse_json("{} trailing").is_err());
         assert!(parse_json("\"unterminated").is_err());
         assert!(parse_json("nul").is_err());
+    }
+
+    #[test]
+    fn nesting_past_the_limit_is_an_error_not_a_stack_overflow() {
+        let arrays = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        let objects = |n: usize| format!("{}1{}", "{\"k\":".repeat(n), "}".repeat(n));
+        assert!(parse_json(&arrays(MAX_JSON_DEPTH)).is_ok());
+        assert!(parse_json(&objects(MAX_JSON_DEPTH)).is_ok());
+        assert_eq!(
+            parse_json(&arrays(MAX_JSON_DEPTH + 1)).unwrap_err(),
+            "nesting deeper than 128 levels at byte 128"
+        );
+        assert_eq!(
+            parse_json(&objects(MAX_JSON_DEPTH + 1)).unwrap_err(),
+            "nesting deeper than 128 levels at byte 640"
+        );
+        // Far past any thread's stack: an unbounded descent would abort.
+        let err = parse_json(&"[".repeat(200_000)).unwrap_err();
+        assert!(err.starts_with("nesting deeper than"), "{err}");
     }
 
     #[test]

@@ -240,47 +240,20 @@ pub struct FilterVerdict {
     pub evidence: String,
 }
 
-/// Where the filter engine's happens-before graph comes from: built and
-/// owned by the engine ([`Filters::new`]) or borrowed from a caller that
-/// already materialized it ([`Filters::with_hb`] — the analysis pipeline,
-/// which also hands the graph to the detector's pre-prune).
-#[derive(Debug)]
-enum HbSource<'a> {
-    Owned(Box<HbGraph>),
-    Borrowed(&'a HbGraph),
-}
-
 /// Filter engine bound to one analyzed program.
 #[derive(Debug)]
 pub struct Filters<'a> {
     program: &'a Program,
     threads: &'a ThreadModel,
     pts: &'a PointsTo,
-    hb: HbSource<'a>,
+    hb: &'a HbGraph,
 }
 
 impl<'a> Filters<'a> {
-    /// Bind the filter engine to analysis results, materializing its own
-    /// happens-before graph.
-    #[must_use]
-    pub fn new(
-        program: &'a Program,
-        threads: &'a ThreadModel,
-        pts: &'a PointsTo,
-        escape: &'a Escape,
-    ) -> Self {
-        let _ = escape; // reserved: escape-aware refinements
-        Filters {
-            program,
-            threads,
-            pts,
-            hb: HbSource::Owned(Box::new(HbGraph::build(program, threads))),
-        }
-    }
-
-    /// [`Filters::new`] over a happens-before graph the caller already
-    /// built — avoids a second graph construction (and a second round of
-    /// `hb.*` counters) when the analysis pipeline owns the graph.
+    /// Bind the filter engine to analysis results and the
+    /// happens-before graph the caller built for them
+    /// ([`HbGraph::build`]). The analysis pipeline builds the graph once
+    /// and also hands it to the detector's pre-prune.
     #[must_use]
     pub fn with_hb(
         program: &'a Program,
@@ -294,17 +267,14 @@ impl<'a> Filters<'a> {
             program,
             threads,
             pts,
-            hb: HbSource::Borrowed(hb),
+            hb,
         }
     }
 
     /// The happens-before graph answering the HB-family filters.
     #[must_use]
     pub fn hb(&self) -> &HbGraph {
-        match &self.hb {
-            HbSource::Owned(g) => g,
-            HbSource::Borrowed(g) => g,
-        }
+        self.hb
     }
 
     /// Whether `kind` prunes `w` when applied individually.

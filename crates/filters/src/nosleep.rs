@@ -106,6 +106,7 @@ fn collect_sites(program: &Program, threads: &ThreadModel) -> (Vec<WakeSite>, Ve
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nadroid_hb::HbGraph;
     use nadroid_ir::parse_program;
     use nadroid_pointsto::Escape;
 
@@ -114,7 +115,8 @@ mod tests {
         let t = ThreadModel::build(&p);
         let pts = PointsTo::run(&p, &t, 2);
         let esc = Escape::compute(&p, &t, &pts);
-        let f = Filters::new(&p, &t, &pts, &esc);
+        let hb = HbGraph::build(&p, &t);
+        let f = Filters::with_hb(&p, &t, &pts, &esc, &hb);
         detect_no_sleep(&p, &t, &pts, &f)
     }
 

@@ -12,6 +12,7 @@ struct Setup {
     threads: ThreadModel,
     pts: PointsTo,
     escape: Escape,
+    hb: HbGraph,
     warnings: Vec<UafWarning>,
 }
 
@@ -27,18 +28,26 @@ fn setup(src: &str) -> Setup {
         &escape,
         DetectorOptions::default(),
     );
+    let hb = HbGraph::build(&program, &threads);
     Setup {
         program,
         threads,
         pts,
         escape,
+        hb,
         warnings,
     }
 }
 
 impl Setup {
     fn filters(&self) -> Filters<'_> {
-        Filters::new(&self.program, &self.threads, &self.pts, &self.escape)
+        Filters::with_hb(
+            &self.program,
+            &self.threads,
+            &self.pts,
+            &self.escape,
+            &self.hb,
+        )
     }
 
     /// Find the warning whose use is in `use_m` and free in `free_m`.
@@ -784,12 +793,6 @@ fn crosscheck_mode_agrees_on_every_filter() {
 
 use refute::{RefutationReason, Refuter};
 
-impl Setup {
-    fn refuter_hb(&self) -> nadroid_hb::HbGraph {
-        nadroid_hb::HbGraph::build(&self.program, &self.threads)
-    }
-}
-
 const DIALOG_DISMISS: &str = r#"
     app RDlg
     activity Main {
@@ -814,8 +817,7 @@ fn dialog_dismiss_refutes_the_survivor() {
     let outcomes = f.pipeline(vec![w.clone()], FilterKind::all());
     assert!(outcomes[0].survives(), "pruned by {:?}", outcomes[0].pruned_by);
     // …and the refuter kills it with a Disabled contradiction chain.
-    let hb = s.refuter_hb();
-    let r = Refuter::new(&s.program, &s.threads, &hb)
+    let r = Refuter::new(&s.program, &s.threads, &s.hb)
         .refute(w)
         .expect("refuted");
     assert_eq!(r.reason, RefutationReason::Disabled);
@@ -845,8 +847,9 @@ fn pause_only_dismiss_is_not_refuted() {
         "#,
     );
     let w = s.warning("onShow", "onDestroy");
-    let hb = s.refuter_hb();
-    assert!(Refuter::new(&s.program, &s.threads, &hb).refute(w).is_none());
+    assert!(Refuter::new(&s.program, &s.threads, &s.hb)
+        .refute(w)
+        .is_none());
 }
 
 #[test]
@@ -870,8 +873,9 @@ fn late_disable_is_not_refuted() {
         "#,
     );
     let w = s.warning("onShow", "onStop");
-    let hb = s.refuter_hb();
-    assert!(Refuter::new(&s.program, &s.threads, &hb).refute(w).is_none());
+    assert!(Refuter::new(&s.program, &s.threads, &s.hb)
+        .refute(w)
+        .is_none());
 }
 
 #[test]
@@ -894,8 +898,7 @@ fn fragment_detach_free_is_refuted_by_extended_order() {
     let f = s.filters();
     let outcomes = f.pipeline(vec![w.clone()], FilterKind::all());
     assert!(outcomes[0].survives(), "pruned by {:?}", outcomes[0].pruned_by);
-    let hb = s.refuter_hb();
-    let r = Refuter::new(&s.program, &s.threads, &hb)
+    let r = Refuter::new(&s.program, &s.threads, &s.hb)
         .refute(w)
         .expect("refuted");
     assert_eq!(r.reason, RefutationReason::ExtendedOrder);
@@ -922,8 +925,7 @@ fn task_stack_launch_is_refuted_by_extended_order() {
         "#,
     );
     let w = s.warning("onCreate", "onCreate");
-    let hb = s.refuter_hb();
-    let r = Refuter::new(&s.program, &s.threads, &hb)
+    let r = Refuter::new(&s.program, &s.threads, &s.hb)
         .refute(w)
         .expect("refuted");
     assert_eq!(r.reason, RefutationReason::ExtendedOrder);
@@ -952,8 +954,7 @@ fn alarm_cancel_refutes_the_survivor() {
         "#,
     );
     let w = s.warning("onAlarm", "onDestroy");
-    let hb = s.refuter_hb();
-    let r = Refuter::new(&s.program, &s.threads, &hb)
+    let r = Refuter::new(&s.program, &s.threads, &s.hb)
         .refute(w)
         .expect("refuted");
     assert_eq!(r.reason, RefutationReason::Disabled);
@@ -973,8 +974,7 @@ fn paper_survivors_are_never_refuted() {
         let s = setup(src);
         let f = s.filters();
         let outcomes = f.pipeline(s.warnings.clone(), FilterKind::all());
-        let hb = s.refuter_hb();
-        let r = Refuter::new(&s.program, &s.threads, &hb);
+        let r = Refuter::new(&s.program, &s.threads, &s.hb);
         for o in outcomes.iter().filter(|o| o.survives()) {
             assert!(
                 r.refute(&o.warning).is_none(),

@@ -185,8 +185,10 @@ impl Request {
     ///
     /// # Errors
     ///
-    /// Returns a message for malformed JSON, a wrong schema, or a
-    /// missing/unknown `op`.
+    /// Returns a message for malformed JSON, a wrong schema, a
+    /// missing/unknown `op`, or a present field (`k`, `sound_only`,
+    /// `deadline_ms`, `id`) whose value has the wrong type or range; an
+    /// absent option takes its default.
     pub fn decode(line: &str) -> Result<Request, String> {
         let v = parse_json(line)?;
         check_schema(&v)?;
@@ -194,14 +196,20 @@ impl Request {
             .get("op")
             .and_then(JsonValue::as_str)
             .ok_or_else(|| "request has no op".to_owned())?;
-        let opts = || AnalyzeOpts {
-            #[allow(clippy::cast_possible_truncation)]
-            k: v.get("k").and_then(JsonValue::as_u64).unwrap_or(2) as u32,
-            sound_only: v
-                .get("sound_only")
-                .and_then(JsonValue::as_bool)
-                .unwrap_or(false),
-            deadline_ms: v.get("deadline_ms").and_then(JsonValue::as_u64),
+        let opts = || -> Result<AnalyzeOpts, String> {
+            let default = AnalyzeOpts::default();
+            let k = |x: &JsonValue| whole(x).and_then(|n| u32::try_from(n).ok());
+            Ok(AnalyzeOpts {
+                k: field(&v, "k", "an integer from 0 to 4294967295", k)?.unwrap_or(default.k),
+                sound_only: field(&v, "sound_only", "true or false", JsonValue::as_bool)?
+                    .unwrap_or(default.sound_only),
+                deadline_ms: field(
+                    &v,
+                    "deadline_ms",
+                    "a non-negative integer below 2^64",
+                    whole,
+                )?,
+            })
         };
         let program = || {
             v.get("program")
@@ -212,16 +220,16 @@ impl Request {
         match op {
             "analyze" => Ok(Request::Analyze {
                 program: program()?,
-                opts: opts(),
+                opts: opts()?,
             }),
             "explain" => Ok(Request::Explain {
                 program: program()?,
-                id: v.get("id").and_then(JsonValue::as_str).map(str::to_owned),
-                opts: opts(),
+                id: field(&v, "id", "a string", |x| x.as_str().map(str::to_owned))?,
+                opts: opts()?,
             }),
             "confirm" => Ok(Request::Confirm {
                 program: program()?,
-                opts: opts(),
+                opts: opts()?,
             }),
             "stats" => Ok(Request::Stats),
             "metrics" => Ok(Request::Metrics),
@@ -229,6 +237,28 @@ impl Request {
             other => Err(format!("unknown op `{other}`")),
         }
     }
+}
+
+/// Request field `name` of `v`: `None` when absent, an error naming the
+/// field when it is present but `read` rejects its value.
+fn field<T>(
+    v: &JsonValue,
+    name: &str,
+    expected: &str,
+    read: impl Fn(&JsonValue) -> Option<T>,
+) -> Result<Option<T>, String> {
+    v.get(name)
+        .map(|x| read(x).ok_or_else(|| format!("`{name}` must be {expected}")))
+        .transpose()
+}
+
+/// A number with no fractional part that fits in `u64`.
+fn whole(v: &JsonValue) -> Option<u64> {
+    let n = v.as_f64()?;
+    // `u64::MAX as f64` rounds up to 2^64, the first value that does
+    // not fit.
+    #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+    (n >= 0.0 && n.fract() == 0.0 && n < u64::MAX as f64).then_some(n as u64)
 }
 
 /// The `request_id` a response line carries, if any. Every response
@@ -615,6 +645,76 @@ mod tests {
             }
             other => panic!("unexpected: {other:?}"),
         }
+    }
+
+    /// Decode an `analyze` request carrying the given extra members.
+    fn analyze_with(members: &str) -> Result<Request, String> {
+        Request::decode(&format!(
+            "{{\"schema\":\"{SCHEMA}\",\"op\":\"analyze\",\"program\":\"app X\"{members}}}"
+        ))
+    }
+
+    #[test]
+    fn absent_options_take_their_defaults() {
+        assert_eq!(
+            analyze_with(""),
+            Ok(Request::Analyze {
+                program: "app X".into(),
+                opts: AnalyzeOpts::default(),
+            })
+        );
+    }
+
+    #[test]
+    fn a_string_k_is_rejected() {
+        assert_eq!(
+            analyze_with(",\"k\":\"3\""),
+            Err("`k` must be an integer from 0 to 4294967295".into())
+        );
+    }
+
+    #[test]
+    fn a_fractional_k_is_rejected() {
+        assert_eq!(
+            analyze_with(",\"k\":2.9"),
+            Err("`k` must be an integer from 0 to 4294967295".into())
+        );
+    }
+
+    #[test]
+    fn a_k_past_u32_is_rejected() {
+        assert_eq!(
+            analyze_with(",\"k\":4294967299"),
+            Err("`k` must be an integer from 0 to 4294967295".into())
+        );
+        assert!(analyze_with(",\"k\":-1").is_err());
+        assert!(analyze_with(",\"k\":4294967295").is_ok());
+    }
+
+    #[test]
+    fn a_string_deadline_is_rejected() {
+        assert_eq!(
+            analyze_with(",\"deadline_ms\":\"50\""),
+            Err("`deadline_ms` must be a non-negative integer below 2^64".into())
+        );
+        assert!(analyze_with(",\"deadline_ms\":18446744073709551616").is_err());
+        assert!(analyze_with(",\"deadline_ms\":null").is_err());
+    }
+
+    #[test]
+    fn a_string_sound_only_is_rejected() {
+        assert_eq!(
+            analyze_with(",\"sound_only\":\"yes\""),
+            Err("`sound_only` must be true or false".into())
+        );
+    }
+
+    #[test]
+    fn an_explain_id_that_is_not_a_string_is_rejected() {
+        let line = format!(
+            "{{\"schema\":\"{SCHEMA}\",\"op\":\"explain\",\"program\":\"app X\",\"id\":7}}"
+        );
+        assert_eq!(Request::decode(&line), Err("`id` must be a string".into()));
     }
 
     #[test]

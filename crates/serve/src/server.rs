@@ -4,19 +4,24 @@
 //! Request lifecycle:
 //!
 //! 1. A connection thread decodes one `nadroid-serve/1` line.
-//! 2. `stats`/`shutdown` are answered inline (they never touch the
-//!    solver). `analyze`/`explain` are wrapped into a job and offered
-//!    to the pool; a full queue is answered `rejected` immediately —
-//!    admission control, not buffering.
+//! 2. `stats`/`metrics`/`shutdown` are answered inline (they never
+//!    touch the solver). `analyze`/`explain`/`confirm` are wrapped into
+//!    a job and offered to the pool; a full queue is answered
+//!    `rejected` immediately — admission control, not buffering.
 //! 3. On a worker, the job first consults the content-addressed cache
-//!    (warm path: a lookup and a clone). On a miss it installs the
-//!    request's [`CancelToken`] and runs the full pipeline; a deadline
-//!    firing unwinds at the next solver checkpoint, is caught at the
-//!    job boundary, and becomes a structured `deadline_exceeded`
-//!    response — the worker thread survives.
+//!    (warm path: a lookup and a reference-count bump). It is a hit
+//!    only when the entry holds what the job needs: a `confirm` needs
+//!    the confirmation document, which `analyze` never computes. On a
+//!    miss it installs the request's [`CancelToken`] and runs the full
+//!    pipeline (plus, for `confirm`, the schedule synthesis); a
+//!    deadline firing unwinds at the next solver checkpoint, is caught
+//!    at the job boundary, and becomes a structured
+//!    `deadline_exceeded` response — the worker thread survives.
 //!
 //! Every stage reports through [`nadroid_obs`]: per-request spans,
 //! `serve.*` counters, and queue-depth/inflight/cache-bytes gauges.
+//! The `serve.*` counters on the shared recorder are the only copy of
+//! the request and cache counts; `stats` and `metrics` read them.
 
 use crate::cache::{CacheKey, CachedResult, ResultCache};
 use crate::pool::{Pool, Submit};
@@ -32,7 +37,7 @@ use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -97,10 +102,6 @@ struct Shared {
     pool: Pool,
     telemetry: Telemetry,
     stopping: Arc<AtomicBool>,
-    requests: AtomicU64,
-    completed: AtomicU64,
-    rejected: AtomicU64,
-    deadline_exceeded: AtomicU64,
 }
 
 /// Per-request context minted on the connection thread and carried into
@@ -165,29 +166,92 @@ fn outcome_of(resp: &Response) -> &'static str {
     }
 }
 
+/// The three endpoints that consult the cache. They share one
+/// fetch-or-compute path and differ in what they need from an entry
+/// and in how they render it.
+enum Job {
+    Analyze,
+    /// Explain one warning id, or every warning.
+    Explain(Option<String>),
+    Confirm,
+}
+
+impl Job {
+    /// The endpoint label of telemetry and the access log.
+    fn endpoint(&self) -> &'static str {
+        match self {
+            Job::Analyze => "analyze",
+            Job::Explain(_) => "explain",
+            Job::Confirm => "confirm",
+        }
+    }
+
+    /// Whether the job needs the entry's confirmation document.
+    fn confirms(&self) -> bool {
+        matches!(self, Job::Confirm)
+    }
+
+    /// The response to this job, from an entry that holds what it needs.
+    fn respond(&self, result: &CachedResult, cached: bool, micros: u64) -> Response {
+        match self {
+            Job::Analyze => Response::Analyze {
+                app: result.app.clone(),
+                cached,
+                micros,
+                summary: result.summary,
+                warnings: result.warning_ids.clone(),
+            },
+            Job::Explain(id) => {
+                match render_explain_from_json(&result.provenance_json, id.as_deref()) {
+                    Ok(text) => Response::Explain {
+                        cached,
+                        micros,
+                        text,
+                    },
+                    Err(message) => Response::Error { message },
+                }
+            }
+            Job::Confirm => Response::Confirm {
+                cached,
+                micros,
+                json: result
+                    .confirm_json
+                    .clone()
+                    .expect("a confirm lookup only returns confirmed entries"),
+            },
+        }
+    }
+}
+
 // The `Err` of these fetch-or-compute helpers *is* the ready-to-send
 // failure `Response`; it only exists on the cold path, where one enum's
 // worth of stack is immaterial next to a pipeline run.
 #[allow(clippy::result_large_err)]
 impl Shared {
-    /// Fetch-or-compute the cached result for `(source, opts)` under a
-    /// precomputed `(config, key)` pair. `Ok` carries
-    /// `(result, came_from_cache)`; `Err` is a ready-to-send failure
-    /// response.
-    fn cached_result(
+    /// Fetch-or-compute the cache entry for `(source, opts)` under a
+    /// precomputed `(config, key)` pair. A lookup is a hit only when the
+    /// entry holds what the job needs: a confirm that finds an entry
+    /// `analyze` wrote is a miss, and its result *upgrades* that entry
+    /// in place (confirmation filled in, provenance re-rendered with
+    /// verdicts), so later explain queries see the verdicts for free.
+    /// `Ok` carries `(result, came_from_cache)`; `Err` is a ready-to-send
+    /// failure response.
+    fn fetch_or_compute(
         &self,
         source: &str,
         opts: &AnalyzeOpts,
         config: &AnalysisConfig,
         key: CacheKey,
+        confirm: bool,
         rid: &str,
     ) -> Result<(Arc<CachedResult>, bool), Response> {
-        if let Some(hit) = self.cache.lock().expect("cache lock").get(&key) {
+        let entry = self.cache.lock().expect("cache lock").get(&key);
+        if let Some(hit) = entry.filter(|e| !confirm || e.confirm_json.is_some()) {
             obs::counter("serve.cache.hits", 1);
             return Ok((hit, true));
         }
         obs::counter("serve.cache.misses", 1);
-        let result = self.compute(source, opts, config, rid)?;
+        let result = self.compute(source, opts, config, confirm, rid)?;
         let mut cache = self.cache.lock().expect("cache lock");
         let before = cache.stats().evictions;
         let result = cache.insert(key, result);
@@ -200,16 +264,23 @@ impl Shared {
     }
 
     /// The cold path: parse, run the pipeline under the request's
-    /// cancel token, and package everything a response (or a later
-    /// `explain`) needs.
+    /// cancel token (and, for a confirm, the schedule synthesis over
+    /// every survivor), and package everything a response (or a later
+    /// `explain`) needs. A deadline firing mid-sweep is *not* cached:
+    /// partial verdicts ("cancelled before the search ran") must never
+    /// be served as the app's confirmation.
     fn compute(
         &self,
         source: &str,
         opts: &AnalyzeOpts,
         config: &AnalysisConfig,
+        confirm: bool,
         rid: &str,
     ) -> Result<CachedResult, Response> {
         let deadline_ms = opts.deadline_ms.or(self.cfg.default_deadline_ms);
+        let deadline = || Response::DeadlineExceeded {
+            deadline_ms: deadline_ms.unwrap_or(0),
+        };
         // The request id rides the token: a cancellation observed deep
         // in a solver loop stays attributable to this request.
         let token = match deadline_ms {
@@ -223,18 +294,26 @@ impl Shared {
         // A zero (or already-elapsed) deadline must not reach the
         // solver at all.
         if token.is_cancelled() {
-            return Err(Response::DeadlineExceeded {
-                deadline_ms: deadline_ms.unwrap_or(0),
-            });
+            return Err(deadline());
         }
         let t = Instant::now();
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             let _scope = token.install();
-            let _span = obs::span("serve.analyze");
+            let _span = obs::span(if confirm {
+                "serve.confirm"
+            } else {
+                "serve.analyze"
+            });
             let analysis = analyze(&program, config);
             record_phase_hists(analysis.timings());
-            let provenances = analysis.warning_provenances();
-            let provenance_json = render_provenance_json_with(&analysis, &provenances);
+            let confirmed = confirm.then(|| {
+                let cfg = nadroid_confirm::ConfirmConfig::default();
+                nadroid_confirm::confirm_survivors(&analysis, &cfg)
+            });
+            let mut provenances = analysis.warning_provenances();
+            if let Some(outcome) = &confirmed {
+                nadroid_confirm::attach_confirmations(&mut provenances, outcome);
+            }
             let warning_ids = analysis
                 .survivors()
                 .iter()
@@ -244,31 +323,34 @@ impl Shared {
                 app: program.name().to_owned(),
                 summary: analysis.summary(),
                 warning_ids,
-                provenance_json,
-                confirm_json: None,
+                provenance_json: render_provenance_json_with(&analysis, &provenances),
+                confirm_json: confirmed
+                    .map(|outcome| nadroid_confirm::render_confirm_json(&analysis, &outcome)),
                 compute_micros: 0,
             }
         }));
         match outcome {
+            // A should_stop() observed between per-warning searches
+            // returns normally with placeholder verdicts; surface the
+            // deadline instead of caching them.
+            Ok(_) if confirm && token.is_cancelled() => Err(deadline()),
             Ok(mut result) => {
                 result.compute_micros = micros_since(t);
                 Ok(result)
             }
-            Err(payload) => {
-                if obs::cancel::was_cancelled(&*payload) {
-                    Err(Response::DeadlineExceeded {
-                        deadline_ms: deadline_ms.unwrap_or(0),
-                    })
+            Err(payload) if obs::cancel::was_cancelled(&*payload) => Err(deadline()),
+            Err(_) => Err(Response::Error {
+                message: if confirm {
+                    "confirmation panicked"
                 } else {
-                    Err(Response::Error {
-                        message: "analysis panicked".to_owned(),
-                    })
+                    "analysis panicked"
                 }
-            }
+                .to_owned(),
+            }),
         }
     }
 
-    fn handle_analyze(&self, source: &str, opts: &AnalyzeOpts, ctx: &ReqCtx) -> Response {
+    fn handle(&self, job: &Job, source: &str, opts: &AnalyzeOpts, ctx: &ReqCtx) -> Response {
         let t = Instant::now();
         let config = config_for(opts, self.cfg.effective_threads());
         let key = CacheKey::of(source, &config);
@@ -280,200 +362,18 @@ impl Shared {
         let outcome = {
             let _guard = capture.as_ref().map(Recorder::install);
             let _span = obs::span("serve.request");
-            self.cached_result(source, opts, &config, key, &ctx.id)
+            self.fetch_or_compute(source, opts, &config, key, job.confirms(), &ctx.id)
         };
         // One clock read feeds both the response's `micros` and the
         // telemetry `service_us`, so client- and server-side latency
         // distributions are comparable sample for sample.
         let micros = micros_since(t);
         let resp = match outcome {
-            Ok((result, cached)) => Response::Analyze {
-                app: result.app.clone(),
-                cached,
-                micros,
-                summary: result.summary,
-                warnings: result.warning_ids.clone(),
-            },
+            Ok((result, cached)) => job.respond(&result, cached, micros),
             Err(resp) => resp,
         };
         self.account(&resp);
-        self.observe(ctx, "analyze", &resp, micros, Some(key));
-        self.finish_capture(ctx, capture.as_ref(), micros);
-        resp
-    }
-
-    /// Fetch-or-compute the confirmation document for `(source, opts)`.
-    /// The entry shares the analyze/explain cache key: a prior analyze
-    /// hit is *upgraded* in place (confirmation filled in, provenance
-    /// re-rendered with verdicts), and later explain queries see the
-    /// verdict-carrying provenance for free.
-    fn cached_confirm(
-        &self,
-        source: &str,
-        opts: &AnalyzeOpts,
-        config: &AnalysisConfig,
-        key: CacheKey,
-        rid: &str,
-    ) -> Result<(String, bool), Response> {
-        if let Some(hit) = self.cache.lock().expect("cache lock").get(&key) {
-            if let Some(json) = &hit.confirm_json {
-                obs::counter("serve.cache.hits", 1);
-                return Ok((json.clone(), true));
-            }
-        }
-        obs::counter("serve.cache.misses", 1);
-        let result = self.compute_confirm(source, opts, config, rid)?;
-        let json = result
-            .confirm_json
-            .clone()
-            .expect("compute_confirm fills confirm_json");
-        {
-            let mut cache = self.cache.lock().expect("cache lock");
-            let before = cache.stats().evictions;
-            cache.insert(key, result);
-            let evicted = cache.stats().evictions - before;
-            if evicted > 0 {
-                obs::counter("serve.cache.evictions", evicted);
-            }
-            obs::gauge("serve.cache.bytes", cache.bytes() as u64);
-        }
-        Ok((json, false))
-    }
-
-    /// The cold confirmation path: run the pipeline, then the schedule
-    /// synthesis over every survivor, all under the request's cancel
-    /// token. A deadline firing mid-search is *not* cached — partial
-    /// verdicts ("cancelled before the search ran") must never be
-    /// served as the app's confirmation.
-    fn compute_confirm(
-        &self,
-        source: &str,
-        opts: &AnalyzeOpts,
-        config: &AnalysisConfig,
-        rid: &str,
-    ) -> Result<CachedResult, Response> {
-        let deadline_ms = opts.deadline_ms.or(self.cfg.default_deadline_ms);
-        let token = match deadline_ms {
-            Some(ms) => CancelToken::with_deadline_tagged(Duration::from_millis(ms), rid),
-            None => CancelToken::tagged(rid),
-        };
-        let program = parse_program(source)
-            .map_err(|e| Response::Error {
-                message: format!("parse error: {e}"),
-            })?;
-        if token.is_cancelled() {
-            return Err(Response::DeadlineExceeded {
-                deadline_ms: deadline_ms.unwrap_or(0),
-            });
-        }
-        let t = Instant::now();
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            let _scope = token.install();
-            let _span = obs::span("serve.confirm");
-            let analysis = analyze(&program, config);
-            record_phase_hists(analysis.timings());
-            let confirm_outcome =
-                nadroid_confirm::confirm_survivors(&analysis, &nadroid_confirm::ConfirmConfig::default());
-            let confirm_json = nadroid_confirm::render_confirm_json(&analysis, &confirm_outcome);
-            let mut provenances = analysis.warning_provenances();
-            nadroid_confirm::attach_confirmations(&mut provenances, &confirm_outcome);
-            let provenance_json = render_provenance_json_with(&analysis, &provenances);
-            let warning_ids = analysis
-                .survivors()
-                .iter()
-                .map(|w| warning_id(&program, analysis.threads(), w))
-                .collect();
-            CachedResult {
-                app: program.name().to_owned(),
-                summary: analysis.summary(),
-                warning_ids,
-                provenance_json,
-                confirm_json: Some(confirm_json),
-                compute_micros: 0,
-            }
-        }));
-        match outcome {
-            // A should_stop() observed between per-warning searches
-            // returns normally with placeholder verdicts; surface the
-            // deadline instead of caching them.
-            Ok(_) if token.is_cancelled() => Err(Response::DeadlineExceeded {
-                deadline_ms: deadline_ms.unwrap_or(0),
-            }),
-            Ok(mut result) => {
-                result.compute_micros = micros_since(t);
-                Ok(result)
-            }
-            Err(payload) => {
-                if obs::cancel::was_cancelled(&*payload) {
-                    Err(Response::DeadlineExceeded {
-                        deadline_ms: deadline_ms.unwrap_or(0),
-                    })
-                } else {
-                    Err(Response::Error {
-                        message: "confirmation panicked".to_owned(),
-                    })
-                }
-            }
-        }
-    }
-
-    fn handle_confirm(&self, source: &str, opts: &AnalyzeOpts, ctx: &ReqCtx) -> Response {
-        let t = Instant::now();
-        let config = config_for(opts, self.cfg.effective_threads());
-        let key = CacheKey::of(source, &config);
-        let capture = self.telemetry.capture_enabled().then(Recorder::new);
-        let outcome = {
-            let _guard = capture.as_ref().map(Recorder::install);
-            let _span = obs::span("serve.request");
-            self.cached_confirm(source, opts, &config, key, &ctx.id)
-        };
-        let micros = micros_since(t);
-        let resp = match outcome {
-            Ok((json, cached)) => Response::Confirm {
-                cached,
-                micros,
-                json,
-            },
-            Err(resp) => resp,
-        };
-        self.account(&resp);
-        self.observe(ctx, "confirm", &resp, micros, Some(key));
-        self.finish_capture(ctx, capture.as_ref(), micros);
-        resp
-    }
-
-    fn handle_explain(
-        &self,
-        source: &str,
-        id: Option<&str>,
-        opts: &AnalyzeOpts,
-        ctx: &ReqCtx,
-    ) -> Response {
-        let t = Instant::now();
-        let config = config_for(opts, self.cfg.effective_threads());
-        let key = CacheKey::of(source, &config);
-        let capture = self.telemetry.capture_enabled().then(Recorder::new);
-        let outcome = {
-            let _guard = capture.as_ref().map(Recorder::install);
-            let _span = obs::span("serve.request");
-            self.cached_result(source, opts, &config, key, &ctx.id)
-        };
-        let micros = micros_since(t);
-        let resp = match outcome {
-            Ok((result, cached)) => {
-                match render_explain_from_json(&result.provenance_json, id) {
-                    Ok(text) => Response::Explain {
-                        cached,
-                        micros,
-                        text,
-                    },
-                    Err(message) => Response::Error { message },
-                }
-            }
-            Err(resp) => resp,
-        };
-        self.account(&resp);
-        self.observe(ctx, "explain", &resp, micros, Some(key));
+        self.observe(ctx, job.endpoint(), &resp, micros, Some(key));
         self.finish_capture(ctx, capture.as_ref(), micros);
         resp
     }
@@ -511,43 +411,36 @@ impl Shared {
     }
 
     fn account(&self, resp: &Response) {
-        match resp {
-            Response::DeadlineExceeded { .. } => {
-                self.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
-                obs::counter("serve.deadline_exceeded", 1);
-            }
-            Response::Error { .. } => {
-                obs::counter("serve.errors", 1);
-            }
-            _ => {
-                self.completed.fetch_add(1, Ordering::Relaxed);
-                obs::counter("serve.completed", 1);
-            }
-        }
+        let name = match resp {
+            Response::DeadlineExceeded { .. } => "serve.deadline_exceeded",
+            Response::Error { .. } => "serve.errors",
+            _ => "serve.completed",
+        };
+        obs::counter(name, 1);
     }
 
+    /// Every count here is read from the shared recorder, the one place
+    /// the server keeps them: the `stats` op, the metrics document and
+    /// the `serve.*` counters cannot disagree.
     fn stats_fields(&self) -> Vec<(String, u64)> {
-        let (cache_stats, cache_bytes, cache_entries) = {
+        let (cache_bytes, cache_entries) = {
             let cache = self.cache.lock().expect("cache lock");
-            (cache.stats(), cache.bytes() as u64, cache.entries() as u64)
+            (cache.bytes() as u64, cache.entries() as u64)
         };
         let f = |name: &str, value: u64| (name.to_owned(), value);
+        let counter = |name: &str| self.recorder.counter_value(name);
+        // Both fields count the same accepted lines, from one counter.
+        let requests = counter("serve.requests");
         vec![
-            f("requests", self.requests.load(Ordering::Relaxed)),
-            // `requests` and `requests_total` agree today; `requests_total`
-            // is pinned monotonic (it is the id mint), so two snapshots
-            // stay orderable even if `requests` ever becomes resettable.
-            f("requests_total", self.telemetry.requests_total()),
+            f("requests", requests),
+            f("requests_total", requests),
             f("uptime_secs", self.telemetry.uptime_secs()),
-            f("completed", self.completed.load(Ordering::Relaxed)),
-            f("rejected", self.rejected.load(Ordering::Relaxed)),
-            f(
-                "deadline_exceeded",
-                self.deadline_exceeded.load(Ordering::Relaxed),
-            ),
-            f("cache_hits", cache_stats.hits),
-            f("cache_misses", cache_stats.misses),
-            f("cache_evictions", cache_stats.evictions),
+            f("completed", counter("serve.completed")),
+            f("rejected", counter("serve.rejected")),
+            f("deadline_exceeded", counter("serve.deadline_exceeded")),
+            f("cache_hits", counter("serve.cache.hits")),
+            f("cache_misses", counter("serve.cache.misses")),
+            f("cache_evictions", counter("serve.cache.evictions")),
             f("cache_bytes", cache_bytes),
             f("cache_entries", cache_entries),
             f("queue_depth", self.pool.queue_depth()),
@@ -561,33 +454,15 @@ impl Shared {
             // HB-graph aggregates across every analysis the workers ran
             // (worker threads install the shared recorder, so the hb.*
             // counters accumulate here).
-            f("hb.edges", self.recorder.counter_value("hb.edges")),
-            f(
-                "hb.closure_micros",
-                self.recorder.counter_value("hb.closure_micros"),
-            ),
-            f(
-                "detector.mhp_prepruned",
-                self.recorder.counter_value("detector.mhp_prepruned"),
-            ),
+            f("hb.edges", counter("hb.edges")),
+            f("hb.closure_micros", counter("hb.closure_micros")),
+            f("detector.mhp_prepruned", counter("detector.mhp_prepruned")),
             // Confirmation verdict counters, accumulated across every
             // confirm request the workers ran (shared recorder again).
-            f(
-                "confirm.confirmed",
-                self.recorder.counter_value("confirm.confirmed"),
-            ),
-            f(
-                "confirm.unconfirmed",
-                self.recorder.counter_value("confirm.unconfirmed"),
-            ),
-            f(
-                "confirm.infeasible",
-                self.recorder.counter_value("confirm.infeasible"),
-            ),
-            f(
-                "confirm.states",
-                self.recorder.counter_value("confirm.states"),
-            ),
+            f("confirm.confirmed", counter("confirm.confirmed")),
+            f("confirm.unconfirmed", counter("confirm.unconfirmed")),
+            f("confirm.infeasible", counter("confirm.infeasible")),
+            f("confirm.states", counter("confirm.states")),
         ]
     }
 
@@ -600,7 +475,7 @@ impl Shared {
             "{{\"schema\":\"nadroid-serve-metrics/1\",\"ts\":{},\"uptime_secs\":{},\"requests_total\":{}",
             Telemetry::epoch_secs(),
             self.telemetry.uptime_secs(),
-            self.telemetry.requests_total()
+            self.recorder.counter_value("serve.requests")
         );
         out.push_str(",\"counters\":{");
         for (i, (k, v)) in self.stats_fields().iter().enumerate() {
@@ -679,10 +554,6 @@ impl Server {
             pool,
             telemetry,
             stopping: Arc::clone(&stopping),
-            requests: AtomicU64::new(0),
-            completed: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
-            deadline_exceeded: AtomicU64::new(0),
             cfg,
         });
 
@@ -795,7 +666,6 @@ fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) {
             Ok(line) => Ok(line.trim_end()),
             Err(e) => Err(format!("request line is not valid UTF-8: {e}")),
         };
-        shared.requests.fetch_add(1, Ordering::Relaxed);
         obs::counter("serve.requests", 1);
         // Mint the request id at accept time; every path below echoes
         // it back in the response envelope.
@@ -835,19 +705,13 @@ fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) {
                 return;
             }
             Ok(Request::Analyze { program, opts }) => {
-                dispatch(shared, "analyze", rid.clone(), move |sh, ctx| {
-                    sh.handle_analyze(&program, &opts, &ctx)
-                })
+                dispatch(shared, Job::Analyze, program, opts, rid.clone())
             }
             Ok(Request::Explain { program, id, opts }) => {
-                dispatch(shared, "explain", rid.clone(), move |sh, ctx| {
-                    sh.handle_explain(&program, id.as_deref(), &opts, &ctx)
-                })
+                dispatch(shared, Job::Explain(id), program, opts, rid.clone())
             }
             Ok(Request::Confirm { program, opts }) => {
-                dispatch(shared, "confirm", rid.clone(), move |sh, ctx| {
-                    sh.handle_confirm(&program, &opts, &ctx)
-                })
+                dispatch(shared, Job::Confirm, program, opts, rid.clone())
             }
         };
         if write_response(reader.get_mut(), &response, &rid).is_err() {
@@ -860,22 +724,26 @@ fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) {
 /// becomes an immediate `rejected` without blocking the connection. The
 /// job clocks its own queue wait: the gap between submission here and a
 /// worker actually picking it up.
-fn dispatch<F>(shared: &Arc<Shared>, endpoint: &'static str, rid: String, work: F) -> Response
-where
-    F: FnOnce(&Shared, ReqCtx) -> Response + Send + 'static,
-{
+fn dispatch(
+    shared: &Arc<Shared>,
+    job: Job,
+    program: String,
+    opts: AnalyzeOpts,
+    rid: String,
+) -> Response {
+    let endpoint = job.endpoint();
     let (tx, rx) = mpsc::channel::<Response>();
     let job_shared = Arc::clone(shared);
     let job_rid = rid.clone();
     let submitted_at = Instant::now();
-    let job = Box::new(move || {
+    let work = Box::new(move || {
         let ctx = ReqCtx {
             id: job_rid,
             queue_us: micros_since(submitted_at),
         };
-        let _ = tx.send(work(&job_shared, ctx));
+        let _ = tx.send(job_shared.handle(&job, &program, &opts, &ctx));
     });
-    let submitted = shared.pool.try_submit(job);
+    let submitted = shared.pool.try_submit(work);
     obs::gauge("serve.queue_depth", shared.pool.queue_depth());
     obs::gauge("serve.inflight", shared.pool.inflight());
     match submitted {
@@ -883,7 +751,6 @@ where
             message: "worker dropped the reply".to_owned(),
         }),
         Submit::Full(_) => {
-            shared.rejected.fetch_add(1, Ordering::Relaxed);
             obs::counter("serve.rejected", 1);
             let resp = Response::Rejected {
                 retry_after_ms: shared.cfg.retry_after_ms,

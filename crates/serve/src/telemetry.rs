@@ -50,7 +50,8 @@ pub struct TelemetryConfig {
 pub struct RequestEvent<'a> {
     /// The request id minted at accept time.
     pub id: &'a str,
-    /// `analyze` / `explain` / `stats` / `metrics` / `unknown`.
+    /// `analyze` / `explain` / `confirm` / `stats` / `metrics` /
+    /// `shutdown` / `unknown`.
     pub endpoint: &'a str,
     /// `hit` / `miss` / `rejected` / `deadline` / `error` / `ok`.
     pub outcome: &'a str,
@@ -182,13 +183,6 @@ impl Telemetry {
         format!("r{n:08x}")
     }
 
-    /// Total requests accepted so far (ids minted). Monotonic, so two
-    /// `stats` snapshots are orderable even across identical counters.
-    #[must_use]
-    pub fn requests_total(&self) -> u64 {
-        self.seq.load(Ordering::Relaxed)
-    }
-
     /// Whole seconds since the server started.
     #[must_use]
     pub fn uptime_secs(&self) -> u64 {
@@ -301,7 +295,6 @@ mod tests {
         assert_eq!(a, "r00000001");
         assert_eq!(b, "r00000002");
         assert!(a.chars().all(|c| c.is_ascii_alphanumeric()));
-        assert_eq!(t.requests_total(), 2);
     }
 
     #[test]

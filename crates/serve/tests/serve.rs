@@ -1,10 +1,15 @@
 //! End-to-end tests over a real TCP connection: cold/warm round trips,
-//! structured deadline timeouts that leave the worker healthy, and
-//! counter consistency between the `stats` op and the obs recorder.
+//! structured deadline timeouts that leave the worker healthy, counter
+//! consistency between the `stats` op, the metrics document and the obs
+//! recorder, and malformed or mutated protocol lines that must each get
+//! one structured answer without harming the connection.
 
+use nadroid_core::{parse_json, JsonValue, Summary};
 use nadroid_serve::client::Client;
 use nadroid_serve::protocol::{AnalyzeOpts, Request, Response};
 use nadroid_serve::server::{ServeConfig, Server};
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 
 const CONNECTBOT: &str = include_str!("../../../apps/connectbot.dsl");
 
@@ -23,6 +28,51 @@ fn stat(fields: &[(String, u64)], name: &str) -> u64 {
         .find(|(n, _)| n == name)
         .unwrap_or_else(|| panic!("stats field `{name}` missing"))
         .1
+}
+
+/// Write one raw request line, adding the newline when it lacks one.
+fn send_line(reader: &mut BufReader<TcpStream>, line: &[u8]) {
+    let stream = reader.get_mut();
+    stream.write_all(line).unwrap();
+    if !line.ends_with(b"\n") {
+        stream.write_all(b"\n").unwrap();
+    }
+}
+
+fn read_response(reader: &mut BufReader<TcpStream>) -> Response {
+    let mut reply = String::new();
+    let n = reader.read_line(&mut reply).expect("read response line");
+    assert!(n > 0, "server closed the connection");
+    Response::decode(reply.trim_end()).expect("response decodes")
+}
+
+/// The cache's `(hits, misses)` as the `stats` op, the metrics
+/// document's `counters` and the recorder's `serve.cache.*` report
+/// them, after checking that all three agree.
+fn cache_counts(server: &Server, client: &mut Client) -> (u64, u64) {
+    let Response::Stats { fields } = client.stats().unwrap() else {
+        panic!("expected stats response");
+    };
+    let Response::Metrics { json } = client.metrics().unwrap() else {
+        panic!("expected metrics response");
+    };
+    let doc = parse_json(&json).expect("metrics document parses");
+    let counter = |name: &str| {
+        doc.get("counters")
+            .and_then(|c| c.get(name))
+            .and_then(JsonValue::as_u64)
+            .unwrap_or_else(|| panic!("metrics counter `{name}` missing: {json}"))
+    };
+    let rec = server.recorder();
+    let recorder = (
+        rec.counter_value("serve.cache.hits"),
+        rec.counter_value("serve.cache.misses"),
+    );
+    let stats = (stat(&fields, "cache_hits"), stat(&fields, "cache_misses"));
+    assert_eq!(stats, recorder, "stats op against the recorder");
+    let metrics = (counter("cache_hits"), counter("cache_misses"));
+    assert_eq!(metrics, recorder, "metrics document against the recorder");
+    recorder
 }
 
 #[test]
@@ -237,6 +287,25 @@ fn stats_op_matches_recorder_counters() {
         rec.counter_value("serve.requests"),
         stat(&fields, "requests")
     );
+
+    // A confirm that lands on an entry `analyze` wrote has to run the
+    // searches, so every count calls it a miss; only a confirm that
+    // finds the confirmation document is a hit.
+    let server = test_server(1);
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    client.analyze(CONNECTBOT, AnalyzeOpts::default()).unwrap();
+    let first = client.confirm(CONNECTBOT, AnalyzeOpts::default()).unwrap();
+    assert!(
+        matches!(first, Response::Confirm { cached: false, .. }),
+        "{first:?}"
+    );
+    assert_eq!(cache_counts(&server, &mut client), (0, 2));
+    let second = client.confirm(CONNECTBOT, AnalyzeOpts::default()).unwrap();
+    assert!(
+        matches!(second, Response::Confirm { cached: true, .. }),
+        "{second:?}"
+    );
+    assert_eq!(cache_counts(&server, &mut client), (1, 2));
 }
 
 #[test]
@@ -265,17 +334,8 @@ fn malformed_requests_get_structured_errors() {
 
 #[test]
 fn garbage_lines_get_one_error_each_and_the_connection_keeps_serving() {
-    use std::io::{BufRead, BufReader, Write};
-
-    fn read_response(reader: &mut BufReader<std::net::TcpStream>) -> Response {
-        let mut reply = String::new();
-        let n = reader.read_line(&mut reply).expect("read response line");
-        assert!(n > 0, "server closed the connection");
-        Response::decode(reply.trim_end()).expect("response decodes")
-    }
-
     let server = test_server(1);
-    let stream = std::net::TcpStream::connect(server.local_addr()).expect("connect");
+    let stream = TcpStream::connect(server.local_addr()).expect("connect");
     let mut reader = BufReader::new(stream);
 
     let analyze = Request::Analyze {
@@ -289,11 +349,7 @@ fn garbage_lines_get_one_error_each_and_the_connection_keeps_serving() {
         b"{",
     ];
     for line in garbage {
-        let stream = reader.get_mut();
-        stream.write_all(line).unwrap();
-        if !line.ends_with(b"\n") {
-            stream.write_all(b"\n").unwrap();
-        }
+        send_line(&mut reader, line);
         let resp = read_response(&mut reader);
         assert!(
             matches!(resp, Response::Error { .. }),
@@ -302,14 +358,186 @@ fn garbage_lines_get_one_error_each_and_the_connection_keeps_serving() {
         );
     }
 
-    let stream = reader.get_mut();
-    stream.write_all(analyze.as_bytes()).unwrap();
-    stream.write_all(b"\n").unwrap();
+    send_line(&mut reader, analyze.as_bytes());
     let resp = read_response(&mut reader);
     let Response::Analyze { app, .. } = resp else {
         panic!("expected analyze response, got {resp:?}");
     };
     assert_eq!(app, "ConnectBot");
+}
+
+#[test]
+fn a_deeply_nested_line_gets_one_error_and_the_connection_keeps_serving() {
+    let server = test_server(1);
+    let stream = TcpStream::connect(server.local_addr()).expect("connect");
+    let mut reader = BufReader::new(stream);
+
+    // An unbounded recursive descent overflows the connection thread's
+    // stack on this line and aborts the whole process.
+    send_line(&mut reader, "[".repeat(200_000).as_bytes());
+    let resp = read_response(&mut reader);
+    let Response::Error { message } = resp else {
+        panic!("expected an error, got {resp:?}");
+    };
+    assert!(message.starts_with("nesting deeper than"), "{message}");
+
+    // The next line on the same connection gets its own answer, so the
+    // nested line got exactly one.
+    send_line(&mut reader, Request::Stats.encode().as_bytes());
+    let resp = read_response(&mut reader);
+    let Response::Stats { fields } = resp else {
+        panic!("expected stats response, got {resp:?}");
+    };
+    assert_eq!(stat(&fields, "requests"), 2);
+}
+
+/// One line for every request op and one for every response variant
+/// (so every status), each plain ASCII.
+fn codec_lines() -> Vec<String> {
+    let program = "app X\nactivity M {\n  field f: M\n  cb onCreate { f = new M }\n  \
+                   cb onClick { use f }\n  cb onPause { f = null }\n}\n";
+    let opts = AnalyzeOpts {
+        k: 3,
+        sound_only: true,
+        deadline_ms: Some(250),
+    };
+    let requests = [
+        Request::Analyze {
+            program: program.into(),
+            opts: opts.clone(),
+        },
+        Request::Explain {
+            program: program.into(),
+            id: Some("w:0011223344556677".into()),
+            opts: opts.clone(),
+        },
+        Request::Confirm {
+            program: program.into(),
+            opts,
+        },
+        Request::Stats,
+        Request::Metrics,
+        Request::Shutdown,
+    ];
+    let summary = Summary {
+        loc: 10,
+        ec: 2,
+        pc: 1,
+        threads: 3,
+        potential: 5,
+        after_sound: 2,
+        after_unsound: 1,
+        refuted: 0,
+        after_refutation: 1,
+    };
+    let responses = [
+        Response::Analyze {
+            app: "X".into(),
+            cached: true,
+            micros: 42,
+            summary,
+            warnings: vec!["w:0011223344556677".into()],
+        },
+        Response::Explain {
+            cached: false,
+            micros: 9,
+            text: "warning w:0011223344556677\n  field: f\n".into(),
+        },
+        Response::Confirm {
+            cached: true,
+            micros: 77,
+            json: "{\"schema\":\"nadroid-confirm/1\",\"tally\":{\"confirmed\":1}}".into(),
+        },
+        Response::Stats {
+            fields: vec![("cache_hits".into(), 3), ("requests".into(), 4)],
+        },
+        Response::Metrics {
+            json: "{\"schema\":\"nadroid-serve-metrics/1\",\"counters\":{}}".into(),
+        },
+        Response::Shutdown,
+        Response::Rejected { retry_after_ms: 50 },
+        Response::DeadlineExceeded { deadline_ms: 100 },
+        Response::Error {
+            message: "parse error: line 3".into(),
+        },
+    ];
+    let lines: Vec<String> = requests
+        .iter()
+        .map(Request::encode)
+        .chain(
+            responses
+                .iter()
+                .map(|r| r.encode_with_request_id("r0000002a")),
+        )
+        .collect();
+    assert!(lines.iter().all(|l| l.is_ascii()), "{lines:?}");
+    lines
+}
+
+/// Every truncation of every codec line, then `FLIPS` single-bit flips
+/// per line at seeded positions. Flipping one of the low seven bits
+/// keeps a byte ASCII, so every mutant is still a `&str`.
+fn mutated_lines() -> Vec<String> {
+    const FLIPS: usize = 64;
+    let mut state: u64 = 0x9e37_79b9_7f4a_7c15;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    };
+    let mut out = Vec::new();
+    for line in codec_lines() {
+        out.extend((0..line.len()).map(|end| line[..end].to_owned()));
+        for _ in 0..FLIPS {
+            let mut bytes = line.clone().into_bytes();
+            let at = usize::try_from(next() % bytes.len() as u64).unwrap();
+            bytes[at] ^= 1 << (next() % 7);
+            out.push(String::from_utf8(bytes).expect("ASCII stays UTF-8"));
+        }
+    }
+    out
+}
+
+#[test]
+fn mutated_protocol_lines_decode_without_panicking_and_get_one_response_each() {
+    let mutants = mutated_lines();
+    // Both decoders must return, error or not, on every mutant.
+    for line in &mutants {
+        let _ = Request::decode(line);
+        let _ = Response::decode(line);
+    }
+
+    // A sample goes over the wire. A blank line gets no answer and a
+    // line holding a newline is two lines, so those stay local, as do
+    // mutants still read as `shutdown`.
+    let server = test_server(1);
+    let stream = TcpStream::connect(server.local_addr()).expect("connect");
+    let mut reader = BufReader::new(stream);
+    let sent: Vec<&String> = mutants
+        .iter()
+        .step_by(37)
+        .filter(|l| !l.trim().is_empty() && !l.contains('\n'))
+        .filter(|l| !matches!(Request::decode(l), Ok(Request::Shutdown)))
+        .collect();
+    assert!(sent.len() >= 20, "only {} mutants sent", sent.len());
+    for line in &sent {
+        send_line(&mut reader, line.as_bytes());
+        let resp = read_response(&mut reader);
+        if Request::decode(line).is_err() {
+            assert!(
+                matches!(resp, Response::Error { .. }),
+                "{line:?} must get an error, got {resp:?}"
+            );
+        }
+    }
+    // Exactly one answer each: the next line's answer is its own.
+    send_line(&mut reader, Request::Stats.encode().as_bytes());
+    let resp = read_response(&mut reader);
+    let Response::Stats { fields } = resp else {
+        panic!("expected stats response, got {resp:?}");
+    };
+    assert_eq!(stat(&fields, "requests"), sent.len() as u64 + 1);
 }
 
 #[test]

@@ -40,7 +40,9 @@
 #    survives), stats consistency incl. the exported thread config, a
 #    `confirm` request (a confirmed verdict over the wire), a
 #    `metrics` request (per-endpoint percentiles, rolling rps windows,
-#    Prometheus text rendering), clean shutdown — then the JSONL
+#    Prometheus text rendering), clean shutdown, whose final stats must
+#    read 2 cache hits and 3 misses (the confirm found only the entry
+#    the cold analyze wrote, so it ran the searches: a miss) — then the JSONL
 #    access log and a slow-request trace must validate under
 #    `nadroid check-json`, and the serve load bench refreshes
 #    BENCH_serve.json (host fingerprint included) and enforces the 20x
@@ -201,6 +203,13 @@ echo "$text_out" | grep -qF 'series="serve.latency.analyze.miss",quantile="0.99"
 wait "$serve_pid" || { echo "ci.sh: serve exited nonzero" >&2; exit 1; }
 grep -q '"requests": 9' "$serve_out" || {
     echo "ci.sh: serve final stats missing/inconsistent:"; cat "$serve_out"; exit 1; }
+# Hits: the two warm analyzes. Misses: the cold analyze, the k=3
+# zero-deadline request, and the confirm, whose entry held no
+# confirmation yet.
+grep -q '"cache_hits": 2' "$serve_out" || {
+    echo "ci.sh: serve final cache_hits != 2:"; cat "$serve_out"; exit 1; }
+grep -q '"cache_misses": 3' "$serve_out" || {
+    echo "ci.sh: serve final cache_misses != 3:"; cat "$serve_out"; exit 1; }
 
 # The access log must hold one parseable JSONL record per request, and
 # `--slow-us 0` must have captured a span-tree trace for every
