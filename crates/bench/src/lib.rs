@@ -45,10 +45,9 @@ pub fn run_row(row: &PaperRow) -> AppRun {
     run_row_inner(row, true, &AnalysisConfig::default())
 }
 
-/// [`run_row`] minus the provenance capture: deriving every warning's
-/// racy pair through the Datalog engine with recording on is real work,
-/// and the §8.8 timing baseline measures the analysis pipeline, not the
-/// debugging exporter. `provenance` and `surviving_ids` come back empty.
+/// [`run_row`] minus the provenance capture: auditing and rendering
+/// every warning's derivation is real work, and the §8.8 timing
+/// baseline measures the analysis pipeline, not the debugging exporter. `provenance` and `surviving_ids` come back empty.
 /// The timed run also opts into the HB-closure MHP pre-prune, so the
 /// `detector.mhp_prepruned` delta is visible in `BENCH_timing.json`
 /// without perturbing the Table 1 / Figure 5 populations the other

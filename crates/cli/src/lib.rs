@@ -694,7 +694,7 @@ fn parse_request(args: impl Iterator<Item = String>) -> Result<Command, CliError
     // The mode and the flag that first chose it.
     let mut mode: Option<(RequestMode, String)> = None;
     let mut id = None;
-    let mut k = 2u32;
+    let mut k = None;
     let mut deadline_ms = None;
     while let Some(a) = args.next() {
         let mut value = |flag: &str| {
@@ -720,9 +720,10 @@ fn parse_request(args: impl Iterator<Item = String>) -> Result<Command, CliError
             "--addr" => addr = value("--addr")?,
             "--k" => {
                 let v = value("--k")?;
-                k = v
-                    .parse()
-                    .map_err(|_| CliError(format!("bad k value `{v}`")))?;
+                k = Some(
+                    v.parse()
+                        .map_err(|_| CliError(format!("bad k value `{v}`")))?,
+                );
             }
             "--deadline-ms" => {
                 let v = value("--deadline-ms")?;
@@ -737,7 +738,7 @@ fn parse_request(args: impl Iterator<Item = String>) -> Result<Command, CliError
             other => return Err(CliError(format!("unexpected argument `{other}`"))),
         }
     }
-    let mode = mode.map_or(RequestMode::Analyze, |(mode, _)| mode);
+    let (mode, mode_flag) = mode.unwrap_or((RequestMode::Analyze, String::new()));
     let needs_file = matches!(
         mode,
         RequestMode::Analyze | RequestMode::Explain | RequestMode::Confirm
@@ -747,12 +748,24 @@ fn parse_request(args: impl Iterator<Item = String>) -> Result<Command, CliError
             "request needs a file (or --stats / --metrics / --metrics-text / --shutdown)".into(),
         ));
     }
+    if !needs_file {
+        // These modes send no program, so a file, `--k` or
+        // `--deadline-ms` would be dropped without effect.
+        let unused = path
+            .as_ref()
+            .map(|p| format!("file `{p}`"))
+            .or_else(|| k.map(|_| "--k".to_owned()))
+            .or_else(|| deadline_ms.map(|_| "--deadline-ms".to_owned()));
+        if let Some(arg) = unused {
+            return Err(CliError(format!("{mode_flag} takes no {arg}")));
+        }
+    }
     Ok(Command::Request {
         path,
         addr,
         mode,
         id,
-        k,
+        k: k.unwrap_or(2),
         deadline_ms,
     })
 }
@@ -2088,11 +2101,9 @@ activity M { cb onClick { } }",
         .unwrap();
         assert!(out.contains("run stats:"), "--stats appends the tree:\n{out}");
         assert!(out.contains("analyze"), "{out}");
-        // The HB graph's own Datalog solve feeds the engine gauges:
-        // throughput plus the provenance-arena footprint (zero when
-        // recording is off).
+        // The HB graph's own Datalog solve feeds the engine's
+        // throughput gauge.
         assert!(out.contains("datalog.tuples_per_sec"), "{out}");
-        assert!(out.contains("datalog.prov_arena_bytes"), "{out}");
 
         let trace = std::fs::read_to_string(&trace_path).unwrap();
         assert!(trace.contains("\"traceEvents\""), "{trace}");
@@ -2228,6 +2239,23 @@ activity M { cb onClick { } }",
             "--stats conflicts with --shutdown: a request takes one mode"
         );
         assert!(parse_args(args(&["request", "--metrics", "--confirm", "app.dsl"])).is_err());
+        // The modes that send no program reject a file, --k and
+        // --deadline-ms, naming the argument and the mode.
+        for mode in ["--stats", "--metrics", "--metrics-text", "--shutdown"] {
+            for (extra, named) in [
+                (["app.dsl"].as_slice(), "file `app.dsl`"),
+                (&["--k", "3"], "--k"),
+                (&["--deadline-ms", "50"], "--deadline-ms"),
+            ] {
+                let mut argv = vec!["request", mode];
+                argv.extend(extra);
+                assert_eq!(
+                    parse_args(args(&argv)).unwrap_err().0,
+                    format!("{mode} takes no {named}"),
+                    "{argv:?}"
+                );
+            }
+        }
         for mode in ["--explain", "--confirm"] {
             assert!(
                 parse_args(args(&["request", mode])).is_err(),

@@ -81,13 +81,6 @@ pub struct AnalysisConfig {
     /// shrink — the timing driver opts in to measure the saved work.
     /// Free-before-use orderings are never pruned (they are the bugs).
     pub mhp_preprune: bool,
-    /// Run the sound reachability-refutation pass over the unsound
-    /// survivors (`nadroid_filters::refute`). On by default: the
-    /// refuter only acts on predicate-extended facts (enabling/disabling
-    /// summaries, fragment and task-stack automata), so programs that
-    /// use none of the summarized APIs — including the whole 27-app
-    /// paper corpus — are byte-identical with it on or off.
-    pub refutation: bool,
     /// Worker threads for the parallel phases (detection, filtering,
     /// points-to planning, Datalog rule evaluation). `1` (the default)
     /// keeps every phase on the calling thread; any value produces
@@ -109,7 +102,6 @@ impl Default for AnalysisConfig {
             sound_filters: FilterKind::sound().to_vec(),
             unsound_filters: FilterKind::unsound().to_vec(),
             mhp_preprune: false,
-            refutation: true,
             threads,
         }
     }
@@ -196,8 +188,8 @@ pub struct Analysis<'p> {
     /// Outcome of the unsound-filter pass over the sound survivors.
     unsound_outcomes: Vec<FilterOutcome>,
     /// Refutations of unsound-pass survivors, aligned with the
-    /// surviving subset of `unsound_outcomes` (empty when
-    /// `config.refutation` is off or nothing refutes).
+    /// surviving subset of `unsound_outcomes` (empty when nothing
+    /// refutes).
     refutations: Vec<(UafWarning, Refutation)>,
     /// The materialized happens-before relation every HB-family filter
     /// query was answered from.
@@ -284,10 +276,10 @@ fn analyze_inner<'p>(program: &'p Program, config: &AnalysisConfig) -> Analysis<
     // over the unsound survivors only — mirroring where a human would
     // triage. It is a no-op unless the program uses a summarized
     // enable/disable API, so the §6 populations above are untouched.
-    let mut refutations = Vec::new();
-    if config.refutation {
+    let refutations = {
         let _s = obs::span("refute");
         let refuter = Refuter::new(program, &threads, &hb);
+        let mut refutations = Vec::new();
         for o in unsound_outcomes.iter().filter(|o| o.survives()) {
             if let Some(r) = refuter.refute(&o.warning) {
                 refutations.push((o.warning.clone(), r));
@@ -296,7 +288,8 @@ fn analyze_inner<'p>(program: &'p Program, config: &AnalysisConfig) -> Analysis<
         if obs::recording() {
             obs::counter("filters.refuted", refutations.len() as u64);
         }
-    }
+        refutations
+    };
     drop(_filtering_span);
     let filtering = t2.elapsed();
 
@@ -629,20 +622,6 @@ mod tests {
         let (w, r) = &a.refutations()[0];
         assert!(a.refutation_of(w).is_some());
         assert!(!r.chain.is_empty(), "contradiction chain recorded");
-    }
-
-    #[test]
-    fn refutation_can_be_disabled() {
-        let p = parse_program(DIALOG_DISMISS).unwrap();
-        let cfg = AnalysisConfig {
-            refutation: false,
-            ..Default::default()
-        };
-        let a = analyze(&p, &cfg);
-        let s = a.summary();
-        assert_eq!(s.refuted, 0);
-        assert_eq!(s.after_refutation, s.after_unsound);
-        assert_eq!(a.survivors().len(), 1, "the warning stands unrefuted");
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! Each warning carries four layers of evidence:
 //!
 //! 1. a stable content-derived id ([`nadroid_detector::warning_id`]),
-//! 2. the Datalog derivation tree of its racy-pair fact (§5 re-encoded
-//!    as rules and solved with derivation recording on),
+//! 2. the Datalog derivation tree of its racy-pair fact under the two
+//!    rules that encode §5 (see [`DerivationNode`]),
 //! 3. a filter audit trail — every §6 filter that examined the warning,
 //!    its verdict, and concrete evidence for it — and
 //! 4. the happens-before edges the [`nadroid_hb::HbGraph`] holds between
@@ -28,8 +28,7 @@
 use crate::json::{esc, program_hash, JsonValue};
 use crate::report::{render_warning, RenderedWarning};
 use crate::Analysis;
-use nadroid_datalog::{Database, Derivation, RuleSet, Term};
-use nadroid_detector::{derive_racy_pairs, describe_fact, warning_id, UafWarning};
+use nadroid_detector::{warning_id, UafWarning};
 use nadroid_filters::refute::{Refutation, RefutationReason};
 use nadroid_filters::{FilterKind, FilterVerdict};
 use nadroid_hb::HbEdgeKind;
@@ -41,8 +40,24 @@ use std::fmt::Write as _;
 /// schema is stale, and `nadroid explain` re-analyzes instead.
 pub const PROVENANCE_SCHEMA: &str = "nadroid-provenance/4";
 
-/// One node of a derivation tree, pre-rendered in source terms (the
-/// solved database is dropped once the tree is built).
+/// One node of a derivation tree, rendered in source terms.
+///
+/// The tree derives a warning's `racyPair` fact from base facts over raw
+/// ids (instructions, fields, objects, modeled threads) with the two
+/// rules that state §5's detection as Datalog:
+///
+/// ```text
+/// aliasedPair(u, f) :- useAt(u, fld), freeAt(f, fld),
+///                      ptsUse(u, o), ptsFree(f, o), sharedObj(o).
+/// racyPair(u, f, t1, t2) :- aliasedPair(u, f), runsOn(u, t1),
+///                           runsOn(f, t2), distinctThreads(t1, t2).
+/// ```
+///
+/// `sharedObj` holds the thread-escaping objects (every object when the
+/// detector's escape requirement is off). The detector checks exactly
+/// these conditions, so each tree is built from the warning itself; the
+/// witness `o` is the first of the warning's shared objects, the lowest
+/// numbered.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DerivationNode {
     /// The fact in source terms, e.g. `useAt(Console.onClick#3, Console.bound)`.
@@ -157,7 +172,7 @@ pub struct WarningProvenance {
     /// `mustHb` path when one exists, or the `mhp` fact when neither
     /// direction is soundly ordered.
     pub hb: Vec<String>,
-    /// Derivation tree of the warning's `racyPair` fact.
+    /// The derivation tree of the warning's `racyPair` fact.
     pub derivation: Option<DerivationNode>,
     /// The sound reachability refuter's verdict, when it refuted this
     /// warning after it survived every configured filter: the reason
@@ -169,49 +184,19 @@ pub struct WarningProvenance {
     pub confirmation: Option<Confirmation>,
 }
 
-/// Render a rule as `head :- body.` text with relation names and `vN`
-/// variables.
-fn render_rule(db: &Database, rules: &RuleSet, idx: usize) -> String {
-    let rule = &rules.rules()[idx];
-    let atom = |a: &nadroid_datalog::Atom| {
-        let terms: Vec<String> = a
-            .terms()
-            .iter()
-            .map(|t| match t {
-                Term::Var(v) => format!("v{v}"),
-                Term::Const(c) => c.to_string(),
-            })
-            .collect();
-        format!("{}({})", db.name(a.rel()), terms.join(", "))
-    };
-    let body: Vec<String> = rule.body().iter().map(atom).collect();
-    if body.is_empty() {
-        format!("rule {idx}: {}.", atom(rule.head()))
-    } else {
-        format!("rule {idx}: {} :- {}.", atom(rule.head()), body.join(", "))
-    }
-}
+// The two rules of the encoding `DerivationNode` documents, as nodes
+// name them.
+const ALIASED_PAIR_RULE: &str = "rule 0: aliasedPair(v0, v2) :- useAt(v0, v1), \
+     freeAt(v2, v1), ptsUse(v0, v3), ptsFree(v2, v3), sharedObj(v3).";
+const RACY_PAIR_RULE: &str = "rule 1: racyPair(v0, v1, v2, v3) :- aliasedPair(v0, v1), \
+     runsOn(v0, v2), runsOn(v1, v3), distinctThreads(v2, v3).";
 
 impl Analysis<'_> {
     /// Build the provenance of every raw warning (pruned ones included —
     /// their audit shows *why* they were pruned).
-    ///
-    /// Solves the §5 racy-pair Datalog encoding with derivation recording
-    /// on, so each call re-derives the trees from scratch; drivers should
-    /// call it once and reuse the result.
     #[must_use]
     pub fn warning_provenances(&self) -> Vec<WarningProvenance> {
         let _span = obs::span("provenance");
-        let prov = {
-            let _s = obs::span("provenance.derive");
-            derive_racy_pairs(
-                self.program,
-                &self.threads,
-                &self.pts,
-                &self.escape,
-                self.config.detector,
-            )
-        };
         let filters = self.filters();
         self.warnings
             .iter()
@@ -233,17 +218,15 @@ impl Analysis<'_> {
                     );
                 }
                 let pruned_by = audit.iter().find(|v| v.pruned).map(|v| v.kind);
-                let derivation = prov
-                    .explain_warning(w)
-                    .map(|d| render_derivation(self, &prov.db, &prov.rules, &d));
+                let rendered = render_warning(self.program, &self.threads, w);
                 WarningProvenance {
                     id: warning_id(self.program, &self.threads, w),
-                    rendered: render_warning(self.program, &self.threads, w),
+                    derivation: derivation(w, &rendered),
+                    rendered,
                     survived: pruned_by.is_none(),
                     pruned_by,
                     audit,
                     hb: hb_evidence(self, w),
-                    derivation,
                     refutation: self.refutation_of(w).cloned(),
                     confirmation: None,
                 }
@@ -252,23 +235,63 @@ impl Analysis<'_> {
     }
 }
 
-fn render_derivation(
-    analysis: &Analysis<'_>,
-    db: &Database,
-    rules: &RuleSet,
-    d: &Derivation,
+/// The derivation of a warning's `racyPair` fact, with its first shared
+/// object as the witness; `None` when it has none.
+fn derivation(w: &UafWarning, r: &RenderedWarning) -> Option<DerivationNode> {
+    let witness = w.shared_objs.first()?.0;
+    let obj = format!("obj#{witness}");
+    let u = (r.use_site.as_str(), w.use_access.instr.raw());
+    let f = (r.free_site.as_str(), w.free_access.instr.raw());
+    let t1 = (r.use_lineage.as_str(), w.use_thread.raw());
+    let t2 = (r.free_lineage.as_str(), w.free_thread.raw());
+    let fld = (r.field.as_str(), w.field.raw());
+    let o = (obj.as_str(), witness);
+    let aliased = node(
+        "aliasedPair",
+        &[u, f],
+        Some(ALIASED_PAIR_RULE),
+        vec![
+            base("useAt", &[u, fld]),
+            base("freeAt", &[f, fld]),
+            base("ptsUse", &[u, o]),
+            base("ptsFree", &[f, o]),
+            base("sharedObj", &[o]),
+        ],
+    );
+    Some(node(
+        "racyPair",
+        &[u, f, t1, t2],
+        Some(RACY_PAIR_RULE),
+        vec![
+            aliased,
+            base("runsOn", &[u, t1]),
+            base("runsOn", &[f, t2]),
+            base("distinctThreads", &[t1, t2]),
+        ],
+    ))
+}
+
+/// A node for `relation(args…)`: each argument rendered in source terms
+/// in the fact and kept raw in the tuple.
+fn node(
+    relation: &str,
+    args: &[(&str, u32)],
+    rule: Option<&str>,
+    premises: Vec<DerivationNode>,
 ) -> DerivationNode {
+    let rendered: Vec<&str> = args.iter().map(|&(text, _)| text).collect();
     DerivationNode {
-        fact: describe_fact(analysis.program(), analysis.threads(), db, d.rel, &d.tuple),
-        relation: db.name(d.rel).to_string(),
-        tuple: d.tuple.clone(),
-        rule: d.rule.map(|idx| render_rule(db, rules, idx)),
-        premises: d
-            .premises
-            .iter()
-            .map(|p| render_derivation(analysis, db, rules, p))
-            .collect(),
+        fact: format!("{relation}({})", rendered.join(", ")),
+        relation: relation.to_owned(),
+        tuple: args.iter().map(|&(_, raw)| raw).collect(),
+        rule: rule.map(str::to_owned),
+        premises,
     }
+}
+
+/// A base (EDB) fact.
+fn base(relation: &str, args: &[(&str, u32)]) -> DerivationNode {
+    node(relation, args, None, Vec::new())
 }
 
 /// Render the happens-before evidence between a warning's two threads,
@@ -317,9 +340,9 @@ pub fn render_provenance_json(analysis: &Analysis<'_>) -> String {
 }
 
 /// [`render_provenance_json`] over provenances the caller has already
-/// computed — [`Analysis::warning_provenances`] re-derives every racy
-/// pair through the Datalog engine with recording on, so callers that
-/// need both the structs and the JSON should compute once.
+/// computed — [`Analysis::warning_provenances`] re-runs every filter
+/// verdict and renders every tree, so callers that need both the
+/// structs and the JSON should compute once.
 #[must_use]
 pub fn render_provenance_json_with(
     analysis: &Analysis<'_>,
@@ -828,6 +851,65 @@ mod tests {
             leaves_are_base(d);
             assert!(!wp.audit.is_empty());
         }
+    }
+
+    /// Both `h` allocations and the `H.v` allocation reach the bases of
+    /// the two uses of `H.v`, so the two warnings share objects
+    /// `[1, 2, 3]` and `[2, 3]`. No corpus warning shares more than one
+    /// object, so this program is what pins the witness choice.
+    const TWO_WITNESSES: &str = r#"
+        app TwoWitnesses
+        class H { field v: H }
+        activity M {
+            field h: H
+            cb onCreate {
+                if ? {
+                    h = new H
+                } else {
+                    h = new H
+                }
+                t1 = load this M.h
+                t2 = new H
+                store t1 H.v = t2
+            }
+            cb onClick {
+                t1 = load this M.h
+                t2 = load t1 H.v
+                t3 = load t2 H.v
+            }
+            cb onPause {
+                t1 = load this M.h
+                free t1 H.v
+            }
+        }
+    "#;
+
+    #[test]
+    fn derivations_name_the_lowest_numbered_shared_object() {
+        let p = parse_program(TWO_WITNESSES).unwrap();
+        let a = analyze(&p, &AnalysisConfig::default());
+        let provs = a.warning_provenances();
+        let mut shared_sets = Vec::new();
+        for (w, wp) in a.warnings().iter().zip(&provs) {
+            shared_sets.push(w.shared_objs.iter().map(|o| o.0).collect::<Vec<_>>());
+            let witness = format!("obj#{})", w.shared_objs.iter().min().unwrap().0);
+            let aliased = &wp.derivation.as_ref().unwrap().premises[0];
+            assert_eq!(aliased.relation, "aliasedPair");
+            let named: Vec<&str> = aliased
+                .premises
+                .iter()
+                .filter(|f| ["ptsUse", "ptsFree", "sharedObj"].contains(&f.relation.as_str()))
+                .map(|f| f.fact.as_str())
+                .collect();
+            assert_eq!(named.len(), 3, "{named:?}");
+            assert!(
+                named.iter().all(|f| f.ends_with(&witness)),
+                "{named:?} for {witness}"
+            );
+        }
+        shared_sets.sort();
+        shared_sets.dedup();
+        assert_eq!(shared_sets, [vec![1, 2, 3], vec![2, 3]]);
     }
 
     #[test]

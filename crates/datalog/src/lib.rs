@@ -28,14 +28,10 @@
 //!
 //! # Provenance
 //!
-//! With [`Database::set_provenance`] enabled, every admitted tuple also
-//! records *how* it was first derived — the rule index and the arena rows
-//! of its premises — in a compact side arena (one `u32` tag per row plus
-//! one record per derived tuple). [`Database::explain`] replays those
-//! records into a [`Derivation`] tree that bottoms out in base (EDB)
-//! facts. Recording is off by default; while it is off the join loop
-//! pays only a flag check. The naive reference engine mirrors the same
-//! API so the differential suite covers derivations, not just contents.
+//! The engine records contents, not derivations. The one derivation tree
+//! the analysis shows, a warning's `racyPair` fact under the two rules
+//! that state §5 (`nadroid explain`), has a shape those rules fix, so
+//! `nadroid-core` builds it straight from the detector's warning.
 //!
 //! # Example: transitive closure
 //!
@@ -218,8 +214,7 @@ impl RuleSet {
         self.rules.is_empty()
     }
 
-    /// The rules, in evaluation order (the indices [`Derivation::rule`]
-    /// refers to).
+    /// The rules, in evaluation order.
     #[must_use]
     pub fn rules(&self) -> &[Rule] {
         &self.rules
@@ -239,12 +234,6 @@ pub struct EngineStats {
     pub index_probes: u64,
     /// `(relation, column-mask)` indexes materialized or extended.
     pub indexes_built: u64,
-    /// Derivation records appended by this run (0 unless provenance
-    /// recording is enabled; equals `derived` when it is).
-    pub prov_records: u64,
-    /// Total provenance-arena size in bytes after the run (records,
-    /// premise list, and per-row tags; 0 when recording is disabled).
-    pub prov_bytes: u64,
     /// Wall-clock time of the run.
     pub duration: Duration,
 }
@@ -259,106 +248,6 @@ impl EngineStats {
         } else {
             0.0
         }
-    }
-}
-
-/// One node of the derivation tree returned by [`Database::explain`]:
-/// a fact plus how it was *first* derived. Later re-derivations of the
-/// same tuple are not recorded — deduplication keeps the first.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Derivation {
-    /// The relation of the derived fact.
-    pub rel: RelId,
-    /// The fact itself.
-    pub tuple: Vec<u32>,
-    /// Index into the executed [`RuleSet`] of the rule that first derived
-    /// the fact, or `None` for a base (EDB) fact.
-    pub rule: Option<usize>,
-    /// One sub-derivation per body atom of the deriving rule, in body
-    /// order. Empty for base facts and fact-template (empty-body) rules.
-    pub premises: Vec<Derivation>,
-}
-
-impl Derivation {
-    /// Whether this node is a base (EDB) fact.
-    #[must_use]
-    pub fn is_base(&self) -> bool {
-        self.rule.is_none()
-    }
-
-    /// Total number of nodes in the tree (≥ 1).
-    #[must_use]
-    pub fn node_count(&self) -> usize {
-        1 + self.premises.iter().map(Derivation::node_count).sum::<usize>()
-    }
-
-    /// Height of the tree: 1 for a leaf.
-    #[must_use]
-    pub fn depth(&self) -> usize {
-        1 + self.premises.iter().map(Derivation::depth).max().unwrap_or(0)
-    }
-}
-
-/// Per-row provenance tag meaning "base fact / not derived by a rule".
-const NO_PROV: u32 = u32::MAX;
-
-/// One derivation record: the rule plus a span of the premise list.
-#[derive(Debug, Clone, Copy)]
-struct ProvRecord {
-    rule: u32,
-    start: u32,
-    len: u32,
-}
-
-/// The compact side arena of derivation records. Premises are stored as
-/// `(relation, arena row)` pairs — rows are stable because tuple arenas
-/// never shrink or reorder.
-#[derive(Debug, Default)]
-struct ProvArena {
-    records: Vec<ProvRecord>,
-    premises: Vec<(RelId, u32)>,
-}
-
-/// Per-(rule, delta-position) premise capture threaded through the join
-/// recursion. While inactive (recording off) every method is a no-op.
-#[derive(Debug, Default)]
-struct ProvBuf {
-    active: bool,
-    /// Arena row of the candidate match per body position.
-    path: Vec<u32>,
-    /// One `path` snapshot per emitted head tuple, flattened.
-    rows: Vec<u32>,
-}
-
-impl ProvBuf {
-    fn reset(&mut self, n_atoms: usize, active: bool) {
-        self.active = active;
-        self.path.clear();
-        self.path.resize(n_atoms, 0);
-        self.rows.clear();
-    }
-
-    /// Note the matched arena row for body position `pos`.
-    #[inline]
-    fn enter(&mut self, pos: usize, row_id: u32) {
-        if self.active {
-            self.path[pos] = row_id;
-        }
-    }
-
-    /// Snapshot the current match path; called once per emitted head
-    /// tuple, keeping `rows` parallel to the scratch output.
-    #[inline]
-    fn emit(&mut self) {
-        if self.active {
-            self.rows.extend_from_slice(&self.path);
-        }
-    }
-
-    /// The premise rows of the `i`-th emitted head tuple.
-    fn premise_rows(&self, i: usize) -> &[u32] {
-        let n = self.path.len();
-        &self.rows[i * n..(i + 1) * n]
     }
 }
 
@@ -386,9 +275,6 @@ struct RelationData {
     indexes: HashMap<u32, ColumnIndex>,
     /// Rows already at fixpoint after the last completed `run`.
     hwm: u32,
-    /// While recording: one derivation-record index per row, parallel to
-    /// the arena (`NO_PROV` = base fact). Empty when recording is off.
-    prov: Vec<u32>,
 }
 
 impl RelationData {
@@ -421,17 +307,10 @@ impl RelationData {
     }
 
     fn contains_row(&self, tuple: &[u32]) -> bool {
-        self.find_row(tuple).is_some()
-    }
-
-    /// The arena row holding `tuple`, if present.
-    fn find_row(&self, tuple: &[u32]) -> Option<u32> {
         let h = hash_vals(tuple.iter().copied());
         self.dedup
-            .get(&h)?
-            .iter()
-            .copied()
-            .find(|&r| self.row(r) == tuple)
+            .get(&h)
+            .is_some_and(|rows| rows.iter().any(|&r| self.row(r) == tuple))
     }
 
     /// Extend the index for `mask` to cover rows `[0, upto)`.
@@ -520,8 +399,6 @@ pub struct Database {
     /// fixpoint instead of re-deriving from scratch.
     last_rules: Option<RuleSet>,
     stats: EngineStats,
-    prov: ProvArena,
-    record_provenance: bool,
 }
 
 impl Database {
@@ -570,11 +447,7 @@ impl Database {
             "arity mismatch inserting into {}",
             r.name
         );
-        let added = r.insert_row(tuple);
-        if added && self.record_provenance {
-            self.relations[rel.index()].prov.push(NO_PROV);
-        }
-        added
+        r.insert_row(tuple)
     }
 
     /// Whether a tuple is present.
@@ -613,85 +486,6 @@ impl Database {
         &self.stats
     }
 
-    /// Enable or disable derivation recording.
-    ///
-    /// Enabling tags every already-present row as a base fact, so a
-    /// database can start recording mid-life; rows derived while
-    /// recording was off are indistinguishable from EDB facts. Disabling
-    /// discards all recorded provenance.
-    pub fn set_provenance(&mut self, on: bool) {
-        self.record_provenance = on;
-        if on {
-            for r in &mut self.relations {
-                let rows = r.rows() as usize;
-                r.prov.resize(rows, NO_PROV);
-            }
-        } else {
-            self.prov = ProvArena::default();
-            for r in &mut self.relations {
-                r.prov = Vec::new();
-            }
-        }
-    }
-
-    /// Whether derivation recording is currently enabled.
-    #[must_use]
-    pub fn provenance_enabled(&self) -> bool {
-        self.record_provenance
-    }
-
-    /// The derivation tree of a recorded tuple: how it was first derived,
-    /// down to base (EDB) facts. `None` if the tuple is absent or
-    /// recording is (or was) disabled.
-    ///
-    /// Trees are finite by construction: a derived row's premises were
-    /// admitted in strictly earlier fixpoint iterations (joins read the
-    /// iteration-start snapshot), so depth is bounded by the iteration
-    /// count of the recording runs.
-    #[must_use]
-    pub fn explain(&self, rel: RelId, tuple: &[u32]) -> Option<Derivation> {
-        if !self.record_provenance {
-            return None;
-        }
-        let row = self.relations[rel.index()].find_row(tuple)?;
-        Some(self.derivation_of(rel, row))
-    }
-
-    fn derivation_of(&self, rel: RelId, row: u32) -> Derivation {
-        let r = &self.relations[rel.index()];
-        let tuple = r.row(row).to_vec();
-        let tag = r.prov.get(row as usize).copied().unwrap_or(NO_PROV);
-        if tag == NO_PROV {
-            return Derivation {
-                rel,
-                tuple,
-                rule: None,
-                premises: Vec::new(),
-            };
-        }
-        let rec = self.prov.records[tag as usize];
-        let span = rec.start as usize..(rec.start + rec.len) as usize;
-        let premises = self.prov.premises[span]
-            .iter()
-            .map(|&(prel, prow)| self.derivation_of(prel, prow))
-            .collect();
-        Derivation {
-            rel,
-            tuple,
-            rule: Some(rec.rule as usize),
-            premises,
-        }
-    }
-
-    /// Total provenance-arena size in bytes (0 when recording is off).
-    #[must_use]
-    pub fn provenance_bytes(&self) -> u64 {
-        let tags: usize = self.relations.iter().map(|r| r.prov.len()).sum();
-        (self.prov.records.len() * std::mem::size_of::<ProvRecord>()
-            + self.prov.premises.len() * std::mem::size_of::<(RelId, u32)>()
-            + tags * std::mem::size_of::<u32>()) as u64
-    }
-
     /// Run the rules to fixpoint with semi-naive evaluation.
     ///
     /// Newly derived tuples are added to the head relations; evaluation
@@ -713,8 +507,6 @@ impl Database {
         }
         let compiled: Vec<CompiledRule> = rules.rules.iter().map(compile_rule).collect();
         let mut stats = EngineStats::default();
-        let record = self.provenance_enabled();
-        let records_before = self.prov.records.len();
 
         // With unchanged rules the previous fixpoint still holds, so only
         // rows inserted since then are delta; a rule change invalidates
@@ -737,7 +529,6 @@ impl Database {
         needed.dedup();
 
         let mut scratch: Vec<u32> = Vec::new();
-        let mut prov = ProvBuf::default();
         loop {
             stats.iterations += 1;
             // Cooperative cancellation hook: one cheap check per
@@ -766,24 +557,21 @@ impl Database {
             // invisible to joins — so the evaluations are independent
             // and can run concurrently. Insertions are then replayed
             // sequentially in task order, which reproduces the
-            // sequential engine's arena order, dedup outcomes,
-            // first-derivation provenance, and stats exactly. Only
-            // iterations with enough delta rows to amortise the fan-out
-            // take this path; small programs keep the sequential loop
-            // (and its per-rule spans).
+            // sequential engine's arena order, dedup outcomes and stats
+            // exactly. Only iterations with enough delta rows to
+            // amortise the fan-out take this path; small programs keep
+            // the sequential loop (and its per-rule spans).
             const PAR_MIN_DELTA_ROWS: u64 = 512;
             let mut grew = false;
             if nadroid_par::current() > 1 && delta_total >= PAR_MIN_DELTA_ROWS {
-                grew = self.run_iteration_parallel(
-                    &compiled, &delta_lo, &snapshot, record, &mut stats,
-                );
+                grew = self.run_iteration_parallel(&compiled, &delta_lo, &snapshot, &mut stats);
                 delta_lo.copy_from_slice(&snapshot);
                 if !grew {
                     break;
                 }
                 continue;
             }
-            for (rule_idx, crule) in compiled.iter().enumerate() {
+            for crule in &compiled {
                 let _rule_span = obs::span_lazy(|| {
                     format!("datalog.rule:{}", self.relations[crule.head_rel.index()].name)
                 });
@@ -798,18 +586,6 @@ impl Database {
                     if self.relations[crule.head_rel.index()].insert_row(&scratch) {
                         stats.derived += 1;
                         grew = true;
-                        if record {
-                            // Premise-free record: derived, but by a rule
-                            // with no body.
-                            let rec = self.prov.records.len() as u32;
-                            let start = self.prov.premises.len() as u32;
-                            self.prov.records.push(ProvRecord {
-                                rule: rule_idx as u32,
-                                start,
-                                len: 0,
-                            });
-                            self.relations[crule.head_rel.index()].prov.push(rec);
-                        }
                     }
                     continue;
                 }
@@ -819,7 +595,6 @@ impl Database {
                         continue; // empty delta: this occurrence derives nothing new
                     }
                     scratch.clear();
-                    prov.reset(crule.atoms.len(), record);
                     let mut stack_buf = [0u32; STACK_SLOTS];
                     let mut heap_buf;
                     let bindings: &mut [u32] = if crule.n_slots <= STACK_SLOTS {
@@ -837,28 +612,12 @@ impl Database {
                         bindings,
                         &mut scratch,
                         &mut stats,
-                        &mut prov,
                     );
                     let head_idx = crule.head_rel.index();
-                    for (emit, tuple) in scratch.chunks_exact(crule.head.len()).enumerate() {
+                    for tuple in scratch.chunks_exact(crule.head.len()) {
                         if self.relations[head_idx].insert_row(tuple) {
                             stats.derived += 1;
                             grew = true;
-                            if record {
-                                let start = self.prov.premises.len() as u32;
-                                for (atom, &row) in
-                                    crule.atoms.iter().zip(prov.premise_rows(emit))
-                                {
-                                    self.prov.premises.push((atom.rel, row));
-                                }
-                                let rec = self.prov.records.len() as u32;
-                                self.prov.records.push(ProvRecord {
-                                    rule: rule_idx as u32,
-                                    start,
-                                    len: crule.atoms.len() as u32,
-                                });
-                                self.relations[head_idx].prov.push(rec);
-                            }
                         }
                     }
                 }
@@ -876,8 +635,6 @@ impl Database {
         }
         self.last_rules = Some(rules.clone());
         stats.duration = t0.elapsed();
-        stats.prov_records = (self.prov.records.len() - records_before) as u64;
-        stats.prov_bytes = self.provenance_bytes();
         if obs::recording() {
             obs::counter("datalog.iterations", stats.iterations);
             obs::counter("datalog.derived", stats.derived);
@@ -886,8 +643,6 @@ impl Database {
             obs::counter("datalog.indexes_built", stats.indexes_built);
             // A rate, not a sum: high-water across the runs a recorder sees.
             obs::gauge_max("datalog.tuples_per_sec", stats.tuples_per_sec() as u64);
-            obs::counter("datalog.prov_records", stats.prov_records);
-            obs::gauge_max("datalog.prov_arena_bytes", stats.prov_bytes);
         }
         self.stats = stats;
     }
@@ -899,13 +654,11 @@ impl Database {
     /// sequential loop would visit them — evaluates the join tasks in
     /// parallel against the immutable snapshot, then replays insertions
     /// sequentially in task order. Returns whether any relation grew.
-    #[allow(clippy::cast_possible_truncation)]
     fn run_iteration_parallel(
         &mut self,
         compiled: &[CompiledRule],
         delta_lo: &[u32],
         snapshot: &[u32],
-        record: bool,
         stats: &mut EngineStats,
     ) -> bool {
         const PAR_RULE_GRAIN: usize = 1;
@@ -930,7 +683,6 @@ impl Database {
                 .map(|&(rule_idx, delta_pos)| {
                     let crule = &compiled[rule_idx];
                     let mut scratch: Vec<u32> = Vec::new();
-                    let mut prov = ProvBuf::default();
                     let mut local = EngineStats::default();
                     match delta_pos {
                         None => {
@@ -944,7 +696,6 @@ impl Database {
                             local.considered += 1;
                         }
                         Some(delta_pos) => {
-                            prov.reset(crule.atoms.len(), record);
                             let mut stack_buf = [0u32; STACK_SLOTS];
                             let mut heap_buf;
                             let bindings: &mut [u32] = if crule.n_slots <= STACK_SLOTS {
@@ -962,17 +713,16 @@ impl Database {
                                 bindings,
                                 &mut scratch,
                                 &mut local,
-                                &mut prov,
                             );
                         }
                     }
-                    (rule_idx, delta_pos, scratch, prov, local)
+                    (rule_idx, delta_pos, scratch, local)
                 })
                 .collect::<Vec<_>>()
         });
 
         let mut grew = false;
-        for (rule_idx, delta_pos, scratch, prov, local) in results.into_iter().flatten() {
+        for (rule_idx, delta_pos, scratch, local) in results.into_iter().flatten() {
             stats.considered += local.considered;
             stats.index_probes += local.index_probes;
             let crule = &compiled[rule_idx];
@@ -981,36 +731,13 @@ impl Database {
                 if self.relations[head_idx].insert_row(&scratch) {
                     stats.derived += 1;
                     grew = true;
-                    if record {
-                        let rec = self.prov.records.len() as u32;
-                        let start = self.prov.premises.len() as u32;
-                        self.prov.records.push(ProvRecord {
-                            rule: rule_idx as u32,
-                            start,
-                            len: 0,
-                        });
-                        self.relations[head_idx].prov.push(rec);
-                    }
                 }
                 continue;
             }
-            for (emit, tuple) in scratch.chunks_exact(crule.head.len()).enumerate() {
+            for tuple in scratch.chunks_exact(crule.head.len()) {
                 if self.relations[head_idx].insert_row(tuple) {
                     stats.derived += 1;
                     grew = true;
-                    if record {
-                        let start = self.prov.premises.len() as u32;
-                        for (atom, &row) in crule.atoms.iter().zip(prov.premise_rows(emit)) {
-                            self.prov.premises.push((atom.rel, row));
-                        }
-                        let rec = self.prov.records.len() as u32;
-                        self.prov.records.push(ProvRecord {
-                            rule: rule_idx as u32,
-                            start,
-                            len: crule.atoms.len() as u32,
-                        });
-                        self.relations[head_idx].prov.push(rec);
-                    }
                 }
             }
         }
@@ -1033,7 +760,6 @@ impl Database {
         bindings: &mut [u32],
         out: &mut Vec<u32>,
         stats: &mut EngineStats,
-        prov: &mut ProvBuf,
     ) {
         if pos == crule.atoms.len() {
             out.extend(crule.head.iter().map(|p| match p {
@@ -1041,7 +767,6 @@ impl Database {
                 KeyPart::Slot(s) => bindings[*s as usize],
             }));
             stats.considered += 1;
-            prov.emit();
             return;
         }
         let atom = &crule.atoms[pos];
@@ -1057,8 +782,7 @@ impl Database {
                      this: &Self,
                      bindings: &mut [u32],
                      out: &mut Vec<u32>,
-                     stats: &mut EngineStats,
-                     prov: &mut ProvBuf| {
+                     stats: &mut EngineStats| {
             let row = r.row(row_id);
             for (col, action) in atom.actions.iter().enumerate() {
                 match *action {
@@ -1075,13 +799,12 @@ impl Database {
                     ColAction::Bind(slot) => bindings[slot as usize] = row[col],
                 }
             }
-            prov.enter(pos, row_id);
-            this.join(crule, pos + 1, delta_pos, delta_lo, snapshot, bindings, out, stats, prov);
+            this.join(crule, pos + 1, delta_pos, delta_lo, snapshot, bindings, out, stats);
         };
 
         if atom.mask == 0 {
             for row_id in lo..hi {
-                visit(row_id, self, bindings, out, stats, prov);
+                visit(row_id, self, bindings, out, stats);
             }
         } else {
             stats.index_probes += 1;
@@ -1098,7 +821,7 @@ impl Database {
                     if row_id >= hi {
                         break;
                     }
-                    visit(row_id, self, bindings, out, stats, prov);
+                    visit(row_id, self, bindings, out, stats);
                 }
             }
         }
@@ -1524,170 +1247,6 @@ mod tests {
         assert!(s.derived >= 20 * 21 / 2);
         assert!(s.iterations > 2);
         assert!(s.tuples_per_sec() >= 0.0);
-    }
-
-    // ------- provenance recording -------
-
-    /// edge 0→1→2 plus the closure rules; recording enabled up front.
-    fn recorded_closure() -> (Database, RelId, RelId) {
-        let mut db = Database::new();
-        db.set_provenance(true);
-        let edge = db.relation("edge", 2);
-        let path = db.relation("path", 2);
-        db.insert(edge, &[0, 1]);
-        db.insert(edge, &[1, 2]);
-        let mut rules = RuleSet::new();
-        rules
-            .add(path, vec![v(0), v(1)])
-            .when(edge, vec![v(0), v(1)]);
-        rules
-            .add(path, vec![v(0), v(2)])
-            .when(path, vec![v(0), v(1)])
-            .when(edge, vec![v(1), v(2)]);
-        db.run(&rules);
-        (db, edge, path)
-    }
-
-    #[test]
-    fn explain_base_fact_is_a_leaf() {
-        let (db, edge, _) = recorded_closure();
-        let d = db.explain(edge, &[0, 1]).expect("recorded");
-        assert_eq!(d.rule, None);
-        assert!(d.is_base());
-        assert!(d.premises.is_empty());
-        assert_eq!(d.tuple, vec![0, 1]);
-        assert_eq!(d.node_count(), 1);
-        assert_eq!(d.depth(), 1);
-    }
-
-    #[test]
-    fn explain_reconstructs_the_derivation_tree() {
-        let (db, edge, path) = recorded_closure();
-        // path(0,2) :- path(0,1), edge(1,2); path(0,1) :- edge(0,1).
-        let d = db.explain(path, &[0, 2]).expect("recorded");
-        assert_eq!(d.rule, Some(1));
-        assert_eq!(d.premises.len(), 2);
-        assert_eq!(d.premises[0].rel, path);
-        assert_eq!(d.premises[0].tuple, vec![0, 1]);
-        assert_eq!(d.premises[0].rule, Some(0));
-        assert_eq!(d.premises[0].premises.len(), 1);
-        assert_eq!(d.premises[0].premises[0].rel, edge);
-        assert!(d.premises[0].premises[0].is_base());
-        assert_eq!(d.premises[1].rel, edge);
-        assert_eq!(d.premises[1].tuple, vec![1, 2]);
-        assert!(d.premises[1].is_base());
-        assert_eq!(d.node_count(), 4);
-        assert_eq!(d.depth(), 3);
-    }
-
-    #[test]
-    fn diamond_keeps_the_first_derivation() {
-        let mut db = Database::new();
-        db.set_provenance(true);
-        let e = db.relation("e", 2);
-        let p = db.relation("p", 2);
-        for t in [[0u32, 1], [0, 2], [1, 3], [2, 3]] {
-            db.insert(e, &t);
-        }
-        let mut rules = RuleSet::new();
-        rules.add(p, vec![v(0), v(1)]).when(e, vec![v(0), v(1)]);
-        rules
-            .add(p, vec![v(0), v(2)])
-            .when(p, vec![v(0), v(1)])
-            .when(e, vec![v(1), v(2)]);
-        db.run(&rules);
-        // p(0,3) is derivable via p(0,1),e(1,3) and via p(0,2),e(2,3);
-        // the arena scans p in first-derivation order, so (0,1) wins.
-        let d = db.explain(p, &[0, 3]).expect("recorded");
-        assert_eq!(d.rule, Some(1));
-        assert_eq!(d.premises[0].tuple, vec![0, 1]);
-        assert_eq!(d.premises[1].tuple, vec![1, 3]);
-    }
-
-    #[test]
-    fn fact_template_rules_record_premise_free_derivations() {
-        let mut db = Database::new();
-        db.set_provenance(true);
-        let marker = db.relation("marker", 1);
-        let mut rules = RuleSet::new();
-        rules.add(marker, vec![Term::val(42)]);
-        db.run(&rules);
-        let d = db.explain(marker, &[42]).expect("recorded");
-        assert_eq!(d.rule, Some(0), "derived by the fact template, not EDB");
-        assert!(d.premises.is_empty());
-    }
-
-    #[test]
-    fn explain_without_recording_returns_none() {
-        let mut db = Database::new();
-        let edge = db.relation("edge", 2);
-        db.insert(edge, &[0, 1]);
-        db.run(&RuleSet::new());
-        assert_eq!(db.explain(edge, &[0, 1]), None);
-        assert_eq!(db.provenance_bytes(), 0);
-        assert_eq!(db.stats().prov_records, 0);
-        assert_eq!(db.stats().prov_bytes, 0);
-    }
-
-    #[test]
-    fn enabling_mid_life_backfills_base_facts_and_disabling_discards() {
-        let mut db = Database::new();
-        let edge = db.relation("edge", 2);
-        let path = db.relation("path", 2);
-        db.insert(edge, &[0, 1]); // inserted before recording starts
-        db.set_provenance(true);
-        db.insert(edge, &[1, 2]);
-        let mut rules = RuleSet::new();
-        rules
-            .add(path, vec![v(0), v(1)])
-            .when(edge, vec![v(0), v(1)]);
-        db.run(&rules);
-        let d = db.explain(path, &[0, 1]).expect("recorded");
-        assert!(d.premises[0].is_base(), "backfilled row reads as base fact");
-        assert!(db.provenance_bytes() > 0);
-        db.set_provenance(false);
-        assert_eq!(db.explain(path, &[0, 1]), None);
-        assert_eq!(db.provenance_bytes(), 0);
-    }
-
-    #[test]
-    fn explain_of_absent_tuple_is_none() {
-        let (db, edge, path) = recorded_closure();
-        assert_eq!(db.explain(edge, &[7, 8]), None);
-        assert_eq!(db.explain(path, &[2, 0]), None);
-    }
-
-    #[test]
-    fn stats_count_provenance_records() {
-        let (db, _, _) = recorded_closure();
-        let s = *db.stats();
-        assert_eq!(s.prov_records, s.derived, "one record per derived tuple");
-        assert!(s.prov_bytes > 0);
-    }
-
-    #[test]
-    fn recording_does_not_change_contents_or_order() {
-        let build = |record: bool| {
-            let mut db = Database::new();
-            db.set_provenance(record);
-            let edge = db.relation("edge", 2);
-            let path = db.relation("path", 2);
-            for i in 0..12u32 {
-                db.insert(edge, &[i, (i + 1) % 12]);
-                db.insert(edge, &[i, (i + 5) % 12]);
-            }
-            let mut rules = RuleSet::new();
-            rules
-                .add(path, vec![v(0), v(1)])
-                .when(edge, vec![v(0), v(1)]);
-            rules
-                .add(path, vec![v(0), v(2)])
-                .when(path, vec![v(0), v(1)])
-                .when(edge, vec![v(1), v(2)]);
-            db.run(&rules);
-            db.tuples(path).map(<[u32]>::to_vec).collect::<Vec<_>>()
-        };
-        assert_eq!(build(false), build(true));
     }
 
     #[test]

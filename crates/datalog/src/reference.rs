@@ -12,18 +12,8 @@
 //! This module is test infrastructure: it trades all performance for
 //! obviousness, and nothing in the analysis pipeline should use it.
 
-use crate::{Derivation, RelId, Rule, RuleSet, Term};
+use crate::{RelId, Rule, RuleSet, Term};
 use std::collections::{HashMap, HashSet};
-
-/// How a tuple was first derived: deriving rule index plus the premise
-/// tuples it matched, in body order. Stored per row (`None` = base fact)
-/// — tuples instead of arena rows, because obviousness beats compactness
-/// in the oracle.
-type NaiveProv = (usize, Vec<(RelId, Box<[u32]>)>);
-
-/// Candidate head tuples produced by one rule evaluation, with the
-/// provenance recorded when enabled.
-type Derived = Vec<(RelId, Box<[u32]>, Option<NaiveProv>)>;
 
 #[derive(Debug, Default)]
 struct RelationData {
@@ -35,9 +25,6 @@ struct RelationData {
     ordered: Vec<Box<[u32]>>,
     /// Tuples derived in the previous semi-naive iteration.
     delta: Vec<Box<[u32]>>,
-    /// While recording: one provenance entry per row, parallel to
-    /// `ordered`. Empty when recording is off.
-    prov: Vec<Option<NaiveProv>>,
 }
 
 /// The original naive engine, API-compatible with
@@ -46,7 +33,6 @@ struct RelationData {
 #[derive(Debug, Default)]
 pub struct NaiveDatabase {
     relations: Vec<RelationData>,
-    record_provenance: bool,
 }
 
 impl NaiveDatabase {
@@ -95,70 +81,9 @@ impl NaiveDatabase {
         if r.all.insert(boxed.clone()) {
             r.ordered.push(boxed.clone());
             r.delta.push(boxed);
-            if self.record_provenance {
-                self.relations[rel.index()].prov.push(None);
-            }
             true
         } else {
             false
-        }
-    }
-
-    /// Mirror of [`Database::set_provenance`](crate::Database::set_provenance):
-    /// enabling backfills existing rows as base facts, disabling discards.
-    pub fn set_provenance(&mut self, on: bool) {
-        self.record_provenance = on;
-        for r in &mut self.relations {
-            if on {
-                r.prov.resize(r.ordered.len(), None);
-            } else {
-                r.prov = Vec::new();
-            }
-        }
-    }
-
-    /// Whether derivation recording is enabled.
-    #[must_use]
-    pub fn provenance_enabled(&self) -> bool {
-        self.record_provenance
-    }
-
-    /// Mirror of [`Database::explain`](crate::Database::explain), by
-    /// linear search over the ordered tuple list.
-    #[must_use]
-    pub fn explain(&self, rel: RelId, tuple: &[u32]) -> Option<Derivation> {
-        if !self.record_provenance {
-            return None;
-        }
-        if !self.contains(rel, tuple) {
-            return None;
-        }
-        Some(self.derivation_of(rel, tuple))
-    }
-
-    fn derivation_of(&self, rel: RelId, tuple: &[u32]) -> Derivation {
-        let r = &self.relations[rel.index()];
-        let pos = r
-            .ordered
-            .iter()
-            .position(|t| &**t == tuple)
-            .expect("tuple present");
-        match r.prov.get(pos).and_then(Option::as_ref) {
-            None => Derivation {
-                rel,
-                tuple: tuple.to_vec(),
-                rule: None,
-                premises: Vec::new(),
-            },
-            Some((rule, premises)) => Derivation {
-                rel,
-                tuple: tuple.to_vec(),
-                rule: Some(*rule),
-                premises: premises
-                    .iter()
-                    .map(|(prel, pt)| self.derivation_of(*prel, pt))
-                    .collect(),
-            },
         }
     }
 
@@ -205,25 +130,19 @@ impl NaiveDatabase {
             r.delta = r.ordered.clone();
         }
         loop {
-            let mut new_tuples: Vec<(RelId, Box<[u32]>, Option<NaiveProv>)> = Vec::new();
-            for (rule_idx, rule) in rules.rules.iter().enumerate() {
-                self.eval_rule(rule, rule_idx, &mut new_tuples);
+            let mut new_tuples: Vec<(RelId, Box<[u32]>)> = Vec::new();
+            for rule in &rules.rules {
+                self.eval_rule(rule, &mut new_tuples);
             }
             for r in &mut self.relations {
                 r.delta.clear();
             }
             let mut grew = false;
-            let record = self.record_provenance;
-            for (rel, t, prov) in new_tuples {
+            for (rel, t) in new_tuples {
                 let r = &mut self.relations[rel.index()];
-                // First occurrence wins — for the tuple and its recorded
-                // derivation alike, matching the indexed engine.
                 if r.all.insert(t.clone()) {
                     r.ordered.push(t.clone());
                     r.delta.push(t);
-                    if record {
-                        r.prov.push(prov);
-                    }
                     grew = true;
                 }
             }
@@ -269,12 +188,7 @@ impl NaiveDatabase {
 
     /// Evaluate one rule semi-naively: once per body position, restrict
     /// that atom to the delta of its relation.
-    fn eval_rule(
-        &self,
-        rule: &Rule,
-        rule_idx: usize,
-        out: &mut Derived,
-    ) {
+    fn eval_rule(&self, rule: &Rule, out: &mut Vec<(RelId, Box<[u32]>)>) {
         if rule.body.is_empty() {
             // Fact template: all-constant head (checked).
             let tuple: Box<[u32]> = rule
@@ -286,10 +200,7 @@ impl NaiveDatabase {
                     Term::Var(_) => unreachable!("checked: no unbound head vars"),
                 })
                 .collect();
-            let prov = self
-                .record_provenance
-                .then(|| (rule_idx, Vec::new()));
-            out.push((rule.head.rel, tuple, prov));
+            out.push((rule.head.rel, tuple));
             return;
         }
         for delta_pos in 0..rule.body.len() {
@@ -300,21 +211,17 @@ impl NaiveDatabase {
                 continue;
             }
             let mut bindings: HashMap<u8, u32> = HashMap::new();
-            let mut path: Vec<(RelId, Box<[u32]>)> = Vec::new();
-            self.join(rule, rule_idx, 0, delta_pos, &mut bindings, &mut path, out);
+            self.join(rule, 0, delta_pos, &mut bindings, out);
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn join(
         &self,
         rule: &Rule,
-        rule_idx: usize,
         pos: usize,
         delta_pos: usize,
         bindings: &mut HashMap<u8, u32>,
-        path: &mut Vec<(RelId, Box<[u32]>)>,
-        out: &mut Derived,
+        out: &mut Vec<(RelId, Box<[u32]>)>,
     ) {
         if pos == rule.body.len() {
             let tuple: Box<[u32]> = rule
@@ -326,10 +233,7 @@ impl NaiveDatabase {
                     Term::Var(v) => bindings[v],
                 })
                 .collect();
-            let prov = self
-                .record_provenance
-                .then(|| (rule_idx, path.clone()));
-            out.push((rule.head.rel, tuple, prov));
+            out.push((rule.head.rel, tuple));
             return;
         }
         let atom = &rule.body[pos];
@@ -366,15 +270,7 @@ impl NaiveDatabase {
                     },
                 }
             }
-            // Matched premises are tracked only while recording, keeping
-            // the non-recording path allocation-identical to the original.
-            if self.record_provenance {
-                path.push((atom.rel, tuple.clone()));
-            }
-            self.join(rule, rule_idx, pos + 1, delta_pos, bindings, path, out);
-            if self.record_provenance {
-                path.pop();
-            }
+            self.join(rule, pos + 1, delta_pos, bindings, out);
             for v in local_bound {
                 bindings.remove(&v);
             }

@@ -190,107 +190,6 @@ proptest! {
     }
 }
 
-/// Provenance differential + replay: both engines must record the *same*
-/// first derivation for every tuple, and each recorded derivation must
-/// actually re-derive its conclusion — premises unify with the rule body,
-/// instantiate the head, exist in the oracle, and bottom out in EDB facts.
-mod provenance_replay {
-    use super::*;
-    use nadroid_datalog::Derivation;
-    use std::collections::{HashMap, HashSet};
-
-    fn check_replay(
-        node: &Derivation,
-        rules: &RuleSet,
-        naive: &NaiveDatabase,
-        edb: &HashSet<(RelId, Vec<u32>)>,
-    ) -> Result<(), String> {
-        match node.rule {
-            None => {
-                prop_assert!(
-                    edb.contains(&(node.rel, node.tuple.clone())),
-                    "leaf {:?} of {} is not a base fact",
-                    node.tuple,
-                    node.rel
-                );
-            }
-            Some(idx) => {
-                let rule = &rules.rules()[idx];
-                prop_assert_eq!(rule.head().rel(), node.rel, "rule head relation mismatch");
-                prop_assert_eq!(
-                    rule.body().len(),
-                    node.premises.len(),
-                    "one premise per body atom"
-                );
-                let mut env: HashMap<u8, u32> = HashMap::new();
-                for (atom, prem) in rule.body().iter().zip(&node.premises) {
-                    prop_assert_eq!(atom.rel(), prem.rel, "premise relation mismatch");
-                    prop_assert!(
-                        naive.contains(prem.rel, &prem.tuple),
-                        "premise {:?} absent from the oracle",
-                        prem.tuple
-                    );
-                    for (term, &val) in atom.terms().iter().zip(prem.tuple.iter()) {
-                        match *term {
-                            Term::Const(c) => prop_assert_eq!(c, val, "constant mismatch"),
-                            Term::Var(v) => {
-                                if let Some(&bound) = env.get(&v) {
-                                    prop_assert_eq!(bound, val, "inconsistent binding");
-                                } else {
-                                    env.insert(v, val);
-                                }
-                            }
-                        }
-                    }
-                }
-                // The premises alone must re-derive the conclusion.
-                let head: Vec<u32> = rule
-                    .head()
-                    .terms()
-                    .iter()
-                    .map(|t| match *t {
-                        Term::Const(c) => c,
-                        Term::Var(v) => env[&v],
-                    })
-                    .collect();
-                prop_assert_eq!(&head, &node.tuple, "head does not re-derive from premises");
-                for prem in &node.premises {
-                    check_replay(prem, rules, naive, edb)?;
-                }
-            }
-        }
-        Ok(())
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(128))]
-
-        #[test]
-        fn recorded_derivations_match_the_oracle_and_replay(
-            facts in facts_strategy(),
-            specs in prop::collection::vec(rule_spec_strategy(), 1..5),
-        ) {
-            let (mut fast, mut naive, rels, rules) = setup(&facts, &specs);
-            fast.set_provenance(true);
-            naive.set_provenance(true);
-            fast.run(&rules);
-            naive.run(&rules);
-            let mut edb: HashSet<(RelId, Vec<u32>)> = HashSet::new();
-            for (rel, vals) in &facts {
-                edb.insert((rels[*rel], vals[..ARITIES[*rel]].to_vec()));
-            }
-            for &rel in &rels {
-                for tuple in ordered_tuples(&fast, rel) {
-                    let d = fast.explain(rel, &tuple).expect("every tuple is recorded");
-                    let nd = naive.explain(rel, &tuple).expect("the oracle records too");
-                    prop_assert_eq!(&d, &nd, "first-derivation trees diverged");
-                    check_replay(&d, &rules, &naive, &edb)?;
-                }
-            }
-        }
-    }
-}
-
 /// Deterministic regression cases that have historically been the sharp
 /// edges of index-backed evaluation.
 mod fixed_cases {

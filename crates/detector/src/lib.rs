@@ -14,16 +14,19 @@
 //! with or without locks) and MHP analysis is replaced by the
 //! Android-specific happens-before filters of the filter crate. Both are
 //! still available behind [`DetectorOptions`] for ablation studies.
+//!
+//! Each [`UafWarning`] is its own witness: its two accesses, their
+//! threads and the objects they share are every fact the warning's
+//! Datalog derivation (`nadroid explain`) is built from, in
+//! `nadroid-core`'s `provenance` module.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use nadroid_datalog as datalog;
 use nadroid_ir::walk::{self, InstrCtx};
 use nadroid_ir::{Callee, FieldId, InstrId, Local, MethodId, Op, Program};
 use nadroid_pointsto::{Escape, ObjId, PointsTo};
 use nadroid_threadify::{ThreadId, ThreadModel};
-use std::collections::{BTreeMap, BTreeSet};
 
 /// Whether an access reads (use) or nulls (free) the field.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -82,7 +85,10 @@ pub struct UafWarning {
     pub use_thread: ThreadId,
     /// The modeled thread executing the free.
     pub free_thread: ThreadId,
-    /// The common (aliased) base objects of the two accesses.
+    /// The common (aliased) base objects of the two accesses, ascending;
+    /// only the thread-escaping ones under
+    /// [`DetectorOptions::require_escape`]. Never empty. The first is
+    /// the witness object of the warning's derivation.
     pub shared_objs: Vec<ObjId>,
 }
 
@@ -382,183 +388,6 @@ pub fn warning_id(program: &Program, threads: &ThreadModel, w: &UafWarning) -> S
     format!("w:{h:016x}")
 }
 
-/// The §5 racy-pair detection re-encoded as a Datalog program solved
-/// with derivation recording on — the provenance backbone of
-/// `nadroid explain`. Facts range over raw ids: instructions
-/// ([`InstrId::raw`]), fields, objects, and modeled threads.
-#[derive(Debug)]
-pub struct RacyPairProvenance {
-    /// The solved database (provenance recording enabled).
-    pub db: datalog::Database,
-    /// `racyPair(use, free, useThread, freeThread)` — the root relation.
-    pub racy_pair: datalog::RelId,
-    /// The executed rules; [`datalog::Derivation::rule`] indexes these.
-    pub rules: datalog::RuleSet,
-}
-
-impl RacyPairProvenance {
-    /// The derivation tree of one warning's racy-pair fact.
-    #[must_use]
-    pub fn explain_warning(&self, w: &UafWarning) -> Option<datalog::Derivation> {
-        self.db.explain(
-            self.racy_pair,
-            &[
-                w.use_access.instr.raw(),
-                w.free_access.instr.raw(),
-                w.use_thread.raw(),
-                w.free_thread.raw(),
-            ],
-        )
-    }
-}
-
-/// Re-derive the racy pairs of [`detect`] as a recorded Datalog solve:
-///
-/// ```text
-/// aliasedPair(u, f) :- useAt(u, fld), freeAt(f, fld),
-///                      ptsUse(u, o), ptsFree(f, o), sharedObj(o).
-/// racyPair(u, f, t1, t2) :- aliasedPair(u, f), runsOn(u, t1),
-///                           runsOn(f, t2), distinctThreads(t1, t2).
-/// ```
-///
-/// `sharedObj` holds the thread-escaping objects (all objects when
-/// `options.require_escape` is off), and `distinctThreads` materializes
-/// thread disequality, which the engine has no built-in for. It holds
-/// only the pairs `(t1, t2)`, `t1 ≠ t2`, where `t1` runs a use and `t2`
-/// a free of the same field: per-field use × free threads, not all |T|²
-/// thread pairs. That is exact, because `aliasedPair(u, f)` requires
-/// `u` and `f` to access one field, so these are the only thread pairs
-/// the `racyPair` body can bind.
-///
-/// The derived `racyPair` set equals the warnings of [`detect`] for the
-/// same options, except that `eager_lockset` pruning is *not* encoded —
-/// with it on, warnings are a subset of `racyPair`, and every warning
-/// still has a derivation.
-#[must_use]
-pub fn derive_racy_pairs(
-    program: &Program,
-    threads: &ThreadModel,
-    pts: &PointsTo,
-    escape: &Escape,
-    options: DetectorOptions,
-) -> RacyPairProvenance {
-    let mut db = datalog::Database::new();
-    db.set_provenance(true);
-    let use_at = db.relation("useAt", 2);
-    let free_at = db.relation("freeAt", 2);
-    let pts_use = db.relation("ptsUse", 2);
-    let pts_free = db.relation("ptsFree", 2);
-    let shared_obj = db.relation("sharedObj", 1);
-    let runs_on = db.relation("runsOn", 2);
-    let distinct_threads = db.relation("distinctThreads", 2);
-    let aliased_pair = db.relation("aliasedPair", 2);
-    let racy_pair = db.relation("racyPair", 4);
-
-    // Per field, the threads running a use / a free of it.
-    let mut use_threads: BTreeMap<FieldId, BTreeSet<ThreadId>> = BTreeMap::new();
-    let mut free_threads: BTreeMap<FieldId, BTreeSet<ThreadId>> = BTreeMap::new();
-    for a in collect_accesses(program) {
-        let (at, pt, by_field) = match a.kind {
-            AccessKind::Use => (use_at, pts_use, &mut use_threads),
-            AccessKind::Free => (free_at, pts_free, &mut free_threads),
-        };
-        db.insert(at, &[a.instr.raw(), a.field.raw()]);
-        for &o in pts.pts(a.method, a.base) {
-            db.insert(pt, &[a.instr.raw(), o.0]);
-        }
-        let on = threads.threads_of_method(a.method);
-        for &t in on {
-            db.insert(runs_on, &[a.instr.raw(), t.raw()]);
-        }
-        by_field.entry(a.field).or_default().extend(on);
-    }
-    for o in pts.objs().iter() {
-        if !options.require_escape || escape.is_shared(o) {
-            db.insert(shared_obj, &[o.0]);
-        }
-    }
-    for (field, users) in &use_threads {
-        let Some(freers) = free_threads.get(field) else { continue };
-        for &t1 in users {
-            for &t2 in freers {
-                if t1 != t2 {
-                    db.insert(distinct_threads, &[t1.raw(), t2.raw()]);
-                }
-            }
-        }
-    }
-
-    let v = datalog::Term::var;
-    let mut rules = datalog::RuleSet::new();
-    // aliasedPair(u, f): same field, aliased bases, shared object.
-    rules
-        .add(aliased_pair, vec![v(0), v(2)])
-        .when(use_at, vec![v(0), v(1)])
-        .when(free_at, vec![v(2), v(1)])
-        .when(pts_use, vec![v(0), v(3)])
-        .when(pts_free, vec![v(2), v(3)])
-        .when(shared_obj, vec![v(3)]);
-    // racyPair(u, f, t1, t2): the pair runs on two different threads.
-    rules
-        .add(racy_pair, vec![v(0), v(1), v(2), v(3)])
-        .when(aliased_pair, vec![v(0), v(1)])
-        .when(runs_on, vec![v(0), v(2)])
-        .when(runs_on, vec![v(1), v(3)])
-        .when(distinct_threads, vec![v(2), v(3)]);
-    db.run(&rules);
-
-    RacyPairProvenance {
-        db,
-        racy_pair,
-        rules,
-    }
-}
-
-/// Render one Datalog fact of the racy-pair encoding in source terms:
-/// instruction sites, qualified fields, thread lineages.
-#[must_use]
-pub fn describe_fact(
-    program: &Program,
-    threads: &ThreadModel,
-    db: &datalog::Database,
-    rel: datalog::RelId,
-    tuple: &[u32],
-) -> String {
-    let site = |raw: u32| program.describe_instr(InstrId::from_raw(raw));
-    let field = |raw: u32| {
-        let f = FieldId::from_raw(raw);
-        format!(
-            "{}.{}",
-            program.class(program.field(f).owner()).name(),
-            program.field(f).name()
-        )
-    };
-    let thread = |raw: u32| threads.lineage_string(program, ThreadId::from_raw(raw));
-    match db.name(rel) {
-        "useAt" => format!("useAt({}, {})", site(tuple[0]), field(tuple[1])),
-        "freeAt" => format!("freeAt({}, {})", site(tuple[0]), field(tuple[1])),
-        "ptsUse" => format!("ptsUse({}, obj#{})", site(tuple[0]), tuple[1]),
-        "ptsFree" => format!("ptsFree({}, obj#{})", site(tuple[0]), tuple[1]),
-        "sharedObj" => format!("sharedObj(obj#{})", tuple[0]),
-        "runsOn" => format!("runsOn({}, {})", site(tuple[0]), thread(tuple[1])),
-        "distinctThreads" => {
-            format!("distinctThreads({}, {})", thread(tuple[0]), thread(tuple[1]))
-        }
-        "aliasedPair" => format!("aliasedPair({}, {})", site(tuple[0]), site(tuple[1])),
-        "racyPair" => format!(
-            "racyPair({}, {}, {}, {})",
-            site(tuple[0]),
-            site(tuple[1]),
-            thread(tuple[2]),
-            thread(tuple[3])
-        ),
-        name => {
-            let vals: Vec<String> = tuple.iter().map(ToString::to_string).collect();
-            format!("{name}({})", vals.join(", "))
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -826,74 +655,10 @@ mod tests {
         }
     }
 
-    fn run_with_provenance(
-        src: &str,
-    ) -> (Program, ThreadModel, Vec<UafWarning>, RacyPairProvenance) {
-        let p = parse_program(src).unwrap_or_else(|e| panic!("{e}"));
-        let t = ThreadModel::build(&p);
-        let pts = PointsTo::run(&p, &t, 2);
-        let esc = Escape::compute(&p, &t, &pts);
-        let opts = DetectorOptions::default();
-        let w = detect(&p, &t, &pts, &esc, opts);
-        let prov = derive_racy_pairs(&p, &t, &pts, &esc, opts);
-        (p, t, w, prov)
-    }
-
-    #[test]
-    fn datalog_racy_pairs_match_the_detector() {
-        let (_p, _t, w, prov) = run_with_provenance(CONNECTBOT_A);
-        assert!(!w.is_empty());
-        assert_eq!(
-            prov.db.len(prov.racy_pair),
-            w.len(),
-            "racyPair must equal detect() under default options"
-        );
-        for x in &w {
-            assert!(prov.db.contains(
-                prov.racy_pair,
-                &[
-                    x.use_access.instr.raw(),
-                    x.free_access.instr.raw(),
-                    x.use_thread.raw(),
-                    x.free_thread.raw(),
-                ]
-            ));
-        }
-    }
-
-    #[test]
-    fn every_warning_has_a_derivation_rooted_at_racy_pair() {
-        let (p, t, w, prov) = run_with_provenance(CONNECTBOT_A);
-        assert!(!w.is_empty());
-        for x in &w {
-            let d = prov.explain_warning(x).expect("warning is explainable");
-            assert_eq!(d.rel, prov.racy_pair);
-            assert!(d.rule.is_some(), "racyPair facts are derived, not EDB");
-            assert!(d.node_count() > 1);
-            // The tree bottoms out in base facts, and every node renders.
-            fn visit(
-                p: &Program,
-                t: &ThreadModel,
-                prov: &RacyPairProvenance,
-                node: &datalog::Derivation,
-            ) {
-                assert!(!describe_fact(p, t, &prov.db, node.rel, &node.tuple).is_empty());
-                if node.premises.is_empty() {
-                    assert!(node.is_base(), "leaves are EDB facts");
-                } else {
-                    for pr in &node.premises {
-                        visit(p, t, prov, pr);
-                    }
-                }
-            }
-            visit(&p, &t, &prov, &d);
-        }
-    }
-
     #[test]
     fn warning_ids_are_stable_and_distinct() {
-        let (p1, t1, w1, _) = run_with_provenance(CONNECTBOT_A);
-        let (p2, t2, w2, _) = run_with_provenance(CONNECTBOT_A);
+        let (p1, t1, w1) = run(CONNECTBOT_A);
+        let (p2, t2, w2) = run(CONNECTBOT_A);
         assert_eq!(w1.len(), w2.len());
         let ids1: Vec<String> = w1.iter().map(|x| warning_id(&p1, &t1, x)).collect();
         let ids2: Vec<String> = w2.iter().map(|x| warning_id(&p2, &t2, x)).collect();

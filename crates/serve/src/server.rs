@@ -410,6 +410,8 @@ impl Shared {
         }
     }
 
+    /// Count a finished job's response, or an error response however it
+    /// arose: every `Response::Error` lands in `serve.errors` once.
     fn account(&self, resp: &Response) {
         let name = match resp {
             Response::DeadlineExceeded { .. } => "serve.deadline_exceeded",
@@ -438,6 +440,7 @@ impl Shared {
             f("completed", counter("serve.completed")),
             f("rejected", counter("serve.rejected")),
             f("deadline_exceeded", counter("serve.deadline_exceeded")),
+            f("errors", counter("serve.errors")),
             f("cache_hits", counter("serve.cache.hits")),
             f("cache_misses", counter("serve.cache.misses")),
             f("cache_evictions", counter("serve.cache.evictions")),
@@ -685,7 +688,11 @@ fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) {
             resp
         };
         let response = match line.and_then(Request::decode) {
-            Err(message) => inline(shared, "unknown", Response::Error { message }),
+            Err(message) => {
+                let resp = Response::Error { message };
+                shared.account(&resp);
+                inline(shared, "unknown", resp)
+            }
             Ok(Request::Stats) => {
                 let resp = Response::Stats {
                     fields: shared.stats_fields(),
@@ -747,8 +754,12 @@ fn dispatch(
     obs::gauge("serve.queue_depth", shared.pool.queue_depth());
     obs::gauge("serve.inflight", shared.pool.inflight());
     match submitted {
-        Submit::Accepted => rx.recv().unwrap_or_else(|_| Response::Error {
-            message: "worker dropped the reply".to_owned(),
+        Submit::Accepted => rx.recv().unwrap_or_else(|_| {
+            let resp = Response::Error {
+                message: "worker dropped the reply".to_owned(),
+            };
+            shared.account(&resp);
+            resp
         }),
         Submit::Full(_) => {
             obs::counter("serve.rejected", 1);

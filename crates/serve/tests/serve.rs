@@ -367,6 +367,50 @@ fn garbage_lines_get_one_error_each_and_the_connection_keeps_serving() {
 }
 
 #[test]
+fn every_error_response_counts_once_in_stats_metrics_and_the_recorder() {
+    let server = test_server(1);
+    let stream = TcpStream::connect(server.local_addr()).expect("connect");
+    let mut reader = BufReader::new(stream);
+
+    // Two lines that never decode, answered on the connection thread,
+    // and one that decodes but fails on a worker.
+    let analyze = |program: &str| {
+        Request::Analyze {
+            program: program.to_owned(),
+            opts: AnalyzeOpts::default(),
+        }
+        .encode()
+    };
+    let (whole, bad_dsl) = (analyze(CONNECTBOT), analyze("app {{{"));
+    let lines: [&[u8]; 3] = [
+        b"\xff\xfe\x00garbage\xc3",
+        &whole.as_bytes()[..whole.len() / 2],
+        bad_dsl.as_bytes(),
+    ];
+    for line in lines {
+        send_line(&mut reader, line);
+        let resp = read_response(&mut reader);
+        assert!(matches!(resp, Response::Error { .. }), "{resp:?}");
+    }
+
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let Response::Stats { fields } = client.stats().unwrap() else {
+        panic!("expected stats response");
+    };
+    let Response::Metrics { json } = client.metrics().unwrap() else {
+        panic!("expected metrics response");
+    };
+    let metrics = parse_json(&json)
+        .expect("metrics document parses")
+        .get("counters")
+        .and_then(|c| c.get("errors"))
+        .and_then(JsonValue::as_u64);
+    assert_eq!(stat(&fields, "errors"), 3, "stats op");
+    assert_eq!(metrics, Some(3), "metrics counters: {json}");
+    assert_eq!(server.recorder().counter_value("serve.errors"), 3);
+}
+
+#[test]
 fn a_deeply_nested_line_gets_one_error_and_the_connection_keeps_serving() {
     let server = test_server(1);
     let stream = TcpStream::connect(server.local_addr()).expect("connect");

@@ -37,12 +37,14 @@
 #    parallelism under admission control) plus an access log and a
 #    zero slow-capture threshold, cold request, warm request (must hit
 #    the cache), deadline-exceeded request (structured timeout, worker
-#    survives), stats consistency incl. the exported thread config, a
-#    `confirm` request (a confirmed verdict over the wire), a
+#    survives), stats consistency incl. the exported thread config, an
+#    unparsable program (a nonzero exit printing the server's parse
+#    error), a `confirm` request (a confirmed verdict over the wire), a
 #    `metrics` request (per-endpoint percentiles, rolling rps windows,
 #    Prometheus text rendering), clean shutdown, whose final stats must
-#    read 2 cache hits and 3 misses (the confirm found only the entry
-#    the cold analyze wrote, so it ran the searches: a miss) — then the JSONL
+#    read 10 requests, 2 cache hits, 4 misses (the unparsable program
+#    missed, and the confirm found only the entry the cold analyze
+#    wrote, so it ran the searches) and 1 error — then the 10-line JSONL
 #    access log and a slow-request trace must validate under
 #    `nadroid check-json`, and the serve load bench refreshes
 #    BENCH_serve.json (host fingerprint included) and enforces the 20x
@@ -173,6 +175,14 @@ echo "$stats_out" | grep -q '"threads_requested": 2' || {
     echo "ci.sh: serve stats missing threads_requested:"; echo "$stats_out"; exit 1; }
 echo "$stats_out" | grep -q '"threads": ' || {
     echo "ci.sh: serve stats missing effective threads:"; echo "$stats_out"; exit 1; }
+# A program that does not parse is answered with the parse error, which
+# the client reports with a nonzero exit; the server counts it.
+printf 'app {{{\n' > "$telem_dir/bad.dsl"
+if bad_out=$("$bin" request "$telem_dir/bad.dsl" --addr "$serve_addr" 2>&1); then
+    echo "ci.sh: unparsable program was not an error:"; echo "$bad_out"; exit 1
+fi
+echo "$bad_out" | grep -qF 'server error: parse error' || {
+    echo "ci.sh: unparsable program got no parse error:"; echo "$bad_out"; exit 1; }
 # Confirmation over the wire: the same search, minimizer and replay the
 # in-process tests run, reached through serve's confirm op.
 "$bin" request apps/connectbot.dsl --addr "$serve_addr" --confirm \
@@ -201,23 +211,25 @@ echo "$text_out" | grep -qF 'series="serve.latency.analyze.miss",quantile="0.99"
 "$bin" request --shutdown --addr "$serve_addr" | grep -q 'shutdown acknowledged' || {
     echo "ci.sh: serve shutdown not acknowledged" >&2; exit 1; }
 wait "$serve_pid" || { echo "ci.sh: serve exited nonzero" >&2; exit 1; }
-grep -q '"requests": 9' "$serve_out" || {
+grep -q '"requests": 10' "$serve_out" || {
     echo "ci.sh: serve final stats missing/inconsistent:"; cat "$serve_out"; exit 1; }
 # Hits: the two warm analyzes. Misses: the cold analyze, the k=3
-# zero-deadline request, and the confirm, whose entry held no
-# confirmation yet.
+# zero-deadline request, the unparsable program, and the confirm, whose
+# entry held no confirmation yet. Errors: the unparsable program.
 grep -q '"cache_hits": 2' "$serve_out" || {
     echo "ci.sh: serve final cache_hits != 2:"; cat "$serve_out"; exit 1; }
-grep -q '"cache_misses": 3' "$serve_out" || {
-    echo "ci.sh: serve final cache_misses != 3:"; cat "$serve_out"; exit 1; }
+grep -q '"cache_misses": 4' "$serve_out" || {
+    echo "ci.sh: serve final cache_misses != 4:"; cat "$serve_out"; exit 1; }
+grep -q '"errors": 1$' "$serve_out" || {
+    echo "ci.sh: serve final errors != 1:"; cat "$serve_out"; exit 1; }
 
 # The access log must hold one parseable JSONL record per request, and
 # `--slow-us 0` must have captured a span-tree trace for every
 # computed request, both valid under the in-repo parser.
 "$bin" check-json "$telem_dir/access.jsonl" --lines || {
     echo "ci.sh: access log failed JSONL validation" >&2; exit 1; }
-[ "$(wc -l < "$telem_dir/access.jsonl")" -eq 9 ] || {
-    echo "ci.sh: access log line count != 9:"; cat "$telem_dir/access.jsonl"; exit 1; }
+[ "$(wc -l < "$telem_dir/access.jsonl")" -eq 10 ] || {
+    echo "ci.sh: access log line count != 10:"; cat "$telem_dir/access.jsonl"; exit 1; }
 slow_trace=$(ls "$telem_dir"/slow-r*.trace.json 2>/dev/null | head -n 1 || true)
 [ -n "$slow_trace" ] || {
     echo "ci.sh: --slow-us 0 produced no slow traces" >&2; exit 1; }

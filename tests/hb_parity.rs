@@ -39,19 +39,15 @@ fn legacy_outcomes(
 /// and none launches or hosts fragments, so the solved `disables` and
 /// `predEdge` relations are empty, the only `enables` facts are the
 /// Connection binds the service-lifecycle patterns always contained,
-/// the refuter never fires, and running with the refutation stage
-/// disabled renders the byte-identical report — the Figure 5 tallies
-/// and surviving ids pinned by the other gates cannot move.
+/// and the refuter never fires: no pair is refuted and the reported
+/// population is the unsound survivors — the Figure 5 tallies and
+/// surviving ids pinned by the other gates cannot move.
 #[test]
 fn paper_apps_have_no_predicate_facts_and_refutation_is_a_no_op() {
-    let on = AnalysisConfig::default();
-    let off = AnalysisConfig {
-        refutation: false,
-        ..AnalysisConfig::default()
-    };
+    let config = AnalysisConfig::default();
     for row in table1_rows() {
         let app = generate(&spec_for(&row));
-        let analysis = analyze(&app.program, &on);
+        let analysis = analyze(&app.program, &config);
         let hb = analysis.hb();
         assert_eq!(
             hb.disables_count(),
@@ -79,13 +75,6 @@ fn paper_apps_have_no_predicate_facts_and_refutation_is_a_no_op() {
         let s = analysis.summary();
         assert_eq!(s.refuted, 0, "{}", row.name);
         assert_eq!(s.after_refutation, s.after_unsound, "{}", row.name);
-        let baseline = analyze(&app.program, &off);
-        assert_eq!(
-            nadroid::core::render_report(&analysis),
-            nadroid::core::render_report(&baseline),
-            "{}: the refutation stage must not perturb the paper corpus",
-            row.name
-        );
     }
 }
 
