@@ -246,13 +246,6 @@ impl CallbackKind {
         matches!(self, OnAttach | OnCreateView | OnDestroyView | OnDetach)
     }
 
-    /// Whether this is one of the AsyncTask looper-side callbacks.
-    #[must_use]
-    pub fn is_asynctask_looper(self) -> bool {
-        use CallbackKind::*;
-        matches!(self, OnPreExecute | OnProgressUpdate | OnPostExecute)
-    }
-
     /// Whether this kind executes on a looper thread at all.
     ///
     /// Everything except `doInBackground` and native `Thread.run` executes

@@ -378,9 +378,10 @@ OBSERVABILITY (see docs/observability.md):
                       the filters via the HB closure; shrinks the
                       potential count, so off by default
     --threads <N>     worker threads for the parallel phases (detection,
-                      filtering, points-to planning, Datalog rules);
-                      output is byte-identical at every N. Defaults to
-                      the NADROID_THREADS environment variable, then 1
+                      filtering, points-to planning, Datalog rules),
+                      1 to 256 (as for confirm and serve); output is
+                      byte-identical at every N. Defaults to the
+                      NADROID_THREADS environment variable, then 1
 
 CONFIRMATION (see docs/confirm.md):
     `confirm` closes the static→dynamic loop: for each surviving
@@ -575,13 +576,7 @@ fn parse_analyze(args: impl Iterator<Item = String>) -> Result<Command, CliError
                 let v = args
                     .next()
                     .ok_or_else(|| CliError("--threads needs a value".into()))?;
-                let n: usize = v
-                    .parse()
-                    .map_err(|_| CliError(format!("bad thread count `{v}`")))?;
-                if n == 0 {
-                    return Err(CliError("--threads must be at least 1".into()));
-                }
-                threads = Some(n);
+                threads = Some(parse_threads(&v)?);
             }
             other if !other.starts_with('-') && path.is_none() => {
                 path = Some(other.to_owned());
@@ -608,6 +603,18 @@ fn parse_analyze(args: impl Iterator<Item = String>) -> Result<Command, CliError
         mhp_preprune,
         threads,
     })
+}
+
+/// A `--threads` value: a count in `1..=MAX_THREADS`, the same bound
+/// the `NADROID_THREADS` default is clamped to.
+fn parse_threads(v: &str) -> Result<usize, CliError> {
+    match v.parse::<usize>() {
+        Ok(n) if (1..=nadroid_par::MAX_THREADS).contains(&n) => Ok(n),
+        _ => Err(CliError(format!(
+            "--threads takes a count from 1 to {}, not `{v}`",
+            nadroid_par::MAX_THREADS
+        ))),
+    }
 }
 
 fn parse_serve(args: impl Iterator<Item = String>) -> Result<Command, CliError> {
@@ -650,15 +657,7 @@ fn parse_serve(args: impl Iterator<Item = String>) -> Result<Command, CliError> 
                     .parse()
                     .map_err(|_| CliError(format!("bad worker count `{v}`")))?;
             }
-            "--threads" => {
-                let v = value("--threads")?;
-                threads = v
-                    .parse()
-                    .map_err(|_| CliError(format!("bad thread count `{v}`")))?;
-                if threads == 0 {
-                    return Err(CliError("--threads must be at least 1".into()));
-                }
-            }
+            "--threads" => threads = parse_threads(&value("--threads")?)?,
             "--cache-bytes" => {
                 let v = value("--cache-bytes")?;
                 cache_bytes = v
@@ -896,12 +895,10 @@ fn parse_confirm(args: impl Iterator<Item = String>) -> Result<Command, CliError
             "--all" => all = true,
             "--json" => json = true,
             "--threads" => {
-                threads = Some(
-                    args.next()
-                        .ok_or_else(|| CliError("--threads needs a count".into()))?
-                        .parse()
-                        .map_err(|e| CliError(format!("bad --threads value: {e}")))?,
-                );
+                let v = args
+                    .next()
+                    .ok_or_else(|| CliError("--threads needs a value".into()))?;
+                threads = Some(parse_threads(&v)?);
             }
             "--provenance" => {
                 provenance = Some(
@@ -1754,6 +1751,35 @@ mod tests {
             other => panic!("expected Analyze, got {other:?}"),
         }
         assert!(parse_args(args(&["analyze", "a.dsl", "--provenance"])).is_err());
+    }
+
+    #[test]
+    fn every_threads_flag_takes_one_to_max_threads() {
+        assert_eq!(nadroid_par::MAX_THREADS, 256);
+        for cmd in ["analyze", "confirm", "serve"] {
+            let parse = |n: &str| {
+                let mut a = vec![cmd];
+                if cmd != "serve" {
+                    a.push("a.dsl");
+                }
+                a.extend(["--threads", n]);
+                parse_args(args(&a))
+            };
+            for bad in ["0", "257"] {
+                let err = parse(bad).unwrap_err();
+                assert!(
+                    err.0.contains("from 1 to 256"),
+                    "{cmd} --threads {bad}: {err}"
+                );
+            }
+            match parse("4").unwrap() {
+                Command::Analyze { threads, .. } | Command::Confirm { threads, .. } => {
+                    assert_eq!(threads, Some(4), "{cmd}");
+                }
+                Command::Serve { threads, .. } => assert_eq!(threads, 4),
+                other => panic!("{cmd} parsed as {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -95,7 +95,7 @@ impl Default for AnalysisConfig {
         let threads = std::env::var("NADROID_THREADS")
             .ok()
             .and_then(|v| v.parse::<usize>().ok())
-            .map_or(1, |n| n.clamp(1, 256));
+            .map_or(1, |n| n.clamp(1, nadroid_par::MAX_THREADS));
         AnalysisConfig {
             k: 2,
             detector: DetectorOptions::default(),
@@ -488,8 +488,7 @@ impl<'p> Analysis<'p> {
     /// results: wake-lock acquires with no release ordered after them.
     #[must_use]
     pub fn no_sleep_warnings(&self) -> Vec<nadroid_filters::nosleep::NoSleepWarning> {
-        let filters = self.filters();
-        nadroid_filters::nosleep::detect_no_sleep(self.program, &self.threads, &self.pts, &filters)
+        nadroid_filters::nosleep::detect_no_sleep(self.program, &self.threads, &self.pts, &self.hb)
     }
 
     /// Render surviving warnings for the programmer, ranked by the §7

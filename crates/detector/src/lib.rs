@@ -24,7 +24,7 @@
 #![warn(missing_docs)]
 
 use nadroid_ir::walk::{self, InstrCtx};
-use nadroid_ir::{Callee, FieldId, InstrId, Local, MethodId, Op, Program};
+use nadroid_ir::{FieldId, InstrId, Local, MethodId, Op, Program};
 use nadroid_pointsto::{Escape, ObjId, PointsTo};
 use nadroid_threadify::{ThreadId, ThreadModel};
 
@@ -349,12 +349,6 @@ pub fn distinct_pairs(warnings: &[UafWarning]) -> usize {
     pairs.sort_unstable();
     pairs.dedup();
     pairs.len()
-}
-
-/// Whether the callee is opaque (used in tests and reports).
-#[must_use]
-pub fn is_opaque(callee: Callee) -> bool {
-    matches!(callee, Callee::Opaque)
 }
 
 /// A stable, content-derived warning identifier: `w:` plus 16 hex digits

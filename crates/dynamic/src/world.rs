@@ -499,12 +499,6 @@ impl<'p> World<'p> {
         self.program
     }
 
-    /// Whether execution is over: NPE observed, or nothing can ever run.
-    #[must_use]
-    pub fn halted(&self) -> bool {
-        self.npe.is_some()
-    }
-
     /// Whether the system is deadlocked: a cycle in the wait-for graph
     /// (task blocked on a monitor → the task holding that monitor).
     #[must_use]

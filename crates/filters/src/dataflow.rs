@@ -223,34 +223,6 @@ fn may_free_field(program: &Program, method: MethodId, field: FieldId) -> bool {
     })
 }
 
-/// May-analysis used by the RHB filter: whether any path through
-/// `method` (or a plain helper it calls) stores a fresh allocation into
-/// `field`.
-#[must_use]
-pub fn may_alloc_field(program: &Program, method: MethodId, field: FieldId) -> bool {
-    let methods = nadroid_threadify::own_methods(program, method);
-    methods.iter().any(|&m| {
-        let mut fresh: HashSet<Local> = HashSet::new();
-        let mut found = false;
-        program
-            .method(m)
-            .body()
-            .for_each_instr(&mut |i| match &i.op {
-                Op::New { dst, .. } => {
-                    fresh.insert(*dst);
-                }
-                Op::Move { dst, src } if fresh.contains(src) => {
-                    fresh.insert(*dst);
-                }
-                Op::Store { field: f, src, .. } if *f == field && fresh.contains(src) => {
-                    found = true;
-                }
-                _ => {}
-            });
-        found
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -423,23 +395,5 @@ mod tests {
         let pts = pts_of(&p);
         let (m, id, base, field) = find_use(&p, "M", "onClick");
         assert!(!must_alloc_before(&p, &pts, m, id, base, field, NO_GETTERS));
-    }
-
-    #[test]
-    fn may_alloc_detects_any_path() {
-        let p = parse_program(
-            r#"
-            app A
-            activity M {
-                field f: M
-                cb onResume { if ? { f = new M } else { } }
-            }
-            "#,
-        )
-        .unwrap();
-        let c = p.class_by_name("M").unwrap();
-        let m = p.method_by_name(c, "onResume").unwrap();
-        let f = p.field_by_name(c, "f").unwrap();
-        assert!(may_alloc_field(&p, m, f));
     }
 }

@@ -20,11 +20,11 @@
 //! individually), and [`Filters::pipeline`] applies a sequence with
 //! first-pruner attribution (the Table 1 columns).
 //!
-//! The HB-family filters (MHB, RHB, CHB, PHB) are answered by the
-//! materialized happens-before graph ([`nadroid_hb::HbGraph`]) rather
-//! than private lineage walks; the pre-graph logic is kept as
-//! [`Filters::legacy_prunes`], the reference the parity suite
-//! (`tests/hb_parity.rs`) compares [`Filters::prunes`] against.
+//! The HB-family filters (MHB, RHB, CHB, PHB) are each one query of the
+//! materialized happens-before graph ([`nadroid_hb::HbGraph`]), the only
+//! library code that states §6's ordering rules. The parity suite
+//! (`tests/hb_parity.rs`) checks [`Filters::prunes`] against its own
+//! per-pair statement of those rules.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -33,14 +33,12 @@ pub mod dataflow;
 pub mod nosleep;
 pub mod refute;
 
-use nadroid_android::lifecycle;
-use nadroid_android::{CallbackKind, CancelApi};
+use nadroid_android::CancelApi;
 use nadroid_detector::{common_must_lock, UafWarning, UseConsumption};
 use nadroid_hb::{HbEdgeKind, HbGraph};
 use nadroid_ir::Program;
 use nadroid_pointsto::{Escape, PointsTo};
-use nadroid_threadify::resolve::SiteAction;
-use nadroid_threadify::{SpawnVia, ThreadId, ThreadKind, ThreadModel};
+use nadroid_threadify::{ThreadId, ThreadModel};
 use std::fmt;
 
 /// The nine filters of §6.
@@ -271,12 +269,6 @@ impl<'a> Filters<'a> {
         }
     }
 
-    /// The happens-before graph answering the HB-family filters.
-    #[must_use]
-    pub fn hb(&self) -> &HbGraph {
-        self.hb
-    }
-
     /// Whether `kind` prunes `w` when applied individually.
     #[must_use]
     pub fn prunes(&self, kind: FilterKind, w: &UafWarning) -> bool {
@@ -287,24 +279,6 @@ impl<'a> Filters<'a> {
             FilterKind::Rhb => self.rhb(w),
             FilterKind::Chb => self.chb(w),
             FilterKind::Phb => self.phb(w),
-            FilterKind::Ma => self.ma(w),
-            FilterKind::Ur => self.ur(w),
-            FilterKind::Tt => self.tt(w),
-        }
-    }
-
-    /// The pre-graph per-filter logic, kept verbatim as the parity
-    /// suite's reference. The filters with no HB component (IG, IA,
-    /// MA, UR, TT) share one implementation with [`Filters::prunes`].
-    #[must_use]
-    pub fn legacy_prunes(&self, kind: FilterKind, w: &UafWarning) -> bool {
-        match kind {
-            FilterKind::Mhb => self.legacy_mhb(w),
-            FilterKind::Ig => self.ig(w),
-            FilterKind::Ia => self.ia(w),
-            FilterKind::Rhb => self.legacy_rhb(w),
-            FilterKind::Chb => self.legacy_chb(w),
-            FilterKind::Phb => self.legacy_phb(w),
             FilterKind::Ma => self.ma(w),
             FilterKind::Ur => self.ur(w),
             FilterKind::Tt => self.tt(w),
@@ -370,30 +344,6 @@ impl<'a> Filters<'a> {
 
     // --- helpers -----------------------------------------------------------
 
-    /// The callback kind a modeled thread behaves as for MHB purposes
-    /// (`doInBackground` bodies participate in the AsyncTask order).
-    fn effective_kind(&self, t: ThreadId) -> Option<CallbackKind> {
-        match self.threads.thread(t).kind() {
-            ThreadKind::Callback(k) => Some(k),
-            ThreadKind::TaskBody => Some(CallbackKind::DoInBackground),
-            ThreadKind::DummyMain | ThreadKind::Native => None,
-        }
-    }
-
-    fn same_component(&self, a: ThreadId, b: ThreadId) -> bool {
-        let ca = self.threads.thread(a).component();
-        ca.is_some() && ca == self.threads.thread(b).component()
-    }
-
-    fn same_class(&self, a: ThreadId, b: ThreadId) -> bool {
-        let ca = self.threads.thread(a).class();
-        ca.is_some() && ca == self.threads.thread(b).class()
-    }
-
-    fn same_origin(&self, a: ThreadId, b: ThreadId) -> bool {
-        self.threads.thread(a).origin_site() == self.threads.thread(b).origin_site()
-    }
-
     /// Whether the two endpoints of a warning execute atomically with
     /// respect to each other (both are looper callbacks).
     fn atomic(&self, w: &UafWarning) -> bool {
@@ -424,51 +374,11 @@ impl<'a> Filters<'a> {
 
     // --- sound filters ------------------------------------------------------
 
-    /// The three sound must-happens-before relations at thread
-    /// granularity (§6.1.1): whether every execution orders callbacks of
-    /// `first` strictly before callbacks of `second`. Public so other
-    /// ordering-violation clients (e.g. the no-sleep detector) can reuse
-    /// it. Answered by the graph's *direct* edge relations (exactly the
-    /// §6.1.1 semantics); the transitive extension is
-    /// [`HbGraph::must_hb`].
-    #[must_use]
-    pub fn must_happen_before(&self, first: ThreadId, second: ThreadId) -> bool {
-        self.hb().mhb_edge(first, second).is_some()
-    }
-
-    /// Pre-graph [`Filters::must_happen_before`], kept for the
-    /// crosscheck.
-    fn legacy_must_happen_before(&self, first: ThreadId, second: ThreadId) -> bool {
-        let (Some(uk), Some(fk)) = (self.effective_kind(first), self.effective_kind(second)) else {
-            return false;
-        };
-        // MHB-Service: same connection class.
-        if lifecycle::service_mhb(uk, fk) && self.same_class(first, second) {
-            return true;
-        }
-        // MHB-AsyncTask: same task class and same execute site (same
-        // task instance).
-        if lifecycle::asynctask_mhb(uk, fk)
-            && self.same_class(first, second)
-            && self.same_origin(first, second)
-        {
-            return true;
-        }
-        // MHB-Lifecycle: same component.
-        if lifecycle::lifecycle_mhb(uk, fk) && self.same_component(first, second) {
-            return true;
-        }
-        false
-    }
-
-    /// MHB (§6.1.1): prune when the use must happen before the free.
+    /// MHB (§6.1.1): prune when the use must happen before the free —
+    /// a direct Service, AsyncTask or Lifecycle edge of the graph (the
+    /// transitive extension is [`HbGraph::must_hb`]).
     fn mhb(&self, w: &UafWarning) -> bool {
-        self.must_happen_before(w.use_thread, w.free_thread)
-    }
-
-    /// Pre-graph MHB, kept as the parity reference.
-    fn legacy_mhb(&self, w: &UafWarning) -> bool {
-        self.legacy_must_happen_before(w.use_thread, w.free_thread)
+        self.hb.mhb_edge(w.use_thread, w.free_thread).is_some()
     }
 
     /// IG (§6.1.2): the use is null-checked, and check-to-use atomicity
@@ -498,85 +408,22 @@ impl<'a> Filters<'a> {
     /// `onResume` of the same component may re-allocate the field —
     /// the graph's re-entry edges.
     fn rhb(&self, w: &UafWarning) -> bool {
-        self.hb()
+        self.hb
             .reentry_hb(w.use_thread, w.free_thread, w.use_access.field)
-    }
-
-    /// Pre-graph RHB, kept as the parity reference.
-    fn legacy_rhb(&self, w: &UafWarning) -> bool {
-        let (Some(uk), Some(fk)) = (
-            self.effective_kind(w.use_thread),
-            self.effective_kind(w.free_thread),
-        ) else {
-            return false;
-        };
-        if fk != CallbackKind::OnPause || !(uk.is_ui() || uk.is_system()) {
-            return false;
-        }
-        if !self.same_component(w.use_thread, w.free_thread) {
-            return false;
-        }
-        // Find onResume threads of the same component and check for a
-        // may-allocation of the racy field.
-        self.threads.threads().any(|(_, mt)| {
-            mt.kind().callback_kind() == Some(CallbackKind::OnResume)
-                && mt.component() == self.threads.thread(w.use_thread).component()
-                && mt.root().is_some_and(|root| {
-                    dataflow::may_alloc_field(self.program, root, w.use_access.field)
-                })
-        })
     }
 
     /// CHB (§6.2.1): the freeing callback may invoke a cancellation API
     /// silencing the use's callback family, so the use must precede the
     /// free — the graph's cancel edges.
     fn chb(&self, w: &UafWarning) -> bool {
-        self.hb().cancel_hb(w.use_thread, w.free_thread).is_some()
-    }
-
-    /// Pre-graph CHB, kept as the parity reference.
-    fn legacy_chb(&self, w: &UafWarning) -> bool {
-        let Some(uk) = self.effective_kind(w.use_thread) else {
-            return false;
-        };
-        let use_class = self.threads.thread(w.use_thread).class();
-        for site in self.threads.sites_of(w.free_thread) {
-            let cancels = match site.action {
-                SiteAction::Finish => {
-                    CancelApi::Finish.scope().covers(uk)
-                        && self.same_component(w.use_thread, w.free_thread)
-                }
-                SiteAction::Unbind(c) => {
-                    CancelApi::UnbindService.scope().covers(uk) && use_class == Some(c)
-                }
-                SiteAction::Unregister(c) => {
-                    CancelApi::UnregisterReceiver.scope().covers(uk) && use_class == Some(c)
-                }
-                SiteAction::RemovePosts(c) => {
-                    CancelApi::RemoveCallbacksAndMessages.scope().covers(uk) && use_class == Some(c)
-                }
-                _ => false,
-            };
-            if cancels {
-                return true;
-            }
-        }
-        false
+        self.hb.cancel_hb(w.use_thread, w.free_thread).is_some()
     }
 
     /// PHB (§6.2.1): the use's callback posted the freeing callback on
     /// the same looper, so the (atomic) use completes before the free
     /// runs — the graph's looper-restricted post edges.
     fn phb(&self, w: &UafWarning) -> bool {
-        self.hb().post_hb(w.use_thread, w.free_thread)
-    }
-
-    /// Pre-graph PHB, kept as the parity reference.
-    fn legacy_phb(&self, w: &UafWarning) -> bool {
-        let free = self.threads.thread(w.free_thread);
-        free.parent() == Some(w.use_thread)
-            && matches!(free.via(), SpawnVia::Post | SpawnVia::Send)
-            && self.atomic(w)
+        self.hb.post_hb(w.use_thread, w.free_thread)
     }
 
     /// MA (§6.2.2): IA with custom getters assumed to never return null.
@@ -634,9 +481,9 @@ impl<'a> Filters<'a> {
         if !pruned {
             return format!("no must-happens-before edge orders [{u}] before [{f}]");
         }
-        // The graph's direct edge, labeled in the order the legacy logic
-        // checked the relations (Service, AsyncTask, Lifecycle).
-        let relation = match self.hb().mhb_edge(w.use_thread, w.free_thread) {
+        // The graph's direct edge, labeled by the first relation that
+        // holds in the order Service, AsyncTask, Lifecycle.
+        let relation = match self.hb.mhb_edge(w.use_thread, w.free_thread) {
             Some(HbEdgeKind::MhbService) => "MHB-Service edge (same connection class)",
             Some(HbEdgeKind::MhbAsyncTask) => "MHB-AsyncTask edge (same task instance)",
             Some(HbEdgeKind::MhbLifecycle) => "MHB-Lifecycle edge (same component)",
@@ -705,9 +552,8 @@ impl<'a> Filters<'a> {
                 .into();
         }
         // The graph's cancel edge records the first matching cancel site
-        // in the free thread's site order — the same site the legacy
-        // logic accepted.
-        let api = match self.hb().cancel_hb(w.use_thread, w.free_thread) {
+        // in the free thread's site order.
+        let api = match self.hb.cancel_hb(w.use_thread, w.free_thread) {
             Some(CancelApi::Finish) => "Activity.finish()",
             Some(CancelApi::UnbindService) => "Context.unbindService()",
             Some(CancelApi::UnregisterReceiver) => "Context.unregisterReceiver()",

@@ -9,7 +9,7 @@
 //! strictly after. An acquire with no ordered release can leave the
 //! device awake after the app is backgrounded.
 
-use crate::Filters;
+use nadroid_hb::HbGraph;
 use nadroid_ir::{AndroidOp, InstrId, Local, MethodId, Op, Program};
 use nadroid_pointsto::PointsTo;
 use nadroid_threadify::{ThreadId, ThreadModel};
@@ -40,14 +40,14 @@ pub struct NoSleepWarning {
 
 /// Detect no-sleep bugs: for every acquire, look for a release of an
 /// aliased lock that is ordered after it — syntactically later in the
-/// same method (callbacks run to completion), or in a thread the sound
-/// MHB relation places strictly after the acquiring one.
+/// same method (callbacks run to completion), or in a thread a direct
+/// sound MHB edge of `hb` places strictly after the acquiring one.
 #[must_use]
 pub fn detect_no_sleep(
     program: &Program,
     threads: &ThreadModel,
     pts: &PointsTo,
-    filters: &Filters<'_>,
+    hb: &HbGraph,
 ) -> Vec<NoSleepWarning> {
     let (acquires, releases) = collect_sites(program, threads);
     let mut out = Vec::new();
@@ -63,11 +63,9 @@ pub fn detect_no_sleep(
                 return true;
             }
             // A release in a callback the acquire's callback must precede.
-            a.threads.iter().any(|&ta| {
-                r.threads
-                    .iter()
-                    .any(|&tr| filters.must_happen_before(ta, tr))
-            })
+            a.threads
+                .iter()
+                .any(|&ta| r.threads.iter().any(|&tr| hb.mhb_edge(ta, tr).is_some()))
         });
         if !ordered {
             out.push(NoSleepWarning {
@@ -106,18 +104,14 @@ fn collect_sites(program: &Program, threads: &ThreadModel) -> (Vec<WakeSite>, Ve
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nadroid_hb::HbGraph;
     use nadroid_ir::parse_program;
-    use nadroid_pointsto::Escape;
 
     fn run(src: &str) -> Vec<NoSleepWarning> {
         let p = parse_program(src).unwrap_or_else(|e| panic!("{e}"));
         let t = ThreadModel::build(&p);
         let pts = PointsTo::run(&p, &t, 2);
-        let esc = Escape::compute(&p, &t, &pts);
         let hb = HbGraph::build(&p, &t);
-        let f = Filters::with_hb(&p, &t, &pts, &esc, &hb);
-        detect_no_sleep(&p, &t, &pts, &f)
+        detect_no_sleep(&p, &t, &pts, &hb)
     }
 
     #[test]

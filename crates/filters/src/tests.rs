@@ -671,10 +671,10 @@ fn ig_still_prunes_same_custom_looper_pairs() {
     );
 }
 
-// --- thread-level MHB API (used by the no-sleep client) -------------------
+// --- thread-level MHB query (used by the no-sleep client) -----------------
 
 #[test]
-fn must_happen_before_is_queryable_directly() {
+fn mhb_edge_is_queryable_directly() {
     let s = setup(
         r#"
         app Mq
@@ -686,7 +686,6 @@ fn must_happen_before_is_queryable_directly() {
         }
         "#,
     );
-    let f = s.filters();
     let find = |name: &str| {
         s.threads
             .threads()
@@ -697,11 +696,12 @@ fn must_happen_before_is_queryable_directly() {
     let create = find("onCreate");
     let click = find("onClick");
     let destroy = find("onDestroy");
-    assert!(f.must_happen_before(create, click));
-    assert!(f.must_happen_before(create, destroy));
-    assert!(f.must_happen_before(click, destroy));
-    assert!(!f.must_happen_before(destroy, create));
-    assert!(!f.must_happen_before(click, create));
+    let mhb = |a, b| s.hb.mhb_edge(a, b).is_some();
+    assert!(mhb(create, click));
+    assert!(mhb(create, destroy));
+    assert!(mhb(click, destroy));
+    assert!(!mhb(destroy, create));
+    assert!(!mhb(click, create));
 }
 
 #[test]
@@ -775,17 +775,31 @@ fn unpruned_mhb_verdict_explains_the_absence() {
 }
 
 #[test]
-fn crosscheck_mode_agrees_on_every_filter() {
-    // Graph-backed and legacy logic must agree verdict-for-verdict.
-    for src in [FIG4A, FIG4B, FIG4C, FIG4D, FIG4E, FIG4F, FIG4G] {
+fn figure4_pruning_sets_are_pinned() {
+    use FilterKind::*;
+    // The exact pruning set of every Figure 4 warning, keyed by the
+    // methods of its use and free: each example is pruned by the filter
+    // the paper names, plus the overlaps it notes (MA over MHB and IA).
+    let table: [(&str, &str, &str, &[FilterKind]); 7] = [
+        (FIG4A, "onServiceConnected", "onServiceDisconnected", &[Mhb, Ma]),
+        (FIG4B, "onClick", "onLongClick", &[Ig]),
+        (FIG4C, "onClick", "onLongClick", &[Ia, Ma]),
+        (FIG4D, "onClick", "onPause", &[Rhb]),
+        (FIG4E, "onLongClick", "onClick", &[Chb]),
+        (FIG4F, "onClick", "handleMessage", &[Phb]),
+        (FIG4G, "getF", "onLongClick", &[Ur]),
+    ];
+    for (src, use_m, free_m, expected) in table {
         let s = setup(src);
+        assert_eq!(s.warnings.len(), 1, "one warning in {src}");
+        let w = s.warning(use_m, free_m);
         let f = s.filters();
-        for w in &s.warnings {
-            for &k in FilterKind::all() {
-                let graph = f.prunes(k, w);
-                assert_eq!(graph, f.legacy_prunes(k, w), "{k} on {src}");
-            }
-        }
+        let pruning: Vec<FilterKind> = FilterKind::all()
+            .iter()
+            .copied()
+            .filter(|&k| f.prunes(k, w))
+            .collect();
+        assert_eq!(pruning, expected, "pruning set of {use_m}/{free_m} in {src}");
     }
 }
 

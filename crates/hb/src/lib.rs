@@ -1,10 +1,9 @@
 //! The unified callback happens-before graph.
 //!
-//! The §6 filters each reason about ordering piecemeal: MHB walks the
-//! Service/AsyncTask/Lifecycle relations, while RHB/CHB/PHB re-derive
-//! their own callback-lineage facts. This crate materializes *all* of
-//! that ordering knowledge once, as explicit Datalog relations over the
-//! threadified program:
+//! The §6 filters MHB, RHB, CHB and PHB are happens-before facts. This
+//! crate is the only library code that states their rules: it
+//! materializes *all* of that ordering knowledge once, as explicit
+//! Datalog relations over the threadified program:
 //!
 //! | relation | arity | meaning |
 //! |---|---|---|
@@ -32,8 +31,9 @@
 //! [`HbGraph::must_hb_path`]). The filter crate queries this graph; the
 //! detector uses [`HbGraph::must_hb`] for its opt-in MHP pre-prune.
 //!
-//! The *direct* edge relations reproduce the legacy per-filter logic
-//! exactly (the filter parity suite pins this); `mustHb` is their sound
+//! Each HB-family filter is one query of the *direct* edge relations
+//! (`tests/hb_parity.rs` checks them against a per-pair statement of
+//! the §6 rules that lives in the test); `mustHb` is their sound
 //! transitive extension, and is what MHP queries are defined over:
 //! `mhp(a, b) = a ≠ b ∧ ¬mustHb(a, b) ∧ ¬mustHb(b, a)`.
 //!
@@ -41,9 +41,9 @@
 //! `mustNotHb`) compile the [`nadroid_android::predicates`] summaries and
 //! the extended lifecycle automata into the same database (see
 //! [`predicate`]). They are consumed only by the sound refutation filter:
-//! `mustHb`, `mhp`, and every legacy query are computed exactly as
-//! before, and on programs that use none of the summarized APIs all five
-//! relations are empty (the 27-app parity gate pins this).
+//! `mustHb`, `mhp` and the §6 filter queries never read them, and on
+//! programs that use none of the summarized APIs all five relations are
+//! empty (the 27-app parity gate pins this).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -139,7 +139,6 @@ pub struct HbGraph {
     /// (use, free) pair — the RHB edge labels.
     reentry: BTreeMap<(u32, u32), BTreeSet<FieldId>>,
     edges: Vec<HbEdge>,
-    closure: Duration,
     /// Predicate-extended closure relation (`mhbEdge ∪ predEdge`)⁺.
     pred_hb: RelId,
     /// Per-pair provenance of the `enables` facts.
@@ -396,8 +395,8 @@ impl HbGraph {
         }
 
         // Predicate summaries and extended automata: compiled from the
-        // same thread model, fed into their own relations. The legacy
-        // facts above are byte-identical with or without them.
+        // same thread model, fed into their own relations. The §6 facts
+        // above are byte-identical with or without them.
         let must_direct: Vec<(ThreadId, ThreadId)> = edges
             .iter()
             .filter(|e| e.kind.is_must())
@@ -477,7 +476,6 @@ impl HbGraph {
             cancel,
             reentry,
             edges,
-            closure,
             pred_hb,
             enables_prov,
             disables_prov,
@@ -495,9 +493,10 @@ impl HbGraph {
         self.db.contains(self.must_hb, &[a.raw(), b.raw()])
     }
 
-    /// The direct sound MHB edge from `a` to `b`, labeled with the
+    /// The direct sound MHB edge from `a` to `b` — the §6.1.1 MHB filter
+    /// and the no-sleep client's ordering — labeled with the
     /// highest-priority relation that produces it (Service, then
-    /// AsyncTask, then Lifecycle — the order the legacy filter checked).
+    /// AsyncTask, then Lifecycle).
     #[must_use]
     pub fn mhb_edge(&self, a: ThreadId, b: ThreadId) -> Option<HbEdgeKind> {
         let key = [a.raw(), b.raw()];
@@ -686,18 +685,6 @@ impl HbGraph {
     pub fn edge_count(&self) -> usize {
         self.edges.len()
     }
-
-    /// Wall time of the Datalog closure solve.
-    #[must_use]
-    pub fn closure_time(&self) -> Duration {
-        self.closure
-    }
-
-    /// The solved Datalog database, for inspection and crosschecks.
-    #[must_use]
-    pub fn database(&self) -> &Database {
-        &self.db
-    }
 }
 
 /// A breadth-first shortest path `a → … → b` over `edges`, ties broken
@@ -802,11 +789,9 @@ fn resume_alloc_fields(
     out
 }
 
-/// May-analysis mirroring the RHB filter's: every field some path
-/// through `method` (or a plain helper it calls) stores a fresh
-/// allocation into, in one pass over each body. Re-implemented here
-/// (rather than imported from the filter crate) because the filter
-/// crate depends on this one.
+/// The may-allocation analysis behind the RHB edges: every field some
+/// path through `method` (or a plain helper it calls) stores a fresh
+/// allocation into, in one pass over each body.
 fn alloc_fields(program: &Program, method: nadroid_ir::MethodId) -> BTreeSet<FieldId> {
     let mut found = BTreeSet::new();
     for &m in &nadroid_threadify::own_methods(program, method) {
@@ -952,26 +937,32 @@ mod tests {
 
     #[test]
     fn reentry_edges_carry_the_field() {
-        let (p, t, g) = build(
-            r#"
-            app R
-            activity Main {
-                field f: Main
-                cb onResume { f = new Main }
-                cb onClick { use f }
-                cb onPause { f = null }
-            }
-            "#,
-        );
-        let click = thread_of(&t, CallbackKind::OnClick);
-        let pause = thread_of(&t, CallbackKind::OnPause);
-        let c = p.class_by_name("Main").unwrap();
-        let f = p.field_by_name(c, "f").unwrap();
-        assert!(g.reentry_hb(click, pause, f));
-        assert!(g
-            .edges_between(click, pause)
-            .iter()
-            .any(|e| e.kind == HbEdgeKind::Reentry(f)));
+        // RHB needs only a *may*-allocation: an `onResume` that allocates
+        // `f` on one branch yields the edge just as an unconditional one.
+        for resume in ["f = new Main", "if ? { f = new Main } else { }"] {
+            let (p, t, g) = build(&format!(
+                r#"
+                app R
+                activity Main {{
+                    field f: Main
+                    cb onResume {{ {resume} }}
+                    cb onClick {{ use f }}
+                    cb onPause {{ f = null }}
+                }}
+                "#
+            ));
+            let click = thread_of(&t, CallbackKind::OnClick);
+            let pause = thread_of(&t, CallbackKind::OnPause);
+            let c = p.class_by_name("Main").unwrap();
+            let f = p.field_by_name(c, "f").unwrap();
+            assert!(g.reentry_hb(click, pause, f), "{resume}");
+            assert!(
+                g.edges_between(click, pause)
+                    .iter()
+                    .any(|e| e.kind == HbEdgeKind::Reentry(f)),
+                "{resume}"
+            );
+        }
     }
 
     #[test]
@@ -1054,7 +1045,7 @@ mod tests {
         // The negative fact stays disjoint from every must relation.
         assert!(!g.pred_must_hb(destroy, show));
         assert!(!g.must_hb(destroy, show));
-        // Legacy queries are untouched by the new facts.
+        // The §6 closure is untouched by the predicate facts.
         assert!(g.must_hb(create, destroy));
         assert!(!g.must_hb(destroy, show));
     }
@@ -1158,7 +1149,7 @@ mod tests {
         assert!(g.pred_must_hb(attach, view), "attach first");
         assert!(g.pred_must_hb(view, detach), "detach last");
         assert!(g.pred_must_hb(attach, detach), "closure");
-        assert!(!g.must_hb(attach, view), "legacy closure untouched");
+        assert!(!g.must_hb(attach, view), "mustHb untouched");
         assert!(
             g.pred_edges()
                 .iter()
@@ -1201,7 +1192,7 @@ mod tests {
             .map(|(id, _)| id)
             .expect("second onCreate");
         assert!(g.pred_must_hb(launcher, second), "launcher before target");
-        assert!(!g.must_hb(launcher, second), "legacy closure untouched");
+        assert!(!g.must_hb(launcher, second), "mustHb untouched");
         assert!(g
             .pred_edges()
             .iter()

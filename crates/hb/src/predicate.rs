@@ -13,7 +13,7 @@
 //! | `mustNotHb(f, c)` | `c` is never delivered after `f` completes |
 //!
 //! `predEdge` feeds the predicate-extended closure `predHb` (a strict
-//! extension of `mustHb`; the legacy closure is untouched). `mustNotHb`
+//! extension of `mustHb`; `mustHb` itself is untouched). `mustNotHb`
 //! is derived by a dominator argument over the activity automaton:
 //!
 //! 1. every enabler of the family sits in the component's `onCreate`

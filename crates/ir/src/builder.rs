@@ -29,7 +29,6 @@
 use crate::ids::{ClassId, FieldId, InstrId, Local, MethodId};
 use crate::instr::{AndroidOp, Block, Callee, Cond, Instr, Op, Stmt};
 use crate::program::{Class, Field, Manifest, Method, Program, OUTER_FIELD};
-use nadroid_android::listeners::RegistrationApi;
 use nadroid_android::{CallbackKind, ClassRole};
 use std::collections::HashSet;
 
@@ -622,21 +621,6 @@ impl<'p> MethodBuilder<'p> {
         t
     }
 
-    /// Load `this.field` and return it — the getter pattern (UR filter).
-    pub fn use_field_for_return(&mut self, field: FieldId) {
-        let t = self.new_local();
-        self.load(t, Local::THIS, field);
-        self.ret(Some(t));
-    }
-
-    /// Load `this.field` and pass it as an argument to an opaque call —
-    /// the pass-as-parameter pattern (UR filter).
-    pub fn use_field_as_arg(&mut self, field: FieldId) {
-        let t = self.new_local();
-        self.load(t, Local::THIS, field);
-        self.invoke_opaque(None, None, vec![t]);
-    }
-
     /// `this.field = null`.
     pub fn free_field(&mut self, field: FieldId) {
         self.store_null(Local::THIS, field);
@@ -665,32 +649,10 @@ impl<'p> MethodBuilder<'p> {
         self.next_local = self.next_local.max(n);
     }
 
-    /// Load `this.$outer` into a fresh temp (access to the enclosing
-    /// instance from a helper class).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the class has no `$outer` field yet (create instances with
-    /// [`MethodBuilder::new_wired`] first, or call
-    /// [`ProgramBuilder::outer_field`]).
-    pub fn load_outer(&mut self) -> Local {
-        let f = self.program.outer_field(self.owner);
-        let t = self.new_local();
-        self.load(t, Local::THIS, f);
-        t
-    }
-
     /// `post(new R())` with `$outer` wiring.
     pub fn post_new(&mut self, runnable: ClassId) -> Local {
         let t = self.new_wired(runnable);
         self.android(AndroidOp::Post { runnable: t });
-        t
-    }
-
-    /// `sendMessage` to a fresh handler of class `handler`.
-    pub fn send_new(&mut self, handler: ClassId) -> Local {
-        let t = self.new_wired(handler);
-        self.android(AndroidOp::SendMessage { handler: t });
         t
     }
 
@@ -700,76 +662,6 @@ impl<'p> MethodBuilder<'p> {
         self.android(AndroidOp::BindService {
             connection: Local::THIS,
         });
-    }
-
-    /// `bindService` with a fresh connection instance of `conn`.
-    pub fn bind_new(&mut self, conn: ClassId) -> Local {
-        let t = self.new_wired(conn);
-        self.android(AndroidOp::BindService { connection: t });
-        t
-    }
-
-    /// `new T().execute()` for an AsyncTask class.
-    pub fn execute_new(&mut self, task: ClassId) -> Local {
-        let t = self.new_wired(task);
-        self.android(AndroidOp::Execute { task: t });
-        t
-    }
-
-    /// `new T().start()` for a native thread class.
-    pub fn spawn_new(&mut self, thread: ClassId) -> Local {
-        let t = self.new_wired(thread);
-        self.android(AndroidOp::Start { thread: t });
-        t
-    }
-
-    /// `registerReceiver(new R())`.
-    pub fn register_new(&mut self, receiver: ClassId) -> Local {
-        let t = self.new_wired(receiver);
-        self.android(AndroidOp::RegisterReceiver { receiver: t });
-        t
-    }
-
-    /// Register a UI/system listener instance of `listener` via `api`.
-    pub fn listen_new(&mut self, api: RegistrationApi, listener: ClassId) -> Local {
-        let t = self.new_wired(listener);
-        self.android(AndroidOp::RegisterListener { api, listener: t });
-        t
-    }
-
-    /// `new D().show()` for a dialog class, with `$outer` wiring.
-    pub fn show_new(&mut self, dialog: ClassId) -> Local {
-        let t = self.new_wired(dialog);
-        self.android(AndroidOp::ShowDialog { dialog: t });
-        t
-    }
-
-    /// `AlarmManager.set(...)` arming a fresh instance of `target`.
-    pub fn schedule_new(&mut self, target: ClassId) -> Local {
-        let t = self.new_wired(target);
-        self.android(AndroidOp::ScheduleAlarm { target: t });
-        t
-    }
-
-    /// `startActivity(new Intent(..., B.class))` — the launch site loads
-    /// the target component's static instance, matching how components are
-    /// addressed elsewhere in the IR.
-    pub fn launch(&mut self, activity: ClassId) -> Local {
-        let t = self.new_local();
-        self.load_static(t, activity);
-        self.android(AndroidOp::StartActivity { activity: t });
-        t
-    }
-
-    /// Load `this.field` and apply an Android intrinsic to the loaded
-    /// value. Enable/disable pairs (`show`/`dismiss`, `register`/
-    /// `unregister`, ...) must route both sites through the same field so
-    /// they act on the same runtime object.
-    pub fn android_field(&mut self, field: FieldId, op: impl FnOnce(Local) -> AndroidOp) -> Local {
-        let t = self.new_local();
-        self.load(t, Local::THIS, field);
-        self.android(op(t));
-        t
     }
 
     // --- termination --------------------------------------------------------

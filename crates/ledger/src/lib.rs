@@ -114,7 +114,8 @@ impl Kind {
 pub struct Env {
     /// Detected hardware parallelism.
     pub cores: u64,
-    /// Effective `NADROID_THREADS` (1 when unset).
+    /// Effective `NADROID_THREADS`: the analysis default, 1 when unset
+    /// and clamped to `1..=nadroid_par::MAX_THREADS`.
     pub threads: u64,
     /// `release` or `debug`.
     pub profile: String,
@@ -127,10 +128,7 @@ impl Env {
         let cores = std::thread::available_parallelism()
             .map(|n| n.get() as u64)
             .unwrap_or(1);
-        let threads = std::env::var("NADROID_THREADS")
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(1);
+        let threads = nadroid_core::AnalysisConfig::default().threads as u64;
         let profile = if cfg!(debug_assertions) {
             "debug"
         } else {

@@ -46,6 +46,12 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
+/// The largest thread budget a user may ask for, by a `--threads` flag
+/// or the `NADROID_THREADS` default. [`map_chunks`] spawns up to that
+/// many OS threads per parallel region, so the bound keeps a typo from
+/// requesting thousands.
+pub const MAX_THREADS: usize = 256;
+
 thread_local! {
     // The ambient thread budget for parallel regions opened from this
     // thread. 1 (sequential) until a `with_threads` scope raises it.

@@ -10,8 +10,10 @@
 #    determinism suites assert it),
 # 3. clippy with warnings promoted to errors,
 # 4. the HB parity gate, in release: the graph-backed filters must
-#    match the legacy filter logic verdict-for-verdict, and in Figure 5
-#    tallies and surviving ids, on all 27 apps; then the soundness fuzz
+#    match the test-local reference statement of the §6 ordering rules
+#    in tests/hb_parity.rs verdict-for-verdict, and in Figure 5 tallies
+#    and surviving ids, on the 27 Table 1 apps, the 6 refutation apps,
+#    the Figure 4 gallery and apps/*.dsl; then the soundness fuzz
 #    (10 seeded random apps: no pair a sound filter prunes may have a
 #    witness under bounded exploration); then `table1`, whose totals
 #    line must read potential=2320 after-sound=481 after-unsound=120
@@ -77,8 +79,9 @@ cargo build --workspace --release
 NADROID_THREADS=4 cargo test -q --workspace
 cargo clippy --workspace --all-targets -- -D warnings
 
-# HB parity gate: the graph-backed filters must reproduce the legacy
-# filter logic byte-for-byte across the whole 27-app corpus.
+# HB parity gate: the graph-backed filters must reproduce the
+# test-local reference statement of the §6 ordering rules
+# byte-for-byte on every corpus population (tests/hb_parity.rs).
 cargo test -q --release --test hb_parity
 
 # Soundness fuzz: seeded random apps mixing every pattern kind; the
