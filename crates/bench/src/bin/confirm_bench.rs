@@ -159,34 +159,36 @@ fn main() {
 
     let mut rows = table1_rows();
     if let Some(pat) = &only {
-        rows.retain(|r| r.name.to_ascii_lowercase().contains(&pat.to_ascii_lowercase()));
+        rows.retain(|r| {
+            r.name
+                .to_ascii_lowercase()
+                .contains(&pat.to_ascii_lowercase())
+        });
         assert!(!rows.is_empty(), "--only {pat:?} matched no corpus app");
     }
     let cfg = ConfirmConfig::default();
-    eprintln!(
-        "confirm_bench: {} apps, threads {threads}",
-        rows.len()
-    );
+    eprintln!("confirm_bench: {} apps, threads {threads}", rows.len());
 
     let wall_start = Instant::now();
-    let (apps, failures): (Vec<AppRow>, Vec<Vec<String>>) = nadroid_par::with_threads(threads, || {
-        rows.iter()
-            .map(|row| {
-                let (a, f) = run_app(row, &cfg);
-                eprintln!(
-                    "  {}: {} survivor(s) -> {}/{}/{} c/u/i, {} state(s), {}ms",
-                    a.name,
-                    a.survivors,
-                    a.confirmed,
-                    a.unconfirmed,
-                    a.infeasible,
-                    a.states,
-                    a.micros / 1000
-                );
-                (a, f)
-            })
-            .unzip()
-    });
+    let (apps, failures): (Vec<AppRow>, Vec<Vec<String>>) =
+        nadroid_par::with_threads(threads, || {
+            rows.iter()
+                .map(|row| {
+                    let (a, f) = run_app(row, &cfg);
+                    eprintln!(
+                        "  {}: {} survivor(s) -> {}/{}/{} c/u/i, {} state(s), {}ms",
+                        a.name,
+                        a.survivors,
+                        a.confirmed,
+                        a.unconfirmed,
+                        a.infeasible,
+                        a.states,
+                        a.micros / 1000
+                    );
+                    (a, f)
+                })
+                .unzip()
+        });
     let wall_secs = wall_start.elapsed().as_secs_f64();
     let failures: Vec<String> = failures.into_iter().flatten().collect();
 

@@ -10,10 +10,7 @@ use nadroid_filters::FilterKind;
 
 fn main() {
     let rows = table1_rows();
-    let test_rows: Vec<_> = rows
-        .iter()
-        .filter(|r| r.group == AppGroup::Test)
-        .collect();
+    let test_rows: Vec<_> = rows.iter().filter(|r| r.group == AppGroup::Test).collect();
     // Generate, then analyze, each app on its own thread — apps are
     // independent, and the two scopes keep `apps` alive for the
     // program-borrowing `Analysis` values.

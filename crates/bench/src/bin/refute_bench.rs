@@ -187,7 +187,9 @@ fn main() {
         .collect();
     for &kind in PatternKind::all() {
         if matches!(kind.expectation(), Expectation::Refuted(_)) && !exercised.contains(&kind) {
-            violations.push(format!("pattern {kind:?} is never planted in refute_specs()"));
+            violations.push(format!(
+                "pattern {kind:?} is never planted in refute_specs()"
+            ));
         }
     }
 

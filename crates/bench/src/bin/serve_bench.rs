@@ -69,7 +69,11 @@ fn hist_of<I: IntoIterator<Item = u64>>(values: I) -> Histogram {
 }
 
 /// Replay every app once across `concurrency` client connections.
-fn run_pass(addr: std::net::SocketAddr, programs: &Arc<Vec<String>>, concurrency: usize) -> (Vec<Sample>, f64) {
+fn run_pass(
+    addr: std::net::SocketAddr,
+    programs: &Arc<Vec<String>>,
+    concurrency: usize,
+) -> (Vec<Sample>, f64) {
     let next = Arc::new(AtomicUsize::new(0));
     let samples = Arc::new(Mutex::new(Vec::new()));
     let t0 = Instant::now();
@@ -82,7 +86,9 @@ fn run_pass(addr: std::net::SocketAddr, programs: &Arc<Vec<String>>, concurrency
                 let mut client = Client::connect(addr).expect("connect to bench server");
                 loop {
                     let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(program) = programs.get(i) else { break };
+                    let Some(program) = programs.get(i) else {
+                        break;
+                    };
                     let req = Request::Analyze {
                         program: program.clone(),
                         opts: AnalyzeOpts::default(),
@@ -235,12 +241,7 @@ fn main() {
         let metrics = parse_json(&json).expect("metrics document parses");
         (fields, metrics)
     };
-    let stat = |name: &str| {
-        stats
-            .iter()
-            .find(|(n, _)| n == name)
-            .map_or(0, |(_, v)| *v)
-    };
+    let stat = |name: &str| stats.iter().find(|(n, _)| n == name).map_or(0, |(_, v)| *v);
     let hits = stat("cache_hits");
     let lookups = hits + stat("cache_misses");
     let hit_rate = if lookups > 0 {
@@ -301,7 +302,9 @@ fn main() {
 
     let mut failed = false;
     if speedup < 20.0 {
-        eprintln!("serve_bench: FAIL — warm ConnectBot only {speedup:.1}x faster than cold (< 20x)");
+        eprintln!(
+            "serve_bench: FAIL — warm ConnectBot only {speedup:.1}x faster than cold (< 20x)"
+        );
         failed = true;
     }
 

@@ -119,10 +119,7 @@ pub fn write_reports(runs: &[AppRun], dir: &std::path::Path) -> std::io::Result<
     for run in runs {
         let slug = app_slug(run.row.name);
         std::fs::write(dir.join(format!("{slug}.report.json")), &run.report)?;
-        std::fs::write(
-            dir.join(format!("{slug}.provenance.json")),
-            &run.provenance,
-        )?;
+        std::fs::write(dir.join(format!("{slug}.provenance.json")), &run.provenance)?;
     }
     Ok(())
 }
@@ -256,7 +253,8 @@ pub fn filter_effectiveness(analyses: &[Analysis<'_>]) -> FilterEffect {
         for (i, t) in unsound.iter().enumerate() {
             unsound_counts[i] += t.killed;
         }
-        mayhb += nadroid_filters::distinct_killed_by_any(a.unsound_outcomes(), FilterKind::may_hb());
+        mayhb +=
+            nadroid_filters::distinct_killed_by_any(a.unsound_outcomes(), FilterKind::may_hb());
     }
     FilterEffect {
         potential,
@@ -466,7 +464,10 @@ mod tests {
         assert!(text.contains("\"filter.MHB.examined\""), "{text}");
         assert!(text.contains("\"phase_secs\""), "{text}");
         let prov = std::fs::read_to_string(dir.join("Dns66.provenance.json")).unwrap();
-        assert!(prov.contains("\"schema\": \"nadroid-provenance/4\""), "{prov}");
+        assert!(
+            prov.contains("\"schema\": \"nadroid-provenance/4\""),
+            "{prov}"
+        );
         assert!(prov.contains("racyPair"), "{prov}");
     }
 
@@ -493,7 +494,9 @@ mod tests {
         let row = rows.iter().find(|r| r.name == "K-9").unwrap();
         let run = run_row(row);
         assert!(run.timings.escape > std::time::Duration::ZERO);
-        assert!(run.timings.pointsto + run.timings.escape + run.timings.detect <= run.timings.detection);
+        assert!(
+            run.timings.pointsto + run.timings.escape + run.timings.detect <= run.timings.detection
+        );
     }
 
     #[test]

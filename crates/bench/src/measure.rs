@@ -3,7 +3,7 @@
 //! record, full `suite` records for the run ledger, and the one-step
 //! write every bench driver ends with.
 
-use crate::{run_rows_parallel, run_rows_parallel_timed, render_table, AppRun};
+use crate::{render_table, run_rows_parallel, run_rows_parallel_timed, AppRun};
 use nadroid_core::PhaseTimings;
 use nadroid_corpus::table1_rows;
 use nadroid_datalog::{Database, RuleSet, Term};
@@ -210,14 +210,14 @@ pub fn suite_ledger_record(kind: ledger::Kind) -> ledger::Record {
 
     let mut tallies = std::collections::BTreeMap::new();
     for (name, pick) in [
-        ("potential", (|r: &AppRun| r.summary.potential) as fn(&AppRun) -> usize),
+        (
+            "potential",
+            (|r: &AppRun| r.summary.potential) as fn(&AppRun) -> usize,
+        ),
         ("after_sound", |r| r.summary.after_sound),
         ("after_unsound", |r| r.summary.after_unsound),
     ] {
-        tallies.insert(
-            name.to_string(),
-            runs.iter().map(|r| pick(r) as u64).sum(),
-        );
+        tallies.insert(name.to_string(), runs.iter().map(|r| pick(r) as u64).sum());
     }
     for (name, v) in &rec.counters {
         if name.starts_with("filter.") && name.ends_with(".killed") {

@@ -16,9 +16,9 @@
 #![warn(missing_docs)]
 
 use nadroid_core::{analyze, render_report, AnalysisConfig};
-use nadroid_ledger as ledger;
 use nadroid_filters::FilterKind;
 use nadroid_ir::{parse_program, Program};
+use nadroid_ledger as ledger;
 use nadroid_serve::{AnalyzeOpts, Client, Request, Response, ServeConfig, Server};
 use nadroid_threadify::ThreadModel;
 use std::fmt;
@@ -462,8 +462,9 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Command, Cl
                 }
             }
             let path = path.ok_or_else(|| CliError("replay needs a file".into()))?;
-            let schedule = schedule
-                .ok_or_else(|| CliError("replay needs a schedule (quote the token string)".into()))?;
+            let schedule = schedule.ok_or_else(|| {
+                CliError("replay needs a schedule (quote the token string)".into())
+            })?;
             Ok(Command::Replay {
                 path,
                 schedule,
@@ -780,7 +781,13 @@ fn parse_perf(args: impl Iterator<Item = String>) -> Result<Command, CliError> {
         "record" => &["--from", "--kind", "--note", "--ledger"],
         "list" => &["--ledger"],
         "diff" => &["--min-effect", "--ledger"],
-        "gate" => &["--against", "--current", "--record", "--min-effect", "--ledger"],
+        "gate" => &[
+            "--against",
+            "--current",
+            "--record",
+            "--min-effect",
+            "--ledger",
+        ],
         other => {
             return Err(CliError(format!(
                 "unknown perf subcommand `{other}`\n{PERF_USAGE}"
@@ -851,7 +858,9 @@ fn parse_perf(args: impl Iterator<Item = String>) -> Result<Command, CliError> {
         }
         "list" => {
             no_positionals(&positionals)?;
-            Ok(Command::Perf(PerfCommand::List { ledger: ledger_over }))
+            Ok(Command::Perf(PerfCommand::List {
+                ledger: ledger_over,
+            }))
         }
         "diff" => {
             if positionals.len() != 2 {
@@ -979,7 +988,10 @@ pub fn run(cmd: &Command) -> Result<String, CliError> {
                 ..AnalysisConfig::default()
             };
             let config = match threads {
-                Some(n) => AnalysisConfig { threads: *n, ..config },
+                Some(n) => AnalysisConfig {
+                    threads: *n,
+                    ..config
+                },
                 None => config,
             };
             let recorder = nadroid_obs::Recorder::new();
@@ -992,8 +1004,11 @@ pub fn run(cmd: &Command) -> Result<String, CliError> {
                     .map_err(|e| CliError(format!("cannot write {trace_path}: {e}")))?;
             }
             if let Some(report_path) = report {
-                std::fs::write(report_path, nadroid_core::render_run_report(&analysis, &recorder))
-                    .map_err(|e| CliError(format!("cannot write {report_path}: {e}")))?;
+                std::fs::write(
+                    report_path,
+                    nadroid_core::render_run_report(&analysis, &recorder),
+                )
+                .map_err(|e| CliError(format!("cannot write {report_path}: {e}")))?;
             }
             if let Some(prov_path) = provenance {
                 std::fs::write(prov_path, nadroid_core::render_provenance_json(&analysis))
@@ -1166,10 +1181,16 @@ baseline: {suppressed} suppressed, {} new
                 steps.len()
             );
             if let Some(u) = npe.loaded_from {
-                out.push_str(&format!("  null loaded at  {}\n", program.describe_instr(u)));
+                out.push_str(&format!(
+                    "  null loaded at  {}\n",
+                    program.describe_instr(u)
+                ));
             }
             if let Some(f) = npe.freed_by {
-                out.push_str(&format!("  null written at {}\n", program.describe_instr(f)));
+                out.push_str(&format!(
+                    "  null written at {}\n",
+                    program.describe_instr(f)
+                ));
             }
             if let Some(id) = warning_id {
                 let analysis = analyze(&program, &AnalysisConfig::default());
@@ -1314,7 +1335,9 @@ baseline: {suppressed} suppressed, {} new
             let schema_note = expect_schema
                 .as_deref()
                 .map_or_else(String::new, |s| format!(", schema {s}"));
-            Ok(format!("{path}: OK ({checked} JSON value(s){schema_note})\n"))
+            Ok(format!(
+                "{path}: OK ({checked} JSON value(s){schema_note})\n"
+            ))
         }
         Command::Perf(perf) => run_perf(perf),
         Command::Request {
@@ -1394,9 +1417,8 @@ fn bench_record(path: &str) -> Result<ledger::Record, CliError> {
 }
 
 fn run_perf(perf: &PerfCommand) -> Result<String, CliError> {
-    let label = |records: &[ledger::Record], i: usize| {
-        format!("#{} ({})", i + 1, records[i].kind.as_str())
-    };
+    let label =
+        |records: &[ledger::Record], i: usize| format!("#{} ({})", i + 1, records[i].kind.as_str());
     match perf {
         PerfCommand::Record {
             from,
@@ -1818,7 +1840,14 @@ mod tests {
         assert!(parse_args(args(&["confirm", "a.dsl", "--threads", "zero"])).is_err());
 
         assert_eq!(
-            parse_args(args(&["replay", "app.dsl", "l0.onCreate a0.0", "--id", "w:1"])).unwrap(),
+            parse_args(args(&[
+                "replay",
+                "app.dsl",
+                "l0.onCreate a0.0",
+                "--id",
+                "w:1"
+            ]))
+            .unwrap(),
             Command::Replay {
                 path: "app.dsl".into(),
                 schedule: "l0.onCreate a0.0".into(),
@@ -1882,7 +1911,10 @@ mod tests {
         })
         .unwrap();
         assert!(replayed.contains("NPE reproduced"), "{replayed}");
-        assert!(replayed.contains(&format!("matches warning {id}")), "{replayed}");
+        assert!(
+            replayed.contains(&format!("matches warning {id}")),
+            "{replayed}"
+        );
 
         // A truncated schedule fails replay instead of passing silently.
         let first = schedule.split_whitespace().next().unwrap().to_owned();
@@ -1906,7 +1938,10 @@ mod tests {
         .unwrap();
         assert!(json.contains("\"schema\": \"nadroid-confirm/1\""), "{json}");
         let prov = std::fs::read_to_string(&prov_path).unwrap();
-        assert!(prov.contains("\"schema\": \"nadroid-provenance/4\""), "{prov}");
+        assert!(
+            prov.contains("\"schema\": \"nadroid-provenance/4\""),
+            "{prov}"
+        );
         assert!(prov.contains("\"verdict\": \"confirmed\""), "{prov}");
 
         // Unknown ids list the known ones instead of erroring.
@@ -2086,7 +2121,10 @@ activity M { cb onClick { } }",
         }
         // Bare unknown words are still unknown commands.
         assert!(parse_args(args(&["frobnicate"])).is_err());
-        assert!(parse_args(args(&["--trace"])).is_err(), "--trace needs a file");
+        assert!(
+            parse_args(args(&["--trace"])).is_err(),
+            "--trace needs a file"
+        );
     }
 
     #[test]
@@ -2125,7 +2163,10 @@ activity M { cb onClick { } }",
             threads: None,
         })
         .unwrap();
-        assert!(out.contains("run stats:"), "--stats appends the tree:\n{out}");
+        assert!(
+            out.contains("run stats:"),
+            "--stats appends the tree:\n{out}"
+        );
         assert!(out.contains("analyze"), "{out}");
         // The HB graph's own Datalog solve feeds the engine's
         // throughput gauge.
@@ -2135,10 +2176,24 @@ activity M { cb onClick { } }",
         assert!(trace.contains("\"traceEvents\""), "{trace}");
         // The four pipeline phases plus detection sub-phases and the HB
         // graph's rule evaluations all appear as spans.
-        for name in ["analyze", "modeling", "detection", "pointsto", "escape", "detect", "filtering"] {
-            assert!(trace.contains(&format!("\"name\": \"{name}\"")), "missing {name}:\n{trace}");
+        for name in [
+            "analyze",
+            "modeling",
+            "detection",
+            "pointsto",
+            "escape",
+            "detect",
+            "filtering",
+        ] {
+            assert!(
+                trace.contains(&format!("\"name\": \"{name}\"")),
+                "missing {name}:\n{trace}"
+            );
         }
-        assert!(trace.contains("datalog.rule:mustHb"), "rule-level spans:\n{trace}");
+        assert!(
+            trace.contains("datalog.rule:mustHb"),
+            "rule-level spans:\n{trace}"
+        );
 
         let report = std::fs::read_to_string(&report_path).unwrap();
         assert!(report.contains("\"app\": \"Obs\""), "{report}");
@@ -2197,8 +2252,15 @@ activity M { cb onClick { } }",
         assert!(parse_args(args(&["serve", "--slow-us", "soon"])).is_err());
 
         assert_eq!(
-            parse_args(args(&["request", "app.dsl", "--addr", "127.0.0.1:9", "--k", "3"]))
-                .unwrap(),
+            parse_args(args(&[
+                "request",
+                "app.dsl",
+                "--addr",
+                "127.0.0.1:9",
+                "--k",
+                "3"
+            ]))
+            .unwrap(),
             Command::Request {
                 path: Some("app.dsl".into()),
                 addr: "127.0.0.1:9".into(),
@@ -2348,7 +2410,15 @@ activity M { cb onClick { } }",
             Command::Perf(PerfCommand::List { ledger: None })
         );
         assert_eq!(
-            parse_args(args(&["perf", "diff", "prev", "last", "--min-effect", "0.1"])).unwrap(),
+            parse_args(args(&[
+                "perf",
+                "diff",
+                "prev",
+                "last",
+                "--min-effect",
+                "0.1"
+            ]))
+            .unwrap(),
             Command::Perf(PerfCommand::Diff {
                 base: "prev".into(),
                 current: "last".into(),
@@ -2376,8 +2446,14 @@ activity M { cb onClick { } }",
         // Malformed invocations are rejected at parse time.
         assert!(parse_args(args(&["perf"])).is_err(), "needs a subcommand");
         assert!(parse_args(args(&["perf", "frobnicate"])).is_err());
-        assert!(parse_args(args(&["perf", "diff", "last"])).is_err(), "two selectors");
-        assert!(parse_args(args(&["perf", "gate"])).is_err(), "needs --against");
+        assert!(
+            parse_args(args(&["perf", "diff", "last"])).is_err(),
+            "two selectors"
+        );
+        assert!(
+            parse_args(args(&["perf", "gate"])).is_err(),
+            "needs --against"
+        );
         assert!(parse_args(args(&["perf", "record", "--kind", "wat"])).is_err());
         assert!(parse_args(args(&["perf", "diff", "a", "b", "--min-effect", "-1"])).is_err());
         assert!(
@@ -2428,7 +2504,11 @@ activity M { cb onClick { } }",
 
         // A whole-document schema match, mismatch, and absence.
         let doc = dir.join("prov.json");
-        std::fs::write(&doc, "{\"schema\": \"nadroid-provenance/4\", \"apps\": 27}\n").unwrap();
+        std::fs::write(
+            &doc,
+            "{\"schema\": \"nadroid-provenance/4\", \"apps\": 27}\n",
+        )
+        .unwrap();
         let check = |path: &std::path::Path, lines: bool, want: &str| {
             run(&Command::CheckJson {
                 path: path.to_string_lossy().into_owned(),
@@ -2437,14 +2517,21 @@ activity M { cb onClick { } }",
             })
         };
         let out = check(&doc, false, "nadroid-provenance/4").unwrap();
-        assert!(out.contains("OK (1 JSON value(s), schema nadroid-provenance/4)"), "{out}");
-        let err = check(&doc, false, "nadroid-provenance/3").unwrap_err().to_string();
+        assert!(
+            out.contains("OK (1 JSON value(s), schema nadroid-provenance/4)"),
+            "{out}"
+        );
+        let err = check(&doc, false, "nadroid-provenance/3")
+            .unwrap_err()
+            .to_string();
         assert!(err.contains("schema is `nadroid-provenance/4`"), "{err}");
         assert!(err.contains("expected `nadroid-provenance/3`"), "{err}");
 
         let bare = dir.join("bare.json");
         std::fs::write(&bare, "{\"apps\": 27}\n").unwrap();
-        let err = check(&bare, false, "nadroid-provenance/4").unwrap_err().to_string();
+        let err = check(&bare, false, "nadroid-provenance/4")
+            .unwrap_err()
+            .to_string();
         assert!(err.contains("missing top-level `schema`"), "{err}");
 
         // JSONL: every line is pinned, and the failing line is named.
@@ -2455,7 +2542,9 @@ activity M { cb onClick { } }",
              {\"schema\": \"nadroid-ledger/2\", \"kind\": \"ci\"}\n",
         )
         .unwrap();
-        let err = check(&ledger, true, "nadroid-ledger/1").unwrap_err().to_string();
+        let err = check(&ledger, true, "nadroid-ledger/1")
+            .unwrap_err()
+            .to_string();
         assert!(err.contains(":2:"), "failing line named: {err}");
         assert!(err.contains("schema is `nadroid-ledger/2`"), "{err}");
     }
@@ -2478,13 +2567,15 @@ activity M { cb onClick { } }",
             threads: 1,
             profile: "release".into(),
         };
-        base.counters.insert("detector.pairs_examined".into(), 666_419);
+        base.counters
+            .insert("detector.pairs_examined".into(), 666_419);
         base.times.insert("suite.wall_secs".into(), 0.40);
         base.percentiles.insert("warm.server_p99_us".into(), 1000);
         let mut cur = base.clone();
         cur.kind = ledger::Kind::Ci;
         cur.ts = 1_754_000_100;
-        cur.counters.insert("detector.pairs_examined".into(), 666_500);
+        cur.counters
+            .insert("detector.pairs_examined".into(), 666_500);
         cur.percentiles.insert("warm.server_p99_us".into(), 1200);
         ledger::append(&path, &base).unwrap();
         ledger::append(&path, &cur).unwrap();
@@ -2560,8 +2651,8 @@ activity M { cb onClick { } }",
         let explain = request(&["--explain"]);
         assert!(explain.contains("filter audit:"), "{explain}");
 
-        let stats = run(&parse_args(args(&["request", "--stats", "--addr", &addr])).unwrap())
-            .unwrap();
+        let stats =
+            run(&parse_args(args(&["request", "--stats", "--addr", &addr])).unwrap()).unwrap();
         // cold = miss, warm = hit, deadline (k=3) = miss, explain = hit
         assert!(stats.contains("\"cache_hits\": 2"), "{stats}");
         assert!(stats.contains("\"cache_misses\": 2"), "{stats}");
@@ -2579,10 +2670,8 @@ activity M { cb onClick { } }",
             .expect("metrics document on the first line");
         assert!(nadroid_core::parse_json(raw).is_ok(), "{raw}");
 
-        let text = run(
-            &parse_args(args(&["request", "--metrics-text", "--addr", &addr])).unwrap(),
-        )
-        .unwrap();
+        let text = run(&parse_args(args(&["request", "--metrics-text", "--addr", &addr])).unwrap())
+            .unwrap();
         assert!(text.contains("nadroid_serve_requests_total"), "{text}");
         assert!(
             text.contains("nadroid_serve_window{name=\"rps_1s\"}"),
@@ -2595,8 +2684,8 @@ activity M { cb onClick { } }",
             "{text}"
         );
 
-        let bye = run(&parse_args(args(&["request", "--shutdown", "--addr", &addr])).unwrap())
-            .unwrap();
+        let bye =
+            run(&parse_args(args(&["request", "--shutdown", "--addr", &addr])).unwrap()).unwrap();
         assert!(bye.contains("shutdown acknowledged"), "{bye}");
     }
 

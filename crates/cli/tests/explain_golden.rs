@@ -71,7 +71,13 @@ impl<'a> Parser<'a> {
     }
 
     fn expect(&mut self, b: u8) {
-        assert_eq!(self.peek(), Some(b), "expected {:?} at {}", b as char, self.pos);
+        assert_eq!(
+            self.peek(),
+            Some(b),
+            "expected {:?} at {}",
+            b as char,
+            self.pos
+        );
         self.pos += 1;
     }
 
@@ -144,7 +150,12 @@ impl<'a> Parser<'a> {
         self.expect(b'"');
         let mut out = String::new();
         loop {
-            match self.bytes.get(self.pos).copied().expect("unterminated string") {
+            match self
+                .bytes
+                .get(self.pos)
+                .copied()
+                .expect("unterminated string")
+            {
                 b'"' => {
                     self.pos += 1;
                     return out;
@@ -189,7 +200,10 @@ impl<'a> Parser<'a> {
             self.pos += 1;
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        Json::Num(text.parse().unwrap_or_else(|_| panic!("bad number `{text}`")))
+        Json::Num(
+            text.parse()
+                .unwrap_or_else(|_| panic!("bad number `{text}`")),
+        )
     }
 }
 
@@ -202,16 +216,11 @@ fn parse(s: &str) -> Json {
 }
 
 fn corpus_app() -> String {
-    format!(
-        "{}/../../apps/connectbot.dsl",
-        env!("CARGO_MANIFEST_DIR")
-    )
+    format!("{}/../../apps/connectbot.dsl", env!("CARGO_MANIFEST_DIR"))
 }
 
 fn is_warning_id(s: &str) -> bool {
-    s.len() == 18
-        && s.starts_with("w:")
-        && s[2..].bytes().all(|b| b.is_ascii_hexdigit())
+    s.len() == 18 && s.starts_with("w:") && s[2..].bytes().all(|b| b.is_ascii_hexdigit())
 }
 
 /// Assert the derivation tree pins the §5 rule encoding: `racyPair` at
@@ -392,10 +401,7 @@ fn confirmation_golden_on_connectbot() {
                 .expect("confirmed verdicts attach a schedule");
             assert!(!schedule.is_empty());
             assert!(
-                confirmation
-                    .get("npe_at")
-                    .and_then(Json::as_str)
-                    .is_some(),
+                confirmation.get("npe_at").and_then(Json::as_str).is_some(),
                 "confirmed verdicts name the NPE site"
             );
         }
@@ -411,7 +417,10 @@ fn confirmation_golden_on_connectbot() {
         "npe at:  ",
         "witness schedule:",
     ] {
-        assert!(rendered.contains(needle), "missing {needle:?} in:\n{rendered}");
+        assert!(
+            rendered.contains(needle),
+            "missing {needle:?} in:\n{rendered}"
+        );
     }
 }
 
@@ -557,5 +566,8 @@ fn explain_text_golden_on_connectbot() {
     })
     .unwrap();
     assert!(miss.contains("no warning with id"), "{miss}");
-    assert!(miss.contains(&id), "unknown-id note lists known ids:\n{miss}");
+    assert!(
+        miss.contains(&id),
+        "unknown-id note lists known ids:\n{miss}"
+    );
 }

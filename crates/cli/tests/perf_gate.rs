@@ -45,19 +45,15 @@ fn seeded_ledger(dir: &std::path::Path) -> std::path::PathBuf {
     let mut base = Record::new(Kind::Timing);
     base.ts = 1_754_000_000;
     base.env = fixed_env();
-    base.counters.insert("pointsto.queue_pops".to_string(), 12_677);
-    base.population = Some(population(&[
-        "w:00000000000000aa",
-        "w:00000000000000bb",
-    ]));
+    base.counters
+        .insert("pointsto.queue_pops".to_string(), 12_677);
+    base.population = Some(population(&["w:00000000000000aa", "w:00000000000000bb"]));
     let mut cur = base.clone();
     cur.kind = Kind::Ci;
     cur.ts = 1_754_000_100;
-    cur.counters.insert("pointsto.queue_pops".to_string(), 13_000);
-    cur.population = Some(population(&[
-        "w:00000000000000aa",
-        "w:00000000000000cc",
-    ]));
+    cur.counters
+        .insert("pointsto.queue_pops".to_string(), 13_000);
+    cur.population = Some(population(&["w:00000000000000aa", "w:00000000000000cc"]));
     nadroid_ledger::append(&path, &base).expect("append baseline");
     nadroid_ledger::append(&path, &cur).expect("append drifted record");
     path

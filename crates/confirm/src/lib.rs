@@ -50,7 +50,7 @@ use nadroid_threadify::callback_method;
 use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
 
-pub use nadroid_core::{Confirmation as CoreConfirmation, ConfirmVerdict as Verdict};
+pub use nadroid_core::{ConfirmVerdict as Verdict, Confirmation as CoreConfirmation};
 
 /// The `nadroid-confirm/1` report schema identifier.
 pub const SCHEMA: &str = "nadroid-confirm/1";
@@ -609,7 +609,11 @@ pub fn render_confirm_json(analysis: &Analysis<'_>, outcome: &ConfirmOutcome) ->
         );
         let c = &r.confirmation;
         let _ = writeln!(out, "      \"verdict\": \"{}\",", c.verdict);
-        let _ = writeln!(out, "      \"reason\": \"{}\",", nadroid_core::esc(&c.reason));
+        let _ = writeln!(
+            out,
+            "      \"reason\": \"{}\",",
+            nadroid_core::esc(&c.reason)
+        );
         let _ = writeln!(out, "      \"states_explored\": {},", c.states_explored);
         match &c.schedule {
             Some(s) => {
@@ -1052,9 +1056,7 @@ mod tests {
         let w = a
             .survivors()
             .into_iter()
-            .find(|w| {
-                a.program().class(a.program().field(w.field).owner()).name() == "Console"
-            })
+            .find(|w| a.program().class(a.program().field(w.field).owner()).name() == "Console")
             .unwrap()
             .clone();
         let c = confirm_warning(&a, &w, &ConfirmConfig::default());

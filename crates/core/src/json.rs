@@ -66,9 +66,7 @@ impl JsonValue {
     #[must_use]
     pub fn get(&self, key: &str) -> Option<&JsonValue> {
         match self {
-            JsonValue::Obj(members) => {
-                members.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-            }
+            JsonValue::Obj(members) => members.iter().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
         }
     }
@@ -226,7 +224,8 @@ fn parse_value(
             let start = *pos;
             *pos += 1;
             while *pos < bytes.len()
-                && (bytes[*pos].is_ascii_digit() || matches!(bytes[*pos], b'.' | b'e' | b'E' | b'+' | b'-'))
+                && (bytes[*pos].is_ascii_digit()
+                    || matches!(bytes[*pos], b'.' | b'e' | b'E' | b'+' | b'-'))
             {
                 *pos += 1;
             }
@@ -494,7 +493,10 @@ mod tests {
         )
         .unwrap();
         assert_eq!(v.get("a").unwrap().as_arr().unwrap().len(), 3);
-        assert_eq!(v.get("a").unwrap().as_arr().unwrap()[2].as_f64(), Some(1000.0));
+        assert_eq!(
+            v.get("a").unwrap().as_arr().unwrap()[2].as_f64(),
+            Some(1000.0)
+        );
         assert_eq!(v.get("s").unwrap().as_str(), Some("x\n\"y\""));
         assert_eq!(v.get("t").unwrap().as_bool(), Some(true));
         assert_eq!(v.get("n"), Some(&JsonValue::Null));
@@ -554,7 +556,15 @@ mod tests {
         let a = analyze(&p, &AnalysisConfig::default());
         let v = parse_json(&render_json(&a)).unwrap();
         assert_eq!(v.get("app").unwrap().as_str(), Some("P"));
-        assert!(v.get("summary").unwrap().get("potential").unwrap().as_u64().unwrap() >= 1);
+        assert!(
+            v.get("summary")
+                .unwrap()
+                .get("potential")
+                .unwrap()
+                .as_u64()
+                .unwrap()
+                >= 1
+        );
         let prov = parse_json(&crate::render_provenance_json(&a)).unwrap();
         assert_eq!(
             prov.get("schema").unwrap().as_str(),
@@ -599,7 +609,16 @@ mod tests {
         .unwrap();
         let a = analyze(&p, &AnalysisConfig::default());
         let json = phase_timings_json(a.timings(), "");
-        for key in ["modeling", "hb", "detection", "pointsto", "escape", "detect", "filtering", "total"] {
+        for key in [
+            "modeling",
+            "hb",
+            "detection",
+            "pointsto",
+            "escape",
+            "detect",
+            "filtering",
+            "total",
+        ] {
             assert!(json.contains(&format!("\"{key}\": ")), "{json}");
         }
         assert_eq!(json.matches('{').count(), json.matches('}').count());

@@ -42,13 +42,12 @@ pub mod report;
 
 pub use fpclass::{classify_fp, FpCause, VerdictColumns};
 pub use json::{
-    esc, fingerprint, parse_json, phase_timings_json, program_hash, render_json,
-    render_run_report, warning_population_digest, JsonValue,
+    esc, fingerprint, parse_json, phase_timings_json, program_hash, render_json, render_run_report,
+    warning_population_digest, JsonValue,
 };
 pub use provenance::{
-    render_explain, render_explain_from_json, render_provenance_json,
-    render_provenance_json_with, ConfirmVerdict, Confirmation, DerivationNode, WarningProvenance,
-    PROVENANCE_SCHEMA,
+    render_explain, render_explain_from_json, render_provenance_json, render_provenance_json_with,
+    ConfirmVerdict, Confirmation, DerivationNode, WarningProvenance, PROVENANCE_SCHEMA,
 };
 pub use render::render_report;
 pub use report::{classify_pair, rank_key, render_warning, Endpoint, PairType, RenderedWarning};
@@ -225,8 +224,14 @@ fn analyze_inner<'p>(program: &'p Program, config: &AnalysisConfig) -> Analysis<
     let modeling = t0.elapsed();
     if obs::recording() {
         obs::counter("model.threads", threads.thread_count() as u64);
-        obs::counter("model.entry_callbacks", threads.entry_callback_count() as u64);
-        obs::counter("model.posted_callbacks", threads.posted_callback_count() as u64);
+        obs::counter(
+            "model.entry_callbacks",
+            threads.entry_callback_count() as u64,
+        );
+        obs::counter(
+            "model.posted_callbacks",
+            threads.posted_callback_count() as u64,
+        );
     }
 
     let t_hb = Instant::now();
@@ -409,7 +414,13 @@ impl<'p> Analysis<'p> {
     /// [`HbGraph`] rather than rebuilding one.
     #[must_use]
     pub fn filters(&self) -> Filters<'_> {
-        Filters::with_hb(self.program, &self.threads, &self.pts, &self.escape, &self.hb)
+        Filters::with_hb(
+            self.program,
+            &self.threads,
+            &self.pts,
+            &self.escape,
+            &self.hb,
+        )
     }
 
     /// Aggregate counts (one Table 1 row), at distinct (use, free) pair

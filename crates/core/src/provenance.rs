@@ -319,7 +319,12 @@ fn hb_evidence(analysis: &Analysis<'_>, w: &UafWarning) -> Vec<String> {
     }
     for (a, b) in directions {
         for e in g.edges_between(a, b) {
-            out.push(format!("{}: [{}] -> [{}]", label(e.kind), lin(e.src), lin(e.dst)));
+            out.push(format!(
+                "{}: [{}] -> [{}]",
+                label(e.kind),
+                lin(e.src),
+                lin(e.dst)
+            ));
         }
         if let Some(path) = g.must_hb_path(a, b) {
             let hops: Vec<String> = path.into_iter().map(lin).collect();
@@ -365,7 +370,11 @@ pub fn render_provenance_json_with(
         out.push_str("\n    {\n");
         let _ = writeln!(out, "      \"id\": \"{}\",", esc(&p.id));
         let _ = writeln!(out, "      \"field\": \"{}\",", esc(&p.rendered.field));
-        let _ = writeln!(out, "      \"use_site\": \"{}\",", esc(&p.rendered.use_site));
+        let _ = writeln!(
+            out,
+            "      \"use_site\": \"{}\",",
+            esc(&p.rendered.use_site)
+        );
         let _ = writeln!(
             out,
             "      \"free_site\": \"{}\",",
@@ -695,7 +704,9 @@ fn entry_from_json(v: &JsonValue) -> Result<ExplainEntry, String> {
         .map(|a| {
             Ok((
                 json_str(a, "filter")?,
-                a.get("pruned").and_then(JsonValue::as_bool).unwrap_or(false),
+                a.get("pruned")
+                    .and_then(JsonValue::as_bool)
+                    .unwrap_or(false),
                 json_str(a, "evidence")?,
             ))
         })
@@ -942,7 +953,10 @@ mod tests {
         let p = parse_program(FIG1A).unwrap();
         let a = analyze(&p, &AnalysisConfig::default());
         let json = render_provenance_json(&a);
-        assert!(json.contains("\"schema\": \"nadroid-provenance/4\""), "{json}");
+        assert!(
+            json.contains("\"schema\": \"nadroid-provenance/4\""),
+            "{json}"
+        );
         assert!(json.contains("\"refutation\": null"), "{json}");
         assert!(json.contains("\"program_hash\": \"p:"), "{json}");
         assert!(json.contains("\"hb\": ["), "{json}");
@@ -1009,7 +1023,10 @@ mod tests {
         assert!(text.contains("verdict: confirmed"), "{text}");
         assert!(text.contains("witness schedule:"), "{text}");
         assert!(text.contains("l0.onCreate c1 d1"), "{text}");
-        assert!(text.contains("npe at:  Console.onCreateContextMenu#0"), "{text}");
+        assert!(
+            text.contains("npe at:  Console.onCreateContextMenu#0"),
+            "{text}"
+        );
         // An infeasible verdict renders without schedule lines.
         provs[0].confirmation = Some(Confirmation {
             verdict: ConfirmVerdict::Infeasible,
@@ -1064,7 +1081,10 @@ mod tests {
         let refuted: Vec<&WarningProvenance> =
             provs.iter().filter(|wp| wp.refutation.is_some()).collect();
         assert_eq!(refuted.len(), 1);
-        assert!(refuted[0].survived, "refutation applies to filter survivors");
+        assert!(
+            refuted[0].survived,
+            "refutation applies to filter survivors"
+        );
         let doc = render_provenance_json_with(&a, &provs);
         assert!(doc.contains("\"refutation\": {"), "{doc}");
         assert!(doc.contains("\"reason\": \"disabled\""), "{doc}");
@@ -1091,6 +1111,9 @@ mod tests {
         assert!(text.contains(id.as_str()), "{text}");
         let miss = render_explain(&a, Some("w:0000000000000000"));
         assert!(miss.contains("no warning with id"), "{miss}");
-        assert!(miss.contains(id.as_str()), "unknown-id note lists known ids");
+        assert!(
+            miss.contains(id.as_str()),
+            "unknown-id note lists known ids"
+        );
     }
 }

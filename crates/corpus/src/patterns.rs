@@ -187,11 +187,11 @@ impl PatternKind {
             FpPointsTo => FalsePositive(FpCause::PointsTo),
             FpUnreachable => FalsePositive(FpCause::NotReachable),
             FpMissingHb => FalsePositive(FpCause::MissingHappensBefore),
-            RefuteDialogDismiss | RefuteAlarmCancel | RefuteReceiverUnregister
+            RefuteDialogDismiss
+            | RefuteAlarmCancel
+            | RefuteReceiverUnregister
             | RefuteBindUnbind => Refuted(RefutationReason::Disabled),
-            RefuteFragmentLifecycle | RefuteTaskStack => {
-                Refuted(RefutationReason::ExtendedOrder)
-            }
+            RefuteFragmentLifecycle | RefuteTaskStack => Refuted(RefutationReason::ExtendedOrder),
             PredicateKeptSkipPath | PredicateKeptLateDisable => Harmful(PairType::EcPc),
             MissedOpaque => Undetected,
             PatternKind::Benign => Expectation::Benign,

@@ -546,7 +546,11 @@ mod tests {
         assert!(totals[0] > totals[50], "i%200 apps dominate i%50 apps");
         assert!(totals[50] > totals[10], "i%50 apps dominate i%10 apps");
         assert!(totals[10] > totals[1], "i%10 apps dominate the tail");
-        assert!((2..=8).contains(&totals[1]), "tail apps stay small: {}", totals[1]);
+        assert!(
+            (2..=8).contains(&totals[1]),
+            "tail apps stay small: {}",
+            totals[1]
+        );
         // A prefix is a prefix: growing the population never changes
         // the apps already in it.
         let small = scale_specs(100);

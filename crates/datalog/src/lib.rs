@@ -323,11 +323,7 @@ impl RelationData {
         for r in idx.rows_indexed..upto {
             let start = r as usize * arity;
             let row = &self.data[start..start + arity];
-            let h = hash_vals(
-                (0..arity)
-                    .filter(|c| mask & (1 << c) != 0)
-                    .map(|c| row[c]),
-            );
+            let h = hash_vals((0..arity).filter(|c| mask & (1 << c) != 0).map(|c| row[c]));
             idx.map.entry(h).or_default().push(r);
         }
         idx.rows_indexed = upto;
@@ -573,7 +569,10 @@ impl Database {
             }
             for crule in &compiled {
                 let _rule_span = obs::span_lazy(|| {
-                    format!("datalog.rule:{}", self.relations[crule.head_rel.index()].name)
+                    format!(
+                        "datalog.rule:{}",
+                        self.relations[crule.head_rel.index()].name
+                    )
                 });
                 if crule.atoms.is_empty() {
                     // Fact template: all-constant head (checked).
@@ -799,7 +798,16 @@ impl Database {
                     ColAction::Bind(slot) => bindings[slot as usize] = row[col],
                 }
             }
-            this.join(crule, pos + 1, delta_pos, delta_lo, snapshot, bindings, out, stats);
+            this.join(
+                crule,
+                pos + 1,
+                delta_pos,
+                delta_lo,
+                snapshot,
+                bindings,
+                out,
+                stats,
+            );
         };
 
         if atom.mask == 0 {
@@ -1162,7 +1170,9 @@ mod tests {
         assert_eq!(db.len(path), 1);
         // A different rule set must see the *existing* facts as delta.
         let mut rules2 = RuleSet::new();
-        rules2.add(rev, vec![v(1), v(0)]).when(edge, vec![v(0), v(1)]);
+        rules2
+            .add(rev, vec![v(1), v(0)])
+            .when(edge, vec![v(0), v(1)]);
         db.run(&rules2);
         assert!(db.contains(rev, &[2, 1]));
     }
@@ -1242,7 +1252,10 @@ mod tests {
             .when(edge, vec![v(1), v(2)]);
         db.run(&rules);
         let s = *db.stats();
-        assert!(s.index_probes > 0, "the closure rule probes edge by column 0");
+        assert!(
+            s.index_probes > 0,
+            "the closure rule probes edge by column 0"
+        );
         assert!(s.indexes_built > 0);
         assert!(s.derived >= 20 * 21 / 2);
         assert!(s.iterations > 2);

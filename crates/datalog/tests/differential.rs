@@ -88,7 +88,10 @@ fn rule_spec_strategy() -> impl Strategy<Value = RuleSpec> {
         0usize..ARITIES.len(),
         prop::collection::vec(0u32..12, 3..=3),
         prop::collection::vec(
-            (0usize..ARITIES.len(), prop::collection::vec(0u32..12, 3..=3)),
+            (
+                0usize..ARITIES.len(),
+                prop::collection::vec(0u32..12, 3..=3),
+            ),
             1..4,
         ),
     )
@@ -123,7 +126,10 @@ fn setup(
         .collect();
     for (rel, vals) in facts {
         let tuple = &vals[..ARITIES[*rel]];
-        assert_eq!(fast.insert(rels[*rel], tuple), naive.insert(rels[*rel], tuple));
+        assert_eq!(
+            fast.insert(rels[*rel], tuple),
+            naive.insert(rels[*rel], tuple)
+        );
     }
     let rules = build_rules(specs, &rels);
     (fast, naive, rels, rules)
@@ -212,10 +218,14 @@ mod fixed_cases {
         }
         let v = Term::var;
         let mut rules = RuleSet::new();
-        rules.add(o_f, vec![v(0)]).when(t_f, vec![Term::val(5), v(0)]);
+        rules
+            .add(o_f, vec![v(0)])
+            .when(t_f, vec![Term::val(5), v(0)]);
         fast.run(&rules);
         let mut nrules = RuleSet::new();
-        nrules.add(o_n, vec![v(0)]).when(t_n, vec![Term::val(5), v(0)]);
+        nrules
+            .add(o_n, vec![v(0)])
+            .when(t_n, vec![Term::val(5), v(0)]);
         naive.run(&nrules);
         assert_eq!(
             fast.tuples(o_f).collect::<Vec<_>>(),

@@ -330,7 +330,10 @@ pub fn minimize_schedule(program: &Program, schedule: &[Step], npe: &Npe) -> Vec
     };
     let mut current: Vec<Step> = schedule.to_vec();
     if !reproduces_from(&initial, &current) {
-        debug_assert!(false, "minimize_schedule: schedule does not reproduce the NPE");
+        debug_assert!(
+            false,
+            "minimize_schedule: schedule does not reproduce the NPE"
+        );
         return current;
     }
     loop {

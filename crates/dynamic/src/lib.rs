@@ -46,10 +46,8 @@ pub use explore::{
     explore, explore_guided, explore_no_sleep, find_any_npe, find_npe_at_use, fingerprint,
     minimize_schedule, replay, Exploration, ExploreConfig, Goal, Guide, Witness,
 };
+pub use machine::{flatten, CodeCache, FlatBody, FlatOp, Frame, Heap, HeapRef, Prov, Value};
 pub use schedule::{decode_schedule, describe_schedule, encode_schedule};
-pub use machine::{
-    flatten, CodeCache, FlatBody, FlatOp, Frame, Heap, HeapRef, Prov, Value,
-};
 pub use world::{
     AsyncRun, ConnState, Event, Npe, PendingPost, ServiceState, Step, Task, TaskId, TaskPhase,
     TraceEvent, World,
@@ -623,7 +621,11 @@ mod tests {
         let min = minimize_schedule(&p, &w.schedule, &w.npe);
         assert!(min.len() <= w.schedule.len());
         let world = replay(&p, &min);
-        assert_eq!(world.npe.as_ref(), Some(&w.npe), "minimized schedule reproduces");
+        assert_eq!(
+            world.npe.as_ref(),
+            Some(&w.npe),
+            "minimized schedule reproduces"
+        );
         // The minimal schedule must keep the essentials: create (to
         // bind), disconnect (to free), and the context-menu use.
         assert!(min.iter().any(|s| matches!(s, Step::Dispatch(_))));

@@ -118,7 +118,9 @@ impl Heap {
     /// if the null came from an explicit `putfield null`.
     #[must_use]
     pub fn null_writer(&self, r: HeapRef, field: FieldId) -> Option<InstrId> {
-        self.find(r, field).ok().and_then(|i| self.slots[i].freed_by)
+        self.find(r, field)
+            .ok()
+            .and_then(|i| self.slots[i].freed_by)
     }
 
     /// Every explicitly freed field holding its null, with the free
@@ -369,7 +371,10 @@ impl Frame {
 
     /// Count one more iteration entered at the loop head at `pc`.
     pub(crate) fn enter_loop(&mut self, pc: usize) {
-        match self.loop_budget.binary_search_by_key(&pc, |&(head, _)| head) {
+        match self
+            .loop_budget
+            .binary_search_by_key(&pc, |&(head, _)| head)
+        {
             Ok(i) => self.loop_budget[i].1 += 1,
             Err(i) => self.loop_budget.insert(i, (pc, 1)),
         }

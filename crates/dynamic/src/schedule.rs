@@ -162,7 +162,11 @@ pub fn describe_schedule(world_of: &World<'_>, schedule: &[Step]) -> Vec<String>
             }
             Step::Dispatch(e) => match e {
                 Event::Lifecycle { activity, kind } => {
-                    format!("dispatch {}.{}", p.class(*activity).name(), kind.method_name())
+                    format!(
+                        "dispatch {}.{}",
+                        p.class(*activity).name(),
+                        kind.method_name()
+                    )
                 }
                 Event::Entry { method, .. } => {
                     let m = p.method(*method);
@@ -242,7 +246,9 @@ mod tests {
             Step::Dispatch(Event::DequeuePost { looper: TaskId(0) }),
             Step::Dispatch(Event::ServiceConnect { conn: HeapRef(3) }),
             Step::Dispatch(Event::ServiceDisconnect { conn: HeapRef(3) }),
-            Step::Dispatch(Event::Broadcast { receiver: HeapRef(5) }),
+            Step::Dispatch(Event::Broadcast {
+                receiver: HeapRef(5),
+            }),
             Step::Dispatch(Event::TaskPost { run: 7 }),
         ];
         let text = encode_schedule(&steps);

@@ -810,7 +810,9 @@ impl<'p> World<'p> {
     /// Whether a looper is idle with work queued.
     fn dequeue_enabled(&self, looper: TaskId) -> bool {
         let i = looper.0 as usize;
-        self.tasks.get(i).is_some_and(|t| t.is_looper && t.frames.is_empty())
+        self.tasks
+            .get(i)
+            .is_some_and(|t| t.is_looper && t.frames.is_empty())
             && self.posts.get(i).is_some_and(|q| !q.is_empty())
     }
 
@@ -836,7 +838,8 @@ impl<'p> World<'p> {
 
     /// Whether a registered receiver's class handles broadcasts.
     fn takes_broadcasts(&self, receiver: HeapRef) -> bool {
-        self.callback_of(receiver, CallbackKind::OnReceive).is_some()
+        self.callback_of(receiver, CallbackKind::OnReceive)
+            .is_some()
     }
 
     /// The `kind` callback of an object's class.
@@ -897,13 +900,14 @@ impl<'p> World<'p> {
                 }
             }
             Event::Entry { target, method } => self.entry_enabled(target, method),
-            Event::ServiceConnect { conn } | Event::ServiceDisconnect { conn } => self
-                .connections
-                .iter()
-                .find(|&&(c, _)| c == conn)
-                .and_then(|&(_, state)| self.connection_event(conn, state))
-                .as_ref()
-                == Some(e),
+            Event::ServiceConnect { conn } | Event::ServiceDisconnect { conn } => {
+                self.connections
+                    .iter()
+                    .find(|&&(c, _)| c == conn)
+                    .and_then(|&(_, state)| self.connection_event(conn, state))
+                    .as_ref()
+                    == Some(e)
+            }
             Event::Broadcast { receiver } => {
                 self.receivers.contains(&receiver) && self.takes_broadcasts(receiver)
             }

@@ -257,7 +257,10 @@ fn reference_dispatchable(world: &World<'_>, e: &Event) -> bool {
             };
             return t.is_looper
                 && t.frames.is_empty()
-                && world.posts.get(looper.0 as usize).is_some_and(|q| !q.is_empty());
+                && world
+                    .posts
+                    .get(looper.0 as usize)
+                    .is_some_and(|q| !q.is_empty());
         }
     }
     world.looper_idle() && world.enabled_events().contains(e)
@@ -374,7 +377,10 @@ fn check_dispatch_against_reference(program: &Program, seed: u64) {
                 let expected = reference_dispatchable(&world, &e);
                 let step = Step::Dispatch(e);
                 let accepted = world.clone().step(&step);
-                assert!(accepted || !enabled.contains(&step), "enabled {step:?} rejected");
+                assert!(
+                    accepted || !enabled.contains(&step),
+                    "enabled {step:?} rejected"
+                );
                 assert_eq!(accepted, expected, "{step:?}");
             }
             let Some(step) = enabled.choose(&mut rng).cloned() else {
@@ -543,15 +549,11 @@ fn repeated_unguided_searches_agree() {
             .find(|r| r.name == name)
             .expect("corpus row");
         let app = generate(&spec_for(&row));
-        let search = || match explore_guided(
-            &app.program,
-            Goal::AnyNpe,
-            ExploreConfig::default(),
-            None,
-        ) {
-            Exploration::Witness(w) => (w.schedule, w.states_explored),
-            Exploration::Exhausted { .. } => panic!("{name}: no witness"),
-        };
+        let search =
+            || match explore_guided(&app.program, Goal::AnyNpe, ExploreConfig::default(), None) {
+                Exploration::Witness(w) => (w.schedule, w.states_explored),
+                Exploration::Exhausted { .. } => panic!("{name}: no witness"),
+            };
         let first = search();
         for _ in 0..4 {
             assert_eq!(search(), first, "{name}");
@@ -579,8 +581,7 @@ fn replay_stops_at_out_of_range_ids() {
         "b4000000000",
         "t4000000000",
     ] {
-        let schedule =
-            decode_schedule(&format!("l{c}.onCreate {token} l{d}.onCreate")).unwrap();
+        let schedule = decode_schedule(&format!("l{c}.onCreate {token} l{d}.onCreate")).unwrap();
         let world = replay(&program, &schedule);
         assert_eq!(world.schedule, schedule[..1], "{token}");
         assert!(world.npe.is_none(), "{token}");

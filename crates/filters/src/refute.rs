@@ -24,8 +24,8 @@
 //! full contradiction chain, which the provenance sidecar records under
 //! the `nadroid-provenance/4` schema and `nadroid explain` renders.
 
-use nadroid_hb::{HbGraph, MustNotProv, PredEdgeKind};
 use nadroid_detector::UafWarning;
+use nadroid_hb::{HbGraph, MustNotProv, PredEdgeKind};
 use nadroid_ir::Program;
 use nadroid_threadify::{ThreadId, ThreadModel};
 

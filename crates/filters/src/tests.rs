@@ -749,7 +749,11 @@ fn mhb_verdict_names_the_edge() {
     let w = s.warning("onServiceConnected", "onServiceDisconnected");
     let v = s.filters().verdict(FilterKind::Mhb, w);
     assert!(v.pruned);
-    assert!(v.evidence.contains("MHB-Service"), "evidence: {}", v.evidence);
+    assert!(
+        v.evidence.contains("MHB-Service"),
+        "evidence: {}",
+        v.evidence
+    );
 }
 
 #[test]
@@ -781,7 +785,12 @@ fn figure4_pruning_sets_are_pinned() {
     // methods of its use and free: each example is pruned by the filter
     // the paper names, plus the overlaps it notes (MA over MHB and IA).
     let table: [(&str, &str, &str, &[FilterKind]); 7] = [
-        (FIG4A, "onServiceConnected", "onServiceDisconnected", &[Mhb, Ma]),
+        (
+            FIG4A,
+            "onServiceConnected",
+            "onServiceDisconnected",
+            &[Mhb, Ma],
+        ),
         (FIG4B, "onClick", "onLongClick", &[Ig]),
         (FIG4C, "onClick", "onLongClick", &[Ia, Ma]),
         (FIG4D, "onClick", "onPause", &[Rhb]),
@@ -799,7 +808,10 @@ fn figure4_pruning_sets_are_pinned() {
             .copied()
             .filter(|&k| f.prunes(k, w))
             .collect();
-        assert_eq!(pruning, expected, "pruning set of {use_m}/{free_m} in {src}");
+        assert_eq!(
+            pruning, expected,
+            "pruning set of {use_m}/{free_m} in {src}"
+        );
     }
 }
 
@@ -829,7 +841,11 @@ fn dialog_dismiss_refutes_the_survivor() {
     // The §6 pipeline keeps this warning (the whole point of the
     // refutation layer)…
     let outcomes = f.pipeline(vec![w.clone()], FilterKind::all());
-    assert!(outcomes[0].survives(), "pruned by {:?}", outcomes[0].pruned_by);
+    assert!(
+        outcomes[0].survives(),
+        "pruned by {:?}",
+        outcomes[0].pruned_by
+    );
     // …and the refuter kills it with a Disabled contradiction chain.
     let r = Refuter::new(&s.program, &s.threads, &s.hb)
         .refute(w)
@@ -911,7 +927,11 @@ fn fragment_detach_free_is_refuted_by_extended_order() {
     let w = s.warning("onCreateView", "onDetach");
     let f = s.filters();
     let outcomes = f.pipeline(vec![w.clone()], FilterKind::all());
-    assert!(outcomes[0].survives(), "pruned by {:?}", outcomes[0].pruned_by);
+    assert!(
+        outcomes[0].survives(),
+        "pruned by {:?}",
+        outcomes[0].pruned_by
+    );
     let r = Refuter::new(&s.program, &s.threads, &s.hb)
         .refute(w)
         .expect("refuted");

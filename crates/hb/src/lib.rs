@@ -274,7 +274,9 @@ impl HbGraph {
 
         // MHB-Service: connected before disconnected, same connection class.
         for (c, conns) in &service_conn {
-            let Some(discs) = service_disc.get(c) else { continue };
+            let Some(discs) = service_disc.get(c) else {
+                continue;
+            };
             for &u in conns {
                 for &f in discs {
                     db.insert(mhb_service, &[u.raw(), f.raw()]);
@@ -349,7 +351,9 @@ impl HbGraph {
         }
         // RHB: an `onResume` of the shared component may re-allocate.
         for &(f, comp) in &pausers {
-            let Some(fields) = resume_fields.get(&comp) else { continue };
+            let Some(fields) = resume_fields.get(&comp) else {
+                continue;
+            };
             if fields.is_empty() {
                 continue;
             }
@@ -357,7 +361,9 @@ impl HbGraph {
                 if u == f {
                     continue;
                 }
-                let Some(uk) = effective_kind(threads, u) else { continue };
+                let Some(uk) = effective_kind(threads, u) else {
+                    continue;
+                };
                 if !(uk.is_ui() || uk.is_system()) {
                     continue;
                 }
@@ -421,9 +427,13 @@ impl HbGraph {
         let v = Term::var;
         let mut rules = RuleSet::new();
         for rel in [mhb_service, mhb_asynctask, mhb_lifecycle] {
-            rules.add(mhb_edge, vec![v(0), v(1)]).when(rel, vec![v(0), v(1)]);
+            rules
+                .add(mhb_edge, vec![v(0), v(1)])
+                .when(rel, vec![v(0), v(1)]);
         }
-        rules.add(must_hb, vec![v(0), v(1)]).when(mhb_edge, vec![v(0), v(1)]);
+        rules
+            .add(must_hb, vec![v(0), v(1)])
+            .when(mhb_edge, vec![v(0), v(1)]);
         rules
             .add(must_hb, vec![v(0), v(2)])
             .when(must_hb, vec![v(0), v(1)])
@@ -436,7 +446,9 @@ impl HbGraph {
         // cycle-guarded at construction, so this stays a strict partial
         // order extending `mustHb`.
         for rel in [mhb_edge, pred_edge] {
-            rules.add(pred_hb, vec![v(0), v(1)]).when(rel, vec![v(0), v(1)]);
+            rules
+                .add(pred_hb, vec![v(0), v(1)])
+                .when(rel, vec![v(0), v(1)]);
             rules
                 .add(pred_hb, vec![v(0), v(2)])
                 .when(pred_hb, vec![v(0), v(1)])
@@ -517,7 +529,9 @@ impl HbGraph {
     /// edge.
     #[must_use]
     pub fn may_hb(&self, a: ThreadId, b: ThreadId) -> bool {
-        self.post_hb(a, b) || self.cancel_hb(a, b).is_some() || self.reentry.contains_key(&(a.raw(), b.raw()))
+        self.post_hb(a, b)
+            || self.cancel_hb(a, b).is_some()
+            || self.reentry.contains_key(&(a.raw(), b.raw()))
     }
 
     /// May-happen-in-parallel: distinct threads with no sound ordering in
@@ -763,8 +777,8 @@ fn cancel_pair(threads: &ThreadModel, u: ThreadId, f: ThreadId) -> Option<Cancel
             }
             _ => None,
         }?;
-        let covered = api.scope().covers(uk)
-            && (api != CancelApi::Finish || same_component(threads, u, f));
+        let covered =
+            api.scope().covers(uk) && (api != CancelApi::Finish || same_component(threads, u, f));
         covered.then_some(api)
     })
 }

@@ -195,8 +195,7 @@ pub(crate) fn compute(
 
     // enables / disables facts, deduped per (api thread, gated thread)
     // pair — the first site in scan order is the provenance.
-    let fact_list = |sites: &BTreeMap<(PredicateFamily, ClassId), Vec<ApiSite>>,
-                         enabling: bool| {
+    let fact_list = |sites: &BTreeMap<(PredicateFamily, ClassId), Vec<ApiSite>>, enabling: bool| {
         let mut out: Vec<(ThreadId, ThreadId, PredicateSite)> = Vec::new();
         let mut seen: BTreeSet<(ThreadId, ThreadId)> = BTreeSet::new();
         for (&(fam, class), occurrences) in sites {
@@ -294,8 +293,7 @@ pub(crate) fn compute(
         }
         let occ = &occurrences[0];
         let mt = threads.thread(occ.thread);
-        let once_looper = effective_kind(threads, occ.thread)
-            .is_some_and(lifecycle::once_only)
+        let once_looper = effective_kind(threads, occ.thread).is_some_and(lifecycle::once_only)
             && mt.kind().on_looper();
         if !once_looper {
             continue;

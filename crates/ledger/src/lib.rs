@@ -315,7 +315,10 @@ impl Record {
                 .and_then(JsonValue::as_str)
                 .ok_or("missing kind")?,
         )?;
-        let ts = v.get("ts").and_then(JsonValue::as_u64).ok_or("missing ts")?;
+        let ts = v
+            .get("ts")
+            .and_then(JsonValue::as_u64)
+            .ok_or("missing ts")?;
         let note = v
             .get("note")
             .and_then(JsonValue::as_str)
@@ -343,9 +346,10 @@ impl Record {
         let mut hists = BTreeMap::new();
         if let Some(JsonValue::Obj(members)) = v.get("hists") {
             for (name, hv) in members {
-                hists.insert(name.clone(), hist_from_json(hv).map_err(|e| {
-                    format!("hist {name:?}: {e}")
-                })?);
+                hists.insert(
+                    name.clone(),
+                    hist_from_json(hv).map_err(|e| format!("hist {name:?}: {e}"))?,
+                );
             }
         }
         let population = match v.get("population") {
@@ -410,8 +414,14 @@ fn hist_from_json(v: &JsonValue) -> Result<Histogram, String> {
         .get("total")
         .and_then(JsonValue::as_u64)
         .ok_or("missing total")?;
-    let min = v.get("min").and_then(JsonValue::as_u64).ok_or("missing min")?;
-    let max = v.get("max").and_then(JsonValue::as_u64).ok_or("missing max")?;
+    let min = v
+        .get("min")
+        .and_then(JsonValue::as_u64)
+        .ok_or("missing min")?;
+    let max = v
+        .get("max")
+        .and_then(JsonValue::as_u64)
+        .ok_or("missing max")?;
     let mut triples = Vec::new();
     for b in v
         .get("buckets")
@@ -500,7 +510,8 @@ pub fn append(path: &Path, rec: &Record) -> Result<(), String> {
 ///
 /// Reports the first unreadable line with its 1-based line number.
 pub fn read(path: &Path) -> Result<Vec<Record>, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("read {}: {e}", path.display()))?;
+    let text =
+        std::fs::read_to_string(path).map_err(|e| format!("read {}: {e}", path.display()))?;
     let mut out = Vec::new();
     for (i, line) in text.lines().enumerate() {
         if line.trim().is_empty() {
@@ -762,7 +773,11 @@ pub fn diff(base: &Record, cur: &Record, opts: &DiffOptions) -> Vec<Delta> {
     }
 
     let env_pairs: [(&str, String, String); 3] = [
-        ("cores", base.env.cores.to_string(), cur.env.cores.to_string()),
+        (
+            "cores",
+            base.env.cores.to_string(),
+            cur.env.cores.to_string(),
+        ),
         (
             "threads",
             base.env.threads.to_string(),
@@ -959,7 +974,10 @@ mod tests {
     fn json_line_round_trips() {
         let r = sample_record();
         let line = r.to_json_line();
-        assert!(line.starts_with("{\"schema\":\"nadroid-ledger/1\""), "{line}");
+        assert!(
+            line.starts_with("{\"schema\":\"nadroid-ledger/1\""),
+            "{line}"
+        );
         let back = parse_record_line(&line).expect("round trip");
         assert_eq!(back, r);
         // And a record without optional sections.
@@ -1016,7 +1034,11 @@ mod tests {
             "{deltas:?}"
         );
         assert!(!deltas.is_empty(), "the tail move must still be reported");
-        assert!(deltas[0].detail.contains("27 sample(s) < 500 needed"), "{}", deltas[0].detail);
+        assert!(
+            deltas[0].detail.contains("27 sample(s) < 500 needed"),
+            "{}",
+            deltas[0].detail
+        );
         assert!(gate(&a, &b, &opts).pass());
 
         // With real tail mass (1000 samples) the same relative move is
@@ -1061,7 +1083,10 @@ mod tests {
         assert!(!latency_changed(3, 4, 0.0));
         assert!(latency_changed(3, 5, 0.0));
         // Symmetric.
-        assert_eq!(latency_changed(470, 411, 0.05), latency_changed(411, 470, 0.05));
+        assert_eq!(
+            latency_changed(470, 411, 0.05),
+            latency_changed(411, 470, 0.05)
+        );
     }
 
     #[test]
@@ -1094,7 +1119,11 @@ mod tests {
         assert_eq!(ds[0].severity, Severity::Drift);
         assert_eq!(ds[0].key, "population.connectbot");
         assert!(ds[0].detail.contains("added [w:cccc]"), "{}", ds[0].detail);
-        assert!(ds[0].detail.contains("removed [w:bbbb]"), "{}", ds[0].detail);
+        assert!(
+            ds[0].detail.contains("removed [w:bbbb]"),
+            "{}",
+            ds[0].detail
+        );
     }
 
     #[test]
@@ -1135,10 +1164,7 @@ mod tests {
 
     #[test]
     fn append_read_and_gate_through_a_file() {
-        let dir = std::env::temp_dir().join(format!(
-            "nadroid-ledger-test-{}",
-            std::process::id()
-        ));
+        let dir = std::env::temp_dir().join(format!("nadroid-ledger-test-{}", std::process::id()));
         let path = dir.join("sub").join("ledger.jsonl");
         let _ = std::fs::remove_dir_all(&dir);
         let a = sample_record();

@@ -3,8 +3,8 @@
 //! round-tripping of randomly populated records.
 
 use nadroid_ledger::{
-    diff, latency_changed, parse_record_line, AppPopulation, DiffOptions, Kind, Population,
-    Record, HIST_NOISE,
+    diff, latency_changed, parse_record_line, AppPopulation, DiffOptions, Kind, Population, Record,
+    HIST_NOISE,
 };
 use nadroid_obs::Histogram;
 use proptest::prelude::*;
@@ -53,7 +53,10 @@ fn record_strategy() -> impl Strategy<Value = Record> {
         prop::collection::vec((0u64..40, 0u64..1_000_000_000), 0..12),
         prop::collection::vec((0u64..40, 0u64..10_000_000), 0..12),
         samples_strategy(),
-        prop::collection::vec((0u64..10, prop::collection::vec(0u64..1_000_000, 0..6)), 0..4),
+        prop::collection::vec(
+            (0u64..10, prop::collection::vec(0u64..1_000_000, 0..6)),
+            0..4,
+        ),
     )
         .prop_map(|(counters, times, percentiles, samples, apps)| {
             let mut r = Record::new(Kind::Suite);

@@ -116,10 +116,7 @@ impl CancelToken {
     #[must_use]
     pub fn is_cancelled(&self) -> bool {
         self.inner.flag.load(Ordering::Relaxed)
-            || self
-                .inner
-                .deadline
-                .is_some_and(|d| Instant::now() >= d)
+            || self.inner.deadline.is_some_and(|d| Instant::now() >= d)
     }
 
     /// Install this token for the current thread. Checkpoints consult
@@ -166,8 +163,7 @@ impl Drop for CancelScope {
 pub fn should_stop() -> bool {
     INSTALLED.with(|stack| {
         stack.borrow().last().is_some_and(|t| {
-            t.flag.load(Ordering::Relaxed)
-                || t.deadline.is_some_and(|d| Instant::now() >= d)
+            t.flag.load(Ordering::Relaxed) || t.deadline.is_some_and(|d| Instant::now() >= d)
         })
     })
 }

@@ -302,13 +302,17 @@ impl Drop for Span {
             #[allow(clippy::cast_possible_truncation)]
             let end_us = s.inner.epoch.elapsed().as_micros() as u64;
             let dur_us = end_us.saturating_sub(s.start_us);
-            s.inner.spans.lock().expect("obs spans lock").push(SpanRecord {
-                name: s.name,
-                tid: s.tid,
-                depth: s.depth,
-                start_us: s.start_us,
-                dur_us,
-            });
+            s.inner
+                .spans
+                .lock()
+                .expect("obs spans lock")
+                .push(SpanRecord {
+                    name: s.name,
+                    tid: s.tid,
+                    depth: s.depth,
+                    start_us: s.start_us,
+                    dur_us,
+                });
         }
     }
 }
@@ -491,8 +495,7 @@ mod tests {
         }
         shared.merge_from(&per_request);
         assert_eq!(shared.counter_value("c"), 3);
-        let gauges: std::collections::HashMap<String, u64> =
-            shared.gauges().into_iter().collect();
+        let gauges: std::collections::HashMap<String, u64> = shared.gauges().into_iter().collect();
         assert_eq!(gauges["g"], 5, "gauge merge keeps the max");
         let h = shared.histogram("h").unwrap();
         assert_eq!((h.count(), h.min(), h.max()), (2, 100, 200));

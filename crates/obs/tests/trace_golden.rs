@@ -68,7 +68,13 @@ impl<'a> Parser<'a> {
     }
 
     fn expect(&mut self, b: u8) {
-        assert_eq!(self.peek(), Some(b), "expected {:?} at {}", b as char, self.pos);
+        assert_eq!(
+            self.peek(),
+            Some(b),
+            "expected {:?} at {}",
+            b as char,
+            self.pos
+        );
         self.pos += 1;
     }
 
@@ -141,7 +147,12 @@ impl<'a> Parser<'a> {
         self.expect(b'"');
         let mut out = String::new();
         loop {
-            match self.bytes.get(self.pos).copied().expect("unterminated string") {
+            match self
+                .bytes
+                .get(self.pos)
+                .copied()
+                .expect("unterminated string")
+            {
                 b'"' => {
                     self.pos += 1;
                     return out;
@@ -187,7 +198,10 @@ impl<'a> Parser<'a> {
             self.pos += 1;
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        Json::Num(text.parse().unwrap_or_else(|_| panic!("bad number `{text}`")))
+        Json::Num(
+            text.parse()
+                .unwrap_or_else(|_| panic!("bad number `{text}`")),
+        )
     }
 }
 
@@ -242,7 +256,10 @@ fn chrome_trace_parses_and_events_are_well_formed() {
         let ts = ev.get("ts").and_then(Json::as_num).expect("numeric ts");
         let dur = ev.get("dur").and_then(Json::as_num).expect("numeric dur");
         assert!(ts >= 0.0 && dur >= 0.0, "non-negative timestamps: {ev:?}");
-        assert!(ts.fract() == 0.0 && dur.fract() == 0.0, "integral µs: {ev:?}");
+        assert!(
+            ts.fract() == 0.0 && dur.fract() == 0.0,
+            "integral µs: {ev:?}"
+        );
         assert!(ev.get("pid").is_some() && ev.get("tid").is_some());
         names.push(ev.get("name").and_then(Json::as_str).unwrap().to_owned());
     }

@@ -113,8 +113,7 @@ where
     type Payload = Box<dyn std::any::Any + Send + 'static>;
     let next = AtomicUsize::new(0);
     let poisoned = AtomicBool::new(false);
-    let results: Mutex<Vec<(usize, Result<R, Payload>)>> =
-        Mutex::new(Vec::with_capacity(n_chunks));
+    let results: Mutex<Vec<(usize, Result<R, Payload>)>> = Mutex::new(Vec::with_capacity(n_chunks));
     // Captured once on the calling thread; each worker re-installs them
     // so instrumentation and cancellation behave as if inline.
     let recorder = obs::current_recorder();
@@ -246,9 +245,7 @@ mod tests {
         token.cancel();
         let err = catch_unwind(AssertUnwindSafe(|| {
             let _scope = token.install();
-            with_threads(4, || {
-                map_chunks(1000, 10, |_r| obs::cancel::checkpoint())
-            })
+            with_threads(4, || map_chunks(1000, 10, |_r| obs::cancel::checkpoint()))
         }))
         .unwrap_err();
         assert!(obs::cancel::was_cancelled(&*err));
@@ -258,9 +255,7 @@ mod tests {
     fn shared_read_only_state_is_visible_to_workers() {
         let table: Vec<u64> = (0..4096).map(|i| i * i).collect();
         let sums = with_threads(4, || {
-            map_chunks(table.len(), 256, |r| {
-                r.map(|i| table[i]).sum::<u64>()
-            })
+            map_chunks(table.len(), 256, |r| r.map(|i| table[i]).sum::<u64>())
         });
         assert_eq!(sums.iter().sum::<u64>(), table.iter().sum::<u64>());
     }

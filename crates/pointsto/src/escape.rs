@@ -39,7 +39,9 @@ impl Escape {
         let mut stack: Vec<ObjId> = Vec::new();
         for (tid, _) in threads.threads() {
             seen.fill(false);
-            Self::reach_of(program, threads, pts, tid, &heap_succ, &mut seen, &mut stack);
+            Self::reach_of(
+                program, threads, pts, tid, &heap_succ, &mut seen, &mut stack,
+            );
             for (o, s) in seen.iter().enumerate() {
                 reach_count[o] += u32::from(*s);
             }

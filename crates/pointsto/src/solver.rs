@@ -197,7 +197,10 @@ impl<'p> Solver<'p> {
             obs::counter("pointsto.nodes", self.intern.nodes.len() as u64);
             obs::counter("pointsto.contexts", self.intern.ctxs.len() as u64);
             obs::counter("pointsto.copy_edges", self.edge_set.len() as u64);
-            obs::counter("pointsto.reached_method_contexts", self.reached.len() as u64);
+            obs::counter(
+                "pointsto.reached_method_contexts",
+                self.reached.len() as u64,
+            );
             obs::counter("pointsto.objects", self.objs.len() as u64);
         }
         self.finish()
@@ -320,8 +323,7 @@ impl<'p> Solver<'p> {
                 recv,
                 args,
             } => {
-                let arg_nodes: Rc<[NodeId]> =
-                    args.iter().map(|a| var(self, *a)).collect();
+                let arg_nodes: Rc<[NodeId]> = args.iter().map(|a| var(self, *a)).collect();
                 let dst_node = dst.map(|d| var(self, d));
                 match recv {
                     Some(r) => {

@@ -110,8 +110,12 @@ impl Pool {
 
     /// Wait for all workers to finish their drain and exit.
     pub fn join(&self) {
-        let handles: Vec<JoinHandle<()>> =
-            self.workers.lock().expect("workers lock").drain(..).collect();
+        let handles: Vec<JoinHandle<()>> = self
+            .workers
+            .lock()
+            .expect("workers lock")
+            .drain(..)
+            .collect();
         for handle in handles {
             let _ = handle.join();
         }
@@ -234,9 +238,6 @@ mod tests {
         let mut got: Vec<u32> = rx.try_iter().collect();
         got.sort_unstable();
         assert_eq!(got, vec![0, 1, 2, 3, 4]);
-        assert!(matches!(
-            pool.try_submit(Box::new(|| {})),
-            Submit::Full(_)
-        ));
+        assert!(matches!(pool.try_submit(Box::new(|| {})), Submit::Full(_)));
     }
 }

@@ -719,14 +719,15 @@ mod tests {
 
     #[test]
     fn wrong_schema_and_ops_are_rejected() {
-        assert!(Request::decode("{\"op\":\"analyze\"}").is_err(), "no schema");
+        assert!(
+            Request::decode("{\"op\":\"analyze\"}").is_err(),
+            "no schema"
+        );
         assert!(
             Request::decode("{\"schema\":\"nadroid-serve/2\",\"op\":\"stats\"}").is_err(),
             "future schema"
         );
-        assert!(
-            Request::decode("{\"schema\":\"nadroid-serve/1\",\"op\":\"frobnicate\"}").is_err()
-        );
+        assert!(Request::decode("{\"schema\":\"nadroid-serve/1\",\"op\":\"frobnicate\"}").is_err());
         assert!(
             Request::decode("{\"schema\":\"nadroid-serve/1\",\"op\":\"analyze\"}").is_err(),
             "analyze needs a program"

@@ -287,10 +287,9 @@ impl Shared {
             Some(ms) => CancelToken::with_deadline_tagged(Duration::from_millis(ms), rid),
             None => CancelToken::tagged(rid),
         };
-        let program = parse_program(source)
-            .map_err(|e| Response::Error {
-                message: format!("parse error: {e}"),
-            })?;
+        let program = parse_program(source).map_err(|e| Response::Error {
+            message: format!("parse error: {e}"),
+        })?;
         // A zero (or already-elapsed) deadline must not reach the
         // solver at all.
         if token.is_cancelled() {
@@ -405,7 +404,9 @@ impl Shared {
         if let Some(rec) = capture {
             self.recorder.merge_from(rec);
             if self.telemetry.is_slow(service_us) {
-                let _ = self.telemetry.write_slow_trace(&ctx.id, &rec.chrome_trace());
+                let _ = self
+                    .telemetry
+                    .write_slow_trace(&ctx.id, &rec.chrome_trace());
             }
         }
     }
@@ -767,7 +768,10 @@ fn dispatch(
                 retry_after_ms: shared.cfg.retry_after_ms,
             };
             shared.observe(
-                &ReqCtx { id: rid, queue_us: 0 },
+                &ReqCtx {
+                    id: rid,
+                    queue_us: 0,
+                },
                 endpoint,
                 &resp,
                 micros_since(submitted_at),

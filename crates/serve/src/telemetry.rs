@@ -381,7 +381,10 @@ mod tests {
         // Histograms and windows saw all four requests, not just the
         // sampled two.
         let rates = t.window_rates();
-        assert!((rates[0].1 - 4.0).abs() < 1e-9, "rps_1s counts all: {rates:?}");
+        assert!(
+            (rates[0].1 - 4.0).abs() < 1e-9,
+            "rps_1s counts all: {rates:?}"
+        );
     }
 
     #[test]

@@ -119,7 +119,10 @@ fn cold_then_warm_round_trip_with_identical_warnings() {
             },
         )
         .unwrap();
-    let Response::Analyze { cached: k3_cached, .. } = k3 else {
+    let Response::Analyze {
+        cached: k3_cached, ..
+    } = k3
+    else {
         panic!("expected analyze response");
     };
     assert!(!k3_cached, "k=3 must not alias the k=2 entry");
@@ -150,7 +153,11 @@ fn explain_is_served_from_cached_provenance() {
 
     // Unknown id renders the same informative note the CLI prints.
     let missing = client
-        .explain(CONNECTBOT, Some("w:ffffffffffffffff"), AnalyzeOpts::default())
+        .explain(
+            CONNECTBOT,
+            Some("w:ffffffffffffffff"),
+            AnalyzeOpts::default(),
+        )
         .unwrap();
     let Response::Explain { text, .. } = missing else {
         panic!("expected explain response, got {missing:?}");

@@ -74,10 +74,19 @@ fn metrics_op_exposes_per_endpoint_histograms_and_windows() {
         "3 analyses/explains + this metrics request"
     );
     let counters = doc.get("counters").expect("counters section");
-    assert_eq!(counters.get("cache_hits").and_then(JsonValue::as_u64), Some(2));
+    assert_eq!(
+        counters.get("cache_hits").and_then(JsonValue::as_u64),
+        Some(2)
+    );
 
     let windows = doc.get("windows").expect("windows section");
-    for key in ["rps_1s", "rps_10s", "rps_60s", "error_rate_1s", "error_rate_60s"] {
+    for key in [
+        "rps_1s",
+        "rps_10s",
+        "rps_60s",
+        "error_rate_1s",
+        "error_rate_60s",
+    ] {
         assert!(windows.get(key).is_some(), "window `{key}` missing: {json}");
     }
     // All four requests landed within the last minute.
@@ -134,7 +143,14 @@ fn access_log_and_forced_slow_capture_produce_parseable_artifacts() {
     assert_eq!(lines.len(), 3, "one line per request:\n{text}");
     for line in &lines {
         let v = parse_json(line).expect("access log line parses");
-        for key in ["id", "endpoint", "outcome", "queue_us", "service_us", "threads"] {
+        for key in [
+            "id",
+            "endpoint",
+            "outcome",
+            "queue_us",
+            "service_us",
+            "threads",
+        ] {
             assert!(v.get(key).is_some(), "access line lacks `{key}`: {line}");
         }
     }

@@ -153,7 +153,7 @@ mod tests {
             })
             .count();
         assert_eq!(other_creates, 2); // Main.onCreate + Other.onCreate
-        // Dismiss/cancel sites are recorded but arm nothing.
+                                      // Dismiss/cancel sites are recorded but arm nothing.
         assert!(m.threads().all(|(_, t)| t.via() != SpawnVia::Bind));
     }
 

@@ -178,12 +178,8 @@ fn scan_instr(
                 AndroidOp::ShowDialog { dialog } => resolved(dialog).map(SiteAction::Show),
                 AndroidOp::DismissDialog { dialog } => resolved(dialog).map(SiteAction::Dismiss),
                 AndroidOp::ScheduleAlarm { target } => resolved(target).map(SiteAction::Schedule),
-                AndroidOp::CancelAlarm { target } => {
-                    resolved(target).map(SiteAction::CancelAlarm)
-                }
-                AndroidOp::StartActivity { activity } => {
-                    resolved(activity).map(SiteAction::Launch)
-                }
+                AndroidOp::CancelAlarm { target } => resolved(target).map(SiteAction::CancelAlarm),
+                AndroidOp::StartActivity { activity } => resolved(activity).map(SiteAction::Launch),
                 // Wake-lock ops arm no callbacks and cancel nothing; the
                 // no-sleep client scans them directly.
                 AndroidOp::AcquireWakeLock { .. } | AndroidOp::ReleaseWakeLock { .. } => {

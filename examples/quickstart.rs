@@ -50,7 +50,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("confirmed harmful: {}", outcome.tally.confirmed);
     for r in &outcome.results {
         let c = &r.confirmation;
-        println!("{} / {}: {} — {}", r.use_site, r.free_site, c.verdict, c.reason);
+        println!(
+            "{} / {}: {} — {}",
+            r.use_site, r.free_site, c.verdict, c.reason
+        );
         if let Some(schedule) = &c.schedule {
             for line in replay(&program, &decode_schedule(schedule)?).trace() {
                 println!("  {line}");

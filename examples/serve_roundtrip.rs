@@ -18,10 +18,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let addr = server.local_addr();
     println!("serving on {addr}");
 
-    let program = std::fs::read_to_string(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/apps/connectbot.dsl"
-    ))?;
+    let program =
+        std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/apps/connectbot.dsl"))?;
     let mut client = Client::connect(addr)?;
 
     for round in ["cold", "warm"] {

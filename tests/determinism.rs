@@ -19,7 +19,10 @@ fn repeated_analyses_are_byte_identical_in_process() {
 
     // Warning-id sets: same ids, same order.
     let ids = |a: &nadroid::core::Analysis<'_>| -> Vec<String> {
-        a.warning_provenances().iter().map(|p| p.id.clone()).collect()
+        a.warning_provenances()
+            .iter()
+            .map(|p| p.id.clone())
+            .collect()
     };
     let first_ids = ids(&first);
     assert!(!first_ids.is_empty(), "connectbot plants warnings");
@@ -102,7 +105,10 @@ fn thread_count_never_changes_the_output() {
     assert!(baseline.4 .1 > 0, "queue_pops recorded");
     for threads in [2usize, 4, 8] {
         let swept = run(threads);
-        assert_eq!(baseline.0, swept.0, "warning ids drift at threads={threads}");
+        assert_eq!(
+            baseline.0, swept.0,
+            "warning ids drift at threads={threads}"
+        );
         assert_eq!(baseline.1, swept.1, "verdicts drift at threads={threads}");
         assert_eq!(
             baseline.2, swept.2,
@@ -180,7 +186,10 @@ fn confirmation_verdicts_and_schedules_are_thread_invariant() {
     };
 
     let cb_base = run(&connectbot, 1);
-    assert!(cb_base.0 .0 >= 1, "connectbot confirms at least one warning");
+    assert!(
+        cb_base.0 .0 >= 1,
+        "connectbot confirms at least one warning"
+    );
     assert!(cb_base.1.contains("\"schedule\": \""), "witness attached");
     let kiss_base = run(&kiss_app.program, 1);
     assert!(
