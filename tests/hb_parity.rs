@@ -7,8 +7,9 @@
 //! (warning, filter) pair for all nine filters, the same Figure 5
 //! tallies of both tiers (rendered and compared byte-for-byte), and the
 //! same surviving warning ids. Run on the 27 Table 1 apps, the 6
-//! refutation-study apps, the Figure 4 gallery and the hand-written
-//! `apps/*.dsl` models.
+//! refutation-study apps, the Figure 4 gallery, the hand-written
+//! `apps/*.dsl` models and `HB_RULES`, whose warnings hinge on rules no
+//! corpus app exercises.
 
 use nadroid::android::{lifecycle, CallbackKind, CancelApi};
 use nadroid::core::{analyze, AnalysisConfig};
@@ -325,11 +326,47 @@ fn hb_backed_filters_match_legacy_logic_on_all_27_apps() {
     }
 }
 
+/// Shapes no corpus population holds, each a warning whose verdict a
+/// single rule decides:
+/// - `f`: a main-looper `onClick` sends to a handler on its own looper
+///   thread (a post edge with no shared looper: PHB must not prune),
+///   and `onDestroy` frees `f` after that `onClick` (MHB-Lifecycle's
+///   X→onDestroy edge);
+/// - `g`: used in `onCreate` and freed in `onClick` (the onCreate→X edge);
+/// - `h`: `Closer` finishes *itself* and then unbinds a class of the
+///   `Host` activity, whose `onClick` uses `h`; `finish()` covers only
+///   its own component, and unbinding covers no UI callback, so CHB
+///   must not prune.
+const HB_RULES: &str = r#"
+    app HbRules
+    activity Host {
+        field f: Host
+        field g: Host
+        field h: Host
+        cb onCreate { f = new Host  h = new Host  g = new Host  use g }
+        cb onClick { send Relay  use f  g = null  use h }
+        cb onDestroy { f = null }
+    }
+    looperthread Worker { }
+    handler Relay in Host on Worker {
+        cb handleMessage { outer.f = null }
+    }
+    activity Closer {
+        cb onClick { finish  unbind Host  Host.h = null }
+    }
+"#;
+
 #[test]
 fn hb_backed_filters_match_legacy_logic_beyond_table1() {
     for spec in refute_specs() {
         check_parity(&spec.name, &generate(&spec).program);
     }
+    let rules = parse_program(HB_RULES).expect("the fixture parses");
+    let pruned = check_parity("HbRules", &rules);
+    assert!(
+        pruned.get(&FilterKind::Mhb).is_some_and(|&n| n >= 2),
+        "HbRules: {pruned:?}"
+    );
     check_parity("Figure4", &figure4_gallery());
     let apps = std::fs::read_dir(concat!(env!("CARGO_MANIFEST_DIR"), "/apps")).expect("apps/");
     for entry in apps {
