@@ -13,11 +13,10 @@
 //! | Alarm        | `AlarmManager.set`  | `AlarmManager.cancel`  | `onAlarm` |
 //! | Task         | `startActivity`     | — (one-way)            | launched activity's lifecycle |
 //!
-//! The HB layer compiles these summaries into the Datalog relations
-//! `enables(cb_a, cb_b)` / `disables(cb_a, cb_b)` with per-edge
-//! provenance, from which the predicate-extended closure derives new
-//! must-HB edges and `mustNotHb` facts consumed by the sound refutation
-//! filter. The summaries deliberately exclude `Activity.finish()` — that
+//! The HB layer compiles these summaries into `enables(cb_a, cb_b)` /
+//! `disables(cb_a, cb_b)` facts with per-edge provenance, from which it
+//! derives new must-HB edges for the predicate-extended closure and
+//! `mustNotHb` facts consumed by the sound refutation filter. The summaries deliberately exclude `Activity.finish()` — that
 //! is the (unsound) CHB filter's domain, and keeping it out guarantees
 //! the predicate relations stay empty on the 27 paper apps.
 

@@ -1,6 +1,7 @@
 //! Datalog engine scaling: semi-naive transitive closure over chains and
-//! random graphs of growing size (the engine plays bddbddb's role in the
-//! original system, so its scaling bounds the whole detection phase).
+//! random graphs of growing size. No analysis runs on the engine; the
+//! tests solve their reference rule sets with it, so this bounds what
+//! those parity checks cost.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use nadroid_datalog::{Database, RuleSet, Term};

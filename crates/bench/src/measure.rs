@@ -6,38 +6,10 @@
 use crate::{render_table, run_rows_parallel, run_rows_parallel_timed, AppRun};
 use nadroid_core::PhaseTimings;
 use nadroid_corpus::table1_rows;
-use nadroid_datalog::{Database, RuleSet, Term};
 use nadroid_ledger as ledger;
 use nadroid_obs::Histogram;
 use std::path::Path;
 use std::time::{Duration, Instant};
-
-/// A fixed Datalog closure workload (chain + shortcut edges, n = 200)
-/// measuring the engine in isolation; tuples/sec comes straight from
-/// the engine's own run counters.
-#[must_use]
-pub fn datalog_throughput() -> (u64, f64, Duration) {
-    let mut db = Database::new();
-    let edge = db.relation("edge", 2);
-    let path = db.relation("path", 2);
-    let n = 200u32;
-    for i in 0..n {
-        db.insert(edge, &[i, (i + 1) % n]);
-        db.insert(edge, &[i, (i + 7) % n]);
-    }
-    let v = Term::var;
-    let mut rules = RuleSet::new();
-    rules
-        .add(path, vec![v(0), v(1)])
-        .when(edge, vec![v(0), v(1)]);
-    rules
-        .add(path, vec![v(0), v(2)])
-        .when(path, vec![v(0), v(1)])
-        .when(edge, vec![v(1), v(2)]);
-    db.run(&rules);
-    let stats = db.stats();
-    (stats.derived, stats.tuples_per_sec(), stats.duration)
-}
 
 /// A §8.8 phase: its ledger name and how to read it from the timings.
 type Phase = (&'static str, fn(&PhaseTimings) -> Duration);
@@ -110,13 +82,12 @@ pub struct SuiteMeasurement {
     pub record: ledger::Record,
     /// Per-app phase-time table.
     pub table: String,
-    /// The §8.8 percentage breakdown plus the Datalog workload line.
+    /// The §8.8 percentage breakdown.
     pub breakdown: String,
 }
 
 /// Run the timed suite (provenance off, MHP pre-prune on — the §8.8
-/// baseline workload) plus the isolated Datalog closure workload, and
-/// record both. The `timing` driver commits this record as
+/// baseline workload) and record it. The `timing` driver commits this record as
 /// `BENCH_timing.json`, and the gate's fresh measurements use it too,
 /// so current and baseline always describe the same workload.
 #[must_use]
@@ -126,7 +97,7 @@ pub fn measure_suite() -> SuiteMeasurement {
     // analysis pipeline, not the post-run debugging exporter.
     let runs = run_rows_parallel_timed(&table1_rows());
     let suite_wall = suite_start.elapsed();
-    let mut record = suite_record(ledger::Kind::Timing, &runs, suite_wall);
+    let record = suite_record(ledger::Kind::Timing, &runs, suite_wall);
 
     let header: Vec<&str> = std::iter::once("app")
         .chain(PHASES.iter().map(|&(name, _)| name))
@@ -169,18 +140,6 @@ pub fn measure_suite() -> SuiteMeasurement {
         breakdown,
         "  total(cpu): {total:>12?}  (suite wall-clock {suite_wall:?}, parallel)"
     );
-
-    let (derived, tps, engine_time) = datalog_throughput();
-    let _ = writeln!(
-        breakdown,
-        "datalog closure workload (n=200): {derived} tuples in {engine_time:?} = {tps:.0} tuples/sec"
-    );
-    record
-        .counters
-        .insert("datalog.derived_tuples".into(), derived);
-    record
-        .times
-        .insert("datalog.run_secs".into(), engine_time.as_secs_f64());
 
     SuiteMeasurement {
         record,

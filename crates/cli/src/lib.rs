@@ -378,7 +378,7 @@ OBSERVABILITY (see docs/observability.md):
                       the filters via the HB closure; shrinks the
                       potential count, so off by default
     --threads <N>     worker threads for the parallel phases (detection,
-                      filtering, points-to planning, Datalog rules),
+                      filtering, points-to planning),
                       1 to 256 (as for confirm and serve); output is
                       byte-identical at every N. Defaults to the
                       NADROID_THREADS environment variable, then 1
@@ -2168,17 +2168,19 @@ activity M { cb onClick { } }",
             "--stats appends the tree:\n{out}"
         );
         assert!(out.contains("analyze"), "{out}");
-        // The HB graph's own Datalog solve feeds the engine's
-        // throughput gauge.
-        assert!(out.contains("datalog.tuples_per_sec"), "{out}");
+        // The HB graph reports its edges, closure time and predicate facts.
+        for counter in ["hb.edges", "hb.closure_micros", "hb.predicate_edges"] {
+            assert!(out.contains(counter), "missing {counter}:\n{out}");
+        }
 
         let trace = std::fs::read_to_string(&trace_path).unwrap();
         assert!(trace.contains("\"traceEvents\""), "{trace}");
-        // The four pipeline phases plus detection sub-phases and the HB
-        // graph's rule evaluations all appear as spans.
+        // The four pipeline phases, the HB graph and the detection
+        // sub-phases all appear as spans.
         for name in [
             "analyze",
             "modeling",
+            "hb",
             "detection",
             "pointsto",
             "escape",
@@ -2190,10 +2192,6 @@ activity M { cb onClick { } }",
                 "missing {name}:\n{trace}"
             );
         }
-        assert!(
-            trace.contains("datalog.rule:mustHb"),
-            "rule-level spans:\n{trace}"
-        );
 
         let report = std::fs::read_to_string(&report_path).unwrap();
         assert!(report.contains("\"app\": \"Obs\""), "{report}");

@@ -81,11 +81,11 @@ pub struct AnalysisConfig {
     /// Free-before-use orderings are never pruned (they are the bugs).
     pub mhp_preprune: bool,
     /// Worker threads for the parallel phases (detection, filtering,
-    /// points-to planning, Datalog rule evaluation). `1` (the default)
-    /// keeps every phase on the calling thread; any value produces
-    /// byte-identical output — see `docs/parallelism.md`. The default
-    /// honors the `NADROID_THREADS` environment variable so whole test
-    /// suites can be swept across thread counts without plumbing.
+    /// points-to planning). `1` (the default) keeps every phase on the
+    /// calling thread; any value produces byte-identical output — see
+    /// `docs/parallelism.md`. The default honors the `NADROID_THREADS`
+    /// environment variable so whole test suites can be swept across
+    /// thread counts without plumbing.
     pub threads: usize,
 }
 
@@ -111,7 +111,8 @@ impl Default for AnalysisConfig {
 pub struct PhaseTimings {
     /// Threadification (§4).
     pub modeling: Duration,
-    /// Happens-before graph construction and Datalog closure.
+    /// Happens-before graph construction: the direct edges, the predicate
+    /// facts and the `mustHb` and `predHb` closures.
     pub hb: Duration,
     /// Points-to + escape + race detection (§5).
     pub detection: Duration,

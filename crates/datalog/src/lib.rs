@@ -3,9 +3,20 @@
 //!
 //! Chord — the static race detector nAdroid builds on — expresses its
 //! analyses (call graph, k-object-sensitive points-to, thread escape) as
-//! Datalog programs solved by the bddbddb engine. This crate is the
-//! equivalent substrate for nAdroid-rs: relations over dense `u32` terms,
-//! positive Horn rules, and semi-naive fixpoint evaluation.
+//! Datalog programs solved by the bddbddb engine. nAdroid-rs runs them
+//! as direct solvers instead (the points-to worklist, the detector, the
+//! happens-before graph's closures), and no analysis path links this
+//! crate. It is their executable specification: relations over dense
+//! `u32` terms, positive Horn rules and semi-naive fixpoint evaluation,
+//! which the tests use to state a rule set and compare a solver with
+//! its solve:
+//!
+//! - the §5 `racyPair` encoding against the detector and its
+//!   derivation trees (`tests/provenance_parity.rs`);
+//! - a context-insensitive points-to baseline against the worklist
+//!   solver at k = 0 (`tests/pointsto_baseline.rs`);
+//! - the `mustHb`, `postHb` and `predHb` rules against the
+//!   happens-before graph (`tests/hb_parity.rs`).
 //!
 //! # Architecture
 //!
@@ -64,10 +75,8 @@
 
 pub mod reference;
 
-use nadroid_obs as obs;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
-use std::time::{Duration, Instant};
 
 /// Identifier of a relation within a [`Database`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -221,7 +230,7 @@ impl RuleSet {
     }
 }
 
-/// Counters and timing of the most recent [`Database::run`].
+/// Counters of the most recent [`Database::run`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineStats {
     /// Fixpoint iterations executed (at least 1 for a non-trivial run).
@@ -234,21 +243,6 @@ pub struct EngineStats {
     pub index_probes: u64,
     /// `(relation, column-mask)` indexes materialized or extended.
     pub indexes_built: u64,
-    /// Wall-clock time of the run.
-    pub duration: Duration,
-}
-
-impl EngineStats {
-    /// Derived tuples per second of run time (0 when no time elapsed).
-    #[must_use]
-    pub fn tuples_per_sec(&self) -> f64 {
-        let secs = self.duration.as_secs_f64();
-        if secs > 0.0 {
-            self.derived as f64 / secs
-        } else {
-            0.0
-        }
-    }
 }
 
 /// One lazily built hash index over a relation: the projection of the
@@ -476,7 +470,7 @@ impl Database {
         &self.relations[rel.index()].name
     }
 
-    /// Counters and timing of the most recent [`Database::run`].
+    /// Counters of the most recent [`Database::run`].
     #[must_use]
     pub fn stats(&self) -> &EngineStats {
         &self.stats
@@ -494,10 +488,7 @@ impl Database {
     ///
     /// Panics if a rule's head contains a variable that does not occur in
     /// its body, or atom arities mismatch their relations.
-    #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
     pub fn run(&mut self, rules: &RuleSet) {
-        let _run_span = obs::span("datalog.run");
-        let t0 = Instant::now();
         for rule in &rules.rules {
             self.check_rule(rule);
         }
@@ -527,53 +518,15 @@ impl Database {
         let mut scratch: Vec<u32> = Vec::new();
         loop {
             stats.iterations += 1;
-            // Cooperative cancellation hook: one cheap check per
-            // semi-naive drain batch (see `nadroid_obs::cancel`).
-            obs::cancel::checkpoint();
-            let _iter_span = obs::span_lazy(|| format!("datalog.iteration:{}", stats.iterations));
             let snapshot: Vec<u32> = self.relations.iter().map(RelationData::rows).collect();
-            let delta_total: u64 = snapshot
-                .iter()
-                .zip(&delta_lo)
-                .map(|(&s, &l)| u64::from(s - l))
-                .sum();
-            if obs::recording() {
-                obs::counter("datalog.delta_rows", delta_total);
-                obs::gauge_max("datalog.max_delta_rows", delta_total);
-            }
             for &(rel, mask) in &needed {
                 if self.relations[rel.index()].ensure_index(mask, snapshot[rel.index()]) {
                     stats.indexes_built += 1;
                 }
             }
 
-            // Within one iteration every (rule, delta-occurrence)
-            // evaluation reads only rows below the snapshot — tuples
-            // inserted by earlier rules of the same iteration are
-            // invisible to joins — so the evaluations are independent
-            // and can run concurrently. Insertions are then replayed
-            // sequentially in task order, which reproduces the
-            // sequential engine's arena order, dedup outcomes and stats
-            // exactly. Only iterations with enough delta rows to
-            // amortise the fan-out take this path; small programs keep
-            // the sequential loop (and its per-rule spans).
-            const PAR_MIN_DELTA_ROWS: u64 = 512;
             let mut grew = false;
-            if nadroid_par::current() > 1 && delta_total >= PAR_MIN_DELTA_ROWS {
-                grew = self.run_iteration_parallel(&compiled, &delta_lo, &snapshot, &mut stats);
-                delta_lo.copy_from_slice(&snapshot);
-                if !grew {
-                    break;
-                }
-                continue;
-            }
             for crule in &compiled {
-                let _rule_span = obs::span_lazy(|| {
-                    format!(
-                        "datalog.rule:{}",
-                        self.relations[crule.head_rel.index()].name
-                    )
-                });
                 if crule.atoms.is_empty() {
                     // Fact template: all-constant head (checked).
                     scratch.clear();
@@ -633,114 +586,7 @@ impl Database {
             r.hwm = r.rows();
         }
         self.last_rules = Some(rules.clone());
-        stats.duration = t0.elapsed();
-        if obs::recording() {
-            obs::counter("datalog.iterations", stats.iterations);
-            obs::counter("datalog.derived", stats.derived);
-            obs::counter("datalog.considered", stats.considered);
-            obs::counter("datalog.index_probes", stats.index_probes);
-            obs::counter("datalog.indexes_built", stats.indexes_built);
-            // A rate, not a sum: high-water across the runs a recorder sees.
-            obs::gauge_max("datalog.tuples_per_sec", stats.tuples_per_sec() as u64);
-        }
         self.stats = stats;
-    }
-
-    /// One semi-naive iteration with concurrent rule evaluation.
-    ///
-    /// Builds the task list — one entry per fact-template rule and per
-    /// (rule, non-empty delta occurrence), in the exact order the
-    /// sequential loop would visit them — evaluates the join tasks in
-    /// parallel against the immutable snapshot, then replays insertions
-    /// sequentially in task order. Returns whether any relation grew.
-    fn run_iteration_parallel(
-        &mut self,
-        compiled: &[CompiledRule],
-        delta_lo: &[u32],
-        snapshot: &[u32],
-        stats: &mut EngineStats,
-    ) -> bool {
-        const PAR_RULE_GRAIN: usize = 1;
-        let mut tasks: Vec<(usize, Option<usize>)> = Vec::new();
-        for (rule_idx, crule) in compiled.iter().enumerate() {
-            if crule.atoms.is_empty() {
-                tasks.push((rule_idx, None));
-                continue;
-            }
-            for delta_pos in 0..crule.atoms.len() {
-                let drel = crule.atoms[delta_pos].rel.index();
-                if delta_lo[drel] < snapshot[drel] {
-                    tasks.push((rule_idx, Some(delta_pos)));
-                }
-            }
-        }
-
-        let engine = &*self;
-        let results = nadroid_par::map_chunks(tasks.len(), PAR_RULE_GRAIN, |range| {
-            tasks[range]
-                .iter()
-                .map(|&(rule_idx, delta_pos)| {
-                    let crule = &compiled[rule_idx];
-                    let mut scratch: Vec<u32> = Vec::new();
-                    let mut local = EngineStats::default();
-                    match delta_pos {
-                        None => {
-                            // Fact template: all-constant head (checked).
-                            scratch.extend(crule.head.iter().map(|p| match p {
-                                KeyPart::Const(c) => *c,
-                                KeyPart::Slot(_) => {
-                                    unreachable!("checked: no unbound head vars")
-                                }
-                            }));
-                            local.considered += 1;
-                        }
-                        Some(delta_pos) => {
-                            let mut stack_buf = [0u32; STACK_SLOTS];
-                            let mut heap_buf;
-                            let bindings: &mut [u32] = if crule.n_slots <= STACK_SLOTS {
-                                &mut stack_buf[..]
-                            } else {
-                                heap_buf = vec![0u32; crule.n_slots];
-                                &mut heap_buf[..]
-                            };
-                            engine.join(
-                                crule,
-                                0,
-                                delta_pos,
-                                delta_lo,
-                                snapshot,
-                                bindings,
-                                &mut scratch,
-                                &mut local,
-                            );
-                        }
-                    }
-                    (rule_idx, delta_pos, scratch, local)
-                })
-                .collect::<Vec<_>>()
-        });
-
-        let mut grew = false;
-        for (rule_idx, delta_pos, scratch, local) in results.into_iter().flatten() {
-            stats.considered += local.considered;
-            stats.index_probes += local.index_probes;
-            let crule = &compiled[rule_idx];
-            let head_idx = crule.head_rel.index();
-            if delta_pos.is_none() {
-                if self.relations[head_idx].insert_row(&scratch) {
-                    stats.derived += 1;
-                    grew = true;
-                }
-                continue;
-            }
-            for tuple in scratch.chunks_exact(crule.head.len()) {
-                if self.relations[head_idx].insert_row(tuple) {
-                    stats.derived += 1;
-                    grew = true;
-                }
-            }
-        }
-        grew
     }
 
     /// Enumerate matches of `crule.atoms[pos..]`, with the atom at
@@ -1259,7 +1105,6 @@ mod tests {
         assert!(s.indexes_built > 0);
         assert!(s.derived >= 20 * 21 / 2);
         assert!(s.iterations > 2);
-        assert!(s.tuples_per_sec() >= 0.0);
     }
 
     #[test]

@@ -2,48 +2,47 @@
 //!
 //! The §6 filters MHB, RHB, CHB and PHB are happens-before facts. This
 //! crate is the only library code that states their rules: it
-//! materializes *all* of that ordering knowledge once, as explicit
-//! Datalog relations over the threadified program:
+//! materializes *all* of that ordering knowledge once over the
+//! threadified program, as one table of direct edges per ordered
+//! thread pair. Each edge carries its relation label:
 //!
-//! | relation | arity | meaning |
+//! | edge kind | relation | meaning |
 //! |---|---|---|
-//! | `mhbService(u, f)` | 2 | §6.1.1 MHB-Service edge (same connection class) |
-//! | `mhbAsyncTask(u, f)` | 2 | §6.1.1 MHB-AsyncTask edge (same task instance) |
-//! | `mhbLifecycle(u, f)` | 2 | §6.1.1 MHB-Lifecycle edge (same component) |
-//! | `postEdge(u, f)` | 2 | `f` was posted/sent by `u` (PHB raw edge) |
-//! | `sameLooper(a, b)` | 2 | a post pair serializing on one looper (materialized only where `postEdge` holds — the `postHb` join is its sole consumer) |
-//! | `cancelEdge(u, f)` | 2 | `f` may cancel `u`'s callback family (CHB) |
-//! | `reentryEdge(u, f, fld)` | 3 | `onResume` may re-allocate `fld` (RHB) |
-//! | `mhbEdge(a, b)` | 2 | union of the three sound MHB relations |
-//! | `mustHb(a, b)` | 2 | transitive closure of `mhbEdge` |
-//! | `postHb(a, b)` | 2 | `postEdge` restricted to a shared looper |
-//! | `enables(e, c)` | 2 | `e` holds a summarized API call arming gated callback `c` |
-//! | `disables(d, c)` | 2 | `d` holds a summarized API call silencing gated callback `c` |
-//! | `predEdge(a, b)` | 2 | predicate-derived must edge (fragment order, task stack) |
-//! | `predHb(a, b)` | 2 | transitive closure of `mhbEdge ∪ predEdge` |
-//! | `mustNotHb(f, c)` | 2 | `c` is never delivered after `f` completes |
-//! | `unreachable(c)` | 1 | `c` can never be delivered at all (demoted `mustNotHb`) |
+//! | [`HbEdgeKind::MhbService`] | `mhbService(u, f)` | §6.1.1 MHB-Service edge (same connection class) |
+//! | [`HbEdgeKind::MhbAsyncTask`] | `mhbAsyncTask(u, f)` | §6.1.1 MHB-AsyncTask edge (same task instance) |
+//! | [`HbEdgeKind::MhbLifecycle`] | `mhbLifecycle(u, f)` | §6.1.1 MHB-Lifecycle edge (same component) |
+//! | [`HbEdgeKind::Post`] | `postEdge(u, f)` | `f` was posted/sent by `u` (PHB raw edge) |
+//! | [`HbEdgeKind::Cancel`] | `cancelEdge(u, f)` | `f` may cancel `u`'s callback family (CHB) |
+//! | [`HbEdgeKind::Reentry`] | `reentryEdge(u, f, fld)` | `onResume` may re-allocate `fld` (RHB) |
 //!
-//! The closure is computed once by the indexed-join engine
-//! (`nadroid-datalog`) and exposed through the compact [`HbGraph`] query
-//! API: [`HbGraph::must_hb`], [`HbGraph::may_hb`], [`HbGraph::mhp`], and
-//! per-edge provenance ([`HbGraph::edges_between`],
-//! [`HbGraph::must_hb_path`]). The filter crate queries this graph; the
-//! detector uses [`HbGraph::must_hb`] for its opt-in MHP pre-prune.
+//! The table also marks each post edge whose two threads serialize on
+//! one looper: that is `postHb(u, f)`, the PHB relation. Two closures
+//! are computed once at build, by one breadth-first search over
+//! successor lists:
 //!
-//! Each HB-family filter is one query of the *direct* edge relations
+//! | closure | over the edges | queries |
+//! |---|---|---|
+//! | `mustHb` | the three sound MHB kinds | [`HbGraph::must_hb`], [`HbGraph::mhp`], [`HbGraph::must_hb_path`] |
+//! | `predHb` | those plus the predicate-derived `predEdge`s | [`HbGraph::pred_must_hb`], [`HbGraph::pred_must_hb_path`] |
+//!
+//! The filter crate queries this graph; the detector uses
+//! [`HbGraph::must_hb`] for its opt-in MHP pre-prune.
+//!
+//! Each HB-family filter is one query of the *direct* edges
 //! (`tests/hb_parity.rs` checks them against a per-pair statement of
-//! the §6 rules that lives in the test); `mustHb` is their sound
-//! transitive extension, and is what MHP queries are defined over:
+//! the §6 rules that lives in the test, and checks `postHb` and both
+//! closures against a Datalog solve of the rules that define them);
+//! `mustHb` is their sound transitive extension, and is what MHP
+//! queries are defined over:
 //! `mhp(a, b) = a ≠ b ∧ ¬mustHb(a, b) ∧ ¬mustHb(b, a)`.
 //!
-//! The predicate relations (`enables`/`disables`/`predEdge`/`predHb`/
-//! `mustNotHb`) compile the [`nadroid_android::predicates`] summaries and
-//! the extended lifecycle automata into the same database (see
-//! [`predicate`]). They are consumed only by the sound refutation filter:
-//! `mustHb`, `mhp` and the §6 filter queries never read them, and on
-//! programs that use none of the summarized APIs all five relations are
-//! empty (the 27-app parity gate pins this).
+//! The predicate facts (`enables`, `disables`, `predEdge`, `mustNotHb`
+//! and `unreachable`) compile the [`nadroid_android::predicates`]
+//! summaries and the extended lifecycle automata (see [`predicate`]).
+//! They are consumed only by the sound refutation filter: `mustHb`,
+//! `mhp` and the §6 filter queries never read them, and on programs
+//! that use none of the summarized APIs they are all empty and `predHb`
+//! equals `mustHb` (the 27-app parity gate pins this).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -54,11 +53,11 @@ pub use predicate::{MustNotProv, PredEdge, PredEdgeKind, PredicateSite};
 
 use nadroid_android::lifecycle;
 use nadroid_android::{CallbackKind, CancelApi};
-use nadroid_datalog::{Database, RelId, RuleSet, Term};
 use nadroid_ir::{ClassId, FieldId, InstrId, Local, Op, Program};
 use nadroid_threadify::resolve::SiteAction;
 use nadroid_threadify::{SpawnVia, ThreadId, ThreadKind, ThreadModel};
-use std::collections::{BTreeMap, BTreeSet, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::ops::Range;
 use std::time::{Duration, Instant};
 
 /// The provenance label of one direct happens-before edge.
@@ -94,7 +93,8 @@ impl HbEdgeKind {
         )
     }
 
-    /// The relation name, as it appears in the Datalog database.
+    /// The relation the edge belongs to, by the name the §6 rules give
+    /// it (provenance and refutation text print it).
     #[must_use]
     pub fn relation(self) -> &'static str {
         match self {
@@ -119,28 +119,39 @@ pub struct HbEdge {
     pub kind: HbEdgeKind,
 }
 
+/// One ordered thread pair's entry in the direct-edge table.
+#[derive(Debug)]
+struct PairEdges {
+    /// The pair's run of [`HbGraph::edges`].
+    run: Range<usize>,
+    /// A post edge whose two threads share a looper (`postHb`).
+    post_hb: bool,
+}
+
+/// Successor lists indexed by [`ThreadId::index`]: the edges one
+/// closure runs over, each list in edge order.
+pub(crate) type Successors = Vec<Vec<ThreadId>>;
+
 /// The materialized happens-before graph of one threadified program.
 ///
-/// Built once per analysis by [`HbGraph::build`]; queries are hash
-/// lookups into the solved Datalog database plus small side maps for
-/// edge provenance.
+/// Built once per analysis by [`HbGraph::build`]; queries are lookups
+/// into the per-pair edge table and the two closures, plus small side
+/// maps for the predicate facts' provenance.
 #[derive(Debug)]
 pub struct HbGraph {
-    db: Database,
-    must_hb: RelId,
-    post_hb: RelId,
-    mhb_service: RelId,
-    mhb_asynctask: RelId,
-    mhb_lifecycle: RelId,
-    /// First matching cancellation API per (use, free) pair, in the free
-    /// thread's site order — the CHB evidence the audit trail renders.
-    cancel: BTreeMap<(u32, u32), CancelApi>,
-    /// Fields an `onResume` of the shared component may re-allocate, per
-    /// (use, free) pair — the RHB edge labels.
-    reentry: BTreeMap<(u32, u32), BTreeSet<FieldId>>,
+    /// Every direct edge, in (src, dst) order with the per-pair kind
+    /// order post, cancel, service, asynctask, lifecycle, reentry.
     edges: Vec<HbEdge>,
-    /// Predicate-extended closure relation (`mhbEdge ∪ predEdge`)⁺.
-    pred_hb: RelId,
+    /// The direct-edge table: each ordered pair with an edge.
+    pairs: HashMap<(ThreadId, ThreadId), PairEdges>,
+    /// Successors through the sound MHB edges.
+    must_succ: Successors,
+    /// Successors through the sound MHB edges, then the `predEdge`s.
+    pred_succ: Successors,
+    /// `mustHb`: the transitive closure of `must_succ`.
+    must_hb: HashSet<(ThreadId, ThreadId)>,
+    /// `predHb`: the transitive closure of `pred_succ`.
+    pred_hb: HashSet<(ThreadId, ThreadId)>,
     /// Per-pair provenance of the `enables` facts.
     enables_prov: BTreeMap<(u32, u32), PredicateSite>,
     /// Per-pair provenance of the `disables` facts.
@@ -161,33 +172,13 @@ impl HbGraph {
     /// extract direct edges from per-relation candidate buckets (class /
     /// component / task instance / cancel-site target — near-linear in
     /// the thread count, never the full pair square), then compute the
-    /// `mustHb` transitive closure with the indexed-join engine.
+    /// `mustHb` and `predHb` transitive closures.
     ///
     /// With a recorder installed, emits the `hb.edges`,
     /// `hb.closure_micros` and `hb.predicate_edges` counters.
     #[must_use]
     pub fn build(program: &Program, threads: &ThreadModel) -> HbGraph {
-        let mut db = Database::new();
-        let mhb_service = db.relation("mhbService", 2);
-        let mhb_asynctask = db.relation("mhbAsyncTask", 2);
-        let mhb_lifecycle = db.relation("mhbLifecycle", 2);
-        let post_edge = db.relation("postEdge", 2);
-        let same_looper = db.relation("sameLooper", 2);
-        let cancel_edge = db.relation("cancelEdge", 2);
-        let reentry_edge = db.relation("reentryEdge", 3);
-        let mhb_edge = db.relation("mhbEdge", 2);
-        let must_hb = db.relation("mustHb", 2);
-        let post_hb = db.relation("postHb", 2);
-        let enables = db.relation("enables", 2);
-        let disables = db.relation("disables", 2);
-        let pred_edge = db.relation("predEdge", 2);
-        let pred_hb = db.relation("predHb", 2);
-        let must_not_hb = db.relation("mustNotHb", 2);
-        let unreachable = db.relation("unreachable", 1);
-
         let resume_fields = resume_alloc_fields(program, threads);
-        let mut cancel = BTreeMap::new();
-        let mut reentry: BTreeMap<(u32, u32), BTreeSet<FieldId>> = BTreeMap::new();
 
         // Direct-edge facts per ordered pair. Keyed by (src, dst) so the
         // flattened `edges` vector keeps the (src, dst) scan order, with
@@ -195,6 +186,7 @@ impl HbGraph {
         #[derive(Default)]
         struct PairFacts {
             post: bool,
+            same_looper: bool,
             cancel: Option<CancelApi>,
             service: bool,
             asynctask: bool,
@@ -218,17 +210,13 @@ impl HbGraph {
         let mut cancelers: Vec<ThreadId> = Vec::new();
 
         for (t, mt) in threads.threads() {
-            // postEdge comes straight off the spawn tree; sameLooper is
-            // materialized only where postEdge holds, since the postHb
-            // join is its sole consumer (unrestricted it is quadratic in
-            // main-looper callbacks).
+            // Post edges come straight off the spawn tree; the looper
+            // check is asked only where a post edge holds.
             if let Some(u) = mt.parent() {
                 if matches!(mt.via(), SpawnVia::Post | SpawnVia::Send) {
-                    db.insert(post_edge, &[u.raw(), t.raw()]);
-                    if threads.atomic_pair(u, t) {
-                        db.insert(same_looper, &[u.raw(), t.raw()]);
-                    }
-                    pairs.entry((u, t)).or_default().post = true;
+                    let facts = pairs.entry((u, t)).or_default();
+                    facts.post = true;
+                    facts.same_looper = threads.atomic_pair(u, t);
                 }
             }
             if threads.sites_of(t).iter().any(|s| {
@@ -279,7 +267,6 @@ impl HbGraph {
             };
             for &u in conns {
                 for &f in discs {
-                    db.insert(mhb_service, &[u.raw(), f.raw()]);
                     pairs.entry((u, f)).or_default().service = true;
                 }
             }
@@ -290,7 +277,6 @@ impl HbGraph {
             for &(u, uk) in members {
                 for &(f, fk) in members {
                     if u != f && lifecycle::asynctask_mhb(uk, fk) {
-                        db.insert(mhb_asynctask, &[u.raw(), f.raw()]);
                         pairs.entry((u, f)).or_default().asynctask = true;
                     }
                 }
@@ -308,11 +294,9 @@ impl HbGraph {
                         continue;
                     }
                     if lifecycle::lifecycle_mhb(sk, ok) {
-                        db.insert(mhb_lifecycle, &[s.raw(), o.raw()]);
                         pairs.entry((s, o)).or_default().lifecycle = true;
                     }
                     if lifecycle::lifecycle_mhb(ok, sk) {
-                        db.insert(mhb_lifecycle, &[o.raw(), s.raw()]);
                         pairs.entry((o, s)).or_default().lifecycle = true;
                     }
                 }
@@ -343,8 +327,6 @@ impl HbGraph {
                     continue;
                 }
                 if let Some(api) = cancel_pair(threads, u, f) {
-                    db.insert(cancel_edge, &[u.raw(), f.raw()]);
-                    cancel.insert((u.raw(), f.raw()), api);
                     pairs.entry((u, f)).or_default().cancel = Some(api);
                 }
             }
@@ -367,18 +349,18 @@ impl HbGraph {
                 if !(uk.is_ui() || uk.is_system()) {
                     continue;
                 }
-                for &fld in fields {
-                    db.insert(reentry_edge, &[u.raw(), f.raw(), fld.raw()]);
-                }
                 pairs.entry((u, f)).or_default().reentry = fields.iter().copied().collect();
-                reentry.insert((u.raw(), f.raw()), fields.clone());
             }
         }
 
         // Flatten in (src, dst) order with the canonical per-pair kind
-        // order (post, cancel, service, asynctask, lifecycle, reentry).
+        // order (post, cancel, service, asynctask, lifecycle, reentry),
+        // indexing each pair's run and its sound successors.
         let mut edges = Vec::new();
-        for (&(src, dst), facts) in &pairs {
+        let mut table = HashMap::with_capacity(pairs.len());
+        let mut must_succ: Successors = vec![Vec::new(); threads.len()];
+        for ((src, dst), facts) in pairs {
+            let start = edges.len();
             let mut push = |kind: HbEdgeKind| edges.push(HbEdge { src, dst, kind });
             if facts.post {
                 push(HbEdgeKind::Post);
@@ -395,106 +377,78 @@ impl HbGraph {
             if facts.lifecycle {
                 push(HbEdgeKind::MhbLifecycle);
             }
-            for &fld in &facts.reentry {
+            for fld in facts.reentry {
                 push(HbEdgeKind::Reentry(fld));
             }
+            if facts.service || facts.asynctask || facts.lifecycle {
+                must_succ[src.index()].push(dst);
+            }
+            let pair = PairEdges {
+                run: start..edges.len(),
+                post_hb: facts.post && facts.same_looper,
+            };
+            table.insert((src, dst), pair);
         }
 
         // Predicate summaries and extended automata: compiled from the
-        // same thread model, fed into their own relations. The §6 facts
-        // above are byte-identical with or without them.
-        let must_direct: Vec<(ThreadId, ThreadId)> = edges
-            .iter()
-            .filter(|e| e.kind.is_must())
-            .map(|e| (e.src, e.dst))
-            .collect();
-        let facts = predicate::compute(program, threads, &must_direct);
+        // same thread model into their own facts, plus the successor
+        // lists of `predHb`. The §6 edges above are identical with or
+        // without them.
+        let facts = predicate::compute(program, threads, &must_succ);
         let mut enables_prov = BTreeMap::new();
         for &(e, c, site) in &facts.enables {
-            db.insert(enables, &[e.raw(), c.raw()]);
             enables_prov.entry((e.raw(), c.raw())).or_insert(site);
         }
         let mut disables_prov = BTreeMap::new();
         for &(d, c, site) in &facts.disables {
-            db.insert(disables, &[d.raw(), c.raw()]);
             disables_prov.entry((d.raw(), c.raw())).or_insert(site);
         }
-        for e in &facts.edges {
-            db.insert(pred_edge, &[e.src.raw(), e.dst.raw()]);
-        }
-        let pred_edges = facts.edges;
 
-        let v = Term::var;
-        let mut rules = RuleSet::new();
-        for rel in [mhb_service, mhb_asynctask, mhb_lifecycle] {
-            rules
-                .add(mhb_edge, vec![v(0), v(1)])
-                .when(rel, vec![v(0), v(1)]);
-        }
-        rules
-            .add(must_hb, vec![v(0), v(1)])
-            .when(mhb_edge, vec![v(0), v(1)]);
-        rules
-            .add(must_hb, vec![v(0), v(2)])
-            .when(must_hb, vec![v(0), v(1)])
-            .when(mhb_edge, vec![v(1), v(2)]);
-        rules
-            .add(post_hb, vec![v(0), v(1)])
-            .when(post_edge, vec![v(0), v(1)])
-            .when(same_looper, vec![v(0), v(1)]);
-        // predHb: the predicate-extended sound closure. `predEdge` is
-        // cycle-guarded at construction, so this stays a strict partial
-        // order extending `mustHb`.
-        for rel in [mhb_edge, pred_edge] {
-            rules
-                .add(pred_hb, vec![v(0), v(1)])
-                .when(rel, vec![v(0), v(1)]);
-            rules
-                .add(pred_hb, vec![v(0), v(2)])
-                .when(pred_hb, vec![v(0), v(1)])
-                .when(rel, vec![v(1), v(2)]);
-        }
         let t0 = Instant::now();
-        db.run(&rules);
-        let closure = t0.elapsed();
+        let must_hb = closure(&must_succ);
+        let pred_hb = closure(&facts.succ);
+        let closure_time = t0.elapsed();
 
-        // mustNotHb needs the solved predHb for its disjointness guard,
-        // so its facts land after the solve (no rule consumes them).
+        // mustNotHb needs predHb for its disjointness guard.
         let mut must_not: BTreeMap<(u32, u32), MustNotProv> = BTreeMap::new();
         let mut unreachable_cbs: BTreeMap<u32, MustNotProv> = BTreeMap::new();
         for (f, c, prov) in facts.must_not {
-            if db.contains(pred_hb, &[f.raw(), c.raw()]) {
+            if pred_hb.contains(&(f, c)) {
                 // `c` only ever runs after `f`, yet never runs after `f`:
                 // it never runs at all. Demoting (instead of emitting
                 // both) keeps mustNotHb ∩ predHb = ∅.
-                db.insert(unreachable, &[c.raw()]);
                 unreachable_cbs.entry(c.raw()).or_insert(prov);
             } else {
-                db.insert(must_not_hb, &[f.raw(), c.raw()]);
                 must_not.entry((f.raw(), c.raw())).or_insert(prov);
             }
         }
 
-        let predicate_facts = enables_prov.len() + disables_prov.len() + pred_edges.len();
-        emit_metrics(edges.len(), closure, predicate_facts);
-
-        HbGraph {
-            db,
-            must_hb,
-            post_hb,
-            mhb_service,
-            mhb_asynctask,
-            mhb_lifecycle,
-            cancel,
-            reentry,
+        let graph = HbGraph {
             edges,
+            pairs: table,
+            must_succ,
+            pred_succ: facts.succ,
+            must_hb,
             pred_hb,
             enables_prov,
             disables_prov,
-            pred_edges,
+            pred_edges: facts.edges,
             must_not,
             unreachable_cbs,
-        }
+        };
+        emit_metrics(
+            graph.edges.len(),
+            closure_time,
+            graph.predicate_fact_count(),
+        );
+        graph
+    }
+
+    /// The direct edges of one ordered pair, in the per-pair kind order.
+    fn between(&self, a: ThreadId, b: ThreadId) -> &[HbEdge] {
+        self.pairs
+            .get(&(a, b))
+            .map_or(&[], |p| &self.edges[p.run.clone()])
     }
 
     /// Whether every execution orders callbacks of `a` strictly before
@@ -502,25 +456,19 @@ impl HbGraph {
     /// relations.
     #[must_use]
     pub fn must_hb(&self, a: ThreadId, b: ThreadId) -> bool {
-        self.db.contains(self.must_hb, &[a.raw(), b.raw()])
+        self.must_hb.contains(&(a, b))
     }
 
     /// The direct sound MHB edge from `a` to `b` — the §6.1.1 MHB filter
     /// and the no-sleep client's ordering — labeled with the
     /// highest-priority relation that produces it (Service, then
-    /// AsyncTask, then Lifecycle).
+    /// AsyncTask, then Lifecycle, the per-pair kind order).
     #[must_use]
     pub fn mhb_edge(&self, a: ThreadId, b: ThreadId) -> Option<HbEdgeKind> {
-        let key = [a.raw(), b.raw()];
-        if self.db.contains(self.mhb_service, &key) {
-            Some(HbEdgeKind::MhbService)
-        } else if self.db.contains(self.mhb_asynctask, &key) {
-            Some(HbEdgeKind::MhbAsyncTask)
-        } else if self.db.contains(self.mhb_lifecycle, &key) {
-            Some(HbEdgeKind::MhbLifecycle)
-        } else {
-            None
-        }
+        self.between(a, b)
+            .iter()
+            .map(|e| e.kind)
+            .find(|k| k.is_must())
     }
 
     /// Whether some *unsound* ordering evidence (§6.2.1's mayHB family)
@@ -530,8 +478,10 @@ impl HbGraph {
     #[must_use]
     pub fn may_hb(&self, a: ThreadId, b: ThreadId) -> bool {
         self.post_hb(a, b)
-            || self.cancel_hb(a, b).is_some()
-            || self.reentry.contains_key(&(a.raw(), b.raw()))
+            || self
+                .between(a, b)
+                .iter()
+                .any(|e| matches!(e.kind, HbEdgeKind::Cancel(_) | HbEdgeKind::Reentry(_)))
     }
 
     /// May-happen-in-parallel: distinct threads with no sound ordering in
@@ -546,7 +496,7 @@ impl HbGraph {
     /// the atomic post completes before the posted callback runs).
     #[must_use]
     pub fn post_hb(&self, a: ThreadId, b: ThreadId) -> bool {
-        self.db.contains(self.post_hb, &[a.raw(), b.raw()])
+        self.pairs.get(&(a, b)).is_some_and(|p| p.post_hb)
     }
 
     /// The cancellation API through which `b` may silence `a`'s callback
@@ -554,7 +504,10 @@ impl HbGraph {
     /// order (the CHB evidence string depends on this order).
     #[must_use]
     pub fn cancel_hb(&self, a: ThreadId, b: ThreadId) -> Option<CancelApi> {
-        self.cancel.get(&(a.raw(), b.raw())).copied()
+        self.between(a, b).iter().find_map(|e| match e.kind {
+            HbEdgeKind::Cancel(api) => Some(api),
+            _ => None,
+        })
     }
 
     /// Whether an `onResume` of the shared component may re-allocate
@@ -562,9 +515,9 @@ impl HbGraph {
     /// the RHB relation.
     #[must_use]
     pub fn reentry_hb(&self, a: ThreadId, b: ThreadId, field: FieldId) -> bool {
-        self.reentry
-            .get(&(a.raw(), b.raw()))
-            .is_some_and(|fields| fields.contains(&field))
+        self.between(a, b)
+            .iter()
+            .any(|e| e.kind == HbEdgeKind::Reentry(field))
     }
 
     /// All direct edges, in deterministic (src, dst) scan order.
@@ -576,11 +529,7 @@ impl HbGraph {
     /// The direct edges between one ordered thread pair.
     #[must_use]
     pub fn edges_between(&self, a: ThreadId, b: ThreadId) -> Vec<HbEdge> {
-        self.edges
-            .iter()
-            .filter(|e| e.src == a && e.dst == b)
-            .copied()
-            .collect()
+        self.between(a, b).to_vec()
     }
 
     /// A shortest witness path `a = t0 → t1 → … → tk = b` through the
@@ -589,10 +538,7 @@ impl HbGraph {
     /// pair it does not order returns `None` without walking the graph.
     #[must_use]
     pub fn must_hb_path(&self, a: ThreadId, b: ThreadId) -> Option<Vec<ThreadId>> {
-        if a == b || !self.must_hb(a, b) {
-            return None;
-        }
-        shortest_path(a, b, self.must_edges())
+        (a != b && self.must_hb(a, b)).then(|| shortest_path(&self.must_succ, a, b))
     }
 
     /// Whether the predicate-extended sound closure orders `a` strictly
@@ -601,7 +547,7 @@ impl HbGraph {
     /// (the predicate edges are cycle-guarded at construction).
     #[must_use]
     pub fn pred_must_hb(&self, a: ThreadId, b: ThreadId) -> bool {
-        self.db.contains(self.pred_hb, &[a.raw(), b.raw()])
+        self.pred_hb.contains(&(a, b))
     }
 
     /// Whether `b` is provably *never* delivered after `a` completes —
@@ -639,15 +585,14 @@ impl HbGraph {
         &self.pred_edges
     }
 
-    /// All solved `enables` facts with provenance, in deterministic
-    /// order.
+    /// All `enables` facts with provenance, in deterministic order.
     pub fn enables_facts(&self) -> impl Iterator<Item = (ThreadId, ThreadId, &PredicateSite)> {
         self.enables_prov
             .iter()
             .map(|(&(e, c), site)| (ThreadId::from_raw(e), ThreadId::from_raw(c), site))
     }
 
-    /// Number of solved `disables` facts.
+    /// Number of `disables` facts.
     #[must_use]
     pub fn disables_count(&self) -> usize {
         self.disables_prov.len()
@@ -679,19 +624,7 @@ impl HbGraph {
     /// fact. Like [`HbGraph::must_hb_path`], it asks the closure first.
     #[must_use]
     pub fn pred_must_hb_path(&self, a: ThreadId, b: ThreadId) -> Option<Vec<ThreadId>> {
-        if a == b || !self.pred_must_hb(a, b) {
-            return None;
-        }
-        let pred = self.pred_edges.iter().map(|e| (e.src, e.dst));
-        shortest_path(a, b, self.must_edges().chain(pred))
-    }
-
-    /// The direct sound MHB edges as `(src, dst)` pairs, in edge order.
-    fn must_edges(&self) -> impl Iterator<Item = (ThreadId, ThreadId)> + '_ {
-        self.edges
-            .iter()
-            .filter(|e| e.kind.is_must())
-            .map(|e| (e.src, e.dst))
+        (a != b && self.pred_must_hb(a, b)).then(|| shortest_path(&self.pred_succ, a, b))
     }
 
     /// Number of direct edges.
@@ -701,39 +634,63 @@ impl HbGraph {
     }
 }
 
-/// A breadth-first shortest path `a → … → b` over `edges`, ties broken
-/// by edge order; `None` when `b` is unreachable from `a`.
-fn shortest_path(
-    a: ThreadId,
-    b: ThreadId,
-    edges: impl Iterator<Item = (ThreadId, ThreadId)>,
-) -> Option<Vec<ThreadId>> {
-    let mut succ: BTreeMap<ThreadId, Vec<ThreadId>> = BTreeMap::new();
-    for (src, dst) in edges {
-        succ.entry(src).or_default().push(dst);
-    }
-    let mut prev: BTreeMap<ThreadId, ThreadId> = BTreeMap::new();
-    let mut queue = VecDeque::from([a]);
-    let mut seen = HashSet::from([a]);
-    while let Some(t) = queue.pop_front() {
-        if t == b {
-            let mut path = vec![b];
-            let mut cur = b;
-            while let Some(&p) = prev.get(&cur) {
-                path.push(p);
-                cur = p;
-            }
-            path.reverse();
-            return Some(path);
-        }
-        for &next in succ.get(&t).into_iter().flatten() {
-            if seen.insert(next) {
-                prev.insert(next, t);
-                queue.push_back(next);
+/// Breadth-first search over `succ` from `from`, each successor list in
+/// order, stopping as soon as `to` is reached (with `None`, it reaches
+/// everything). Returns each reached thread with the thread it was
+/// first reached from, in discovery order; `from` itself is reached
+/// only through a cycle.
+pub(crate) fn bfs(
+    succ: &[Vec<ThreadId>],
+    from: ThreadId,
+    to: Option<ThreadId>,
+) -> Vec<(ThreadId, ThreadId)> {
+    let mut seen = vec![false; succ.len()];
+    let mut reached = Vec::new();
+    let mut at = from;
+    let mut next = 0;
+    loop {
+        for &t in &succ[at.index()] {
+            if !std::mem::replace(&mut seen[t.index()], true) {
+                reached.push((t, at));
+                if Some(t) == to {
+                    return reached;
+                }
             }
         }
+        let Some(&(t, _)) = reached.get(next) else {
+            return reached;
+        };
+        at = t;
+        next += 1;
     }
-    None
+}
+
+/// The transitive closure of `succ`: every `(a, b)` with a path of one
+/// or more edges from `a` to `b`.
+fn closure(succ: &[Vec<ThreadId>]) -> HashSet<(ThreadId, ThreadId)> {
+    let mut out = HashSet::new();
+    for (i, list) in succ.iter().enumerate() {
+        if list.is_empty() {
+            continue;
+        }
+        let from = ThreadId::from_raw(u32::try_from(i).expect("thread index fits u32"));
+        out.extend(bfs(succ, from, None).into_iter().map(|(t, _)| (from, t)));
+    }
+    out
+}
+
+/// The shortest path `a → … → b` over `succ` for `b` reachable from
+/// `a ≠ b`, ties broken by successor order.
+fn shortest_path(succ: &[Vec<ThreadId>], a: ThreadId, b: ThreadId) -> Vec<ThreadId> {
+    let parent: HashMap<ThreadId, ThreadId> = bfs(succ, a, Some(b)).into_iter().collect();
+    let mut path = vec![b];
+    let mut cur = b;
+    while cur != a {
+        cur = parent[&cur];
+        path.push(cur);
+    }
+    path.reverse();
+    path
 }
 
 fn emit_metrics(edge_count: usize, closure: Duration, predicate_facts: usize) {

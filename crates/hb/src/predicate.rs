@@ -2,10 +2,9 @@
 //!
 //! This module turns the [`PredicateFamily`] enabling/disabling API
 //! summaries and the extended lifecycle automata (fragment attach/detach,
-//! multi-activity task stack) into the raw facts behind four new Datalog
-//! relations:
+//! multi-activity task stack) into four kinds of fact:
 //!
-//! | relation | meaning |
+//! | fact | meaning |
 //! |---|---|
 //! | `enables(e, c)` | thread `e` contains an API call arming gated callback `c` |
 //! | `disables(d, c)` | thread `d` contains an API call silencing gated callback `c` |
@@ -27,14 +26,14 @@
 //! is terminal in the fragment automaton, which yields the analogous
 //! fact without any disabler API.
 
-use crate::effective_kind;
+use crate::{bfs, effective_kind, Successors};
 use nadroid_android::fragment::fragment_mhb;
 use nadroid_android::predicates::PredicateFamily;
 use nadroid_android::{lifecycle, CallbackKind, ClassRole};
 use nadroid_ir::{Block, ClassId, InstrId, MethodId, Program, Stmt};
 use nadroid_threadify::resolve::SiteAction;
 use nadroid_threadify::{ThreadId, ThreadModel};
-use std::collections::{BTreeMap, BTreeSet, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Provenance of one `enables`/`disables` fact: which summarized API,
 /// at which instruction.
@@ -108,6 +107,9 @@ pub(crate) struct PredicateFacts {
     pub disables: Vec<(ThreadId, ThreadId, PredicateSite)>,
     /// Predicate-derived must-HB edges, cycle-guarded.
     pub edges: Vec<PredEdge>,
+    /// The successor lists `predHb` closes over: the sound MHB edges,
+    /// then `edges` in order.
+    pub succ: Successors,
     /// Candidate `mustNotHb(f, c)` facts with provenance. The builder
     /// demotes a candidate to an `unreachable(c)` fact when `predHb(f, c)`
     /// also holds (keeping `mustNotHb` disjoint from every must relation).
@@ -123,13 +125,15 @@ struct ApiSite {
     unconditional: bool,
 }
 
-/// Compute all predicate facts. `must_edges` are the direct sound MHB
-/// edges, used by the task-stack cycle guard so `predHb` stays a strict
-/// partial order even for adversarial mutual-launch programs.
+/// Compute all predicate facts. `must_succ` holds the successors
+/// through the direct sound MHB edges; extended with each predicate
+/// edge as it is found, it is the task-stack cycle guard's graph, so
+/// `predHb` stays a strict partial order even for adversarial
+/// mutual-launch programs.
 pub(crate) fn compute(
     program: &Program,
     threads: &ThreadModel,
-    must_edges: &[(ThreadId, ThreadId)],
+    must_succ: &Successors,
 ) -> PredicateFacts {
     let mut enabler_sites: BTreeMap<(PredicateFamily, ClassId), Vec<ApiSite>> = BTreeMap::new();
     let mut disabler_sites: BTreeMap<(PredicateFamily, ClassId), Vec<ApiSite>> = BTreeMap::new();
@@ -280,12 +284,9 @@ pub(crate) fn compute(
     // the launcher runs at most once on a looper (else a later launcher
     // execution could follow the target's onCreate). A reachability
     // guard keeps adversarial mutual-launch programs acyclic.
-    let mut succ: BTreeMap<ThreadId, Vec<ThreadId>> = BTreeMap::new();
-    for &(a, b) in must_edges {
-        succ.entry(a).or_default().push(b);
-    }
+    let mut succ = must_succ.clone();
     for e in &facts.edges {
-        succ.entry(e.src).or_default().push(e.dst);
+        succ[e.src.index()].push(e.dst);
     }
     for (&target, occurrences) in &launch_sites {
         if occurrences.len() != 1 || !launch_gated(program, target) {
@@ -305,10 +306,13 @@ pub(crate) fn compute(
             if dk != CallbackKind::OnCreate || dst == occ.thread {
                 continue;
             }
-            if reaches(&succ, dst, occ.thread) {
+            if bfs(&succ, dst, Some(occ.thread))
+                .iter()
+                .any(|&(t, _)| t == occ.thread)
+            {
                 continue; // would close a cycle: skip, predHb stays strict
             }
-            succ.entry(occ.thread).or_default().push(dst);
+            succ[occ.thread.index()].push(dst);
             facts.edges.push(PredEdge {
                 src: occ.thread,
                 dst,
@@ -318,6 +322,7 @@ pub(crate) fn compute(
             });
         }
     }
+    facts.succ = succ;
 
     // mustNotHb (family disabled): enablers all once-only in onCreate,
     // some unconditional disabler in a callback the automaton proves
@@ -407,24 +412,4 @@ fn toplevel_instrs(block: &Block, out: &mut BTreeSet<InstrId>) {
             Stmt::If { .. } | Stmt::Loop { .. } => {}
         }
     }
-}
-
-/// BFS reachability over the direct must-edge successor map.
-fn reaches(succ: &BTreeMap<ThreadId, Vec<ThreadId>>, from: ThreadId, to: ThreadId) -> bool {
-    if from == to {
-        return true;
-    }
-    let mut queue = VecDeque::from([from]);
-    let mut seen = HashSet::from([from]);
-    while let Some(t) = queue.pop_front() {
-        for &next in succ.get(&t).into_iter().flatten() {
-            if next == to {
-                return true;
-            }
-            if seen.insert(next) {
-                queue.push_back(next);
-            }
-        }
-    }
-    false
 }

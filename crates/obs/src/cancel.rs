@@ -1,9 +1,11 @@
 //! Cooperative cancellation for long-running analysis loops.
 //!
 //! This rides in `nadroid-obs` because it is the one dependency-free
-//! substrate crate every compute layer (points-to solver, Datalog
-//! engine) already links; like the recorder, a token is *installed* on a
-//! thread and consulted through a cheap thread-local check.
+//! substrate crate every compute layer (the points-to solver above all)
+//! already links; like the recorder, a token is *installed* on a thread
+//! and consulted through a cheap thread-local check. The points-to
+//! solver holds the analysis path's checkpoints, so a cancelled
+//! analysis unwinds there first.
 //!
 //! A [`CancelToken`] carries a manual flag plus an optional deadline.
 //! Hot loops call [`checkpoint`] once per worklist drain batch; when the

@@ -1,20 +1,17 @@
-//! Public points-to API plus the Datalog baseline used for
-//! cross-validation.
+//! Public points-to API.
 //!
 //! nAdroid runs Chord's k-object-sensitive points-to analysis (k = 2 by
 //! default) on the threadified program (§5). [`PointsTo::run`] delegates
-//! to the context-sensitive worklist solver (`solver` module); the
-//! [`datalog_baseline`] function solves the same constraints
-//! context-insensitively on the [`nadroid_datalog`] engine, and the test
-//! suite asserts both agree at k = 0 — the same architecture-validation
-//! role bddbddb played for Chord.
+//! to the context-sensitive worklist solver (`solver` module);
+//! `tests/pointsto_baseline.rs` states the same constraints
+//! context-insensitively as Datalog rules and asserts both agree at
+//! k = 0 — the architecture-validation role bddbddb played for Chord.
 
 use crate::solver;
-use crate::tables::{AllocKey, ObjId, ObjTable};
-use nadroid_datalog::{Database, RuleSet, Term};
-use nadroid_ir::{Callee, FieldId, Local, MethodId, Op, Program};
-use nadroid_threadify::{SpawnVia, ThreadModel};
-use std::collections::{BTreeSet, HashMap};
+use crate::tables::{ObjId, ObjTable};
+use nadroid_ir::{Local, MethodId, Program};
+use nadroid_threadify::ThreadModel;
+use std::collections::HashMap;
 
 /// Result of the points-to analysis.
 #[derive(Debug)]
@@ -101,157 +98,4 @@ impl PointsTo {
             _ => None,
         }
     }
-}
-
-/// Context-insensitive Andersen analysis solved on the Datalog engine.
-///
-/// Returns, for each (method, local), the set of allocation keys of the
-/// objects it may point to — directly comparable with
-/// [`PointsTo::run`] at `k = 0`.
-#[must_use]
-pub fn datalog_baseline(
-    program: &Program,
-    threads: &ThreadModel,
-) -> HashMap<(MethodId, Local), BTreeSet<AllocKey>> {
-    // Dense variable numbering: locals plus a return pseudo-var per method.
-    let mut base = Vec::new();
-    let mut next = 0u32;
-    for (_, m) in program.methods() {
-        base.push(next);
-        next += u32::from(m.num_locals()) + 1;
-    }
-    let var = |m: MethodId, l: Local| base[m.index()] + u32::from(l.0);
-    let ret = |m: MethodId| base[m.index()] + u32::from(program.method(m).num_locals());
-
-    // Object numbering: one per allocation key.
-    let mut keys: Vec<AllocKey> = Vec::new();
-    let mut key_ids: HashMap<AllocKey, u32> = HashMap::new();
-    let obj = |k: AllocKey, keys: &mut Vec<AllocKey>, key_ids: &mut HashMap<AllocKey, u32>| {
-        *key_ids.entry(k).or_insert_with(|| {
-            keys.push(k);
-            keys.len() as u32 - 1
-        })
-    };
-
-    let mut db = Database::new();
-    let r_alloc = db.relation("alloc", 2);
-    let r_move = db.relation("move", 2);
-    let r_load = db.relation("load", 3);
-    let r_store = db.relation("store", 3);
-    let r_vp = db.relation("vP", 2);
-    let r_hp = db.relation("hP", 3);
-
-    let field = FieldId::raw;
-    for (mid, i) in program.instrs() {
-        match &i.op {
-            Op::New { dst, .. } => {
-                let o = obj(AllocKey::Site(i.id), &mut keys, &mut key_ids);
-                db.insert(r_alloc, &[var(mid, *dst), o]);
-            }
-            Op::LoadStatic { dst, class } => {
-                let o = obj(AllocKey::Singleton(*class), &mut keys, &mut key_ids);
-                db.insert(r_alloc, &[var(mid, *dst), o]);
-            }
-            Op::Move { dst, src } => {
-                db.insert(r_move, &[var(mid, *dst), var(mid, *src)]);
-            }
-            Op::Load {
-                dst,
-                base: b,
-                field: f,
-            } => {
-                db.insert(r_load, &[var(mid, *dst), var(mid, *b), field(*f)]);
-            }
-            Op::Store {
-                base: b,
-                field: f,
-                src,
-            } => {
-                db.insert(r_store, &[var(mid, *b), field(*f), var(mid, *src)]);
-            }
-            Op::Invoke {
-                dst,
-                callee: Callee::Method(callee),
-                recv,
-                args,
-            } => {
-                if let Some(r) = recv {
-                    db.insert(r_move, &[var(*callee, Local::THIS), var(mid, *r)]);
-                }
-                let nparams = program.method(*callee).param_count();
-                for (i, a) in args.iter().enumerate() {
-                    if (i as u16) < nparams {
-                        db.insert(r_move, &[var(*callee, Local(i as u16 + 1)), var(mid, *a)]);
-                    }
-                }
-                if let Some(d) = dst {
-                    db.insert(r_move, &[var(mid, *d), ret(*callee)]);
-                }
-            }
-            Op::Return { val: Some(v) } => {
-                db.insert(r_move, &[ret(mid), var(mid, *v)]);
-            }
-            _ => {}
-        }
-    }
-
-    // Thread-root receiver bindings, as in the solver.
-    for (_, t) in threads.threads() {
-        let Some(root) = t.root() else { continue };
-        match t.via() {
-            SpawnVia::Component | SpawnVia::Manifest => {
-                if let Some(c) = t.class() {
-                    let o = obj(AllocKey::Singleton(c), &mut keys, &mut key_ids);
-                    db.insert(r_alloc, &[var(root, Local::THIS), o]);
-                }
-            }
-            SpawnVia::Root => {}
-            _ => {
-                if let Some(site) = t.origin_site() {
-                    let m = program.instr_method(site);
-                    if let Op::Android(a) = &program.instr(site).op {
-                        if let Some(operand) = a.operand() {
-                            db.insert(r_move, &[var(root, Local::THIS), var(m, operand)]);
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    let v = Term::var;
-    let mut rules = RuleSet::new();
-    rules
-        .add(r_vp, vec![v(0), v(1)])
-        .when(r_alloc, vec![v(0), v(1)]);
-    rules
-        .add(r_vp, vec![v(0), v(2)])
-        .when(r_move, vec![v(0), v(1)])
-        .when(r_vp, vec![v(1), v(2)]);
-    rules
-        .add(r_hp, vec![v(3), v(1), v(4)])
-        .when(r_store, vec![v(0), v(1), v(2)])
-        .when(r_vp, vec![v(0), v(3)])
-        .when(r_vp, vec![v(2), v(4)]);
-    rules
-        .add(r_vp, vec![v(0), v(4)])
-        .when(r_load, vec![v(0), v(1), v(2)])
-        .when(r_vp, vec![v(1), v(3)])
-        .when(r_hp, vec![v(3), v(2), v(4)]);
-    db.run(&rules);
-
-    // Invert the variable numbering.
-    let mut var_of: HashMap<u32, (MethodId, Local)> = HashMap::new();
-    for (mid, m) in program.methods() {
-        for l in 0..m.num_locals() {
-            var_of.insert(var(mid, Local(l)), (mid, Local(l)));
-        }
-    }
-    let mut out: HashMap<(MethodId, Local), BTreeSet<AllocKey>> = HashMap::new();
-    for t in db.tuples(r_vp) {
-        if let Some(&ml) = var_of.get(&t[0]) {
-            out.entry(ml).or_default().insert(keys[t[1] as usize]);
-        }
-    }
-    out
 }

@@ -61,8 +61,8 @@ fn repeated_analyses_are_byte_identical_in_process() {
 /// The parallel analysis core's headline claim: thread count is
 /// invisible in the output. Sweep 1/2/4/8 on an app big enough to cross
 /// every parallel gate (K-9's ~213 planted clusters drive the chunked
-/// detector scan, the filter pipeline, the points-to epoch planner, and
-/// the Datalog delta threshold) and require byte-identical warning ids,
+/// detector scan, the filter pipeline and the points-to epoch planner)
+/// and require byte-identical warning ids,
 /// filter verdicts, provenance JSON, and deterministic counters.
 #[test]
 fn thread_count_never_changes_the_output() {

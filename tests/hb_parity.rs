@@ -6,17 +6,21 @@
 //! no call into `nadroid-hb`. Checked: the same verdict on every
 //! (warning, filter) pair for all nine filters, the same Figure 5
 //! tallies of both tiers (rendered and compared byte-for-byte), and the
-//! same surviving warning ids. Run on the 27 Table 1 apps, the 6
-//! refutation-study apps, the Figure 4 gallery, the hand-written
-//! `apps/*.dsl` models and `HB_RULES`, whose warnings hinge on rules no
-//! corpus app exercises.
+//! same surviving warning ids. The graph's closures are checked too:
+//! `mustHb`, `postHb` and `predHb` must equal a Datalog solve of the
+//! rules that define them on every ordered thread pair. Run on the 27
+//! Table 1 apps, the 6 refutation-study apps, the Figure 4 gallery, the
+//! hand-written `apps/*.dsl` models and `HB_RULES`, whose warnings hinge
+//! on rules no corpus app exercises.
 
 use nadroid::android::{lifecycle, CallbackKind, CancelApi};
 use nadroid::core::{analyze, AnalysisConfig};
 use nadroid::corpus::paper::figure4_gallery;
 use nadroid::corpus::{generate, refute_specs, spec_for, table1_rows};
+use nadroid::datalog::{Database, RuleSet, Term};
 use nadroid::detector::{warning_id, UafWarning};
 use nadroid::filters::{tally_outcomes, FilterKind, FilterOutcome, Filters};
+use nadroid::hb::{HbEdgeKind, HbGraph};
 use nadroid::ir::{parse_program, FieldId, Local, MethodId, Op, Program};
 use nadroid::threadify::resolve::SiteAction;
 use nadroid::threadify::{own_methods, SpawnVia, ThreadId, ThreadKind, ThreadModel};
@@ -164,6 +168,107 @@ fn may_alloc_field(program: &Program, method: MethodId, field: FieldId) -> bool 
     })
 }
 
+/// `mustHb`, `postHb` and `predHb` stated as Datalog rules and solved
+/// over the graph's direct sound MHB edges and predicate edges, plus
+/// the post and looper facts of the thread model:
+///
+/// ```text
+/// mhbEdge(a, b) :- mhbService(a, b).   (and mhbAsyncTask, mhbLifecycle)
+/// mustHb(a, b)  :- mhbEdge(a, b).
+/// mustHb(a, c)  :- mustHb(a, b), mhbEdge(b, c).
+/// postHb(a, b)  :- postEdge(a, b), sameLooper(a, b).
+/// predHb(a, b)  :- mhbEdge(a, b).      predHb(a, b) :- predEdge(a, b).
+/// predHb(a, c)  :- predHb(a, b), mhbEdge(b, c).
+/// predHb(a, c)  :- predHb(a, b), predEdge(b, c).
+/// ```
+///
+/// The graph must answer each relation exactly on every ordered pair.
+fn check_closures(name: &str, threads: &ThreadModel, hb: &HbGraph) {
+    let mut db = Database::new();
+    let sound = [
+        HbEdgeKind::MhbService,
+        HbEdgeKind::MhbAsyncTask,
+        HbEdgeKind::MhbLifecycle,
+    ]
+    .map(|kind| (kind, db.relation(kind.relation(), 2)));
+    let post_edge = db.relation("postEdge", 2);
+    let same_looper = db.relation("sameLooper", 2);
+    let pred_edge = db.relation("predEdge", 2);
+    let mhb_edge = db.relation("mhbEdge", 2);
+    let must_hb = db.relation("mustHb", 2);
+    let post_hb = db.relation("postHb", 2);
+    let pred_hb = db.relation("predHb", 2);
+
+    for e in hb.edges() {
+        if let Some(&(_, rel)) = sound.iter().find(|(kind, _)| *kind == e.kind) {
+            db.insert(rel, &[e.src.raw(), e.dst.raw()]);
+        }
+    }
+    for (t, mt) in threads.threads() {
+        let Some(u) = mt.parent() else { continue };
+        if matches!(mt.via(), SpawnVia::Post | SpawnVia::Send) {
+            db.insert(post_edge, &[u.raw(), t.raw()]);
+            if threads.atomic_pair(u, t) {
+                db.insert(same_looper, &[u.raw(), t.raw()]);
+            }
+        }
+    }
+    for e in hb.pred_edges() {
+        db.insert(pred_edge, &[e.src.raw(), e.dst.raw()]);
+    }
+
+    let v = Term::var;
+    let mut rules = RuleSet::new();
+    for (_, rel) in sound {
+        rules
+            .add(mhb_edge, vec![v(0), v(1)])
+            .when(rel, vec![v(0), v(1)]);
+    }
+    rules
+        .add(must_hb, vec![v(0), v(1)])
+        .when(mhb_edge, vec![v(0), v(1)]);
+    rules
+        .add(must_hb, vec![v(0), v(2)])
+        .when(must_hb, vec![v(0), v(1)])
+        .when(mhb_edge, vec![v(1), v(2)]);
+    rules
+        .add(post_hb, vec![v(0), v(1)])
+        .when(post_edge, vec![v(0), v(1)])
+        .when(same_looper, vec![v(0), v(1)]);
+    for rel in [mhb_edge, pred_edge] {
+        rules
+            .add(pred_hb, vec![v(0), v(1)])
+            .when(rel, vec![v(0), v(1)]);
+        rules
+            .add(pred_hb, vec![v(0), v(2)])
+            .when(pred_hb, vec![v(0), v(1)])
+            .when(rel, vec![v(1), v(2)]);
+    }
+    db.run(&rules);
+
+    let ids: Vec<ThreadId> = threads.threads().map(|(t, _)| t).collect();
+    for &a in &ids {
+        for &b in &ids {
+            let pair = [a.raw(), b.raw()];
+            assert_eq!(
+                hb.must_hb(a, b),
+                db.contains(must_hb, &pair),
+                "{name}: mustHb({a}, {b})"
+            );
+            assert_eq!(
+                hb.post_hb(a, b),
+                db.contains(post_hb, &pair),
+                "{name}: postHb({a}, {b})"
+            );
+            assert_eq!(
+                hb.pred_must_hb(a, b),
+                db.contains(pred_hb, &pair),
+                "{name}: predHb({a}, {b})"
+            );
+        }
+    }
+}
+
 /// Re-run a filter tier the way `Filters::pipeline` does, but with every
 /// verdict answered by the reference.
 fn legacy_outcomes(
@@ -190,10 +295,12 @@ fn legacy_outcomes(
 
 /// Analyze `program` and check the graph-backed filters against the
 /// reference: every verdict, both Figure 5 tally tiers and the reported
-/// ids. Returns how many warnings each filter prunes individually.
+/// ids, and the graph's closures against their Datalog solve. Returns
+/// how many warnings each filter prunes individually.
 fn check_parity(name: &str, program: &Program) -> BTreeMap<FilterKind, usize> {
     let cfg = AnalysisConfig::default();
     let analysis = analyze(program, &cfg);
+    check_closures(name, analysis.threads(), analysis.hb());
     let filters = analysis.filters();
     let legacy = Legacy {
         program,
@@ -337,13 +444,18 @@ fn hb_backed_filters_match_legacy_logic_on_all_27_apps() {
 ///   `Host` activity, whose `onClick` uses `h`; `finish()` covers only
 ///   its own component, and unbinding covers no UI callback, so CHB
 ///   must not prune.
+///
+/// `Host.onCreate` is also `Closer`'s only launch, so `predHb` orders it
+/// before `Closer.onClick` two hops away: the task-stack edge, then
+/// `Closer`'s lifecycle edge. No corpus app has a closure fact that is
+/// not a direct edge.
 const HB_RULES: &str = r#"
     app HbRules
     activity Host {
         field f: Host
         field g: Host
         field h: Host
-        cb onCreate { f = new Host  h = new Host  g = new Host  use g }
+        cb onCreate { f = new Host  h = new Host  g = new Host  use g  startactivity Closer }
         cb onClick { send Relay  use f  g = null  use h }
         cb onDestroy { f = null }
     }
@@ -352,6 +464,7 @@ const HB_RULES: &str = r#"
         cb handleMessage { outer.f = null }
     }
     activity Closer {
+        cb onCreate { }
         cb onClick { finish  unbind Host  Host.h = null }
     }
 "#;

@@ -10,7 +10,7 @@ use nadroid::corpus::{
 };
 use nadroid::dynamic::{explore, ExploreConfig, Goal};
 use nadroid::ir::{parse_program, print_program, ClassId, Op, Program};
-use nadroid::pointsto::{datalog_baseline, AllocKey, PointsTo};
+use nadroid::pointsto::PointsTo;
 use nadroid::threadify::{ThreadId, ThreadModel};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -160,25 +160,6 @@ proptest! {
         let b = analyze(&app.program, &AnalysisConfig::default());
         prop_assert_eq!(a.summary(), b.summary());
         prop_assert_eq!(a.warnings(), b.warnings());
-    }
-
-    /// The context-sensitive worklist solver at k = 0 agrees with the
-    /// Datalog baseline on every variable of every generated program.
-    #[test]
-    fn solver_matches_datalog_baseline(spec in spec_strategy(1)) {
-        let app = generate(&spec);
-        let threads = ThreadModel::build(&app.program);
-        let pts = PointsTo::run(&app.program, &threads, 0);
-        let baseline = datalog_baseline(&app.program, &threads);
-        for (mid, m) in app.program.methods() {
-            for l in 0..m.num_locals() {
-                let local = nadroid::ir::Local(l);
-                let solver_keys: BTreeSet<AllocKey> =
-                    pts.pts(mid, local).iter().map(|&o| pts.objs().key(o)).collect();
-                let base_keys = baseline.get(&(mid, local)).cloned().unwrap_or_default();
-                prop_assert_eq!(solver_keys, base_keys);
-            }
-        }
     }
 
     /// The points-to fixpoint under the parallel epoch planner equals
