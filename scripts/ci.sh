@@ -5,15 +5,18 @@
 #
 # 1. release build of the whole workspace (benches compile too),
 # 2. the full test suite — run at NADROID_THREADS=4 so every analysis
-#    in tier-1 exercises the parallel detection/filtering/points-to/
-#    Datalog paths (output is byte-identical by construction; the
-#    determinism suites assert it),
-# 3. clippy with warnings promoted to errors,
+#    in tier-1 exercises the parallel detection/filtering/points-to
+#    paths (output is byte-identical by construction; the determinism
+#    suites assert it),
+# 3. clippy with warnings promoted to errors, then rustfmt's check mode
+#    (any unformatted file fails the gate),
 # 4. the HB parity gate, in release: the graph-backed filters must
 #    match the test-local reference statement of the §6 ordering rules
 #    in tests/hb_parity.rs verdict-for-verdict, and in Figure 5 tallies
-#    and surviving ids, on the 27 Table 1 apps, the 6 refutation apps,
-#    the Figure 4 gallery and apps/*.dsl; then the soundness fuzz
+#    and surviving ids, and the graph's mustHb/postHb/predHb must equal
+#    a Datalog solve of their rules on every thread pair, on the 27
+#    Table 1 apps, the 6 refutation apps, the Figure 4 gallery,
+#    apps/*.dsl and the test's own rule fixture; then the soundness fuzz
 #    (10 seeded random apps: no pair a sound filter prunes may have a
 #    witness under bounded exploration); then `table1`, whose totals
 #    line must read potential=2320 after-sound=481 after-unsound=120
@@ -78,10 +81,12 @@ cd "$(dirname "$0")/.."
 cargo build --workspace --release
 NADROID_THREADS=4 cargo test -q --workspace
 cargo clippy --workspace --all-targets -- -D warnings
+cargo fmt --all -- --check
 
 # HB parity gate: the graph-backed filters must reproduce the
 # test-local reference statement of the §6 ordering rules
-# byte-for-byte on every corpus population (tests/hb_parity.rs).
+# byte-for-byte on every corpus population, and the graph's closures
+# must equal their Datalog solve (tests/hb_parity.rs).
 cargo test -q --release --test hb_parity
 
 # Soundness fuzz: seeded random apps mixing every pattern kind; the
