@@ -34,7 +34,7 @@
 //! with unchanged facts does near-zero work.
 //!
 //! The naive evaluator the engine replaced is retained as
-//! [`reference::NaiveEngine`] and the property suite asserts both derive
+//! [`reference::NaiveDatabase`] and the property suite asserts both derive
 //! identical relation contents *in identical first-derivation order*.
 //!
 //! # Provenance

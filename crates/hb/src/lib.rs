@@ -186,7 +186,7 @@ impl HbGraph {
         #[derive(Default)]
         struct PairFacts {
             post: bool,
-            same_looper: bool,
+            post_hb: bool,
             cancel: Option<CancelApi>,
             service: bool,
             asynctask: bool,
@@ -210,13 +210,13 @@ impl HbGraph {
         let mut cancelers: Vec<ThreadId> = Vec::new();
 
         for (t, mt) in threads.threads() {
-            // Post edges come straight off the spawn tree; the looper
-            // check is asked only where a post edge holds.
+            // Post edges come straight off the spawn tree; postHb holds
+            // where the poster and the posted share a looper.
             if let Some(u) = mt.parent() {
                 if matches!(mt.via(), SpawnVia::Post | SpawnVia::Send) {
                     let facts = pairs.entry((u, t)).or_default();
                     facts.post = true;
-                    facts.same_looper = threads.atomic_pair(u, t);
+                    facts.post_hb = threads.atomic_pair(u, t);
                 }
             }
             if threads.sites_of(t).iter().any(|s| {
@@ -385,7 +385,7 @@ impl HbGraph {
             }
             let pair = PairEdges {
                 run: start..edges.len(),
-                post_hb: facts.post && facts.same_looper,
+                post_hb: facts.post_hb,
             };
             table.insert((src, dst), pair);
         }
