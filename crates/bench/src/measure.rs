@@ -87,9 +87,9 @@ pub struct SuiteMeasurement {
 }
 
 /// Run the timed suite (provenance off, MHP pre-prune on — the §8.8
-/// baseline workload) and record it. The `timing` driver commits this record as
-/// `BENCH_timing.json`, and the gate's fresh measurements use it too,
-/// so current and baseline always describe the same workload.
+/// baseline workload) and record it. The `timing` driver commits this
+/// record as `BENCH_timing.json`, and the gate's fresh measurements use
+/// it too, so current and baseline always describe the same workload.
 #[must_use]
 pub fn measure_suite() -> SuiteMeasurement {
     let suite_start = Instant::now();
