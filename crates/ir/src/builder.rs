@@ -329,7 +329,10 @@ pub struct MethodBuilder<'p> {
     id: MethodId,
     owner: ClassId,
     param_count: u16,
-    next_local: u16,
+    /// Local slots in use so far. Wider than `Local`'s `u16` so that a
+    /// body past the limit is counted, not wrapped: [`Self::num_locals`]
+    /// reports it and `finish` rejects it.
+    next_local: u32,
     /// Stack of open blocks; the innermost is last.
     blocks: Vec<Vec<Stmt>>,
 }
@@ -356,15 +359,25 @@ impl<'p> MethodBuilder<'p> {
     pub fn params(&mut self, n: u16) -> Vec<Local> {
         assert_eq!(self.next_local, 1, "declare parameters before temporaries");
         self.param_count = n;
-        self.next_local = n + 1;
+        self.next_local = u32::from(n) + 1;
         (1..=n).map(Local).collect()
     }
 
-    /// Allocate a fresh temporary local.
+    /// Allocate a fresh temporary local. Past the `u16` limit the
+    /// returned slot is a placeholder: the count keeps growing and
+    /// `finish` rejects the method.
     pub fn new_local(&mut self) -> Local {
-        let l = Local(self.next_local);
+        let l = Local(u16::try_from(self.next_local).unwrap_or(u16::MAX));
         self.next_local += 1;
         l
+    }
+
+    /// The number of local slots the body uses so far, `this` and the
+    /// parameters included. A method may have at most `u16::MAX`; the
+    /// parser checks this before finishing a body.
+    #[must_use]
+    pub fn num_locals(&self) -> u32 {
+        self.next_local
     }
 
     fn emit(&mut self, op: Op) -> InstrId {
@@ -372,7 +385,7 @@ impl<'p> MethodBuilder<'p> {
         // written with explicit `tN` locals (the parser's canonical form)
         // still produce a consistent `num_locals`.
         for l in op.def().into_iter().chain(op.uses()) {
-            self.next_local = self.next_local.max(l.0 + 1);
+            self.note_local(l);
         }
         let id = self.program.alloc_instr(self.id);
         self.blocks
@@ -383,7 +396,7 @@ impl<'p> MethodBuilder<'p> {
     }
 
     fn note_local(&mut self, l: Local) {
-        self.next_local = self.next_local.max(l.0 + 1);
+        self.next_local = self.next_local.max(u32::from(l.0) + 1);
     }
 
     // --- raw instruction emitters -----------------------------------------
@@ -646,7 +659,7 @@ impl<'p> MethodBuilder<'p> {
     /// Raise the number of reserved local slots to at least `n`
     /// (used by the parser when a method header declares `locals=N`).
     pub fn reserve_locals(&mut self, n: u16) {
-        self.next_local = self.next_local.max(n);
+        self.next_local = self.next_local.max(u32::from(n));
     }
 
     /// `post(new R())` with `$outer` wiring.
@@ -670,7 +683,8 @@ impl<'p> MethodBuilder<'p> {
     ///
     /// # Panics
     ///
-    /// Panics if called inside an open nested block.
+    /// Panics if called inside an open nested block, or if the body
+    /// uses more than `u16::MAX` local slots.
     pub fn finish(self) -> MethodId {
         self.finish_inner(None)
     }
@@ -679,7 +693,8 @@ impl<'p> MethodBuilder<'p> {
     ///
     /// # Panics
     ///
-    /// Panics if called inside an open nested block.
+    /// Panics if called inside an open nested block, or if the body
+    /// uses more than `u16::MAX` local slots.
     pub fn finish_callback(self, kind: CallbackKind) -> MethodId {
         self.finish_inner(Some(kind))
     }
@@ -687,13 +702,15 @@ impl<'p> MethodBuilder<'p> {
     fn finish_inner(mut self, callback: Option<CallbackKind>) -> MethodId {
         let name = self.program.method_name(self.id).to_owned();
         assert_eq!(self.blocks.len(), 1, "unbalanced nested blocks in {name}");
+        let num_locals = u16::try_from(self.next_local)
+            .unwrap_or_else(|_| panic!("too many locals in {name}: {}", self.next_local));
         let body = Block(self.blocks.pop().expect("root block"));
         let method = Method {
             name,
             owner: self.owner,
             callback,
             param_count: self.param_count,
-            num_locals: self.next_local,
+            num_locals,
             body,
         };
         self.program.methods[self.id.index()] = MethodSlot::Built(method);

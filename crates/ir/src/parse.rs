@@ -564,8 +564,11 @@ impl<'a> Parser<'a> {
                 let n = self.int()?;
                 match kw {
                     "params" => {
+                        // `this` takes a slot too, so at most u16::MAX - 1.
                         params = u16::try_from(n)
-                            .map_err(|_| ParseError::new(l, "too many parameters"))?;
+                            .ok()
+                            .filter(|&n| n < u16::MAX)
+                            .ok_or_else(|| ParseError::new(l, "too many parameters"))?;
                     }
                     "locals" => {
                         locals = Some(
@@ -603,21 +606,28 @@ impl<'a> Parser<'a> {
         Ok(out)
     }
 
-    fn local_of(name: &str) -> Option<Local> {
+    /// The local a name denotes: `this`, or `tN` for any digits `N`.
+    /// A method has at most `u16::MAX` slots, so `N` must stay below it.
+    fn local_of(name: &str, line: u32) -> Result<Option<Local>> {
         if name == "this" {
-            return Some(Local::THIS);
+            return Ok(Some(Local::THIS));
         }
-        let rest = name.strip_prefix('t')?;
+        let Some(rest) = name.strip_prefix('t') else {
+            return Ok(None);
+        };
         if rest.is_empty() || !rest.bytes().all(|b| b.is_ascii_digit()) {
-            return None;
+            return Ok(None);
         }
-        rest.parse::<u16>().ok().map(Local)
+        match rest.parse::<u16>() {
+            Ok(n) if n < u16::MAX => Ok(Some(Local(n))),
+            _ => Err(ParseError::new(line, "too many locals")),
+        }
     }
 
     fn local(&mut self) -> Result<Local> {
         let line = self.line();
         let id = self.ident()?;
-        Self::local_of(id).ok_or_else(|| {
+        Self::local_of(id, line)?.ok_or_else(|| {
             ParseError::new(line, format!("expected local (`this`/`tN`), found `{id}`"))
         })
     }
@@ -646,8 +656,9 @@ impl<'a> Parser<'a> {
 
     /// Parse an operand that is either a local, or a class/field name.
     fn operand(&mut self) -> Result<Operand<'a>> {
+        let line = self.line();
         let id = self.ident()?;
-        Ok(match Self::local_of(id) {
+        Ok(match Self::local_of(id, line)? {
             Some(l) => Operand::Local(l),
             None => {
                 if id.chars().next().is_some_and(char::is_uppercase) {
@@ -696,7 +707,7 @@ impl<'a> Parser<'a> {
             "return" => {
                 // `return` may be followed by a local, or by nothing.
                 if let Some(Tok::Ident(id)) = self.peek() {
-                    if let Some(l) = Self::local_of(id) {
+                    if let Some(l) = Self::local_of(id, self.line())? {
                         self.pos += 1;
                         return Ok(AstStmt::CReturn { val: Some(l) });
                     }
@@ -763,7 +774,7 @@ impl<'a> Parser<'a> {
             }
             _ => {
                 // Assignment: canonical `tN = ...` or sugar `<path> = ...`.
-                if let Some(dst) = Self::local_of(first) {
+                if let Some(dst) = Self::local_of(first, line)? {
                     self.expect(Tok::Eq)?;
                     self.canon_rhs(dst, line)
                 } else {
@@ -775,7 +786,7 @@ impl<'a> Parser<'a> {
                         "null" => Rhs::Null,
                         "call" => Rhs::Call(self.ident()?),
                         kw => {
-                            if Self::local_of(kw).is_some() {
+                            if Self::local_of(kw, rline)?.is_some() {
                                 return Err(ParseError::new(
                                     rline,
                                     "locals cannot be assigned to fields in sugar; use canonical `store`",
@@ -1105,6 +1116,11 @@ fn lower(ast: &AstProgram<'_>) -> Result<Program> {
                 lo: &lo,
             };
             lower_block(&mut mb, &ctx, &m.body)?;
+            // Sugar statements allocate temporaries past a `locals=N`
+            // header, so the limit is checked once the body is lowered.
+            if mb.num_locals() > u32::from(u16::MAX) {
+                return Err(ParseError::new(m.line, "too many locals"));
+            }
             match callback {
                 Some(k) => mb.finish_callback(k),
                 None => mb.finish(),

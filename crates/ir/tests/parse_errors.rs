@@ -54,6 +54,11 @@ const CASES: &[(&str, &str)] = &[
     ("app A\nactivity M { fn f(depth=1) { } }", "parse error at line 2: unknown method attribute `depth`"),
     ("app A\nactivity M { fn f(params=70000) { } }", "parse error at line 2: too many parameters"),
     ("app A\nactivity M { fn f(locals=70000) { } }", "parse error at line 2: too many locals"),
+    // The local limit: a method has at most u16::MAX slots, `this` included.
+    ("app A\nactivity M {\n  fn f(params=65535) { }\n}", "parse error at line 3: too many parameters"),
+    ("app A\nactivity M {\n  cb onClick {\n    t65535 = null\n  }\n}", "parse error at line 4: too many locals"),
+    ("app A\nactivity M {\n  cb onClick {\n    t1 = move t99999999999999999999\n  }\n}", "parse error at line 4: too many locals"),
+    ("app A\nactivity M {\n  field f\n  fn g(locals=65535) {\n    use f\n  }\n}", "parse error at line 4: too many locals"),
     ("app A\nactivity M { fn f(params=x) { } }", "parse error at line 2: expected integer, found `x`"),
     ("app A\nactivity M { fn f(params 1) { } }", "parse error at line 2: expected `=`, found `1`"),
     ("app A\nactivity M { cb onClick { t1 = load x M.f } }", "parse error at line 2: expected local (`this`/`tN`), found `x`"),
@@ -132,6 +137,22 @@ fn lexical_corners_parse_and_round_trip() {
         let p = parse_program(src).unwrap_or_else(|e| panic!("{src:?}: {e}"));
         let names: Vec<_> = p.classes().map(|(_, c)| c.name()).collect();
         assert_eq!(names, *classes, "{src:?}");
+        assert_eq!(parse_program(&print_program(&p)), Ok(p), "{src:?}");
+    }
+}
+
+/// The last valid slot at the local limit parses and round-trips: 65,534
+/// parameters after `this`, local `t65534`, and a `locals=65535` header.
+#[test]
+fn the_local_limit_admits_its_last_slot() {
+    for src in [
+        "app A\nactivity M { fn f(params=65534) { } }",
+        "app A\nactivity M { cb onClick { t65534 = null } }",
+        "app A\nactivity M { fn f(locals=65535) { t1 = null } }",
+    ] {
+        let p = parse_program(src).unwrap_or_else(|e| panic!("{src:?}: {e}"));
+        let (_, m) = p.methods().next().expect("one method");
+        assert_eq!(m.num_locals(), u16::MAX, "{src:?}");
         assert_eq!(parse_program(&print_program(&p)), Ok(p), "{src:?}");
     }
 }
