@@ -136,21 +136,10 @@ pub fn app_slug(name: &str) -> String {
 /// are independent). Results come back in row order.
 #[must_use]
 pub fn run_rows_parallel(rows: &[PaperRow]) -> Vec<AppRun> {
-    run_rows_parallel_inner(rows, run_row)
-}
-
-/// [`run_rows_parallel`] built on [`run_row_timed`] — for the timing
-/// driver, whose `suite.wall_secs` wraps the whole parallel run.
-#[must_use]
-pub fn run_rows_parallel_timed(rows: &[PaperRow]) -> Vec<AppRun> {
-    run_rows_parallel_inner(rows, run_row_timed)
-}
-
-fn run_rows_parallel_inner(rows: &[PaperRow], one: fn(&PaperRow) -> AppRun) -> Vec<AppRun> {
     std::thread::scope(|scope| {
         let handles: Vec<_> = rows
             .iter()
-            .map(|row| scope.spawn(move || one(row)))
+            .map(|row| scope.spawn(move || run_row(row)))
             .collect();
         handles
             .into_iter()

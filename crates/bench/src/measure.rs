@@ -3,7 +3,7 @@
 //! record, full `suite` records for the run ledger, and the one-step
 //! write every bench driver ends with.
 
-use crate::{render_table, run_rows_parallel, run_rows_parallel_timed, AppRun};
+use crate::{render_table, run_row, run_row_timed, AppRun};
 use nadroid_core::PhaseTimings;
 use nadroid_corpus::table1_rows;
 use nadroid_ledger as ledger;
@@ -40,8 +40,8 @@ fn sum_timings(runs: &[AppRun]) -> PhaseTimings {
 }
 
 /// A ledger record of `kind` holding what every suite run measures:
-/// wall and CPU seconds, per-phase CPU seconds summed across the
-/// (parallel) app runs, the app count, and every recorder counter
+/// wall and CPU seconds, per-phase seconds summed across the app runs,
+/// the app count, and every recorder counter
 /// summed over the apps. Time-valued `*_micros` counters are folded
 /// into `times` so the counter section stays exactly comparable.
 fn suite_record(kind: ledger::Kind, runs: &[AppRun], wall: Duration) -> ledger::Record {
@@ -90,12 +90,15 @@ pub struct SuiteMeasurement {
 /// baseline workload) and record it. The `timing` driver commits this
 /// record as `BENCH_timing.json`, and the gate's fresh measurements use
 /// it too, so current and baseline always describe the same workload.
+///
+/// The apps run one after another, so each phase time is that layer's
+/// own time, not time spent preempted by the other apps' threads.
 #[must_use]
 pub fn measure_suite() -> SuiteMeasurement {
     let suite_start = Instant::now();
     // The timed variant skips provenance capture: wall_secs guards the
     // analysis pipeline, not the post-run debugging exporter.
-    let runs = run_rows_parallel_timed(&table1_rows());
+    let runs: Vec<AppRun> = table1_rows().iter().map(run_row_timed).collect();
     let suite_wall = suite_start.elapsed();
     let record = suite_record(ledger::Kind::Timing, &runs, suite_wall);
 
@@ -138,7 +141,7 @@ pub fn measure_suite() -> SuiteMeasurement {
     }
     let _ = writeln!(
         breakdown,
-        "  total(cpu): {total:>12?}  (suite wall-clock {suite_wall:?}, parallel)"
+        "  total(cpu): {total:>12?}  (suite wall-clock {suite_wall:?}, sequential)"
     );
 
     SuiteMeasurement {
@@ -152,11 +155,12 @@ pub fn measure_suite() -> SuiteMeasurement {
 /// available) and build a complete ledger record: the suite record
 /// [`measure_suite`] also starts from, plus per-phase latency
 /// histograms across the 27 apps and the warning population with
-/// per-app digests and the Figure-5 tallies.
+/// per-app digests and the Figure-5 tallies. The apps run one after
+/// another, as in [`measure_suite`].
 #[must_use]
 pub fn suite_ledger_record(kind: ledger::Kind) -> ledger::Record {
     let start = Instant::now();
-    let runs = run_rows_parallel(&table1_rows());
+    let runs: Vec<AppRun> = table1_rows().iter().map(run_row).collect();
     let mut rec = suite_record(kind, &runs, start.elapsed());
 
     for (name, pick) in PHASES {
