@@ -471,19 +471,6 @@ impl HbGraph {
             .find(|k| k.is_must())
     }
 
-    /// Whether some *unsound* ordering evidence (§6.2.1's mayHB family)
-    /// suggests `a` completes before `b`: a post on a shared looper, a
-    /// cancellation of `a`'s family by `b`, or an `onResume` re-entry
-    /// edge.
-    #[must_use]
-    pub fn may_hb(&self, a: ThreadId, b: ThreadId) -> bool {
-        self.post_hb(a, b)
-            || self
-                .between(a, b)
-                .iter()
-                .any(|e| matches!(e.kind, HbEdgeKind::Cancel(_) | HbEdgeKind::Reentry(_)))
-    }
-
     /// May-happen-in-parallel: distinct threads with no sound ordering in
     /// either direction. Disjoint from [`HbGraph::must_hb`] by
     /// construction (the property suite pins this).
@@ -625,12 +612,6 @@ impl HbGraph {
     #[must_use]
     pub fn pred_must_hb_path(&self, a: ThreadId, b: ThreadId) -> Option<Vec<ThreadId>> {
         (a != b && self.pred_must_hb(a, b)).then(|| shortest_path(&self.pred_succ, a, b))
-    }
-
-    /// Number of direct edges.
-    #[must_use]
-    pub fn edge_count(&self) -> usize {
-        self.edges.len()
     }
 }
 
@@ -903,7 +884,11 @@ mod tests {
         let con = thread_of(&t, CallbackKind::OnServiceConnected);
         let destroy = thread_of(&t, CallbackKind::OnDestroy);
         assert_eq!(g.cancel_hb(con, destroy), Some(CancelApi::UnbindService));
-        assert!(g.may_hb(con, destroy));
+        assert!(!g.post_hb(con, destroy), "a cancellation is not a post");
+        assert!(g
+            .edges_between(con, destroy)
+            .iter()
+            .any(|e| e.kind == HbEdgeKind::Cancel(CancelApi::UnbindService)));
     }
 
     #[test]
@@ -951,10 +936,14 @@ mod tests {
     }
 
     #[test]
-    fn edge_count_matches_edges() {
-        let (_p, _t, g) = build(LIFECYCLE);
-        assert_eq!(g.edge_count(), g.edges().len());
-        assert!(g.edge_count() > 0);
+    fn hb_edges_counter_counts_the_direct_edges() {
+        let rec = nadroid_obs::Recorder::new();
+        let (_p, _t, g) = {
+            let _installed = rec.install();
+            build(LIFECYCLE)
+        };
+        assert!(!g.edges().is_empty());
+        assert_eq!(rec.counter_value("hb.edges"), g.edges().len() as u64);
     }
 
     #[test]
