@@ -4,6 +4,16 @@
 //! program's copy, load and store constraints (see `solver`), and the
 //! escape analysis walks the object graph it computes.
 //!
+//! Both work on index tables rather than hashed keys. The solver keeps
+//! one record per propagation node — its points-to set in insertion
+//! order, its copy-edge successors, and its load, store and invoke use
+//! lists — in a `Vec` indexed by node id, with one integer-keyed set
+//! each for (node, object) facts and (from, to) edges. [`PointsTo`]
+//! keeps the merged result as sorted runs: per method, its populated
+//! locals with their objects; per object, its populated fields with
+//! theirs. [`Escape`] walks those runs, so it visits only populated
+//! locals. No table is sized by a method's declared local count.
+//!
 //! # Example
 //!
 //! ```
@@ -44,7 +54,7 @@ mod tables;
 
 pub use analysis::PointsTo;
 pub use escape::Escape;
-pub use tables::{AllocKey, ObjId, ObjTable, VarId, VarTable};
+pub use tables::{AllocKey, ObjId, ObjTable};
 
 #[cfg(test)]
 mod tests {

@@ -1,59 +1,6 @@
-//! Interning tables for analysis domains: variables and abstract objects.
+//! The interning table of abstract objects.
 
-use nadroid_ir::{ClassId, InstrId, Local, MethodId, Program};
-use std::collections::HashMap;
-
-/// A program-global variable id: one per (method, local) pair plus one
-/// pseudo-variable per method for its return value. Used directly as a
-/// Datalog term.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct VarId(pub u32);
-
-/// Dense numbering of all variables of a program.
-#[derive(Debug, Clone)]
-pub struct VarTable {
-    /// Base var id of each method's locals.
-    base: Vec<u32>,
-    total: u32,
-}
-
-impl VarTable {
-    /// Number all locals and return-value pseudo-vars of the program.
-    #[must_use]
-    pub fn new(program: &Program) -> Self {
-        let mut base = Vec::with_capacity(program.method_ids().count());
-        let mut next = 0u32;
-        for (_, m) in program.methods() {
-            base.push(next);
-            next += u32::from(m.num_locals()) + 1; // +1 for the return var
-        }
-        VarTable { base, total: next }
-    }
-
-    /// The variable for a local slot of a method.
-    #[must_use]
-    pub fn var(&self, method: MethodId, local: Local) -> VarId {
-        VarId(self.base[method.index()] + u32::from(local.0))
-    }
-
-    /// The pseudo-variable holding a method's return value.
-    #[must_use]
-    pub fn ret(&self, program: &Program, method: MethodId) -> VarId {
-        VarId(self.base[method.index()] + u32::from(program.method(method).num_locals()))
-    }
-
-    /// Total number of variables.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.total as usize
-    }
-
-    /// Whether the program has no variables.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.total == 0
-    }
-}
+use nadroid_ir::{ClassId, InstrId};
 
 /// The allocation key of an abstract object: a `new` site or a
 /// framework-managed component singleton.
@@ -69,15 +16,15 @@ pub enum AllocKey {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ObjId(pub u32);
 
-/// Interning table for abstract objects named by allocation-site chains:
+/// The table of abstract objects named by allocation-site chains:
 /// `[own key, creator key, creator's creator key, ...]` truncated to the
 /// analysis depth `k` — the heap-cloning form of k-object-sensitivity
-/// (§5: Chord's k-object-sensitive naming, k = 2 by default).
+/// (§5: Chord's k-object-sensitive naming, k = 2 by default). The solver
+/// creates each chain once, so the table keeps no index by chain.
 #[derive(Debug, Clone, Default)]
 pub struct ObjTable {
     chains: Vec<Vec<AllocKey>>,
     classes: Vec<Option<ClassId>>,
-    by_chain: HashMap<Vec<AllocKey>, ObjId>,
 }
 
 impl ObjTable {
@@ -87,14 +34,11 @@ impl ObjTable {
         Self::default()
     }
 
-    /// Intern an object named by `chain` (first element is its own
-    /// allocation key), recording the allocated class.
-    pub fn intern(&mut self, chain: Vec<AllocKey>, class: Option<ClassId>) -> ObjId {
-        if let Some(&id) = self.by_chain.get(&chain) {
-            return id;
-        }
+    /// Add an object named by `chain` (first element is its own
+    /// allocation key), recording the allocated class. The caller names
+    /// each object once: the table does not look for an equal chain.
+    pub fn push(&mut self, chain: Vec<AllocKey>, class: Option<ClassId>) -> ObjId {
         let id = ObjId(self.chains.len() as u32);
-        self.by_chain.insert(chain.clone(), id);
         self.chains.push(chain);
         self.classes.push(class);
         id
@@ -143,39 +87,18 @@ impl ObjTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nadroid_android::ClassRole;
-    use nadroid_ir::ProgramBuilder;
 
     #[test]
-    fn var_numbering_is_dense_and_disjoint() {
-        let mut b = ProgramBuilder::new("V");
-        let c = b.add_class("C", ClassRole::Plain);
-        let mut m1 = b.method(c, "a");
-        let t = m1.new_local();
-        m1.null(t);
-        let a = m1.finish();
-        let mut m2 = b.method(c, "b");
-        m2.ret(None);
-        let bb = m2.finish();
-        let p = b.build();
-        let vt = VarTable::new(&p);
-        // method a: this + t + ret = 3 vars; method b: this + ret = 2.
-        assert_eq!(vt.len(), 5);
-        assert_ne!(vt.var(a, Local::THIS), vt.var(bb, Local::THIS));
-        assert_eq!(vt.ret(&p, a).0, 2);
-        assert_eq!(vt.var(bb, Local::THIS).0, 3);
-    }
-
-    #[test]
-    fn obj_interning_dedups_chains() {
+    fn objects_are_numbered_in_push_order() {
         let mut t = ObjTable::new();
         let s = AllocKey::Site(InstrId::from_raw(7));
-        let a = t.intern(vec![s], None);
-        let b = t.intern(vec![s], None);
-        assert_eq!(a, b);
-        let c = t.intern(vec![s, AllocKey::Singleton(ClassId::from_raw(0))], None);
-        assert_ne!(a, c);
+        let main = ClassId::from_raw(0);
+        let a = t.push(vec![s], None);
+        let c = t.push(vec![s, AllocKey::Singleton(main)], Some(main));
+        assert_eq!((a, c), (ObjId(0), ObjId(1)));
         assert_eq!(t.len(), 2);
         assert_eq!(t.key(c), s);
+        assert_eq!(t.chain(c), [s, AllocKey::Singleton(main)]);
+        assert_eq!(t.class(c), Some(main));
     }
 }

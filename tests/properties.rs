@@ -10,7 +10,6 @@ use nadroid::corpus::{
 };
 use nadroid::dynamic::{explore, ExploreConfig, Goal};
 use nadroid::ir::{parse_program, print_program, ClassId, Op, Program};
-use nadroid::pointsto::PointsTo;
 use nadroid::threadify::{ThreadId, ThreadModel};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -160,34 +159,6 @@ proptest! {
         let b = analyze(&app.program, &AnalysisConfig::default());
         prop_assert_eq!(a.summary(), b.summary());
         prop_assert_eq!(a.warnings(), b.warnings());
-    }
-
-    /// The points-to fixpoint under the parallel epoch planner equals
-    /// the sequential solve exactly — same sets *and* same deterministic
-    /// solver trace (queue pops), on every generated program. The
-    /// ambient thread budget is what flips the planner on; nothing else
-    /// in the solve changes.
-    #[test]
-    fn parallel_pointsto_fixpoint_equals_sequential(spec in spec_strategy(2), k in 0u32..=2) {
-        let app = generate(&spec);
-        let threads = ThreadModel::build(&app.program);
-        let solve = |budget: usize| {
-            let recorder = nadroid::obs::Recorder::new();
-            let pts = {
-                let _guard = recorder.install();
-                nadroid::par::with_threads(budget, || PointsTo::run(&app.program, &threads, k))
-            };
-            (pts, recorder.counter_value("pointsto.queue_pops"))
-        };
-        let (seq, seq_pops) = solve(1);
-        let (par, par_pops) = solve(4);
-        prop_assert_eq!(seq_pops, par_pops, "solver trace diverged");
-        for (mid, m) in app.program.methods() {
-            for l in 0..m.num_locals() {
-                let local = nadroid::ir::Local(l);
-                prop_assert_eq!(seq.pts(mid, local), par.pts(mid, local), "pts diverged");
-            }
-        }
     }
 
     /// Raising k never *adds* warning pairs (sensitivity only refines).
