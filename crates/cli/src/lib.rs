@@ -378,7 +378,7 @@ OBSERVABILITY (see docs/observability.md):
                       the filters via the HB closure; shrinks the
                       potential count, so off by default
     --threads <N>     worker threads for the parallel phases (detection,
-                      filtering, points-to planning),
+                      filtering),
                       1 to 256 (as for confirm and serve); output is
                       byte-identical at every N. Defaults to the
                       NADROID_THREADS environment variable, then 1

@@ -80,8 +80,8 @@ pub struct AnalysisConfig {
     /// shrink — the timing driver opts in to measure the saved work.
     /// Free-before-use orderings are never pruned (they are the bugs).
     pub mhp_preprune: bool,
-    /// Worker threads for the parallel phases (detection, filtering,
-    /// points-to planning). `1` (the default) keeps every phase on the
+    /// Worker threads for the parallel phases (detection and
+    /// filtering). `1` (the default) keeps every phase on the
     /// calling thread; any value produces byte-identical output — see
     /// `docs/parallelism.md`. The default honors the `NADROID_THREADS`
     /// environment variable so whole test suites can be swept across

@@ -8,9 +8,9 @@
 //! the per-chunk results **in chunk-index order**, so the concatenation
 //! of the results is byte-identical to a sequential left-to-right scan
 //! at any thread count. That ordered-merge invariant is what lets the
-//! detector, the filter pipeline and the points-to epoch planner
-//! parallelize without perturbing warning ids, Figure 5 tallies, or obs
-//! counters (see `docs/parallelism.md`).
+//! detector and the filter pipeline parallelize without perturbing
+//! warning ids, Figure 5 tallies, or obs counters (see
+//! `docs/parallelism.md`).
 //!
 //! The thread count is *ambient*: [`with_threads`] installs it for a
 //! scope (the pipeline wraps each analysis in

@@ -5,9 +5,9 @@
 #
 # 1. release build of the whole workspace (benches compile too),
 # 2. the full test suite — run at NADROID_THREADS=4 so every analysis
-#    in tier-1 exercises the parallel detection/filtering/points-to
-#    paths (output is byte-identical by construction; the determinism
-#    suites assert it),
+#    in tier-1 exercises the parallel detection and filtering paths
+#    (output is byte-identical by construction; the determinism suites
+#    assert it),
 # 3. clippy with warnings promoted to errors, then rustfmt's check mode
 #    (any unformatted file fails the gate),
 # 4. the HB parity gate, in release: the graph-backed filters must
