@@ -24,7 +24,7 @@ struct Runs<K> {
 }
 
 impl<K: Copy + Ord> Runs<K> {
-    /// Group `(owner, key, object)` triples, sorted by owner and free of
+    /// Group `(owner, key, object)` triples, sorted and free of
     /// duplicates, for owners `0..owners`.
     fn new(owners: usize, triples: impl ExactSizeIterator<Item = (usize, K, ObjId)>) -> Self {
         let mut offsets = vec![0u32; owners + 1];
@@ -109,13 +109,13 @@ impl PointsTo {
     }
 
     /// Objects a method-local may point to (merged over receiver
-    /// contexts).
+    /// contexts), sorted.
     #[must_use]
     pub fn pts(&self, method: MethodId, local: Local) -> &[ObjId] {
         self.vars.get(method.index(), local)
     }
 
-    /// Objects stored in field `f` of object `o`.
+    /// Objects stored in field `f` of object `o`, sorted.
     #[must_use]
     pub fn field_pts(&self, o: ObjId, field: u32) -> &[ObjId] {
         self.heap.get(o.0 as usize, field)
@@ -139,9 +139,10 @@ impl PointsTo {
     /// Whether two locals may point to a common object.
     #[must_use]
     pub fn may_alias(&self, a: (MethodId, Local), b: (MethodId, Local)) -> bool {
-        let pa = self.pts(a.0, a.1);
         let pb = self.pts(b.0, b.1);
-        pa.iter().any(|o| pb.contains(o))
+        self.pts(a.0, a.1)
+            .iter()
+            .any(|o| pb.binary_search(o).is_ok())
     }
 
     /// The common objects of two locals' points-to sets.
@@ -151,7 +152,7 @@ impl PointsTo {
         self.pts(a.0, a.1)
             .iter()
             .copied()
-            .filter(|o| pb.contains(o))
+            .filter(|o| pb.binary_search(o).is_ok())
             .collect()
     }
 

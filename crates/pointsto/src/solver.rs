@@ -103,9 +103,10 @@ struct InvokeUse {
 }
 
 /// The hasher of the solver's integer-keyed tables. Every key is one
-/// `u64` packed from ids the solver itself hands out densely, so a
-/// multiply that folds the high half into the low half spreads them
-/// across buckets at a fraction of SipHash's cost.
+/// `u64` packed from ids the solver or the IR hands out densely and from
+/// 16-bit local slots, so an input program cannot pick keys that
+/// collide, and a multiply that folds the high half into the low half
+/// spreads them across buckets at a fraction of SipHash's cost.
 #[derive(Default)]
 struct IntHasher(u64);
 
