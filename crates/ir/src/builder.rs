@@ -375,8 +375,7 @@ impl<'p> MethodBuilder<'p> {
     /// The number of local slots the body uses so far, `this` and the
     /// parameters included. A method may have at most `u16::MAX`; the
     /// parser checks this before finishing a body.
-    #[must_use]
-    pub fn num_locals(&self) -> u32 {
+    pub(crate) fn num_locals(&self) -> u32 {
         self.next_local
     }
 

@@ -167,7 +167,6 @@ struct Solver<'p> {
     /// (method, context) clones by id, and their ids by packed key.
     clones: Vec<MethodClone>,
     clone_ids: IntMap<u32>,
-    expanded: u64,
     /// Var nodes by (clone, local) and heap nodes by (object, field).
     var_nodes: IntMap<NodeId>,
     heap_nodes: IntMap<NodeId>,
@@ -198,7 +197,6 @@ impl<'p> Solver<'p> {
             nodes: Vec::with_capacity(n),
             clones: Vec::new(),
             clone_ids: IntMap::default(),
-            expanded: 0,
             var_nodes: IntMap::with_capacity_and_hasher(n, Default::default()),
             heap_nodes: IntMap::default(),
             facts: IntSet::with_capacity_and_hasher(n, Default::default()),
@@ -316,7 +314,8 @@ impl<'p> Solver<'p> {
             obs::counter("pointsto.nodes", self.nodes.len() as u64);
             obs::counter("pointsto.contexts", self.ctxs.len() as u64);
             obs::counter("pointsto.copy_edges", self.edges.len() as u64);
-            obs::counter("pointsto.reached_method_contexts", self.expanded);
+            let expanded = self.clones.iter().filter(|c| c.expanded).count();
+            obs::counter("pointsto.reached_method_contexts", expanded as u64);
             obs::counter("pointsto.objects", self.objs.len() as u64);
         }
         self.finish()
@@ -376,7 +375,6 @@ impl<'p> Solver<'p> {
             return;
         }
         self.clones[clone].expanded = true;
-        self.expanded += 1;
         let ctx = self.clones[clone].ctx;
         // Copy the `&'p Program` reference out of `self` so the body
         // borrow is independent of the `&mut self` the closure needs —

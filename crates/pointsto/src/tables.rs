@@ -37,7 +37,7 @@ impl ObjTable {
     /// Add an object named by `chain` (first element is its own
     /// allocation key), recording the allocated class. The caller names
     /// each object once: the table does not look for an equal chain.
-    pub fn push(&mut self, chain: Vec<AllocKey>, class: Option<ClassId>) -> ObjId {
+    pub(crate) fn push(&mut self, chain: Vec<AllocKey>, class: Option<ClassId>) -> ObjId {
         let id = ObjId(self.chains.len() as u32);
         self.chains.push(chain);
         self.classes.push(class);
