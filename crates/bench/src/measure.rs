@@ -41,9 +41,9 @@ fn sum_timings(runs: &[AppRun]) -> PhaseTimings {
 
 /// A ledger record of `kind` holding what every suite run measures:
 /// wall and CPU seconds, per-phase seconds summed across the app runs,
-/// the app count, and every recorder counter
-/// summed over the apps. Time-valued `*_micros` counters are folded
-/// into `times` so the counter section stays exactly comparable.
+/// the app count, and every recorder counter summed over the apps.
+/// Time-valued `*_micros` counters are folded into `times` so the
+/// counter section stays exactly comparable.
 fn suite_record(kind: ledger::Kind, runs: &[AppRun], wall: Duration) -> ledger::Record {
     let sum = sum_timings(runs);
     let mut rec = ledger::Record::new(kind);

@@ -1,4 +1,4 @@
-//! The interning table of abstract objects.
+//! The table of abstract objects.
 
 use nadroid_ir::{ClassId, InstrId};
 
