@@ -1,5 +1,4 @@
-//! A semi-naive, bottom-up Datalog engine with compiled join plans and
-//! column indexes.
+//! A semi-naive, bottom-up Datalog evaluator with one index per column.
 //!
 //! Chord — the static race detector nAdroid builds on — expresses its
 //! analyses (call graph, k-object-sensitive points-to, thread escape) as
@@ -18,24 +17,22 @@
 //! - the `mustHb`, `postHb` and `predHb` rules against the
 //!   happens-before graph (`tests/hb_parity.rs`).
 //!
-//! # Architecture
+//! # Evaluation
 //!
-//! Tuples are interned into a flat per-relation arena (`Vec<u32>`, one
-//! row per tuple) and never re-allocated afterwards. Each [`Rule`] is
-//! compiled once per [`Database::run`] into a fixed sequence of column
-//! actions over dense variable slots, so the inner join loop works on a
-//! stack-allocated binding array instead of a per-tuple hash map. Body
-//! atoms with bound columns probe per-relation hash indexes keyed on the
-//! projection of those columns; indexes are built lazily per
-//! `(relation, bound-column mask)`, extended incrementally as tuples are
-//! derived, and shared between full and delta scans (a delta is just a
-//! contiguous row range of the arena). Re-running the same rules resumes
-//! from a per-relation high-water mark, so a second [`Database::run`]
-//! with unchanged facts does near-zero work.
+//! Each relation keeps its tuples in first-derivation order, a set of
+//! them for deduplication and, per column, each value's ascending row
+//! ids; an insert updates all three. Every [`Database::run`] starts with
+//! every tuple as the delta. A round evaluates each rule once per body
+//! atom, with that atom restricted to the rows the previous round added,
+//! and the run stops after a round that adds nothing. A body atom probes
+//! the column of its first known term (a constant or a variable an
+//! earlier atom bound) within its row range, and checks the other
+//! columns against an array of bindings indexed by variable.
 //!
-//! The naive evaluator the engine replaced is retained as
-//! [`reference::NaiveDatabase`] and the property suite asserts both derive
-//! identical relation contents *in identical first-derivation order*.
+//! [`reference::NaiveDatabase`] evaluates the same rounds by nested scans
+//! over a map of bindings, and the differential suite asserts that both
+//! derive identical relation contents *in identical first-derivation
+//! order*.
 //!
 //! # Provenance
 //!
@@ -77,6 +74,7 @@ pub mod reference;
 
 use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::ops::Range;
 
 /// Identifier of a relation within a [`Database`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -230,51 +228,22 @@ impl RuleSet {
     }
 }
 
-/// Counters of the most recent [`Database::run`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct EngineStats {
-    /// Fixpoint iterations executed (at least 1 for a non-trivial run).
-    pub iterations: u64,
-    /// Tuples newly derived and admitted into relations.
-    pub derived: u64,
-    /// Candidate head tuples produced before deduplication.
-    pub considered: u64,
-    /// Hash-index probes performed by compiled joins.
-    pub index_probes: u64,
-    /// `(relation, column-mask)` indexes materialized or extended.
-    pub indexes_built: u64,
-}
-
-/// One lazily built hash index over a relation: the projection of the
-/// columns in a bound-column mask, mapped to the (ascending) rows whose
-/// projection hashes there. Hash collisions are harmless — probes verify
-/// candidate rows against the arena.
-#[derive(Debug, Default)]
-struct ColumnIndex {
-    /// Rows `[0, rows_indexed)` of the arena are reflected in `map`.
-    rows_indexed: u32,
-    map: HashMap<u64, Vec<u32>>,
-}
-
 #[derive(Debug, Default)]
 struct RelationData {
     name: String,
     arity: usize,
-    /// Flat tuple arena: row `i` is `data[i*arity .. (i+1)*arity]`, in
-    /// first-derivation order (this *is* the `tuples()` order).
+    /// Row `i` is `data[i*arity .. (i+1)*arity]`, in first-derivation
+    /// order (the `tuples()` order).
     data: Vec<u32>,
-    /// Full-tuple hash -> rows with that hash (deduplication).
-    dedup: HashMap<u64, Vec<u32>>,
-    /// Bound-column mask -> lazily maintained index.
-    indexes: HashMap<u32, ColumnIndex>,
-    /// Rows already at fixpoint after the last completed `run`.
-    hwm: u32,
+    /// Every tuple once, for deduplication and `contains`.
+    set: HashSet<Box<[u32]>>,
+    /// Per column, each value's row ids in ascending order.
+    columns: Vec<HashMap<u32, Vec<u32>>>,
 }
 
 impl RelationData {
     #[allow(clippy::cast_possible_truncation)]
     fn rows(&self) -> u32 {
-        debug_assert!(self.arity > 0);
         (self.data.len() / self.arity) as u32
     }
 
@@ -284,111 +253,44 @@ impl RelationData {
     }
 
     /// Insert a tuple if absent; returns true when new.
-    fn insert_row(&mut self, tuple: &[u32]) -> bool {
-        let h = hash_vals(tuple.iter().copied());
-        let rows = self.rows();
-        let candidates = self.dedup.entry(h).or_default();
-        let arity = self.arity;
-        if candidates
-            .iter()
-            .any(|&r| &self.data[r as usize * arity..r as usize * arity + arity] == tuple)
-        {
+    fn insert(&mut self, tuple: &[u32]) -> bool {
+        if self.set.contains(tuple) {
             return false;
         }
-        candidates.push(rows);
+        let row = self.rows();
+        self.set.insert(tuple.into());
         self.data.extend_from_slice(tuple);
+        for (column, &value) in self.columns.iter_mut().zip(tuple) {
+            column.entry(value).or_default().push(row);
+        }
         true
     }
 
-    fn contains_row(&self, tuple: &[u32]) -> bool {
-        let h = hash_vals(tuple.iter().copied());
-        self.dedup
-            .get(&h)
-            .is_some_and(|rows| rows.iter().any(|&r| self.row(r) == tuple))
-    }
-
-    /// Extend the index for `mask` to cover rows `[0, upto)`.
-    fn ensure_index(&mut self, mask: u32, upto: u32) -> bool {
-        let arity = self.arity;
-        let idx = self.indexes.entry(mask).or_default();
-        if idx.rows_indexed >= upto {
-            return false;
-        }
-        for r in idx.rows_indexed..upto {
-            let start = r as usize * arity;
-            let row = &self.data[start..start + arity];
-            let h = hash_vals((0..arity).filter(|c| mask & (1 << c) != 0).map(|c| row[c]));
-            idx.map.entry(h).or_default().push(r);
-        }
-        idx.rows_indexed = upto;
-        true
+    /// The ids of the rows in `range` whose column `col` holds `value`,
+    /// ascending.
+    fn rows_with(&self, col: usize, value: u32, range: &Range<u32>) -> &[u32] {
+        let rows = self.columns[col].get(&value).map_or(&[][..], Vec::as_slice);
+        let lo = rows.partition_point(|&r| r < range.start);
+        let hi = rows.partition_point(|&r| r < range.end);
+        &rows[lo..hi]
     }
 }
 
-/// FNV-1a over a value stream; the basis of both deduplication and the
-/// column indexes.
-fn hash_vals(vals: impl Iterator<Item = u32>) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for v in vals {
-        h ^= u64::from(v);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+/// A rule's variable bindings during a join, indexed by variable.
+type Bindings = [Option<u32>; 1 << u8::BITS];
+
+/// The value of a term under `env`, if it has one yet.
+fn value(term: Term, env: &Bindings) -> Option<u32> {
+    match term {
+        Term::Const(c) => Some(c),
+        Term::Var(v) => env[usize::from(v)],
     }
-    h
 }
-
-/// How one column of a compiled atom constrains or extends the bindings.
-#[derive(Debug, Clone, Copy)]
-enum ColAction {
-    /// The column must equal this constant.
-    Const(u32),
-    /// The column must equal an already-bound slot (bound by an earlier
-    /// atom, or by an earlier column of this atom — repeated variables).
-    Eq(u8),
-    /// The column binds a fresh slot.
-    Bind(u8),
-}
-
-/// One part of a probe key or head template.
-#[derive(Debug, Clone, Copy)]
-enum KeyPart {
-    Const(u32),
-    Slot(u8),
-}
-
-#[derive(Debug)]
-struct CompiledAtom {
-    rel: RelId,
-    /// Bitmask of columns bound before this atom is scanned (constants
-    /// plus variables bound by earlier atoms). Zero means full scan.
-    mask: u32,
-    /// Probe-key parts for the mask's columns, in ascending column order.
-    key: Vec<KeyPart>,
-    /// Per-column verification/binding program.
-    actions: Vec<ColAction>,
-}
-
-#[derive(Debug)]
-struct CompiledRule {
-    head_rel: RelId,
-    head: Vec<KeyPart>,
-    atoms: Vec<CompiledAtom>,
-    n_slots: usize,
-}
-
-/// Binding slots kept on the stack for rules with up to this many
-/// distinct variables (the common case by far); larger rules fall back
-/// to one heap allocation per (rule, delta-position) evaluation.
-const STACK_SLOTS: usize = 16;
 
 /// A deductive database: named relations plus fixpoint evaluation.
 #[derive(Debug, Default)]
 pub struct Database {
     relations: Vec<RelationData>,
-    /// The rules of the last completed `run`, for high-water-mark reuse:
-    /// re-running an identical rule set resumes from each relation's
-    /// fixpoint instead of re-deriving from scratch.
-    last_rules: Option<RuleSet>,
-    stats: EngineStats,
 }
 
 impl Database {
@@ -408,10 +310,6 @@ impl Database {
         let name = name.into();
         assert!(arity > 0, "relations must have positive arity");
         assert!(
-            arity <= 32,
-            "relations are limited to 32 columns (bound-column masks are u32)"
-        );
-        assert!(
             !self.relations.iter().any(|r| r.name == name),
             "duplicate relation name {name:?}"
         );
@@ -419,6 +317,7 @@ impl Database {
         self.relations.push(RelationData {
             name,
             arity,
+            columns: vec![HashMap::new(); arity],
             ..Default::default()
         });
         id
@@ -437,13 +336,13 @@ impl Database {
             "arity mismatch inserting into {}",
             r.name
         );
-        r.insert_row(tuple)
+        r.insert(tuple)
     }
 
     /// Whether a tuple is present.
     #[must_use]
     pub fn contains(&self, rel: RelId, tuple: &[u32]) -> bool {
-        self.relations[rel.index()].contains_row(tuple)
+        self.relations[rel.index()].set.contains(tuple)
     }
 
     /// Number of tuples in a relation.
@@ -470,19 +369,12 @@ impl Database {
         &self.relations[rel.index()].name
     }
 
-    /// Counters of the most recent [`Database::run`].
-    #[must_use]
-    pub fn stats(&self) -> &EngineStats {
-        &self.stats
-    }
-
     /// Run the rules to fixpoint with semi-naive evaluation.
     ///
     /// Newly derived tuples are added to the head relations; evaluation
-    /// stops when an iteration derives nothing new. Running twice with the
-    /// same rules is a no-op (fixpoints are idempotent) and, thanks to the
-    /// per-relation high-water mark, near-zero cost; facts inserted
-    /// between runs are treated as the semi-naive delta of the rerun.
+    /// stops when a round derives nothing new. Every run starts with all
+    /// tuples as the delta, so facts inserted between runs are seen, and
+    /// running twice with the same rules derives nothing the second time.
     ///
     /// # Panics
     ///
@@ -492,191 +384,96 @@ impl Database {
         for rule in &rules.rules {
             self.check_rule(rule);
         }
-        let compiled: Vec<CompiledRule> = rules.rules.iter().map(compile_rule).collect();
-        let mut stats = EngineStats::default();
-
-        // With unchanged rules the previous fixpoint still holds, so only
-        // rows inserted since then are delta; a rule change invalidates
-        // the mark and everything becomes delta again.
-        let same_rules = self.last_rules.as_ref() == Some(rules);
-        let mut delta_lo: Vec<u32> = self
-            .relations
-            .iter()
-            .map(|r| if same_rules { r.hwm } else { 0 })
-            .collect();
-
-        // The (relation, mask) indexes the compiled plans will probe.
-        let mut needed: Vec<(RelId, u32)> = compiled
-            .iter()
-            .flat_map(|r| r.atoms.iter())
-            .filter(|a| a.mask != 0)
-            .map(|a| (a.rel, a.mask))
-            .collect();
-        needed.sort_unstable();
-        needed.dedup();
-
-        let mut scratch: Vec<u32> = Vec::new();
+        let mut delta_lo = vec![0; self.relations.len()];
+        let mut env: Bindings = [None; 1 << u8::BITS];
+        let mut out = Vec::new();
         loop {
-            stats.iterations += 1;
             let snapshot: Vec<u32> = self.relations.iter().map(RelationData::rows).collect();
-            for &(rel, mask) in &needed {
-                if self.relations[rel.index()].ensure_index(mask, snapshot[rel.index()]) {
-                    stats.indexes_built += 1;
-                }
-            }
-
             let mut grew = false;
-            for crule in &compiled {
-                if crule.atoms.is_empty() {
-                    // Fact template: all-constant head (checked).
-                    scratch.clear();
-                    scratch.extend(crule.head.iter().map(|p| match p {
-                        KeyPart::Const(c) => *c,
-                        KeyPart::Slot(_) => unreachable!("checked: no unbound head vars"),
-                    }));
-                    stats.considered += 1;
-                    if self.relations[crule.head_rel.index()].insert_row(&scratch) {
-                        stats.derived += 1;
-                        grew = true;
+            for rule in &rules.rules {
+                // Once per body atom, that atom restricted to the delta;
+                // a fact template (no body) once.
+                for delta_pos in 0..rule.body.len().max(1) {
+                    let ranges: Vec<Range<u32>> = rule
+                        .body
+                        .iter()
+                        .enumerate()
+                        .map(|(pos, atom)| {
+                            let rel = atom.rel.index();
+                            let lo = if pos == delta_pos { delta_lo[rel] } else { 0 };
+                            lo..snapshot[rel]
+                        })
+                        .collect();
+                    if ranges.iter().any(Range::is_empty) {
+                        continue; // an empty range matches nothing
                     }
-                    continue;
-                }
-                for delta_pos in 0..crule.atoms.len() {
-                    let drel = crule.atoms[delta_pos].rel.index();
-                    if delta_lo[drel] >= snapshot[drel] {
-                        continue; // empty delta: this occurrence derives nothing new
+                    self.join(rule, &ranges, 0, &mut env, &mut out);
+                    let head = &mut self.relations[rule.head.rel.index()];
+                    for tuple in out.chunks_exact(head.arity) {
+                        grew |= head.insert(tuple);
                     }
-                    scratch.clear();
-                    let mut stack_buf = [0u32; STACK_SLOTS];
-                    let mut heap_buf;
-                    let bindings: &mut [u32] = if crule.n_slots <= STACK_SLOTS {
-                        &mut stack_buf[..]
-                    } else {
-                        heap_buf = vec![0u32; crule.n_slots];
-                        &mut heap_buf[..]
-                    };
-                    self.join(
-                        crule,
-                        0,
-                        delta_pos,
-                        &delta_lo,
-                        &snapshot,
-                        bindings,
-                        &mut scratch,
-                        &mut stats,
-                    );
-                    let head_idx = crule.head_rel.index();
-                    for tuple in scratch.chunks_exact(crule.head.len()) {
-                        if self.relations[head_idx].insert_row(tuple) {
-                            stats.derived += 1;
-                            grew = true;
-                        }
-                    }
+                    out.clear();
                 }
             }
-
-            // Next iteration's delta: exactly the rows derived just now.
-            delta_lo.copy_from_slice(&snapshot);
             if !grew {
                 break;
             }
+            // Next round's delta: exactly the rows derived in this one.
+            delta_lo = snapshot;
         }
-
-        for r in &mut self.relations {
-            r.hwm = r.rows();
-        }
-        self.last_rules = Some(rules.clone());
-        self.stats = stats;
     }
 
-    /// Enumerate matches of `crule.atoms[pos..]`, with the atom at
-    /// `delta_pos` restricted to its relation's delta row range, emitting
-    /// head tuples into `out`. Candidate rows are visited in arena
-    /// (first-derivation) order, which keeps the emission order identical
-    /// to the naive engine's.
-    #[allow(clippy::too_many_arguments)]
+    /// Append to `out` the head tuple of every match of `rule.body[pos..]`,
+    /// atom `i` ranging over rows `ranges[i]` of its relation. Rows are
+    /// visited in ascending (first-derivation) order, so the emission
+    /// order is the reference engine's.
     fn join(
         &self,
-        crule: &CompiledRule,
+        rule: &Rule,
+        ranges: &[Range<u32>],
         pos: usize,
-        delta_pos: usize,
-        delta_lo: &[u32],
-        snapshot: &[u32],
-        bindings: &mut [u32],
+        env: &mut Bindings,
         out: &mut Vec<u32>,
-        stats: &mut EngineStats,
     ) {
-        if pos == crule.atoms.len() {
-            out.extend(crule.head.iter().map(|p| match p {
-                KeyPart::Const(c) => *c,
-                KeyPart::Slot(s) => bindings[*s as usize],
-            }));
-            stats.considered += 1;
-            return;
-        }
-        let atom = &crule.atoms[pos];
-        let r = &self.relations[atom.rel.index()];
-        let lo = if pos == delta_pos {
-            delta_lo[atom.rel.index()]
-        } else {
-            0
-        };
-        let hi = snapshot[atom.rel.index()];
-
-        let visit = |row_id: u32,
-                     this: &Self,
-                     bindings: &mut [u32],
-                     out: &mut Vec<u32>,
-                     stats: &mut EngineStats| {
-            let row = r.row(row_id);
-            for (col, action) in atom.actions.iter().enumerate() {
-                match *action {
-                    ColAction::Const(c) => {
-                        if row[col] != c {
-                            return;
-                        }
-                    }
-                    ColAction::Eq(slot) => {
-                        if row[col] != bindings[slot as usize] {
-                            return;
-                        }
-                    }
-                    ColAction::Bind(slot) => bindings[slot as usize] = row[col],
-                }
-            }
-            this.join(
-                crule,
-                pos + 1,
-                delta_pos,
-                delta_lo,
-                snapshot,
-                bindings,
-                out,
-                stats,
+        let Some(atom) = rule.body.get(pos) else {
+            out.extend(
+                rule.head
+                    .terms
+                    .iter()
+                    .map(|&t| value(t, env).expect("checked: head variables are bound")),
             );
+            return;
         };
-
-        if atom.mask == 0 {
-            for row_id in lo..hi {
-                visit(row_id, self, bindings, out, stats);
+        let r = &self.relations[atom.rel.index()];
+        // The variables this atom binds, unbound again after each row.
+        let fresh: Vec<usize> = atom
+            .terms
+            .iter()
+            .filter_map(|&t| match t {
+                Term::Var(v) if env[usize::from(v)].is_none() => Some(usize::from(v)),
+                _ => None,
+            })
+            .collect();
+        // Probe the column of the first known term, or scan the range.
+        let probe = atom
+            .terms
+            .iter()
+            .enumerate()
+            .find_map(|(col, &t)| Some((col, value(t, env)?)));
+        let (probed, scanned) = match probe {
+            Some((col, v)) => (r.rows_with(col, v, &ranges[pos]), 0..0),
+            None => (&[][..], ranges[pos].clone()),
+        };
+        for row in probed.iter().copied().chain(scanned) {
+            let matches = atom.terms.iter().zip(r.row(row)).all(|(&t, &v)| match t {
+                Term::Const(c) => c == v,
+                Term::Var(x) => *env[usize::from(x)].get_or_insert(v) == v,
+            });
+            if matches {
+                self.join(rule, ranges, pos + 1, env, out);
             }
-        } else {
-            stats.index_probes += 1;
-            let h = hash_vals(atom.key.iter().map(|p| match p {
-                KeyPart::Const(c) => *c,
-                KeyPart::Slot(s) => bindings[*s as usize],
-            }));
-            let idx = &r.indexes[&atom.mask];
-            debug_assert!(idx.rows_indexed >= hi, "index extended before evaluation");
-            if let Some(rows) = idx.map.get(&h) {
-                // Rows are ascending; restrict to [lo, hi).
-                let start = rows.partition_point(|&row| row < lo);
-                for &row_id in &rows[start..] {
-                    if row_id >= hi {
-                        break;
-                    }
-                    visit(row_id, self, bindings, out, stats);
-                }
+            for &x in &fresh {
+                env[x] = None;
             }
         }
     }
@@ -713,73 +510,6 @@ impl Database {
                 );
             }
         }
-    }
-}
-
-/// Compile one rule: dense slot assignment in order of first occurrence,
-/// then a per-column action program and probe key for each body atom.
-fn compile_rule(rule: &Rule) -> CompiledRule {
-    let mut slot_of: HashMap<u8, u8> = HashMap::new();
-    let slot = |v: u8, slot_of: &mut HashMap<u8, u8>| -> u8 {
-        let next = slot_of.len() as u8;
-        *slot_of.entry(v).or_insert(next)
-    };
-
-    let mut bound: HashSet<u8> = HashSet::new(); // slots bound by earlier atoms
-    let mut atoms = Vec::with_capacity(rule.body.len());
-    for atom in &rule.body {
-        let mut mask = 0u32;
-        let mut key = Vec::new();
-        let mut actions = Vec::with_capacity(atom.terms.len());
-        let mut bound_here: HashSet<u8> = HashSet::new();
-        for (col, term) in atom.terms.iter().enumerate() {
-            match *term {
-                Term::Const(c) => {
-                    mask |= 1 << col;
-                    key.push(KeyPart::Const(c));
-                    actions.push(ColAction::Const(c));
-                }
-                Term::Var(v) => {
-                    let s = slot(v, &mut slot_of);
-                    if bound.contains(&s) {
-                        // Bound by an earlier atom: part of the probe key.
-                        mask |= 1 << col;
-                        key.push(KeyPart::Slot(s));
-                        actions.push(ColAction::Eq(s));
-                    } else if bound_here.contains(&s) {
-                        // Repeated within this atom: post-fetch equality.
-                        actions.push(ColAction::Eq(s));
-                    } else {
-                        bound_here.insert(s);
-                        actions.push(ColAction::Bind(s));
-                    }
-                }
-            }
-        }
-        bound.extend(bound_here);
-        atoms.push(CompiledAtom {
-            rel: atom.rel,
-            mask,
-            key,
-            actions,
-        });
-    }
-
-    let head = rule
-        .head
-        .terms
-        .iter()
-        .map(|t| match *t {
-            Term::Const(c) => KeyPart::Const(c),
-            Term::Var(v) => KeyPart::Slot(slot(v, &mut slot_of)),
-        })
-        .collect();
-
-    CompiledRule {
-        head_rel: rule.head.rel,
-        head,
-        atoms,
-        n_slots: slot_of.len(),
     }
 }
 
@@ -970,39 +700,8 @@ mod tests {
         assert_eq!(db.len(p), 5); // 4 edges + (0,3) once
     }
 
-    // ------- index/plan-specific coverage (new engine) -------
-
     #[test]
-    fn rerun_with_unchanged_facts_is_near_zero_work() {
-        let mut db = Database::new();
-        let edge = db.relation("edge", 2);
-        let path = db.relation("path", 2);
-        for i in 0..50u32 {
-            db.insert(edge, &[i, i + 1]);
-        }
-        let mut rules = RuleSet::new();
-        rules
-            .add(path, vec![v(0), v(1)])
-            .when(edge, vec![v(0), v(1)]);
-        rules
-            .add(path, vec![v(0), v(2)])
-            .when(path, vec![v(0), v(1)])
-            .when(edge, vec![v(1), v(2)]);
-        db.run(&rules);
-        let first = *db.stats();
-        assert!(first.derived > 0);
-        db.run(&rules);
-        let second = *db.stats();
-        assert_eq!(second.derived, 0, "high-water mark skips re-derivation");
-        assert_eq!(
-            second.considered, 0,
-            "empty deltas produce no candidate tuples at all"
-        );
-        assert_eq!(second.iterations, 1);
-    }
-
-    #[test]
-    fn changing_rules_resets_the_high_water_mark() {
+    fn a_new_rule_set_sees_the_facts_of_earlier_runs() {
         let mut db = Database::new();
         let edge = db.relation("edge", 2);
         let path = db.relation("path", 2);
@@ -1081,35 +780,8 @@ mod tests {
     }
 
     #[test]
-    fn stats_reflect_index_usage() {
-        let mut db = Database::new();
-        let edge = db.relation("edge", 2);
-        let path = db.relation("path", 2);
-        for i in 0..20u32 {
-            db.insert(edge, &[i, i + 1]);
-        }
-        let mut rules = RuleSet::new();
-        rules
-            .add(path, vec![v(0), v(1)])
-            .when(edge, vec![v(0), v(1)]);
-        rules
-            .add(path, vec![v(0), v(2)])
-            .when(path, vec![v(0), v(1)])
-            .when(edge, vec![v(1), v(2)]);
-        db.run(&rules);
-        let s = *db.stats();
-        assert!(
-            s.index_probes > 0,
-            "the closure rule probes edge by column 0"
-        );
-        assert!(s.indexes_built > 0);
-        assert!(s.derived >= 20 * 21 / 2);
-        assert!(s.iterations > 2);
-    }
-
-    #[test]
-    fn wide_rules_fall_back_to_heap_bindings() {
-        // 17 distinct variables exceed the stack-slot budget.
+    fn wide_rules_bind_every_column() {
+        // 17 columns, each bound to its own variable.
         let mut db = Database::new();
         let wide = db.relation("wide", 17);
         let out = db.relation("out", 17);

@@ -1,13 +1,14 @@
-//! The naive semi-naive evaluator the indexed engine replaced, retained
-//! as a differential-testing oracle.
+//! The naive semi-naive evaluator, retained as a differential-testing
+//! oracle for the column-indexed one.
 //!
 //! [`NaiveDatabase`] mirrors the [`Database`](crate::Database) API but
 //! evaluates joins by nested scans with a `HashMap` binding environment —
 //! the original (pre-index) implementation, kept byte-for-byte in
 //! behavior. The property suite in `tests/differential.rs` asserts the
-//! compiled engine derives exactly the same relation contents *in the
-//! same first-derivation order* on randomized programs; any divergence is
-//! a bug in the index/plan layer, never in this module.
+//! indexed engine derives exactly the same relation contents *in the
+//! same first-derivation order* on randomized programs, batch runs and
+//! reruns alike; any divergence is a bug in the index, never in this
+//! module.
 //!
 //! This module is test infrastructure: it trades all performance for
 //! obviousness, and nothing in the analysis pipeline should use it.
@@ -114,8 +115,8 @@ impl NaiveDatabase {
     }
 
     /// Run the rules to fixpoint with semi-naive evaluation (every run
-    /// restarts with the full database as delta — the behavior the
-    /// indexed engine's high-water mark optimizes away).
+    /// restarts with the full database as delta, as the indexed engine's
+    /// does).
     ///
     /// # Panics
     ///
