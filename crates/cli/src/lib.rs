@@ -378,10 +378,9 @@ OBSERVABILITY (see docs/observability.md):
                       the filters via the HB closure; shrinks the
                       potential count, so off by default
     --threads <N>     worker threads for the parallel phases (detection,
-                      filtering),
-                      1 to 256 (as for confirm and serve); output is
-                      byte-identical at every N. Defaults to the
-                      NADROID_THREADS environment variable, then 1
+                      filtering), 1 to 256 (as for confirm and serve);
+                      output is byte-identical at every N. Defaults to
+                      the NADROID_THREADS environment variable, then 1
 
 CONFIRMATION (see docs/confirm.md):
     `confirm` closes the static→dynamic loop: for each surviving
@@ -577,7 +576,7 @@ fn parse_analyze(args: impl Iterator<Item = String>) -> Result<Command, CliError
                 let v = args
                     .next()
                     .ok_or_else(|| CliError("--threads needs a value".into()))?;
-                threads = Some(parse_threads(&v)?);
+                threads = Some(parse_count("--threads", &v)?);
             }
             other if !other.starts_with('-') && path.is_none() => {
                 path = Some(other.to_owned());
@@ -606,13 +605,13 @@ fn parse_analyze(args: impl Iterator<Item = String>) -> Result<Command, CliError
     })
 }
 
-/// A `--threads` value: a count in `1..=MAX_THREADS`, the same bound
-/// the `NADROID_THREADS` default is clamped to.
-fn parse_threads(v: &str) -> Result<usize, CliError> {
+/// A `--threads` or `--workers` value: a count in `1..=MAX_THREADS`,
+/// the same bound the `NADROID_THREADS` default is clamped to.
+fn parse_count(flag: &str, v: &str) -> Result<usize, CliError> {
     match v.parse::<usize>() {
         Ok(n) if (1..=nadroid_par::MAX_THREADS).contains(&n) => Ok(n),
         _ => Err(CliError(format!(
-            "--threads takes a count from 1 to {}, not `{v}`",
+            "{flag} takes a count from 1 to {}, not `{v}`",
             nadroid_par::MAX_THREADS
         ))),
     }
@@ -652,13 +651,8 @@ fn parse_serve(args: impl Iterator<Item = String>) -> Result<Command, CliError> 
                     return Err(CliError("--log-sample must be at least 1".into()));
                 }
             }
-            "--workers" => {
-                let v = value("--workers")?;
-                workers = v
-                    .parse()
-                    .map_err(|_| CliError(format!("bad worker count `{v}`")))?;
-            }
-            "--threads" => threads = parse_threads(&value("--threads")?)?,
+            "--workers" => workers = parse_count("--workers", &value("--workers")?)?,
+            "--threads" => threads = parse_count("--threads", &value("--threads")?)?,
             "--cache-bytes" => {
                 let v = value("--cache-bytes")?;
                 cache_bytes = v
@@ -907,7 +901,7 @@ fn parse_confirm(args: impl Iterator<Item = String>) -> Result<Command, CliError
                 let v = args
                     .next()
                     .ok_or_else(|| CliError("--threads needs a value".into()))?;
-                threads = Some(parse_threads(&v)?);
+                threads = Some(parse_count("--threads", &v)?);
             }
             "--provenance" => {
                 provenance = Some(
@@ -1778,28 +1772,46 @@ mod tests {
     #[test]
     fn every_threads_flag_takes_one_to_max_threads() {
         assert_eq!(nadroid_par::MAX_THREADS, 256);
-        for cmd in ["analyze", "confirm", "serve"] {
+        let inputs = [
+            ("analyze", "--threads"),
+            ("confirm", "--threads"),
+            ("serve", "--threads"),
+            ("serve", "--workers"),
+        ];
+        for (cmd, flag) in inputs {
             let parse = |n: &str| {
                 let mut a = vec![cmd];
                 if cmd != "serve" {
                     a.push("a.dsl");
                 }
-                a.extend(["--threads", n]);
+                a.extend([flag, n]);
                 parse_args(args(&a))
             };
             for bad in ["0", "257"] {
                 let err = parse(bad).unwrap_err();
                 assert!(
-                    err.0.contains("from 1 to 256"),
-                    "{cmd} --threads {bad}: {err}"
+                    err.0
+                        .contains(&format!("{flag} takes a count from 1 to 256")),
+                    "{cmd} {flag} {bad}: {err}"
                 );
             }
-            match parse("4").unwrap() {
-                Command::Analyze { threads, .. } | Command::Confirm { threads, .. } => {
-                    assert_eq!(threads, Some(4), "{cmd}");
+            for n in [4, 256] {
+                match parse(&n.to_string()).unwrap() {
+                    Command::Analyze { threads, .. } | Command::Confirm { threads, .. } => {
+                        assert_eq!(threads, Some(n), "{cmd}");
+                    }
+                    Command::Serve {
+                        threads, workers, ..
+                    } => {
+                        let parsed = if flag == "--workers" {
+                            workers
+                        } else {
+                            threads
+                        };
+                        assert_eq!(parsed, n, "{cmd} {flag}");
+                    }
+                    other => panic!("{cmd} parsed as {other:?}"),
                 }
-                Command::Serve { threads, .. } => assert_eq!(threads, 4),
-                other => panic!("{cmd} parsed as {other:?}"),
             }
         }
     }
