@@ -3,9 +3,10 @@
 //! every non-empty `pts(method, local)` and every heap cell.
 //!
 //! Covers the 27 Table 1 apps, the 6 refutation-study apps, the Figure 4
-//! gallery and the hand-written `apps/*.dsl` models, at k = 0, 1 and 2.
-//! A change to the solver's data structures must leave every digest as
-//! it is: object numbering included, the result is part of the output.
+//! gallery, the hand-written `apps/*.dsl` models and [`DEEP_CONTEXTS`],
+//! at k = 0, 1 and 2. A change to the solver's data structures must
+//! leave every digest as it is: object numbering included, the result
+//! is part of the output.
 
 use nadroid::corpus::{generate, paper, refute_specs, spec_for, table1_rows};
 use nadroid::ir::{parse_program, Local, Program};
@@ -18,7 +19,7 @@ use std::fmt::Write as _;
 /// that alters points-to on purpose re-pins these and states why; the
 /// failure message prints the full current table.
 #[rustfmt::skip]
-const POINTSTO_DIGESTS: [(&str, [u64; 3]); 38] = [
+const POINTSTO_DIGESTS: [(&str, [u64; 3]); 39] = [
     ("ToDoList", [0x8433_aa94_7e26_d5cc, 0xdd2f_d15b_5a95_4f41, 0xdd2f_d15b_5a95_4f41]),
     ("Zxing", [0x0df4_c1cc_52c4_8df4, 0x0fcd_62f0_3da9_1c03, 0x0fcd_62f0_3da9_1c03]),
     ("Music", [0x64b2_bcd1_a028_0916, 0x2524_f9ba_728b_a9a4, 0x2524_f9ba_728b_a9a4]),
@@ -57,10 +58,53 @@ const POINTSTO_DIGESTS: [(&str, [u64; 3]); 38] = [
     ("downloader.dsl", [0xd1d8_f9ac_97dc_1646, 0x02da_9056_64f2_2b90, 0x02da_9056_64f2_2b90]),
     ("firefox.dsl", [0x7e8f_7b55_c355_1654, 0x51d2_939f_ac64_d9f6, 0x51d2_939f_ac64_d9f6]),
     ("gallery.dsl", [0x7c2b_e1b3_4671_8bfe, 0xd007_148f_6693_97c4, 0xd007_148f_6693_97c4]),
+    ("DeepContexts", [0xe699_fd61_3b31_775e, 0x3f08_a78f_e9ea_4337, 0x1291_1c3c_23b6_0091]),
 ];
 
+/// Every corpus population has the same points-to at k = 1 and k = 2.
+/// Here two activities each allocate their own `Outer`, whose shared
+/// `mk` allocates a `Mid`, whose shared `mk` allocates the `Leaf` each
+/// activity keeps: k = 0 has one `Mid` and one `Leaf`, k = 1 a `Mid` per
+/// `Outer` but one `Leaf` (its context is the `Mid` site alone), and
+/// k = 2 a `Leaf` per `Outer`. Its three digests must differ.
+const DEEP_CONTEXTS: &str = r#"
+    app DeepContexts
+    activity A1 {
+        field p: Leaf
+        cb onCreate {
+            t1 = new Outer
+            t2 = call Outer.mk(recv=t1)
+            store this A1.p = t2
+        }
+        cb onClick { use p }
+    }
+    activity A2 {
+        field p: Leaf
+        cb onCreate {
+            t1 = new Outer
+            t2 = call Outer.mk(recv=t1)
+            store this A2.p = t2
+        }
+        cb onClick { use p }
+    }
+    class Outer {
+        fn mk(params=0, locals=3) {
+            t1 = new Mid
+            t2 = call Mid.mk(recv=t1)
+            return t2
+        }
+    }
+    class Mid {
+        fn mk(params=0, locals=2) {
+            t1 = new Leaf
+            return t1
+        }
+    }
+    class Leaf { }
+"#;
+
 /// The apps, in pinned order: Table 1, the refutation study, the
-/// Figure 4 gallery, then `apps/*.dsl` by file name.
+/// Figure 4 gallery, `apps/*.dsl` by file name, then [`DEEP_CONTEXTS`].
 fn programs() -> Vec<(String, Program)> {
     let mut out: Vec<(String, Program)> = table1_rows()
         .iter()
@@ -81,6 +125,8 @@ fn programs() -> Vec<(String, Program)> {
         let program = parse_program(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
         out.push((name.into_owned(), program));
     }
+    let deep = parse_program(DEEP_CONTEXTS).expect("the fixture parses");
+    out.push(("DeepContexts".to_owned(), deep));
     out
 }
 
@@ -129,6 +175,13 @@ fn pointsto_results_match_their_pinned_digests() {
             let pts = PointsTo::run(&program, &threads, k);
             fnv64(render(&program, &pts).as_bytes())
         });
+        if name == "DeepContexts" {
+            let [d0, d1, d2] = digests;
+            assert!(
+                d0 != d1 && d1 != d2 && d0 != d2,
+                "DeepContexts must tell k = 0, 1 and 2 apart: {digests:#018x?}"
+            );
+        }
         actual.push((name, digests));
     }
     let pinned: Vec<(String, [u64; 3])> = POINTSTO_DIGESTS
