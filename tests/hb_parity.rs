@@ -246,23 +246,26 @@ fn check_closures(name: &str, threads: &ThreadModel, hb: &HbGraph) {
     }
     db.run(&rules);
 
+    // Each solved relation as a dense n × n table, indexed by raw thread
+    // id (`threads()` numbers the threads 0..n).
     let ids: Vec<ThreadId> = threads.threads().map(|(t, _)| t).collect();
+    let n = ids.len();
+    let table = |rel| {
+        let mut holds = vec![false; n * n];
+        for pair in db.tuples(rel) {
+            holds[pair[0] as usize * n + pair[1] as usize] = true;
+        }
+        holds
+    };
+    let (must, post, pred) = (table(must_hb), table(post_hb), table(pred_hb));
     for &a in &ids {
         for &b in &ids {
-            let pair = [a.raw(), b.raw()];
-            assert_eq!(
-                hb.must_hb(a, b),
-                db.contains(must_hb, &pair),
-                "{name}: mustHb({a}, {b})"
-            );
-            assert_eq!(
-                hb.post_hb(a, b),
-                db.contains(post_hb, &pair),
-                "{name}: postHb({a}, {b})"
-            );
+            let pair = a.raw() as usize * n + b.raw() as usize;
+            assert_eq!(hb.must_hb(a, b), must[pair], "{name}: mustHb({a}, {b})");
+            assert_eq!(hb.post_hb(a, b), post[pair], "{name}: postHb({a}, {b})");
             assert_eq!(
                 hb.pred_must_hb(a, b),
-                db.contains(pred_hb, &pair),
+                pred[pair],
                 "{name}: predHb({a}, {b})"
             );
         }
