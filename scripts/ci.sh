@@ -3,7 +3,11 @@
 #
 #   ./scripts/ci.sh
 #
-# 1. release build of the whole workspace (benches compile too),
+# 1. release build of the whole workspace (benches compile too), then
+#    a dependency check: nadroid-datalog, the tests' simple reference
+#    evaluator, must stay off every shipped path, so `cargo tree` must
+#    not find it among nadroid-cli's normal dependencies (the `nadroid`
+#    binary links core, serve, confirm, ledger and bench),
 # 2. the full test suite — run at NADROID_THREADS=4 so every analysis
 #    in tier-1 exercises the parallel detection and filtering paths
 #    (output is byte-identical by construction; the determinism suites
@@ -79,6 +83,13 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo build --workspace --release
+# cargo tree fails with "did not match any packages" when nadroid-cli
+# does not depend on nadroid-datalog; any other outcome fails the gate.
+if tree_out=$(cargo tree --offline -e normal -p nadroid-cli -i nadroid-datalog 2>&1); then
+    echo "ci.sh: nadroid-cli depends on nadroid-datalog:"; echo "$tree_out"; exit 1
+fi
+echo "$tree_out" | grep -q 'did not match any packages' || {
+    echo "ci.sh: cargo tree failed:"; echo "$tree_out"; exit 1; }
 NADROID_THREADS=4 cargo test -q --workspace
 cargo clippy --workspace --all-targets -- -D warnings
 cargo fmt --all -- --check
