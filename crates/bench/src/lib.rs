@@ -1,5 +1,5 @@
-//! Shared harness for the evaluation binaries and Criterion benches:
-//! suite execution and plain-text table rendering.
+//! Shared harness for the evaluation binaries: suite execution,
+//! Figure 5 tallies, and plain-text table and CSV rendering.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -148,67 +148,11 @@ pub fn run_rows_parallel(rows: &[PaperRow]) -> Vec<AppRun> {
     })
 }
 
-/// Run the analysis (without the reporting extras) on a program —
-/// Criterion's unit of work.
+/// Run the analysis (without the reporting extras) on a program under
+/// the default configuration.
 #[must_use]
 pub fn analyze_program(program: &Program) -> Analysis<'_> {
     analyze(program, &AnalysisConfig::default())
-}
-
-/// One corpus-scale measurement: the deterministic [`scale_specs`]
-/// population analyzed at one inner-thread count.
-///
-/// [`scale_specs`]: nadroid_corpus::scale_specs
-#[derive(Debug, Clone)]
-pub struct ScaleRun {
-    /// Population size.
-    pub apps: usize,
-    /// `AnalysisConfig::threads` every analysis ran with.
-    pub threads: usize,
-    /// Wall-clock for the analysis sweep (generation excluded).
-    pub wall: std::time::Duration,
-    /// Suite-wide `detector.pairs_examined` — must be identical at
-    /// every thread count (the scale bench asserts it).
-    pub pairs_examined: u64,
-    /// Suite-wide `pointsto.queue_pops` — likewise thread-invariant.
-    pub queue_pops: u64,
-    /// Total surviving warnings — likewise thread-invariant.
-    pub warnings: u64,
-}
-
-/// Analyze the corpus-scale population sequentially (one app after
-/// another — the *inner* parallelism under test is `threads`, so apps
-/// must not also race each other for cores) and return the aggregate
-/// measurement. Generation happens up front, outside the clock: the
-/// scaling curve should compare analysis work, not DSL parsing.
-#[must_use]
-pub fn run_scale(total: usize, threads: usize) -> ScaleRun {
-    let apps: Vec<GeneratedApp> = nadroid_corpus::scale_specs(total)
-        .iter()
-        .map(generate)
-        .collect();
-    let config = AnalysisConfig {
-        threads,
-        mhp_preprune: true,
-        ..AnalysisConfig::default()
-    };
-    let recorder = obs::Recorder::new();
-    let mut warnings = 0u64;
-    let start = std::time::Instant::now();
-    {
-        let _guard = recorder.install();
-        for app in &apps {
-            warnings += analyze(&app.program, &config).summary().after_unsound as u64;
-        }
-    }
-    ScaleRun {
-        apps: total,
-        threads,
-        wall: start.elapsed(),
-        pairs_examined: recorder.counter_value("detector.pairs_examined"),
-        queue_pops: recorder.counter_value("pointsto.queue_pops"),
-        warnings,
-    }
 }
 
 /// Individual-filter effectiveness over a set of analyses (Figure 5):

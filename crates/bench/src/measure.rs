@@ -75,8 +75,8 @@ fn suite_record(kind: ledger::Kind, runs: &[AppRun], wall: Duration) -> ledger::
     rec
 }
 
-/// The result of one timed suite run: its `timing` ledger record
-/// (without the scale curve) plus human-readable renderings.
+/// The result of one timed suite run: its `timing` ledger record plus
+/// human-readable renderings.
 pub struct SuiteMeasurement {
     /// The record the `timing` driver commits as `BENCH_timing.json`.
     pub record: ledger::Record,

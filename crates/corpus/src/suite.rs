@@ -246,8 +246,8 @@ pub fn spec_for(row: &PaperRow) -> AppSpec {
     spec
 }
 
-/// The synthetic population for the corpus-scale benchmark (the timing
-/// driver's `--scale` mode, nominally 1000 apps).
+/// The synthetic population of the repository benchmark's `fleet`
+/// workload (nominally 1000 apps).
 ///
 /// Everything is a pure function of the app's index: the name, the seed
 /// (via [`fxhash`] of the name, like the Table 1 suite), and a
@@ -256,8 +256,9 @@ pub fn spec_for(row: &PaperRow) -> AppSpec {
 /// the rest are the 2–5-cluster long tail that dominates real app
 /// stores. Pattern mixes reuse the Figure 5 splits so population-level
 /// filter tallies stay comparable to the suite's. Calling this twice
-/// (or on different machines) yields byte-identical specs; the scale
-/// bench leans on that to compare thread counts.
+/// (or on different machines) yields byte-identical specs; the
+/// benchmark leans on that to compare runs, and the determinism suite
+/// to compare thread counts.
 #[must_use]
 pub fn scale_specs(total: usize) -> Vec<AppSpec> {
     (0..total)

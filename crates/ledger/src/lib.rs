@@ -58,7 +58,7 @@ pub const HIST_NOISE: f64 = 2.0 / 32.0 + 1.0 / 1024.0;
 /// What produced a ledger record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Kind {
-    /// The `timing` bench driver (micro + suite + scale curve).
+    /// The `timing` bench driver (the §8.8 suite breakdown).
     Timing,
     /// The `serve_bench` end-to-end serving driver.
     ServeBench,
@@ -652,9 +652,9 @@ fn time_beyond(budget_base: f64, cur: f64, opts: &DiffOptions) -> bool {
 }
 
 /// Compare two records under the noise model. Keys present in only one
-/// record are skipped (the committed `BENCH_timing.json` record carries
-/// a scale curve that a fresh suite measurement lacks); environment
-/// differences are informational. Histogram tail percentiles gate only
+/// record are skipped (records of different kinds, or from before a key
+/// was added, compare on the keys both carry); environment differences
+/// are informational. Histogram tail percentiles gate only
 /// when both sides hold enough samples for the quantile to be an estimate
 /// (`count >= 5/(1-p)`: 10 for p50, 50 for p90, 500 for p99) —
 /// under-sampled tail moves are reported as info, because a p99 over a

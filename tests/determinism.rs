@@ -63,7 +63,8 @@ fn repeated_analyses_are_byte_identical_in_process() {
 /// every parallel gate (K-9's ~213 planted clusters drive the chunked
 /// detector scan and the filter pipeline) and require byte-identical
 /// warning ids, filter verdicts, provenance JSON, and deterministic
-/// counters.
+/// counters; then sweep the same counts over the 1000-app fleet with the
+/// MHP pre-prune on and require equal suite-wide counters.
 #[test]
 fn thread_count_never_changes_the_output() {
     let rows = nadroid::corpus::table1_rows();
@@ -118,6 +119,47 @@ fn thread_count_never_changes_the_output() {
         assert_eq!(
             baseline.4, swept.4,
             "deterministic counters drift at threads={threads}"
+        );
+    }
+
+    // The fleet under the MHP pre-prune, which sends the chunked
+    // detector scan down its pre-prune branch. One recorder per thread
+    // count sums the counters over every app.
+    let fleet: Vec<_> = nadroid::corpus::scale_specs(1000)
+        .iter()
+        .map(nadroid::corpus::generate)
+        .collect();
+    let sweep = |threads: usize| {
+        let config = AnalysisConfig {
+            threads,
+            mhp_preprune: true,
+            ..AnalysisConfig::default()
+        };
+        let recorder = nadroid::obs::Recorder::new();
+        let warnings: usize = {
+            let _guard = recorder.install();
+            fleet
+                .iter()
+                .map(|app| analyze(&app.program, &config).summary().after_unsound)
+                .sum()
+        };
+        [
+            recorder.counter_value("detector.pairs_examined"),
+            recorder.counter_value("pointsto.queue_pops"),
+            recorder.counter_value("detector.mhp_prepruned"),
+            warnings as u64,
+        ]
+    };
+    let fleet_baseline = sweep(1);
+    assert!(
+        fleet_baseline.iter().all(|&v| v > 0),
+        "pairs examined, queue pops, pre-pruned pairs and survivors all recorded: {fleet_baseline:?}"
+    );
+    for threads in [2usize, 4, 8] {
+        assert_eq!(
+            fleet_baseline,
+            sweep(threads),
+            "fleet counters drift at threads={threads}"
         );
     }
 }
