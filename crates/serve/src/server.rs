@@ -534,9 +534,17 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Returns the bind error when the address is unavailable, or the
-    /// open error for a configured access log.
+    /// Returns [`std::io::ErrorKind::InvalidInput`] when `cfg.workers`
+    /// is 0, before anything is opened, bound or spawned; otherwise the
+    /// bind error when the address is unavailable, or the open error
+    /// for a configured access log.
     pub fn start(cfg: ServeConfig) -> std::io::Result<Server> {
+        if cfg.workers == 0 {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                "a server needs at least one worker",
+            ));
+        }
         // Cancellation unwinds are routine here; keep them off stderr.
         obs::cancel::install_quiet_hook();
         let telemetry = Telemetry::new(&cfg.telemetry)?;

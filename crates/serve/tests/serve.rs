@@ -8,6 +8,7 @@ use nadroid_core::{parse_json, JsonValue, Summary};
 use nadroid_serve::client::Client;
 use nadroid_serve::protocol::{AnalyzeOpts, Request, Response};
 use nadroid_serve::server::{ServeConfig, Server};
+use nadroid_serve::telemetry::TelemetryConfig;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 
@@ -73,6 +74,30 @@ fn cache_counts(server: &Server, client: &mut Client) -> (u64, u64) {
     let metrics = (counter("cache_hits"), counter("cache_misses"));
     assert_eq!(metrics, recorder, "metrics document against the recorder");
     recorder
+}
+
+/// The pool runs at least one thread, so a 0-worker server would serve
+/// while its `stats` report 0 workers: `start` refuses the config
+/// before it opens the access log or binds.
+#[test]
+fn a_server_with_zero_workers_is_refused_before_it_starts() {
+    let log =
+        std::env::temp_dir().join(format!("nadroid_zero_workers_{}.jsonl", std::process::id()));
+    let _ = std::fs::remove_file(&log);
+    let started = Server::start(ServeConfig {
+        addr: "127.0.0.1:0".to_owned(),
+        workers: 0,
+        telemetry: TelemetryConfig {
+            access_log: Some(log.to_string_lossy().into_owned()),
+            ..TelemetryConfig::default()
+        },
+        ..ServeConfig::default()
+    });
+    let Err(err) = started else {
+        panic!("a server with 0 workers started");
+    };
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
+    assert!(!log.exists(), "the refused server opened its access log");
 }
 
 #[test]
