@@ -1,218 +1,15 @@
 //! Golden-shape test for warning provenance: `nadroid explain` and the
 //! `--provenance` JSON exporter on the ConnectBot corpus app. The JSON
-//! is checked with the same small recursive-descent parser the obs trace
-//! golden test uses (no serde in the workspace), and the derivation
+//! is read with the workspace's own strict parser, and the derivation
 //! trees are pinned down to the rule encoding: every warning's tree is
 //! rooted at `racyPair`, goes through `aliasedPair`, and bottoms out in
 //! the EDB facts of the §5 encoding.
 
 use nadroid_cli::{run, Command};
+use nadroid_core::{parse_json, JsonValue};
 
-/// Minimal JSON value for validation.
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(s: &'a str) -> Self {
-        Parser {
-            bytes: s.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_whitespace())
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) {
-        assert_eq!(
-            self.peek(),
-            Some(b),
-            "expected {:?} at {}",
-            b as char,
-            self.pos
-        );
-        self.pos += 1;
-    }
-
-    fn value(&mut self) -> Json {
-        match self.peek().expect("unexpected end of input") {
-            b'{' => self.object(),
-            b'[' => self.array(),
-            b'"' => Json::Str(self.string()),
-            b't' => self.lit("true", Json::Bool(true)),
-            b'f' => self.lit("false", Json::Bool(false)),
-            b'n' => self.lit("null", Json::Null),
-            _ => self.number(),
-        }
-    }
-
-    fn lit(&mut self, word: &str, v: Json) -> Json {
-        assert!(
-            self.bytes[self.pos..].starts_with(word.as_bytes()),
-            "bad literal at {}",
-            self.pos
-        );
-        self.pos += word.len();
-        v
-    }
-
-    fn object(&mut self) -> Json {
-        self.expect(b'{');
-        let mut fields = Vec::new();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Json::Obj(fields);
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string();
-            self.expect(b':');
-            fields.push((key, self.value()));
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Json::Obj(fields);
-                }
-                other => panic!("bad object separator {other:?} at {}", self.pos),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Json {
-        self.expect(b'[');
-        let mut items = Vec::new();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Json::Arr(items);
-        }
-        loop {
-            items.push(self.value());
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Json::Arr(items);
-                }
-                other => panic!("bad array separator {other:?} at {}", self.pos),
-            }
-        }
-    }
-
-    fn string(&mut self) -> String {
-        self.expect(b'"');
-        let mut out = String::new();
-        loop {
-            match self
-                .bytes
-                .get(self.pos)
-                .copied()
-                .expect("unterminated string")
-            {
-                b'"' => {
-                    self.pos += 1;
-                    return out;
-                }
-                b'\\' => {
-                    self.pos += 1;
-                    let e = self.bytes[self.pos];
-                    self.pos += 1;
-                    match e {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'n' => out.push('\n'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hex =
-                                std::str::from_utf8(&self.bytes[self.pos..self.pos + 4]).unwrap();
-                            let code = u32::from_str_radix(hex, 16).expect("bad \\u escape");
-                            out.push(char::from_u32(code).expect("bad code point"));
-                            self.pos += 4;
-                        }
-                        other => panic!("unsupported escape \\{}", other as char),
-                    }
-                }
-                _ => {
-                    let s = std::str::from_utf8(&self.bytes[self.pos..]).unwrap();
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Json {
-        self.skip_ws();
-        let start = self.pos;
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E'))
-        {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        Json::Num(
-            text.parse()
-                .unwrap_or_else(|_| panic!("bad number `{text}`")),
-        )
-    }
-}
-
-fn parse(s: &str) -> Json {
-    let mut p = Parser::new(s);
-    let v = p.value();
-    p.skip_ws();
-    assert_eq!(p.pos, p.bytes.len(), "trailing garbage after JSON value");
-    v
+fn parse(s: &str) -> JsonValue {
+    parse_json(s).unwrap_or_else(|e| panic!("malformed JSON: {e}"))
 }
 
 fn corpus_app() -> String {
@@ -225,10 +22,10 @@ fn is_warning_id(s: &str) -> bool {
 
 /// Assert the derivation tree pins the §5 rule encoding: `racyPair` at
 /// the root, `aliasedPair` below it, EDB leaves with `rule: null`.
-fn check_tree(node: &Json, depth: usize) {
-    let relation = node.get("relation").and_then(Json::as_str).unwrap();
+fn check_tree(node: &JsonValue, depth: usize) {
+    let relation = node.get("relation").and_then(JsonValue::as_str).unwrap();
     let premises = match node.get("premises") {
-        Some(Json::Arr(p)) => p,
+        Some(JsonValue::Arr(p)) => p,
         other => panic!("premises missing: {other:?}"),
     };
     match depth {
@@ -236,7 +33,7 @@ fn check_tree(node: &Json, depth: usize) {
             assert_eq!(relation, "racyPair");
             let names: Vec<&str> = premises
                 .iter()
-                .map(|p| p.get("relation").and_then(Json::as_str).unwrap())
+                .map(|p| p.get("relation").and_then(JsonValue::as_str).unwrap())
                 .collect();
             assert_eq!(
                 names,
@@ -247,7 +44,7 @@ fn check_tree(node: &Json, depth: usize) {
         1 if relation == "aliasedPair" => {
             let names: Vec<&str> = premises
                 .iter()
-                .map(|p| p.get("relation").and_then(Json::as_str).unwrap())
+                .map(|p| p.get("relation").and_then(JsonValue::as_str).unwrap())
                 .collect();
             assert_eq!(
                 names,
@@ -258,10 +55,14 @@ fn check_tree(node: &Json, depth: usize) {
         _ => {}
     }
     if premises.is_empty() {
-        assert_eq!(node.get("rule"), Some(&Json::Null), "leaves are EDB facts");
+        assert_eq!(
+            node.get("rule"),
+            Some(&JsonValue::Null),
+            "leaves are EDB facts"
+        );
     } else {
         assert!(
-            node.get("rule").and_then(Json::as_str).is_some(),
+            node.get("rule").and_then(JsonValue::as_str).is_some(),
             "inner nodes carry their deriving rule"
         );
         for p in premises {
@@ -269,7 +70,7 @@ fn check_tree(node: &Json, depth: usize) {
         }
     }
     // Every node is rendered in source terms, prefixed by its relation.
-    let fact = node.get("fact").and_then(Json::as_str).unwrap();
+    let fact = node.get("fact").and_then(JsonValue::as_str).unwrap();
     assert!(fact.starts_with(&format!("{relation}(")), "fact: {fact}");
 }
 
@@ -297,12 +98,15 @@ fn provenance_json_golden_shape_on_connectbot() {
 
     let doc = parse(&std::fs::read_to_string(&prov_path).unwrap());
     assert_eq!(
-        doc.get("schema").and_then(Json::as_str),
+        doc.get("schema").and_then(JsonValue::as_str),
         Some("nadroid-provenance/4")
     );
-    assert_eq!(doc.get("app").and_then(Json::as_str), Some("ConnectBot"));
+    assert_eq!(
+        doc.get("app").and_then(JsonValue::as_str),
+        Some("ConnectBot")
+    );
     let warnings = match doc.get("warnings") {
-        Some(Json::Arr(w)) => w,
+        Some(JsonValue::Arr(w)) => w,
         other => panic!("warnings missing: {other:?}"),
     };
     assert!(!warnings.is_empty(), "ConnectBot produces warnings");
@@ -310,34 +114,39 @@ fn provenance_json_golden_shape_on_connectbot() {
     let mut fields = std::collections::BTreeSet::new();
     let mut survived = 0usize;
     for w in warnings {
-        let id = w.get("id").and_then(Json::as_str).unwrap();
+        let id = w.get("id").and_then(JsonValue::as_str).unwrap();
         assert!(is_warning_id(id), "bad id {id}");
-        fields.insert(w.get("field").and_then(Json::as_str).unwrap().to_owned());
+        fields.insert(
+            w.get("field")
+                .and_then(JsonValue::as_str)
+                .unwrap()
+                .to_owned(),
+        );
         // §7 lineage chains ride along with each warning.
         for key in ["use_lineage", "free_lineage"] {
-            let lineage = w.get(key).and_then(Json::as_str).unwrap();
+            let lineage = w.get(key).and_then(JsonValue::as_str).unwrap();
             assert!(lineage.starts_with("main"), "{key}: {lineage}");
         }
-        if w.get("survived").and_then(Json::as_bool).unwrap() {
+        if w.get("survived").and_then(JsonValue::as_bool).unwrap() {
             survived += 1;
-            assert_eq!(w.get("pruned_by"), Some(&Json::Null));
+            assert_eq!(w.get("pruned_by"), Some(&JsonValue::Null));
         }
         let audit = match w.get("audit") {
-            Some(Json::Arr(a)) => a,
+            Some(JsonValue::Arr(a)) => a,
             other => panic!("audit missing: {other:?}"),
         };
         assert!(!audit.is_empty());
         for entry in audit {
-            assert!(entry.get("filter").and_then(Json::as_str).is_some());
-            assert!(entry.get("pruned").and_then(Json::as_bool).is_some());
+            assert!(entry.get("filter").and_then(JsonValue::as_str).is_some());
+            assert!(entry.get("pruned").and_then(JsonValue::as_bool).is_some());
             assert!(!entry
                 .get("evidence")
-                .and_then(Json::as_str)
+                .and_then(JsonValue::as_str)
                 .unwrap()
                 .is_empty());
         }
         let tree = w.get("derivation").expect("derivation present");
-        assert_ne!(tree, &Json::Null, "every warning is explainable");
+        assert_ne!(tree, &JsonValue::Null, "every warning is explainable");
         check_tree(tree, 0);
     }
     // Figure 1(a) and 1(b): both ConnectBot fields are racy and at least
@@ -369,25 +178,25 @@ fn confirmation_golden_on_connectbot() {
     let text = std::fs::read_to_string(&prov_path).unwrap();
     let doc = parse(&text);
     assert_eq!(
-        doc.get("schema").and_then(Json::as_str),
+        doc.get("schema").and_then(JsonValue::as_str),
         Some("nadroid-provenance/4")
     );
     let warnings = match doc.get("warnings") {
-        Some(Json::Arr(w)) => w,
+        Some(JsonValue::Arr(w)) => w,
         other => panic!("warnings missing: {other:?}"),
     };
     let mut confirmed = 0usize;
     for w in warnings {
-        let survived = w.get("survived").and_then(Json::as_bool).unwrap();
+        let survived = w.get("survived").and_then(JsonValue::as_bool).unwrap();
         let confirmation = w.get("confirmation").expect("confirmation key present");
         if !survived {
             // Pruned warnings are never searched.
-            assert_eq!(confirmation, &Json::Null);
+            assert_eq!(confirmation, &JsonValue::Null);
             continue;
         }
         let verdict = confirmation
             .get("verdict")
-            .and_then(Json::as_str)
+            .and_then(JsonValue::as_str)
             .expect("survivors carry a verdict");
         assert!(
             matches!(verdict, "confirmed" | "unconfirmed" | "infeasible"),
@@ -397,11 +206,14 @@ fn confirmation_golden_on_connectbot() {
             confirmed += 1;
             let schedule = confirmation
                 .get("schedule")
-                .and_then(Json::as_str)
+                .and_then(JsonValue::as_str)
                 .expect("confirmed verdicts attach a schedule");
             assert!(!schedule.is_empty());
             assert!(
-                confirmation.get("npe_at").and_then(Json::as_str).is_some(),
+                confirmation
+                    .get("npe_at")
+                    .and_then(JsonValue::as_str)
+                    .is_some(),
                 "confirmed verdicts name the NPE site"
             );
         }
@@ -481,31 +293,31 @@ fn refutation_golden_on_gallery() {
     .unwrap();
     let doc = parse(&std::fs::read_to_string(&prov_path).unwrap());
     assert_eq!(
-        doc.get("schema").and_then(Json::as_str),
+        doc.get("schema").and_then(JsonValue::as_str),
         Some("nadroid-provenance/4")
     );
     let warnings = match doc.get("warnings") {
-        Some(Json::Arr(w)) => w,
+        Some(JsonValue::Arr(w)) => w,
         other => panic!("warnings missing: {other:?}"),
     };
     assert_eq!(warnings.len(), 3, "Gallery has three potential pairs");
     let mut reasons = Vec::new();
     for w in warnings {
         let refutation = w.get("refutation").expect("refutation key present");
-        if refutation == &Json::Null {
+        if refutation == &JsonValue::Null {
             continue;
         }
         // Refutation only applies to warnings every filter passed.
-        assert_eq!(w.get("survived"), Some(&Json::Bool(true)));
+        assert_eq!(w.get("survived"), Some(&JsonValue::Bool(true)));
         reasons.push(
             refutation
                 .get("reason")
-                .and_then(Json::as_str)
+                .and_then(JsonValue::as_str)
                 .unwrap()
                 .to_owned(),
         );
         let chain = match refutation.get("chain") {
-            Some(Json::Arr(c)) => c,
+            Some(JsonValue::Arr(c)) => c,
             other => panic!("chain missing: {other:?}"),
         };
         assert!(chain.len() >= 2, "chains state premise and contradiction");
