@@ -3,7 +3,12 @@
 #
 #   ./scripts/ci.sh
 #
-# 1. release build of the whole workspace (benches compile too), then
+# The serve, confirm and refute benches below rewrite BENCH_serve.json,
+# BENCH_confirm.json and BENCH_refute.json; every later gate reads the
+# fresh files, and the script puts the committed ones back on exit,
+# pass or fail.
+#
+# 1. release build of the whole workspace, then
 #    a dependency check: nadroid-datalog, the tests' simple reference
 #    evaluator, must stay off every shipped path, so `cargo tree` must
 #    not find it among nadroid-cli's normal dependencies (the `nadroid`
@@ -55,21 +60,21 @@
 #    missed, and the confirm found only the entry the cold analyze
 #    wrote, so it ran the searches) and 1 error — then the 10-line JSONL
 #    access log and a slow-request trace must validate under
-#    `nadroid check-json`, and the serve load bench refreshes
+#    `nadroid check-json`, and the serve load bench rewrites
 #    BENCH_serve.json (host fingerprint included) and enforces the 20x
 #    warm-vs-cold ConnectBot speedup plus its telemetry-agreement
 #    self-checks,
 # 8. confirmation drift gate: confirm_bench re-runs dynamic
 #    confirmation over the whole corpus (its own self-checks require
 #    >=1 confirmed, >=1 infeasible, and every confirmed schedule to
-#    replay-verify), refreshes BENCH_confirm.json, appends a `confirm`
+#    replay-verify), rewrites BENCH_confirm.json, appends a `confirm`
 #    ledger record, and `nadroid perf gate` compares that record
 #    against the committed baseline — verdict tallies, explored-state
 #    counts, and per-app confirmed-warning populations are drift-exact,
 # 9. refutation drift gate: refute_bench re-runs the predicate
 #    refutation study over its dedicated corpus (its self-checks
 #    require every planted Refute* cluster to refute with exactly its
-#    certified reason and every kept control to survive), refreshes
+#    certified reason and every kept control to survive), rewrites
 #    BENCH_refute.json, appends a `refute` ledger record, and
 #    `nadroid perf gate` compares it against the committed baseline —
 #    the Figure-5-style stage tally, per-reason counts, and per-app
@@ -81,6 +86,14 @@
 #    must carry their declared schemas (`check-json --expect-schema`).
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+bench_snap=$(mktemp -d)
+cp BENCH_serve.json BENCH_confirm.json BENCH_refute.json "$bench_snap/"
+restore_benches() {
+    cp "$bench_snap"/BENCH_*.json .
+    rm -rf "$bench_snap"
+}
+trap restore_benches EXIT
 
 cargo build --workspace --release
 # cargo tree fails with "did not match any packages" when nadroid-cli
@@ -162,7 +175,7 @@ telem_dir=$(mktemp -d)
 "$bin" serve --addr 127.0.0.1:0 --workers 2 --threads 2 \
     --access-log "$telem_dir/access.jsonl" --slow-us 0 > "$serve_out" &
 serve_pid=$!
-trap 'kill "$serve_pid" 2>/dev/null || true; rm -f "$serve_out"; rm -rf "$telem_dir"' EXIT
+trap 'kill "$serve_pid" 2>/dev/null || true; rm -f "$serve_out"; rm -rf "$telem_dir"; restore_benches' EXIT
 for _ in $(seq 1 100); do
     grep -q 'listening on' "$serve_out" && break
     sleep 0.1
@@ -256,37 +269,31 @@ slow_trace=$(ls "$telem_dir"/slow-r*.trace.json 2>/dev/null | head -n 1 || true)
     echo "ci.sh: slow trace failed JSON validation" >&2; exit 1; }
 grep -q 'serve.analyze' "$slow_trace" || {
     echo "ci.sh: slow trace has no serve.analyze span:"; cat "$slow_trace"; exit 1; }
-trap - EXIT
+trap restore_benches EXIT
 rm -f "$serve_out"
 rm -rf "$telem_dir"
 
 cargo run --release -p nadroid-bench --bin serve_bench -- --concurrency 2
 
 # --- confirmation drift gate ---
-# Snapshot the committed baseline before confirm_bench refreshes the
-# artifact in place, re-run the corpus sweep (its self-checks enforce
-# >=1 confirmed, >=1 infeasible, and replay-verification of every
-# confirmed schedule), then compare the fresh `confirm` ledger record
-# against the snapshot: tallies, states, and per-app confirmed
-# populations are deterministic, so any delta is drift, not noise.
-confirm_baseline=$(mktemp)
-cp BENCH_confirm.json "$confirm_baseline"
+# Re-run the corpus sweep (its self-checks enforce >=1 confirmed, >=1
+# infeasible, and replay-verification of every confirmed schedule),
+# then compare the fresh `confirm` ledger record against the committed
+# baseline snapshotted at the start: tallies, states, and per-app
+# confirmed populations are deterministic, so any delta is drift, not
+# noise.
 cargo run --release -p nadroid-bench --bin confirm_bench -- --threads 2
-"$bin" perf gate --against "$confirm_baseline" --current last
-rm -f "$confirm_baseline"
+"$bin" perf gate --against "$bench_snap/BENCH_confirm.json" --current last
 
 # --- refutation drift gate ---
-# Same shape as the confirmation gate: snapshot the committed
-# BENCH_refute.json, re-run the refutation study (its self-checks
-# enforce reason-exact refutation of every planted cluster and
-# survival of every kept control), then compare the fresh `refute`
-# ledger record against the snapshot — the stage tally, per-reason
-# counts, and per-app surviving populations are deterministic.
-refute_baseline=$(mktemp)
-cp BENCH_refute.json "$refute_baseline"
+# Same shape as the confirmation gate: re-run the refutation study (its
+# self-checks enforce reason-exact refutation of every planted cluster
+# and survival of every kept control), then compare the fresh `refute`
+# ledger record against the committed snapshot — the stage tally,
+# per-reason counts, and per-app surviving populations are
+# deterministic.
 cargo run --release -p nadroid-bench --bin refute_bench -- --threads 2
-"$bin" perf gate --against "$refute_baseline" --current last
-rm -f "$refute_baseline"
+"$bin" perf gate --against "$bench_snap/BENCH_refute.json" --current last
 
 # Refutation explain smoke: the Gallery app plants one refutation per
 # reason family plus a kept control; the rendered chains and the
@@ -306,7 +313,7 @@ echo "$refute_explain" | grep -q 'status: survived all filters' || {
 echo "$refute_explain" | grep -q 'no witness exists' || {
     echo "ci.sh: gallery refutation chains missing contradiction" >&2; exit 1; }
 
-# Schema pins: every BENCH artifact (three of them refreshed above) is
+# Schema pins: every BENCH artifact (three of them rewritten above) is
 # one nadroid-ledger/1 record, and the run ledger — which now holds at
 # least the `ci` gate record plus the serve_bench, confirm_bench, and
 # refute_bench records from this very run — must validate line by line.
