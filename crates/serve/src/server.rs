@@ -46,7 +46,7 @@ use std::time::{Duration, Instant};
 pub struct ServeConfig {
     /// Listen address; port 0 picks an ephemeral port.
     pub addr: String,
-    /// Analysis worker threads.
+    /// Analysis worker threads; [`Server::start`] refuses 0.
     pub workers: usize,
     /// Requested inner analysis threads per worker (the `--threads`
     /// flag). The effective value is clamped so that
