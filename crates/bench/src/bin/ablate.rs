@@ -61,7 +61,6 @@ fn main() {
         let cfg = AnalysisConfig {
             detector: DetectorOptions {
                 eager_lockset: eager,
-                ..DetectorOptions::default()
             },
             ..AnalysisConfig::default()
         };

@@ -42,32 +42,27 @@ pub struct AppRun {
 /// into a per-app recorder, plus the warning-provenance summary.
 #[must_use]
 pub fn run_row(row: &PaperRow) -> AppRun {
-    run_row_inner(row, true, &AnalysisConfig::default())
+    run_row_inner(row, true)
 }
 
 /// [`run_row`] minus the provenance capture: auditing and rendering
 /// every warning's derivation is real work, and the §8.8 timing
-/// baseline measures the analysis pipeline, not the debugging exporter. `provenance` and `surviving_ids` come back empty.
-/// The timed run also opts into the HB-closure MHP pre-prune, so the
-/// `detector.mhp_prepruned` delta is visible in `BENCH_timing.json`
-/// without perturbing the Table 1 / Figure 5 populations the other
-/// drivers pin.
+/// baseline measures the analysis pipeline, not the debugging exporter.
+/// `provenance` and `surviving_ids` come back empty. The analysis runs
+/// the same default configuration as [`run_row`], so the timed record
+/// counts the Table 1 / Figure 5 populations.
 #[must_use]
 pub fn run_row_timed(row: &PaperRow) -> AppRun {
-    let config = AnalysisConfig {
-        mhp_preprune: true,
-        ..AnalysisConfig::default()
-    };
-    run_row_inner(row, false, &config)
+    run_row_inner(row, false)
 }
 
-fn run_row_inner(row: &PaperRow, capture_provenance: bool, config: &AnalysisConfig) -> AppRun {
+fn run_row_inner(row: &PaperRow, capture_provenance: bool) -> AppRun {
     let app = generate(&spec_for(row));
     let recorder = obs::Recorder::new();
     let (summary, types, timings, report, provenance, surviving_ids) = {
         let analysis = {
             let _guard = recorder.install();
-            analyze(&app.program, config)
+            analyze(&app.program, &AnalysisConfig::default())
         };
         // Provenance capture happens after the timed pipeline (outside
         // PhaseTimings), and the timing driver skips it entirely.

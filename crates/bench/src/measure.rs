@@ -86,10 +86,10 @@ pub struct SuiteMeasurement {
     pub breakdown: String,
 }
 
-/// Run the timed suite (provenance off, MHP pre-prune on — the §8.8
-/// baseline workload) and record it. The `timing` driver commits this
-/// record as `BENCH_timing.json`, and the gate's fresh measurements use
-/// it too, so current and baseline always describe the same workload.
+/// Run the timed suite (provenance off — the §8.8 baseline workload)
+/// and record it. The `timing` driver commits this record as
+/// `BENCH_timing.json`, and the gate's fresh measurements use it too,
+/// so current and baseline always describe the same workload.
 ///
 /// The apps run one after another, so each phase time is that layer's
 /// own time, not time spent preempted by the other apps' threads.
@@ -225,4 +225,22 @@ pub fn commit_bench_record(rec: &ledger::Record, out: &Path) -> Result<(), Strin
         ledger_path.display()
     );
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The timing record and the ledger's suite record analyze one
+    /// population with one configuration: their counters agree key for
+    /// key, and the detector's racy pairs are Table 1's potential count.
+    #[test]
+    fn timing_and_suite_records_count_one_population() {
+        let timing = measure_suite().record;
+        let suite = suite_ledger_record(ledger::Kind::Suite);
+        assert_eq!(timing.counters, suite.counters);
+        let potential = suite.population.expect("suite population").tallies["potential"];
+        assert_eq!(potential, 2320, "Table 1's potential total");
+        assert_eq!(timing.counters["detector.racy_pairs"], potential);
+    }
 }

@@ -54,10 +54,6 @@ pub enum Command {
         provenance: Option<String>,
         /// Append the human-readable span/metric tree to the output.
         stats: bool,
-        /// Drop must-ordered (use before free) pairs before the filter
-        /// pipeline via the happens-before closure. Changes the potential
-        /// count, so it is opt-in.
-        mhp_preprune: bool,
         /// Worker threads for the parallel phases; `None` inherits the
         /// `NADROID_THREADS` environment default (falling back to 1).
         /// Output is byte-identical at every thread count.
@@ -292,7 +288,7 @@ USAGE:
                               [--baseline <file>] [--update-baseline]
                               [--trace <file>] [--report <file>]
                               [--provenance <file>] [--stats]
-                              [--mhp-preprune] [--threads <N>]
+                              [--threads <N>]
     nadroid explain <app.dsl> [<warning-id>]
     nadroid confirm <app.dsl> [<warning-id>] [--all] [--json]
                     [--threads <N>] [--provenance <file>]
@@ -374,9 +370,6 @@ OBSERVABILITY (see docs/observability.md):
                       Datalog derivation trees, per-filter audit trail,
                       happens-before evidence, and the program hash
     --stats           append the span/metric tree to the text report
-    --mhp-preprune    drop must-ordered (use-before-free) pairs before
-                      the filters via the HB closure; shrinks the
-                      potential count, so off by default
     --threads <N>     worker threads for the parallel phases (detection,
                       filtering), 1 to 256 (as for confirm and serve);
                       output is byte-identical at every N. Defaults to
@@ -530,7 +523,6 @@ fn parse_analyze(args: impl Iterator<Item = String>) -> Result<Command, CliError
     let mut report = None;
     let mut provenance = None;
     let mut stats = false;
-    let mut mhp_preprune = false;
     let mut threads = None;
     while let Some(a) = args.next() {
         match a.as_str() {
@@ -539,7 +531,6 @@ fn parse_analyze(args: impl Iterator<Item = String>) -> Result<Command, CliError
             "--json" => json = true,
             "--update-baseline" => update_baseline = true,
             "--stats" => stats = true,
-            "--mhp-preprune" => mhp_preprune = true,
             "--baseline" => {
                 baseline = Some(
                     args.next()
@@ -600,7 +591,6 @@ fn parse_analyze(args: impl Iterator<Item = String>) -> Result<Command, CliError
         report,
         provenance,
         stats,
-        mhp_preprune,
         threads,
     })
 }
@@ -964,7 +954,6 @@ pub fn run(cmd: &Command) -> Result<String, CliError> {
             report,
             provenance,
             stats,
-            mhp_preprune,
             threads,
         } => {
             let program = load(path)?;
@@ -978,7 +967,6 @@ pub fn run(cmd: &Command) -> Result<String, CliError> {
                 } else {
                     FilterKind::unsound().to_vec()
                 },
-                mhp_preprune: *mhp_preprune,
                 ..AnalysisConfig::default()
             };
             let config = match threads {
@@ -1734,7 +1722,6 @@ mod tests {
                 report: None,
                 provenance: None,
                 stats: false,
-                mhp_preprune: false,
                 threads: None,
             }
         );
@@ -2015,7 +2002,6 @@ mod tests {
             report: None,
             provenance: None,
             stats: false,
-            mhp_preprune: false,
             threads: None,
         })
         .unwrap();
@@ -2071,7 +2057,6 @@ mod tests {
             report: None,
             provenance: None,
             stats: false,
-            mhp_preprune: false,
             threads: None,
         };
         // First run: everything is new; write the baseline.
@@ -2105,7 +2090,6 @@ activity M { cb onClick { } }",
             report: None,
             provenance: None,
             stats: false,
-            mhp_preprune: false,
             threads: None,
         })
         .unwrap();
@@ -2171,7 +2155,6 @@ activity M { cb onClick { } }",
             report: Some(report_path.to_string_lossy().into_owned()),
             provenance: None,
             stats: true,
-            mhp_preprune: false,
             threads: None,
         })
         .unwrap();
@@ -2743,7 +2726,6 @@ activity M { cb onClick { } }",
             report: None,
             provenance: Some(prov.to_string_lossy().into_owned()),
             stats: false,
-            mhp_preprune: false,
             threads: None,
         })
         .unwrap();
@@ -2802,7 +2784,6 @@ activity M { cb onClick { } }",
             report: None,
             provenance: Some(prov.to_string_lossy().into_owned()),
             stats: false,
-            mhp_preprune: false,
             threads: None,
         })
         .unwrap();

@@ -91,7 +91,6 @@ fn provenance_json_golden_shape_on_connectbot() {
         report: None,
         provenance: Some(prov_path.to_string_lossy().into_owned()),
         stats: false,
-        mhp_preprune: false,
         threads: None,
     })
     .unwrap();
@@ -287,7 +286,6 @@ fn refutation_golden_on_gallery() {
         report: None,
         provenance: Some(prov_path.to_string_lossy().into_owned()),
         stats: false,
-        mhp_preprune: false,
         threads: None,
     })
     .unwrap();

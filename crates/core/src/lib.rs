@@ -52,7 +52,7 @@ pub use provenance::{
 pub use render::render_report;
 pub use report::{classify_pair, rank_key, render_warning, Endpoint, PairType, RenderedWarning};
 
-use nadroid_detector::{detect_with, distinct_pairs, DetectorOptions, UafWarning};
+use nadroid_detector::{detect, distinct_pairs, DetectorOptions, UafWarning};
 use nadroid_filters::refute::{Refutation, Refuter};
 use nadroid_filters::{FilterKind, FilterOutcome, Filters};
 use nadroid_hb::HbGraph;
@@ -73,13 +73,6 @@ pub struct AnalysisConfig {
     pub sound_filters: Vec<FilterKind>,
     /// Unsound filters to apply after the sound ones.
     pub unsound_filters: Vec<FilterKind>,
-    /// Drop racy pairs whose use is must-ordered before its free
-    /// (`must_hb(use, free)` in the [`HbGraph`] closure) before they enter
-    /// the filter pipeline. Off by default: the pruned pairs never reach
-    /// the filters, so `Summary::potential` and the Figure 5 populations
-    /// shrink — the timing driver opts in to measure the saved work.
-    /// Free-before-use orderings are never pruned (they are the bugs).
-    pub mhp_preprune: bool,
     /// Worker threads for the parallel phases (detection and
     /// filtering). `1` (the default) keeps every phase on the
     /// calling thread; any value produces byte-identical output — see
@@ -100,7 +93,6 @@ impl Default for AnalysisConfig {
             detector: DetectorOptions::default(),
             sound_filters: FilterKind::sound().to_vec(),
             unsound_filters: FilterKind::unsound().to_vec(),
-            mhp_preprune: false,
             threads,
         }
     }
@@ -259,8 +251,7 @@ fn analyze_inner<'p>(program: &'p Program, config: &AnalysisConfig) -> Analysis<
     let t_sub = Instant::now();
     let warnings = {
         let _s = obs::span("detect");
-        let preprune = config.mhp_preprune.then_some(&hb);
-        detect_with(program, &threads, &pts, &escape, config.detector, preprune)
+        detect(program, &threads, &pts, &escape, config.detector)
     };
     let detect_time = t_sub.elapsed();
     drop(_detection_span);

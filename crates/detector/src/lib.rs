@@ -12,8 +12,9 @@
 //! Following §5's modifications to Chord: lockset analysis is *not*
 //! applied up front (locks provide atomicity, not ordering — UAFs happen
 //! with or without locks) and MHP analysis is replaced by the
-//! Android-specific happens-before filters of the filter crate. Both are
-//! still available behind [`DetectorOptions`] for ablation studies.
+//! Android-specific happens-before filters of the filter crate. Eager
+//! lockset pruning is still available behind [`DetectorOptions`] for
+//! ablation studies.
 //!
 //! Each [`UafWarning`] is its own witness: its two accesses, their
 //! threads and the objects they share are every fact the warning's
@@ -85,10 +86,9 @@ pub struct UafWarning {
     pub use_thread: ThreadId,
     /// The modeled thread executing the free.
     pub free_thread: ThreadId,
-    /// The common (aliased) base objects of the two accesses, ascending;
-    /// only the thread-escaping ones under
-    /// [`DetectorOptions::require_escape`]. Never empty. The first is
-    /// the witness object of the warning's derivation.
+    /// The common (aliased), thread-escaping base objects of the two
+    /// accesses, ascending. Never empty. The first is the witness object
+    /// of the warning's derivation.
     pub shared_objs: Vec<ObjId>,
 }
 
@@ -103,24 +103,12 @@ impl UafWarning {
 
 /// Detector configuration (§5's Chord modifications, exposed for
 /// ablation).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DetectorOptions {
-    /// Require at least one common base object to be thread-escaping
-    /// (Chord's escape pruning). Default: true.
-    pub require_escape: bool,
     /// Apply lockset pruning up front: drop pairs whose accesses hold a
     /// common must-lock. The paper argues this is wrong for UAFs
     /// (§5, second modification); default false, available for ablation.
     pub eager_lockset: bool,
-}
-
-impl Default for DetectorOptions {
-    fn default() -> Self {
-        DetectorOptions {
-            require_escape: true,
-            eager_lockset: false,
-        }
-    }
 }
 
 /// Collect every use and free access of a program, with contexts.
@@ -195,6 +183,12 @@ fn consumption_of(program: &Program, method: MethodId, local: Local) -> UseConsu
     }
 }
 
+/// Uses per parallel chunk of the pair scan. Small enough that the big
+/// suite apps (hundreds of uses) split across workers, large enough
+/// that per-chunk bookkeeping stays invisible next to the O(uses ×
+/// frees) scan each chunk performs.
+const PAIR_CHUNK_USES: usize = 32;
+
 /// Run UAF detection: every racy (use, free, use-thread, free-thread)
 /// combination that survives aliasing, escape, and (optionally) lockset
 /// checks.
@@ -205,37 +199,6 @@ pub fn detect(
     pts: &PointsTo,
     escape: &Escape,
     options: DetectorOptions,
-) -> Vec<UafWarning> {
-    detect_with(program, threads, pts, escape, options, None)
-}
-
-/// Uses per parallel chunk of the pair scan. Small enough that the big
-/// suite apps (hundreds of uses) split across workers, large enough
-/// that per-chunk bookkeeping stays invisible next to the O(uses ×
-/// frees) scan each chunk performs.
-const PAIR_CHUNK_USES: usize = 32;
-
-/// [`detect`] with an optional MHP pre-prune: when a happens-before
-/// graph is supplied, thread pairs whose use is must-ordered before the
-/// free (`mustHb(use, free)` — the transitive extension of the sound MHB
-/// filter) are dropped before a warning is ever materialized, shrinking
-/// the population entering the filter pipeline. Pairs ordered the *other*
-/// way (free before use) are kept: those are definite ordering
-/// violations, not safe ones.
-///
-/// Because `mustHb` is the closure of the direct MHB relations, the
-/// pre-prune can remove strictly more pairs than the per-warning MHB
-/// filter would; it is therefore opt-in (the timing driver and the
-/// `--mhp-preprune` CLI flag), never the default pipeline, whose Figure 5
-/// populations are pinned by the evaluation suite.
-#[must_use]
-pub fn detect_with(
-    program: &Program,
-    threads: &ThreadModel,
-    pts: &PointsTo,
-    escape: &Escape,
-    options: DetectorOptions,
-    hb: Option<&nadroid_hb::HbGraph>,
 ) -> Vec<UafWarning> {
     let accesses = collect_accesses(program);
     let uses: Vec<&Access> = accesses
@@ -249,12 +212,11 @@ pub fn detect_with(
 
     // The candidate pair space is partitioned by use index into
     // contiguous chunks; each worker scans its chunk against the shared
-    // immutable points-to/escape/HB state and the per-chunk results are
+    // immutable points-to and escape state and the per-chunk results are
     // concatenated in chunk order — byte-identical to the sequential
     // nested loop at any thread count (see docs/parallelism.md).
     let chunks = nadroid_par::map_chunks(uses.len(), PAIR_CHUNK_USES, |range| {
         let mut pairs_examined = 0u64;
-        let mut mhp_prepruned = 0u64;
         let mut out = Vec::new();
         for u in &uses[range] {
             for f in &frees {
@@ -262,19 +224,11 @@ pub fn detect_with(
                 if u.field != f.field || u.instr == f.instr {
                     continue;
                 }
-                let common = pts.common_objs((u.method, u.base), (f.method, f.base));
-                if common.is_empty() {
-                    continue;
-                }
-                let shared: Vec<ObjId> = if options.require_escape {
-                    common
-                        .iter()
-                        .copied()
-                        .filter(|&o| escape.is_shared(o))
-                        .collect()
-                } else {
-                    common
-                };
+                let shared: Vec<ObjId> = pts
+                    .common_objs((u.method, u.base), (f.method, f.base))
+                    .into_iter()
+                    .filter(|&o| escape.is_shared(o))
+                    .collect();
                 if shared.is_empty() {
                     continue;
                 }
@@ -284,10 +238,6 @@ pub fn detect_with(
                 for &tu in threads.threads_of_method(u.method) {
                     for &tf in threads.threads_of_method(f.method) {
                         if tu == tf {
-                            continue;
-                        }
-                        if hb.is_some_and(|g| g.must_hb(tu, tf)) {
-                            mhp_prepruned += 1;
                             continue;
                         }
                         out.push(UafWarning {
@@ -302,15 +252,13 @@ pub fn detect_with(
                 }
             }
         }
-        (out, pairs_examined, mhp_prepruned)
+        (out, pairs_examined)
     });
     let mut pairs_examined = 0u64;
-    let mut mhp_prepruned = 0u64;
     let mut out = Vec::new();
-    for (warnings, pairs, prepruned) in chunks {
+    for (warnings, pairs) in chunks {
         out.extend(warnings);
         pairs_examined += pairs;
-        mhp_prepruned += prepruned;
     }
     if nadroid_obs::recording() {
         nadroid_obs::counter("detector.uses", uses.len() as u64);
@@ -318,11 +266,24 @@ pub fn detect_with(
         nadroid_obs::counter("detector.pairs_examined", pairs_examined);
         nadroid_obs::counter("detector.warnings", out.len() as u64);
         nadroid_obs::counter("detector.racy_pairs", distinct_pairs(&out) as u64);
-        if hb.is_some() {
-            nadroid_obs::counter("detector.mhp_prepruned", mhp_prepruned);
-        }
     }
     out
+}
+
+/// [`detect`], kept only because the repository benchmark calls it with
+/// `None` as its last argument. No value can be passed there, so it
+/// always forwards to [`detect`]. Delete it with the next change under
+/// the benchmark's path.
+#[must_use]
+pub fn detect_with(
+    program: &Program,
+    threads: &ThreadModel,
+    pts: &PointsTo,
+    escape: &Escape,
+    options: DetectorOptions,
+    _never: Option<std::convert::Infallible>,
+) -> Vec<UafWarning> {
+    detect(program, threads, pts, escape, options)
 }
 
 /// Whether two accesses hold a common must-lock object.
@@ -556,7 +517,6 @@ mod tests {
             &esc,
             DetectorOptions {
                 eager_lockset: true,
-                ..DetectorOptions::default()
             },
         );
         assert!(
@@ -614,39 +574,6 @@ mod tests {
         let esc = Escape::compute(&p, &t, &pts);
         let w = detect(&p, &t, &pts, &esc, DetectorOptions::default());
         assert!(w.is_empty());
-    }
-
-    #[test]
-    fn mhp_preprune_drops_must_ordered_pairs() {
-        let src = r#"
-            app PP
-            activity Main {
-                field f: Main
-                cb onCreate { f = new Main  use f }
-                cb onDestroy { f = null }
-            }
-        "#;
-        let p = parse_program(src).unwrap();
-        let t = ThreadModel::build(&p);
-        let pts = PointsTo::run(&p, &t, 2);
-        let esc = Escape::compute(&p, &t, &pts);
-        let base = detect(&p, &t, &pts, &esc, DetectorOptions::default());
-        assert!(!base.is_empty(), "the lifecycle-ordered pair is detected");
-        let g = nadroid_hb::HbGraph::build(&p, &t);
-        let pruned = detect_with(&p, &t, &pts, &esc, DetectorOptions::default(), Some(&g));
-        assert!(
-            pruned.len() < base.len(),
-            "mustHb(onCreate, onDestroy) pairs are dropped before warning \
-             materialization ({} -> {})",
-            base.len(),
-            pruned.len()
-        );
-        for w in &pruned {
-            assert!(
-                !g.must_hb(w.use_thread, w.free_thread),
-                "no surviving pair is must-ordered use-before-free"
-            );
-        }
     }
 
     #[test]

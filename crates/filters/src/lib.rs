@@ -251,7 +251,7 @@ impl<'a> Filters<'a> {
     /// Bind the filter engine to analysis results and the
     /// happens-before graph the caller built for them
     /// ([`HbGraph::build`]). The analysis pipeline builds the graph once
-    /// and also hands it to the detector's pre-prune.
+    /// and shares it with the refuter.
     #[must_use]
     pub fn with_hb(
         program: &'a Program,

@@ -25,8 +25,8 @@
 //! | `mustHb` | the three sound MHB kinds | [`HbGraph::must_hb`], [`HbGraph::mhp`], [`HbGraph::must_hb_path`] |
 //! | `predHb` | those plus the predicate-derived `predEdge`s | [`HbGraph::pred_must_hb`], [`HbGraph::pred_must_hb_path`] |
 //!
-//! The filter crate queries this graph; the detector uses
-//! [`HbGraph::must_hb`] for its opt-in MHP pre-prune.
+//! The filter crate queries this graph; the detector does not: §5
+//! leaves MHP out of detection, so ordering is the filters' job.
 //!
 //! Each HB-family filter is one query of the *direct* edges
 //! (`tests/hb_parity.rs` checks them against a per-pair statement of

@@ -460,7 +460,6 @@ impl Shared {
             // counters accumulate here).
             f("hb.edges", counter("hb.edges")),
             f("hb.closure_micros", counter("hb.closure_micros")),
-            f("detector.mhp_prepruned", counter("detector.mhp_prepruned")),
             // Confirmation verdict counters, accumulated across every
             // confirm request the workers ran (shared recorder again).
             f("confirm.confirmed", counter("confirm.confirmed")),

@@ -20,7 +20,6 @@ fn connectbot_report_has_both_figure1_warnings() {
         report: None,
         provenance: None,
         stats: false,
-        mhp_preprune: false,
         threads: None,
     })
     .unwrap();
@@ -56,7 +55,6 @@ fn validate_confirms_every_planted_harmful_uaf_of_the_generated_aard() {
         report: None,
         provenance: None,
         stats: false,
-        mhp_preprune: false,
         threads: None,
     })
     .unwrap();

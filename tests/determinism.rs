@@ -63,8 +63,8 @@ fn repeated_analyses_are_byte_identical_in_process() {
 /// every parallel gate (K-9's ~213 planted clusters drive the chunked
 /// detector scan and the filter pipeline) and require byte-identical
 /// warning ids, filter verdicts, provenance JSON, and deterministic
-/// counters; then sweep the same counts over the 1000-app fleet with the
-/// MHP pre-prune on and require equal suite-wide counters.
+/// counters; then sweep the same counts over the 1000-app fleet and
+/// require equal suite-wide counters.
 #[test]
 fn thread_count_never_changes_the_output() {
     let rows = nadroid::corpus::table1_rows();
@@ -122,9 +122,8 @@ fn thread_count_never_changes_the_output() {
         );
     }
 
-    // The fleet under the MHP pre-prune, which sends the chunked
-    // detector scan down its pre-prune branch. One recorder per thread
-    // count sums the counters over every app.
+    // The fleet on the default config. One recorder per thread count
+    // sums the counters over every app.
     let fleet: Vec<_> = nadroid::corpus::scale_specs(1000)
         .iter()
         .map(nadroid::corpus::generate)
@@ -132,7 +131,6 @@ fn thread_count_never_changes_the_output() {
     let sweep = |threads: usize| {
         let config = AnalysisConfig {
             threads,
-            mhp_preprune: true,
             ..AnalysisConfig::default()
         };
         let recorder = nadroid::obs::Recorder::new();
@@ -146,14 +144,14 @@ fn thread_count_never_changes_the_output() {
         [
             recorder.counter_value("detector.pairs_examined"),
             recorder.counter_value("pointsto.queue_pops"),
-            recorder.counter_value("detector.mhp_prepruned"),
+            recorder.counter_value("filter.MHB.killed"),
             warnings as u64,
         ]
     };
     let fleet_baseline = sweep(1);
     assert!(
         fleet_baseline.iter().all(|&v| v > 0),
-        "pairs examined, queue pops, pre-pruned pairs and survivors all recorded: {fleet_baseline:?}"
+        "pairs examined, queue pops, MHB kills and survivors all recorded: {fleet_baseline:?}"
     );
     for threads in [2usize, 4, 8] {
         assert_eq!(

@@ -11,7 +11,7 @@
 use nadroid::core::{analyze, render_provenance_json, Analysis, AnalysisConfig, DerivationNode};
 use nadroid::corpus::{generate, refute_specs, spec_for, table1_rows, AppSpec};
 use nadroid::datalog::{Database, RelId, RuleSet, Term};
-use nadroid::detector::{collect_accesses, AccessKind, DetectorOptions, UafWarning};
+use nadroid::detector::{collect_accesses, AccessKind, UafWarning};
 use nadroid::ir::FieldId;
 use nadroid::serve::cache::fnv64;
 use nadroid::threadify::ThreadId;
@@ -75,13 +75,13 @@ fn specs() -> Vec<AppSpec> {
 ///                           runsOn(f, t2), distinctThreads(t1, t2).
 /// ```
 ///
-/// `sharedObj` holds the thread-escaping objects (all objects when
-/// `require_escape` is off). `distinctThreads` stands in for thread
-/// disequality, which the engine has no built-in for. It holds the pairs
-/// `(t1, t2)`, `t1 ≠ t2`, where `t1` runs a use and `t2` a free of one
-/// field: `aliasedPair` binds both sites to one field, so these are the
-/// only thread pairs the `racyPair` body can bind.
-fn solve_racy_pairs(analysis: &Analysis<'_>, options: DetectorOptions) -> (Database, RuleSet) {
+/// `sharedObj` holds the thread-escaping objects. `distinctThreads`
+/// stands in for thread disequality, which the engine has no built-in
+/// for. It holds the pairs `(t1, t2)`, `t1 ≠ t2`, where `t1` runs a use
+/// and `t2` a free of one field: `aliasedPair` binds both sites to one
+/// field, so these are the only thread pairs the `racyPair` body can
+/// bind.
+fn solve_racy_pairs(analysis: &Analysis<'_>) -> (Database, RuleSet) {
     let (threads, pts) = (analysis.threads(), analysis.pts());
     let mut db = Database::new();
     let use_at = db.relation("useAt", 2);
@@ -113,7 +113,7 @@ fn solve_racy_pairs(analysis: &Analysis<'_>, options: DetectorOptions) -> (Datab
         by_field.entry(a.field).or_default().extend(on);
     }
     for o in pts.objs().iter() {
-        if !options.require_escape || analysis.escape().is_shared(o) {
+        if analysis.escape().is_shared(o) {
             db.insert(shared_obj, &[o.0]);
         }
     }
@@ -246,7 +246,7 @@ fn racy_pair_relation_equals_the_detector_warnings() {
     for spec in specs() {
         let app = generate(&spec);
         let analysis = analyze(&app.program, &config);
-        let (db, rules) = solve_racy_pairs(&analysis, config.detector);
+        let (db, rules) = solve_racy_pairs(&analysis);
         // Every relation of the encoding occurs in a rule.
         let rels: HashMap<&str, RelId> = rules
             .rules()
