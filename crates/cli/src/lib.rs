@@ -230,11 +230,12 @@ pub enum PerfCommand {
         /// Ledger path override.
         ledger: Option<String>,
     },
-    /// Noise-aware comparison of two ledger records.
+    /// Noise-aware comparison of two records.
     Diff {
-        /// Baseline selector: `last`, `prev`, 1-based index, or `-N`.
+        /// Baseline: a `BENCH_*.json` path or a ledger selector (`last`,
+        /// `prev`, 1-based index, or `-N`).
         base: String,
-        /// Current-record selector, same syntax.
+        /// Current record, same syntax.
         current: String,
         /// Extra relative effect size required of latency moves, on
         /// top of the histogram quantization bound (raw user string,
@@ -248,7 +249,7 @@ pub enum PerfCommand {
     Gate {
         /// Baseline: a `BENCH_*.json` path or a ledger selector.
         against: String,
-        /// Current-record ledger selector; `None` measures the suite
+        /// Current record, same syntax; `None` measures the suite
         /// afresh (the same workload `BENCH_timing.json` records).
         current: Option<String>,
         /// Also append the current record to the ledger.
@@ -307,7 +308,7 @@ USAGE:
     nadroid perf record [--from <BENCH.json>] [--kind <k>] [--note <s>]
     nadroid perf list
     nadroid perf diff <a> <b> [--min-effect <frac>]
-    nadroid perf gate --against <ref> [--current <sel>] [--record]
+    nadroid perf gate --against <ref> [--current <ref>] [--record]
                       [--min-effect <frac>]
 
 `analyze` may be omitted when the first argument is a flag or a .dsl
@@ -351,12 +352,13 @@ RUN LEDGER (see docs/observability.md):
                       measurement, or --from <BENCH.json> to copy the
                       record a committed BENCH_*.json artifact holds
     perf list         one summary line per ledger record
-    perf diff <a> <b> compare two records: counters and populations
-                      exactly, timings/latencies under the noise model
+    perf diff <a> <b> compare two records, each a BENCH_*.json path or
+                      a selector: counters and populations exactly,
+                      timings/latencies under the noise model
                       (histogram quantization bound + --min-effect)
-    perf gate         diff --against <ref> (a BENCH_*.json path or a
-                      selector) vs --current <sel> (default: a fresh
-                      suite measurement); exits nonzero on regression
+    perf gate         diff --against <ref> vs --current <ref> (each a
+                      BENCH_*.json path or a selector; default current:
+                      a fresh suite measurement); exits nonzero on regression
                       or unacknowledged drift, naming the exact
                       counter, percentile, or warning ids that moved;
                       --record also appends the current record
@@ -849,7 +851,7 @@ fn parse_perf(args: impl Iterator<Item = String>) -> Result<Command, CliError> {
         "diff" => {
             if positionals.len() != 2 {
                 return Err(CliError(
-                    "perf diff needs two selectors: perf diff <a> <b>".into(),
+                    "perf diff needs two records: perf diff <a> <b>".into(),
                 ));
             }
             let mut it = positionals.into_iter();
@@ -1398,9 +1400,24 @@ fn bench_record(path: &str) -> Result<ledger::Record, CliError> {
     }
 }
 
+/// The record `sel` names, with its label: a path to an existing file
+/// is a `BENCH_*.json` artifact, and anything else selects a record of
+/// the ledger at `ledger_path`.
+fn resolve_record(
+    ledger_path: &std::path::Path,
+    sel: &str,
+) -> Result<(ledger::Record, String), CliError> {
+    if std::path::Path::new(sel).is_file() {
+        return Ok((bench_record(sel)?, sel.to_owned()));
+    }
+    let mut records = ledger::read(ledger_path).map_err(CliError::from)?;
+    let i = ledger::select(records.len(), sel).map_err(CliError::from)?;
+    let rec = records.swap_remove(i);
+    let label = format!("#{} ({})", i + 1, rec.kind.as_str());
+    Ok((rec, label))
+}
+
 fn run_perf(perf: &PerfCommand) -> Result<String, CliError> {
-    let label =
-        |records: &[ledger::Record], i: usize| format!("#{} ({})", i + 1, records[i].kind.as_str());
     match perf {
         PerfCommand::Record {
             from,
@@ -1452,16 +1469,11 @@ fn run_perf(perf: &PerfCommand) -> Result<String, CliError> {
             ledger: over,
         } => {
             let path = ledger_path(over.as_deref());
-            let records = ledger::read(&path).map_err(CliError::from)?;
-            let bi = ledger::select(records.len(), base).map_err(CliError::from)?;
-            let ci = ledger::select(records.len(), current).map_err(CliError::from)?;
+            let (base, base_label) = resolve_record(&path, base)?;
+            let (cur, cur_label) = resolve_record(&path, current)?;
             let opts = diff_options(min_effect.as_deref());
-            let deltas = ledger::diff(&records[bi], &records[ci], &opts);
-            Ok(ledger::render_diff(
-                &label(&records, bi),
-                &label(&records, ci),
-                &deltas,
-            ))
+            let deltas = ledger::diff(&base, &cur, &opts);
+            Ok(ledger::render_diff(&base_label, &cur_label, &deltas))
         }
         PerfCommand::Gate {
             against,
@@ -1472,24 +1484,12 @@ fn run_perf(perf: &PerfCommand) -> Result<String, CliError> {
         } => {
             let path = ledger_path(over.as_deref());
             let opts = diff_options(min_effect.as_deref());
-            // The baseline: a committed BENCH record, or a prior ledger
-            // record.
-            let (base, base_label) = if std::path::Path::new(against).is_file() {
-                (bench_record(against)?, against.clone())
-            } else {
-                let records = ledger::read(&path).map_err(CliError::from)?;
-                let i = ledger::select(records.len(), against).map_err(CliError::from)?;
-                (records[i].clone(), label(&records, i))
-            };
-            // The current side: a chosen ledger record, or a fresh
-            // measurement of the same workload the timing driver
-            // records, so counters line up exactly with BENCH_timing.
+            let (base, base_label) = resolve_record(&path, against)?;
+            // The current side: a chosen record, or a fresh measurement
+            // of the same workload the timing driver records, so
+            // counters line up exactly with BENCH_timing.
             let (cur, cur_label) = match current {
-                Some(sel) => {
-                    let records = ledger::read(&path).map_err(CliError::from)?;
-                    let i = ledger::select(records.len(), sel).map_err(CliError::from)?;
-                    (records[i].clone(), label(&records, i))
-                }
+                Some(sel) => resolve_record(&path, sel)?,
                 None => {
                     let mut rec = nadroid_bench::measure::measure_suite().record;
                     rec.kind = ledger::Kind::Ci;

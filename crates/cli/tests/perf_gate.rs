@@ -2,8 +2,9 @@
 //! ledger with one injected counter change and one warning-population
 //! change must exit nonzero with a verdict naming the regressed
 //! counter and the exact warning ids that moved; identical records
-//! must pass; and every committed BENCH file, itself a ledger record,
-//! must pass when gated against its own copy in a ledger.
+//! must pass; `perf diff` must read a BENCH file on either side; and
+//! every committed BENCH file, itself a ledger record, must pass when
+//! gated against its own copy in a ledger.
 
 use nadroid_ledger::{AppPopulation, Env, Kind, Population, Record};
 use std::process::Command;
@@ -105,6 +106,44 @@ fn identical_records_pass_the_gate() {
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("no differences beyond noise"), "{text}");
     assert!(text.contains("PASS: no regressions, no drift"), "{text}");
+}
+
+/// `perf diff` resolves each side as `perf gate` does: a path to a
+/// file is a one-record `BENCH_*.json` artifact, anything else a ledger
+/// selector. The BENCH copy of the baseline diffed against the drifted
+/// ledger record reports the seeded counter change.
+#[test]
+fn diff_reads_a_bench_file_against_a_ledger_record() {
+    let dir = temp_dir("perf_diff_bench");
+    let ledger = seeded_ledger(&dir);
+    let baseline = nadroid_ledger::read(&ledger).expect("read seeded ledger")[0].clone();
+    let bench = dir.join("BENCH_timing.json");
+    std::fs::write(&bench, baseline.to_json_line() + "\n").expect("write BENCH file");
+    let out = Command::new(env!("CARGO_BIN_EXE_nadroid"))
+        .args([
+            "perf",
+            "diff",
+            bench.to_str().unwrap(),
+            "last",
+            "--ledger",
+            ledger.to_str().unwrap(),
+        ])
+        .output()
+        .expect("spawn nadroid");
+    assert!(
+        out.status.success(),
+        "perf diff must accept a BENCH file: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        text.starts_with(&format!("perf diff: {} -> #2 (ci)\n", bench.display())),
+        "{text}"
+    );
+    assert!(
+        text.contains("counters.pointsto.queue_pops: 12677 -> 13000 (+323)"),
+        "{text}"
+    );
 }
 
 /// Every committed `BENCH_*.json` is one `nadroid-ledger/1` record
