@@ -4,8 +4,10 @@
 #   ./scripts/ci.sh
 #
 # The serve, confirm and refute benches below rewrite BENCH_serve.json,
-# BENCH_confirm.json and BENCH_refute.json; every later gate reads the
-# fresh files, and the script puts the committed ones back on exit,
+# BENCH_confirm.json and BENCH_refute.json, and every build of the
+# repository benchmark rewrites its Cargo.lock (the committed one still
+# lists dependencies the crates no longer have); every later gate reads
+# the fresh files, and the script puts the committed ones back on exit,
 # pass or fail.
 #
 # 1. release build of the whole workspace, then
@@ -88,9 +90,11 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 bench_snap=$(mktemp -d)
-cp BENCH_serve.json BENCH_confirm.json BENCH_refute.json "$bench_snap/"
+bench_lock=crates/bench/src/bin/benchmark/Cargo.lock
+cp BENCH_serve.json BENCH_confirm.json BENCH_refute.json "$bench_lock" "$bench_snap/"
 restore_benches() {
     cp "$bench_snap"/BENCH_*.json .
+    cp "$bench_snap/Cargo.lock" "$bench_lock"
     rm -rf "$bench_snap"
 }
 trap restore_benches EXIT
