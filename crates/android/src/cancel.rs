@@ -9,7 +9,7 @@
 //! that cancels a family of callbacks must happen *after* any remaining
 //! delivery of that family — the CHB order.
 
-use crate::CallbackKind;
+use crate::{CallbackKind, PredicateFamily};
 use std::fmt;
 
 /// A framework cancellation API call site.
@@ -33,10 +33,10 @@ pub enum CancelApi {
 pub enum CancelScope {
     /// UI and system entry callbacks of the finished activity.
     UiOfActivity,
-    /// Service-connection callbacks of the unbound connection.
-    ServiceConnection,
-    /// Broadcast deliveries of the unregistered receiver.
-    Receiver,
+    /// The gated callbacks of a summarized predicate family, which its
+    /// disabler silences: the unbound connection's, the unregistered
+    /// receiver's.
+    Family(PredicateFamily),
     /// Pending posted runnables / messages of the handler.
     HandlerPosts,
 }
@@ -47,8 +47,8 @@ impl CancelApi {
     pub fn scope(self) -> CancelScope {
         match self {
             CancelApi::Finish => CancelScope::UiOfActivity,
-            CancelApi::UnbindService => CancelScope::ServiceConnection,
-            CancelApi::UnregisterReceiver => CancelScope::Receiver,
+            CancelApi::UnbindService => CancelScope::Family(PredicateFamily::Connection),
+            CancelApi::UnregisterReceiver => CancelScope::Family(PredicateFamily::Receiver),
             CancelApi::RemoveCallbacksAndMessages => CancelScope::HandlerPosts,
         }
     }
@@ -64,15 +64,31 @@ impl CancelApi {
         ]
     }
 
-    /// The Android method name of the API.
+    /// The cancellation API that is `family`'s disabler, if CHB covers
+    /// that family.
+    #[must_use]
+    pub fn disabling(family: PredicateFamily) -> Option<CancelApi> {
+        CancelApi::all()
+            .iter()
+            .copied()
+            .find(|a| a.scope() == CancelScope::Family(family))
+    }
+
+    /// The framework API's qualified name (`Context.unbindService()`).
+    #[must_use]
+    pub fn api_name(self) -> &'static str {
+        match self.scope() {
+            CancelScope::UiOfActivity => "Activity.finish()",
+            CancelScope::Family(f) => f.disabler_api().expect("a cancelled family has a disabler"),
+            CancelScope::HandlerPosts => "Handler.removeCallbacksAndMessages()",
+        }
+    }
+
+    /// The Android method name of the API (`unbindService`).
     #[must_use]
     pub fn method_name(self) -> &'static str {
-        match self {
-            CancelApi::Finish => "finish",
-            CancelApi::UnbindService => "unbindService",
-            CancelApi::UnregisterReceiver => "unregisterReceiver",
-            CancelApi::RemoveCallbacksAndMessages => "removeCallbacksAndMessages",
-        }
+        let api = self.api_name();
+        &api[api.find('.').map_or(0, |i| i + 1)..api.len() - "()".len()]
     }
 }
 
@@ -92,11 +108,7 @@ impl CancelScope {
     pub fn covers(self, kind: CallbackKind) -> bool {
         match self {
             CancelScope::UiOfActivity => kind.is_ui() || kind.is_system() || kind.is_lifecycle(),
-            CancelScope::ServiceConnection => matches!(
-                kind,
-                CallbackKind::OnServiceConnected | CallbackKind::OnServiceDisconnected
-            ),
-            CancelScope::Receiver => kind == CallbackKind::OnReceive,
+            CancelScope::Family(f) => f.gated_kinds().contains(&kind),
             CancelScope::HandlerPosts => {
                 matches!(kind, CallbackKind::HandleMessage | CallbackKind::PostedRun)
             }
@@ -131,6 +143,39 @@ mod tests {
         assert!(s.covers(CallbackKind::HandleMessage));
         assert!(s.covers(CallbackKind::PostedRun));
         assert!(!s.covers(CallbackKind::OnClick));
+    }
+
+    #[test]
+    fn family_disablers_are_the_unbind_and_unregister_apis() {
+        assert_eq!(
+            CancelApi::disabling(PredicateFamily::Connection),
+            Some(CancelApi::UnbindService)
+        );
+        assert_eq!(
+            CancelApi::disabling(PredicateFamily::Receiver),
+            Some(CancelApi::UnregisterReceiver)
+        );
+        for f in [
+            PredicateFamily::Dialog,
+            PredicateFamily::Alarm,
+            PredicateFamily::Task,
+        ] {
+            assert_eq!(CancelApi::disabling(f), None, "{f}: not a CHB cancel");
+        }
+        assert_eq!(
+            CancelApi::UnregisterReceiver.api_name(),
+            "Context.unregisterReceiver()"
+        );
+        let methods: Vec<&str> = CancelApi::all().iter().map(|a| a.method_name()).collect();
+        assert_eq!(
+            methods,
+            [
+                "finish",
+                "unbindService",
+                "unregisterReceiver",
+                "removeCallbacksAndMessages"
+            ]
+        );
     }
 
     #[test]

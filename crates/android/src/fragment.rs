@@ -14,6 +14,7 @@
 //! stack, so they carry no mutual order — except that any `onCreateView`
 //! still precedes `onDetach` and follows `onAttach`.
 
+use crate::automaton::{self, Automaton};
 use crate::CallbackKind;
 
 /// States of the fragment lifecycle automaton.
@@ -69,15 +70,15 @@ impl FragmentLifecycle {
 
     /// Fragment callbacks legal in the current state.
     #[must_use]
-    pub fn legal_events(&self) -> Vec<CallbackKind> {
+    pub fn legal_events(&self) -> &'static [CallbackKind] {
         use CallbackKind::*;
         use FragmentState::*;
         match self.state {
-            Fresh => vec![OnAttach],
-            Attached => vec![OnCreateView, OnDetach],
-            ViewCreated => vec![OnDestroyView],
-            ViewDestroyed => vec![OnCreateView, OnDetach],
-            Detached => vec![],
+            Fresh => &[OnAttach],
+            Attached => &[OnCreateView, OnDetach],
+            ViewCreated => &[OnDestroyView],
+            ViewDestroyed => &[OnCreateView, OnDetach],
+            Detached => &[],
         }
     }
 
@@ -111,6 +112,16 @@ impl FragmentLifecycle {
     }
 }
 
+impl Automaton for FragmentLifecycle {
+    fn events(&self) -> &'static [CallbackKind] {
+        self.legal_events()
+    }
+
+    fn step(&mut self, event: CallbackKind) {
+        self.fire(event).expect("a legal event");
+    }
+}
+
 /// The sound fragment-lifecycle must-happens-before relation.
 ///
 /// `onAttach` precedes every other fragment callback of the same fragment
@@ -118,14 +129,11 @@ impl FragmentLifecycle {
 /// `onCreateView`/`onDestroyView` pair cycles via the back stack, so it
 /// carries no order of its own.
 ///
-/// Both arguments must execute on the *same fragment class*; the HB layer
-/// applies that qualification.
+/// Read off the automaton. Both arguments must execute on the *same
+/// fragment class*; the HB layer applies that qualification.
 #[must_use]
 pub fn fragment_mhb(first: CallbackKind, second: CallbackKind) -> bool {
-    if first == second || !first.is_fragment_lifecycle() || !second.is_fragment_lifecycle() {
-        return false;
-    }
-    first == CallbackKind::OnAttach || second == CallbackKind::OnDetach
+    first != second && automaton::never_after::<FragmentLifecycle>(first, second)
 }
 
 #[cfg(test)]

@@ -45,6 +45,7 @@ pub mod lifecycle;
 pub mod listeners;
 pub mod predicates;
 
+mod automaton;
 mod callback;
 mod role;
 

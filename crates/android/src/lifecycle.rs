@@ -11,6 +11,8 @@
 //!    interpreter: only framework-legal lifecycle event sequences are
 //!    explored when searching for UAF witnesses.
 
+use crate::automaton::{self, Automaton};
+use crate::fragment::FragmentLifecycle;
 use crate::CallbackKind;
 
 /// States of the Activity lifecycle automaton.
@@ -156,6 +158,16 @@ impl Lifecycle {
     }
 }
 
+impl Automaton for Lifecycle {
+    fn events(&self) -> &'static [CallbackKind] {
+        self.legal_events()
+    }
+
+    fn step(&mut self, event: CallbackKind) {
+        self.fire(event).expect("a legal event");
+    }
+}
+
 /// The sound MHB-Lifecycle relation (§6.1.1).
 ///
 /// `onCreate` must happen before every other callback of the same
@@ -216,36 +228,25 @@ pub fn any_mhb(first: CallbackKind, second: CallbackKind) -> bool {
 /// a disabling API call sitting unconditionally in `first` is guaranteed
 /// to have run by the time `second` runs.
 ///
-/// Derived from the automaton and pinned by an exhaustive
-/// path-enumeration test. Notably `onPause` does *not* dominate
+/// Read off the automaton. Notably `onPause` does *not* dominate
 /// `onDestroy` (the legal path `onCreate → onStart → onStop → onDestroy`
 /// skips it), while `onStop` does: `Stopped` is the only state from
 /// which `onDestroy` is legal, and `onStop` is its only entry.
 #[must_use]
 pub fn must_precede_execution(first: CallbackKind, second: CallbackKind) -> bool {
-    use CallbackKind::*;
-    let dominators: &[CallbackKind] = match second {
-        OnStart => &[OnCreate],
-        OnResume | OnStop => &[OnCreate, OnStart],
-        OnPause => &[OnCreate, OnStart, OnResume],
-        OnRestart | OnDestroy => &[OnCreate, OnStart, OnStop],
-        _ => return false,
-    };
-    dominators.contains(&first)
+    automaton::dominates::<Lifecycle>(first, second)
 }
 
 /// Whether a callback kind is delivered *at most once* per component
-/// instance under its automaton: `onCreate` for activities (the `Fresh`
-/// state is never re-entered), `onAttach`/`onDetach` for fragments.
-/// Once-only enablers cannot re-arm a family after its disabler has run,
-/// which is what lets the refutation filter treat a dominated disabler as
-/// final.
+/// instance under its automaton: `onCreate` and `onDestroy` for
+/// activities (`Fresh` is never re-entered, `Destroyed` is terminal),
+/// `onAttach` and `onDetach` for fragments. Once-only enablers cannot
+/// re-arm a family after its disabler has run, which is what lets the
+/// refutation filter treat a dominated disabler as final.
 #[must_use]
 pub fn once_only(kind: CallbackKind) -> bool {
-    matches!(
-        kind,
-        CallbackKind::OnCreate | CallbackKind::OnAttach | CallbackKind::OnDetach
-    )
+    automaton::never_after::<Lifecycle>(kind, kind)
+        || automaton::never_after::<FragmentLifecycle>(kind, kind)
 }
 
 #[cfg(test)]
@@ -331,40 +332,24 @@ mod tests {
         assert!(!lc.accepts_ui_events());
     }
 
-    /// Exhaustively verify [`must_precede_execution`] against the
-    /// automaton: `first` dominates `second` iff no state where `second`
-    /// is legal is reachable from `Fresh` without ever firing `first`.
+    /// The dominators the automaton gives, pinned: each lifecycle kind's
+    /// list of kinds that must already have executed before it.
     #[test]
-    fn dominators_match_the_automaton() {
-        let lifecycle_kinds: Vec<CallbackKind> = CallbackKind::all()
-            .iter()
-            .copied()
-            .filter(|k| k.is_lifecycle())
-            .collect();
-        for &first in &lifecycle_kinds {
-            // BFS over states reachable while refusing to fire `first`.
-            let mut seen = vec![LifecycleState::Fresh];
-            let mut queue = vec![Lifecycle::new()];
-            let mut deliverable_without_first = Vec::new();
-            while let Some(lc) = queue.pop() {
-                for &e in lc.legal_events() {
-                    if e == first {
-                        continue;
-                    }
-                    deliverable_without_first.push(e);
-                    let mut next = lc.clone();
-                    next.fire(e).unwrap();
-                    if !seen.contains(&next.state()) {
-                        seen.push(next.state());
-                        queue.push(next);
-                    }
-                }
+    fn dominators_are_pinned() {
+        let dominators = |second: CallbackKind| -> &'static [CallbackKind] {
+            match second {
+                OnStart => &[OnCreate],
+                OnResume | OnStop => &[OnCreate, OnStart],
+                OnPause => &[OnCreate, OnStart, OnResume],
+                OnRestart | OnDestroy => &[OnCreate, OnStart, OnStop],
+                _ => &[],
             }
-            for &second in &lifecycle_kinds {
-                let dominated = !deliverable_without_first.contains(&second);
+        };
+        for &first in CallbackKind::all() {
+            for &second in CallbackKind::all() {
                 assert_eq!(
                     must_precede_execution(first, second),
-                    dominated && first != second,
+                    dominators(second).contains(&first),
                     "{first} must-precede {second}"
                 );
             }
@@ -388,17 +373,9 @@ mod tests {
 
     #[test]
     fn once_only_kinds() {
-        assert!(once_only(OnCreate));
-        assert!(once_only(OnAttach));
-        assert!(once_only(OnDetach));
-        for k in [OnStart, OnResume, OnPause, OnStop, OnRestart, OnDestroy] {
-            // OnDestroy *is* once-only dynamically, but nothing runs
-            // after it anyway; the refutation filter only relies on the
-            // kinds listed true above, so keep the claim minimal.
-            if k == OnDestroy {
-                continue;
-            }
-            assert!(!once_only(k), "{k}");
+        for &k in CallbackKind::all() {
+            let expected = matches!(k, OnCreate | OnDestroy | OnAttach | OnDetach);
+            assert_eq!(once_only(k), expected, "{k}");
         }
         assert!(!once_only(OnCreateView), "back stack recreates views");
     }

@@ -117,20 +117,17 @@ impl PredicateFamily {
     }
 
     /// The family a callback kind is gated by, when the kind is *only*
-    /// deliverable through a summarized enabler. Activity lifecycle kinds
+    /// deliverable through a summarized enabler: the family whose
+    /// [`PredicateFamily::gated_kinds`] list it. Activity lifecycle kinds
     /// return `None`: they are gated by `Task` launches only for
     /// launch-gated target classes, which the HB layer decides with the
     /// whole program in view.
     #[must_use]
     pub fn of_kind(kind: CallbackKind) -> Option<PredicateFamily> {
-        use CallbackKind::*;
-        match kind {
-            OnServiceConnected | OnServiceDisconnected => Some(PredicateFamily::Connection),
-            OnReceive => Some(PredicateFamily::Receiver),
-            OnShow | OnDismiss => Some(PredicateFamily::Dialog),
-            OnAlarm => Some(PredicateFamily::Alarm),
-            _ => None,
-        }
+        PredicateFamily::all()
+            .iter()
+            .copied()
+            .find(|&f| f != PredicateFamily::Task && f.gated_kinds().contains(&kind))
     }
 }
 

@@ -10,9 +10,10 @@
 
 use crate::machine::{CodeCache, FlatOp, Frame, Heap, HeapRef, Prov, Value};
 use nadroid_android::lifecycle::{Lifecycle, LifecycleState};
-use nadroid_android::{CallbackKind, ClassRole};
+use nadroid_android::{CallbackKind, ClassRole, PredicateFamily};
 use nadroid_ir::{AndroidOp, Callee, ClassId, Cond, InstrId, Local, MethodId, Op, Program};
 use nadroid_threadify::callback_method;
+use nadroid_threadify::resolve::SiteAction;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt;
 use std::rc::Rc;
@@ -405,7 +406,7 @@ impl<'p> World<'p> {
         let mut launch_gated: Vec<ClassId> = Vec::new();
         for m in program.method_ids() {
             for site in nadroid_threadify::resolve::scan_method(program, m).sites {
-                if let nadroid_threadify::resolve::SiteAction::Launch(c) = site.action {
+                if let SiteAction::Enable(PredicateFamily::Task, c) = site.action {
                     if program.class(c).role() == ClassRole::Activity
                         && program.manifest().main_activity() != Some(c)
                         && !launch_gated.contains(&c)

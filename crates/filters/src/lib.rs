@@ -553,13 +553,10 @@ impl<'a> Filters<'a> {
         }
         // The graph's cancel edge records the first matching cancel site
         // in the free thread's site order.
-        let api = match self.hb.cancel_hb(w.use_thread, w.free_thread) {
-            Some(CancelApi::Finish) => "Activity.finish()",
-            Some(CancelApi::UnbindService) => "Context.unbindService()",
-            Some(CancelApi::UnregisterReceiver) => "Context.unregisterReceiver()",
-            Some(CancelApi::RemoveCallbacksAndMessages) => "Handler.removeCallbacksAndMessages()",
-            None => "a cancellation API",
-        };
+        let api = self
+            .hb
+            .cancel_hb(w.use_thread, w.free_thread)
+            .map_or("a cancellation API", CancelApi::api_name);
         format!(
             "the freeing callback calls {api}, silencing [{}]'s callback family",
             self.lineage(w.use_thread)

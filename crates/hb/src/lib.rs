@@ -207,7 +207,6 @@ impl HbGraph {
         let mut by_class: BTreeMap<ClassId, Vec<ThreadId>> = BTreeMap::new();
         let mut by_component: BTreeMap<ClassId, Vec<ThreadId>> = BTreeMap::new();
         let mut pausers: Vec<(ThreadId, ClassId)> = Vec::new();
-        let mut cancelers: Vec<ThreadId> = Vec::new();
 
         for (t, mt) in threads.threads() {
             // Post edges come straight off the spawn tree; postHb holds
@@ -218,17 +217,6 @@ impl HbGraph {
                     facts.post = true;
                     facts.post_hb = threads.atomic_pair(u, t);
                 }
-            }
-            if threads.sites_of(t).iter().any(|s| {
-                matches!(
-                    s.action,
-                    SiteAction::Finish
-                        | SiteAction::Unbind(_)
-                        | SiteAction::Unregister(_)
-                        | SiteAction::RemovePosts(_)
-                )
-            }) {
-                cancelers.push(t);
             }
             let Some(k) = effective_kind(threads, t) else {
                 continue;
@@ -305,22 +293,18 @@ impl HbGraph {
         // CHB: candidate users are bounded by each cancel site's target —
         // the canceller's component for `finish()`, the named class for
         // unbind/unregister/removeCallbacks.
-        for &f in &cancelers {
+        for (f, _) in threads.threads() {
             let mut cands: BTreeSet<ThreadId> = BTreeSet::new();
             for site in threads.sites_of(f) {
-                match site.action {
-                    SiteAction::Finish => {
-                        if let Some(c) = threads.thread(f).component() {
-                            cands.extend(by_component.get(&c).into_iter().flatten().copied());
-                        }
-                    }
-                    SiteAction::Unbind(c)
-                    | SiteAction::Unregister(c)
-                    | SiteAction::RemovePosts(c) => {
-                        cands.extend(by_class.get(&c).into_iter().flatten().copied());
-                    }
-                    _ => {}
-                }
+                let users = match cancel_site(site.action) {
+                    Some((_, Some(c))) => by_class.get(&c),
+                    Some((_, None)) => threads
+                        .thread(f)
+                        .component()
+                        .and_then(|c| by_component.get(&c)),
+                    None => None,
+                };
+                cands.extend(users.into_iter().flatten().copied());
             }
             for u in cands {
                 if u == f {
@@ -698,25 +682,27 @@ fn same_component(threads: &ThreadModel, a: ThreadId, b: ThreadId) -> bool {
     ca.is_some() && ca == threads.thread(b).component()
 }
 
+/// The cancellation API a site calls and the class whose callbacks it
+/// silences: `None` for `finish()`, which silences the canceller's own
+/// component.
+fn cancel_site(action: SiteAction) -> Option<(CancelApi, Option<ClassId>)> {
+    match action {
+        SiteAction::Finish => Some((CancelApi::Finish, None)),
+        SiteAction::Disable(family, c) => CancelApi::disabling(family).map(|api| (api, Some(c))),
+        SiteAction::RemovePosts(c) => Some((CancelApi::RemoveCallbacksAndMessages, Some(c))),
+        _ => None,
+    }
+}
+
 /// The first cancellation site of `f` (in site order) whose scope covers
 /// `u`'s callback family — the CHB edge label.
 fn cancel_pair(threads: &ThreadModel, u: ThreadId, f: ThreadId) -> Option<CancelApi> {
     let uk = effective_kind(threads, u)?;
     let use_class = threads.thread(u).class();
     threads.sites_of(f).iter().find_map(|site| {
-        let api = match site.action {
-            SiteAction::Finish => Some(CancelApi::Finish),
-            SiteAction::Unbind(c) if use_class == Some(c) => Some(CancelApi::UnbindService),
-            SiteAction::Unregister(c) if use_class == Some(c) => {
-                Some(CancelApi::UnregisterReceiver)
-            }
-            SiteAction::RemovePosts(c) if use_class == Some(c) => {
-                Some(CancelApi::RemoveCallbacksAndMessages)
-            }
-            _ => None,
-        }?;
-        let covered =
-            api.scope().covers(uk) && (api != CancelApi::Finish || same_component(threads, u, f));
+        let (api, target) = cancel_site(site.action)?;
+        let covered = api.scope().covers(uk)
+            && target.map_or(same_component(threads, u, f), |c| use_class == Some(c));
         covered.then_some(api)
     })
 }
@@ -770,6 +756,7 @@ fn alloc_fields(program: &Program, method: nadroid_ir::MethodId) -> BTreeSet<Fie
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nadroid_android::PredicateFamily;
     use nadroid_ir::parse_program;
 
     fn build(src: &str) -> (Program, ThreadModel, HbGraph) {
@@ -987,9 +974,10 @@ mod tests {
         let destroy = thread_of(&t, CallbackKind::OnDestroy);
         let show = thread_of(&t, CallbackKind::OnShow);
         let en = g.enables(create, show).expect("show arms onShow");
-        assert_eq!(en.api, "Dialog.show()");
+        assert_eq!(en.family, PredicateFamily::Dialog);
         let dis = g.disables(stop, show).expect("dismiss silences onShow");
-        assert_eq!(dis.api, "Dialog.dismiss()");
+        assert_eq!(dis.family, PredicateFamily::Dialog);
+        assert_ne!(en.site, dis.site, "show, then dismiss");
         // onStop dominates onDestroy, the show sits once-only in
         // onCreate: onShow can never run after onDestroy.
         assert!(g.must_not_hb(destroy, show));

@@ -35,14 +35,12 @@ use nadroid_threadify::resolve::SiteAction;
 use nadroid_threadify::{ThreadId, ThreadModel};
 use std::collections::{BTreeMap, BTreeSet};
 
-/// Provenance of one `enables`/`disables` fact: which summarized API,
-/// at which instruction.
+/// Provenance of one `enables`/`disables` fact: which summarized family's
+/// enabler or disabler API, at which instruction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PredicateSite {
     /// The summarized family the API belongs to.
     pub family: PredicateFamily,
-    /// The framework API name (from the family summary).
-    pub api: &'static str,
     /// The call instruction.
     pub site: InstrId,
 }
@@ -140,7 +138,6 @@ pub(crate) fn compute(
     let mut gated: BTreeMap<(PredicateFamily, ClassId), Vec<ThreadId>> = BTreeMap::new();
     let mut fragment_members: BTreeMap<ClassId, Vec<(ThreadId, CallbackKind)>> = BTreeMap::new();
     let mut lifecycle_members: BTreeMap<ClassId, Vec<(ThreadId, CallbackKind)>> = BTreeMap::new();
-    let mut launch_sites: BTreeMap<ClassId, Vec<ApiSite>> = BTreeMap::new();
     let mut toplevel: BTreeMap<MethodId, BTreeSet<InstrId>> = BTreeMap::new();
 
     for (t, mt) in threads.threads() {
@@ -160,15 +157,8 @@ pub(crate) fn compute(
         }
         for site in threads.sites_of(t) {
             let (fam, class, enabler) = match site.action {
-                SiteAction::Bind(c) => (PredicateFamily::Connection, c, true),
-                SiteAction::Unbind(c) => (PredicateFamily::Connection, c, false),
-                SiteAction::Register(c) => (PredicateFamily::Receiver, c, true),
-                SiteAction::Unregister(c) => (PredicateFamily::Receiver, c, false),
-                SiteAction::Show(c) => (PredicateFamily::Dialog, c, true),
-                SiteAction::Dismiss(c) => (PredicateFamily::Dialog, c, false),
-                SiteAction::Schedule(c) => (PredicateFamily::Alarm, c, true),
-                SiteAction::CancelAlarm(c) => (PredicateFamily::Alarm, c, false),
-                SiteAction::Launch(c) => (PredicateFamily::Task, c, true),
+                SiteAction::Enable(fam, c) => (fam, c, true),
+                SiteAction::Disable(fam, c) => (fam, c, false),
                 _ => continue,
             };
             let unconditional = mt.root() == Some(site.method)
@@ -185,13 +175,19 @@ pub(crate) fn compute(
                 site: site.instr,
                 unconditional,
             };
-            if fam == PredicateFamily::Task {
-                launch_sites.entry(class).or_default().push(api);
-            } else if enabler {
+            if enabler {
                 enabler_sites.entry((fam, class)).or_default().push(api);
             } else {
                 disabler_sites.entry((fam, class)).or_default().push(api);
             }
+        }
+    }
+    // A launch gates a launch-gated target's whole lifecycle (enable-only:
+    // there is no "un-launch").
+    for &(fam, target) in enabler_sites.keys() {
+        if fam == PredicateFamily::Task && launch_gated(program, target) {
+            let members = lifecycle_members.get(&target).into_iter().flatten();
+            gated.insert((fam, target), members.map(|&(t, _)| t).collect());
         }
     }
 
@@ -199,7 +195,7 @@ pub(crate) fn compute(
 
     // enables / disables facts, deduped per (api thread, gated thread)
     // pair — the first site in scan order is the provenance.
-    let fact_list = |sites: &BTreeMap<(PredicateFamily, ClassId), Vec<ApiSite>>, enabling: bool| {
+    let fact_list = |sites: &BTreeMap<(PredicateFamily, ClassId), Vec<ApiSite>>| {
         let mut out: Vec<(ThreadId, ThreadId, PredicateSite)> = Vec::new();
         let mut seen: BTreeSet<(ThreadId, ThreadId)> = BTreeSet::new();
         for (&(fam, class), occurrences) in sites {
@@ -209,57 +205,19 @@ pub(crate) fn compute(
             for occ in occurrences {
                 for &g in gs {
                     if seen.insert((occ.thread, g)) {
-                        let api = if enabling {
-                            fam.enabler_api()
-                        } else {
-                            fam.disabler_api().unwrap_or(fam.enabler_api())
+                        let site = PredicateSite {
+                            family: fam,
+                            site: occ.site,
                         };
-                        out.push((
-                            occ.thread,
-                            g,
-                            PredicateSite {
-                                family: fam,
-                                api,
-                                site: occ.site,
-                            },
-                        ));
+                        out.push((occ.thread, g, site));
                     }
                 }
             }
         }
         out
     };
-    facts.enables = fact_list(&enabler_sites, true);
-    facts.disables = fact_list(&disabler_sites, false);
-
-    // Task enables: a launch arms the target activity's whole lifecycle
-    // family (enable-only; there is no "un-launch").
-    {
-        let mut seen: BTreeSet<(ThreadId, ThreadId)> = BTreeSet::new();
-        for (&target, occurrences) in &launch_sites {
-            if !launch_gated(program, target) {
-                continue;
-            }
-            let Some(members) = lifecycle_members.get(&target) else {
-                continue;
-            };
-            for occ in occurrences {
-                for &(g, _) in members {
-                    if seen.insert((occ.thread, g)) {
-                        facts.enables.push((
-                            occ.thread,
-                            g,
-                            PredicateSite {
-                                family: PredicateFamily::Task,
-                                api: PredicateFamily::Task.enabler_api(),
-                                site: occ.site,
-                            },
-                        ));
-                    }
-                }
-            }
-        }
-    }
+    facts.enables = fact_list(&enabler_sites);
+    facts.disables = fact_list(&disabler_sites);
 
     // predEdge (fragment order): onAttach-first / onDetach-last pairs on
     // the same fragment class — the Dexteroid-style automaton's sound
@@ -288,8 +246,9 @@ pub(crate) fn compute(
     for e in &facts.edges {
         succ[e.src.index()].push(e.dst);
     }
-    for (&target, occurrences) in &launch_sites {
-        if occurrences.len() != 1 || !launch_gated(program, target) {
+    for (&(fam, target), occurrences) in &enabler_sites {
+        if fam != PredicateFamily::Task || occurrences.len() != 1 || !launch_gated(program, target)
+        {
             continue;
         }
         let occ = &occurrences[0];

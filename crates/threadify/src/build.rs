@@ -2,7 +2,7 @@
 
 use crate::model::{ModeledThread, SpawnVia, ThreadId, ThreadKind};
 use crate::resolve::{scan_method, Site, SiteAction};
-use nadroid_android::{CallbackClass, CallbackKind};
+use nadroid_android::{CallbackClass, CallbackKind, PredicateFamily};
 use nadroid_ir::{Callee, ClassId, InstrId, MethodId, Op, Program};
 use std::collections::{HashMap, VecDeque};
 
@@ -326,19 +326,21 @@ impl<'p> Builder<'p> {
         }
     }
 
-    /// Receivers declared in the manifest have `onReceive` armed from
-    /// process start.
+    /// Receivers declared in the manifest are registered from process
+    /// start: the receiver family's gated callbacks are armed.
     fn arm_manifest_receivers(&mut self) {
         for &r in self.program.manifest().declared_receivers() {
-            if let Some(m) = callback_method(self.program, r, CallbackKind::OnReceive) {
-                self.spawn(
-                    ThreadKind::Callback(CallbackKind::OnReceive),
-                    m,
-                    r,
-                    ThreadId::DUMMY_MAIN,
-                    SpawnVia::Manifest,
-                    None,
-                );
+            for &k in PredicateFamily::Receiver.gated_kinds() {
+                if let Some(m) = callback_method(self.program, r, k) {
+                    self.spawn(
+                        ThreadKind::Callback(k),
+                        m,
+                        r,
+                        ThreadId::DUMMY_MAIN,
+                        SpawnVia::Manifest,
+                        None,
+                    );
+                }
             }
         }
     }
@@ -381,35 +383,6 @@ impl<'p> Builder<'p> {
                         c,
                         t,
                         SpawnVia::Send,
-                        Some(site.instr),
-                    );
-                }
-            }
-            SiteAction::Bind(c) => {
-                for k in [
-                    CallbackKind::OnServiceConnected,
-                    CallbackKind::OnServiceDisconnected,
-                ] {
-                    if let Some(m) = at(c, k) {
-                        self.spawn(
-                            ThreadKind::Callback(k),
-                            m,
-                            c,
-                            t,
-                            SpawnVia::Bind,
-                            Some(site.instr),
-                        );
-                    }
-                }
-            }
-            SiteAction::Register(c) => {
-                if let Some(m) = at(c, CallbackKind::OnReceive) {
-                    self.spawn(
-                        ThreadKind::Callback(CallbackKind::OnReceive),
-                        m,
-                        c,
-                        t,
-                        SpawnVia::Register,
                         Some(site.instr),
                     );
                 }
@@ -472,47 +445,32 @@ impl<'p> Builder<'p> {
                     );
                 }
             }
-            SiteAction::Show(c) => {
-                // show() arms both dialog callbacks: onShow fires on
-                // display, onDismiss when the shown dialog is dismissed.
-                for k in [CallbackKind::OnShow, CallbackKind::OnDismiss] {
+            // Launch sites arm nothing: the target activity's lifecycle
+            // callbacks are already component-armed, and the predicate HB
+            // layer reads launch sites directly to derive task-stack edges.
+            SiteAction::Enable(PredicateFamily::Task, _) => {}
+            // A summarized enabler arms the family's gated callbacks that
+            // its target class declares, as children of the enabler.
+            SiteAction::Enable(family, c) => {
+                for &k in family.gated_kinds() {
                     if let Some(m) = at(c, k) {
                         self.spawn(
                             ThreadKind::Callback(k),
                             m,
                             c,
                             t,
-                            SpawnVia::Show,
+                            SpawnVia::Enable(family),
                             Some(site.instr),
                         );
                     }
                 }
             }
-            SiteAction::Schedule(c) => {
-                if let Some(m) = at(c, CallbackKind::OnAlarm) {
-                    self.spawn(
-                        ThreadKind::Callback(CallbackKind::OnAlarm),
-                        m,
-                        c,
-                        t,
-                        SpawnVia::Schedule,
-                        Some(site.instr),
-                    );
-                }
-            }
-            // Cancellation and publish sites arm no threads; the filter
-            // layer reads them from `sites_of`. Launch sites arm nothing
-            // either: the target activity's lifecycle callbacks are
-            // already component-armed, and the predicate HB layer reads
-            // launch sites directly to derive task-stack edges.
-            SiteAction::Unbind(_)
-            | SiteAction::Unregister(_)
+            // Cancellation, disabler and publish sites arm no threads; the
+            // HB and filter layers read them from `sites_of`.
+            SiteAction::Disable(..)
             | SiteAction::RemovePosts(_)
             | SiteAction::Finish
-            | SiteAction::Publish
-            | SiteAction::Dismiss(_)
-            | SiteAction::CancelAlarm(_)
-            | SiteAction::Launch(_) => {}
+            | SiteAction::Publish => {}
         }
     }
 

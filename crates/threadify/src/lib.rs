@@ -108,53 +108,71 @@ mod tests {
         assert_eq!(m.thread_count(), 2);
     }
 
+    /// Every family, read from its table row: an enabler site spawns the
+    /// gated kinds its target class declares, in `gated_kinds()` order,
+    /// as children of the enabling callback; disabler and launch sites
+    /// spawn nothing.
     #[test]
-    fn predicate_sites_arm_dialog_and_alarm_callbacks() {
-        let (_p, m) = model(
-            r#"
-            app P
-            activity Main {
-                field dlg: Dlg
-                field rcv: Recv
-                cb onCreate { t1 = new Dlg  store t1 Dlg.$outer = this  store this Main.dlg = t1  show t1  schedule Recv  startactivity Other }
-                cb onPause { dismiss dlg  cancelalarm rcv }
+    fn enabler_sites_arm_their_family_gated_kinds() {
+        use crate::resolve::SiteAction;
+        use nadroid_android::PredicateFamily;
+        for &family in PredicateFamily::all() {
+            let (target, enable, disable) = match family {
+                PredicateFamily::Connection => ("connection T in Main", "bind", "unbind"),
+                PredicateFamily::Receiver => ("receiver T", "register", "unregister"),
+                PredicateFamily::Dialog => ("dialog T in Main", "show", "dismiss"),
+                PredicateFamily::Alarm => ("receiver T", "schedule", "cancelalarm"),
+                PredicateFamily::Task => ("activity T", "startactivity", ""),
+            };
+            // Declared in reverse, so the spawn order can only come from
+            // the table.
+            let cbs: String = family
+                .gated_kinds()
+                .iter()
+                .rev()
+                .map(|k| format!("cb {k} {{ }}\n"))
+                .collect();
+            let stop = if disable.is_empty() {
+                String::new()
+            } else {
+                format!("cb onStop {{ {disable} T }}")
+            };
+            let (_p, m) = model(&format!(
+                "app P\nactivity Main {{ cb onCreate {{ {enable} T }}\n{stop} }}\n{target} {{\n{cbs}}}"
+            ));
+            let mut enablers = 0;
+            for (t, _) in m.threads() {
+                for site in m.sites_of(t) {
+                    let children: Vec<CallbackKind> = m
+                        .threads()
+                        .filter(|(_, c)| c.origin_site() == Some(site.instr))
+                        .map(|(_, c)| {
+                            assert_eq!(c.parent(), Some(t), "{family}");
+                            assert_eq!(c.via(), SpawnVia::Enable(family), "{family}");
+                            c.kind().callback_kind().expect("a callback")
+                        })
+                        .collect();
+                    let expected: &[CallbackKind] = match site.action {
+                        SiteAction::Enable(f, _) => {
+                            assert_eq!(f, family);
+                            enablers += 1;
+                            if f == PredicateFamily::Task {
+                                &[]
+                            } else {
+                                f.gated_kinds()
+                            }
+                        }
+                        SiteAction::Disable(f, _) => {
+                            assert_eq!(f, family);
+                            &[]
+                        }
+                        other => panic!("{family}: unexpected site {other:?}"),
+                    };
+                    assert_eq!(children, expected, "{family}: {:?}", site.action);
+                }
             }
-            dialog Dlg in Main {
-                field $outer
-                cb onShow { }
-                cb onDismiss { }
-            }
-            receiver Recv { cb onAlarm { } }
-            activity Other { cb onCreate { } }
-            "#,
-        );
-        // show arms both dialog callbacks as children of the shower.
-        let dialog_cbs: Vec<_> = m
-            .threads()
-            .filter(|(_, t)| t.via() == SpawnVia::Show)
-            .collect();
-        assert_eq!(dialog_cbs.len(), 2);
-        for (_, t) in &dialog_cbs {
-            let shower = m.thread(t.parent().unwrap());
-            assert_eq!(shower.kind().callback_kind(), Some(CallbackKind::OnCreate));
+            assert_eq!(enablers, 1, "{family}");
         }
-        // schedule arms onAlarm.
-        let (_, alarm) = m
-            .threads()
-            .find(|(_, t)| t.via() == SpawnVia::Schedule)
-            .expect("onAlarm thread");
-        assert_eq!(alarm.kind().callback_kind(), Some(CallbackKind::OnAlarm));
-        // Launch arms nothing extra: Other.onCreate is component-armed.
-        let other_creates = m
-            .threads()
-            .filter(|(_, t)| {
-                t.kind().callback_kind() == Some(CallbackKind::OnCreate)
-                    && t.via() == SpawnVia::Component
-            })
-            .count();
-        assert_eq!(other_creates, 2); // Main.onCreate + Other.onCreate
-                                      // Dismiss/cancel sites are recorded but arm nothing.
-        assert!(m.threads().all(|(_, t)| t.via() != SpawnVia::Bind));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The thread model produced by threadification.
 
-use nadroid_android::{CallbackClass, CallbackKind};
+use nadroid_android::{CallbackClass, CallbackKind, PredicateFamily};
 use nadroid_ir::{ClassId, InstrId, MethodId};
 use std::fmt;
 
@@ -98,10 +98,9 @@ pub enum SpawnVia {
     Post,
     /// `Handler.sendMessage`.
     Send,
-    /// `bindService`.
-    Bind,
-    /// `registerReceiver`.
-    Register,
+    /// The enabler API of a summarized family, arming one of the
+    /// family's gated callbacks (`bindService` arms `onServiceConnected`).
+    Enable(PredicateFamily),
     /// `AsyncTask.execute` (the `doInBackground` body).
     Execute,
     /// A looper-side AsyncTask callback (`onPreExecute`,
@@ -109,10 +108,6 @@ pub enum SpawnVia {
     TaskCallback,
     /// `Thread.start`.
     Spawn,
-    /// `Dialog.show()` (arms the dialog's `onShow`/`onDismiss`).
-    Show,
-    /// `AlarmManager.set(...)` (arms the target's `onAlarm`).
-    Schedule,
 }
 
 /// One modeled thread: a node of the threadification forest.

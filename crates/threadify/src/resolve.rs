@@ -8,6 +8,7 @@
 //! allocations, static component loads, moves, and declared field types.
 
 use nadroid_android::listeners::RegistrationApi;
+use nadroid_android::PredicateFamily;
 use nadroid_ir::{AndroidOp, Block, ClassId, InstrId, Local, MethodId, Op, Program, Stmt};
 use std::collections::HashMap;
 
@@ -18,14 +19,11 @@ pub enum SiteAction {
     Post(ClassId),
     /// `sendMessage` to a handler of the given class.
     Send(ClassId),
-    /// `bindService` with a connection of the given class.
-    Bind(ClassId),
-    /// `unbindService` of a connection of the given class.
-    Unbind(ClassId),
-    /// `registerReceiver` of the given receiver class.
-    Register(ClassId),
-    /// `unregisterReceiver` of the given receiver class.
-    Unregister(ClassId),
+    /// A summarized family's enabler API (`bindService`) on the given class.
+    Enable(PredicateFamily, ClassId),
+    /// A summarized family's disabler API (`unbindService`) on the given
+    /// class.
+    Disable(PredicateFamily, ClassId),
     /// `execute()` of the given AsyncTask class.
     Execute(ClassId),
     /// `start()` of the given Thread class.
@@ -38,16 +36,6 @@ pub enum SiteAction {
     Finish,
     /// `publishProgress()` inside `doInBackground`.
     Publish,
-    /// `Dialog.show()` of a dialog of the given class.
-    Show(ClassId),
-    /// `Dialog.dismiss()` of a dialog of the given class.
-    Dismiss(ClassId),
-    /// `AlarmManager.set(...)` arming an alarm target of the given class.
-    Schedule(ClassId),
-    /// `AlarmManager.cancel(...)` of an alarm target of the given class.
-    CancelAlarm(ClassId),
-    /// `startActivity` launching the given activity class.
-    Launch(ClassId),
 }
 
 /// A resolved Android intrinsic site.
@@ -151,20 +139,22 @@ fn scan_instr(
             env.remove(dst);
         }
         Op::Android(a) => {
+            use PredicateFamily::{Alarm, Connection, Dialog, Receiver, Task};
             let resolved = |l: &Local| env.get(l).copied();
+            let enable = |f, l| resolved(l).map(|c| SiteAction::Enable(f, c));
+            let disable = |f, l| resolved(l).map(|c| SiteAction::Disable(f, c));
             let action = match a {
                 AndroidOp::Post { runnable } => resolved(runnable).map(SiteAction::Post),
                 AndroidOp::SendMessage { handler } => resolved(handler).map(SiteAction::Send),
-                AndroidOp::BindService { connection } => resolved(connection).map(SiteAction::Bind),
-                AndroidOp::UnbindService { connection } => {
-                    resolved(connection).map(SiteAction::Unbind)
-                }
-                AndroidOp::RegisterReceiver { receiver } => {
-                    resolved(receiver).map(SiteAction::Register)
-                }
-                AndroidOp::UnregisterReceiver { receiver } => {
-                    resolved(receiver).map(SiteAction::Unregister)
-                }
+                AndroidOp::BindService { connection } => enable(Connection, connection),
+                AndroidOp::UnbindService { connection } => disable(Connection, connection),
+                AndroidOp::RegisterReceiver { receiver } => enable(Receiver, receiver),
+                AndroidOp::UnregisterReceiver { receiver } => disable(Receiver, receiver),
+                AndroidOp::ShowDialog { dialog } => enable(Dialog, dialog),
+                AndroidOp::DismissDialog { dialog } => disable(Dialog, dialog),
+                AndroidOp::ScheduleAlarm { target } => enable(Alarm, target),
+                AndroidOp::CancelAlarm { target } => disable(Alarm, target),
+                AndroidOp::StartActivity { activity } => enable(Task, activity),
                 AndroidOp::Execute { task } => resolved(task).map(SiteAction::Execute),
                 AndroidOp::Start { thread } => resolved(thread).map(SiteAction::Spawn),
                 AndroidOp::RegisterListener { api, listener } => {
@@ -175,11 +165,6 @@ fn scan_instr(
                 }
                 AndroidOp::Finish => Some(SiteAction::Finish),
                 AndroidOp::PublishProgress => Some(SiteAction::Publish),
-                AndroidOp::ShowDialog { dialog } => resolved(dialog).map(SiteAction::Show),
-                AndroidOp::DismissDialog { dialog } => resolved(dialog).map(SiteAction::Dismiss),
-                AndroidOp::ScheduleAlarm { target } => resolved(target).map(SiteAction::Schedule),
-                AndroidOp::CancelAlarm { target } => resolved(target).map(SiteAction::CancelAlarm),
-                AndroidOp::StartActivity { activity } => resolved(activity).map(SiteAction::Launch),
                 // Wake-lock ops arm no callbacks and cancel nothing; the
                 // no-sleep client scans them directly.
                 AndroidOp::AcquireWakeLock { .. } | AndroidOp::ReleaseWakeLock { .. } => {
@@ -229,7 +214,10 @@ mod tests {
         let mid = m.finish_callback(CallbackKind::OnCreate);
         let p = b.build();
         let scan = scan_method(&p, mid);
-        assert_eq!(scan.sites[0].action, SiteAction::Bind(act));
+        assert_eq!(
+            scan.sites[0].action,
+            SiteAction::Enable(PredicateFamily::Connection, act)
+        );
     }
 
     #[test]

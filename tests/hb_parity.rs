@@ -13,7 +13,7 @@
 //! hand-written `apps/*.dsl` models and `HB_RULES`, whose warnings hinge
 //! on rules no corpus app exercises.
 
-use nadroid::android::{lifecycle, CallbackKind, CancelApi};
+use nadroid::android::{lifecycle, CallbackKind, CancelApi, PredicateFamily};
 use nadroid::core::{analyze, AnalysisConfig};
 use nadroid::corpus::paper::figure4_gallery;
 use nadroid::corpus::{generate, refute_specs, spec_for, table1_rows};
@@ -120,10 +120,10 @@ impl Legacy<'_> {
                     CancelApi::Finish.scope().covers(uk)
                         && self.same_component(w.use_thread, w.free_thread)
                 }
-                SiteAction::Unbind(c) => {
+                SiteAction::Disable(PredicateFamily::Connection, c) => {
                     CancelApi::UnbindService.scope().covers(uk) && use_class == Some(c)
                 }
-                SiteAction::Unregister(c) => {
+                SiteAction::Disable(PredicateFamily::Receiver, c) => {
                     CancelApi::UnregisterReceiver.scope().covers(uk) && use_class == Some(c)
                 }
                 SiteAction::RemovePosts(c) => {
@@ -400,7 +400,8 @@ fn paper_apps_have_no_predicate_facts_and_refutation_is_a_no_op() {
         );
         for (e, c, site) in hb.enables_facts() {
             assert_eq!(
-                site.api, "Context.bindService()",
+                site.family,
+                PredicateFamily::Connection,
                 "{}: unexpected enabling API for enables({e:?}, {c:?})",
                 row.name
             );
