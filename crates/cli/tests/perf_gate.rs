@@ -2,9 +2,10 @@
 //! ledger with one injected counter change and one warning-population
 //! change must exit nonzero with a verdict naming the regressed
 //! counter and the exact warning ids that moved; identical records
-//! must pass; `perf diff` must read a BENCH file on either side; and
-//! every committed BENCH file, itself a ledger record, must pass when
-//! gated against its own copy in a ledger.
+//! must pass; `perf diff` must read a BENCH file on either side; a
+//! counter the current record stopped reporting must fail; and every
+//! committed BENCH file, itself a ledger record, must pass when gated
+//! against its own copy in a ledger.
 
 use nadroid_ledger::{AppPopulation, Env, Kind, Population, Record};
 use std::process::Command;
@@ -143,6 +144,38 @@ fn diff_reads_a_bench_file_against_a_ledger_record() {
     assert!(
         text.contains("counters.pointsto.queue_pops: 12677 -> 13000 (+323)"),
         "{text}"
+    );
+}
+
+/// A current record that lacks a counter the baseline pins fails the
+/// gate: the committed timing record less `pointsto.queue_pops`, gated
+/// against the committed file, names the missing counter.
+#[test]
+fn a_counter_missing_from_the_current_record_fails_the_gate() {
+    let dir = temp_dir("perf_gate_missing");
+    let ledger = dir.join("ledger.jsonl");
+    let bench = format!("{}/../../BENCH_timing.json", env!("CARGO_MANIFEST_DIR"));
+    let text = std::fs::read_to_string(&bench).expect("read BENCH_timing.json");
+    let mut cur = nadroid_ledger::parse_record_line(text.trim()).expect("one ledger record");
+    let pops = cur
+        .counters
+        .remove("pointsto.queue_pops")
+        .expect("the timing record counts points-to queue pops");
+    nadroid_ledger::append(&ledger, &cur).expect("append current record");
+    let out = gate(&ledger, &["--against", &bench, "--current", "last"]);
+    assert!(
+        !out.status.success(),
+        "a vanished counter must fail the gate:\n{}",
+        String::from_utf8_lossy(&out.stdout)
+    );
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains(&format!("counters.pointsto.queue_pops: {pops} -> (absent)")),
+        "{err}"
+    );
+    assert!(
+        err.contains("FAIL: 1 blocking difference(s) (0 regression(s), 1 drift(s))"),
+        "{err}"
     );
 }
 

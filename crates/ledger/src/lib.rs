@@ -651,10 +651,11 @@ fn time_beyond(budget_base: f64, cur: f64, opts: &DiffOptions) -> bool {
     cur > budget_base.mul_add(opts.time_tolerance, opts.slack_secs)
 }
 
-/// Compare two records under the noise model. Keys present in only one
-/// record are skipped (records of different kinds, or from before a key
-/// was added, compare on the keys both carry); environment differences
-/// are informational. Histogram tail percentiles gate only
+/// Compare two records under the noise model. A counter, time,
+/// percentile or histogram the baseline holds and the current record
+/// lacks is drift (a layer stopped reporting it); one only the current
+/// record holds is informational, as are environment differences.
+/// Histogram tail percentiles gate only
 /// when both sides hold enough samples for the quantile to be an estimate
 /// (`count >= 5/(1-p)`: 10 for p50, 50 for p90, 500 for p99) —
 /// under-sampled tail moves are reported as info, because a p99 over a
@@ -665,6 +666,23 @@ fn time_beyond(budget_base: f64, cur: f64, opts: &DiffOptions) -> bool {
 #[must_use]
 pub fn diff(base: &Record, cur: &Record, opts: &DiffOptions) -> Vec<Delta> {
     let mut out = Vec::new();
+    let mut only_cur = keyed(cur);
+    for (key, b) in keyed(base) {
+        if only_cur.remove(&key).is_none() {
+            out.push(Delta {
+                severity: Severity::Drift,
+                key,
+                detail: format!("{b} -> (absent)"),
+            });
+        }
+    }
+    for (key, c) in only_cur {
+        out.push(Delta {
+            severity: Severity::Info,
+            key,
+            detail: format!("(absent) -> {c}"),
+        });
+    }
 
     for (k, &b) in &base.counters {
         if let Some(&c) = cur.counters.get(k) {
@@ -795,6 +813,25 @@ pub fn diff(base: &Record, cur: &Record, opts: &DiffOptions) -> Vec<Delta> {
         }
     }
 
+    out
+}
+
+/// Every counter, time, percentile and histogram of a record by its
+/// dotted key, with the value a one-sided delta shows.
+fn keyed(r: &Record) -> BTreeMap<String, String> {
+    let mut out = BTreeMap::new();
+    for (k, v) in &r.counters {
+        out.insert(format!("counters.{k}"), v.to_string());
+    }
+    for (k, v) in &r.times {
+        out.insert(format!("times.{k}"), format!("{v:.6}s"));
+    }
+    for (k, v) in &r.percentiles {
+        out.insert(format!("percentiles.{k}"), format!("{v}us"));
+    }
+    for (k, h) in &r.hists {
+        out.insert(format!("hists.{k}"), format!("{} samples", h.count()));
+    }
     out
 }
 
@@ -1127,13 +1164,34 @@ mod tests {
     }
 
     #[test]
-    fn missing_keys_are_skipped_not_flagged() {
+    fn a_key_the_current_record_lacks_is_drift() {
         let a = sample_record();
-        let mut b = Record::new(Kind::Ci);
-        b.env = a.env.clone();
-        b.counters.insert("hb.edges".into(), 1134);
-        // b lacks everything else a has; nothing flags.
-        assert!(diff(&a, &b, &DiffOptions::default()).is_empty());
+        let mut b = a.clone();
+        b.counters.remove("pointsto.queue_pops");
+        b.times.remove("phase.hb");
+        b.percentiles.remove("warm.server_p99_us");
+        b.hists.remove("phase_us.detect");
+        b.counters.insert("hb.closure_micros".into(), 7);
+        let ds = diff(&a, &b, &DiffOptions::default());
+        let lines: Vec<String> = ds
+            .iter()
+            .map(|d| format!("{:?} {}: {}", d.severity, d.key, d.detail))
+            .collect();
+        assert_eq!(
+            lines,
+            [
+                "Drift counters.pointsto.queue_pops: 12677 -> (absent)",
+                "Drift hists.phase_us.detect: 5 samples -> (absent)",
+                "Drift percentiles.warm.server_p99_us: 411us -> (absent)",
+                "Drift times.phase.hb: 0.004872s -> (absent)",
+                "Info counters.hb.closure_micros: (absent) -> 7",
+            ]
+        );
+        assert!(!gate(&a, &b, &DiffOptions::default()).pass());
+        // Reversed, the four keys are new, which never gates; only the
+        // closure counter is missing.
+        let back = gate(&b, &a, &DiffOptions::default());
+        assert_eq!(back.drifts, 1, "{:?}", back.deltas);
     }
 
     #[test]
