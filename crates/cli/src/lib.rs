@@ -2641,14 +2641,20 @@ activity M { cb onClick { } }",
         let timed_out = request(&["--k", "3", "--deadline-ms", "0"]);
         assert!(timed_out.contains("deadline exceeded"), "{timed_out}");
 
+        // The analyze entry holds no provenance, so the first explain
+        // derives it and upgrades the entry; the second reads it.
         let explain = request(&["--explain"]);
         assert!(explain.contains("filter audit:"), "{explain}");
+        assert!(explain.contains("cached: false"), "{explain}");
+        let explain = request(&["--explain"]);
+        assert!(explain.contains("cached: true"), "{explain}");
 
         let stats =
             run(&parse_args(args(&["request", "--stats", "--addr", &addr])).unwrap()).unwrap();
-        // cold = miss, warm = hit, deadline (k=3) = miss, explain = hit
+        // cold = miss, warm = hit, deadline (k=3) = miss, first explain
+        // = miss, second explain = hit
         assert!(stats.contains("\"cache_hits\": 2"), "{stats}");
-        assert!(stats.contains("\"cache_misses\": 2"), "{stats}");
+        assert!(stats.contains("\"cache_misses\": 3"), "{stats}");
         assert!(stats.contains("\"deadline_exceeded\": 1"), "{stats}");
 
         let metrics =

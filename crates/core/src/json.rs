@@ -23,21 +23,30 @@ use std::fmt::Write as _;
 /// Escape a string for a JSON string literal. Public because the serve
 /// layer encodes its wire protocol with the same conventions as the
 /// report writers in this module.
+///
+/// Each run of bytes that needs no escape is copied whole. Every byte
+/// that does is ASCII, so no run ends inside a multi-byte character.
 #[must_use]
 pub fn esc(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+    let mut run = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
         }
+        out.push_str(&s[run..i]);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                let _ = write!(out, "\\u{b:04x}");
+            }
+        }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
     out
 }
 
@@ -252,6 +261,9 @@ fn parse_lit(
     }
 }
 
+/// Parse one string literal. Each run of bytes up to the next quote or
+/// backslash is copied whole; both are ASCII, so every run ends on a
+/// char boundary of `src`.
 fn parse_string(src: &str, bytes: &[u8], pos: &mut usize) -> Result<String, String> {
     if bytes.get(*pos) != Some(&b'"') {
         return Err(format!("expected string at byte {pos}"));
@@ -259,13 +271,20 @@ fn parse_string(src: &str, bytes: &[u8], pos: &mut usize) -> Result<String, Stri
     *pos += 1;
     let mut out = String::new();
     loop {
+        let run = bytes[*pos..]
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\')
+            .map_or(bytes.len(), |n| *pos + n);
+        out.push_str(&src[*pos..run]);
+        *pos = run;
         match bytes.get(*pos) {
             None => return Err("unterminated string".into()),
             Some(b'"') => {
                 *pos += 1;
                 return Ok(out);
             }
-            Some(b'\\') => {
+            Some(_) => {
+                // The run stopped at a backslash.
                 *pos += 1;
                 match bytes.get(*pos) {
                     Some(b'"') => out.push('"'),
@@ -290,13 +309,6 @@ fn parse_string(src: &str, bytes: &[u8], pos: &mut usize) -> Result<String, Stri
                     _ => return Err(format!("bad escape at byte {pos}")),
                 }
                 *pos += 1;
-            }
-            Some(_) => {
-                // Consume one UTF-8 scalar (the input is a &str, so
-                // char boundaries are sound).
-                let c = src[*pos..].chars().next().expect("in-bounds char");
-                out.push(c);
-                *pos += c.len_utf8();
             }
         }
     }
@@ -538,6 +550,155 @@ mod tests {
         let doc = format!("{{ \"k\": \"{}\" }}", esc(original));
         let v = parse_json(&doc).unwrap();
         assert_eq!(v.get("k").unwrap().as_str(), Some(original));
+    }
+
+    /// The string codec as first written, one `char` at a time: the
+    /// references the run-copying [`esc`] and [`parse_string`] must
+    /// match byte for byte, errors included.
+    mod reference {
+        use std::fmt::Write as _;
+
+        pub fn esc(s: &str) -> String {
+            let mut out = String::with_capacity(s.len());
+            for c in s.chars() {
+                match c {
+                    '"' => out.push_str("\\\""),
+                    '\\' => out.push_str("\\\\"),
+                    '\n' => out.push_str("\\n"),
+                    '\t' => out.push_str("\\t"),
+                    c if (c as u32) < 0x20 => {
+                        let _ = write!(out, "\\u{:04x}", c as u32);
+                    }
+                    c => out.push(c),
+                }
+            }
+            out
+        }
+
+        pub fn parse_string(src: &str, bytes: &[u8], pos: &mut usize) -> Result<String, String> {
+            if bytes.get(*pos) != Some(&b'"') {
+                return Err(format!("expected string at byte {pos}"));
+            }
+            *pos += 1;
+            let mut out = String::new();
+            loop {
+                match bytes.get(*pos) {
+                    None => return Err("unterminated string".into()),
+                    Some(b'"') => {
+                        *pos += 1;
+                        return Ok(out);
+                    }
+                    Some(b'\\') => {
+                        *pos += 1;
+                        match bytes.get(*pos) {
+                            Some(b'"') => out.push('"'),
+                            Some(b'\\') => out.push('\\'),
+                            Some(b'/') => out.push('/'),
+                            Some(b'b') => out.push('\u{8}'),
+                            Some(b'f') => out.push('\u{c}'),
+                            Some(b'n') => out.push('\n'),
+                            Some(b'r') => out.push('\r'),
+                            Some(b't') => out.push('\t'),
+                            Some(b'u') => {
+                                let hex = src
+                                    .get(*pos + 1..*pos + 5)
+                                    .ok_or_else(|| format!("bad \\u escape at byte {pos}"))?;
+                                let cp = u32::from_str_radix(hex, 16)
+                                    .map_err(|_| format!("bad \\u escape at byte {pos}"))?;
+                                out.push(char::from_u32(cp).unwrap_or('\u{fffd}'));
+                                *pos += 4;
+                            }
+                            _ => return Err(format!("bad escape at byte {pos}")),
+                        }
+                        *pos += 1;
+                    }
+                    Some(_) => {
+                        let c = src[*pos..].chars().next().expect("in-bounds char");
+                        out.push(c);
+                        *pos += c.len_utf8();
+                    }
+                }
+            }
+        }
+    }
+
+    /// Every character class the codec treats apart: the quote, the
+    /// backslash, every byte below 0x20, DEL, multi-byte UTF-8 of two,
+    /// three and four bytes, and plain letters.
+    fn char_pool() -> Vec<char> {
+        let mut pool = vec!['"', '\\', '\u{7f}', 'é', '€', '𝄞', 'a', 'Z', ' ', '/'];
+        pool.extend((0u8..0x20).map(char::from));
+        pool
+    }
+
+    /// The char pool as strings, plus every escape the decoder reads and
+    /// malformed ones: an unknown escape letter, short, non-hex and
+    /// signed `\u` digits, a surrogate, and a `\u` cut by a multi-byte
+    /// character.
+    fn fragment_pool() -> Vec<String> {
+        let escapes = [
+            "\\\"", "\\\\", "\\/", "\\b", "\\f", "\\n", "\\r", "\\t", "\\u0041", "\\u00e9",
+            "\\u20ac", "\\ud834", "\\q", "\\u12", "\\u12g4", "\\u+041", "\\u€00",
+        ];
+        char_pool()
+            .into_iter()
+            .map(String::from)
+            .chain(escapes.into_iter().map(String::from))
+            .collect()
+    }
+
+    /// Decode `src` as one string literal from byte 0, returning the
+    /// result and where the decoder stopped.
+    fn decode_with(
+        decode: fn(&str, &[u8], &mut usize) -> Result<String, String>,
+        src: &str,
+    ) -> (Result<String, String>, usize) {
+        let mut pos = 0;
+        let result = decode(src, src.as_bytes(), &mut pos);
+        (result, pos)
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn esc_matches_the_reference_and_round_trips(
+            chars in proptest::collection::vec(proptest::sample::select(char_pool()), 0..48),
+        ) {
+            let s: String = chars.into_iter().collect();
+            let escaped = esc(&s);
+            proptest::prop_assert_eq!(&escaped, &reference::esc(&s));
+            let quoted = format!("\"{escaped}\"");
+            proptest::prop_assert_eq!(parse_json(&quoted), Ok(JsonValue::Str(s)));
+        }
+
+        #[test]
+        fn string_decoding_matches_the_reference_errors_included(
+            fragments in proptest::collection::vec(
+                proptest::sample::select(fragment_pool()),
+                0..24,
+            ),
+            close in proptest::sample::select(vec!["", "\"", "\\"]),
+        ) {
+            // Without a closing quote the literal is unterminated, or,
+            // with a trailing backslash, ends on a cut escape.
+            let src = format!("\"{}{close}", fragments.concat());
+            proptest::prop_assert_eq!(
+                decode_with(parse_string, &src),
+                decode_with(reference::parse_string, &src),
+                "{:?}",
+                src
+            );
+        }
+    }
+
+    #[test]
+    fn string_errors_keep_their_messages() {
+        let err = |src: &str| decode_with(parse_string, src).0.unwrap_err();
+        assert_eq!(err("\"abc"), "unterminated string");
+        assert_eq!(err("\"ab\\"), "bad escape at byte 4");
+        assert_eq!(err("\"é\\q\""), "bad escape at byte 4");
+        assert_eq!(err("\"\\u12\""), "bad \\u escape at byte 2");
+        assert_eq!(err("\"\\u12g4\""), "bad \\u escape at byte 2");
+        assert_eq!(err("x"), "expected string at byte 0");
     }
 
     #[test]

@@ -2,11 +2,13 @@
 //!
 //! Analyses are deterministic (the determinism regression suite pins
 //! this), so a result is fully identified by *what* was analyzed and
-//! *how*: the key is `(fnv64(program source), fnv64(config))`. Values
-//! carry everything a response needs — the summary counts, the stable
-//! warning ids, and the rendered `nadroid-provenance/4` document — so a
-//! warm request (including `explain` queries) is a lookup plus a
-//! reference-count bump, never a re-solve or a copy of the document.
+//! *how*: the key hashes the program source and the configuration.
+//! An entry holds what the requests for its key have needed so far.
+//! Every entry carries the summary counts and the stable warning ids,
+//! all an `analyze` response holds; an `explain` adds the rendered
+//! `nadroid-provenance/4` document and a `confirm` the
+//! `nadroid-confirm/1` document. A warm request is a lookup plus a
+//! reference-count bump, never a re-solve or a copy of a document.
 //!
 //! Eviction is LRU under a byte budget. Entry count stays small (one
 //! per distinct app × config), so the evictor finds the
@@ -14,11 +16,14 @@
 //! intrusive list.
 
 use nadroid_core::{AnalysisConfig, Summary};
+use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
+use std::hash::Hasher;
 use std::sync::Arc;
 
 /// 64-bit FNV-1a — the same construction the detector's warning ids
-/// use; dependency-free and stable across platforms and reruns.
+/// use; dependency-free and stable across platforms and reruns. The
+/// digest tests pin values made with it; the cache key does not use it.
 #[must_use]
 pub fn fnv64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -29,12 +34,23 @@ pub fn fnv64(bytes: &[u8]) -> u64 {
     h
 }
 
+/// std's `DefaultHasher` (SipHash-1-3 under fixed keys) over `bytes`.
+/// It reads several bytes per step where FNV-1a reads one, which counts
+/// on a 68 KB program text. Its output is fixed within one build but
+/// not across Rust releases, which is all an in-memory key needs.
+fn sip64(bytes: &[u8]) -> u64 {
+    let mut hasher = DefaultHasher::new();
+    hasher.write(bytes);
+    hasher.finish()
+}
+
 /// A content-derived cache key: program bytes × analysis configuration.
+/// The hashes are stable within one server build only.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CacheKey {
-    /// `fnv64` of the DSL source text.
+    /// The hash of the DSL source text.
     pub program_hash: u64,
-    /// `fnv64` of the full `AnalysisConfig` (k, detector options, both
+    /// The hash of the full `AnalysisConfig` (k, detector options, both
     /// filter pipelines), via its canonical `Debug` rendering.
     pub config_hash: u64,
 }
@@ -53,8 +69,8 @@ impl CacheKey {
             ..config.clone()
         };
         CacheKey {
-            program_hash: fnv64(source.as_bytes()),
-            config_hash: fnv64(format!("{canonical:?}").as_bytes()),
+            program_hash: sip64(source.as_bytes()),
+            config_hash: sip64(format!("{canonical:?}").as_bytes()),
         }
     }
 }
@@ -68,16 +84,16 @@ pub struct CachedResult {
     pub summary: Summary,
     /// Stable ids (`w:` + 16 hex) of the warnings surviving all filters.
     pub warning_ids: Vec<String>,
-    /// The full `nadroid-provenance/4` document — `explain` queries are
-    /// answered from this without re-solving.
-    pub provenance_json: String,
+    /// The full `nadroid-provenance/4` document, which `explain`
+    /// queries are answered from. `None` in an entry only `analyze`
+    /// wrote: its response carries no provenance, so it never pays for
+    /// the derivation.
+    pub provenance_json: Option<String>,
     /// The `nadroid-confirm/1` document, filled in (and the provenance
-    /// above upgraded with verdicts) the first time a `confirm` request
+    /// above rendered with verdicts) the first time a `confirm` request
     /// lands for this entry. `None` until then: confirmation is far
     /// more expensive than analysis, so `analyze` never pays for it.
     pub confirm_json: Option<String>,
-    /// Wall micros the cold computation took.
-    pub compute_micros: u64,
 }
 
 impl CachedResult {
@@ -85,8 +101,20 @@ impl CachedResult {
     #[must_use]
     pub fn cost_bytes(&self) -> usize {
         let ids: usize = self.warning_ids.iter().map(|s| s.len() + 24).sum();
-        let confirm = self.confirm_json.as_ref().map_or(0, String::len);
-        self.app.len() + self.provenance_json.len() + confirm + ids + 128
+        let docs: usize = [&self.provenance_json, &self.confirm_json]
+            .into_iter()
+            .flatten()
+            .map(String::len)
+            .sum();
+        self.app.len() + docs + ids + 128
+    }
+
+    /// Whether this entry holds every document `other` holds, so that
+    /// replacing it with `other` would lose work and gain none.
+    #[must_use]
+    pub fn covers(&self, other: &CachedResult) -> bool {
+        (other.provenance_json.is_none() || self.provenance_json.is_some())
+            && (other.confirm_json.is_none() || self.confirm_json.is_some())
     }
 }
 
@@ -144,14 +172,27 @@ impl ResultCache {
     }
 
     /// Insert a result, evicting least-recently-used entries until the
-    /// budget holds, and return it as the shared entry. A result larger
-    /// than the whole budget is not retained (it would only evict
-    /// everything else and then itself).
+    /// budget holds, and return it, shared. Two requests can miss on one
+    /// key at once, so an entry resident by now may already hold every
+    /// document `result` holds: it stays, with its recency refreshed,
+    /// and `result` is returned unretained. An insert therefore never
+    /// downgrades an entry. A result larger than the whole budget is
+    /// not retained either (it would only evict everything else and
+    /// then itself).
     pub fn insert(&mut self, key: CacheKey, mut result: CachedResult) -> Arc<CachedResult> {
+        self.seq += 1;
+        if let Some(slot) = self.map.get_mut(&key) {
+            if slot.result.covers(&result) {
+                slot.last_used = self.seq;
+                return Arc::new(result);
+            }
+        }
         // Rendering leaves spare capacity in the documents; drop it so
         // the resident heap is what `cost_bytes` charges the budget.
-        result.provenance_json.shrink_to_fit();
-        if let Some(json) = &mut result.confirm_json {
+        for json in [&mut result.provenance_json, &mut result.confirm_json]
+            .into_iter()
+            .flatten()
+        {
             json.shrink_to_fit();
         }
         let result = Arc::new(result);
@@ -159,7 +200,6 @@ impl ResultCache {
         if cost > self.budget {
             return result;
         }
-        self.seq += 1;
         if let Some(old) = self.map.remove(&key) {
             self.bytes -= old.cost;
         }
@@ -225,9 +265,8 @@ mod tests {
                 after_refutation: 1,
             },
             warning_ids: vec!["w:0011223344556677".into()],
-            provenance_json: "x".repeat(pad),
+            provenance_json: Some("x".repeat(pad)),
             confirm_json: None,
-            compute_micros: 7,
         }
     }
 
@@ -292,6 +331,52 @@ mod tests {
         cache.insert(key(1), result("a", 100));
         assert_eq!(cache.bytes(), b1, "same entry, same footprint");
         assert_eq!(cache.entries(), 1);
+    }
+
+    /// An entry as `analyze` writes it, without documents.
+    fn analyze_only(app: &str) -> CachedResult {
+        CachedResult {
+            provenance_json: None,
+            ..result(app, 0)
+        }
+    }
+
+    #[test]
+    fn an_insert_never_downgrades_the_resident_entry() {
+        let mut cache = ResultCache::new(1 << 20);
+        let confirmed = CachedResult {
+            confirm_json: Some("{\"schema\":\"nadroid-confirm/1\"}".into()),
+            ..result("a", 100)
+        };
+        let resident = cache.insert(key(1), confirmed.clone());
+        let bytes = cache.bytes();
+        // A slower `analyze` that missed on the same key lands second:
+        // it answers from its own result, and the cache keeps the
+        // confirm entry.
+        let late = cache.insert(key(1), analyze_only("a"));
+        assert_eq!(late.provenance_json, None, "the job keeps its own result");
+        let found = cache.get(&key(1)).expect("resident entry");
+        assert!(Arc::ptr_eq(&resident, &found), "the confirm entry stays");
+        assert_eq!(*found, confirmed);
+        assert_eq!(cache.bytes(), bytes);
+        assert_eq!(cache.entries(), 1);
+        assert_eq!(cache.stats().inserts, 1, "the kept entry is no insert");
+        // An explain entry holds no confirmation, so it cannot replace
+        // the confirm entry either.
+        cache.insert(key(1), result("a", 100));
+        assert!(Arc::ptr_eq(&resident, &cache.get(&key(1)).unwrap()));
+    }
+
+    #[test]
+    fn a_richer_insert_upgrades_the_resident_entry() {
+        let mut cache = ResultCache::new(1 << 20);
+        cache.insert(key(1), analyze_only("a"));
+        let analyzed = cache.bytes();
+        let upgraded = cache.insert(key(1), result("a", 100));
+        assert!(Arc::ptr_eq(&upgraded, &cache.get(&key(1)).unwrap()));
+        assert_eq!(cache.bytes(), analyzed + 100, "charged for the document");
+        assert_eq!(cache.entries(), 1);
+        assert_eq!(cache.stats().inserts, 2);
     }
 
     #[test]

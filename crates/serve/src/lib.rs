@@ -14,8 +14,9 @@
 //!   bound.
 //! - A content-addressed result [`cache`] keyed by
 //!   `(program-hash, config-hash)` under an LRU byte budget; warm
-//!   requests (including `explain`, served from cached provenance) are
-//!   a lookup, not a re-solve.
+//!   requests are a lookup, not a re-solve. An entry holds only what
+//!   its requests needed: `analyze` the ids, `explain` also the
+//!   provenance, `confirm` also the verdicts.
 //! - **Per-request deadlines** riding the cooperative cancellation
 //!   checkpoints in the solver loops (`nadroid_obs::cancel`); an
 //!   expired deadline is a structured `deadline_exceeded` response and

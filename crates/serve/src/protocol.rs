@@ -44,7 +44,8 @@ pub enum Request {
         opts: AnalyzeOpts,
     },
     /// Explain one warning (or all) — served from cached provenance
-    /// when the program was analyzed before.
+    /// once an earlier `explain` or `confirm` of the program derived
+    /// it; an `analyze` caches no provenance.
     Explain {
         /// DSL source text.
         program: String,

@@ -10,13 +10,17 @@
 //!    `rejected` immediately — admission control, not buffering.
 //! 3. On a worker, the job first consults the content-addressed cache
 //!    (warm path: a lookup and a reference-count bump). It is a hit
-//!    only when the entry holds what the job needs: a `confirm` needs
-//!    the confirmation document, which `analyze` never computes. On a
-//!    miss it installs the request's [`CancelToken`] and runs the full
-//!    pipeline (plus, for `confirm`, the schedule synthesis); a
-//!    deadline firing unwinds at the next solver checkpoint, is caught
-//!    at the job boundary, and becomes a structured
-//!    `deadline_exceeded` response — the worker thread survives.
+//!    only when the entry holds what the job needs: an `analyze` needs
+//!    the summary and the warning ids, an `explain` the provenance
+//!    document, and a `confirm` the confirmation document with the
+//!    provenance rendered from its verdicts. On a miss it installs the
+//!    request's [`CancelToken`] and computes only that much: the full
+//!    pipeline, then for `explain` the provenance, and for `confirm`
+//!    the schedule synthesis before it. The result upgrades the entry
+//!    it missed on. A deadline firing unwinds at the next solver
+//!    checkpoint, is caught at the job boundary, and becomes a
+//!    structured `deadline_exceeded` response — the worker thread
+//!    survives.
 //!
 //! Every stage reports through [`nadroid_obs`]: per-request spans,
 //! `serve.*` counters, and queue-depth/inflight/cache-bytes gauges.
@@ -97,6 +101,10 @@ impl ServeConfig {
 
 struct Shared {
     cfg: ServeConfig,
+    /// [`ServeConfig::effective_threads`], resolved once at start: on
+    /// Linux the core count it reads comes from the cgroup files, about
+    /// 20 µs a call on a 2-vCPU VM, which no request should pay.
+    threads: usize,
     cache: Mutex<ResultCache>,
     recorder: Recorder,
     pool: Pool,
@@ -191,6 +199,17 @@ impl Job {
         matches!(self, Job::Confirm)
     }
 
+    /// Whether the job needs the entry's provenance document.
+    fn explains(&self) -> bool {
+        !matches!(self, Job::Analyze)
+    }
+
+    /// Whether `entry` holds everything this job's response needs.
+    fn is_served_by(&self, entry: &CachedResult) -> bool {
+        (!self.explains() || entry.provenance_json.is_some())
+            && (!self.confirms() || entry.confirm_json.is_some())
+    }
+
     /// The response to this job, from an entry that holds what it needs.
     fn respond(&self, result: &CachedResult, cached: bool, micros: u64) -> Response {
         match self {
@@ -202,7 +221,11 @@ impl Job {
                 warnings: result.warning_ids.clone(),
             },
             Job::Explain(id) => {
-                match render_explain_from_json(&result.provenance_json, id.as_deref()) {
+                let provenance = result
+                    .provenance_json
+                    .as_deref()
+                    .expect("an explain lookup only returns entries with provenance");
+                match render_explain_from_json(provenance, id.as_deref()) {
                     Ok(text) => Response::Explain {
                         cached,
                         micros,
@@ -230,28 +253,29 @@ impl Job {
 impl Shared {
     /// Fetch-or-compute the cache entry for `(source, opts)` under a
     /// precomputed `(config, key)` pair. A lookup is a hit only when the
-    /// entry holds what the job needs: a confirm that finds an entry
-    /// `analyze` wrote is a miss, and its result *upgrades* that entry
-    /// in place (confirmation filled in, provenance re-rendered with
-    /// verdicts), so later explain queries see the verdicts for free.
-    /// `Ok` carries `(result, came_from_cache)`; `Err` is a ready-to-send
-    /// failure response.
+    /// entry holds what the job needs ([`Job::is_served_by`]): an
+    /// explain or a confirm that finds an entry a leaner job wrote is a
+    /// miss, and its result *upgrades* that entry in place (provenance
+    /// filled in, and for a confirm the confirmation with the provenance
+    /// rendered from its verdicts), so later explain queries see the
+    /// verdicts for free. `Ok` carries `(result, came_from_cache)`;
+    /// `Err` is a ready-to-send failure response.
     fn fetch_or_compute(
         &self,
+        job: &Job,
         source: &str,
         opts: &AnalyzeOpts,
         config: &AnalysisConfig,
         key: CacheKey,
-        confirm: bool,
         rid: &str,
     ) -> Result<(Arc<CachedResult>, bool), Response> {
         let entry = self.cache.lock().expect("cache lock").get(&key);
-        if let Some(hit) = entry.filter(|e| !confirm || e.confirm_json.is_some()) {
+        if let Some(hit) = entry.filter(|e| job.is_served_by(e)) {
             obs::counter("serve.cache.hits", 1);
             return Ok((hit, true));
         }
         obs::counter("serve.cache.misses", 1);
-        let result = self.compute(source, opts, config, confirm, rid)?;
+        let result = self.compute(job, source, opts, config, rid)?;
         let mut cache = self.cache.lock().expect("cache lock");
         let before = cache.stats().evictions;
         let result = cache.insert(key, result);
@@ -265,18 +289,20 @@ impl Shared {
 
     /// The cold path: parse, run the pipeline under the request's
     /// cancel token (and, for a confirm, the schedule synthesis over
-    /// every survivor), and package everything a response (or a later
-    /// `explain`) needs. A deadline firing mid-sweep is *not* cached:
-    /// partial verdicts ("cancelled before the search ran") must never
-    /// be served as the app's confirmation.
+    /// every survivor), and package what the job's response needs: the
+    /// provenance document only for an explain or a confirm. A deadline
+    /// firing mid-sweep is *not* cached: partial verdicts ("cancelled
+    /// before the search ran") must never be served as the app's
+    /// confirmation.
     fn compute(
         &self,
+        job: &Job,
         source: &str,
         opts: &AnalyzeOpts,
         config: &AnalysisConfig,
-        confirm: bool,
         rid: &str,
     ) -> Result<CachedResult, Response> {
+        let confirm = job.confirms();
         let deadline_ms = opts.deadline_ms.or(self.cfg.default_deadline_ms);
         let deadline = || Response::DeadlineExceeded {
             deadline_ms: deadline_ms.unwrap_or(0),
@@ -295,7 +321,6 @@ impl Shared {
         if token.is_cancelled() {
             return Err(deadline());
         }
-        let t = Instant::now();
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             let _scope = token.install();
             let _span = obs::span(if confirm {
@@ -309,10 +334,13 @@ impl Shared {
                 let cfg = nadroid_confirm::ConfirmConfig::default();
                 nadroid_confirm::confirm_survivors(&analysis, &cfg)
             });
-            let mut provenances = analysis.warning_provenances();
-            if let Some(outcome) = &confirmed {
-                nadroid_confirm::attach_confirmations(&mut provenances, outcome);
-            }
+            let provenance_json = job.explains().then(|| {
+                let mut provenances = analysis.warning_provenances();
+                if let Some(outcome) = &confirmed {
+                    nadroid_confirm::attach_confirmations(&mut provenances, outcome);
+                }
+                render_provenance_json_with(&analysis, &provenances)
+            });
             let warning_ids = analysis
                 .survivors()
                 .iter()
@@ -322,10 +350,9 @@ impl Shared {
                 app: program.name().to_owned(),
                 summary: analysis.summary(),
                 warning_ids,
-                provenance_json: render_provenance_json_with(&analysis, &provenances),
+                provenance_json,
                 confirm_json: confirmed
                     .map(|outcome| nadroid_confirm::render_confirm_json(&analysis, &outcome)),
-                compute_micros: 0,
             }
         }));
         match outcome {
@@ -333,10 +360,7 @@ impl Shared {
             // returns normally with placeholder verdicts; surface the
             // deadline instead of caching them.
             Ok(_) if confirm && token.is_cancelled() => Err(deadline()),
-            Ok(mut result) => {
-                result.compute_micros = micros_since(t);
-                Ok(result)
-            }
+            Ok(result) => Ok(result),
             Err(payload) if obs::cancel::was_cancelled(&*payload) => Err(deadline()),
             Err(_) => Err(Response::Error {
                 message: if confirm {
@@ -351,7 +375,7 @@ impl Shared {
 
     fn handle(&self, job: &Job, source: &str, opts: &AnalyzeOpts, ctx: &ReqCtx) -> Response {
         let t = Instant::now();
-        let config = config_for(opts, self.cfg.effective_threads());
+        let config = config_for(opts, self.threads);
         let key = CacheKey::of(source, &config);
         // When slow capture is armed, the whole computation records into
         // a per-request recorder so a slow request's span tree can be
@@ -361,7 +385,7 @@ impl Shared {
         let outcome = {
             let _guard = capture.as_ref().map(Recorder::install);
             let _span = obs::span("serve.request");
-            self.fetch_or_compute(source, opts, &config, key, job.confirms(), &ctx.id)
+            self.fetch_or_compute(job, source, opts, &config, key, &ctx.id)
         };
         // One clock read feeds both the response's `micros` and the
         // telemetry `service_us`, so client- and server-side latency
@@ -393,7 +417,7 @@ impl Shared {
             queue_us: ctx.queue_us,
             service_us,
             cache_key,
-            threads: self.cfg.effective_threads(),
+            threads: self.threads,
         });
     }
 
@@ -453,7 +477,7 @@ impl Shared {
             // Inner analysis parallelism: the clamped value each worker
             // runs with, plus the raw request so operators can see when
             // the core budget reduced it.
-            f("threads", self.cfg.effective_threads() as u64),
+            f("threads", self.threads as u64),
             f("threads_requested", self.cfg.threads.max(1) as u64),
             // HB-graph aggregates across every analysis the workers ran
             // (worker threads install the shared recorder, so the hb.*
@@ -560,6 +584,7 @@ impl Server {
             })
         };
         let shared = Arc::new(Shared {
+            threads: cfg.effective_threads(),
             cache: Mutex::new(ResultCache::new(cfg.cache_bytes)),
             recorder,
             pool,

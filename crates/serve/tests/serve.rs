@@ -153,9 +153,34 @@ fn cold_then_warm_round_trip_with_identical_warnings() {
     assert!(!k3_cached, "k=3 must not alias the k=2 entry");
 }
 
+/// `(endpoint, outcome)` of every compute request in an access log;
+/// the `stats` and `metrics` lines are left out.
+fn logged_outcomes(log: &std::path::Path) -> Vec<(String, String)> {
+    let text = std::fs::read_to_string(log).expect("access log exists");
+    text.lines()
+        .map(|line| {
+            let v = parse_json(line).expect("access log line parses");
+            let field = |key: &str| v.get(key).and_then(JsonValue::as_str).unwrap().to_owned();
+            (field("endpoint"), field("outcome"))
+        })
+        .filter(|(endpoint, _)| endpoint != "stats" && endpoint != "metrics")
+        .collect()
+}
+
 #[test]
 fn explain_is_served_from_cached_provenance() {
-    let server = test_server(1);
+    let log = std::env::temp_dir().join(format!("nadroid_explain_{}.jsonl", std::process::id()));
+    let _ = std::fs::remove_file(&log);
+    let server = Server::start(ServeConfig {
+        addr: "127.0.0.1:0".to_owned(),
+        workers: 1,
+        telemetry: TelemetryConfig {
+            access_log: Some(log.to_string_lossy().into_owned()),
+            ..TelemetryConfig::default()
+        },
+        ..ServeConfig::default()
+    })
+    .expect("bind ephemeral port");
     let mut client = Client::connect(server.local_addr()).expect("connect");
 
     let Response::Analyze { warnings, .. } =
@@ -164,17 +189,49 @@ fn explain_is_served_from_cached_provenance() {
         panic!("expected analyze response");
     };
     let id = warnings.first().expect("at least one warning").clone();
+    // An `analyze` entry holds the summary and the ids, not the
+    // provenance document that is nearly all of a full entry's bytes.
+    let analyzed = stat(&server.stats_fields(), "cache_bytes");
+    assert!(analyzed < 4096, "analyze-only entry is {analyzed} bytes");
 
+    // So the first explain derives the provenance: a miss everywhere,
+    // whose result upgrades the one entry in place.
     let explained = client
         .explain(CONNECTBOT, Some(&id), AnalyzeOpts::default())
         .unwrap();
     let Response::Explain { cached, text, .. } = explained else {
         panic!("expected explain response, got {explained:?}");
     };
-    assert!(cached, "explain after analyze reuses the cached provenance");
+    assert!(!cached, "an analyze entry holds no provenance");
     assert!(text.contains(&id));
     assert!(text.contains("filter audit:"), "audit trail present");
     assert!(text.contains("(base fact)"), "derivation tree present");
+    assert_eq!(cache_counts(&server, &mut client), (0, 2));
+    let fields = server.stats_fields();
+    assert_eq!(stat(&fields, "cache_entries"), 1, "upgraded, not added");
+    assert!(stat(&fields, "cache_bytes") > analyzed);
+
+    // The second explain is served from the cached provenance, and an
+    // analyze hits the upgraded entry too.
+    let again = client
+        .explain(CONNECTBOT, Some(&id), AnalyzeOpts::default())
+        .unwrap();
+    let Response::Explain {
+        cached,
+        text: again,
+        ..
+    } = again
+    else {
+        panic!("expected explain response, got {again:?}");
+    };
+    assert!(cached, "the second explain reads the cached provenance");
+    assert_eq!(again, text);
+    let analyzed_again = client.analyze(CONNECTBOT, AnalyzeOpts::default()).unwrap();
+    assert!(
+        matches!(analyzed_again, Response::Analyze { cached: true, .. }),
+        "{analyzed_again:?}"
+    );
+    assert_eq!(cache_counts(&server, &mut client), (2, 2));
 
     // Unknown id renders the same informative note the CLI prints.
     let missing = client
@@ -189,6 +246,75 @@ fn explain_is_served_from_cached_provenance() {
     };
     assert!(text.contains("no warning with id"), "{text}");
     assert!(text.contains(&id), "known ids are listed");
+
+    let outcomes = logged_outcomes(&log);
+    let expected = [
+        ("analyze", "miss"),
+        ("explain", "miss"),
+        ("explain", "hit"),
+        ("analyze", "hit"),
+        ("explain", "hit"),
+    ];
+    assert_eq!(
+        outcomes,
+        expected.map(|(e, o)| (e.to_owned(), o.to_owned())),
+        "access log"
+    );
+    let _ = std::fs::remove_file(&log);
+}
+
+/// The explain text for `None` and then for every surviving id, in
+/// that order, and whether each came from the cache.
+fn explain_all(client: &mut Client, ids: &[String]) -> Vec<(bool, String)> {
+    std::iter::once(None)
+        .chain(ids.iter().map(|id| Some(id.as_str())))
+        .map(|id| {
+            match client
+                .explain(CONNECTBOT, id, AnalyzeOpts::default())
+                .unwrap()
+            {
+                Response::Explain { cached, text, .. } => (cached, text),
+                other => panic!("expected explain response, got {other:?}"),
+            }
+        })
+        .collect()
+}
+
+fn confirm_json(client: &mut Client) -> String {
+    match client.confirm(CONNECTBOT, AnalyzeOpts::default()).unwrap() {
+        Response::Confirm { json, .. } => json,
+        other => panic!("expected confirm response, got {other:?}"),
+    }
+}
+
+/// An entry `analyze` wrote holds no documents, so what `explain` and
+/// `confirm` answer after it comes from the same computation a fresh
+/// server runs.
+#[test]
+fn explain_and_confirm_answer_the_same_after_an_analyze() {
+    let primed = test_server(1);
+    let mut client = Client::connect(primed.local_addr()).expect("connect");
+    let Response::Analyze { warnings, .. } =
+        client.analyze(CONNECTBOT, AnalyzeOpts::default()).unwrap()
+    else {
+        panic!("expected analyze response");
+    };
+    assert!(!warnings.is_empty());
+    let primed_explains = explain_all(&mut client, &warnings);
+    let primed_confirm = confirm_json(&mut client);
+
+    let fresh = test_server(1);
+    let mut client = Client::connect(fresh.local_addr()).expect("connect");
+    let fresh_explains = explain_all(&mut client, &warnings);
+    let fresh = test_server(1);
+    let mut client = Client::connect(fresh.local_addr()).expect("connect");
+    let fresh_confirm = confirm_json(&mut client);
+
+    // Only the first explain on either server computes.
+    let cached: Vec<bool> = primed_explains.iter().map(|(c, _)| *c).collect();
+    assert!(!cached[0] && cached[1..].iter().all(|c| *c), "{cached:?}");
+    assert_eq!(primed_explains, fresh_explains);
+    assert_eq!(primed_confirm, fresh_confirm);
 }
 
 #[test]

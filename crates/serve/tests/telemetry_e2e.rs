@@ -54,9 +54,14 @@ fn metrics_op_exposes_per_endpoint_histograms_and_windows() {
 
     client.analyze(CONNECTBOT, AnalyzeOpts::default()).unwrap(); // miss
     client.analyze(CONNECTBOT, AnalyzeOpts::default()).unwrap(); // hit
-    client
-        .explain(CONNECTBOT, None, AnalyzeOpts::default())
-        .unwrap(); // hit
+
+    // The analyze entry holds no provenance: the first explain derives
+    // it, and the second reads it.
+    for _ in 0..2 {
+        client
+            .explain(CONNECTBOT, None, AnalyzeOpts::default())
+            .unwrap(); // miss, then hit
+    }
 
     let Response::Metrics { json } = client.metrics().unwrap() else {
         panic!("expected metrics response");
@@ -70,12 +75,16 @@ fn metrics_op_exposes_per_endpoint_histograms_and_windows() {
     assert!(ts > 1_500_000_000, "ts is wall-clock epoch seconds: {ts}");
     assert_eq!(
         doc.get("requests_total").and_then(JsonValue::as_u64),
-        Some(4),
-        "3 analyses/explains + this metrics request"
+        Some(5),
+        "4 analyses/explains + this metrics request"
     );
     let counters = doc.get("counters").expect("counters section");
     assert_eq!(
         counters.get("cache_hits").and_then(JsonValue::as_u64),
+        Some(2)
+    );
+    assert_eq!(
+        counters.get("cache_misses").and_then(JsonValue::as_u64),
         Some(2)
     );
 
@@ -89,7 +98,7 @@ fn metrics_op_exposes_per_endpoint_histograms_and_windows() {
     ] {
         assert!(windows.get(key).is_some(), "window `{key}` missing: {json}");
     }
-    // All four requests landed within the last minute.
+    // All five requests landed within the last minute.
     let rps_60 = windows.get("rps_60s").and_then(JsonValue::as_f64).unwrap();
     assert!(rps_60 > 0.0, "rps_60s must see the traffic: {rps_60}");
 
@@ -97,6 +106,7 @@ fn metrics_op_exposes_per_endpoint_histograms_and_windows() {
     for name in [
         "serve.latency.analyze.miss",
         "serve.latency.analyze.hit",
+        "serve.latency.explain.miss",
         "serve.latency.explain.hit",
         "serve.queue_wait.analyze",
         "serve.phase.hb",
@@ -111,14 +121,16 @@ fn metrics_op_exposes_per_endpoint_histograms_and_windows() {
             assert!(h.get(field).is_some(), "`{name}` lacks `{field}`");
         }
     }
-    // The miss histogram holds exactly the one cold analysis, so its
+    // Each miss histogram holds exactly its one cold request, so its
     // percentiles collapse onto that sample's bucket.
-    let miss = hists.get("serve.latency.analyze.miss").unwrap();
-    assert_eq!(miss.get("count").and_then(JsonValue::as_u64), Some(1));
-    assert_eq!(
-        miss.get("p50_us").and_then(JsonValue::as_u64),
-        miss.get("p99_us").and_then(JsonValue::as_u64)
-    );
+    for name in ["serve.latency.analyze.miss", "serve.latency.explain.miss"] {
+        let miss = hists.get(name).unwrap();
+        assert_eq!(miss.get("count").and_then(JsonValue::as_u64), Some(1));
+        assert_eq!(
+            miss.get("p50_us").and_then(JsonValue::as_u64),
+            miss.get("p99_us").and_then(JsonValue::as_u64)
+        );
+    }
 }
 
 #[test]

@@ -44,13 +44,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     }
 
-    // `explain` is served from the cached provenance — no re-solve.
-    if let Ok(Response::Explain { cached, text, .. }) =
-        client.explain(&program, None, AnalyzeOpts::default())
-    {
-        assert!(cached, "explain after analyze reuses cached provenance");
-        let first_line = text.lines().next().unwrap_or("");
-        println!("explain (from cache): {first_line} ...");
+    // An `analyze` entry holds no provenance, so the first `explain`
+    // derives it and upgrades the entry; the second is a lookup.
+    for round in ["cold", "warm"] {
+        if let Ok(Response::Explain { cached, text, .. }) =
+            client.explain(&program, None, AnalyzeOpts::default())
+        {
+            assert_eq!(cached, round == "warm", "explain {round}");
+            let first_line = text.lines().next().unwrap_or("");
+            println!("explain {round} (cached: {cached}): {first_line} ...");
+        }
     }
 
     client.shutdown().map_err(|e| format!("shutdown: {e}"))?;

@@ -211,6 +211,12 @@ echo "$stats_out" | grep -q '"threads_requested": 2' || {
     echo "ci.sh: serve stats missing threads_requested:"; echo "$stats_out"; exit 1; }
 echo "$stats_out" | grep -q '"threads": ' || {
     echo "ci.sh: serve stats missing effective threads:"; echo "$stats_out"; exit 1; }
+# An analyze entry holds no provenance: the first explain derives it and
+# upgrades the entry, and the second reads it.
+"$bin" request apps/connectbot.dsl --addr "$serve_addr" --explain | grep -q 'cached: false' || {
+    echo "ci.sh: explain after analyze did not derive the provenance" >&2; exit 1; }
+"$bin" request apps/connectbot.dsl --addr "$serve_addr" --explain | grep -q 'cached: true' || {
+    echo "ci.sh: second explain missed the upgraded entry" >&2; exit 1; }
 # A program that does not parse is answered with the parse error, which
 # the client reports with a nonzero exit; the server counts it.
 printf 'app {{{\n' > "$telem_dir/bad.dsl"
@@ -247,15 +253,16 @@ echo "$text_out" | grep -qF 'series="serve.latency.analyze.miss",quantile="0.99"
 "$bin" request --shutdown --addr "$serve_addr" | grep -q 'shutdown acknowledged' || {
     echo "ci.sh: serve shutdown not acknowledged" >&2; exit 1; }
 wait "$serve_pid" || { echo "ci.sh: serve exited nonzero" >&2; exit 1; }
-grep -q '"requests": 10' "$serve_out" || {
+grep -q '"requests": 12' "$serve_out" || {
     echo "ci.sh: serve final stats missing/inconsistent:"; cat "$serve_out"; exit 1; }
-# Hits: the two warm analyzes. Misses: the cold analyze, the k=3
-# zero-deadline request, the unparsable program, and the confirm, whose
+# Hits: the two warm analyzes and the second explain. Misses: the cold
+# analyze, the k=3 zero-deadline request, the first explain, whose entry
+# held no provenance yet, the unparsable program, and the confirm, whose
 # entry held no confirmation yet. Errors: the unparsable program.
-grep -q '"cache_hits": 2' "$serve_out" || {
-    echo "ci.sh: serve final cache_hits != 2:"; cat "$serve_out"; exit 1; }
-grep -q '"cache_misses": 4' "$serve_out" || {
-    echo "ci.sh: serve final cache_misses != 4:"; cat "$serve_out"; exit 1; }
+grep -q '"cache_hits": 3' "$serve_out" || {
+    echo "ci.sh: serve final cache_hits != 3:"; cat "$serve_out"; exit 1; }
+grep -q '"cache_misses": 5' "$serve_out" || {
+    echo "ci.sh: serve final cache_misses != 5:"; cat "$serve_out"; exit 1; }
 grep -q '"errors": 1$' "$serve_out" || {
     echo "ci.sh: serve final errors != 1:"; cat "$serve_out"; exit 1; }
 
@@ -264,8 +271,8 @@ grep -q '"errors": 1$' "$serve_out" || {
 # computed request, both valid under the in-repo parser.
 "$bin" check-json "$telem_dir/access.jsonl" --lines || {
     echo "ci.sh: access log failed JSONL validation" >&2; exit 1; }
-[ "$(wc -l < "$telem_dir/access.jsonl")" -eq 10 ] || {
-    echo "ci.sh: access log line count != 10:"; cat "$telem_dir/access.jsonl"; exit 1; }
+[ "$(wc -l < "$telem_dir/access.jsonl")" -eq 12 ] || {
+    echo "ci.sh: access log line count != 12:"; cat "$telem_dir/access.jsonl"; exit 1; }
 slow_trace=$(ls "$telem_dir"/slow-r*.trace.json 2>/dev/null | head -n 1 || true)
 [ -n "$slow_trace" ] || {
     echo "ci.sh: --slow-us 0 produced no slow traces" >&2; exit 1; }
