@@ -34,10 +34,9 @@ pub fn fnv64(bytes: &[u8]) -> u64 {
     h
 }
 
-/// std's `DefaultHasher` (SipHash-1-3 under fixed keys) over `bytes`.
-/// It reads several bytes per step where FNV-1a reads one, which counts
-/// on a 68 KB program text. Its output is fixed within one build but
-/// not across Rust releases, which is all an in-memory key needs.
+/// std's `DefaultHasher` (SipHash-1-3 under fixed keys), which reads
+/// eight bytes a step where FNV-1a reads one. Its output is fixed within
+/// one build only, which is all an in-memory key needs.
 fn sip64(bytes: &[u8]) -> u64 {
     let mut hasher = DefaultHasher::new();
     hasher.write(bytes);
@@ -101,18 +100,13 @@ impl CachedResult {
     #[must_use]
     pub fn cost_bytes(&self) -> usize {
         let ids: usize = self.warning_ids.iter().map(|s| s.len() + 24).sum();
-        let docs: usize = [&self.provenance_json, &self.confirm_json]
-            .into_iter()
-            .flatten()
-            .map(String::len)
-            .sum();
-        self.app.len() + docs + ids + 128
+        let doc = |json: &Option<String>| json.as_ref().map_or(0, String::len);
+        self.app.len() + doc(&self.provenance_json) + doc(&self.confirm_json) + ids + 128
     }
 
     /// Whether this entry holds every document `other` holds, so that
     /// replacing it with `other` would lose work and gain none.
-    #[must_use]
-    pub fn covers(&self, other: &CachedResult) -> bool {
+    fn covers(&self, other: &CachedResult) -> bool {
         (other.provenance_json.is_none() || self.provenance_json.is_some())
             && (other.confirm_json.is_none() || self.confirm_json.is_some())
     }
@@ -189,9 +183,10 @@ impl ResultCache {
         }
         // Rendering leaves spare capacity in the documents; drop it so
         // the resident heap is what `cost_bytes` charges the budget.
-        for json in [&mut result.provenance_json, &mut result.confirm_json]
-            .into_iter()
-            .flatten()
+        for json in result
+            .provenance_json
+            .iter_mut()
+            .chain(&mut result.confirm_json)
         {
             json.shrink_to_fit();
         }

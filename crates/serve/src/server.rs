@@ -14,10 +14,10 @@
 //!    the summary and the warning ids, an `explain` the provenance
 //!    document, and a `confirm` the confirmation document with the
 //!    provenance rendered from its verdicts. On a miss it installs the
-//!    request's [`CancelToken`] and computes only that much: the full
-//!    pipeline, then for `explain` the provenance, and for `confirm`
-//!    the schedule synthesis before it. The result upgrades the entry
-//!    it missed on. A deadline firing unwinds at the next solver
+//!    request's [`CancelToken`] and runs the full pipeline, plus the
+//!    schedule synthesis for a `confirm` and the provenance derivation
+//!    for an `explain` or a `confirm`; the result upgrades the entry it
+//!    missed on. A deadline firing unwinds at the next solver
 //!    checkpoint, is caught at the job boundary, and becomes a
 //!    structured `deadline_exceeded` response — the worker thread
 //!    survives.
