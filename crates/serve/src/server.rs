@@ -200,13 +200,13 @@ impl Job {
     }
 
     /// Whether the job needs the entry's provenance document.
-    fn explains(&self) -> bool {
+    fn needs_provenance(&self) -> bool {
         !matches!(self, Job::Analyze)
     }
 
     /// Whether `entry` holds everything this job's response needs.
     fn is_served_by(&self, entry: &CachedResult) -> bool {
-        (!self.explains() || entry.provenance_json.is_some())
+        (!self.needs_provenance() || entry.provenance_json.is_some())
             && (!self.confirms() || entry.confirm_json.is_some())
     }
 
@@ -334,7 +334,7 @@ impl Shared {
                 let cfg = nadroid_confirm::ConfirmConfig::default();
                 nadroid_confirm::confirm_survivors(&analysis, &cfg)
             });
-            let provenance_json = job.explains().then(|| {
+            let provenance_json = job.needs_provenance().then(|| {
                 let mut provenances = analysis.warning_provenances();
                 if let Some(outcome) = &confirmed {
                     nadroid_confirm::attach_confirmations(&mut provenances, outcome);
