@@ -1,13 +1,23 @@
 //! Malformed DSL at corpus scale: seeded truncations, splices and byte
 //! flips of the 27 printed Table 1 apps and the hand-written `apps/*.dsl`
 //! models. The parser must never panic, must blame a line inside the
-//! text, and whatever still parses must round-trip.
+//! text, and whatever still parses must round-trip. What it answers on
+//! each mutant, message and line included, is pinned by one digest.
 
 use nadroid::corpus::{generate, spec_for, table1_rows};
 use nadroid::ir::{parse_program, print_program};
+use nadroid::serve::cache::fnv64;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::fmt::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+
+/// FNV-1a digest of every mutant's outcome, in mutant order: the
+/// error's `Display`, or the printed program. A change to the lexer or
+/// the grammar must leave each message, each line and each precedence
+/// between errors (a lexical error anywhere outranks a grammar error,
+/// every syntax error outranks every name error) as it is.
+const OUTCOME_DIGEST: u64 = 0xdaad_3b05_ea47_766a;
 
 /// Mutations per kind per input text.
 const MUTANTS_PER_KIND: usize = 6;
@@ -29,8 +39,12 @@ fn texts() -> Vec<(String, String)> {
         })
         .collect();
     let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/apps");
-    for entry in std::fs::read_dir(dir).expect("apps/ exists") {
-        let path = entry.expect("readable dir entry").path();
+    let mut paths: Vec<_> = std::fs::read_dir(dir)
+        .expect("apps/ exists")
+        .map(|e| e.expect("readable dir entry").path())
+        .collect();
+    paths.sort();
+    for path in paths {
         let text = std::fs::read_to_string(&path).expect("readable app");
         texts.push((path.display().to_string(), text));
     }
@@ -97,5 +111,28 @@ fn corpus_mutants_error_cleanly_or_round_trip() {
     assert!(
         parsed > 0 && rejected > 0,
         "{parsed} parsed, {rejected} rejected"
+    );
+}
+
+#[test]
+fn corpus_mutant_outcomes_match_their_pinned_digest() {
+    let mut rng = StdRng::seed_from_u64(16);
+    let mut outcomes = String::new();
+    for (_, text) in texts() {
+        for (how, src) in mutants(&text, &mut rng) {
+            match parse_program(&src) {
+                Ok(p) => {
+                    let _ = writeln!(outcomes, "{how}: ok\n{}", print_program(&p));
+                }
+                Err(e) => {
+                    let _ = writeln!(outcomes, "{how}: {e}");
+                }
+            }
+        }
+    }
+    let digest = fnv64(outcomes.as_bytes());
+    assert_eq!(
+        digest, OUTCOME_DIGEST,
+        "the parser's answers drifted: {digest:#018x}"
     );
 }
