@@ -1,6 +1,9 @@
 //! Load generator for `nadroid serve`: replay the 27-app Table 1 corpus
 //! against an in-process server, cold then warm, from N concurrent
-//! clients — and write `BENCH_serve.json` at the repo root.
+//! clients — and write `BENCH_serve.json` at the repo root. Each pass
+//! sends every app [`ROUNDS`] times under distinct app names, so every
+//! latency series holds at least 100 samples and its p99 is not simply
+//! its largest sample.
 //!
 //! Measured quantities:
 //!
@@ -51,6 +54,11 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
+/// How many times a pass sends each app, renamed each time after the
+/// first so that every send of the cold pass misses the cache: 4 × 27
+/// apps gives every client and server series at least 100 samples.
+const ROUNDS: usize = 4;
+
 /// One request's measurement.
 #[derive(Debug)]
 struct Sample {
@@ -68,7 +76,7 @@ fn hist_of<I: IntoIterator<Item = u64>>(values: I) -> Histogram {
     h
 }
 
-/// Replay every app once across `concurrency` client connections.
+/// Send every program once across `concurrency` client connections.
 fn run_pass(
     addr: std::net::SocketAddr,
     programs: &Arc<Vec<String>>,
@@ -195,11 +203,24 @@ fn main() {
     }
 
     let rows = table1_rows();
+    let texts: Vec<String> = rows
+        .iter()
+        .map(|row| print_program(&generate(&spec_for(row)).program))
+        .collect();
     let programs: Arc<Vec<String>> = Arc::new(
-        rows.iter()
-            .map(|row| print_program(&generate(&spec_for(row)).program))
+        (0..ROUNDS)
+            .flat_map(|round| {
+                texts.iter().map(move |text| {
+                    if round == 0 {
+                        return text.clone();
+                    }
+                    let (head, body) = text.split_once('\n').expect("a printed app has lines");
+                    format!("{head}_{round}\n{body}")
+                })
+            })
             .collect(),
     );
+    // Round 0 keeps each app's own name, so this is ConnectBot itself.
     let connectbot = rows
         .iter()
         .position(|r| r.name.eq_ignore_ascii_case("connectbot"))
@@ -215,8 +236,8 @@ fn main() {
     let addr = server.local_addr();
 
     eprintln!(
-        "serve_bench: {} apps, concurrency {concurrency}, server {addr}",
-        programs.len()
+        "serve_bench: {} apps × {ROUNDS} rounds, concurrency {concurrency}, server {addr}",
+        rows.len()
     );
     let (cold, cold_wall) = run_pass(addr, &programs, concurrency);
     assert!(
@@ -267,7 +288,7 @@ fn main() {
     // Serve latencies are only comparable across runs when the thread
     // config is on record: the server's effective inner threads.
     rec.env.threads = stat("threads");
-    rec.counters.insert("apps".into(), programs.len() as u64);
+    rec.counters.insert("apps".into(), rows.len() as u64);
     rec.counters
         .insert("concurrency".into(), concurrency as u64);
     rec.counters.insert("workers".into(), stat("workers"));

@@ -23,12 +23,19 @@ use std::fmt::Write as _;
 /// Escape a string for a JSON string literal. Public because the serve
 /// layer encodes its wire protocol with the same conventions as the
 /// report writers in this module.
-///
-/// Each run of bytes that needs no escape is copied whole. Every byte
-/// that does is ASCII, so no run ends inside a multi-byte character.
 #[must_use]
 pub fn esc(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
+    esc_into(&mut out, s);
+    out
+}
+
+/// [`esc`], appending to `out` instead of returning a new string, so a
+/// writer escapes straight into the line it builds.
+///
+/// Each run of bytes that needs no escape is copied whole. Every byte
+/// that does is ASCII, so no run ends inside a multi-byte character.
+pub fn esc_into(out: &mut String, s: &str) {
     let mut run = 0;
     for (i, &b) in s.as_bytes().iter().enumerate() {
         if b >= 0x20 && b != b'"' && b != b'\\' {
@@ -47,7 +54,6 @@ pub fn esc(s: &str) -> String {
         run = i + 1;
     }
     out.push_str(&s[run..]);
-    out
 }
 
 /// A parsed JSON value. The workspace's documents (run reports,

@@ -42,8 +42,8 @@ pub mod report;
 
 pub use fpclass::{classify_fp, FpCause, VerdictColumns};
 pub use json::{
-    esc, fingerprint, parse_json, phase_timings_json, program_hash, render_json, render_run_report,
-    warning_population_digest, JsonValue,
+    esc, esc_into, fingerprint, parse_json, phase_timings_json, program_hash, render_json,
+    render_run_report, warning_population_digest, JsonValue,
 };
 pub use provenance::{
     render_explain, render_explain_from_json, render_provenance_json, render_provenance_json_with,

@@ -13,7 +13,7 @@ use nadroid_android::lifecycle::{Lifecycle, LifecycleState};
 use nadroid_android::{CallbackKind, ClassRole, PredicateFamily};
 use nadroid_ir::{AndroidOp, Callee, ClassId, Cond, InstrId, Local, MethodId, Op, Program};
 use nadroid_threadify::callback_method;
-use nadroid_threadify::resolve::SiteAction;
+use nadroid_threadify::resolve::{Scanner, SiteAction};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt;
 use std::rc::Rc;
@@ -403,9 +403,19 @@ impl<'p> World<'p> {
         // Activities statically targeted by a launch site wait for the
         // launch; all other activities behave as before (started by an
         // external intent at any time). The main activity is never gated.
+        // Only a method holding a `startActivity` can have a launch site,
+        // so only those pay for the reaching-definition walk.
         let mut launch_gated: Vec<ClassId> = Vec::new();
+        let mut scanner = Scanner::default();
         for m in program.method_ids() {
-            for site in nadroid_threadify::resolve::scan_method(program, m).sites {
+            let mut launches = false;
+            program.method(m).body().for_each_instr(&mut |i| {
+                launches |= matches!(i.op, Op::Android(AndroidOp::StartActivity { .. }));
+            });
+            if !launches {
+                continue;
+            }
+            for site in scanner.scan(program, m).sites {
                 if let SiteAction::Enable(PredicateFamily::Task, c) = site.action {
                     if program.class(c).role() == ClassRole::Activity
                         && program.manifest().main_activity() != Some(c)

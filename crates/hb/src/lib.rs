@@ -198,14 +198,16 @@ impl HbGraph {
         // One linear pass builds candidate buckets; each relation then
         // enumerates only pairs sharing its qualifying key (class,
         // component, task instance, cancel-site target) — never all n²
-        // thread pairs.
-        type KindBucket<K> = BTreeMap<K, Vec<(ThreadId, CallbackKind)>>;
-        let mut service_conn: BTreeMap<ClassId, Vec<ThreadId>> = BTreeMap::new();
-        let mut service_disc: BTreeMap<ClassId, Vec<ThreadId>> = BTreeMap::new();
-        let mut tasks: KindBucket<(ClassId, Option<InstrId>)> = BTreeMap::new();
-        let mut lifecycle_members: KindBucket<ClassId> = BTreeMap::new();
-        let mut by_class: BTreeMap<ClassId, Vec<ThreadId>> = BTreeMap::new();
-        let mut by_component: BTreeMap<ClassId, Vec<ThreadId>> = BTreeMap::new();
+        // thread pairs. Class-keyed buckets are indexed by
+        // `ClassId::index`, so they iterate in ascending class order.
+        type Members = Vec<(ThreadId, CallbackKind)>;
+        let n_classes = program.class_ids().count();
+        let mut service_conn: Vec<Vec<ThreadId>> = vec![Vec::new(); n_classes];
+        let mut service_disc: Vec<Vec<ThreadId>> = vec![Vec::new(); n_classes];
+        let mut tasks: BTreeMap<(ClassId, Option<InstrId>), Members> = BTreeMap::new();
+        let mut lifecycle_members: Vec<Members> = vec![Vec::new(); n_classes];
+        let mut by_class: Vec<Vec<ThreadId>> = vec![Vec::new(); n_classes];
+        let mut by_component: Vec<Vec<ThreadId>> = vec![Vec::new(); n_classes];
         let mut pausers: Vec<(ThreadId, ClassId)> = Vec::new();
 
         for (t, mt) in threads.threads() {
@@ -222,12 +224,10 @@ impl HbGraph {
                 continue;
             };
             if let Some(c) = mt.class() {
-                by_class.entry(c).or_default().push(t);
+                by_class[c.index()].push(t);
                 match k {
-                    CallbackKind::OnServiceConnected => service_conn.entry(c).or_default().push(t),
-                    CallbackKind::OnServiceDisconnected => {
-                        service_disc.entry(c).or_default().push(t);
-                    }
+                    CallbackKind::OnServiceConnected => service_conn[c.index()].push(t),
+                    CallbackKind::OnServiceDisconnected => service_disc[c.index()].push(t),
                     CallbackKind::OnPreExecute
                     | CallbackKind::DoInBackground
                     | CallbackKind::OnProgressUpdate
@@ -238,9 +238,9 @@ impl HbGraph {
                 }
             }
             if let Some(c) = mt.component() {
-                by_component.entry(c).or_default().push(t);
+                by_component[c.index()].push(t);
                 if k.is_lifecycle() || k.is_ui() || k.is_system() {
-                    lifecycle_members.entry(c).or_default().push((t, k));
+                    lifecycle_members[c.index()].push((t, k));
                 }
                 if k == CallbackKind::OnPause {
                     pausers.push((t, c));
@@ -249,10 +249,7 @@ impl HbGraph {
         }
 
         // MHB-Service: connected before disconnected, same connection class.
-        for (c, conns) in &service_conn {
-            let Some(discs) = service_disc.get(c) else {
-                continue;
-            };
+        for (conns, discs) in service_conn.iter().zip(&service_disc) {
             for &u in conns {
                 for &f in discs {
                     pairs.entry((u, f)).or_default().service = true;
@@ -272,7 +269,7 @@ impl HbGraph {
         }
         // MHB-Lifecycle: only onCreate-first / onDestroy-last pairs hold,
         // so pivot on those members instead of all member pairs.
-        for members in lifecycle_members.values() {
+        for members in &lifecycle_members {
             for &(s, sk) in members {
                 if sk != CallbackKind::OnCreate && sk != CallbackKind::OnDestroy {
                     continue;
@@ -297,11 +294,11 @@ impl HbGraph {
             let mut cands: BTreeSet<ThreadId> = BTreeSet::new();
             for site in threads.sites_of(f) {
                 let users = match cancel_site(site.action) {
-                    Some((_, Some(c))) => by_class.get(&c),
+                    Some((_, Some(c))) => Some(&by_class[c.index()]),
                     Some((_, None)) => threads
                         .thread(f)
                         .component()
-                        .and_then(|c| by_component.get(&c)),
+                        .map(|c| &by_component[c.index()]),
                     None => None,
                 };
                 cands.extend(users.into_iter().flatten().copied());
@@ -323,7 +320,7 @@ impl HbGraph {
             if fields.is_empty() {
                 continue;
             }
-            for &u in by_component.get(&comp).into_iter().flatten() {
+            for &u in &by_component[comp.index()] {
                 if u == f {
                     continue;
                 }

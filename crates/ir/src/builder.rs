@@ -101,6 +101,17 @@ impl ProgramBuilder {
             self.class_names.insert(name.clone()),
             "duplicate class name {name:?}"
         );
+        self.push_class(name, role, outer)
+    }
+
+    /// Add a top-level class whose name the caller has already checked
+    /// to be unique, as the parser's name table does, so the builder
+    /// keeps no copy of it.
+    pub(crate) fn add_unique_class(&mut self, name: &str, role: ClassRole) -> ClassId {
+        self.push_class(name.to_owned(), role, None)
+    }
+
+    fn push_class(&mut self, name: String, role: ClassRole, outer: Option<ClassId>) -> ClassId {
         let id = ClassId::from_raw(self.classes.len() as u32);
         self.classes.push(Class {
             name,
@@ -699,7 +710,10 @@ impl<'p> MethodBuilder<'p> {
     }
 
     fn finish_inner(mut self, callback: Option<CallbackKind>) -> MethodId {
-        let name = self.program.method_name(self.id).to_owned();
+        let MethodSlot::Declared { name, .. } = &mut self.program.methods[self.id.index()] else {
+            unreachable!("`body` hands out a builder only for a declared method");
+        };
+        let name = std::mem::take(name);
         assert_eq!(self.blocks.len(), 1, "unbalanced nested blocks in {name}");
         let num_locals = u16::try_from(self.next_local)
             .unwrap_or_else(|_| panic!("too many locals in {name}: {}", self.next_local));

@@ -104,76 +104,108 @@ impl fmt::Display for Tok<'_> {
     }
 }
 
-/// The `char` that starts at byte `i`, decoded only when it is not ASCII.
-fn char_at(src: &str, i: usize) -> char {
-    match src.as_bytes()[i] {
-        b if b.is_ascii() => char::from(b),
-        _ => src[i..]
-            .chars()
-            .next()
-            .expect("lexing stops on char boundaries"),
+/// What the lexer does with a byte, looked up once per byte in
+/// [`BYTE_CLASS`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum ByteClass {
+    /// ASCII whitespace other than `\n`: skipped.
+    Blank,
+    /// `\n`: skipped, and the line advances.
+    Newline,
+    /// An ASCII letter, `_` or `$`: starts or continues an identifier.
+    Ident,
+    /// An ASCII digit: starts an integer or continues an identifier.
+    Digit,
+    /// Any other ASCII byte: punctuation, or an error.
+    Other,
+    /// A byte of a multi-byte `char`, decoded before it is classified.
+    NonAscii,
+}
+
+/// The [`ByteClass`] of every byte value. `Blank` is exactly the ASCII
+/// part of `char::is_whitespace` less `\n`, and `Ident` and `Digit` the
+/// ASCII part of the identifier rules, so the table agrees with the
+/// `char` path it short-cuts.
+const BYTE_CLASS: [ByteClass; 256] = {
+    let mut table = [ByteClass::Other; 256];
+    let mut b = 0;
+    while b < table.len() {
+        #[allow(clippy::cast_possible_truncation)]
+        let byte = b as u8;
+        table[b] = match byte {
+            b'\n' => ByteClass::Newline,
+            b'\t' | 0x0b | 0x0c | b'\r' | b' ' => ByteClass::Blank,
+            b'a'..=b'z' | b'A'..=b'Z' | b'_' | b'$' => ByteClass::Ident,
+            b'0'..=b'9' => ByteClass::Digit,
+            0x80..=0xff => ByteClass::NonAscii,
+            _ => ByteClass::Other,
+        };
+        b += 1;
     }
+    table
+};
+
+fn class_of(b: u8) -> ByteClass {
+    BYTE_CLASS[usize::from(b)]
+}
+
+/// The `char` that starts at byte `i`, a non-ASCII one.
+fn char_at(src: &str, i: usize) -> char {
+    src[i..]
+        .chars()
+        .next()
+        .expect("lexing stops on char boundaries")
 }
 
 /// The end of the identifier that continues at byte `i`: letters, digits,
-/// `_` and `$` continue it.
+/// `_` and `$` continue it. ASCII bytes are classified by table; a `char`
+/// is decoded only at a non-ASCII byte.
 fn ident_end(src: &str, mut i: usize) -> usize {
-    while i < src.len() {
-        let c = char_at(src, i);
-        if !(c.is_alphanumeric() || c == '_' || c == '$') {
-            break;
+    let bytes = src.as_bytes();
+    while let Some(&b) = bytes.get(i) {
+        match class_of(b) {
+            ByteClass::Ident | ByteClass::Digit => i += 1,
+            ByteClass::NonAscii => {
+                let c = char_at(src, i);
+                if !c.is_alphanumeric() {
+                    break;
+                }
+                i += c.len_utf8();
+            }
+            _ => break,
         }
-        i += c.len_utf8();
     }
     i
 }
 
-/// Split the source into tokens, each with its line. Scans bytes and
-/// decodes a `char` only at a non-ASCII byte, so Unicode letters and
-/// digits continue identifiers and Unicode whitespace separates tokens.
-/// Only `\n` advances the line.
+/// Split the source into tokens, each with its line. Scans bytes through
+/// [`BYTE_CLASS`], consuming runs of blanks and of identifier bytes in
+/// tight loops, and decodes a `char` only at a non-ASCII byte, so Unicode
+/// letters and digits continue identifiers and Unicode whitespace
+/// separates tokens. Only `\n` advances the line.
 fn lex(src: &str) -> Result<Vec<(Tok<'_>, u32)>> {
     let bytes = src.as_bytes();
     let mut toks = Vec::with_capacity(src.len() / 4);
     let mut line: u32 = 1;
     let mut i = 0;
     while let Some(&b) = bytes.get(i) {
-        let next = bytes.get(i + 1).copied();
-        let (tok, len) = match b {
-            b'\n' => {
-                line += 1;
-                i += 1;
-                continue;
-            }
-            b'/' if next == Some(b'/') => {
-                match bytes[i..].iter().position(|&c| c == b'\n') {
-                    Some(n) => {
-                        line += 1;
-                        i += n + 1;
+        let (tok, len) = match class_of(b) {
+            ByteClass::Blank | ByteClass::Newline => {
+                while let Some(&b) = bytes.get(i) {
+                    match class_of(b) {
+                        ByteClass::Blank => {}
+                        ByteClass::Newline => line += 1,
+                        _ => break,
                     }
-                    None => i = bytes.len(),
+                    i += 1;
                 }
                 continue;
             }
-            b'/' => {
-                return Err(ParseError::new(
-                    line,
-                    "unexpected `/` (use `//` for comments)",
-                ))
+            ByteClass::Ident => {
+                let end = ident_end(src, i + 1);
+                (Tok::Ident(&src[i..end]), end - i)
             }
-            b'{' => (Tok::LBrace, 1),
-            b'}' => (Tok::RBrace, 1),
-            b'(' => (Tok::LParen, 1),
-            b')' => (Tok::RParen, 1),
-            b':' => (Tok::Colon, 1),
-            b'.' => (Tok::Dot, 1),
-            b',' => (Tok::Comma, 1),
-            b'?' => (Tok::Question, 1),
-            b'=' if next == Some(b'=') => (Tok::EqEq, 2),
-            b'=' => (Tok::Eq, 1),
-            b'!' if next == Some(b'=') => (Tok::NotEq, 2),
-            b'!' => return Err(ParseError::new(line, "unexpected `!`")),
-            b'0'..=b'9' => {
+            ByteClass::Digit => {
                 let len = bytes[i..].iter().take_while(|d| d.is_ascii_digit()).count();
                 let n = bytes[i..i + len]
                     .iter()
@@ -183,17 +215,54 @@ fn lex(src: &str) -> Result<Vec<(Tok<'_>, u32)>> {
                     .ok_or_else(|| ParseError::new(line, "integer literal too large"))?;
                 (Tok::Int(n), len)
             }
-            _ => {
+            ByteClass::NonAscii => {
                 let c = char_at(src, i);
                 if c.is_whitespace() {
                     i += c.len_utf8();
                     continue;
                 }
-                if !(c.is_alphabetic() || c == '_' || c == '$') {
+                if !c.is_alphabetic() {
                     return Err(ParseError::new(line, format!("unexpected character {c:?}")));
                 }
                 let end = ident_end(src, i + c.len_utf8());
                 (Tok::Ident(&src[i..end]), end - i)
+            }
+            ByteClass::Other => {
+                let next = bytes.get(i + 1).copied();
+                match b {
+                    b'/' if next == Some(b'/') => {
+                        match bytes[i..].iter().position(|&c| c == b'\n') {
+                            Some(n) => {
+                                line += 1;
+                                i += n + 1;
+                            }
+                            None => i = bytes.len(),
+                        }
+                        continue;
+                    }
+                    b'/' => {
+                        return Err(ParseError::new(
+                            line,
+                            "unexpected `/` (use `//` for comments)",
+                        ))
+                    }
+                    b'{' => (Tok::LBrace, 1),
+                    b'}' => (Tok::RBrace, 1),
+                    b'(' => (Tok::LParen, 1),
+                    b')' => (Tok::RParen, 1),
+                    b':' => (Tok::Colon, 1),
+                    b'.' => (Tok::Dot, 1),
+                    b',' => (Tok::Comma, 1),
+                    b'?' => (Tok::Question, 1),
+                    b'=' if next == Some(b'=') => (Tok::EqEq, 2),
+                    b'=' => (Tok::Eq, 1),
+                    b'!' if next == Some(b'=') => (Tok::NotEq, 2),
+                    b'!' => return Err(ParseError::new(line, "unexpected `!`")),
+                    _ => {
+                        let c = char::from(b);
+                        return Err(ParseError::new(line, format!("unexpected character {c:?}")));
+                    }
+                }
             }
         };
         toks.push((tok, line));
@@ -1027,7 +1096,7 @@ fn lower(ast: &AstProgram<'_>) -> Result<Program> {
                 format!("duplicate class `{}`", c.name),
             ));
         };
-        ids.push(*slot.insert(b.add_class(c.name, c.role)));
+        ids.push(*slot.insert(b.add_unique_class(c.name, c.role)));
     }
     for (c, &cid) in ast.classes.iter().zip(&ids) {
         if let Some(outer_name) = c.outer {
@@ -1461,6 +1530,29 @@ mod tests {
 
     fn parse_ok(src: &str) -> Program {
         parse_program(src).unwrap_or_else(|e| panic!("{e}\nsource:\n{src}"))
+    }
+
+    /// The table's ASCII classes are the `char` rules the non-ASCII path
+    /// applies, restricted to ASCII.
+    #[test]
+    fn byte_classes_agree_with_the_char_rules() {
+        for b in 0..=u8::MAX {
+            let c = char::from(b);
+            let expected = if !b.is_ascii() {
+                ByteClass::NonAscii
+            } else if c == '\n' {
+                ByteClass::Newline
+            } else if c.is_whitespace() {
+                ByteClass::Blank
+            } else if c.is_alphabetic() || c == '_' || c == '$' {
+                ByteClass::Ident
+            } else if c.is_alphanumeric() {
+                ByteClass::Digit
+            } else {
+                ByteClass::Other
+            };
+            assert_eq!(class_of(b), expected, "byte {b:#04x}");
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! `nadroid_core::parse_json`, so the serving layer introduces no new
 //! serialization machinery. See `docs/serving.md` for the schema.
 
-use nadroid_core::{esc, parse_json, JsonValue, Summary};
+use nadroid_core::{esc, esc_into, parse_json, JsonValue, Summary};
 use std::fmt::Write as _;
 
 /// Protocol identifier carried by every message.
@@ -143,6 +143,24 @@ pub enum Response {
     },
 }
 
+/// Append `,"key":"value"`, escaping `value` straight into `out`.
+fn push_str_member(out: &mut String, key: &str, value: &str) {
+    let _ = write!(out, ",\"{key}\":\"");
+    esc_into(out, value);
+    out.push('"');
+}
+
+/// Move the string member `key` out of an object, leaving `""` behind.
+fn take_str(v: &mut JsonValue, key: &str) -> Option<String> {
+    let JsonValue::Obj(members) = v else {
+        return None;
+    };
+    match members.iter_mut().find(|(k, _)| k == key) {
+        Some((_, JsonValue::Str(s))) => Some(std::mem::take(s)),
+        _ => None,
+    }
+}
+
 fn push_opts(out: &mut String, opts: &AnalyzeOpts) {
     let _ = write!(out, "\"k\":{},\"sound_only\":{}", opts.k, opts.sound_only);
     if let Some(d) = opts.deadline_ms {
@@ -154,25 +172,32 @@ impl Request {
     /// Encode as one protocol line (no trailing newline).
     #[must_use]
     pub fn encode(&self) -> String {
-        let mut out = format!("{{\"schema\":\"{SCHEMA}\",");
+        let text_len = match self {
+            Request::Analyze { program, .. }
+            | Request::Explain { program, .. }
+            | Request::Confirm { program, .. } => program.len(),
+            _ => 0,
+        };
+        let mut out = String::with_capacity(text_len + 128);
+        let _ = write!(out, "{{\"schema\":\"{SCHEMA}\",");
         match self {
             Request::Analyze { program, opts } => {
                 out.push_str("\"op\":\"analyze\",");
                 push_opts(&mut out, opts);
-                let _ = write!(out, ",\"program\":\"{}\"", esc(program));
+                push_str_member(&mut out, "program", program);
             }
             Request::Explain { program, id, opts } => {
                 out.push_str("\"op\":\"explain\",");
                 push_opts(&mut out, opts);
                 if let Some(id) = id {
-                    let _ = write!(out, ",\"id\":\"{}\"", esc(id));
+                    push_str_member(&mut out, "id", id);
                 }
-                let _ = write!(out, ",\"program\":\"{}\"", esc(program));
+                push_str_member(&mut out, "program", program);
             }
             Request::Confirm { program, opts } => {
                 out.push_str("\"op\":\"confirm\",");
                 push_opts(&mut out, opts);
-                let _ = write!(out, ",\"program\":\"{}\"", esc(program));
+                push_str_member(&mut out, "program", program);
             }
             Request::Stats => out.push_str("\"op\":\"stats\""),
             Request::Metrics => out.push_str("\"op\":\"metrics\""),
@@ -191,8 +216,11 @@ impl Request {
     /// `deadline_ms`, `id`) whose value has the wrong type or range; an
     /// absent option takes its default.
     pub fn decode(line: &str) -> Result<Request, String> {
-        let v = parse_json(line)?;
+        let mut v = parse_json(line)?;
         check_schema(&v)?;
+        // The program text is moved out, not copied; nothing below reads
+        // the member again.
+        let text = take_str(&mut v, "program");
         let op = v
             .get("op")
             .and_then(JsonValue::as_str)
@@ -212,12 +240,7 @@ impl Request {
                 )?,
             })
         };
-        let program = || {
-            v.get("program")
-                .and_then(JsonValue::as_str)
-                .map(str::to_owned)
-                .ok_or_else(|| format!("{op} request has no program"))
-        };
+        let program = || text.ok_or_else(|| format!("{op} request has no program"));
         match op {
             "analyze" => Ok(Request::Analyze {
                 program: program()?,

@@ -1,9 +1,10 @@
 //! Construction of the threadification forest (§4 of the paper).
 
 use crate::model::{ModeledThread, SpawnVia, ThreadId, ThreadKind};
-use crate::resolve::{scan_method, Site, SiteAction};
+use crate::resolve::{Scanner, Site, SiteAction};
 use nadroid_android::{CallbackClass, CallbackKind, PredicateFamily};
 use nadroid_ir::{Callee, ClassId, InstrId, MethodId, Op, Program};
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 
 /// The threadified view of a program: a forest of modeled threads rooted
@@ -40,8 +41,8 @@ pub struct ThreadModel {
     methods: Vec<Vec<MethodId>>,
     /// Android intrinsic sites attributable to each thread.
     sites: Vec<Vec<Site>>,
-    /// Threads executing each method.
-    by_method: HashMap<MethodId, Vec<ThreadId>>,
+    /// Threads executing each method, by [`MethodId::index`].
+    by_method: Vec<Vec<ThreadId>>,
     /// Intrinsic sites whose operand class could not be resolved.
     unresolved_sites: Vec<InstrId>,
 }
@@ -99,7 +100,7 @@ impl ThreadModel {
     /// shared).
     #[must_use]
     pub fn threads_of_method(&self, m: MethodId) -> &[ThreadId] {
-        self.by_method.get(&m).map_or(&[], Vec::as_slice)
+        self.by_method.get(m.index()).map_or(&[], Vec::as_slice)
     }
 
     /// Intrinsic sites skipped because their operand class did not resolve.
@@ -253,9 +254,13 @@ struct Builder<'p> {
     threads: Vec<ModeledThread>,
     methods: Vec<Vec<MethodId>>,
     sites: Vec<Vec<Site>>,
-    by_method: HashMap<MethodId, Vec<ThreadId>>,
+    by_method: Vec<Vec<ThreadId>>,
     unresolved: Vec<InstrId>,
     queue: VecDeque<ThreadId>,
+    /// Each thread by its (root, parent, origin site) triple, the key
+    /// under which `spawn` deduplicates.
+    by_key: HashMap<(MethodId, ThreadId, Option<InstrId>), ThreadId>,
+    scanner: Scanner,
 }
 
 impl<'p> Builder<'p> {
@@ -275,9 +280,11 @@ impl<'p> Builder<'p> {
             threads: vec![dummy],
             methods: vec![Vec::new()],
             sites: vec![Vec::new()],
-            by_method: HashMap::new(),
+            by_method: vec![Vec::new(); program.method_ids().count()],
             unresolved: Vec::new(),
             queue: VecDeque::new(),
+            by_key: HashMap::new(),
+            scanner: Scanner::default(),
         }
     }
 
@@ -348,9 +355,10 @@ impl<'p> Builder<'p> {
     /// Scan a thread's methods for intrinsic sites and spawn the modeled
     /// threads they arm (§4.2), recursively via the worklist.
     fn process(&mut self, t: ThreadId) {
-        let own = self.methods[t.index()].clone();
-        for m in own {
-            let scan = scan_method(self.program, m);
+        // Spawning pushes new threads' method lists, never this one's.
+        for i in 0..self.methods[t.index()].len() {
+            let m = self.methods[t.index()][i];
+            let scan = self.scanner.scan(self.program, m);
             self.unresolved.extend_from_slice(&scan.unresolved);
             for site in &scan.sites {
                 self.handle_site(t, site);
@@ -493,13 +501,12 @@ impl<'p> Builder<'p> {
             cur = self.threads[c.index()].parent;
         }
         // Dedup: the same (root, parent, origin) triple is one thread.
-        if let Some((i, _)) = self.threads.iter().enumerate().find(|(_, t)| {
-            t.root == Some(root) && t.parent == Some(parent) && t.origin_site == origin_site
-        }) {
-            return Some(ThreadId(i as u32));
-        }
-        let component = self.component_of(class, parent);
         let id = ThreadId(self.threads.len() as u32);
+        match self.by_key.entry((root, parent, origin_site)) {
+            Entry::Occupied(e) => return Some(*e.get()),
+            Entry::Vacant(e) => e.insert(id),
+        };
+        let component = self.component_of(class, parent);
         let looper = if kind.on_looper() {
             self.program.class(class).looper()
         } else {
@@ -517,7 +524,7 @@ impl<'p> Builder<'p> {
         });
         let own = own_methods(self.program, root);
         for &m in &own {
-            self.by_method.entry(m).or_default().push(id);
+            self.by_method[m.index()].push(id);
         }
         self.methods.push(own);
         self.sites.push(Vec::new());

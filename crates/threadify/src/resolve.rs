@@ -10,7 +10,6 @@
 use nadroid_android::listeners::RegistrationApi;
 use nadroid_android::PredicateFamily;
 use nadroid_ir::{AndroidOp, Block, ClassId, InstrId, Local, MethodId, Op, Program, Stmt};
-use std::collections::HashMap;
 
 /// What an Android intrinsic site does, with its operand class resolved.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,123 +63,162 @@ pub struct SiteScan {
 /// with an intra-method reaching-definition walk.
 #[must_use]
 pub fn scan_method(program: &Program, method: MethodId) -> SiteScan {
-    let m = program.method(method);
-    let mut env: HashMap<Local, ClassId> = HashMap::new();
-    env.insert(Local::THIS, m.owner());
-    let mut out = SiteScan::default();
-    scan_block(program, method, m.body(), &mut env, &mut out);
-    out
+    Scanner::default().scan(program, method)
 }
 
-fn scan_block(
-    program: &Program,
-    method: MethodId,
-    block: &Block,
-    env: &mut HashMap<Local, ClassId>,
-    out: &mut SiteScan,
-) {
-    for stmt in block {
-        match stmt {
-            Stmt::Instr(i) => {
-                scan_instr(program, method, i.id, &i.op, env, out);
+/// The reaching-definition walk behind [`scan_method`], reusable across
+/// methods. Its environment maps each local to the class it is known to
+/// hold, in a vector indexed by local, and logs every change so that a
+/// branch rolls back in time proportional to the bindings it made, never
+/// to the method's local count. A scan leaves the environment empty, so
+/// one scanner serves any number of scans.
+#[derive(Debug, Default)]
+pub struct Scanner {
+    /// The class each local holds, by [`Local::index`]; `None` past the
+    /// end.
+    env: Vec<Option<ClassId>>,
+    /// Each change to `env`, with the binding it replaced.
+    undo: Vec<(Local, Option<ClassId>)>,
+}
+
+impl Scanner {
+    /// Scan one method, as [`scan_method`] does.
+    pub fn scan(&mut self, program: &Program, method: MethodId) -> SiteScan {
+        let m = program.method(method);
+        let mut out = SiteScan::default();
+        self.bind(Local::THIS, Some(m.owner()));
+        self.scan_block(program, method, m.body(), &mut out);
+        self.roll_back(0);
+        out
+    }
+
+    fn get(&self, l: Local) -> Option<ClassId> {
+        self.env.get(l.index()).copied().flatten()
+    }
+
+    fn bind(&mut self, l: Local, class: Option<ClassId>) {
+        let i = l.index();
+        if i >= self.env.len() {
+            if class.is_none() {
+                return;
             }
-            Stmt::If {
-                then_blk, else_blk, ..
-            } => {
-                // Scope bindings per arm so one arm's defs don't leak into
-                // the other; the post-if environment keeps only defs agreed
-                // on by entry (conservative and deterministic).
-                let snapshot = env.clone();
-                scan_block(program, method, then_blk, env, out);
-                *env = snapshot.clone();
-                scan_block(program, method, else_blk, env, out);
-                *env = snapshot;
-            }
-            Stmt::Loop { body } => {
-                let snapshot = env.clone();
-                scan_block(program, method, body, env, out);
-                *env = snapshot;
-            }
-            Stmt::Sync { body, .. } => {
-                scan_block(program, method, body, env, out);
+            self.env.resize(i + 1, None);
+        }
+        let old = std::mem::replace(&mut self.env[i], class);
+        if old != class {
+            self.undo.push((l, old));
+        }
+    }
+
+    /// Undo every change logged after the first `mark` ones.
+    fn roll_back(&mut self, mark: usize) {
+        for (l, old) in self.undo.drain(mark..).rev() {
+            self.env[l.index()] = old;
+        }
+    }
+
+    fn scan_block(
+        &mut self,
+        program: &Program,
+        method: MethodId,
+        block: &Block,
+        out: &mut SiteScan,
+    ) {
+        for stmt in block {
+            match stmt {
+                Stmt::Instr(i) => {
+                    self.scan_instr(program, method, i.id, &i.op, out);
+                }
+                Stmt::If {
+                    then_blk, else_blk, ..
+                } => {
+                    // Scope bindings per arm so one arm's defs don't leak
+                    // into the other; the post-if environment keeps only
+                    // defs agreed on by entry (conservative and
+                    // deterministic).
+                    let mark = self.undo.len();
+                    self.scan_block(program, method, then_blk, out);
+                    self.roll_back(mark);
+                    self.scan_block(program, method, else_blk, out);
+                    self.roll_back(mark);
+                }
+                Stmt::Loop { body } => {
+                    let mark = self.undo.len();
+                    self.scan_block(program, method, body, out);
+                    self.roll_back(mark);
+                }
+                Stmt::Sync { body, .. } => {
+                    self.scan_block(program, method, body, out);
+                }
             }
         }
     }
-}
 
-fn scan_instr(
-    program: &Program,
-    method: MethodId,
-    id: InstrId,
-    op: &Op,
-    env: &mut HashMap<Local, ClassId>,
-    out: &mut SiteScan,
-) {
-    match op {
-        Op::New { dst, class } | Op::LoadStatic { dst, class } => {
-            env.insert(*dst, *class);
-        }
-        Op::Move { dst, src } => {
-            match env.get(src).copied() {
-                Some(c) => env.insert(*dst, c),
-                None => env.remove(dst),
-            };
-        }
-        Op::Load { dst, field, .. } => {
-            match program.field(*field).ty() {
-                Some(c) => env.insert(*dst, c),
-                None => env.remove(dst),
-            };
-        }
-        Op::Null { dst } => {
-            env.remove(dst);
-        }
-        Op::Invoke { dst: Some(dst), .. } => {
-            env.remove(dst);
-        }
-        Op::Android(a) => {
-            use PredicateFamily::{Alarm, Connection, Dialog, Receiver, Task};
-            let resolved = |l: &Local| env.get(l).copied();
-            let enable = |f, l| resolved(l).map(|c| SiteAction::Enable(f, c));
-            let disable = |f, l| resolved(l).map(|c| SiteAction::Disable(f, c));
-            let action = match a {
-                AndroidOp::Post { runnable } => resolved(runnable).map(SiteAction::Post),
-                AndroidOp::SendMessage { handler } => resolved(handler).map(SiteAction::Send),
-                AndroidOp::BindService { connection } => enable(Connection, connection),
-                AndroidOp::UnbindService { connection } => disable(Connection, connection),
-                AndroidOp::RegisterReceiver { receiver } => enable(Receiver, receiver),
-                AndroidOp::UnregisterReceiver { receiver } => disable(Receiver, receiver),
-                AndroidOp::ShowDialog { dialog } => enable(Dialog, dialog),
-                AndroidOp::DismissDialog { dialog } => disable(Dialog, dialog),
-                AndroidOp::ScheduleAlarm { target } => enable(Alarm, target),
-                AndroidOp::CancelAlarm { target } => disable(Alarm, target),
-                AndroidOp::StartActivity { activity } => enable(Task, activity),
-                AndroidOp::Execute { task } => resolved(task).map(SiteAction::Execute),
-                AndroidOp::Start { thread } => resolved(thread).map(SiteAction::Spawn),
-                AndroidOp::RegisterListener { api, listener } => {
-                    resolved(listener).map(|c| SiteAction::Listen(*api, c))
-                }
-                AndroidOp::RemoveCallbacksAndMessages { handler } => {
-                    resolved(handler).map(SiteAction::RemovePosts)
-                }
-                AndroidOp::Finish => Some(SiteAction::Finish),
-                AndroidOp::PublishProgress => Some(SiteAction::Publish),
-                // Wake-lock ops arm no callbacks and cancel nothing; the
-                // no-sleep client scans them directly.
-                AndroidOp::AcquireWakeLock { .. } | AndroidOp::ReleaseWakeLock { .. } => {
-                    return;
-                }
-            };
-            match action {
-                Some(action) => out.sites.push(Site {
-                    instr: id,
-                    method,
-                    action,
-                }),
-                None => out.unresolved.push(id),
+    fn scan_instr(
+        &mut self,
+        program: &Program,
+        method: MethodId,
+        id: InstrId,
+        op: &Op,
+        out: &mut SiteScan,
+    ) {
+        match op {
+            Op::New { dst, class } | Op::LoadStatic { dst, class } => {
+                self.bind(*dst, Some(*class));
             }
+            Op::Move { dst, src } => {
+                self.bind(*dst, self.get(*src));
+            }
+            Op::Load { dst, field, .. } => {
+                self.bind(*dst, program.field(*field).ty());
+            }
+            Op::Null { dst } | Op::Invoke { dst: Some(dst), .. } => {
+                self.bind(*dst, None);
+            }
+            Op::Android(a) => {
+                use PredicateFamily::{Alarm, Connection, Dialog, Receiver, Task};
+                let resolved = |l: &Local| self.get(*l);
+                let enable = |f, l| resolved(l).map(|c| SiteAction::Enable(f, c));
+                let disable = |f, l| resolved(l).map(|c| SiteAction::Disable(f, c));
+                let action = match a {
+                    AndroidOp::Post { runnable } => resolved(runnable).map(SiteAction::Post),
+                    AndroidOp::SendMessage { handler } => resolved(handler).map(SiteAction::Send),
+                    AndroidOp::BindService { connection } => enable(Connection, connection),
+                    AndroidOp::UnbindService { connection } => disable(Connection, connection),
+                    AndroidOp::RegisterReceiver { receiver } => enable(Receiver, receiver),
+                    AndroidOp::UnregisterReceiver { receiver } => disable(Receiver, receiver),
+                    AndroidOp::ShowDialog { dialog } => enable(Dialog, dialog),
+                    AndroidOp::DismissDialog { dialog } => disable(Dialog, dialog),
+                    AndroidOp::ScheduleAlarm { target } => enable(Alarm, target),
+                    AndroidOp::CancelAlarm { target } => disable(Alarm, target),
+                    AndroidOp::StartActivity { activity } => enable(Task, activity),
+                    AndroidOp::Execute { task } => resolved(task).map(SiteAction::Execute),
+                    AndroidOp::Start { thread } => resolved(thread).map(SiteAction::Spawn),
+                    AndroidOp::RegisterListener { api, listener } => {
+                        resolved(listener).map(|c| SiteAction::Listen(*api, c))
+                    }
+                    AndroidOp::RemoveCallbacksAndMessages { handler } => {
+                        resolved(handler).map(SiteAction::RemovePosts)
+                    }
+                    AndroidOp::Finish => Some(SiteAction::Finish),
+                    AndroidOp::PublishProgress => Some(SiteAction::Publish),
+                    // Wake-lock ops arm no callbacks and cancel nothing;
+                    // the no-sleep client scans them directly.
+                    AndroidOp::AcquireWakeLock { .. } | AndroidOp::ReleaseWakeLock { .. } => {
+                        return;
+                    }
+                };
+                match action {
+                    Some(action) => out.sites.push(Site {
+                        instr: id,
+                        method,
+                        action,
+                    }),
+                    None => out.unresolved.push(id),
+                }
+            }
+            _ => {}
         }
-        _ => {}
     }
 }
 
@@ -280,5 +318,37 @@ mod tests {
         let p = b.build();
         let scan = scan_method(&p, mid);
         assert_eq!(scan.sites[0].action, SiteAction::Spawn(th));
+    }
+
+    /// One scanner serves many methods: what a scan binds, in a branch
+    /// or at the top, is gone before the next scan starts.
+    #[test]
+    fn a_reused_scanner_starts_each_scan_empty() {
+        let mut b = ProgramBuilder::new("R");
+        let act = b.add_class("A", ClassRole::Activity);
+        let run = b.add_class("R", ClassRole::Runnable);
+        let mut m = b.method(act, "onClick");
+        let (t, u) = (m.new_local(), m.new_local());
+        m.new_obj(t, run);
+        m.if_opaque(
+            |m| {
+                m.new_obj(u, run);
+            },
+            |_| {},
+        );
+        m.android(nadroid_ir::AndroidOp::Post { runnable: t });
+        let first = m.finish_callback(CallbackKind::OnClick);
+        // The same two slots, never bound in this method.
+        let mut m = b.method(act, "onPause");
+        let (t, u) = (m.new_local(), m.new_local());
+        m.android(nadroid_ir::AndroidOp::Post { runnable: t });
+        m.android(nadroid_ir::AndroidOp::Post { runnable: u });
+        let second = m.finish_callback(CallbackKind::OnPause);
+        let p = b.build();
+        let mut scanner = Scanner::default();
+        assert_eq!(scanner.scan(&p, first), scan_method(&p, first));
+        assert_eq!(scanner.scan(&p, second).unresolved.len(), 2);
+        assert!(scanner.undo.is_empty());
+        assert!(scanner.env.iter().all(Option::is_none));
     }
 }
