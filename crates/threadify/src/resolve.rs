@@ -59,19 +59,13 @@ pub struct SiteScan {
     pub unresolved: Vec<InstrId>,
 }
 
-/// Scan a method for Android intrinsic sites, resolving operand classes
-/// with an intra-method reaching-definition walk.
-#[must_use]
-pub fn scan_method(program: &Program, method: MethodId) -> SiteScan {
-    Scanner::default().scan(program, method)
-}
-
-/// The reaching-definition walk behind [`scan_method`], reusable across
-/// methods. Its environment maps each local to the class it is known to
-/// hold, in a vector indexed by local, and logs every change so that a
-/// branch rolls back in time proportional to the bindings it made, never
-/// to the method's local count. A scan leaves the environment empty, so
-/// one scanner serves any number of scans.
+/// Scans methods for Android intrinsic sites, resolving operand classes
+/// with an intra-method reaching-definition walk. Its environment maps
+/// each local to the class it is known to hold, in a vector indexed by
+/// local, and logs every change so that a branch rolls back in time
+/// proportional to the bindings it made, never to the method's local
+/// count. A scan leaves the environment empty, so one scanner serves any
+/// number of scans.
 #[derive(Debug, Default)]
 pub struct Scanner {
     /// The class each local holds, by [`Local::index`]; `None` past the
@@ -82,7 +76,8 @@ pub struct Scanner {
 }
 
 impl Scanner {
-    /// Scan one method, as [`scan_method`] does.
+    /// Scan one method for its intrinsic sites.
+    #[must_use]
     pub fn scan(&mut self, program: &Program, method: MethodId) -> SiteScan {
         let m = program.method(method);
         let mut out = SiteScan::default();
@@ -237,7 +232,7 @@ mod tests {
         m.post_new(run);
         let mid = m.finish_callback(CallbackKind::OnClick);
         let p = b.build();
-        let scan = scan_method(&p, mid);
+        let scan = Scanner::default().scan(&p, mid);
         assert_eq!(scan.sites.len(), 1);
         assert_eq!(scan.sites[0].action, SiteAction::Post(run));
         assert!(scan.unresolved.is_empty());
@@ -251,7 +246,7 @@ mod tests {
         m.bind_self();
         let mid = m.finish_callback(CallbackKind::OnCreate);
         let p = b.build();
-        let scan = scan_method(&p, mid);
+        let scan = Scanner::default().scan(&p, mid);
         assert_eq!(
             scan.sites[0].action,
             SiteAction::Enable(PredicateFamily::Connection, act)
@@ -274,7 +269,7 @@ mod tests {
         m.android(nadroid_ir::AndroidOp::SendMessage { handler: u });
         let mid = m.finish_callback(CallbackKind::OnClick);
         let p = b.build();
-        let scan = scan_method(&p, mid);
+        let scan = Scanner::default().scan(&p, mid);
         assert_eq!(scan.sites.len(), 1);
         assert_eq!(scan.sites[0].action, SiteAction::Send(h));
         assert_eq!(scan.unresolved.len(), 1);
@@ -298,7 +293,7 @@ mod tests {
         );
         let mid = m.finish_callback(CallbackKind::OnClick);
         let p = b.build();
-        let scan = scan_method(&p, mid);
+        let scan = Scanner::default().scan(&p, mid);
         assert!(scan.sites.is_empty());
         assert_eq!(scan.unresolved.len(), 1);
     }
@@ -316,7 +311,7 @@ mod tests {
         m.android(nadroid_ir::AndroidOp::Start { thread: u });
         let mid = m.finish_callback(CallbackKind::OnClick);
         let p = b.build();
-        let scan = scan_method(&p, mid);
+        let scan = Scanner::default().scan(&p, mid);
         assert_eq!(scan.sites[0].action, SiteAction::Spawn(th));
     }
 
@@ -346,7 +341,7 @@ mod tests {
         let second = m.finish_callback(CallbackKind::OnPause);
         let p = b.build();
         let mut scanner = Scanner::default();
-        assert_eq!(scanner.scan(&p, first), scan_method(&p, first));
+        assert_eq!(scanner.scan(&p, first).sites.len(), 1);
         assert_eq!(scanner.scan(&p, second).unresolved.len(), 2);
         assert!(scanner.undo.is_empty());
         assert!(scanner.env.iter().all(Option::is_none));
