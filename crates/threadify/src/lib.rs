@@ -262,6 +262,29 @@ mod tests {
         assert_eq!(m.len(), 3);
     }
 
+    /// A spawn is one thread per (root, parent, origin site): two posts of
+    /// one runnable are two threads, and one registration site reached
+    /// from two callbacks is one listener thread.
+    #[test]
+    fn spawns_dedup_by_root_parent_and_site() {
+        let (_p, m) = model(
+            r#"
+            app D
+            activity Main {
+                cb onClick { post R  post R }
+                cb onCreate { call reg }
+                cb onResume { call reg }
+                fn reg { listen setOnClickListener L }
+            }
+            runnable R in Main { cb run { } }
+            listener L in Main { cb onClick { } }
+            "#,
+        );
+        let count = |via| m.threads().filter(|(_, t)| t.via() == via).count();
+        assert_eq!(count(SpawnVia::Post), 2);
+        assert_eq!(count(SpawnVia::Listener), 1);
+    }
+
     #[test]
     fn manifest_receiver_is_armed() {
         let (_p, m) = model(
