@@ -10,7 +10,7 @@ use nadroid_core::{analyze, Analysis, AnalysisConfig, PairType, Summary};
 use nadroid_corpus::{generate, spec_for, GeneratedApp, PaperRow};
 use nadroid_detector::UafWarning;
 use nadroid_filters::FilterKind;
-use nadroid_ir::Program;
+use nadroid_ir::{parse_program, print_program, Program};
 use nadroid_obs as obs;
 
 /// One evaluated application: the generated program, its planted ground
@@ -26,8 +26,9 @@ pub struct AppRun {
     pub types: Vec<(PairType, usize)>,
     /// Phase timings.
     pub timings: nadroid_core::PhaseTimings,
-    /// This app's recorder (installed around `analyze` on the running
-    /// thread only, so parallel rows never share metrics).
+    /// This app's recorder (installed around the parse of the app's
+    /// printed text and `analyze`, on the running thread only, so
+    /// parallel rows never share metrics).
     pub recorder: obs::Recorder,
     /// The rendered JSON run report for this app.
     pub report: String,
@@ -38,8 +39,9 @@ pub struct AppRun {
     pub surviving_ids: Vec<String>,
 }
 
-/// Generate and analyze one Table 1 app, capturing spans and metrics
-/// into a per-app recorder, plus the warning-provenance summary.
+/// Generate one Table 1 app, parse its printed text back and analyze it,
+/// capturing spans and metrics into a per-app recorder, plus the
+/// warning-provenance summary.
 #[must_use]
 pub fn run_row(row: &PaperRow) -> AppRun {
     run_row_inner(row, true)
@@ -58,10 +60,21 @@ pub fn run_row_timed(row: &PaperRow) -> AppRun {
 
 fn run_row_inner(row: &PaperRow, capture_provenance: bool) -> AppRun {
     let app = generate(&spec_for(row));
+    let text = print_program(&app.program);
     let recorder = obs::Recorder::new();
     let (summary, types, timings, report, provenance, surviving_ids) = {
         let analysis = {
             let _guard = recorder.install();
+            // The parse of the app's printed text is timed beside the
+            // §8.8 phases, and must give back the generated program.
+            let parsed =
+                parse_program(&text).unwrap_or_else(|e| panic!("{}: printed text: {e}", row.name));
+            assert!(
+                parsed == app.program,
+                "{}: the printed text parses to another program",
+                row.name
+            );
+            drop(parsed);
             analyze(&app.program, &AnalysisConfig::default())
         };
         // Provenance capture happens after the timed pipeline (outside

@@ -958,9 +958,9 @@ pub fn run(cmd: &Command) -> Result<String, CliError> {
             stats,
             threads,
         } => {
-            let program = load(path)?;
             // Any observability output wants a recorder installed for the
-            // duration of the analysis; observing never changes the work.
+            // duration of the parse and the analysis; observing never
+            // changes the work.
             let observing = trace.is_some() || report.is_some() || *stats;
             let config = AnalysisConfig {
                 k: *k,
@@ -979,10 +979,10 @@ pub fn run(cmd: &Command) -> Result<String, CliError> {
                 None => config,
             };
             let recorder = nadroid_obs::Recorder::new();
-            let analysis = {
-                let _guard = observing.then(|| recorder.install());
-                analyze(&program, &config)
-            };
+            let guard = observing.then(|| recorder.install());
+            let program = load(path)?;
+            let analysis = analyze(&program, &config);
+            drop(guard);
             if let Some(trace_path) = trace {
                 std::fs::write(trace_path, recorder.chrome_trace())
                     .map_err(|e| CliError(format!("cannot write {trace_path}: {e}")))?;

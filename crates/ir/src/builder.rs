@@ -44,6 +44,12 @@ pub struct ProgramBuilder {
     manifest: Manifest,
     next_instr: u32,
     instr_owner: Vec<MethodId>,
+    /// Each class's `$outer` field once it has one, by class index, so
+    /// [`ProgramBuilder::outer_field`] never scans a class's fields.
+    outer_fields: Vec<Option<FieldId>>,
+    /// The block stack of the last finished body, empty, kept for the
+    /// next body.
+    spare_blocks: Vec<Vec<Stmt>>,
 }
 
 /// A method arena slot: declared (id reserved, body pending) or built.
@@ -106,9 +112,20 @@ impl ProgramBuilder {
 
     /// Add a top-level class whose name the caller has already checked
     /// to be unique, as the parser's name table does, so the builder
-    /// keeps no copy of it.
-    pub(crate) fn add_unique_class(&mut self, name: &str, role: ClassRole) -> ClassId {
-        self.push_class(name.to_owned(), role, None)
+    /// keeps no copy of it. Its member lists are sized for `fields` and
+    /// `methods` members.
+    pub(crate) fn add_unique_class(
+        &mut self,
+        name: &str,
+        role: ClassRole,
+        fields: usize,
+        methods: usize,
+    ) -> ClassId {
+        let id = self.push_class(name.to_owned(), role, None);
+        let class = &mut self.classes[id.index()];
+        class.fields.reserve_exact(fields);
+        class.methods.reserve_exact(methods);
+        id
     }
 
     fn push_class(&mut self, name: String, role: ClassRole, outer: Option<ClassId>) -> ClassId {
@@ -121,7 +138,18 @@ impl ProgramBuilder {
             fields: Vec::new(),
             methods: Vec::new(),
         });
+        self.outer_fields.push(None);
         id
+    }
+
+    /// Size the arenas for this many more classes, fields, methods and
+    /// instructions.
+    pub(crate) fn reserve(&mut self, classes: usize, fields: usize, methods: usize, instrs: usize) {
+        self.classes.reserve_exact(classes);
+        self.outer_fields.reserve_exact(classes);
+        self.fields.reserve_exact(fields);
+        self.methods.reserve_exact(methods);
+        self.instr_owner.reserve_exact(instrs);
     }
 
     /// Set the lexical `outer` link of an existing class (used by the
@@ -177,23 +205,41 @@ impl ProgramBuilder {
                 .any(|&f| self.fields[f.index()].name == name),
             "duplicate field {name:?} on class {owner}"
         );
+        self.push_field(owner, name, ty)
+    }
+
+    /// Add a field whose name the caller has already checked to be new on
+    /// `owner`, as the parser's name table does.
+    pub(crate) fn add_unique_field(
+        &mut self,
+        owner: ClassId,
+        name: &str,
+        ty: Option<ClassId>,
+    ) -> FieldId {
+        self.push_field(owner, name.to_owned(), ty)
+    }
+
+    fn push_field(&mut self, owner: ClassId, name: String, ty: Option<ClassId>) -> FieldId {
         let id = FieldId::from_raw(self.fields.len() as u32);
+        if name == OUTER_FIELD {
+            self.outer_fields[owner.index()] = Some(id);
+        }
         self.fields.push(Field { name, owner, ty });
         self.classes[owner.index()].fields.push(id);
         id
     }
 
     /// Get or create the implicit `$outer` back-reference field of a class.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the class is unknown.
     pub fn outer_field(&mut self, class: ClassId) -> FieldId {
-        if let Some(f) = self.classes.get(class.index()).and_then(|c| {
-            c.fields
-                .iter()
-                .copied()
-                .find(|&f| self.fields[f.index()].name == OUTER_FIELD)
-        }) {
-            return f;
+        assert!(class.index() < self.classes.len(), "unknown class {class}");
+        match self.outer_fields[class.index()] {
+            Some(f) => f,
+            None => self.push_field(class, OUTER_FIELD.to_owned(), None),
         }
-        self.add_field(class, OUTER_FIELD, None)
     }
 
     /// Reserve a method id on `owner` without building its body yet, so
@@ -215,6 +261,16 @@ impl ProgramBuilder {
                 .all(|&m| self.method_name(m) != name),
             "duplicate method {name:?} on class {owner}"
         );
+        self.push_method(owner, name)
+    }
+
+    /// Declare a method whose name the caller has already checked to be
+    /// new on `owner`, as the parser's name table does.
+    pub(crate) fn declare_unique_method(&mut self, owner: ClassId, name: &str) -> MethodId {
+        self.push_method(owner, name.to_owned())
+    }
+
+    fn push_method(&mut self, owner: ClassId, name: String) -> MethodId {
         let id = MethodId::from_raw(self.methods.len() as u32);
         self.methods.push(MethodSlot::Declared { name, owner });
         self.classes[owner.index()].methods.push(id);
@@ -237,13 +293,15 @@ impl ProgramBuilder {
         let MethodSlot::Declared { owner, .. } = self.methods[id.index()] else {
             panic!("method {id} already has a body");
         };
+        let mut blocks = std::mem::take(&mut self.spare_blocks);
+        blocks.push(Vec::new());
         MethodBuilder {
             program: self,
             id,
             owner,
             param_count: 0,
             next_local: 1,
-            blocks: vec![Vec::new()],
+            blocks,
         }
     }
 
@@ -381,6 +439,15 @@ impl<'p> MethodBuilder<'p> {
         let l = Local(u16::try_from(self.next_local).unwrap_or(u16::MAX));
         self.next_local += 1;
         l
+    }
+
+    /// Size the innermost open block for `n` more statements (the parser
+    /// sizes each root block from its statement count).
+    pub(crate) fn reserve_stmts(&mut self, n: usize) {
+        self.blocks
+            .last_mut()
+            .expect("block stack is never empty")
+            .reserve_exact(n);
     }
 
     /// The number of local slots the body uses so far, `this` and the
@@ -718,6 +785,7 @@ impl<'p> MethodBuilder<'p> {
         let num_locals = u16::try_from(self.next_local)
             .unwrap_or_else(|_| panic!("too many locals in {name}: {}", self.next_local));
         let body = Block(self.blocks.pop().expect("root block"));
+        self.program.spare_blocks = std::mem::take(&mut self.blocks);
         let method = Method {
             name,
             owner: self.owner,

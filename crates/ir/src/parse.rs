@@ -9,11 +9,32 @@
 //!   `use svc`, `if svc != null { ... }`, `post Worker`, ...), which lower
 //!   to the same instructions [`crate::MethodBuilder`]'s helpers emit.
 //!
-//! Parsing is two-pass: the text is first parsed into an AST that borrows
-//! its names from the source, so every syntax error is reported before
-//! any name error; lowering then resolves names, with declarations
-//! collected first so classes, fields, and methods may be referenced
-//! before their declaration.
+//! Parsing runs in three stages, each paying per token rather than per
+//! heap object:
+//!
+//! 1. **Lex** the whole text into 12-byte tokens: a kind, the byte offset
+//!    of the token's first byte, and an identifier's length or an
+//!    integer's value. Names stay in the text; the parser slices them out
+//!    where it keeps them, and decides on kinds (and, for keywords, on
+//!    bytes) everywhere else.
+//! 2. **Parse** every token into one flat AST. All of a program's
+//!    statements sit in pre-order in one arena: an `if`, `loop` or `sync`
+//!    records how many nodes its nested blocks hold, a call's arguments
+//!    are a range of one shared list of locals, and a class's fields and
+//!    methods are ranges of two program-wide lists. The whole text is
+//!    parsed before any name is resolved, so every syntax error comes
+//!    before any name error.
+//! 3. **Resolve** names while lowering the AST into a [`Program`]:
+//!    classes, fields and method declarations are collected first, so
+//!    each may be referenced before its declaration. Lowering walks
+//!    slices of the arena and sizes the vectors it fills from the AST.
+//!
+//! Tokens, statements and declarations carry byte offsets, not lines. An
+//! error blames one offset, and [`parse_program`] turns it into a line on
+//! the error path only: 1 plus the `\n` bytes before it. An error at the
+//! end of the input blames the last token; one that blames no offset (the
+//! text holds no token, or a manifest entry names an unknown class) is at
+//! line 0.
 
 use crate::builder::{MethodBuilder, ProgramBuilder};
 use crate::ids::{ClassId, FieldId, Local, MethodId};
@@ -21,9 +42,12 @@ use crate::instr::{AndroidOp, Cond};
 use crate::program::{Program, OUTER_FIELD};
 use nadroid_android::listeners::RegistrationApi;
 use nadroid_android::{CallbackKind, ClassRole};
+use nadroid_obs as obs;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
+use std::ops::Range;
+use std::time::Instant;
 
 /// Error produced when the DSL text is malformed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -33,13 +57,6 @@ pub struct ParseError {
 }
 
 impl ParseError {
-    fn new(line: u32, msg: impl Into<String>) -> Self {
-        ParseError {
-            line,
-            msg: msg.into(),
-        }
-    }
-
     /// The 1-based source line of the error.
     #[must_use]
     pub fn line(&self) -> u32 {
@@ -61,16 +78,51 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-type Result<T> = std::result::Result<T, ParseError>;
+/// An error before it has a line: the byte offset it blames, or `None`
+/// for line 0.
+#[derive(Debug)]
+struct Fault {
+    at: Option<u32>,
+    msg: String,
+}
+
+fn fault(at: impl Into<Option<u32>>, msg: impl Into<String>) -> Fault {
+    Fault {
+        at: at.into(),
+        msg: msg.into(),
+    }
+}
+
+impl Fault {
+    /// The public error: the offset becomes 1 plus the `\n` bytes before
+    /// it.
+    fn into_error(self, src: &str) -> ParseError {
+        let line = self.at.map_or(0, |at| {
+            let newlines = src.as_bytes()[..at as usize]
+                .iter()
+                .filter(|&&b| b == b'\n')
+                .count();
+            // At most `u32::MAX` bytes precede a `u32` offset.
+            1 + newlines as u32
+        });
+        ParseError {
+            line,
+            msg: self.msg,
+        }
+    }
+}
+
+type Result<T> = std::result::Result<T, Fault>;
 
 // ---------------------------------------------------------------------------
 // Lexer
 // ---------------------------------------------------------------------------
 
+/// What a token is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Tok<'a> {
-    Ident(&'a str),
-    Int(u32),
+enum Kind {
+    Ident,
+    Int,
     LBrace,
     RBrace,
     LParen,
@@ -84,69 +136,65 @@ enum Tok<'a> {
     Question,
 }
 
+impl Kind {
+    /// The text of a punctuation token.
+    fn text(self) -> &'static str {
+        match self {
+            Kind::Ident => "identifier",
+            Kind::Int => "integer",
+            Kind::LBrace => "{",
+            Kind::RBrace => "}",
+            Kind::LParen => "(",
+            Kind::RParen => ")",
+            Kind::Eq => "=",
+            Kind::EqEq => "==",
+            Kind::NotEq => "!=",
+            Kind::Colon => ":",
+            Kind::Dot => ".",
+            Kind::Comma => ",",
+            Kind::Question => "?",
+        }
+    }
+}
+
+/// One token in 12 bytes. Offsets fit `u32` because [`parse_program`]
+/// rejects longer texts before lexing.
+#[derive(Debug, Clone, Copy)]
+struct Token {
+    kind: Kind,
+    /// The byte offset of the token's first byte.
+    at: u32,
+    /// An identifier's length in bytes, or an integer's value.
+    val: u32,
+}
+
+/// A token as messages show it, built only where one is needed.
+#[derive(Debug, Clone, Copy)]
+enum Tok<'a> {
+    Ident(&'a str),
+    Int(u32),
+    Punct(Kind),
+}
+
 impl fmt::Display for Tok<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Tok::Ident(s) => write!(f, "`{s}`"),
             Tok::Int(n) => write!(f, "`{n}`"),
-            Tok::LBrace => write!(f, "`{{`"),
-            Tok::RBrace => write!(f, "`}}`"),
-            Tok::LParen => write!(f, "`(`"),
-            Tok::RParen => write!(f, "`)`"),
-            Tok::Eq => write!(f, "`=`"),
-            Tok::EqEq => write!(f, "`==`"),
-            Tok::NotEq => write!(f, "`!=`"),
-            Tok::Colon => write!(f, "`:`"),
-            Tok::Dot => write!(f, "`.`"),
-            Tok::Comma => write!(f, "`,`"),
-            Tok::Question => write!(f, "`?`"),
+            Tok::Punct(k) => write!(f, "`{}`", k.text()),
         }
     }
 }
 
-/// What the lexer does with a byte, looked up once per byte in
-/// [`BYTE_CLASS`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ByteClass {
-    /// ASCII whitespace other than `\n`: skipped.
-    Blank,
-    /// `\n`: skipped, and the line advances.
-    Newline,
-    /// An ASCII letter, `_` or `$`: starts or continues an identifier.
-    Ident,
-    /// An ASCII digit: starts an integer or continues an identifier.
-    Digit,
-    /// Any other ASCII byte: punctuation, or an error.
-    Other,
-    /// A byte of a multi-byte `char`, decoded before it is classified.
-    NonAscii,
+/// ASCII whitespace: the ASCII part of `char::is_whitespace`.
+fn is_blank(b: u8) -> bool {
+    matches!(b, b'\t' | b'\n' | 0x0b | 0x0c | b'\r' | b' ')
 }
 
-/// The [`ByteClass`] of every byte value. `Blank` is exactly the ASCII
-/// part of `char::is_whitespace` less `\n`, and `Ident` and `Digit` the
-/// ASCII part of the identifier rules, so the table agrees with the
-/// `char` path it short-cuts.
-const BYTE_CLASS: [ByteClass; 256] = {
-    let mut table = [ByteClass::Other; 256];
-    let mut b = 0;
-    while b < table.len() {
-        #[allow(clippy::cast_possible_truncation)]
-        let byte = b as u8;
-        table[b] = match byte {
-            b'\n' => ByteClass::Newline,
-            b'\t' | 0x0b | 0x0c | b'\r' | b' ' => ByteClass::Blank,
-            b'a'..=b'z' | b'A'..=b'Z' | b'_' | b'$' => ByteClass::Ident,
-            b'0'..=b'9' => ByteClass::Digit,
-            0x80..=0xff => ByteClass::NonAscii,
-            _ => ByteClass::Other,
-        };
-        b += 1;
-    }
-    table
-};
-
-fn class_of(b: u8) -> ByteClass {
-    BYTE_CLASS[usize::from(b)]
+/// An ASCII byte that continues an identifier: a letter, a digit, `_` or
+/// `$`, the ASCII part of the identifier rules.
+fn is_ident_byte(b: u8) -> bool {
+    b.is_ascii_alphanumeric() || b == b'_' || b == b'$'
 }
 
 /// The `char` that starts at byte `i`, a non-ASCII one.
@@ -158,114 +206,120 @@ fn char_at(src: &str, i: usize) -> char {
 }
 
 /// The end of the identifier that continues at byte `i`: letters, digits,
-/// `_` and `$` continue it. ASCII bytes are classified by table; a `char`
-/// is decoded only at a non-ASCII byte.
+/// `_` and `$` continue it. Runs of ASCII bytes are consumed by direct
+/// byte tests; a `char` is decoded only at a non-ASCII byte.
 fn ident_end(src: &str, mut i: usize) -> usize {
     let bytes = src.as_bytes();
-    while let Some(&b) = bytes.get(i) {
-        match class_of(b) {
-            ByteClass::Ident | ByteClass::Digit => i += 1,
-            ByteClass::NonAscii => {
+    loop {
+        while bytes.get(i).copied().is_some_and(is_ident_byte) {
+            i += 1;
+        }
+        match bytes.get(i) {
+            Some(b) if !b.is_ascii() => {
                 let c = char_at(src, i);
                 if !c.is_alphanumeric() {
-                    break;
+                    return i;
                 }
                 i += c.len_utf8();
             }
-            _ => break,
+            _ => return i,
         }
     }
-    i
 }
 
-/// Split the source into tokens, each with its line. Scans bytes through
-/// [`BYTE_CLASS`], consuming runs of blanks and of identifier bytes in
-/// tight loops, and decodes a `char` only at a non-ASCII byte, so Unicode
-/// letters and digits continue identifiers and Unicode whitespace
-/// separates tokens. Only `\n` advances the line.
-fn lex(src: &str) -> Result<Vec<(Tok<'_>, u32)>> {
+/// Offsets are `u32`, so a text may hold at most `u32::MAX` bytes.
+fn check_len(len: usize) -> Result<()> {
+    if u32::try_from(len).is_ok() {
+        Ok(())
+    } else {
+        Err(fault(
+            None,
+            format!(
+                "input of {len} bytes is too large (at most {} bytes)",
+                u32::MAX
+            ),
+        ))
+    }
+}
+
+/// Split the source into tokens. Runs of blanks and of ASCII identifier
+/// bytes are consumed by direct byte tests, and a `char` is decoded only
+/// at a non-ASCII byte, so Unicode letters and digits continue
+/// identifiers and Unicode whitespace separates tokens. Each token is
+/// written once.
+fn lex(src: &str) -> Result<Vec<Token>> {
     let bytes = src.as_bytes();
     let mut toks = Vec::with_capacity(src.len() / 4);
-    let mut line: u32 = 1;
     let mut i = 0;
     while let Some(&b) = bytes.get(i) {
-        let (tok, len) = match class_of(b) {
-            ByteClass::Blank | ByteClass::Newline => {
-                while let Some(&b) = bytes.get(i) {
-                    match class_of(b) {
-                        ByteClass::Blank => {}
-                        ByteClass::Newline => line += 1,
-                        _ => break,
-                    }
+        // `check_len` bounds every offset and length by `u32::MAX`.
+        let at = i as u32;
+        let (kind, len, val) = match b {
+            b'\t' | b'\n' | 0x0b | 0x0c | b'\r' | b' ' => {
+                i += 1;
+                while bytes.get(i).copied().is_some_and(is_blank) {
                     i += 1;
                 }
                 continue;
             }
-            ByteClass::Ident => {
-                let end = ident_end(src, i + 1);
-                (Tok::Ident(&src[i..end]), end - i)
+            b'a'..=b'z' | b'A'..=b'Z' | b'_' | b'$' => {
+                let len = ident_end(src, i + 1) - i;
+                (Kind::Ident, len, len as u32)
             }
-            ByteClass::Digit => {
+            b'0'..=b'9' => {
                 let len = bytes[i..].iter().take_while(|d| d.is_ascii_digit()).count();
                 let n = bytes[i..i + len]
                     .iter()
                     .try_fold(0u32, |n, d| {
                         n.checked_mul(10)?.checked_add(u32::from(d - b'0'))
                     })
-                    .ok_or_else(|| ParseError::new(line, "integer literal too large"))?;
-                (Tok::Int(n), len)
+                    .ok_or_else(|| fault(at, "integer literal too large"))?;
+                (Kind::Int, len, n)
             }
-            ByteClass::NonAscii => {
+            0x80..=0xff => {
                 let c = char_at(src, i);
                 if c.is_whitespace() {
                     i += c.len_utf8();
                     continue;
                 }
                 if !c.is_alphabetic() {
-                    return Err(ParseError::new(line, format!("unexpected character {c:?}")));
+                    return Err(fault(at, format!("unexpected character {c:?}")));
                 }
-                let end = ident_end(src, i + c.len_utf8());
-                (Tok::Ident(&src[i..end]), end - i)
+                let len = ident_end(src, i + c.len_utf8()) - i;
+                (Kind::Ident, len, len as u32)
             }
-            ByteClass::Other => {
+            _ => {
                 let next = bytes.get(i + 1).copied();
-                match b {
+                let kind = match b {
                     b'/' if next == Some(b'/') => {
-                        match bytes[i..].iter().position(|&c| c == b'\n') {
-                            Some(n) => {
-                                line += 1;
-                                i += n + 1;
-                            }
-                            None => i = bytes.len(),
-                        }
+                        i = bytes[i..]
+                            .iter()
+                            .position(|&c| c == b'\n')
+                            .map_or(bytes.len(), |n| i + n);
                         continue;
                     }
-                    b'/' => {
-                        return Err(ParseError::new(
-                            line,
-                            "unexpected `/` (use `//` for comments)",
-                        ))
-                    }
-                    b'{' => (Tok::LBrace, 1),
-                    b'}' => (Tok::RBrace, 1),
-                    b'(' => (Tok::LParen, 1),
-                    b')' => (Tok::RParen, 1),
-                    b':' => (Tok::Colon, 1),
-                    b'.' => (Tok::Dot, 1),
-                    b',' => (Tok::Comma, 1),
-                    b'?' => (Tok::Question, 1),
-                    b'=' if next == Some(b'=') => (Tok::EqEq, 2),
-                    b'=' => (Tok::Eq, 1),
-                    b'!' if next == Some(b'=') => (Tok::NotEq, 2),
-                    b'!' => return Err(ParseError::new(line, "unexpected `!`")),
+                    b'/' => return Err(fault(at, "unexpected `/` (use `//` for comments)")),
+                    b'{' => Kind::LBrace,
+                    b'}' => Kind::RBrace,
+                    b'(' => Kind::LParen,
+                    b')' => Kind::RParen,
+                    b':' => Kind::Colon,
+                    b'.' => Kind::Dot,
+                    b',' => Kind::Comma,
+                    b'?' => Kind::Question,
+                    b'=' if next == Some(b'=') => Kind::EqEq,
+                    b'=' => Kind::Eq,
+                    b'!' if next == Some(b'=') => Kind::NotEq,
+                    b'!' => return Err(fault(at, "unexpected `!`")),
                     _ => {
                         let c = char::from(b);
-                        return Err(ParseError::new(line, format!("unexpected character {c:?}")));
+                        return Err(fault(at, format!("unexpected character {c:?}")));
                     }
-                }
+                };
+                (kind, kind.text().len(), 0)
             }
         };
-        toks.push((tok, line));
+        toks.push(Token { kind, at, val });
         i += len;
     }
     Ok(toks)
@@ -275,11 +329,21 @@ fn lex(src: &str) -> Result<Vec<(Tok<'_>, u32)>> {
 // AST
 // ---------------------------------------------------------------------------
 
-/// A parsed program; every name borrows from the source text.
-#[derive(Debug)]
-struct AstProgram<'a> {
+/// A parsed program; every name borrows from the source text. Fields,
+/// methods, statements and call arguments each sit in one program-wide
+/// vector, in source order.
+#[derive(Debug, Default)]
+struct Ast<'a> {
     name: &'a str,
     classes: Vec<AstClass<'a>>,
+    /// Every class's fields, class by class: `(name, type)`.
+    fields: Vec<(&'a str, Option<&'a str>)>,
+    /// Every class's methods, class by class.
+    methods: Vec<AstMethod<'a>>,
+    /// Every method body, method by method, each in pre-order.
+    stmts: Vec<Node<'a>>,
+    /// Every call's argument locals, call by call.
+    args: Vec<Local>,
     main_activity: Option<&'a str>,
     receivers: Vec<&'a str>,
 }
@@ -290,9 +354,11 @@ struct AstClass<'a> {
     name: &'a str,
     outer: Option<&'a str>,
     looper: Option<&'a str>,
-    fields: Vec<(&'a str, Option<&'a str>)>,
-    methods: Vec<AstMethod<'a>>,
-    line: u32,
+    /// The class's range of [`Ast::fields`].
+    fields: Range<usize>,
+    /// The class's range of [`Ast::methods`].
+    methods: Range<usize>,
+    at: u32,
 }
 
 #[derive(Debug)]
@@ -301,9 +367,15 @@ struct AstMethod<'a> {
     name: &'a str,
     params: u16,
     locals: Option<u16>,
-    body: Vec<(u32, AstStmt<'a>)>,
-    line: u32,
+    /// The body's range of [`Ast::stmts`].
+    body: Range<usize>,
+    /// The number of top-level statements in the body.
+    top: usize,
+    at: u32,
 }
+
+/// A statement and the byte offset of its first token.
+type Node<'a> = (u32, AstStmt<'a>);
 
 /// A reference to a field from statement position.
 #[derive(Debug, Clone, Copy)]
@@ -377,7 +449,8 @@ enum AstStmt<'a> {
         dst: Option<Local>,
         target: Option<(&'a str, &'a str)>,
         recv: Option<Local>,
-        args: Vec<Local>,
+        /// The call's range of [`Ast::args`].
+        args: Range<usize>,
     },
     CReturn {
         val: Option<Local>,
@@ -399,24 +472,23 @@ enum AstStmt<'a> {
     SCall {
         name: &'a str,
     },
-    // Structured statements (nested statements carry their lines).
+    // Structured statements: the nested blocks' nodes follow the
+    // statement's own node, the then-block before the else-block.
     If {
         cond: AstCond<'a>,
-        then_blk: Vec<(u32, AstStmt<'a>)>,
-        else_blk: Vec<(u32, AstStmt<'a>)>,
-        line: u32,
+        then_len: u32,
+        else_len: u32,
     },
     Loop {
-        body: Vec<(u32, AstStmt<'a>)>,
+        len: u32,
     },
     Sync {
         lock: Operand<'a>,
-        body: Vec<(u32, AstStmt<'a>)>,
-        line: u32,
+        len: u32,
     },
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy)]
 enum AstCond<'a> {
     Canon {
         non_null: bool,
@@ -436,135 +508,174 @@ enum AstCond<'a> {
 // ---------------------------------------------------------------------------
 
 struct Parser<'a> {
-    toks: Vec<(Tok<'a>, u32)>,
+    src: &'a str,
+    toks: Vec<Token>,
     pos: usize,
+    ast: Ast<'a>,
+}
+
+/// The local a name denotes: `this`, or `tN` for any digits `N`. A method
+/// has at most `u16::MAX` slots, so `N` must stay below it.
+fn local_of(name: &str, at: u32) -> Result<Option<Local>> {
+    if name == "this" {
+        return Ok(Some(Local::THIS));
+    }
+    let Some(rest) = name.strip_prefix('t') else {
+        return Ok(None);
+    };
+    if rest.is_empty() || !rest.bytes().all(|b| b.is_ascii_digit()) {
+        return Ok(None);
+    }
+    match rest.parse::<u16>() {
+        Ok(n) if n < u16::MAX => Ok(Some(Local(n))),
+        _ => Err(fault(at, "too many locals")),
+    }
 }
 
 impl<'a> Parser<'a> {
-    fn peek(&self) -> Option<Tok<'a>> {
-        self.toks.get(self.pos).map(|&(t, _)| t)
+    fn new(src: &'a str, toks: Vec<Token>) -> Self {
+        Parser {
+            src,
+            toks,
+            pos: 0,
+            ast: Ast::default(),
+        }
     }
 
-    fn line(&self) -> u32 {
+    /// The name an identifier token spells.
+    fn text(&self, t: Token) -> &'a str {
+        let start = t.at as usize;
+        &self.src[start..start + t.val as usize]
+    }
+
+    fn tok(&self, t: Token) -> Tok<'a> {
+        match t.kind {
+            Kind::Ident => Tok::Ident(self.text(t)),
+            Kind::Int => Tok::Int(t.val),
+            k => Tok::Punct(k),
+        }
+    }
+
+    fn peek_kind(&self) -> Option<Kind> {
+        self.toks.get(self.pos).map(|t| t.kind)
+    }
+
+    /// The offset an error here blames: the current token's, or the last
+    /// token's at the end of the input, or none when there is no token.
+    fn here(&self) -> Option<u32> {
         self.toks
             .get(self.pos)
             .or_else(|| self.toks.last())
-            .map_or(0, |&(_, l)| l)
+            .map(|t| t.at)
     }
 
-    fn next(&mut self) -> Result<Tok<'a>> {
-        let t = self
-            .peek()
-            .ok_or_else(|| ParseError::new(self.line(), "unexpected end of input"))?;
+    fn next(&mut self) -> Result<Token> {
+        let t = *self
+            .toks
+            .get(self.pos)
+            .ok_or_else(|| fault(self.here(), "unexpected end of input"))?;
         self.pos += 1;
         Ok(t)
     }
 
-    fn expect(&mut self, want: Tok<'_>) -> Result<()> {
-        let line = self.line();
+    fn expect(&mut self, want: Kind) -> Result<()> {
         let got = self.next()?;
-        if got == want {
+        if got.kind == want {
             Ok(())
         } else {
-            Err(ParseError::new(
-                line,
-                format!("expected {want}, found {got}"),
+            Err(fault(
+                got.at,
+                format!("expected {}, found {}", Tok::Punct(want), self.tok(got)),
+            ))
+        }
+    }
+
+    /// The next identifier and its offset.
+    fn ident_at(&mut self) -> Result<(u32, &'a str)> {
+        let t = self.next()?;
+        if t.kind == Kind::Ident {
+            Ok((t.at, self.text(t)))
+        } else {
+            Err(fault(
+                t.at,
+                format!("expected identifier, found {}", self.tok(t)),
             ))
         }
     }
 
     fn ident(&mut self) -> Result<&'a str> {
-        let line = self.line();
-        match self.next()? {
-            Tok::Ident(s) => Ok(s),
-            other => Err(ParseError::new(
-                line,
-                format!("expected identifier, found {other}"),
-            )),
-        }
+        self.ident_at().map(|(_, s)| s)
     }
 
     fn int(&mut self) -> Result<u32> {
-        let line = self.line();
-        match self.next()? {
-            Tok::Int(n) => Ok(n),
-            other => Err(ParseError::new(
-                line,
-                format!("expected integer, found {other}"),
-            )),
-        }
-    }
-
-    fn eat_ident(&mut self, kw: &str) -> bool {
-        self.eat(Tok::Ident(kw))
-    }
-
-    fn eat(&mut self, t: Tok<'_>) -> bool {
-        if self.peek() == Some(t) {
-            self.pos += 1;
-            true
+        let t = self.next()?;
+        if t.kind == Kind::Int {
+            Ok(t.val)
         } else {
-            false
+            Err(fault(
+                t.at,
+                format!("expected integer, found {}", self.tok(t)),
+            ))
         }
+    }
+
+    /// Consume the keyword `kw` if it comes next, comparing bytes.
+    fn eat_ident(&mut self, kw: &str) -> bool {
+        let hit = self.toks.get(self.pos).is_some_and(|t| {
+            t.kind == Kind::Ident
+                && t.val as usize == kw.len()
+                && self.src.as_bytes()[t.at as usize..].starts_with(kw.as_bytes())
+        });
+        self.pos += usize::from(hit);
+        hit
+    }
+
+    fn eat(&mut self, k: Kind) -> bool {
+        let hit = self.peek_kind() == Some(k);
+        self.pos += usize::from(hit);
+        hit
     }
 
     /// The whole program: every token after `app <Name>` must begin a
     /// class or the manifest, so nothing trails it.
-    fn program(&mut self) -> Result<AstProgram<'a>> {
-        let line = self.line();
+    fn program(mut self) -> Result<Ast<'a>> {
         if !self.eat_ident("app") {
-            return Err(ParseError::new(
-                line,
-                "program must start with `app <Name>`",
-            ));
+            return Err(fault(self.here(), "program must start with `app <Name>`"));
         }
-        let name = self.ident()?;
-        let mut classes = Vec::new();
-        let mut main_activity = None;
-        let mut receivers = Vec::new();
-        while let Some(tok) = self.peek() {
-            let line = self.line();
-            let Tok::Ident(kw) = tok else {
-                return Err(ParseError::new(
-                    line,
-                    format!("expected class or manifest, found {tok}"),
+        self.ast.name = self.ident()?;
+        while let Some(&t) = self.toks.get(self.pos) {
+            let Tok::Ident(kw) = self.tok(t) else {
+                return Err(fault(
+                    t.at,
+                    format!("expected class or manifest, found {}", self.tok(t)),
                 ));
             };
+            self.pos += 1;
             if kw == "manifest" {
-                self.pos += 1;
-                self.expect(Tok::LBrace)?;
-                while !self.eat(Tok::RBrace) {
-                    let l = self.line();
-                    match self.ident()? {
-                        "main" => main_activity = Some(self.ident()?),
-                        "receiver" => receivers.push(self.ident()?),
+                self.expect(Kind::LBrace)?;
+                while !self.eat(Kind::RBrace) {
+                    let (at, entry) = self.ident_at()?;
+                    match entry {
+                        "main" => self.ast.main_activity = Some(self.ident()?),
+                        "receiver" => {
+                            let r = self.ident()?;
+                            self.ast.receivers.push(r);
+                        }
                         other => {
-                            return Err(ParseError::new(
-                                l,
-                                format!("unknown manifest entry `{other}`"),
-                            ))
+                            return Err(fault(at, format!("unknown manifest entry `{other}`")))
                         }
                     }
                 }
             } else if let Some(role) = ClassRole::from_keyword(kw) {
-                self.pos += 1;
-                classes.push(self.class(role, line)?);
+                self.class(role, t.at)?;
             } else {
-                return Err(ParseError::new(
-                    line,
-                    format!("unknown declaration keyword `{kw}`"),
-                ));
+                return Err(fault(t.at, format!("unknown declaration keyword `{kw}`")));
             }
         }
-        Ok(AstProgram {
-            name,
-            classes,
-            main_activity,
-            receivers,
-        })
+        Ok(self.ast)
     }
 
-    fn class(&mut self, role: ClassRole, line: u32) -> Result<AstClass<'a>> {
+    fn class(&mut self, role: ClassRole, at: u32) -> Result<()> {
         let name = self.ident()?;
         let outer = if self.eat_ident("in") {
             Some(self.ident()?)
@@ -576,60 +687,57 @@ impl<'a> Parser<'a> {
         } else {
             None
         };
-        self.expect(Tok::LBrace)?;
-        let mut fields = Vec::new();
-        let mut methods = Vec::new();
-        while !self.eat(Tok::RBrace) {
-            let l = self.line();
-            match self.ident()? {
+        self.expect(Kind::LBrace)?;
+        let (fields, methods) = (self.ast.fields.len(), self.ast.methods.len());
+        while !self.eat(Kind::RBrace) {
+            let (m_at, member) = self.ident_at()?;
+            match member {
                 "field" => {
                     let fname = self.ident()?;
-                    let ty = if self.eat(Tok::Colon) {
+                    let ty = if self.eat(Kind::Colon) {
                         Some(self.ident()?)
                     } else {
                         None
                     };
-                    fields.push((fname, ty));
+                    self.ast.fields.push((fname, ty));
                 }
-                kw @ ("cb" | "fn") => methods.push(self.method(kw == "cb", l)?),
+                kw @ ("cb" | "fn") => {
+                    let name = self.ident()?;
+                    self.method(kw == "cb", name, m_at)?;
+                }
                 other => {
                     // Bare callback-name sugar: `onCreate { ... }`.
                     let is_cb = CallbackKind::from_method_name(other, role).is_some();
-                    if is_cb || matches!(self.peek(), Some(Tok::LBrace | Tok::LParen)) {
-                        methods.push(self.method_tail(is_cb, other, l)?);
+                    if is_cb || matches!(self.peek_kind(), Some(Kind::LBrace | Kind::LParen)) {
+                        self.method(is_cb, other, m_at)?;
                     } else {
-                        return Err(ParseError::new(
-                            l,
+                        return Err(fault(
+                            m_at,
                             format!("unknown class member `{other}` (expected field/cb/fn)"),
                         ));
                     }
                 }
             }
         }
-        Ok(AstClass {
+        self.ast.classes.push(AstClass {
             role,
             name,
             outer,
             looper,
-            fields,
-            methods,
-            line,
-        })
+            fields: fields..self.ast.fields.len(),
+            methods: methods..self.ast.methods.len(),
+            at,
+        });
+        Ok(())
     }
 
-    fn method(&mut self, is_cb: bool, line: u32) -> Result<AstMethod<'a>> {
-        let name = self.ident()?;
-        self.method_tail(is_cb, name, line)
-    }
-
-    fn method_tail(&mut self, is_cb: bool, name: &'a str, line: u32) -> Result<AstMethod<'a>> {
+    fn method(&mut self, is_cb: bool, name: &'a str, at: u32) -> Result<()> {
         let mut params = 0u16;
         let mut locals = None;
-        if self.eat(Tok::LParen) {
-            while !self.eat(Tok::RParen) {
-                let l = self.line();
-                let kw = self.ident()?;
-                self.expect(Tok::Eq)?;
+        if self.eat(Kind::LParen) {
+            while !self.eat(Kind::RParen) {
+                let (a_at, kw) = self.ident_at()?;
+                self.expect(Kind::Eq)?;
                 let n = self.int()?;
                 match kw {
                     "params" => {
@@ -637,81 +745,70 @@ impl<'a> Parser<'a> {
                         params = u16::try_from(n)
                             .ok()
                             .filter(|&n| n < u16::MAX)
-                            .ok_or_else(|| ParseError::new(l, "too many parameters"))?;
+                            .ok_or_else(|| fault(a_at, "too many parameters"))?;
                     }
                     "locals" => {
-                        locals = Some(
-                            u16::try_from(n).map_err(|_| ParseError::new(l, "too many locals"))?,
-                        );
+                        locals =
+                            Some(u16::try_from(n).map_err(|_| fault(a_at, "too many locals"))?);
                     }
                     other => {
-                        return Err(ParseError::new(
-                            l,
-                            format!("unknown method attribute `{other}`"),
-                        ))
+                        return Err(fault(a_at, format!("unknown method attribute `{other}`")))
                     }
                 }
-                let _ = self.eat(Tok::Comma);
+                let _ = self.eat(Kind::Comma);
             }
         }
-        self.expect(Tok::LBrace)?;
-        let body = self.block()?;
-        Ok(AstMethod {
+        self.expect(Kind::LBrace)?;
+        let start = self.ast.stmts.len();
+        let top = self.block()?;
+        self.ast.methods.push(AstMethod {
             is_cb,
             name,
             params,
             locals,
-            body,
-            line,
-        })
+            body: start..self.ast.stmts.len(),
+            top,
+            at,
+        });
+        Ok(())
     }
 
-    fn block(&mut self) -> Result<Vec<(u32, AstStmt<'a>)>> {
-        let mut out = Vec::new();
-        while !self.eat(Tok::RBrace) {
-            let line = self.line();
-            out.push((line, self.stmt()?));
+    /// The statements up to the closing `}` (the `{` is consumed), pushed
+    /// to the arena; returns how many are at this block's top level.
+    fn block(&mut self) -> Result<usize> {
+        let mut top = 0;
+        while !self.eat(Kind::RBrace) {
+            self.stmt()?;
+            top += 1;
         }
-        Ok(out)
+        Ok(top)
     }
 
-    /// The local a name denotes: `this`, or `tN` for any digits `N`.
-    /// A method has at most `u16::MAX` slots, so `N` must stay below it.
-    fn local_of(name: &str, line: u32) -> Result<Option<Local>> {
-        if name == "this" {
-            return Ok(Some(Local::THIS));
-        }
-        let Some(rest) = name.strip_prefix('t') else {
-            return Ok(None);
-        };
-        if rest.is_empty() || !rest.bytes().all(|b| b.is_ascii_digit()) {
-            return Ok(None);
-        }
-        match rest.parse::<u16>() {
-            Ok(n) if n < u16::MAX => Ok(Some(Local(n))),
-            _ => Err(ParseError::new(line, "too many locals")),
-        }
+    /// A nested block whose `{` is consumed: the number of nodes it adds.
+    fn nested(&mut self) -> Result<u32> {
+        let start = self.ast.stmts.len();
+        self.block()?;
+        // Fewer nodes than tokens, and tokens have `u32` offsets.
+        Ok((self.ast.stmts.len() - start) as u32)
     }
 
     fn local(&mut self) -> Result<Local> {
-        let line = self.line();
-        let id = self.ident()?;
-        Self::local_of(id, line)?.ok_or_else(|| {
-            ParseError::new(line, format!("expected local (`this`/`tN`), found `{id}`"))
-        })
+        let (at, id) = self.ident_at()?;
+        local_of(id, at)?
+            .ok_or_else(|| fault(at, format!("expected local (`this`/`tN`), found `{id}`")))
     }
 
     /// Parse `Class.field` (canonical qualified field).
     fn qfield(&mut self) -> Result<(&'a str, &'a str)> {
         let class = self.ident()?;
-        self.expect(Tok::Dot)?;
+        self.expect(Kind::Dot)?;
         let field = self.ident()?;
         Ok((class, field))
     }
 
     /// Parse a sugar field path starting from an already-consumed ident.
     fn path_from(&mut self, first: &'a str) -> Result<Path<'a>> {
-        if self.eat(Tok::Dot) {
+        if self.eat(Kind::Dot) {
             let field = self.ident()?;
             if first == "outer" {
                 Ok(Path::Outer(field))
@@ -725,9 +822,8 @@ impl<'a> Parser<'a> {
 
     /// Parse an operand that is either a local, or a class/field name.
     fn operand(&mut self) -> Result<Operand<'a>> {
-        let line = self.line();
-        let id = self.ident()?;
-        Ok(match Self::local_of(id, line)? {
+        let (at, id) = self.ident_at()?;
+        Ok(match local_of(id, at)? {
             Some(l) => Operand::Local(l),
             None => {
                 if id.chars().next().is_some_and(char::is_uppercase) {
@@ -752,38 +848,40 @@ impl<'a> Parser<'a> {
         })
     }
 
-    fn stmt(&mut self) -> Result<AstStmt<'a>> {
-        let line = self.line();
-        let first = self.ident()?;
-        match first {
+    /// One statement, pushed to the arena with the nodes of its nested
+    /// blocks after it.
+    fn stmt(&mut self) -> Result<()> {
+        let (at, first) = self.ident_at()?;
+        let stmt = match first {
             "store" => {
                 let base = self.local()?;
                 let (class, field) = self.qfield()?;
-                self.expect(Tok::Eq)?;
+                self.expect(Kind::Eq)?;
                 let src = self.local()?;
-                Ok(AstStmt::CStore {
+                AstStmt::CStore {
                     base,
                     class,
                     field,
                     src,
-                })
+                }
             }
             "free" => {
                 let base = self.local()?;
                 let (class, field) = self.qfield()?;
-                Ok(AstStmt::CFree { base, class, field })
+                AstStmt::CFree { base, class, field }
             }
             "return" => {
                 // `return` may be followed by a local, or by nothing.
-                if let Some(Tok::Ident(id)) = self.peek() {
-                    if let Some(l) = Self::local_of(id, self.line())? {
-                        self.pos += 1;
-                        return Ok(AstStmt::CReturn { val: Some(l) });
+                let mut val = None;
+                if let Some(&t) = self.toks.get(self.pos) {
+                    if t.kind == Kind::Ident {
+                        val = local_of(self.text(t), t.at)?;
+                        self.pos += usize::from(val.is_some());
                     }
                 }
-                Ok(AstStmt::CReturn { val: None })
+                AstStmt::CReturn { val }
             }
-            "call" => self.call_stmt(None),
+            "call" => self.call_stmt(None)?,
             "use" | "useret" | "usearg" => {
                 let id = self.ident()?;
                 let path = self.path_from(id)?;
@@ -792,85 +890,96 @@ impl<'a> Parser<'a> {
                     "useret" => UseMode::Ret,
                     _ => UseMode::Arg,
                 };
-                Ok(AstStmt::SUse { path, mode })
+                AstStmt::SUse { path, mode }
             }
-            "post" => self.android_stmt("post", true),
-            "send" => self.android_stmt("send", true),
-            "execute" => self.android_stmt("execute", true),
-            "start" | "spawn" => self.android_stmt("start", true),
-            "bindservice" | "bind" => self.android_stmt("bind", true),
-            "unbindservice" | "unbind" => self.android_stmt("unbind", true),
-            "registerreceiver" | "register" => self.android_stmt("register", true),
-            "unregisterreceiver" | "unregister" => self.android_stmt("unregister", true),
-            "removeposts" => self.android_stmt("removeposts", true),
-            "acquire" => self.android_stmt("acquire", true),
-            "release" => self.android_stmt("release", true),
-            "show" => self.android_stmt("show", true),
-            "dismiss" => self.android_stmt("dismiss", true),
-            "schedule" => self.android_stmt("schedule", true),
-            "cancelalarm" => self.android_stmt("cancelalarm", true),
-            "startactivity" | "launch" => self.android_stmt("startactivity", true),
-            "publish" => self.android_stmt("publish", false),
-            "finish" => self.android_stmt("finish", false),
+            "post" => self.android_stmt("post", true)?,
+            "send" => self.android_stmt("send", true)?,
+            "execute" => self.android_stmt("execute", true)?,
+            "start" | "spawn" => self.android_stmt("start", true)?,
+            "bindservice" | "bind" => self.android_stmt("bind", true)?,
+            "unbindservice" | "unbind" => self.android_stmt("unbind", true)?,
+            "registerreceiver" | "register" => self.android_stmt("register", true)?,
+            "unregisterreceiver" | "unregister" => self.android_stmt("unregister", true)?,
+            "removeposts" => self.android_stmt("removeposts", true)?,
+            "acquire" => self.android_stmt("acquire", true)?,
+            "release" => self.android_stmt("release", true)?,
+            "show" => self.android_stmt("show", true)?,
+            "dismiss" => self.android_stmt("dismiss", true)?,
+            "schedule" => self.android_stmt("schedule", true)?,
+            "cancelalarm" => self.android_stmt("cancelalarm", true)?,
+            "startactivity" | "launch" => self.android_stmt("startactivity", true)?,
+            "publish" => self.android_stmt("publish", false)?,
+            "finish" => self.android_stmt("finish", false)?,
             "listen" => {
-                let l = self.line();
-                let api_name = self.ident()?;
+                let (api_at, api_name) = self.ident_at()?;
                 let api = RegistrationApi::from_method_name(api_name).ok_or_else(|| {
-                    ParseError::new(l, format!("unknown listener-registration API `{api_name}`"))
+                    fault(
+                        api_at,
+                        format!("unknown listener-registration API `{api_name}`"),
+                    )
                 })?;
                 let operand = Some(self.operand()?);
-                Ok(AstStmt::CAndroid {
+                AstStmt::CAndroid {
                     op: "listen",
                     operand,
                     api: Some(api),
-                })
+                }
             }
-            "if" => self.if_stmt(line),
+            "if" => return self.if_stmt(at),
             "loop" => {
-                self.expect(Tok::LBrace)?;
-                Ok(AstStmt::Loop {
-                    body: self.block()?,
-                })
+                self.expect(Kind::LBrace)?;
+                let k = self.open(at, AstStmt::Loop { len: 0 });
+                let len = self.nested()?;
+                self.ast.stmts[k].1 = AstStmt::Loop { len };
+                return Ok(());
             }
             "sync" => {
                 let lock = self.operand()?;
-                self.expect(Tok::LBrace)?;
-                Ok(AstStmt::Sync {
-                    lock,
-                    body: self.block()?,
-                    line,
-                })
+                self.expect(Kind::LBrace)?;
+                let k = self.open(at, AstStmt::Sync { lock, len: 0 });
+                let len = self.nested()?;
+                self.ast.stmts[k].1 = AstStmt::Sync { lock, len };
+                return Ok(());
             }
             _ => {
                 // Assignment: canonical `tN = ...` or sugar `<path> = ...`.
-                if let Some(dst) = Self::local_of(first, line)? {
-                    self.expect(Tok::Eq)?;
-                    self.canon_rhs(dst, line)
+                if let Some(dst) = local_of(first, at)? {
+                    self.expect(Kind::Eq)?;
+                    self.canon_rhs(dst, at)?
                 } else {
                     let path = self.path_from(first)?;
-                    self.expect(Tok::Eq)?;
-                    let rline = self.line();
-                    let rhs = match self.ident()? {
+                    self.expect(Kind::Eq)?;
+                    let (r_at, r) = self.ident_at()?;
+                    let rhs = match r {
                         "new" => Rhs::New(self.ident()?),
                         "null" => Rhs::Null,
                         "call" => Rhs::Call(self.ident()?),
                         kw => {
-                            if Self::local_of(kw, rline)?.is_some() {
-                                return Err(ParseError::new(
-                                    rline,
+                            if local_of(kw, r_at)?.is_some() {
+                                return Err(fault(
+                                    r_at,
                                     "locals cannot be assigned to fields in sugar; use canonical `store`",
                                 ));
                             }
                             Rhs::Path(self.path_from(kw)?)
                         }
                     };
-                    Ok(AstStmt::SAssign { path, rhs })
+                    AstStmt::SAssign { path, rhs }
                 }
             }
-        }
+        };
+        self.ast.stmts.push((at, stmt));
+        Ok(())
     }
 
-    fn canon_rhs(&mut self, dst: Local, line: u32) -> Result<AstStmt<'a>> {
+    /// Push a structured statement before its nested blocks are parsed;
+    /// returns its index, so their lengths can be filled in after.
+    fn open(&mut self, at: u32, stmt: AstStmt<'a>) -> usize {
+        self.ast.stmts.push((at, stmt));
+        self.ast.stmts.len() - 1
+    }
+
+    fn canon_rhs(&mut self, dst: Local, at: u32) -> Result<AstStmt<'a>> {
         match self.ident()? {
             "new" => Ok(AstStmt::CNew {
                 dst,
@@ -896,72 +1005,60 @@ impl<'a> Parser<'a> {
             }),
             "null" => Ok(AstStmt::CNull { dst }),
             "call" => self.call_stmt(Some(dst)),
-            other => Err(ParseError::new(
-                line,
-                format!("unknown assignment rhs `{other}`"),
-            )),
+            other => Err(fault(at, format!("unknown assignment rhs `{other}`"))),
         }
     }
 
     fn call_stmt(&mut self, dst: Option<Local>) -> Result<AstStmt<'a>> {
-        let line = self.line();
-        let name = self.ident()?;
-        if name == "opaque" {
-            let (recv, args) = self.call_args()?;
-            return Ok(AstStmt::CCall {
-                dst,
-                target: None,
-                recv,
-                args,
-            });
-        }
-        if self.eat(Tok::Dot) {
-            let method = self.ident()?;
-            let (recv, args) = self.call_args()?;
-            return Ok(AstStmt::CCall {
-                dst,
-                target: Some((name, method)),
-                recv,
-                args,
-            });
-        }
-        if matches!(self.peek(), Some(Tok::LParen)) {
-            return Err(ParseError::new(
-                line,
+        let (at, name) = self.ident_at()?;
+        let target = if name == "opaque" {
+            None
+        } else if self.eat(Kind::Dot) {
+            Some((name, self.ident()?))
+        } else if self.peek_kind() == Some(Kind::LParen) {
+            return Err(fault(
+                at,
                 "canonical calls need a qualified target (`Class.method`) or `opaque`",
             ));
-        }
-        if dst.is_some() {
-            return Err(ParseError::new(
-                line,
-                "sugar `call <name>` cannot assign to a local",
-            ));
-        }
-        Ok(AstStmt::SCall { name })
+        } else if dst.is_some() {
+            return Err(fault(at, "sugar `call <name>` cannot assign to a local"));
+        } else {
+            return Ok(AstStmt::SCall { name });
+        };
+        let (recv, args) = self.call_args()?;
+        Ok(AstStmt::CCall {
+            dst,
+            target,
+            recv,
+            args,
+        })
     }
 
-    fn call_args(&mut self) -> Result<(Option<Local>, Vec<Local>)> {
-        self.expect(Tok::LParen)?;
+    /// `(recv=tR, tA, tB)`: the receiver, and the arguments' range of
+    /// [`Ast::args`].
+    fn call_args(&mut self) -> Result<(Option<Local>, Range<usize>)> {
+        self.expect(Kind::LParen)?;
+        let start = self.ast.args.len();
         let mut recv = None;
-        let mut args = Vec::new();
         let mut first = true;
-        while !self.eat(Tok::RParen) {
+        while !self.eat(Kind::RParen) {
             if !first {
-                self.expect(Tok::Comma)?;
+                self.expect(Kind::Comma)?;
             }
             first = false;
             if self.eat_ident("recv") {
-                self.expect(Tok::Eq)?;
+                self.expect(Kind::Eq)?;
                 recv = Some(self.local()?);
             } else {
-                args.push(self.local()?);
+                let arg = self.local()?;
+                self.ast.args.push(arg);
             }
         }
-        Ok((recv, args))
+        Ok((recv, start..self.ast.args.len()))
     }
 
-    fn if_stmt(&mut self, line: u32) -> Result<AstStmt<'a>> {
-        let cond = if self.eat(Tok::Question) {
+    fn if_stmt(&mut self, at: u32) -> Result<()> {
+        let cond = if self.eat(Kind::Question) {
             AstCond::Opaque
         } else if self.eat_ident("notnull") {
             let base = self.local()?;
@@ -985,39 +1082,47 @@ impl<'a> Parser<'a> {
             // Sugar: `if <path> != null` / `if <path> == null`.
             let id = self.ident()?;
             let path = self.path_from(id)?;
-            let l = self.line();
-            let non_null = match self.next()? {
-                Tok::NotEq => true,
-                Tok::EqEq => false,
-                other => {
-                    return Err(ParseError::new(
-                        l,
-                        format!("expected `!=` or `==`, found {other}"),
+            let op = self.next()?;
+            let non_null = match op.kind {
+                Kind::NotEq => true,
+                Kind::EqEq => false,
+                _ => {
+                    return Err(fault(
+                        op.at,
+                        format!("expected `!=` or `==`, found {}", self.tok(op)),
                     ))
                 }
             };
             if !self.eat_ident("null") {
-                return Err(ParseError::new(
-                    l,
+                return Err(fault(
+                    op.at,
                     "null-check conditions must compare against `null`",
                 ));
             }
             AstCond::Sugar { non_null, path }
         };
-        self.expect(Tok::LBrace)?;
-        let then_blk = self.block()?;
-        let else_blk = if self.eat_ident("else") {
-            self.expect(Tok::LBrace)?;
-            self.block()?
+        self.expect(Kind::LBrace)?;
+        let k = self.open(
+            at,
+            AstStmt::If {
+                cond,
+                then_len: 0,
+                else_len: 0,
+            },
+        );
+        let then_len = self.nested()?;
+        let else_len = if self.eat_ident("else") {
+            self.expect(Kind::LBrace)?;
+            self.nested()?
         } else {
-            Vec::new()
+            0
         };
-        Ok(AstStmt::If {
+        self.ast.stmts[k].1 = AstStmt::If {
             cond,
-            then_blk,
-            else_blk,
-            line,
-        })
+            then_len,
+            else_len,
+        };
+        Ok(())
     }
 }
 
@@ -1036,18 +1141,18 @@ struct Lowerer<'a> {
 }
 
 impl Lowerer<'_> {
-    fn field(&self, class: ClassId, name: &str, line: u32) -> Result<FieldId> {
+    fn field(&self, class: ClassId, name: &str, at: u32) -> Result<FieldId> {
         self.fields
             .get(&(class, name))
             .copied()
-            .ok_or_else(|| ParseError::new(line, format!("unknown field `{name}`")))
+            .ok_or_else(|| fault(at, format!("unknown field `{name}`")))
     }
 
-    fn class(&self, name: &str, line: u32) -> Result<ClassId> {
+    fn class(&self, name: &str, at: impl Into<Option<u32>>) -> Result<ClassId> {
         self.classes
             .get(name)
             .copied()
-            .ok_or_else(|| ParseError::new(line, format!("unknown class `{name}`")))
+            .ok_or_else(|| fault(at, format!("unknown class `{name}`")))
     }
 
     fn method(&self, class: ClassId, name: &str) -> Option<MethodId> {
@@ -1057,32 +1162,51 @@ impl Lowerer<'_> {
 
 /// Parse DSL text into a [`Program`].
 ///
+/// When a recorder is installed on the calling thread, the parse runs in
+/// a `parse` span and adds to the `ir.parse_bytes` and `ir.parse_micros`
+/// counters.
+///
 /// # Errors
 ///
 /// Returns [`ParseError`] with the offending line when the text is
-/// lexically or grammatically malformed, or names an unknown class,
-/// field, or method.
-pub fn parse_program(src: &str) -> Result<Program> {
-    let ast = Parser {
-        toks: lex(src)?,
-        pos: 0,
+/// lexically or grammatically malformed, names an unknown class, field,
+/// or method, or is too long for 32-bit offsets.
+pub fn parse_program(src: &str) -> std::result::Result<Program, ParseError> {
+    let _span = obs::span("parse");
+    let start = Instant::now();
+    let parsed = parse(src).map_err(|f| f.into_error(src));
+    if obs::recording() {
+        obs::counter("ir.parse_bytes", src.len() as u64);
+        #[allow(clippy::cast_possible_truncation)]
+        obs::counter("ir.parse_micros", start.elapsed().as_micros() as u64);
     }
-    .program()?;
+    parsed
+}
+
+fn parse(src: &str) -> Result<Program> {
+    check_len(src.len())?;
+    let ast = Parser::new(src, lex(src)?).program()?;
     lower(&ast)
 }
 
-fn lower(ast: &AstProgram<'_>) -> Result<Program> {
-    let mut b = ProgramBuilder::new(ast.name);
-    let n_fields = ast
+fn lower(ast: &Ast<'_>) -> Result<Program> {
+    let helpers = ast
         .classes
         .iter()
-        .map(|c| c.fields.len() + usize::from(c.role.is_framework_helper()))
-        .sum();
-    let n_methods = ast.classes.iter().map(|c| c.methods.len()).sum();
+        .filter(|c| c.role.is_framework_helper())
+        .count();
+    let n_fields = ast.fields.len() + helpers;
+    let mut b = ProgramBuilder::new(ast.name);
+    b.reserve(
+        ast.classes.len(),
+        n_fields,
+        ast.methods.len(),
+        ast.stmts.len(),
+    );
     let mut lo = Lowerer {
         classes: HashMap::with_capacity(ast.classes.len()),
         fields: HashMap::with_capacity(n_fields),
-        methods: HashMap::with_capacity(n_methods),
+        methods: HashMap::with_capacity(ast.methods.len()),
         outers: vec![None; ast.classes.len()],
     };
 
@@ -1091,25 +1215,24 @@ fn lower(ast: &AstProgram<'_>) -> Result<Program> {
     let mut ids = Vec::with_capacity(ast.classes.len());
     for c in &ast.classes {
         let Entry::Vacant(slot) = lo.classes.entry(c.name) else {
-            return Err(ParseError::new(
-                c.line,
-                format!("duplicate class `{}`", c.name),
-            ));
+            return Err(fault(c.at, format!("duplicate class `{}`", c.name)));
         };
-        ids.push(*slot.insert(b.add_unique_class(c.name, c.role)));
+        let fields = c.fields.len() + usize::from(c.role.is_framework_helper());
+        let id = b.add_unique_class(c.name, c.role, fields, c.methods.len());
+        ids.push(*slot.insert(id));
     }
     for (c, &cid) in ast.classes.iter().zip(&ids) {
         if let Some(outer_name) = c.outer {
-            let outer = lo.class(outer_name, c.line)?;
+            let outer = lo.class(outer_name, c.at)?;
             b.set_outer(cid, outer);
             lo.outers[cid.index()] = Some(outer);
         }
         if let Some(looper_name) = c.looper {
-            let looper = lo.class(looper_name, c.line)?;
+            let looper = lo.class(looper_name, c.at)?;
             // Class ids number `ast.classes` in order.
             if ast.classes[looper.index()].role != ClassRole::LooperThread {
-                return Err(ParseError::new(
-                    c.line,
+                return Err(fault(
+                    c.at,
                     format!("`on {looper_name}`: target must be a looperthread class"),
                 ));
             }
@@ -1120,20 +1243,17 @@ fn lower(ast: &AstProgram<'_>) -> Result<Program> {
     // Pass 1b: fields (types may reference any class). Framework-helper
     // classes get their implicit `$outer` back-reference created here, in
     // class order, so field numbering is stable under print/parse
-    // round-trips.
+    // round-trips. The table rejects duplicates, so the builder need not.
     for (c, &cid) in ast.classes.iter().zip(&ids) {
-        for &(fname, ty) in &c.fields {
+        for &(fname, ty) in &ast.fields[c.fields.clone()] {
             let ty = match ty {
-                Some(t) => Some(lo.class(t, c.line)?),
+                Some(t) => Some(lo.class(t, c.at)?),
                 None => None,
             };
-            if lo.fields.contains_key(&(cid, fname)) {
-                return Err(ParseError::new(
-                    c.line,
-                    format!("duplicate field `{fname}`"),
-                ));
-            }
-            lo.fields.insert((cid, fname), b.add_field(cid, fname, ty));
+            let Entry::Vacant(slot) = lo.fields.entry((cid, fname)) else {
+                return Err(fault(c.at, format!("duplicate field `{fname}`")));
+            };
+            slot.insert(b.add_unique_field(cid, fname, ty));
         }
         if c.role.is_framework_helper() {
             if let Entry::Vacant(slot) = lo.fields.entry((cid, OUTER_FIELD)) {
@@ -1143,29 +1263,26 @@ fn lower(ast: &AstProgram<'_>) -> Result<Program> {
     }
 
     // Pass 1c: method declarations (so calls may reference forward).
-    let mut mids = Vec::with_capacity(n_methods);
+    let mut mids = Vec::with_capacity(ast.methods.len());
     for (c, &cid) in ast.classes.iter().zip(&ids) {
-        for m in &c.methods {
+        for m in &ast.methods[c.methods.clone()] {
             let Entry::Vacant(slot) = lo.methods.entry((cid, m.name)) else {
-                return Err(ParseError::new(
-                    m.line,
-                    format!("duplicate method `{}`", m.name),
-                ));
+                return Err(fault(m.at, format!("duplicate method `{}`", m.name)));
             };
-            mids.push(*slot.insert(b.declare_method(cid, m.name)));
+            mids.push(*slot.insert(b.declare_unique_method(cid, m.name)));
         }
     }
 
     // Pass 2: method bodies.
     let mut mids = mids.into_iter();
     for (c, &cid) in ast.classes.iter().zip(&ids) {
-        for m in &c.methods {
+        for m in &ast.methods[c.methods.clone()] {
             let mid = mids.next().expect("one id per declared method");
             let callback = if m.is_cb {
                 Some(
                     CallbackKind::from_method_name(m.name, c.role).ok_or_else(|| {
-                        ParseError::new(
-                            m.line,
+                        fault(
+                            m.at,
                             format!("`{}` is not a known callback for role `{}`", m.name, c.role),
                         )
                     })?,
@@ -1174,6 +1291,7 @@ fn lower(ast: &AstProgram<'_>) -> Result<Program> {
                 None
             };
             let mut mb = b.body(mid);
+            mb.reserve_stmts(m.top);
             if m.params > 0 {
                 mb.params(m.params);
             }
@@ -1183,12 +1301,13 @@ fn lower(ast: &AstProgram<'_>) -> Result<Program> {
             let ctx = BodyCtx {
                 class: cid,
                 lo: &lo,
+                args: &ast.args,
             };
-            lower_block(&mut mb, &ctx, &m.body)?;
+            lower_block(&mut mb, &ctx, &ast.stmts[m.body.clone()])?;
             // Sugar statements allocate temporaries past a `locals=N`
             // header, so the limit is checked once the body is lowered.
             if mb.num_locals() > u32::from(u16::MAX) {
-                return Err(ParseError::new(m.line, "too many locals"));
+                return Err(fault(m.at, "too many locals"));
             }
             match callback {
                 Some(k) => mb.finish_callback(k),
@@ -1199,11 +1318,11 @@ fn lower(ast: &AstProgram<'_>) -> Result<Program> {
 
     // Manifest.
     if let Some(main) = ast.main_activity {
-        let id = lo.class(main, 0)?;
+        let id = lo.class(main, None)?;
         b.set_main_activity(id);
     }
     for r in &ast.receivers {
-        let id = lo.class(r, 0)?;
+        let id = lo.class(r, None)?;
         b.declare_receiver(id);
     }
 
@@ -1213,6 +1332,8 @@ fn lower(ast: &AstProgram<'_>) -> Result<Program> {
 struct BodyCtx<'l, 'a> {
     class: ClassId,
     lo: &'l Lowerer<'a>,
+    /// [`Ast::args`], which calls index by range.
+    args: &'l [Local],
 }
 
 impl BodyCtx<'_, '_> {
@@ -1222,32 +1343,32 @@ impl BodyCtx<'_, '_> {
         &self,
         mb: &mut MethodBuilder<'_>,
         path: &Path<'_>,
-        line: u32,
+        at: u32,
     ) -> Result<(Local, FieldId)> {
         match *path {
-            Path::This(f) => Ok((Local::THIS, self.lo.field(self.class, f, line)?)),
+            Path::This(f) => Ok((Local::THIS, self.lo.field(self.class, f, at)?)),
             Path::Outer(f) => {
                 let outer_cls = self.lo.outers[self.class.index()].ok_or_else(|| {
-                    ParseError::new(
-                        line,
+                    fault(
+                        at,
                         "`outer.` used in a class without an `in <Outer>` clause",
                     )
                 })?;
-                let outer_f = self.lo.field(self.class, OUTER_FIELD, line).map_err(|_| {
-                    ParseError::new(
-                        line,
+                let outer_f = self.lo.field(self.class, OUTER_FIELD, at).map_err(|_| {
+                    fault(
+                        at,
                         "class has no `$outer` field (is it a framework helper?)",
                     )
                 })?;
                 let t = mb.new_local();
                 mb.load(t, Local::THIS, outer_f);
-                Ok((t, self.lo.field(outer_cls, f, line)?))
+                Ok((t, self.lo.field(outer_cls, f, at)?))
             }
             Path::Static(cname, f) => {
-                let cls = self.lo.class(cname, line)?;
+                let cls = self.lo.class(cname, at)?;
                 let t = mb.new_local();
                 mb.load_static(t, cls);
-                Ok((t, self.lo.field(cls, f, line)?))
+                Ok((t, self.lo.field(cls, f, at)?))
             }
         }
     }
@@ -1258,16 +1379,16 @@ impl BodyCtx<'_, '_> {
         &self,
         mb: &mut MethodBuilder<'_>,
         op: &Operand<'_>,
-        line: u32,
+        at: u32,
     ) -> Result<Local> {
         match *op {
             Operand::Local(l) => Ok(l),
             Operand::Class(name) => {
-                let cls = self.lo.class(name, line)?;
+                let cls = self.lo.class(name, at)?;
                 Ok(mb.new_wired(cls))
             }
             Operand::Field(name) => {
-                let f = self.lo.field(self.class, name, line)?;
+                let f = self.lo.field(self.class, name, at)?;
                 let t = mb.new_local();
                 mb.load(t, Local::THIS, f);
                 Ok(t)
@@ -1276,31 +1397,42 @@ impl BodyCtx<'_, '_> {
     }
 }
 
+/// Split a nested block's `len` nodes off the front of `rest`.
+fn take<'n, 'a>(rest: &mut &'n [Node<'a>], len: u32) -> &'n [Node<'a>] {
+    let (block, tail) = rest.split_at(len as usize);
+    *rest = tail;
+    block
+}
+
 fn lower_block(
     mb: &mut MethodBuilder<'_>,
     ctx: &BodyCtx<'_, '_>,
-    stmts: &[(u32, AstStmt<'_>)],
+    mut nodes: &[Node<'_>],
 ) -> Result<()> {
-    for (line, s) in stmts {
-        lower_stmt(mb, ctx, s, *line)?;
+    while let Some(((at, stmt), rest)) = nodes.split_first() {
+        nodes = rest;
+        lower_stmt(mb, ctx, stmt, *at, &mut nodes)?;
     }
     Ok(())
 }
 
+/// Lower one statement; a structured one takes its nested blocks' nodes
+/// off the front of `rest`.
 fn lower_stmt(
     mb: &mut MethodBuilder<'_>,
     ctx: &BodyCtx<'_, '_>,
     stmt: &AstStmt<'_>,
-    line: u32,
+    at: u32,
+    rest: &mut &[Node<'_>],
 ) -> Result<()> {
     let lo = ctx.lo;
     match stmt {
         AstStmt::CNew { dst, class } => {
-            let c = lo.class(class, line)?;
+            let c = lo.class(class, at)?;
             mb.new_obj(*dst, c);
         }
         AstStmt::CStatic { dst, class } => {
-            let c = lo.class(class, line)?;
+            let c = lo.class(class, at)?;
             mb.load_static(*dst, c);
         }
         AstStmt::CLoad {
@@ -1309,8 +1441,8 @@ fn lower_stmt(
             class,
             field,
         } => {
-            let c = lo.class(class, line)?;
-            let f = lo.field(c, field, line)?;
+            let c = lo.class(class, at)?;
+            let f = lo.field(c, field, at)?;
             mb.load(*dst, *base, f);
         }
         AstStmt::CStore {
@@ -1319,13 +1451,13 @@ fn lower_stmt(
             field,
             src,
         } => {
-            let c = lo.class(class, line)?;
-            let f = lo.field(c, field, line)?;
+            let c = lo.class(class, at)?;
+            let f = lo.field(c, field, at)?;
             mb.store(*base, f, *src);
         }
         AstStmt::CFree { base, class, field } => {
-            let c = lo.class(class, line)?;
-            let f = lo.field(c, field, line)?;
+            let c = lo.class(class, at)?;
+            let f = lo.field(c, field, at)?;
             mb.store_null(*base, f);
         }
         AstStmt::CMove { dst, src } => {
@@ -1339,24 +1471,27 @@ fn lower_stmt(
             target,
             recv,
             args,
-        } => match *target {
-            Some((cname, mname)) => {
-                let c = lo.class(cname, line)?;
-                let m = lo.method(c, mname).ok_or_else(|| {
-                    ParseError::new(line, format!("unknown method `{cname}.{mname}`"))
-                })?;
-                mb.invoke(*dst, m, *recv, args.clone());
+        } => {
+            let args = ctx.args[args.clone()].to_vec();
+            match *target {
+                Some((cname, mname)) => {
+                    let c = lo.class(cname, at)?;
+                    let m = lo
+                        .method(c, mname)
+                        .ok_or_else(|| fault(at, format!("unknown method `{cname}.{mname}`")))?;
+                    mb.invoke(*dst, m, *recv, args);
+                }
+                None => {
+                    mb.invoke_opaque(*dst, *recv, args);
+                }
             }
-            None => {
-                mb.invoke_opaque(*dst, *recv, args.clone());
-            }
-        },
+        }
         AstStmt::CReturn { val } => {
             mb.ret(*val);
         }
         AstStmt::CAndroid { op, operand, api } => {
             let l = match operand {
-                Some(o) => Some(ctx.resolve_operand(mb, o, line)?),
+                Some(o) => Some(ctx.resolve_operand(mb, o, at)?),
                 None => None,
             };
             let aop = match *op {
@@ -1420,34 +1555,34 @@ fn lower_stmt(
         }
         AstStmt::SAssign { path, rhs } => match *rhs {
             Rhs::New(cname) => {
-                let cls = lo.class(cname, line)?;
-                let (base, f) = ctx.resolve_path(mb, path, line)?;
+                let cls = lo.class(cname, at)?;
+                let (base, f) = ctx.resolve_path(mb, path, at)?;
                 let t = mb.new_wired(cls);
                 mb.store(base, f, t);
             }
             Rhs::Null => {
-                let (base, f) = ctx.resolve_path(mb, path, line)?;
+                let (base, f) = ctx.resolve_path(mb, path, at)?;
                 mb.store_null(base, f);
             }
             Rhs::Call(mname) => {
                 let m = lo
                     .method(ctx.class, mname)
-                    .ok_or_else(|| ParseError::new(line, format!("unknown method `{mname}`")))?;
-                let (base, f) = ctx.resolve_path(mb, path, line)?;
+                    .ok_or_else(|| fault(at, format!("unknown method `{mname}`")))?;
+                let (base, f) = ctx.resolve_path(mb, path, at)?;
                 let t = mb.new_local();
                 mb.invoke(Some(t), m, Some(Local::THIS), vec![]);
                 mb.store(base, f, t);
             }
             Rhs::Path(src) => {
-                let (sbase, sf) = ctx.resolve_path(mb, &src, line)?;
+                let (sbase, sf) = ctx.resolve_path(mb, &src, at)?;
                 let t = mb.new_local();
                 mb.load(t, sbase, sf);
-                let (dbase, df) = ctx.resolve_path(mb, path, line)?;
+                let (dbase, df) = ctx.resolve_path(mb, path, at)?;
                 mb.store(dbase, df, t);
             }
         },
         AstStmt::SUse { path, mode } => {
-            let (base, f) = ctx.resolve_path(mb, path, line)?;
+            let (base, f) = ctx.resolve_path(mb, path, at)?;
             let t = mb.new_local();
             mb.load(t, base, f);
             match mode {
@@ -1465,16 +1600,17 @@ fn lower_stmt(
         AstStmt::SCall { name } => {
             let m = lo
                 .method(ctx.class, name)
-                .ok_or_else(|| ParseError::new(line, format!("unknown method `{name}`")))?;
+                .ok_or_else(|| fault(at, format!("unknown method `{name}`")))?;
             mb.invoke(None, m, Some(Local::THIS), vec![]);
         }
         AstStmt::If {
             cond,
-            then_blk,
-            else_blk,
-            line,
+            then_len,
+            else_len,
         } => {
-            let cond = match cond {
+            let then_blk = take(rest, *then_len);
+            let else_blk = take(rest, *else_len);
+            let cond = match *cond {
                 AstCond::Opaque => Cond::Opaque,
                 AstCond::Canon {
                     non_null,
@@ -1482,26 +1618,20 @@ fn lower_stmt(
                     class,
                     field,
                 } => {
-                    let c = lo.class(class, *line)?;
-                    let f = lo.field(c, field, *line)?;
-                    if *non_null {
-                        Cond::NotNull {
-                            base: *base,
-                            field: f,
-                        }
+                    let c = lo.class(class, at)?;
+                    let field = lo.field(c, field, at)?;
+                    if non_null {
+                        Cond::NotNull { base, field }
                     } else {
-                        Cond::IsNull {
-                            base: *base,
-                            field: f,
-                        }
+                        Cond::IsNull { base, field }
                     }
                 }
                 AstCond::Sugar { non_null, path } => {
-                    let (base, f) = ctx.resolve_path(mb, path, *line)?;
-                    if *non_null {
-                        Cond::NotNull { base, field: f }
+                    let (base, field) = ctx.resolve_path(mb, &path, at)?;
+                    if non_null {
+                        Cond::NotNull { base, field }
                     } else {
-                        Cond::IsNull { base, field: f }
+                        Cond::IsNull { base, field }
                     }
                 }
             };
@@ -1511,11 +1641,13 @@ fn lower_stmt(
                 |mb| lower_block(mb, ctx, else_blk),
             )?;
         }
-        AstStmt::Loop { body } => {
+        AstStmt::Loop { len } => {
+            let body = take(rest, *len);
             mb.try_loop(|mb| lower_block(mb, ctx, body))?;
         }
-        AstStmt::Sync { lock, body, line } => {
-            let lock = ctx.resolve_operand(mb, lock, *line)?;
+        AstStmt::Sync { lock, len } => {
+            let body = take(rest, *len);
+            let lock = ctx.resolve_operand(mb, lock, at)?;
             mb.try_sync(lock, |mb| lower_block(mb, ctx, body))?;
         }
     }
@@ -1532,27 +1664,67 @@ mod tests {
         parse_program(src).unwrap_or_else(|e| panic!("{e}\nsource:\n{src}"))
     }
 
-    /// The table's ASCII classes are the `char` rules the non-ASCII path
-    /// applies, restricted to ASCII.
+    /// The lexer's ASCII byte tests are the `char` rules the non-ASCII
+    /// path applies, restricted to ASCII.
     #[test]
-    fn byte_classes_agree_with_the_char_rules() {
-        for b in 0..=u8::MAX {
+    fn byte_tests_agree_with_the_char_rules() {
+        for b in 0..0x80u8 {
             let c = char::from(b);
-            let expected = if !b.is_ascii() {
-                ByteClass::NonAscii
-            } else if c == '\n' {
-                ByteClass::Newline
-            } else if c.is_whitespace() {
-                ByteClass::Blank
-            } else if c.is_alphabetic() || c == '_' || c == '$' {
-                ByteClass::Ident
-            } else if c.is_alphanumeric() {
-                ByteClass::Digit
-            } else {
-                ByteClass::Other
-            };
-            assert_eq!(class_of(b), expected, "byte {b:#04x}");
+            assert_eq!(is_blank(b), c.is_whitespace(), "byte {b:#04x}");
+            let continues = c.is_alphanumeric() || c == '_' || c == '$';
+            assert_eq!(is_ident_byte(b), continues, "byte {b:#04x}");
+            let starts = c.is_alphabetic() || c == '_' || c == '$';
+            let one_ident =
+                matches!(lex(&c.to_string()).as_deref(), Ok([t]) if t.kind == Kind::Ident);
+            assert_eq!(one_ident, starts, "byte {b:#04x}");
         }
+    }
+
+    #[test]
+    fn a_token_takes_twelve_bytes() {
+        assert_eq!(std::mem::size_of::<Token>(), 12);
+    }
+
+    /// A text too long for `u32` offsets is a structured error at line 0,
+    /// not a wrapped offset.
+    #[cfg(target_pointer_width = "64")]
+    #[test]
+    fn offsets_never_wrap() {
+        let max = u32::MAX as usize;
+        assert!(check_len(max).is_ok());
+        let err = check_len(max + 1).unwrap_err().into_error("");
+        assert_eq!(err.line(), 0);
+        assert!(err.message().contains("too large"), "{err}");
+    }
+
+    /// Nested blocks follow their statement in pre-order, so each lowers
+    /// into its own arm, in order, and prints back as written.
+    #[test]
+    fn nested_blocks_lower_from_their_ranges() {
+        let src = r#"app A
+
+class C {
+  fn f(params=0, locals=7) {
+      if ? {
+        if ? {
+          t1 = null
+        } else {
+          t2 = null
+        }
+        t3 = null
+      } else {
+        loop {
+          t4 = null
+        }
+      }
+      sync this {
+        t5 = null
+      }
+      t6 = null
+  }
+}
+"#;
+        assert_eq!(print_program(&parse_ok(src)), src);
     }
 
     #[test]

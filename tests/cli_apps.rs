@@ -28,6 +28,48 @@ fn connectbot_report_has_both_figure1_warnings() {
     assert!(out.contains("[EC-PC] ConsoleActivity.bound"), "{out}");
 }
 
+/// `--stats` installs its recorder before the file is parsed, so the
+/// tree shows the parse beside the analysis, with the bytes it read.
+#[test]
+fn stats_report_the_parse() {
+    let path = app("connectbot.dsl");
+    let bytes = std::fs::read(&path).unwrap().len();
+    let out = run(&Command::Analyze {
+        path,
+        validate: false,
+        sound_only: false,
+        k: 2,
+        json: false,
+        baseline: None,
+        update_baseline: false,
+        trace: None,
+        report: None,
+        provenance: None,
+        stats: true,
+        threads: None,
+    })
+    .unwrap();
+    let stats = &out[out.find("run stats:").expect("a stats tree")..];
+    let depth = |name: &str| {
+        let line = stats
+            .lines()
+            .find(|l| l.split_whitespace().next() == Some(name))
+            .unwrap_or_else(|| panic!("no `{name}` span in:\n{stats}"));
+        line.len() - line.trim_start().len()
+    };
+    assert_eq!(depth("parse"), depth("analyze"), "{stats}");
+    let counter = |name: &str| {
+        stats
+            .lines()
+            .find_map(|l| l.trim().strip_prefix(name))
+            .map(str::trim)
+            .unwrap_or_else(|| panic!("no `{name}` counter in:\n{stats}"))
+            .to_owned()
+    };
+    assert_eq!(counter("ir.parse_bytes"), bytes.to_string(), "{stats}");
+    counter("ir.parse_micros");
+}
+
 #[test]
 fn validate_confirms_every_planted_harmful_uaf_of_the_generated_aard() {
     // The generated Aard is a printed corpus app: each of its 8
