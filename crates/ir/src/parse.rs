@@ -243,25 +243,24 @@ fn check_len(len: usize) -> Result<()> {
 }
 
 /// Split the source into tokens. Runs of blanks and of ASCII identifier
-/// bytes are consumed by direct byte tests, and a `char` is decoded only
-/// at a non-ASCII byte, so Unicode letters and digits continue
-/// identifiers and Unicode whitespace separates tokens. Each token is
-/// written once.
+/// bytes are consumed by direct byte tests, blanks before each token is
+/// dispatched, and a `char` is decoded only at a non-ASCII byte, so
+/// Unicode letters and digits continue identifiers and Unicode
+/// whitespace separates tokens. Each token is written once.
 fn lex(src: &str) -> Result<Vec<Token>> {
     let bytes = src.as_bytes();
     let mut toks = Vec::with_capacity(src.len() / 4);
     let mut i = 0;
-    while let Some(&b) = bytes.get(i) {
+    loop {
+        while bytes.get(i).copied().is_some_and(is_blank) {
+            i += 1;
+        }
+        let Some(&b) = bytes.get(i) else {
+            return Ok(toks);
+        };
         // `check_len` bounds every offset and length by `u32::MAX`.
         let at = i as u32;
         let (kind, len, val) = match b {
-            b'\t' | b'\n' | 0x0b | 0x0c | b'\r' | b' ' => {
-                i += 1;
-                while bytes.get(i).copied().is_some_and(is_blank) {
-                    i += 1;
-                }
-                continue;
-            }
             b'a'..=b'z' | b'A'..=b'Z' | b'_' | b'$' => {
                 let len = ident_end(src, i + 1) - i;
                 (Kind::Ident, len, len as u32)
@@ -322,7 +321,6 @@ fn lex(src: &str) -> Result<Vec<Token>> {
         toks.push(Token { kind, at, val });
         i += len;
     }
-    Ok(toks)
 }
 
 // ---------------------------------------------------------------------------
@@ -852,6 +850,14 @@ impl<'a> Parser<'a> {
     /// blocks after it.
     fn stmt(&mut self) -> Result<()> {
         let (at, first) = self.ident_at()?;
+        // Canonical `tN = ...`, the printed form's commonest statement, is
+        // told apart before any keyword (no keyword names a local).
+        if let Some(dst) = local_of(first, at)? {
+            self.expect(Kind::Eq)?;
+            let stmt = self.canon_rhs(dst, at)?;
+            self.ast.stmts.push((at, stmt));
+            return Ok(());
+        }
         let stmt = match first {
             "store" => {
                 let base = self.local()?;
@@ -942,30 +948,25 @@ impl<'a> Parser<'a> {
                 return Ok(());
             }
             _ => {
-                // Assignment: canonical `tN = ...` or sugar `<path> = ...`.
-                if let Some(dst) = local_of(first, at)? {
-                    self.expect(Kind::Eq)?;
-                    self.canon_rhs(dst, at)?
-                } else {
-                    let path = self.path_from(first)?;
-                    self.expect(Kind::Eq)?;
-                    let (r_at, r) = self.ident_at()?;
-                    let rhs = match r {
-                        "new" => Rhs::New(self.ident()?),
-                        "null" => Rhs::Null,
-                        "call" => Rhs::Call(self.ident()?),
-                        kw => {
-                            if local_of(kw, r_at)?.is_some() {
-                                return Err(fault(
-                                    r_at,
-                                    "locals cannot be assigned to fields in sugar; use canonical `store`",
-                                ));
-                            }
-                            Rhs::Path(self.path_from(kw)?)
+                // Sugar assignment: `<path> = ...`.
+                let path = self.path_from(first)?;
+                self.expect(Kind::Eq)?;
+                let (r_at, r) = self.ident_at()?;
+                let rhs = match r {
+                    "new" => Rhs::New(self.ident()?),
+                    "null" => Rhs::Null,
+                    "call" => Rhs::Call(self.ident()?),
+                    kw => {
+                        if local_of(kw, r_at)?.is_some() {
+                            return Err(fault(
+                                r_at,
+                                "locals cannot be assigned to fields in sugar; use canonical `store`",
+                            ));
                         }
-                    };
-                    AstStmt::SAssign { path, rhs }
-                }
+                        Rhs::Path(self.path_from(kw)?)
+                    }
+                };
+                AstStmt::SAssign { path, rhs }
             }
         };
         self.ast.stmts.push((at, stmt));
@@ -1300,6 +1301,7 @@ fn lower(ast: &Ast<'_>) -> Result<Program> {
             }
             let ctx = BodyCtx {
                 class: cid,
+                name: c.name,
                 lo: &lo,
                 args: &ast.args,
             };
@@ -1331,12 +1333,23 @@ fn lower(ast: &Ast<'_>) -> Result<Program> {
 
 struct BodyCtx<'l, 'a> {
     class: ClassId,
+    /// The class's name. Most qualified names in a body name its own
+    /// class, which then resolves without a hash lookup.
+    name: &'a str,
     lo: &'l Lowerer<'a>,
     /// [`Ast::args`], which calls index by range.
     args: &'l [Local],
 }
 
 impl BodyCtx<'_, '_> {
+    fn class_named(&self, name: &str, at: u32) -> Result<ClassId> {
+        if name == self.name {
+            Ok(self.class)
+        } else {
+            self.lo.class(name, at)
+        }
+    }
+
     /// Resolve a sugar path to (base local, field id), emitting any loads
     /// needed to materialize the base.
     fn resolve_path(
@@ -1365,7 +1378,7 @@ impl BodyCtx<'_, '_> {
                 Ok((t, self.lo.field(outer_cls, f, at)?))
             }
             Path::Static(cname, f) => {
-                let cls = self.lo.class(cname, at)?;
+                let cls = self.class_named(cname, at)?;
                 let t = mb.new_local();
                 mb.load_static(t, cls);
                 Ok((t, self.lo.field(cls, f, at)?))
@@ -1384,7 +1397,7 @@ impl BodyCtx<'_, '_> {
         match *op {
             Operand::Local(l) => Ok(l),
             Operand::Class(name) => {
-                let cls = self.lo.class(name, at)?;
+                let cls = self.class_named(name, at)?;
                 Ok(mb.new_wired(cls))
             }
             Operand::Field(name) => {
@@ -1428,11 +1441,11 @@ fn lower_stmt(
     let lo = ctx.lo;
     match stmt {
         AstStmt::CNew { dst, class } => {
-            let c = lo.class(class, at)?;
+            let c = ctx.class_named(class, at)?;
             mb.new_obj(*dst, c);
         }
         AstStmt::CStatic { dst, class } => {
-            let c = lo.class(class, at)?;
+            let c = ctx.class_named(class, at)?;
             mb.load_static(*dst, c);
         }
         AstStmt::CLoad {
@@ -1441,7 +1454,7 @@ fn lower_stmt(
             class,
             field,
         } => {
-            let c = lo.class(class, at)?;
+            let c = ctx.class_named(class, at)?;
             let f = lo.field(c, field, at)?;
             mb.load(*dst, *base, f);
         }
@@ -1451,12 +1464,12 @@ fn lower_stmt(
             field,
             src,
         } => {
-            let c = lo.class(class, at)?;
+            let c = ctx.class_named(class, at)?;
             let f = lo.field(c, field, at)?;
             mb.store(*base, f, *src);
         }
         AstStmt::CFree { base, class, field } => {
-            let c = lo.class(class, at)?;
+            let c = ctx.class_named(class, at)?;
             let f = lo.field(c, field, at)?;
             mb.store_null(*base, f);
         }
@@ -1475,7 +1488,7 @@ fn lower_stmt(
             let args = ctx.args[args.clone()].to_vec();
             match *target {
                 Some((cname, mname)) => {
-                    let c = lo.class(cname, at)?;
+                    let c = ctx.class_named(cname, at)?;
                     let m = lo
                         .method(c, mname)
                         .ok_or_else(|| fault(at, format!("unknown method `{cname}.{mname}`")))?;
@@ -1555,7 +1568,7 @@ fn lower_stmt(
         }
         AstStmt::SAssign { path, rhs } => match *rhs {
             Rhs::New(cname) => {
-                let cls = lo.class(cname, at)?;
+                let cls = ctx.class_named(cname, at)?;
                 let (base, f) = ctx.resolve_path(mb, path, at)?;
                 let t = mb.new_wired(cls);
                 mb.store(base, f, t);
@@ -1618,7 +1631,7 @@ fn lower_stmt(
                     class,
                     field,
                 } => {
-                    let c = lo.class(class, at)?;
+                    let c = ctx.class_named(class, at)?;
                     let field = lo.field(c, field, at)?;
                     if non_null {
                         Cond::NotNull { base, field }
