@@ -168,24 +168,6 @@ struct Token {
     val: u32,
 }
 
-/// A token as messages show it, built only where one is needed.
-#[derive(Debug, Clone, Copy)]
-enum Tok<'a> {
-    Ident(&'a str),
-    Int(u32),
-    Punct(Kind),
-}
-
-impl fmt::Display for Tok<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Tok::Ident(s) => write!(f, "`{s}`"),
-            Tok::Int(n) => write!(f, "`{n}`"),
-            Tok::Punct(k) => write!(f, "`{}`", k.text()),
-        }
-    }
-}
-
 /// ASCII whitespace: the ASCII part of `char::is_whitespace`.
 fn is_blank(b: u8) -> bool {
     matches!(b, b'\t' | b'\n' | 0x0b | 0x0c | b'\r' | b' ')
@@ -546,11 +528,12 @@ impl<'a> Parser<'a> {
         &self.src[start..start + t.val as usize]
     }
 
-    fn tok(&self, t: Token) -> Tok<'a> {
+    /// A token as messages show it.
+    fn shown(&self, t: Token) -> String {
         match t.kind {
-            Kind::Ident => Tok::Ident(self.text(t)),
-            Kind::Int => Tok::Int(t.val),
-            k => Tok::Punct(k),
+            Kind::Ident => format!("`{}`", self.text(t)),
+            Kind::Int => format!("`{}`", t.val),
+            k => format!("`{}`", k.text()),
         }
     }
 
@@ -583,7 +566,7 @@ impl<'a> Parser<'a> {
         } else {
             Err(fault(
                 got.at,
-                format!("expected {}, found {}", Tok::Punct(want), self.tok(got)),
+                format!("expected `{}`, found {}", want.text(), self.shown(got)),
             ))
         }
     }
@@ -596,7 +579,7 @@ impl<'a> Parser<'a> {
         } else {
             Err(fault(
                 t.at,
-                format!("expected identifier, found {}", self.tok(t)),
+                format!("expected identifier, found {}", self.shown(t)),
             ))
         }
     }
@@ -612,7 +595,7 @@ impl<'a> Parser<'a> {
         } else {
             Err(fault(
                 t.at,
-                format!("expected integer, found {}", self.tok(t)),
+                format!("expected integer, found {}", self.shown(t)),
             ))
         }
     }
@@ -642,12 +625,13 @@ impl<'a> Parser<'a> {
         }
         self.ast.name = self.ident()?;
         while let Some(&t) = self.toks.get(self.pos) {
-            let Tok::Ident(kw) = self.tok(t) else {
+            if t.kind != Kind::Ident {
                 return Err(fault(
                     t.at,
-                    format!("expected class or manifest, found {}", self.tok(t)),
+                    format!("expected class or manifest, found {}", self.shown(t)),
                 ));
-            };
+            }
+            let kw = self.text(t);
             self.pos += 1;
             if kw == "manifest" {
                 self.expect(Kind::LBrace)?;
@@ -1090,7 +1074,7 @@ impl<'a> Parser<'a> {
                 _ => {
                     return Err(fault(
                         op.at,
-                        format!("expected `!=` or `==`, found {}", self.tok(op)),
+                        format!("expected `!=` or `==`, found {}", self.shown(op)),
                     ))
                 }
             };
