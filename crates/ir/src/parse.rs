@@ -513,15 +513,6 @@ fn local_of(name: &str, at: u32) -> Result<Option<Local>> {
 }
 
 impl<'a> Parser<'a> {
-    fn new(src: &'a str, toks: Vec<Token>) -> Self {
-        Parser {
-            src,
-            toks,
-            pos: 0,
-            ast: Ast::default(),
-        }
-    }
-
     /// The name an identifier token spells.
     fn text(&self, t: Token) -> &'a str {
         let start = t.at as usize;
@@ -1170,7 +1161,13 @@ pub fn parse_program(src: &str) -> std::result::Result<Program, ParseError> {
 
 fn parse(src: &str) -> Result<Program> {
     check_len(src.len())?;
-    let ast = Parser::new(src, lex(src)?).program()?;
+    let ast = Parser {
+        src,
+        toks: lex(src)?,
+        pos: 0,
+        ast: Ast::default(),
+    }
+    .program()?;
     lower(&ast)
 }
 
