@@ -205,7 +205,7 @@ impl ProgramBuilder {
                 .any(|&f| self.fields[f.index()].name == name),
             "duplicate field {name:?} on class {owner}"
         );
-        self.push_field(owner, name, ty)
+        self.add_unique_field(owner, name, ty)
     }
 
     /// Add a field whose name the caller has already checked to be new on
@@ -213,13 +213,9 @@ impl ProgramBuilder {
     pub(crate) fn add_unique_field(
         &mut self,
         owner: ClassId,
-        name: &str,
+        name: String,
         ty: Option<ClassId>,
     ) -> FieldId {
-        self.push_field(owner, name.to_owned(), ty)
-    }
-
-    fn push_field(&mut self, owner: ClassId, name: String, ty: Option<ClassId>) -> FieldId {
         let id = FieldId::from_raw(self.fields.len() as u32);
         if name == OUTER_FIELD {
             self.outer_fields[owner.index()] = Some(id);
@@ -238,7 +234,7 @@ impl ProgramBuilder {
         assert!(class.index() < self.classes.len(), "unknown class {class}");
         match self.outer_fields[class.index()] {
             Some(f) => f,
-            None => self.push_field(class, OUTER_FIELD.to_owned(), None),
+            None => self.add_unique_field(class, OUTER_FIELD.to_owned(), None),
         }
     }
 
@@ -261,16 +257,12 @@ impl ProgramBuilder {
                 .all(|&m| self.method_name(m) != name),
             "duplicate method {name:?} on class {owner}"
         );
-        self.push_method(owner, name)
+        self.declare_unique_method(owner, name)
     }
 
     /// Declare a method whose name the caller has already checked to be
     /// new on `owner`, as the parser's name table does.
-    pub(crate) fn declare_unique_method(&mut self, owner: ClassId, name: &str) -> MethodId {
-        self.push_method(owner, name.to_owned())
-    }
-
-    fn push_method(&mut self, owner: ClassId, name: String) -> MethodId {
+    pub(crate) fn declare_unique_method(&mut self, owner: ClassId, name: String) -> MethodId {
         let id = MethodId::from_raw(self.methods.len() as u32);
         self.methods.push(MethodSlot::Declared { name, owner });
         self.classes[owner.index()].methods.push(id);

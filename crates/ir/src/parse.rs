@@ -1235,7 +1235,7 @@ fn lower(ast: &Ast<'_>) -> Result<Program> {
             let Entry::Vacant(slot) = lo.fields.entry((cid, fname)) else {
                 return Err(fault(c.at, format!("duplicate field `{fname}`")));
             };
-            slot.insert(b.add_unique_field(cid, fname, ty));
+            slot.insert(b.add_unique_field(cid, fname.to_owned(), ty));
         }
         if c.role.is_framework_helper() {
             if let Entry::Vacant(slot) = lo.fields.entry((cid, OUTER_FIELD)) {
@@ -1251,7 +1251,7 @@ fn lower(ast: &Ast<'_>) -> Result<Program> {
             let Entry::Vacant(slot) = lo.methods.entry((cid, m.name)) else {
                 return Err(fault(m.at, format!("duplicate method `{}`", m.name)));
             };
-            mids.push(*slot.insert(b.declare_unique_method(cid, m.name)));
+            mids.push(*slot.insert(b.declare_unique_method(cid, m.name.to_owned())));
         }
     }
 
