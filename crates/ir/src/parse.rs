@@ -224,11 +224,11 @@ fn check_len(len: usize) -> Result<()> {
     }
 }
 
-/// Split the source into tokens. Runs of blanks and of ASCII identifier
-/// bytes are consumed by direct byte tests, blanks before each token is
-/// dispatched, and a `char` is decoded only at a non-ASCII byte, so
-/// Unicode letters and digits continue identifiers and Unicode
-/// whitespace separates tokens. Each token is written once.
+/// Split the source into tokens, each written once. A run of ASCII
+/// blanks is skipped before a token's first byte is dispatched, a run of
+/// ASCII identifier bytes is consumed by direct byte tests, and a `char`
+/// is decoded only at a non-ASCII byte, so Unicode letters and digits
+/// continue identifiers and Unicode whitespace separates tokens.
 fn lex(src: &str) -> Result<Vec<Token>> {
     let bytes = src.as_bytes();
     let mut toks = Vec::with_capacity(src.len() / 4);
