@@ -4,72 +4,64 @@
 //! write every bench driver ends with.
 
 use crate::{render_table, run_row, run_row_timed, AppRun};
-use nadroid_core::PhaseTimings;
 use nadroid_corpus::table1_rows;
 use nadroid_ledger as ledger;
 use nadroid_obs::Histogram;
 use std::path::Path;
 use std::time::{Duration, Instant};
 
-/// A §8.8 phase: its ledger name and how to read it from the timings.
-type Phase = (&'static str, fn(&PhaseTimings) -> Duration);
-
-/// The §8.8 phases, in report order.
-const PHASES: [Phase; 7] = [
-    ("modeling", |t| t.modeling),
-    ("hb", |t| t.hb),
-    ("detection", |t| t.detection),
-    ("pointsto", |t| t.pointsto),
-    ("escape", |t| t.escape),
-    ("detect", |t| t.detect),
-    ("filtering", |t| t.filtering),
+/// The §8.8 phases, in report order, each named as its span and its
+/// `phase.<name>` ledger time. Detection's sub-phases follow it.
+const PHASES: [&str; 7] = [
+    "modeling",
+    "hb",
+    "detection",
+    "pointsto",
+    "escape",
+    "detect",
+    "filtering",
 ];
 
-fn sum_timings(runs: &[AppRun]) -> PhaseTimings {
-    let mut sum = PhaseTimings::default();
-    for run in runs {
-        sum.modeling += run.timings.modeling;
-        sum.hb += run.timings.hb;
-        sum.detection += run.timings.detection;
-        sum.filtering += run.timings.filtering;
-        sum.pointsto += run.timings.pointsto;
-        sum.escape += run.timings.escape;
-        sum.detect += run.timings.detect;
-    }
-    sum
+/// The phases that partition a pipeline run; `phase.total` is their sum.
+const TOP_PHASES: [&str; 4] = ["modeling", "hb", "detection", "filtering"];
+
+/// Times from spans outside the phase table: the ledger key and the span.
+const LAYER_TIMES: [(&str, &str); 2] = [
+    ("ir.parse_secs", "parse"),
+    ("hb.closure_secs", "hb.closure"),
+];
+
+/// One span's time summed over the app runs.
+fn span_sum(runs: &[AppRun], name: &str) -> Duration {
+    runs.iter().map(|run| run.recorder.span_total(name)).sum()
 }
 
 /// A ledger record of `kind` holding what every suite run measures:
 /// wall and CPU seconds, per-phase seconds summed across the app runs,
 /// the app count, and every recorder counter summed over the apps.
-/// Time-valued `*_micros` counters are folded into `times` so the
-/// counter section stays exactly comparable.
+/// Every time but the suite's wall clock is a sum of the apps' span
+/// totals.
 fn suite_record(kind: ledger::Kind, runs: &[AppRun], wall: Duration) -> ledger::Record {
-    let sum = sum_timings(runs);
+    let total: Duration = TOP_PHASES.iter().map(|name| span_sum(runs, name)).sum();
     let mut rec = ledger::Record::new(kind);
     rec.times
         .insert("suite.wall_secs".into(), wall.as_secs_f64());
     rec.times
-        .insert("suite.cpu_secs".into(), sum.total().as_secs_f64());
-    for (name, pick) in PHASES {
+        .insert("suite.cpu_secs".into(), total.as_secs_f64());
+    for name in PHASES {
         rec.times
-            .insert(format!("phase.{name}"), pick(&sum).as_secs_f64());
+            .insert(format!("phase.{name}"), span_sum(runs, name).as_secs_f64());
     }
-    rec.times
-        .insert("phase.total".into(), sum.total().as_secs_f64());
+    rec.times.insert("phase.total".into(), total.as_secs_f64());
+    for (key, span) in LAYER_TIMES {
+        rec.times
+            .insert(key.into(), span_sum(runs, span).as_secs_f64());
+    }
 
     rec.counters.insert("apps".into(), runs.len() as u64);
-    let mut counter_totals: std::collections::BTreeMap<String, u64> = Default::default();
     for run in runs {
         for (name, v) in run.recorder.counters() {
-            *counter_totals.entry(name).or_insert(0) += v;
-        }
-    }
-    for (name, v) in counter_totals {
-        if let Some(stem) = name.strip_suffix("_micros") {
-            rec.times.insert(format!("{stem}_secs"), v as f64 / 1e6);
-        } else {
-            rec.counters.insert(name, v);
+            *rec.counters.entry(name).or_insert(0) += v;
         }
     }
     rec
@@ -102,9 +94,7 @@ pub fn measure_suite() -> SuiteMeasurement {
     let suite_wall = suite_start.elapsed();
     let record = suite_record(ledger::Kind::Timing, &runs, suite_wall);
 
-    let header: Vec<&str> = std::iter::once("app")
-        .chain(PHASES.iter().map(|&(name, _)| name))
-        .collect();
+    let header: Vec<&str> = std::iter::once("app").chain(PHASES).collect();
     let rows: Vec<Vec<String>> = runs
         .iter()
         .map(|run| {
@@ -112,15 +102,14 @@ pub fn measure_suite() -> SuiteMeasurement {
                 .chain(
                     PHASES
                         .iter()
-                        .map(|(_, pick)| format!("{:?}", pick(&run.timings))),
+                        .map(|name| format!("{:?}", run.recorder.span_total(name))),
                 )
                 .collect()
         })
         .collect();
     let table = render_table(&header, &rows);
 
-    let sum = sum_timings(&runs);
-    let total = sum.total();
+    let total: Duration = TOP_PHASES.iter().map(|name| span_sum(&runs, name)).sum();
     let pct = |d: Duration| d.as_secs_f64() / total.as_secs_f64() * 100.0;
     let mut breakdown = String::new();
     use std::fmt::Write as _;
@@ -129,14 +118,14 @@ pub fn measure_suite() -> SuiteMeasurement {
         "§8.8 breakdown over the {}-app suite (paper: 1.19% / 95.73% / 3.08%):",
         runs.len()
     );
-    for (name, pick) in PHASES {
+    for name in PHASES {
         // Detection's sub-phases are indented under it.
-        let label = if matches!(name, "pointsto" | "escape" | "detect") {
-            format!("    {name:<8}")
-        } else {
+        let label = if TOP_PHASES.contains(&name) {
             format!("  {name:<10}")
+        } else {
+            format!("    {name:<8}")
         };
-        let d = pick(&sum);
+        let d = span_sum(&runs, name);
         let _ = writeln!(breakdown, "{label}: {d:>12?}  {:5.2}%", pct(d));
     }
     let _ = writeln!(
@@ -163,10 +152,10 @@ pub fn suite_ledger_record(kind: ledger::Kind) -> ledger::Record {
     let runs: Vec<AppRun> = table1_rows().iter().map(run_row).collect();
     let mut rec = suite_record(kind, &runs, start.elapsed());
 
-    for (name, pick) in PHASES {
+    for name in PHASES {
         let mut h = Histogram::new();
         for run in &runs {
-            h.record(u64::try_from(pick(&run.timings).as_micros()).unwrap_or(u64::MAX));
+            h.record(u64::try_from(run.recorder.span_total(name).as_micros()).unwrap_or(u64::MAX));
         }
         rec.hists.insert(format!("phase_us.{name}"), h);
     }
@@ -242,5 +231,40 @@ mod tests {
         let potential = suite.population.expect("suite population").tallies["potential"];
         assert_eq!(potential, 2320, "Table 1's potential total");
         assert_eq!(timing.counters["detector.racy_pairs"], potential);
+    }
+
+    /// Every suite time is read from the apps' spans. On K-9 the
+    /// detection sub-phases each take time and nest inside detection,
+    /// and the record's total is its four phases' sum.
+    #[test]
+    fn suite_times_are_span_totals() {
+        let row = table1_rows().into_iter().find(|r| r.name == "K-9").unwrap();
+        let run = run_row_timed(&row);
+        let span = |name: &str| run.recorder.span_total(name);
+        for sub in ["pointsto", "escape", "detect"] {
+            assert!(span(sub) > Duration::ZERO, "{sub}");
+        }
+        assert!(span("pointsto") + span("escape") + span("detect") <= span("detection"));
+
+        let rec = suite_record(
+            ledger::Kind::Timing,
+            std::slice::from_ref(&run),
+            Duration::ZERO,
+        );
+        let phases: f64 = TOP_PHASES
+            .iter()
+            .map(|p| rec.times[&format!("phase.{p}")])
+            .sum();
+        assert!(
+            (rec.times["phase.total"] - phases).abs() < 1e-9,
+            "{:?}",
+            rec.times
+        );
+        assert_eq!(rec.times["suite.cpu_secs"], rec.times["phase.total"]);
+        for (key, name) in LAYER_TIMES {
+            assert!(rec.times[key] > 0.0, "{key}");
+            assert_eq!(rec.times[key], span(name).as_secs_f64());
+        }
+        assert_eq!(rec.times["phase.escape"], span("escape").as_secs_f64());
     }
 }

@@ -46,8 +46,8 @@ pub enum Command {
         /// Write a Chrome `trace_event` JSON file of the run (load it in
         /// chrome://tracing or Perfetto).
         trace: Option<String>,
-        /// Write a flat JSON run-report (timings, counters, span
-        /// aggregates) to this file.
+        /// Write a flat JSON run-report (counters, gauges and span
+        /// aggregates, whose totals are the phase times) to this file.
         report: Option<String>,
         /// Write the `nadroid-provenance/4` JSON document (stable warning
         /// ids, derivation trees, filter audit, HB evidence) to this file.
@@ -366,8 +366,9 @@ RUN LEDGER (see docs/observability.md):
 OBSERVABILITY (see docs/observability.md):
     --trace <file>    Chrome trace_event JSON — open in chrome://tracing
                       or https://ui.perfetto.dev
-    --report <file>   flat JSON run-report: phase timings, counters
-                      (incl. per-filter examined/killed), span aggregates
+    --report <file>   flat JSON run-report: counters (incl. per-filter
+                      examined/killed) and span aggregates, whose
+                      totals are the phase times
     --provenance <f>  nadroid-provenance/4 JSON: stable warning ids,
                       Datalog derivation trees, per-filter audit trail,
                       happens-before evidence, and the program hash
@@ -1381,12 +1382,11 @@ fn ledger_path(over: Option<&str>) -> std::path::PathBuf {
     std::path::PathBuf::from(over.unwrap_or(ledger::DEFAULT_PATH))
 }
 
-fn diff_options(min_effect: Option<&str>) -> ledger::DiffOptions {
-    let mut opts = ledger::DiffOptions::default();
-    if let Some(parsed) = min_effect.and_then(|v| v.parse().ok()) {
-        opts.min_effect = parsed;
-    }
-    opts
+/// `--min-effect`'s value, or the ledger's default when it is absent or
+/// not a number.
+fn min_effect_of(arg: Option<&str>) -> f64 {
+    arg.and_then(|v| v.parse().ok())
+        .unwrap_or(ledger::DEFAULT_MIN_EFFECT)
 }
 
 /// The one record a committed `BENCH_*.json` artifact holds.
@@ -1471,8 +1471,7 @@ fn run_perf(perf: &PerfCommand) -> Result<String, CliError> {
             let path = ledger_path(over.as_deref());
             let (base, base_label) = resolve_record(&path, base)?;
             let (cur, cur_label) = resolve_record(&path, current)?;
-            let opts = diff_options(min_effect.as_deref());
-            let deltas = ledger::diff(&base, &cur, &opts);
+            let deltas = ledger::diff(&base, &cur, min_effect_of(min_effect.as_deref()));
             Ok(ledger::render_diff(&base_label, &cur_label, &deltas))
         }
         PerfCommand::Gate {
@@ -1483,7 +1482,6 @@ fn run_perf(perf: &PerfCommand) -> Result<String, CliError> {
             ledger: over,
         } => {
             let path = ledger_path(over.as_deref());
-            let opts = diff_options(min_effect.as_deref());
             let (base, base_label) = resolve_record(&path, against)?;
             // The current side: a chosen record, or a fresh measurement
             // of the same workload the timing driver records, so
@@ -1500,7 +1498,7 @@ fn run_perf(perf: &PerfCommand) -> Result<String, CliError> {
             if *record {
                 ledger::append(&path, &cur).map_err(CliError::from)?;
             }
-            let verdict = ledger::gate(&base, &cur, &opts);
+            let verdict = ledger::gate(&base, &cur, min_effect_of(min_effect.as_deref()));
             let mut out = ledger::render_diff(&base_label, &cur_label, &verdict.deltas);
             out.push_str(&verdict.summary());
             out.push('\n');
@@ -2163,10 +2161,16 @@ activity M { cb onClick { } }",
             "--stats appends the tree:\n{out}"
         );
         assert!(out.contains("analyze"), "{out}");
-        // The HB graph reports its edges, closure time and predicate facts.
-        for counter in ["hb.edges", "hb.closure_micros", "hb.predicate_edges"] {
+        // The HB graph reports its edges and predicate facts, and its
+        // closures run in a span of their own.
+        for counter in ["hb.edges", "hb.predicate_edges"] {
             assert!(out.contains(counter), "missing {counter}:\n{out}");
         }
+        assert!(
+            out.lines()
+                .any(|l| l.split_whitespace().next() == Some("hb.closure")),
+            "no hb.closure span:\n{out}"
+        );
 
         let trace = std::fs::read_to_string(&trace_path).unwrap();
         assert!(trace.contains("\"traceEvents\""), "{trace}");
@@ -2176,6 +2180,7 @@ activity M { cb onClick { } }",
             "analyze",
             "modeling",
             "hb",
+            "hb.closure",
             "detection",
             "pointsto",
             "escape",

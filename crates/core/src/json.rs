@@ -17,8 +17,10 @@
 //! ```
 
 use crate::report::RenderedWarning;
-use crate::{Analysis, PhaseTimings};
+use crate::Analysis;
+use nadroid_ir::Fnv64;
 use std::fmt::Write as _;
+use std::hash::Hasher as _;
 
 /// Escape a string for a JSON string literal. Public because the serve
 /// layer encodes its wire protocol with the same conventions as the
@@ -334,11 +336,7 @@ pub fn fingerprint(w: &RenderedWarning) -> String {
 /// it sits next to — comparing content, not mtimes.
 #[must_use]
 pub fn program_hash(program: &nadroid_ir::Program) -> String {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in nadroid_ir::print_program(program).bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
+    let h = Fnv64::hash(nadroid_ir::print_program(program).as_bytes());
     format!("p:{h:016x}")
 }
 
@@ -353,14 +351,12 @@ pub fn program_hash(program: &nadroid_ir::Program) -> String {
 pub fn warning_population_digest<S: AsRef<str>>(ids: &[S]) -> String {
     let mut sorted: Vec<&str> = ids.iter().map(AsRef::as_ref).collect();
     sorted.sort_unstable();
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut h = Fnv64::default();
     for id in sorted {
-        for b in id.bytes().chain(std::iter::once(b'\n')) {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        h.write(id.as_bytes());
+        h.write_u8(b'\n');
     }
-    format!("wp:{h:016x}")
+    format!("wp:{:016x}", h.finish())
 }
 
 /// Render the analysis as a JSON document.
@@ -409,34 +405,12 @@ pub fn render_json(analysis: &Analysis<'_>) -> String {
     out
 }
 
-/// Render phase timings as a JSON object (seconds, six decimals) for
-/// the run report: `modeling`, `hb`, `detection` with its
-/// `pointsto`/`escape`/`detect` sub-phases, `filtering`, and `total` —
-/// the same names the ledger's `phase.<name>` times use.
-#[must_use]
-pub fn phase_timings_json(t: &PhaseTimings, indent: &str) -> String {
-    let s = |d: std::time::Duration| format!("{:.6}", d.as_secs_f64());
-    format!(
-        "{{\n{indent}  \"modeling\": {},\n{indent}  \"hb\": {},\n\
-         {indent}  \"detection\": {},\n\
-         {indent}  \"pointsto\": {},\n{indent}  \"escape\": {},\n\
-         {indent}  \"detect\": {},\n{indent}  \"filtering\": {},\n\
-         {indent}  \"total\": {}\n{indent}}}",
-        s(t.modeling),
-        s(t.hb),
-        s(t.detection),
-        s(t.pointsto),
-        s(t.escape),
-        s(t.detect),
-        s(t.filtering),
-        s(t.total())
-    )
-}
-
-/// Render the full run-report JSON: the app summary, the phase timings,
-/// and everything the recorder captured (wall/busy seconds, counters —
-/// including the per-filter `filter.<NAME>.examined`/`.killed` Figure 5
-/// inputs — gauges, and span aggregates).
+/// Render the full run-report JSON: the app summary and everything the
+/// recorder captured (wall/busy seconds, counters — including the
+/// per-filter `filter.<NAME>.examined`/`.killed` Figure 5 inputs —
+/// gauges, and span aggregates, whose `modeling`, `hb`, `detection`,
+/// `pointsto`, `escape`, `detect` and `filtering` totals are the §8.8
+/// phase times).
 #[must_use]
 pub fn render_run_report(analysis: &Analysis<'_>, recorder: &nadroid_obs::Recorder) -> String {
     let s = analysis.summary();
@@ -456,11 +430,6 @@ pub fn render_run_report(analysis: &Analysis<'_>, recorder: &nadroid_obs::Record
         s.after_unsound,
         s.refuted,
         s.after_refutation
-    );
-    let _ = writeln!(
-        out,
-        "  \"phase_secs\": {},",
-        phase_timings_json(analysis.timings(), "  ")
     );
     out.push_str(&recorder.report_fields("  "));
     out.push_str("\n}\n");
@@ -762,36 +731,6 @@ mod tests {
     }
 
     #[test]
-    fn phase_timings_encode_all_fields_balanced() {
-        let p = parse_program(
-            r#"
-            app T
-            activity M {
-                field f: M
-                cb onClick { use f }
-                cb onPause { f = null }
-            }
-            "#,
-        )
-        .unwrap();
-        let a = analyze(&p, &AnalysisConfig::default());
-        let json = phase_timings_json(a.timings(), "");
-        for key in [
-            "modeling",
-            "hb",
-            "detection",
-            "pointsto",
-            "escape",
-            "detect",
-            "filtering",
-            "total",
-        ] {
-            assert!(json.contains(&format!("\"{key}\": ")), "{json}");
-        }
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-    }
-
-    #[test]
     fn run_report_embeds_summary_timings_and_metrics() {
         let p = parse_program(
             r#"
@@ -811,7 +750,12 @@ mod tests {
         };
         let report = render_run_report(&a, &rec);
         assert!(report.contains("\"app\": \"R\""), "{report}");
-        assert!(report.contains("\"phase_secs\""), "{report}");
+        for phase in ["modeling", "hb", "detection", "filtering"] {
+            assert!(
+                report.contains(&format!("{{\"name\": \"{phase}\", \"count\": 1,")),
+                "{report}"
+            );
+        }
         assert!(report.contains("\"filter.MHB.examined\""), "{report}");
         assert!(report.contains("\"detector.racy_pairs\""), "{report}");
         assert!(report.contains("\"wall_secs\""), "{report}");

@@ -42,8 +42,8 @@ pub mod report;
 
 pub use fpclass::{classify_fp, FpCause, VerdictColumns};
 pub use json::{
-    esc, esc_into, fingerprint, parse_json, phase_timings_json, program_hash, render_json,
-    render_run_report, warning_population_digest, JsonValue,
+    esc, esc_into, fingerprint, parse_json, program_hash, render_json, render_run_report,
+    warning_population_digest, JsonValue,
 };
 pub use provenance::{
     render_explain, render_explain_from_json, render_provenance_json, render_provenance_json_with,
@@ -60,7 +60,6 @@ use nadroid_ir::{InstrId, Program};
 use nadroid_obs as obs;
 use nadroid_pointsto::{Escape, PointsTo};
 use nadroid_threadify::ThreadModel;
-use std::time::{Duration, Instant};
 
 /// Pipeline configuration.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -95,47 +94,6 @@ impl Default for AnalysisConfig {
             unsound_filters: FilterKind::unsound().to_vec(),
             threads,
         }
-    }
-}
-
-/// Wall-clock time of each pipeline phase (§8.8).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PhaseTimings {
-    /// Threadification (§4).
-    pub modeling: Duration,
-    /// Happens-before graph construction: the direct edges, the predicate
-    /// facts and the `mustHb` and `predHb` closures.
-    pub hb: Duration,
-    /// Points-to + escape + race detection (§5).
-    pub detection: Duration,
-    /// Filter evaluation (§6).
-    pub filtering: Duration,
-    /// Detection sub-phase: the k-object-sensitive points-to solve.
-    pub pointsto: Duration,
-    /// Detection sub-phase: thread-escape computation.
-    pub escape: Duration,
-    /// Detection sub-phase: racy-pair enumeration.
-    pub detect: Duration,
-}
-
-impl PhaseTimings {
-    /// Total time.
-    ///
-    /// In debug builds, asserts the sub-phase invariant: the detection
-    /// sub-phases are measured directly (not by subtraction) and must
-    /// sum to no more than the enclosing detection phase.
-    #[must_use]
-    pub fn total(&self) -> Duration {
-        debug_assert!(
-            self.pointsto + self.escape + self.detect <= self.detection,
-            "detection sub-phases exceed the detection phase: \
-             {:?} + {:?} + {:?} > {:?}",
-            self.pointsto,
-            self.escape,
-            self.detect,
-            self.detection
-        );
-        self.modeling + self.hb + self.detection + self.filtering
     }
 }
 
@@ -186,18 +144,18 @@ pub struct Analysis<'p> {
     /// The materialized happens-before relation every HB-family filter
     /// query was answered from.
     hb: HbGraph,
-    timings: PhaseTimings,
 }
 
 /// Run the full pipeline.
 ///
-/// Each phase (and each detection sub-phase) runs under an
-/// [`nadroid_obs`] span, and every layer feeds the installed recorder's
-/// counters — see `docs/observability.md` for the naming scheme. With no
-/// recorder installed the instrumentation is a thread-local check.
-/// Sub-phase durations are measured directly around each sub-phase (not
-/// derived by subtraction), so `pointsto + escape + detect` can never
-/// exceed `detection`.
+/// Each phase (§8.8: `modeling`, `hb`, `detection`, `filtering`) and
+/// each detection sub-phase (`pointsto`, `escape`, `detect`) runs under
+/// an [`nadroid_obs`] span, the only clock the pipeline keeps, and every
+/// layer feeds the installed recorder's counters — see
+/// `docs/observability.md` for the naming scheme. With no recorder
+/// installed the instrumentation is a thread-local check. The
+/// sub-phase spans nest inside the `detection` span, so their totals
+/// never exceed it.
 #[must_use]
 pub fn analyze<'p>(program: &'p Program, config: &AnalysisConfig) -> Analysis<'p> {
     // The thread budget is ambient (thread-local) rather than plumbed
@@ -209,12 +167,10 @@ pub fn analyze<'p>(program: &'p Program, config: &AnalysisConfig) -> Analysis<'p
 fn analyze_inner<'p>(program: &'p Program, config: &AnalysisConfig) -> Analysis<'p> {
     let _span = obs::span("analyze");
 
-    let t0 = Instant::now();
     let threads = {
         let _s = obs::span("modeling");
         ThreadModel::build(program)
     };
-    let modeling = t0.elapsed();
     if obs::recording() {
         obs::counter("model.threads", threads.thread_count() as u64);
         obs::counter(
@@ -227,37 +183,26 @@ fn analyze_inner<'p>(program: &'p Program, config: &AnalysisConfig) -> Analysis<
         );
     }
 
-    let t_hb = Instant::now();
     let hb = {
         let _s = obs::span("hb");
         HbGraph::build(program, &threads)
     };
-    let hb_time = t_hb.elapsed();
 
-    let t1 = Instant::now();
     let _detection_span = obs::span("detection");
-    let t_sub = Instant::now();
     let pts = {
         let _s = obs::span("pointsto");
         PointsTo::run(program, &threads, config.k)
     };
-    let pointsto = t_sub.elapsed();
-    let t_sub = Instant::now();
     let escape = {
         let _s = obs::span("escape");
         Escape::compute(program, &threads, &pts)
     };
-    let escape_time = t_sub.elapsed();
-    let t_sub = Instant::now();
     let warnings = {
         let _s = obs::span("detect");
         detect(program, &threads, &pts, &escape, config.detector)
     };
-    let detect_time = t_sub.elapsed();
     drop(_detection_span);
-    let detection = t1.elapsed();
 
-    let t2 = Instant::now();
     let _filtering_span = obs::span("filtering");
     let filters = Filters::with_hb(program, &threads, &pts, &escape, &hb);
     let sound_outcomes = filters.pipeline(warnings.clone(), &config.sound_filters);
@@ -288,7 +233,6 @@ fn analyze_inner<'p>(program: &'p Program, config: &AnalysisConfig) -> Analysis<
         refutations
     };
     drop(_filtering_span);
-    let filtering = t2.elapsed();
 
     Analysis {
         program,
@@ -301,15 +245,6 @@ fn analyze_inner<'p>(program: &'p Program, config: &AnalysisConfig) -> Analysis<
         unsound_outcomes,
         refutations,
         hb,
-        timings: PhaseTimings {
-            modeling,
-            hb: hb_time,
-            detection,
-            filtering,
-            pointsto,
-            escape: escape_time,
-            detect: detect_time,
-        },
     }
 }
 
@@ -390,12 +325,6 @@ impl<'p> Analysis<'p> {
             .map(|(_, r)| r)
     }
 
-    /// Phase timings (§8.8).
-    #[must_use]
-    pub fn timings(&self) -> &PhaseTimings {
-        &self.timings
-    }
-
     /// The happens-before graph the pipeline built and queried.
     #[must_use]
     pub fn hb(&self) -> &HbGraph {
@@ -470,21 +399,6 @@ impl<'p> Analysis<'p> {
             .collect();
         counts.retain(|(_, n)| *n > 0);
         counts
-    }
-
-    /// Surviving warnings grouped by racy field, as §7's report groups
-    /// them (one entry per field, with the distinct pairs under it).
-    #[must_use]
-    pub fn survivors_by_field(&self) -> Vec<(nadroid_ir::FieldId, Vec<(InstrId, InstrId)>)> {
-        let mut map: std::collections::BTreeMap<nadroid_ir::FieldId, Vec<(InstrId, InstrId)>> =
-            std::collections::BTreeMap::new();
-        for w in self.survivors() {
-            let e = map.entry(w.field).or_default();
-            if !e.contains(&w.pair()) {
-                e.push(w.pair());
-            }
-        }
-        map.into_iter().collect()
     }
 
     /// Run the no-sleep energy-bug client (§9) over the same analysis
@@ -636,10 +550,27 @@ mod tests {
     }
 
     #[test]
-    fn timings_are_recorded() {
+    fn every_phase_runs_under_its_span() {
         let p = parse_program(FIG1A).unwrap();
-        let a = analyze(&p, &AnalysisConfig::default());
-        assert!(a.timings().total() > Duration::ZERO);
+        let rec = nadroid_obs::Recorder::new();
+        {
+            let _g = rec.install();
+            let _a = analyze(&p, &AnalysisConfig::default());
+        }
+        let spans = rec.spans();
+        let depth = |name: &str| {
+            let mut found = spans.iter().filter(|s| s.name == name);
+            let span = found.next().unwrap_or_else(|| panic!("no {name} span"));
+            assert!(found.next().is_none(), "one {name} span");
+            span.depth
+        };
+        for phase in ["modeling", "hb", "detection", "filtering"] {
+            assert_eq!(depth(phase), depth("analyze") + 1, "{phase}");
+        }
+        for sub in ["pointsto", "escape", "detect"] {
+            assert_eq!(depth(sub), depth("detection") + 1, "{sub}");
+        }
+        assert_eq!(depth("refute"), depth("filtering") + 1);
     }
 
     #[test]
@@ -651,27 +582,6 @@ mod tests {
         };
         let a = analyze(&p, &cfg);
         assert_eq!(a.summary().after_sound, a.summary().after_unsound);
-    }
-
-    #[test]
-    fn survivors_group_by_field() {
-        let p = parse_program(
-            r#"
-            app G
-            activity M {
-                field f: M
-                cb onCreate { f = new M }
-                cb onClick { use f }
-                cb onLongClick { use f }
-                cb onPause { f = null }
-            }
-            "#,
-        )
-        .unwrap();
-        let a = analyze(&p, &AnalysisConfig::default());
-        let grouped = a.survivors_by_field();
-        assert_eq!(grouped.len(), 1, "one racy field");
-        assert_eq!(grouped[0].1.len(), 2, "two distinct use sites under it");
     }
 
     #[test]

@@ -11,6 +11,7 @@
 
 use crate::generator::{distribute, AppSpec};
 use crate::patterns::PatternKind;
+use nadroid_ir::Fnv64;
 
 /// Train/test split of §8.2.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -223,7 +224,7 @@ pub fn spec_for(row: &PaperRow) -> AppSpec {
     let unsound_pruned = after_sound - survivors;
     let fp_count = survivors - row.harmful;
 
-    let mut spec = AppSpec::new(row.name, fxhash(row.name));
+    let mut spec = AppSpec::new(row.name, name_seed(row.name));
     let weights: Vec<f64> = SOUND_SPLIT.iter().map(|(_, w)| *w).collect();
     for (i, n) in distribute(sound_pruned, &weights).into_iter().enumerate() {
         spec = spec.with(SOUND_SPLIT[i].0, n);
@@ -250,7 +251,7 @@ pub fn spec_for(row: &PaperRow) -> AppSpec {
 /// workload (nominally 1000 apps).
 ///
 /// Everything is a pure function of the app's index: the name, the seed
-/// (via [`fxhash`] of the name, like the Table 1 suite), and a
+/// (via [`name_seed`] of the name, like the Table 1 suite), and a
 /// heavy-tailed size class — one in 200 apps is K-9-sized (~60 planted
 /// clusters), one in 50 is mid-sized, one in 10 is small-but-real, and
 /// the rest are the 2–5-cluster long tail that dominates real app
@@ -264,7 +265,7 @@ pub fn scale_specs(total: usize) -> Vec<AppSpec> {
     (0..total)
         .map(|i| {
             let name = format!("scale_{i:04}");
-            let seed = fxhash(&name);
+            let seed = name_seed(&name);
             let clusters = if i % 200 == 0 {
                 60
             } else if i % 50 == 0 {
@@ -300,11 +301,9 @@ pub fn scale_specs(total: usize) -> Vec<AppSpec> {
         .collect()
 }
 
-/// Deterministic name hash for per-app seeds.
-fn fxhash(name: &str) -> u64 {
-    name.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
-    })
+/// An app's seed: the FNV-1a hash of its name.
+fn name_seed(name: &str) -> u64 {
+    Fnv64::hash(name.as_bytes())
 }
 
 /// The 8 DroidRacer apps of the Table 2 false-negative study, with the
@@ -390,7 +389,7 @@ impl InjectedRow {
     /// planted UAFs plus a little benign background.
     #[must_use]
     pub fn spec(&self) -> AppSpec {
-        let mut spec = AppSpec::new(format!("{}_injected", self.name), fxhash(self.name));
+        let mut spec = AppSpec::new(format!("{}_injected", self.name), name_seed(self.name));
         let mut remaining = self.injected;
         // Replace some injections with the special §8.6 miss shapes.
         let mut missed = self.missed_by_detection;

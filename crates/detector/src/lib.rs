@@ -25,9 +25,10 @@
 #![warn(missing_docs)]
 
 use nadroid_ir::walk::{self, InstrCtx};
-use nadroid_ir::{FieldId, InstrId, Local, MethodId, Op, Program};
+use nadroid_ir::{FieldId, Fnv64, InstrId, Local, MethodId, Op, Program};
 use nadroid_pointsto::{Escape, ObjId, PointsTo};
 use nadroid_threadify::{ThreadId, ThreadModel};
+use std::hash::Hasher as _;
 
 /// Whether an access reads (use) or nulls (free) the field.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -324,7 +325,7 @@ pub fn warning_id(program: &Program, threads: &ThreadModel, w: &UafWarning) -> S
         program.class(program.field(w.field).owner()).name(),
         program.field(w.field).name()
     );
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut h = Fnv64::default();
     for part in [
         field.as_str(),
         &program.describe_instr(w.use_access.instr),
@@ -332,15 +333,11 @@ pub fn warning_id(program: &Program, threads: &ThreadModel, w: &UafWarning) -> S
         &threads.lineage_string(program, w.use_thread),
         &threads.lineage_string(program, w.free_thread),
     ] {
-        for b in part.bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        h.write(part.as_bytes());
         // Separate components so ("ab","c") and ("a","bc") differ.
-        h ^= 0x1f;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        h.write_u8(0x1f);
     }
-    format!("w:{h:016x}")
+    format!("w:{:016x}", h.finish())
 }
 
 #[cfg(test)]

@@ -47,7 +47,7 @@ pub use explore::{
     minimize_schedule, replay, Exploration, ExploreConfig, Goal, Guide, Witness,
 };
 pub use machine::{flatten, CodeCache, FlatBody, FlatOp, Frame, Heap, HeapRef, Prov, Value};
-pub use schedule::{decode_schedule, describe_schedule, encode_schedule};
+pub use schedule::{decode_schedule, encode_schedule};
 pub use world::{
     AsyncRun, ConnState, Event, Npe, PendingPost, ServiceState, Step, Task, TaskId, TaskPhase,
     TraceEvent, World,

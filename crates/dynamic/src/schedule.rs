@@ -19,7 +19,7 @@
 //! | `t<run>` | [`Event::TaskPost`] |
 //!
 //! All ids are the deterministic arena/heap indices of the program the
-//! schedule was recorded against: [`World::new`] allocates component
+//! schedule was recorded against: [`crate::World::new`] allocates component
 //! singletons in class order, so a decoded schedule replays exactly on
 //! the same program. [`crate::replay`] additionally validates every
 //! step against the interpreter's dispatchability rules, so a schedule
@@ -27,7 +27,7 @@
 //! instead of executing nonsense.
 
 use crate::machine::HeapRef;
-use crate::world::{Event, Step, TaskId, World};
+use crate::world::{Event, Step, TaskId};
 use nadroid_android::CallbackKind;
 use nadroid_ir::{ClassId, MethodId};
 use std::fmt::Write as _;
@@ -147,35 +147,6 @@ pub fn decode_schedule(text: &str) -> Result<Vec<Step>, String> {
         out.push(step);
     }
     Ok(out)
-}
-
-/// Render a decoded schedule in human terms against a program — the
-/// reproduction recipe `nadroid confirm`/`nadroid replay` print.
-#[must_use]
-pub fn describe_schedule(world_of: &World<'_>, schedule: &[Step]) -> Vec<String> {
-    let p = world_of.program();
-    schedule
-        .iter()
-        .map(|step| match step {
-            Step::Advance { task, choice } => {
-                format!("advance task {} (choice {})", task.0, u8::from(*choice))
-            }
-            Step::Dispatch(e) => match e {
-                Event::Lifecycle { activity, kind } => {
-                    format!(
-                        "dispatch {}.{}",
-                        p.class(*activity).name(),
-                        kind.method_name()
-                    )
-                }
-                Event::Entry { method, .. } => {
-                    let m = p.method(*method);
-                    format!("dispatch {}.{}", p.class(m.owner()).name(), m.name())
-                }
-                e => format!("dispatch {e}"),
-            },
-        })
-        .collect()
 }
 
 #[cfg(test)]

@@ -58,7 +58,6 @@ use nadroid_threadify::resolve::SiteAction;
 use nadroid_threadify::{SpawnVia, ThreadId, ThreadKind, ThreadModel};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::ops::Range;
-use std::time::{Duration, Instant};
 
 /// The provenance label of one direct happens-before edge.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -174,8 +173,9 @@ impl HbGraph {
     /// the thread count, never the full pair square), then compute the
     /// `mustHb` and `predHb` transitive closures.
     ///
-    /// With a recorder installed, emits the `hb.edges`,
-    /// `hb.closure_micros` and `hb.predicate_edges` counters.
+    /// With a recorder installed, the two closures run in an `hb.closure`
+    /// span, and the build emits the `hb.edges` and `hb.predicate_edges`
+    /// counters.
     #[must_use]
     pub fn build(program: &Program, threads: &ThreadModel) -> HbGraph {
         let resume_fields = resume_alloc_fields(program, threads);
@@ -385,10 +385,10 @@ impl HbGraph {
             disables_prov.entry((d.raw(), c.raw())).or_insert(site);
         }
 
-        let t0 = Instant::now();
-        let must_hb = closure(&must_succ);
-        let pred_hb = closure(&facts.succ);
-        let closure_time = t0.elapsed();
+        let (must_hb, pred_hb) = {
+            let _s = nadroid_obs::span("hb.closure");
+            (closure(&must_succ), closure(&facts.succ))
+        };
 
         // mustNotHb needs predHb for its disjointness guard.
         let mut must_not: BTreeMap<(u32, u32), MustNotProv> = BTreeMap::new();
@@ -417,11 +417,7 @@ impl HbGraph {
             must_not,
             unreachable_cbs,
         };
-        emit_metrics(
-            graph.edges.len(),
-            closure_time,
-            graph.predicate_fact_count(),
-        );
+        emit_metrics(graph.edges.len(), graph.predicate_fact_count());
         graph
     }
 
@@ -655,11 +651,9 @@ fn shortest_path(succ: &[Vec<ThreadId>], a: ThreadId, b: ThreadId) -> Vec<Thread
     path
 }
 
-fn emit_metrics(edge_count: usize, closure: Duration, predicate_facts: usize) {
+fn emit_metrics(edge_count: usize, predicate_facts: usize) {
     if nadroid_obs::recording() {
         nadroid_obs::counter("hb.edges", edge_count as u64);
-        #[allow(clippy::cast_possible_truncation)]
-        nadroid_obs::counter("hb.closure_micros", closure.as_micros() as u64);
         nadroid_obs::counter("hb.predicate_edges", predicate_facts as u64);
     }
 }

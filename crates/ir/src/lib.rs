@@ -44,6 +44,7 @@
 #![warn(missing_docs)]
 
 mod builder;
+mod fnv;
 mod ids;
 mod instr;
 mod parse;
@@ -53,6 +54,7 @@ pub mod print;
 pub mod walk;
 
 pub use builder::{MethodBuilder, ProgramBuilder};
+pub use fnv::Fnv64;
 pub use ids::{ClassId, FieldId, InstrId, Local, MethodId};
 pub use instr::{AndroidOp, Block, Callee, Cond, Instr, Op, Stmt};
 pub use parse::{parse_program, ParseError};

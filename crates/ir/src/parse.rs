@@ -47,7 +47,6 @@ use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
 use std::ops::Range;
-use std::time::Instant;
 
 /// Error produced when the DSL text is malformed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -1139,8 +1138,7 @@ impl Lowerer<'_> {
 /// Parse DSL text into a [`Program`].
 ///
 /// When a recorder is installed on the calling thread, the parse runs in
-/// a `parse` span and adds to the `ir.parse_bytes` and `ir.parse_micros`
-/// counters.
+/// a `parse` span and adds to the `ir.parse_bytes` counter.
 ///
 /// # Errors
 ///
@@ -1149,14 +1147,8 @@ impl Lowerer<'_> {
 /// or method, or is too long for 32-bit offsets.
 pub fn parse_program(src: &str) -> std::result::Result<Program, ParseError> {
     let _span = obs::span("parse");
-    let start = Instant::now();
-    let parsed = parse(src).map_err(|f| f.into_error(src));
-    if obs::recording() {
-        obs::counter("ir.parse_bytes", src.len() as u64);
-        #[allow(clippy::cast_possible_truncation)]
-        obs::counter("ir.parse_micros", start.elapsed().as_micros() as u64);
-    }
-    parsed
+    obs::counter("ir.parse_bytes", src.len() as u64);
+    parse(src).map_err(|f| f.into_error(src))
 }
 
 fn parse(src: &str) -> Result<Program> {

@@ -15,11 +15,12 @@
 //!   deterministic, so any change is drift worth explaining;
 //! - **latency percentiles** carry the histogram encoder's quantization
 //!   error, so a delta only counts when it clears the combined
-//!   two-sided bound [`HIST_NOISE`] plus a configurable minimum effect
-//!   size ([`DiffOptions::min_effect`]);
+//!   two-sided bound [`HIST_NOISE`] plus a minimum effect size, the one
+//!   setting [`diff`] and [`gate`] take ([`DEFAULT_MIN_EFFECT`] unless
+//!   `--min-effect` says otherwise);
 //! - **wall/CPU seconds** from one-shot timers are the noisiest signal
-//!   of all and only flag past a multiplicative tolerance plus an
-//!   absolute slack ([`DiffOptions`]).
+//!   of all and only flag past a fixed multiplicative tolerance plus an
+//!   absolute slack (3x + 0.25 s).
 //!
 //! [`gate`] turns a diff into a CI verdict: any regression or
 //! unacknowledged drift fails with a message naming the exact counter,
@@ -178,8 +179,7 @@ pub struct Record {
     pub env: Env,
     /// Wall/CPU/phase timings, in seconds.
     pub times: BTreeMap<String, f64>,
-    /// Deterministic counters (time-valued `*_micros` counters are
-    /// folded into [`Record::times`] instead, so these compare exact).
+    /// Deterministic counters; they compare exact.
     pub counters: BTreeMap<String, u64>,
     /// Point latency readouts in microseconds (bench percentiles).
     pub percentiles: BTreeMap<String, u64>,
@@ -608,30 +608,19 @@ pub struct Delta {
     pub detail: String,
 }
 
-/// Thresholds for the noise-aware comparison.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DiffOptions {
-    /// Minimum relative effect size for latency percentiles, *on top
-    /// of* [`HIST_NOISE`]. 0.05 means "ignore latency moves under
-    /// quantization noise + 5%".
-    pub min_effect: f64,
-    /// Multiplicative tolerance for one-shot wall/CPU seconds; a time
-    /// only regresses when `cur > base * time_tolerance + slack_secs`.
-    pub time_tolerance: f64,
-    /// Absolute slack for one-shot timings, absorbing scheduler noise
-    /// on sub-second measurements.
-    pub slack_secs: f64,
-}
+/// The minimum relative effect size for latency percentiles, *on top
+/// of* [`HIST_NOISE`], that `perf diff` and `perf gate` use unless
+/// `--min-effect` gives another: 0.05 means "ignore latency moves under
+/// quantization noise + 5%".
+pub const DEFAULT_MIN_EFFECT: f64 = 0.05;
 
-impl Default for DiffOptions {
-    fn default() -> DiffOptions {
-        DiffOptions {
-            min_effect: 0.05,
-            time_tolerance: 3.0,
-            slack_secs: 0.25,
-        }
-    }
-}
+/// Multiplicative tolerance for one-shot wall/CPU seconds; a time only
+/// regresses when `cur > base * TIME_TOLERANCE + SLACK_SECS`.
+const TIME_TOLERANCE: f64 = 3.0;
+
+/// Absolute slack for one-shot timings, absorbing scheduler noise on
+/// sub-second measurements.
+const SLACK_SECS: f64 = 0.25;
 
 /// Whether two latency readouts (µs) differ beyond quantization noise
 /// plus the configured minimum effect, with a 1 µs absolute floor.
@@ -647,8 +636,8 @@ pub fn latency_changed(a: u64, b: u64, min_effect: f64) -> bool {
     hi > lo && gap > budget
 }
 
-fn time_beyond(budget_base: f64, cur: f64, opts: &DiffOptions) -> bool {
-    cur > budget_base.mul_add(opts.time_tolerance, opts.slack_secs)
+fn time_beyond(budget_base: f64, cur: f64) -> bool {
+    cur > budget_base.mul_add(TIME_TOLERANCE, SLACK_SECS)
 }
 
 /// Compare two records under the noise model. A counter, time,
@@ -661,10 +650,10 @@ fn time_beyond(budget_base: f64, cur: f64, opts: &DiffOptions) -> bool {
 /// under-sampled tail moves are reported as info, because a p99 over a
 /// handful of one-shot wall times is just the max and tracks scheduler
 /// noise, not the code. `diff(a, a)` is empty for every `a` and every
-/// option set — all rules pair a strict threshold with a direction
+/// `min_effect` — all rules pair a strict threshold with a direction
 /// guard.
 #[must_use]
-pub fn diff(base: &Record, cur: &Record, opts: &DiffOptions) -> Vec<Delta> {
+pub fn diff(base: &Record, cur: &Record, min_effect: f64) -> Vec<Delta> {
     let mut out = Vec::new();
     let mut only_cur = keyed(cur);
     for (key, b) in keyed(base) {
@@ -699,17 +688,15 @@ pub fn diff(base: &Record, cur: &Record, opts: &DiffOptions) -> Vec<Delta> {
 
     for (k, &b) in &base.times {
         if let Some(&c) = cur.times.get(k) {
-            if c > b && time_beyond(b, c, opts) {
+            if c > b && time_beyond(b, c) {
                 out.push(Delta {
                     severity: Severity::Regression,
                     key: format!("times.{k}"),
                     detail: format!(
-                        "{b:.6}s -> {c:.6}s (beyond {t:.2}x + {s:.2}s budget)",
-                        t = opts.time_tolerance,
-                        s = opts.slack_secs
+                        "{b:.6}s -> {c:.6}s (beyond {TIME_TOLERANCE:.2}x + {SLACK_SECS:.2}s budget)"
                     ),
                 });
-            } else if c < b && time_beyond(c, b, opts) {
+            } else if c < b && time_beyond(c, b) {
                 out.push(Delta {
                     severity: Severity::Improvement,
                     key: format!("times.{k}"),
@@ -721,7 +708,7 @@ pub fn diff(base: &Record, cur: &Record, opts: &DiffOptions) -> Vec<Delta> {
 
     for (k, &b) in &base.percentiles {
         if let Some(&c) = cur.percentiles.get(k) {
-            if latency_changed(b, c, opts.min_effect) {
+            if latency_changed(b, c, min_effect) {
                 out.push(Delta {
                     severity: if c > b {
                         Severity::Regression
@@ -732,7 +719,7 @@ pub fn diff(base: &Record, cur: &Record, opts: &DiffOptions) -> Vec<Delta> {
                     detail: format!(
                         "{b}us -> {c}us (beyond {:.1}% noise + {:.1}% min effect)",
                         HIST_NOISE * 100.0,
-                        opts.min_effect.max(0.0) * 100.0
+                        min_effect.max(0.0) * 100.0
                     ),
                 });
             }
@@ -756,7 +743,7 @@ pub fn diff(base: &Record, cur: &Record, opts: &DiffOptions) -> Vec<Delta> {
             // never gate.
             for (label, p, need) in [("p50", 0.50, 10), ("p90", 0.90, 50), ("p99", 0.99, 500)] {
                 let (b, c) = (hb.percentile(p), hc.percentile(p));
-                if latency_changed(b, c, opts.min_effect) {
+                if latency_changed(b, c, min_effect) {
                     let n = hb.count().min(hc.count());
                     if n < need {
                         out.push(Delta {
@@ -777,7 +764,7 @@ pub fn diff(base: &Record, cur: &Record, opts: &DiffOptions) -> Vec<Delta> {
                             detail: format!(
                                 "{b}us -> {c}us (beyond {:.1}% noise + {:.1}% min effect)",
                                 HIST_NOISE * 100.0,
-                                opts.min_effect.max(0.0) * 100.0
+                                min_effect.max(0.0) * 100.0
                             ),
                         });
                     }
@@ -956,8 +943,8 @@ impl Verdict {
 
 /// Run the regression gate: diff `cur` against `base` and classify.
 #[must_use]
-pub fn gate(base: &Record, cur: &Record, opts: &DiffOptions) -> Verdict {
-    let deltas = diff(base, cur, opts);
+pub fn gate(base: &Record, cur: &Record, min_effect: f64) -> Verdict {
+    let deltas = diff(base, cur, min_effect);
     let regressions = deltas
         .iter()
         .filter(|d| d.severity == Severity::Regression)
@@ -1026,20 +1013,8 @@ mod tests {
     #[test]
     fn diff_of_identical_records_is_empty() {
         let r = sample_record();
-        for opts in [
-            DiffOptions::default(),
-            DiffOptions {
-                min_effect: 0.0,
-                time_tolerance: 0.0,
-                slack_secs: 0.0,
-            },
-            DiffOptions {
-                min_effect: 0.5,
-                time_tolerance: 0.1,
-                slack_secs: 0.0,
-            },
-        ] {
-            assert!(diff(&r, &r, &opts).is_empty(), "{opts:?}");
+        for min_effect in [DEFAULT_MIN_EFFECT, 0.0, 0.5] {
+            assert!(diff(&r, &r, min_effect).is_empty(), "{min_effect}");
         }
     }
 
@@ -1052,8 +1027,6 @@ mod tests {
             }
             h
         };
-        let opts = DiffOptions::default();
-
         // 27 one-shot samples a side (the per-app suite case): a huge
         // p99 move is reported as info — p99 needs 500 samples to gate
         // — and the verdict stays green.
@@ -1063,7 +1036,7 @@ mod tests {
         a.hists.insert("lat".into(), hist_of(&small));
         *small.last_mut().unwrap() = 120_000;
         b.hists.insert("lat".into(), hist_of(&small));
-        let deltas = diff(&a, &b, &opts);
+        let deltas = diff(&a, &b, DEFAULT_MIN_EFFECT);
         assert!(
             deltas
                 .iter()
@@ -1076,7 +1049,7 @@ mod tests {
             "{}",
             deltas[0].detail
         );
-        assert!(gate(&a, &b, &opts).pass());
+        assert!(gate(&a, &b, DEFAULT_MIN_EFFECT).pass());
 
         // With real tail mass (1000 samples) the same relative move is
         // a blocking regression.
@@ -1088,14 +1061,14 @@ mod tests {
             *v = 2000;
         }
         b.hists.insert("lat".into(), hist_of(&big));
-        let deltas = diff(&a, &b, &opts);
+        let deltas = diff(&a, &b, DEFAULT_MIN_EFFECT);
         assert!(
             deltas
                 .iter()
                 .any(|d| d.severity == Severity::Regression && d.key == "hists.lat.p99"),
             "{deltas:?}"
         );
-        assert!(!gate(&a, &b, &opts).pass());
+        assert!(!gate(&a, &b, DEFAULT_MIN_EFFECT).pass());
     }
 
     #[test]
@@ -1103,7 +1076,7 @@ mod tests {
         let a = sample_record();
         let mut b = a.clone();
         b.counters.insert("hb.edges".into(), 1135);
-        let ds = diff(&a, &b, &DiffOptions::default());
+        let ds = diff(&a, &b, DEFAULT_MIN_EFFECT);
         assert_eq!(ds.len(), 1, "{ds:?}");
         assert_eq!(ds[0].severity, Severity::Drift);
         assert_eq!(ds[0].key, "counters.hb.edges");
@@ -1132,14 +1105,14 @@ mod tests {
         let mut b = a.clone();
         // 0.414548 * 3 + 0.25 = 1.49; 1.4 is inside budget.
         b.times.insert("suite.wall_secs".into(), 1.4);
-        assert!(diff(&a, &b, &DiffOptions::default()).is_empty());
+        assert!(diff(&a, &b, DEFAULT_MIN_EFFECT).is_empty());
         b.times.insert("suite.wall_secs".into(), 1.6);
-        let ds = diff(&a, &b, &DiffOptions::default());
+        let ds = diff(&a, &b, DEFAULT_MIN_EFFECT);
         assert_eq!(ds.len(), 1);
         assert_eq!(ds[0].severity, Severity::Regression);
         assert_eq!(ds[0].key, "times.suite.wall_secs");
         // And the reverse direction reads as an improvement.
-        let ds = diff(&b, &a, &DiffOptions::default());
+        let ds = diff(&b, &a, DEFAULT_MIN_EFFECT);
         assert_eq!(ds.len(), 1);
         assert_eq!(ds[0].severity, Severity::Improvement);
     }
@@ -1151,7 +1124,7 @@ mod tests {
         let pop = b.population.as_mut().unwrap();
         pop.apps[0].digest = "wp:ffeeddccbbaa9988".into();
         pop.apps[0].ids = vec!["w:aaaa".into(), "w:cccc".into()];
-        let ds = diff(&a, &b, &DiffOptions::default());
+        let ds = diff(&a, &b, DEFAULT_MIN_EFFECT);
         assert_eq!(ds.len(), 1, "{ds:?}");
         assert_eq!(ds[0].severity, Severity::Drift);
         assert_eq!(ds[0].key, "population.connectbot");
@@ -1171,8 +1144,8 @@ mod tests {
         b.times.remove("phase.hb");
         b.percentiles.remove("warm.server_p99_us");
         b.hists.remove("phase_us.detect");
-        b.counters.insert("hb.closure_micros".into(), 7);
-        let ds = diff(&a, &b, &DiffOptions::default());
+        b.counters.insert("hb.predicate_edges".into(), 7);
+        let ds = diff(&a, &b, DEFAULT_MIN_EFFECT);
         let lines: Vec<String> = ds
             .iter()
             .map(|d| format!("{:?} {}: {}", d.severity, d.key, d.detail))
@@ -1184,13 +1157,13 @@ mod tests {
                 "Drift hists.phase_us.detect: 5 samples -> (absent)",
                 "Drift percentiles.warm.server_p99_us: 411us -> (absent)",
                 "Drift times.phase.hb: 0.004872s -> (absent)",
-                "Info counters.hb.closure_micros: (absent) -> 7",
+                "Info counters.hb.predicate_edges: (absent) -> 7",
             ]
         );
-        assert!(!gate(&a, &b, &DiffOptions::default()).pass());
+        assert!(!gate(&a, &b, DEFAULT_MIN_EFFECT).pass());
         // Reversed, the four keys are new, which never gates; only the
-        // closure counter is missing.
-        let back = gate(&b, &a, &DiffOptions::default());
+        // predicate-edge counter is missing.
+        let back = gate(&b, &a, DEFAULT_MIN_EFFECT);
         assert_eq!(back.drifts, 1, "{:?}", back.deltas);
     }
 
@@ -1200,10 +1173,10 @@ mod tests {
         let mut b = a.clone();
         b.env.threads = 8;
         b.env.profile = "debug".into();
-        let ds = diff(&a, &b, &DiffOptions::default());
+        let ds = diff(&a, &b, DEFAULT_MIN_EFFECT);
         assert_eq!(ds.len(), 2, "{ds:?}");
         assert!(ds.iter().all(|d| d.severity == Severity::Info));
-        let v = gate(&a, &b, &DiffOptions::default());
+        let v = gate(&a, &b, DEFAULT_MIN_EFFECT);
         assert!(v.pass(), "env-only differences must not fail the gate");
     }
 
@@ -1236,7 +1209,7 @@ mod tests {
         let v = gate(
             &records[select(records.len(), "prev").unwrap()],
             &records[select(records.len(), "last").unwrap()],
-            &DiffOptions::default(),
+            DEFAULT_MIN_EFFECT,
         );
         assert!(!v.pass());
         assert_eq!(v.drifts, 1);

@@ -3,8 +3,7 @@
 //! round-tripping of randomly populated records.
 
 use nadroid_ledger::{
-    diff, latency_changed, parse_record_line, AppPopulation, DiffOptions, Kind, Population, Record,
-    HIST_NOISE,
+    diff, latency_changed, parse_record_line, AppPopulation, Kind, Population, Record, HIST_NOISE,
 };
 use nadroid_obs::Histogram;
 use proptest::prelude::*;
@@ -35,16 +34,11 @@ fn samples_strategy() -> impl Strategy<Value = Vec<u64>> {
     })
 }
 
-/// Random thresholds, deliberately including degenerate ones
-/// (`time_tolerance < 1`, zero slack, zero min effect): self-diff must
-/// stay empty under all of them because every rule pairs its threshold
-/// with a strict direction guard.
-fn options_strategy() -> impl Strategy<Value = DiffOptions> {
-    (0u64..200, 0u64..400, 0u64..100).prop_map(|(me, tol, slack)| DiffOptions {
-        min_effect: me as f64 / 100.0,
-        time_tolerance: tol as f64 / 100.0,
-        slack_secs: slack as f64 / 100.0,
-    })
+/// Random minimum effects from 0 to 1.99, zero included: self-diff
+/// must stay empty under all of them because every rule pairs its
+/// threshold with a strict direction guard.
+fn min_effect_strategy() -> impl Strategy<Value = f64> {
+    (0u64..200).prop_map(|me| me as f64 / 100.0)
 }
 
 fn record_strategy() -> impl Strategy<Value = Record> {
@@ -98,15 +92,15 @@ fn record_strategy() -> impl Strategy<Value = Record> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// `diff(a, a)` is empty for every record at every threshold —
-    /// including pathological thresholds like `time_tolerance = 0`.
+    /// `diff(a, a)` is empty for every record at every minimum effect,
+    /// zero included.
     #[test]
     fn self_diff_is_empty_at_any_threshold(
         r in record_strategy(),
-        opts in options_strategy(),
+        min_effect in min_effect_strategy(),
     ) {
-        let ds = diff(&r, &r, &opts);
-        prop_assert!(ds.is_empty(), "self-diff produced {ds:?} under {opts:?}");
+        let ds = diff(&r, &r, min_effect);
+        prop_assert!(ds.is_empty(), "self-diff produced {ds:?} under min effect {min_effect}");
     }
 
     /// Two histograms of the same underlying latencies — one recorded
@@ -136,8 +130,7 @@ proptest! {
         let mut rb = Record::new(Kind::Suite);
         ra.hists.insert("lat_us".into(), ha);
         rb.hists.insert("lat_us".into(), hb);
-        let opts = DiffOptions { min_effect, ..DiffOptions::default() };
-        let latency_deltas: Vec<_> = diff(&ra, &rb, &opts)
+        let latency_deltas: Vec<_> = diff(&ra, &rb, min_effect)
             .into_iter()
             .filter(|d| d.key.starts_with("hists.lat_us.p"))
             .collect();

@@ -175,6 +175,28 @@ impl Recorder {
             .collect()
     }
 
+    /// The summed wall time of every span named `name` (zero when none
+    /// closed).
+    #[must_use]
+    pub fn span_total(&self, name: &str) -> Duration {
+        let us = self
+            .inner
+            .spans
+            .lock()
+            .expect("obs spans lock")
+            .iter()
+            .filter(|s| s.name == name)
+            .map(|s| s.dur_us)
+            .sum();
+        Duration::from_micros(us)
+    }
+
+    /// Set the named gauge on this recorder, whichever recorder the
+    /// calling thread has installed (last write wins).
+    pub fn set_gauge(&self, name: &str, value: u64) {
+        set_gauge(&self.inner, name, value);
+    }
+
     /// The value of one counter (0 when never bumped).
     #[must_use]
     pub fn counter_value(&self, name: &str) -> u64 {
@@ -211,13 +233,32 @@ impl Recorder {
             .cloned()
     }
 
-    /// Fold another recorder's **metrics** into this one: counters add,
-    /// gauges keep the max, histograms merge exactly. Spans are *not*
-    /// transferred — they stay with the recorder that captured them
-    /// (the serving layer installs a per-request recorder to isolate a
-    /// slow request's span tree, then merges its metrics back so
-    /// process-wide counters and histograms stay complete).
+    /// Fold another recorder into this one: counters add, gauges keep
+    /// the max, histograms merge exactly, and spans are copied over.
+    /// Each copied span is rebased to this recorder's epoch, and each of
+    /// the other recorder's threads gets a fresh tid here, so its spans
+    /// nest as they did and never interleave with a thread of this
+    /// recorder. The serving layer records every request into a recorder
+    /// of its own, whose span tree a slow request serializes alone, and
+    /// then merges it into the server's shared recorder.
     pub fn merge_from(&self, other: &Recorder) {
+        // The other epoch's offset from this one, in µs: one of the two
+        // saturating differences is zero.
+        let (mine, their) = (self.inner.epoch, other.inner.epoch);
+        let shift = their.saturating_duration_since(mine).as_micros() as i128
+            - mine.saturating_duration_since(their).as_micros() as i128;
+        let theirs = other.inner.spans.lock().expect("obs spans lock").clone();
+        {
+            let mut tids: BTreeMap<u32, u32> = BTreeMap::new();
+            let mut spans = self.inner.spans.lock().expect("obs spans lock");
+            for s in theirs {
+                let tid = *tids
+                    .entry(s.tid)
+                    .or_insert_with(|| self.inner.next_tid.fetch_add(1, Ordering::Relaxed));
+                let start_us = u64::try_from(i128::from(s.start_us) + shift).unwrap_or(0);
+                spans.push(SpanRecord { tid, start_us, ..s });
+            }
+        }
         {
             let mut c = self.inner.counters.lock().expect("obs counters lock");
             for (k, v) in other.counters() {
@@ -362,9 +403,13 @@ pub fn counter(name: &str, delta: u64) {
 /// recorder is installed).
 pub fn gauge(name: &str, value: u64) {
     if let Some(inner) = local::current() {
-        let mut g = inner.gauges.lock().expect("obs gauges lock");
-        g.insert(name.to_owned(), value);
+        set_gauge(&inner, name, value);
     }
+}
+
+fn set_gauge(inner: &Inner, name: &str, value: u64) {
+    let mut g = inner.gauges.lock().expect("obs gauges lock");
+    g.insert(name.to_owned(), value);
 }
 
 /// Record one sample into the named histogram of the current thread's
@@ -477,18 +522,21 @@ mod tests {
     }
 
     #[test]
-    fn merge_from_folds_metrics_but_not_spans() {
+    fn merge_from_folds_metrics_and_rebased_spans() {
         let shared = Recorder::new();
-        let per_request = Recorder::new();
         {
             let _g = shared.install();
+            let _s = span("worker");
             counter("c", 1);
             gauge_max("g", 5);
             hist("h", 100);
         }
+        std::thread::sleep(Duration::from_millis(2));
+        let per_request = Recorder::new();
         {
             let _g = per_request.install();
             let _s = span("request");
+            let _inner = span("analyze");
             counter("c", 2);
             gauge_max("g", 3);
             hist("h", 200);
@@ -499,10 +547,55 @@ mod tests {
         assert_eq!(gauges["g"], 5, "gauge merge keeps the max");
         let h = shared.histogram("h").unwrap();
         assert_eq!((h.count(), h.min(), h.max()), (2, 100, 200));
-        assert!(shared.spans().is_empty(), "spans stay with their recorder");
-        assert_eq!(per_request.spans().len(), 1);
+
+        let spans = shared.spans();
+        let find = |name: &str| spans.iter().find(|s| s.name == name).unwrap();
+        let (worker, request, analyze) = (find("worker"), find("request"), find("analyze"));
+        assert_eq!(spans.len(), 3);
+        assert_ne!(
+            request.tid, worker.tid,
+            "the request's thread is renumbered"
+        );
+        assert_eq!(analyze.tid, request.tid, "one thread stays one thread");
+        assert_eq!((request.depth, analyze.depth), (0, 1), "nesting is kept");
+        let original = &per_request.spans()[0];
+        assert!(
+            request.start_us >= original.start_us + 2_000,
+            "rebased to the older epoch: {} vs {}",
+            request.start_us,
+            original.start_us
+        );
+        assert_eq!(request.dur_us, original.dur_us);
         // The donor is untouched.
+        assert_eq!(per_request.spans().len(), 2);
         assert_eq!(per_request.counter_value("c"), 2);
+        // A second recorder's threads get tids of their own too.
+        shared.merge_from(&per_request);
+        let tids: std::collections::HashSet<u32> = shared.spans().iter().map(|s| s.tid).collect();
+        assert_eq!(tids.len(), 3);
+    }
+
+    #[test]
+    fn span_total_sums_one_name_and_set_gauge_needs_no_install() {
+        let rec = Recorder::new();
+        {
+            let _g = rec.install();
+            for _ in 0..3 {
+                let _s = span("phase");
+            }
+            let _other = span("other");
+        }
+        let sum: u64 = rec
+            .spans()
+            .iter()
+            .filter(|s| s.name == "phase")
+            .map(|s| s.dur_us)
+            .sum();
+        assert_eq!(rec.span_total("phase"), Duration::from_micros(sum));
+        assert_eq!(rec.span_total("absent"), Duration::ZERO);
+        rec.set_gauge("bytes", 9);
+        rec.set_gauge("bytes", 4);
+        assert_eq!(rec.gauges(), vec![("bytes".to_owned(), 4)]);
     }
 
     #[test]

@@ -21,19 +21,6 @@ use std::collections::HashMap;
 use std::hash::Hasher;
 use std::sync::Arc;
 
-/// 64-bit FNV-1a — the same construction the detector's warning ids
-/// use; dependency-free and stable across platforms and reruns. The
-/// digest tests pin values made with it; the cache key does not use it.
-#[must_use]
-pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// std's `DefaultHasher` (SipHash-1-3 under fixed keys), which reads
 /// eight bytes a step where FNV-1a reads one. Its output is fixed within
 /// one build only, which is all an in-memory key needs.

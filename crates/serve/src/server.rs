@@ -24,8 +24,10 @@
 //!
 //! Every stage reports through [`nadroid_obs`]: per-request spans,
 //! `serve.*` counters, and queue-depth/inflight/cache-bytes gauges.
-//! The `serve.*` counters on the shared recorder are the only copy of
-//! the request and cache counts; `stats` and `metrics` read them.
+//! Each job records into a recorder of its own, which is merged into
+//! the shared recorder when the job ends, spans included. The `serve.*`
+//! counters on the shared recorder are the only copy of the request and
+//! cache counts; `stats` and `metrics` read them.
 
 use crate::cache::{CacheKey, CachedResult, ResultCache};
 use crate::pool::{Pool, Submit};
@@ -143,17 +145,15 @@ fn config_for(opts: &AnalyzeOpts, threads: usize) -> AnalysisConfig {
     cfg
 }
 
-/// Record per-phase latency histograms from one analysis's phase
-/// timings (`serve.phase.*`, microseconds), into whatever recorder the
-/// calling thread has installed.
-fn record_phase_hists(timings: &nadroid_core::PhaseTimings) {
-    let us = |d: Duration| u64::try_from(d.as_micros()).unwrap_or(u64::MAX);
-    obs::hist("serve.phase.hb", us(timings.hb));
-    obs::hist("serve.phase.pointsto", us(timings.pointsto));
-    obs::hist("serve.phase.escape", us(timings.escape));
-    obs::hist("serve.phase.detect", us(timings.detect));
-    obs::hist("serve.phase.filter", us(timings.filtering));
-}
+/// The per-phase latency histograms, each with the pipeline span whose
+/// total in a computed request is its sample, in microseconds.
+const PHASE_HISTS: [(&str, &str); 5] = [
+    ("serve.phase.hb", "hb"),
+    ("serve.phase.pointsto", "pointsto"),
+    ("serve.phase.escape", "escape"),
+    ("serve.phase.detect", "detect"),
+    ("serve.phase.filter", "filtering"),
+];
 
 /// The telemetry outcome label for a response.
 fn outcome_of(resp: &Response) -> &'static str {
@@ -283,7 +283,11 @@ impl Shared {
         if evicted > 0 {
             obs::counter("serve.cache.evictions", evicted);
         }
-        obs::gauge("serve.cache.bytes", cache.bytes() as u64);
+        // Set on the shared recorder under the cache lock: a last-write
+        // gauge must not pass through the request's recorder, whose
+        // merge keeps the larger value.
+        self.recorder
+            .set_gauge("serve.cache.bytes", cache.bytes() as u64);
         Ok((result, false))
     }
 
@@ -329,7 +333,6 @@ impl Shared {
                 "serve.analyze"
             });
             let analysis = analyze(&program, config);
-            record_phase_hists(analysis.timings());
             let confirmed = confirm.then(|| {
                 let cfg = nadroid_confirm::ConfirmConfig::default();
                 nadroid_confirm::confirm_survivors(&analysis, &cfg)
@@ -377,13 +380,11 @@ impl Shared {
         let t = Instant::now();
         let config = config_for(opts, self.threads);
         let key = CacheKey::of(source, &config);
-        // When slow capture is armed, the whole computation records into
-        // a per-request recorder so a slow request's span tree can be
-        // serialized on its own; the metrics fold back into the shared
-        // recorder afterwards (`merge_from` — spans stay per-request).
-        let capture = self.telemetry.capture_enabled().then(Recorder::new);
+        // The job records into a recorder of its own, so a slow
+        // request's span tree can be serialized alone.
+        let request = Recorder::new();
         let outcome = {
-            let _guard = capture.as_ref().map(Recorder::install);
+            let _guard = request.install();
             let _span = obs::span("serve.request");
             self.fetch_or_compute(job, source, opts, &config, key, &ctx.id)
         };
@@ -392,12 +393,25 @@ impl Shared {
         // distributions are comparable sample for sample.
         let micros = micros_since(t);
         let resp = match outcome {
-            Ok((result, cached)) => job.respond(&result, cached, micros),
+            Ok((result, cached)) => {
+                if !cached {
+                    for (hist, span) in PHASE_HISTS {
+                        let us = request.span_total(span).as_micros();
+                        obs::hist(hist, u64::try_from(us).unwrap_or(u64::MAX));
+                    }
+                }
+                job.respond(&result, cached, micros)
+            }
             Err(resp) => resp,
         };
         self.account(&resp);
         self.observe(ctx, job.endpoint(), &resp, micros, Some(key));
-        self.finish_capture(ctx, capture.as_ref(), micros);
+        self.recorder.merge_from(&request);
+        if self.telemetry.is_slow(micros) {
+            let _ = self
+                .telemetry
+                .write_slow_trace(&ctx.id, &request.chrome_trace());
+        }
         resp
     }
 
@@ -419,20 +433,6 @@ impl Shared {
             cache_key,
             threads: self.threads,
         });
-    }
-
-    /// Fold a per-request capture recorder back into the shared one and
-    /// serialize its span tree when the request crossed the slow
-    /// threshold.
-    fn finish_capture(&self, ctx: &ReqCtx, capture: Option<&Recorder>, service_us: u64) {
-        if let Some(rec) = capture {
-            self.recorder.merge_from(rec);
-            if self.telemetry.is_slow(service_us) {
-                let _ = self
-                    .telemetry
-                    .write_slow_trace(&ctx.id, &rec.chrome_trace());
-            }
-        }
     }
 
     /// Count a finished job's response, or an error response however it
@@ -479,11 +479,10 @@ impl Shared {
             // the core budget reduced it.
             f("threads", self.threads as u64),
             f("threads_requested", self.cfg.threads.max(1) as u64),
-            // HB-graph aggregates across every analysis the workers ran
-            // (worker threads install the shared recorder, so the hb.*
-            // counters accumulate here).
+            // HB-graph edges across every analysis the workers ran (each
+            // request's recorder merges into the shared one, so the
+            // counter accumulates here).
             f("hb.edges", counter("hb.edges")),
-            f("hb.closure_micros", counter("hb.closure_micros")),
             // Confirmation verdict counters, accumulated across every
             // confirm request the workers ran (shared recorder again).
             f("confirm.confirmed", counter("confirm.confirmed")),
@@ -612,7 +611,9 @@ impl Server {
         self.addr
     }
 
-    /// The recorder all request spans and `serve.*` metrics feed.
+    /// The recorder all request spans and `serve.*` metrics feed: each
+    /// job's own recorder is merged into it when the job ends, its spans
+    /// rebased to this recorder's epoch.
     #[must_use]
     pub fn recorder(&self) -> &Recorder {
         &self.shared.recorder

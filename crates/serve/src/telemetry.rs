@@ -35,9 +35,10 @@ pub struct TelemetryConfig {
     /// JSONL access-log path (`serve --access-log`); `None` disables
     /// the log (histograms and windows still record).
     pub access_log: Option<String>,
-    /// Service-time threshold in microseconds past which a request's
-    /// span tree is captured (`serve --slow-us`); `None` disables
-    /// capture. `Some(0)` captures every computed request.
+    /// Service-time threshold in microseconds at which a request's span
+    /// tree is written as a slow trace (`serve --slow-us`); `None`
+    /// writes none. `Some(0)` writes one for every request a worker
+    /// handles.
     pub slow_us: Option<u64>,
     /// Log every `n`-th request (`serve --log-sample`); 0 and 1 both
     /// mean every request. Sampling applies to the access log only —
@@ -201,14 +202,6 @@ impl Telemetry {
             .unwrap_or(0)
     }
 
-    /// Whether per-request span capture is on (`--slow-us` given).
-    /// The server installs a per-request recorder only when this
-    /// holds, so capture costs nothing when unused.
-    #[must_use]
-    pub fn capture_enabled(&self) -> bool {
-        self.slow_us.is_some()
-    }
-
     /// Whether a request with this service time crosses the slow
     /// threshold.
     #[must_use]
@@ -298,15 +291,13 @@ mod tests {
     }
 
     #[test]
-    fn capture_policy_follows_slow_us() {
+    fn slow_policy_follows_slow_us() {
         let off = hub(&TelemetryConfig::default());
-        assert!(!off.capture_enabled());
         assert!(!off.is_slow(u64::MAX));
         let on = hub(&TelemetryConfig {
             slow_us: Some(1000),
             ..TelemetryConfig::default()
         });
-        assert!(on.capture_enabled());
         assert!(on.is_slow(1000));
         assert!(!on.is_slow(999));
     }

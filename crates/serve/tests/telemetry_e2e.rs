@@ -196,3 +196,83 @@ fn access_log_and_forced_slow_capture_produce_parseable_artifacts() {
         .histogram("serve.latency.analyze.miss")
         .is_some());
 }
+
+/// Every request records into a recorder of its own, with or without a
+/// slow threshold, and the shared recorder ends up holding all of it:
+/// each request's `serve.request` span, each computed request's
+/// pipeline spans nested inside it on one renumbered thread, one
+/// `serve.phase.*` sample per computed request, and a `serve.cache.bytes`
+/// gauge that follows the cache down after an eviction.
+#[test]
+fn the_shared_recorder_holds_every_request_with_or_without_a_slow_threshold() {
+    let dir = temp_dir("shared_recorder");
+    for slow_us in [None, Some(0)] {
+        let server = Server::start(ServeConfig {
+            addr: "127.0.0.1:0".to_owned(),
+            workers: 1,
+            // Room for one analyze-only ConnectBot entry (212 bytes plus
+            // the app name) but not two, so the second miss evicts.
+            cache_bytes: 400,
+            telemetry: TelemetryConfig {
+                access_log: Some(dir.join("access.jsonl").to_string_lossy().into_owned()),
+                slow_us,
+                log_sample: 1,
+            },
+            ..ServeConfig::default()
+        })
+        .expect("bind ephemeral port");
+        let mut client = Client::connect(server.local_addr()).expect("connect");
+        let long = CONNECTBOT.replacen("app ConnectBot", "app ConnectBotUnderALongerName", 1);
+        let short = CONNECTBOT.replacen("app ConnectBot", "app C", 1);
+        client.analyze(&long, AnalyzeOpts::default()).unwrap(); // miss
+        client.analyze(&long, AnalyzeOpts::default()).unwrap(); // hit
+        client.analyze(&short, AnalyzeOpts::default()).unwrap(); // miss, evicts
+
+        let rec = server.recorder();
+        let spans = rec.spans();
+        let named = |name: &str| spans.iter().filter(|s| s.name == name).collect::<Vec<_>>();
+        let requests = named("serve.request");
+        assert_eq!(requests.len(), 3, "{slow_us:?}: {spans:?}");
+        let analyses = named("analyze");
+        assert_eq!(analyses.len(), 2, "{slow_us:?}: {spans:?}");
+        for a in &analyses {
+            assert!(
+                requests.iter().any(|r| r.tid == a.tid
+                    && r.start_us <= a.start_us
+                    && a.start_us + a.dur_us <= r.start_us + r.dur_us),
+                "{slow_us:?}: analyze {a:?} outside its request"
+            );
+        }
+        for phase in [
+            "modeling",
+            "hb",
+            "hb.closure",
+            "detection",
+            "pointsto",
+            "escape",
+            "detect",
+            "filtering",
+        ] {
+            assert_eq!(named(phase).len(), 2, "{slow_us:?}: {phase}");
+        }
+        for hist in ["serve.phase.hb", "serve.phase.detect", "serve.phase.filter"] {
+            assert_eq!(
+                rec.histogram(hist).map(|h| h.count()),
+                Some(2),
+                "{slow_us:?}: {hist}"
+            );
+        }
+
+        let Response::Stats { fields } = client.stats().unwrap() else {
+            panic!("expected stats response");
+        };
+        let stat = |name: &str| fields.iter().find(|(n, _)| n == name).unwrap().1;
+        assert_eq!(stat("cache_evictions"), 1, "{slow_us:?}");
+        let gauge = rec
+            .gauges()
+            .into_iter()
+            .find(|(n, _)| n == "serve.cache.bytes")
+            .map(|(_, v)| v);
+        assert_eq!(gauge, Some(stat("cache_bytes")), "{slow_us:?}");
+    }
+}

@@ -41,7 +41,10 @@
 #    and replays it in a fresh `nadroid replay` process — the NPE must
 #    reproduce and match the warning's use/free sites — and
 #    `nadroid analyze --validate` must append the same verdicts to its
-#    report (both ConnectBot UAFs confirmed),
+#    report (both ConnectBot UAFs confirmed); then the run-report smoke:
+#    `nadroid analyze --report` on ConnectBot must write a file that
+#    `nadroid check-json` accepts, whose `spans` array holds every
+#    layer's time (spans are the only clock),
 # 6. perf/drift gate: re-measure the timing suite and run
 #    `nadroid perf gate` against the committed BENCH_timing.json record —
 #    deterministic counters compare exactly, wall/CPU times under the
@@ -166,6 +169,19 @@ echo "$replay_out" | grep -q "matches warning $confirm_id" || {
 validate_out=$("$bin" analyze apps/connectbot.dsl --validate)
 echo "$validate_out" | grep -q 'confirmed 2, unconfirmed 0, infeasible 0' || {
     echo "ci.sh: analyze --validate did not confirm both UAFs:"; echo "$validate_out"; exit 1; }
+
+# --- run-report smoke ---
+# Every phase time is a span total, so the report's `spans` array must
+# name each layer.
+report_file=$(mktemp)
+"$bin" analyze apps/connectbot.dsl --report "$report_file" > /dev/null
+"$bin" check-json "$report_file"
+report_spans=$(sed -n '/"spans": \[/,/\]/p' "$report_file")
+for span in parse modeling hb hb.closure detection pointsto escape detect filtering; do
+    echo "$report_spans" | grep -qF "{\"name\": \"$span\"," || {
+        echo "ci.sh: run report has no $span span:"; cat "$report_file"; exit 1; }
+done
+rm -f "$report_file"
 
 # --- perf/drift gate ---
 # Re-measure the suite and compare it against the committed

@@ -67,7 +67,6 @@ fn stats_report_the_parse() {
             .to_owned()
     };
     assert_eq!(counter("ir.parse_bytes"), bytes.to_string(), "{stats}");
-    counter("ir.parse_micros");
 }
 
 #[test]

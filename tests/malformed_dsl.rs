@@ -5,8 +5,7 @@
 //! each mutant, message and line included, is pinned by one digest.
 
 use nadroid::corpus::{generate, spec_for, table1_rows};
-use nadroid::ir::{parse_program, print_program};
-use nadroid::serve::cache::fnv64;
+use nadroid::ir::{parse_program, print_program, Fnv64};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fmt::Write as _;
@@ -130,7 +129,7 @@ fn corpus_mutant_outcomes_match_their_pinned_digest() {
             }
         }
     }
-    let digest = fnv64(outcomes.as_bytes());
+    let digest = Fnv64::hash(outcomes.as_bytes());
     assert_eq!(
         digest, OUTCOME_DIGEST,
         "the parser's answers drifted: {digest:#018x}"

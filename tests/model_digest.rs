@@ -15,8 +15,7 @@ mod common;
 
 use common::programs;
 use nadroid::hb::HbGraph;
-use nadroid::ir::Program;
-use nadroid::serve::cache::fnv64;
+use nadroid::ir::{Fnv64, Program};
 use nadroid::threadify::{ThreadId, ThreadModel};
 use std::fmt::Write as _;
 
@@ -138,7 +137,7 @@ fn thread_models_and_hb_graphs_match_their_pinned_digests() {
     let actual: Vec<(String, u64)> = programs()
         .into_iter()
         .map(|(name, program)| {
-            let digest = fnv64(render(&program).as_bytes());
+            let digest = Fnv64::hash(render(&program).as_bytes());
             (name, digest)
         })
         .collect();

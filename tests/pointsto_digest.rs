@@ -12,9 +12,8 @@
 mod common;
 
 use common::programs;
-use nadroid::ir::{Local, Program};
+use nadroid::ir::{Fnv64, Local, Program};
 use nadroid::pointsto::{AllocKey, PointsTo};
-use nadroid::serve::cache::fnv64;
 use nadroid::threadify::ThreadModel;
 use std::fmt::Write as _;
 
@@ -107,7 +106,7 @@ fn pointsto_results_match_their_pinned_digests() {
         let threads = ThreadModel::build(&program);
         let digests = [0, 1, 2].map(|k| {
             let pts = PointsTo::run(&program, &threads, k);
-            fnv64(render(&program, &pts).as_bytes())
+            Fnv64::hash(render(&program, &pts).as_bytes())
         });
         if name == "DeepContexts" {
             let [d0, d1, d2] = digests;

@@ -12,8 +12,7 @@ use nadroid::core::{analyze, render_provenance_json, Analysis, AnalysisConfig, D
 use nadroid::corpus::{generate, refute_specs, spec_for, table1_rows, AppSpec};
 use nadroid::datalog::{Database, RelId, RuleSet, Term};
 use nadroid::detector::{collect_accesses, AccessKind, UafWarning};
-use nadroid::ir::FieldId;
-use nadroid::serve::cache::fnv64;
+use nadroid::ir::{FieldId, Fnv64};
 use nadroid::threadify::ThreadId;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt::Write as _;
@@ -291,7 +290,7 @@ fn provenance_documents_match_their_pinned_digests() {
         let analysis = analyze(&app.program, &config);
         actual.push((
             spec.name,
-            fnv64(render_provenance_json(&analysis).as_bytes()),
+            Fnv64::hash(render_provenance_json(&analysis).as_bytes()),
         ));
     }
     let pinned: Vec<(String, u64)> = PROVENANCE_DIGESTS
