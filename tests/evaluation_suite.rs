@@ -29,21 +29,31 @@ fn all_27_apps_match_planted_ground_truth() {
     }
 }
 
+/// FNV-1a digests of each app's `nadroid-confirm/1` document: every
+/// survivor's verdict, reason, state count, minimized schedule and NPE
+/// site. A change to the search, the guide or the minimizer must leave
+/// them as they are; one that moves a verdict or a schedule on purpose
+/// re-pins them and states why. The failure message prints the table.
+#[rustfmt::skip]
+const CONFIRM_DIGESTS: [(&str, u64); 6] = [
+    ("Aard", 0xb60e_caa0_187b_b460),
+    ("ConnectBot", 0x959a_82f7_d45d_d9e4),
+    ("QKSMS", 0xff74_3f52_97dd_7abd),
+    ("MyTracks_2", 0x0217_11da_5bea_0a61),
+    ("Dns66", 0xb86e_3b79_1247_c43d),
+    ("KissLauncher", 0xa372_c97d_80d3_bf9a),
+];
+
 /// Table 1's harmful and FP-cause columns are measured by
 /// `nadroid-confirm`; the planted labels are their oracle. This covers
 /// a cheap subset (witness-heavy apps and budget-exhausting ones);
 /// `confirm_bench` checks all 27.
 #[test]
 fn measured_verdicts_match_the_planted_labels() {
-    use nadroid::confirm::{confirm_survivors, pair_verdicts, ConfirmConfig};
-    for name in [
-        "Aard",
-        "ConnectBot",
-        "QKSMS",
-        "MyTracks_2",
-        "Dns66",
-        "KissLauncher",
-    ] {
+    use nadroid::confirm::{confirm_survivors, pair_verdicts, render_confirm_json, ConfirmConfig};
+    use nadroid::ir::Fnv64;
+    let mut digests = Vec::new();
+    for (name, _) in CONFIRM_DIGESTS {
         let row = table1_rows().into_iter().find(|r| r.name == name).unwrap();
         let app = generate(&spec_for(&row));
         let analysis = analyze(&app.program, &AnalysisConfig::default());
@@ -53,6 +63,17 @@ fn measured_verdicts_match_the_planted_labels() {
             app.planted_verdicts(),
             "{name}"
         );
+        let json = render_confirm_json(&analysis, &outcome);
+        digests.push((name, Fnv64::hash(json.as_bytes())));
+    }
+    if digests != CONFIRM_DIGESTS {
+        let mut table = String::new();
+        for (name, digest) in &digests {
+            let hex = format!("{digest:016x}");
+            let groups: Vec<&str> = (0..4).map(|i| &hex[i * 4..i * 4 + 4]).collect();
+            table.push_str(&format!("    (\"{name}\", 0x{}),\n", groups.join("_")));
+        }
+        panic!("confirmation documents drifted; the current digests are:\n{table}");
     }
 }
 
