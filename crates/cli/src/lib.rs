@@ -960,8 +960,8 @@ pub fn run(cmd: &Command) -> Result<String, CliError> {
             threads,
         } => {
             // Any observability output wants a recorder installed for the
-            // duration of the parse and the analysis; observing never
-            // changes the work.
+            // duration of the parse, the analysis and the confirmation;
+            // observing never changes the work.
             let observing = trace.is_some() || report.is_some() || *stats;
             let config = AnalysisConfig {
                 k: *k,
@@ -983,6 +983,12 @@ pub fn run(cmd: &Command) -> Result<String, CliError> {
             let guard = observing.then(|| recorder.install());
             let program = load(path)?;
             let analysis = analyze(&program, &config);
+            let confirmation = (*validate && !*json).then(|| {
+                let cfg = nadroid_confirm::ConfirmConfig::default();
+                on_threads(*threads, || {
+                    nadroid_confirm::confirm_survivors(&analysis, &cfg)
+                })
+            });
             drop(guard);
             if let Some(trace_path) = trace {
                 std::fs::write(trace_path, recorder.chrome_trace())
@@ -1035,11 +1041,7 @@ pub fn run(cmd: &Command) -> Result<String, CliError> {
                 return Ok(nadroid_core::render_json(&analysis));
             }
             let mut out = render_report(&analysis);
-            if *validate {
-                let cfg = nadroid_confirm::ConfirmConfig::default();
-                let outcome = on_threads(*threads, || {
-                    nadroid_confirm::confirm_survivors(&analysis, &cfg)
-                });
+            if let Some(outcome) = confirmation {
                 out.push('\n');
                 out.push_str(&render_confirm_text(&outcome.results, Some(&outcome.tally)));
             }

@@ -93,6 +93,9 @@ impl Default for ConfirmConfig {
 /// lineage) plus step priorities that explore the claimed interleaving
 /// — free before use — first.
 ///
+/// Both are held as dense score tables, indexed by class and by method
+/// id, so scoring a step is a table lookup.
+///
 /// In pruning mode only *dispatch* steps are filtered (an admitted
 /// event may legitimately call through helper code, so task advancement
 /// is never blocked); rejecting any event voids the completeness of an
@@ -100,12 +103,12 @@ impl Default for ConfirmConfig {
 /// unpruned fallback phase alone.
 pub struct EvidenceGuide<'p> {
     program: &'p Program,
-    relevant_classes: HashSet<ClassId>,
-    relevant_methods: HashSet<MethodId>,
-    use_method: MethodId,
-    free_method: MethodId,
-    use_owner: ClassId,
-    free_owner: ClassId,
+    /// 3 for the free's owner, 2 for the use's owner, 1 for a relevant
+    /// class, otherwise 0.
+    class_scores: Vec<i32>,
+    /// 3 for the free, 2 for the use, 1 for a relevant method,
+    /// otherwise its owner's class score.
+    method_scores: Vec<i32>,
     prune: bool,
 }
 
@@ -115,62 +118,49 @@ impl<'p> EvidenceGuide<'p> {
     pub fn from_warning(analysis: &Analysis<'p>, w: &UafWarning, prune: bool) -> Self {
         let program = analysis.program();
         let threads = analysis.threads();
-        let mut relevant_classes = HashSet::new();
-        let mut relevant_methods = HashSet::new();
+        let mut class_scores = vec![0; program.class_ids().count()];
+        let mut method_scores = vec![0; program.method_ids().count()];
         for tid in [w.use_thread, w.free_thread] {
             for anc in threads.lineage(tid) {
                 let th = threads.thread(anc);
                 if let Some(c) = th.class() {
-                    relevant_classes.insert(c);
-                    relevant_classes.insert(program.outermost_class(c));
+                    class_scores[c.index()] = 1;
+                    class_scores[program.outermost_class(c).index()] = 1;
                 }
                 if let Some(c) = th.component() {
-                    relevant_classes.insert(c);
+                    class_scores[c.index()] = 1;
                 }
                 for &m in threads.methods_of(anc) {
-                    relevant_methods.insert(m);
-                    relevant_classes.insert(program.method(m).owner());
+                    method_scores[m.index()] = 1;
+                    class_scores[program.method(m).owner().index()] = 1;
                 }
             }
         }
-        for m in [w.use_access.method, w.free_access.method] {
-            relevant_methods.insert(m);
-            relevant_classes.insert(program.method(m).owner());
+        let (use_method, free_method) = (w.use_access.method, w.free_access.method);
+        class_scores[program.method(use_method).owner().index()] = 2;
+        class_scores[program.method(free_method).owner().index()] = 3;
+        for (m, method) in program.methods() {
+            let score = &mut method_scores[m.index()];
+            if *score == 0 {
+                *score = class_scores[method.owner().index()];
+            }
         }
+        method_scores[use_method.index()] = 2;
+        method_scores[free_method.index()] = 3;
         EvidenceGuide {
             program,
-            relevant_classes,
-            relevant_methods,
-            use_method: w.use_access.method,
-            free_method: w.free_access.method,
-            use_owner: program.method(w.use_access.method).owner(),
-            free_owner: program.method(w.free_access.method).owner(),
+            class_scores,
+            method_scores,
             prune,
         }
     }
 
     fn class_score(&self, c: ClassId) -> i32 {
-        if c == self.free_owner {
-            3
-        } else if c == self.use_owner {
-            2
-        } else if self.relevant_classes.contains(&c) {
-            1
-        } else {
-            0
-        }
+        self.class_scores[c.index()]
     }
 
     fn method_score(&self, m: MethodId) -> i32 {
-        if m == self.free_method {
-            3
-        } else if m == self.use_method {
-            2
-        } else if self.relevant_methods.contains(&m) {
-            1
-        } else {
-            self.class_score(self.program.method(m).owner())
-        }
+        self.method_scores[m.index()]
     }
 
     fn step_score(&self, world: &World<'_>, step: &Step) -> i32 {
@@ -186,9 +176,14 @@ impl<'p> EvidenceGuide<'p> {
                 .unwrap_or(0),
             Step::Dispatch(e) => match e {
                 Event::Lifecycle { activity, kind } => {
+                    // The owner of every scored method scores, so an
+                    // unscored class has no scored callback.
+                    let class = self.class_score(*activity);
+                    if class == 0 {
+                        return 0;
+                    }
                     callback_method(self.program, *activity, *kind)
-                        .map_or_else(|| self.class_score(*activity), |m| self.method_score(m))
-                        .max(self.class_score(*activity))
+                        .map_or(class, |m| self.method_score(m).max(class))
                 }
                 Event::Entry { method, .. } => self.method_score(*method),
                 Event::DequeuePost { looper } => world
@@ -210,20 +205,12 @@ impl<'p> EvidenceGuide<'p> {
 }
 
 impl Guide for EvidenceGuide<'_> {
-    fn admit(&self, world: &World<'_>, step: &Step) -> bool {
-        if !self.prune {
-            return true;
-        }
+    fn score(&self, world: &World<'_>, step: &Step) -> Option<i32> {
+        let score = self.step_score(world, step);
         // Only events are pruned: blocking a mid-execution task would
         // strand admitted work inside helper methods.
-        match step {
-            Step::Advance { .. } => true,
-            Step::Dispatch(_) => self.step_score(world, step) > 0,
-        }
-    }
-
-    fn priority(&self, world: &World<'_>, step: &Step) -> i32 {
-        self.step_score(world, step)
+        let admitted = !self.prune || score > 0 || matches!(step, Step::Advance { .. });
+        admitted.then_some(score)
     }
 }
 
@@ -307,9 +294,10 @@ fn confirm_uncounted(analysis: &Analysis<'_>, w: &UafWarning, cfg: &ConfirmConfi
     // Fast path 1: a component that no intent reaches never receives
     // events, so callbacks on its threads can never execute — the model
     // enables no schedule containing the access.
+    let reachable = program.reachable_components();
     for (what, tid) in [("use", w.use_thread), ("free", w.free_thread)] {
         if let Some(c) = threads.thread(tid).component() {
-            if !program.component_reachable(program.outermost_class(c)) {
+            if !reachable[program.outermost_class(c).index()] {
                 return infeasible(
                     format!(
                         "component {} is unreachable: no intent starts it, so the {what} callback never executes",
@@ -340,8 +328,12 @@ fn confirm_uncounted(analysis: &Analysis<'_>, w: &UafWarning, cfg: &ConfirmConfi
     let mut states_total: u64 = 0;
 
     // Directed phase: evidence-pruned, free-side-first search.
-    let directed = EvidenceGuide::from_warning(analysis, w, true);
-    match explore_guided(program, goal, cfg.directed, Some(&directed)) {
+    let directed = {
+        let _span = nadroid_obs::span("confirm.directed");
+        let guide = EvidenceGuide::from_warning(analysis, w, true);
+        explore_guided(program, goal, cfg.directed, Some(&guide))
+    };
+    match directed {
         Exploration::Witness(witness) => {
             return confirmed(program, w, &witness, states_total, "directed search");
         }
@@ -353,8 +345,12 @@ fn confirm_uncounted(analysis: &Analysis<'_>, w: &UafWarning, cfg: &ConfirmConfi
     }
 
     // Fallback: full bounded exploration, evidence priorities kept.
-    let ordered = EvidenceGuide::from_warning(analysis, w, false);
-    match explore_guided(program, goal, cfg.fallback, Some(&ordered)) {
+    let fallback = {
+        let _span = nadroid_obs::span("confirm.fallback");
+        let guide = EvidenceGuide::from_warning(analysis, w, false);
+        explore_guided(program, goal, cfg.fallback, Some(&guide))
+    };
+    match fallback {
         Exploration::Witness(witness) => {
             confirmed(program, w, &witness, states_total, "bounded fallback")
         }
@@ -415,11 +411,17 @@ fn confirmed(
     prior_states: u64,
     phase: &str,
 ) -> Confirmation {
-    let min = minimize_schedule(program, &witness.schedule, &witness.npe);
+    let min = {
+        let _span = nadroid_obs::span("confirm.minimize");
+        minimize_schedule(program, &witness.schedule, &witness.npe)
+    };
     // The minimizer asserts every pass, but the verdict's contract is
     // stronger: the *attached* schedule replays to the warning's exact
     // NPE from a fresh world.
-    let final_world = replay(program, &min);
+    let final_world = {
+        let _span = nadroid_obs::span("confirm.verify");
+        replay(program, &min)
+    };
     assert_eq!(
         final_world.npe.as_ref(),
         Some(&witness.npe),
@@ -670,6 +672,19 @@ mod tests {
         manifest { main Hub }
     "#;
 
+    /// `run`'s result and the distinct names of the spans it records.
+    fn span_names<T>(run: impl FnOnce() -> T) -> (T, Vec<String>) {
+        let recorder = nadroid_obs::Recorder::new();
+        let out = {
+            let _guard = recorder.install();
+            run()
+        };
+        let mut names: Vec<String> = recorder.spans().into_iter().map(|s| s.name).collect();
+        names.sort();
+        names.dedup();
+        (out, names)
+    }
+
     fn confirm_app(src: &str) -> ConfirmOutcome {
         let p = parse_program(src).unwrap();
         let a = analyze(&p, &AnalysisConfig::default());
@@ -680,8 +695,13 @@ mod tests {
     fn fig1a_is_confirmed_with_a_replayable_minimized_schedule() {
         let p = parse_program(FIG1A).unwrap();
         let a = analyze(&p, &AnalysisConfig::default());
-        let outcome = confirm_survivors(&a, &ConfirmConfig::default());
+        let (outcome, spans) = span_names(|| confirm_survivors(&a, &ConfirmConfig::default()));
         assert!(outcome.tally.confirmed >= 1, "{outcome:?}");
+        // The directed phase finds the witness, so no fallback runs.
+        assert_eq!(
+            spans,
+            ["confirm.directed", "confirm.minimize", "confirm.verify"]
+        );
         let r = outcome
             .results
             .iter()
@@ -851,7 +871,7 @@ mod tests {
             );
             let w = a.survivors()[0];
             assert!(!a.hb().must_hb(w.use_thread, w.free_thread), "{component}");
-            let c = confirm_warning(&a, w, &ConfirmConfig::default());
+            let (c, spans) = span_names(|| confirm_warning(&a, w, &ConfirmConfig::default()));
             assert_eq!(c.verdict, ConfirmVerdict::Infeasible, "{component}: {c:?}");
             assert_eq!(
                 c.reason,
@@ -864,6 +884,7 @@ mod tests {
             // The directed phase drains the same space first, but a pruned
             // search proves nothing.
             assert_eq!(c.states_explored, 2 * drained, "{component}");
+            assert_eq!(spans, ["confirm.directed", "confirm.fallback"]);
         }
     }
 

@@ -70,7 +70,8 @@ pub fn classify_fp(program: &Program, pts: &PointsTo, w: &UafWarning) -> FpCause
     }
     let use_comp = program.outermost_class(program.method(w.use_access.method).owner());
     let free_comp = program.outermost_class(program.method(w.free_access.method).owner());
-    if !program.component_reachable(use_comp) || !program.component_reachable(free_comp) {
+    let reachable = program.reachable_components();
+    if !reachable[use_comp.index()] || !reachable[free_comp.index()] {
         return FpCause::NotReachable;
     }
     FpCause::MissingHappensBefore

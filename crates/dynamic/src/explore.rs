@@ -81,27 +81,18 @@ impl Goal {
     }
 }
 
-/// A scheduling guide for [`explore_guided`]: prunes steps from the
-/// search (`admit`) and orders the remaining ones (`priority`, higher
-/// explored first). The confirm subsystem derives guides from a
-/// warning's happens-before evidence; the default methods admit
-/// everything with uniform priority, reproducing plain [`explore`].
+/// A scheduling guide for [`explore_guided`]: scores each enabled step
+/// once. `None` prunes the step from the search; a score orders the
+/// admitted ones (higher explored first, ties in the interpreter's
+/// deterministic enabled-step order). The confirm subsystem derives
+/// guides from a warning's happens-before evidence; an unguided search
+/// scores every step 0, which is plain [`explore`].
 pub trait Guide {
-    /// Whether the step may be scheduled at all. Rejecting a step
-    /// restricts the search space, so an exhausted guided search is
-    /// never a completeness proof (see [`Exploration::Exhausted`]).
-    fn admit(&self, world: &World<'_>, step: &Step) -> bool {
-        let _ = (world, step);
-        true
-    }
-
-    /// Relative exploration priority of an enabled step; higher values
-    /// are explored first. Ties keep the interpreter's deterministic
-    /// enabled-step order.
-    fn priority(&self, world: &World<'_>, step: &Step) -> i32 {
-        let _ = (world, step);
-        0
-    }
+    /// The step's exploration priority, or `None` to reject it.
+    /// Rejecting a step restricts the search space, so an exhausted
+    /// guided search is never a completeness proof (see
+    /// [`Exploration::Exhausted`]).
+    fn score(&self, world: &World<'_>, step: &Step) -> Option<i32>;
 }
 
 /// How a bounded search ended.
@@ -195,6 +186,9 @@ fn search<'p>(
     // Stays true only while every reachable step was actually taken:
     // any budget cut or guide rejection makes exhaustion inconclusive.
     let mut complete = true;
+    // The admitted steps of the state being expanded, with their
+    // priorities, in enabled-step order; reused across states.
+    let mut successors: Vec<(i32, Step)> = Vec::new();
 
     while let Some(world) = stack.pop() {
         if states >= cfg.max_states {
@@ -213,36 +207,26 @@ fn search<'p>(
         if world.npe.is_some() {
             continue;
         }
-        let enabled = world.enabled_steps();
         if world.steps >= cfg.max_steps {
-            if !enabled.is_empty() {
-                complete = false;
-            }
+            world.each_step(|_| complete = false);
             continue;
         }
-        let mut successors: Vec<(i32, usize, Step)> = Vec::with_capacity(enabled.len());
-        for (i, step) in enabled.into_iter().enumerate() {
-            if let Step::Dispatch(_) = step {
-                if world.events >= cfg.max_events {
-                    complete = false;
-                    continue;
-                }
+        world.each_step(|step| {
+            if matches!(step, Step::Dispatch(_)) && world.events >= cfg.max_events {
+                complete = false;
+                return;
             }
-            match guide {
-                Some(g) if !g.admit(&world, &step) => {
-                    complete = false;
-                    continue;
-                }
-                _ => {}
+            match guide.map_or(Some(0), |g| g.score(&world, &step)) {
+                Some(priority) => successors.push((priority, step)),
+                None => complete = false,
             }
-            let priority = guide.map_or(0, |g| g.priority(&world, &step));
-            successors.push((priority, i, step));
-        }
-        // Ascending (priority, index): the stack pops the
-        // highest-priority successor first, and priority ties keep the
-        // unguided pop order (descending enabled-step index).
-        successors.sort_by_key(|&(priority, i, _)| (priority, i));
-        for (_, _, step) in successors {
+        });
+        // Ascending (priority, enabled-step index), as the sort is
+        // stable: the stack pops the highest-priority successor first,
+        // and priority ties keep the unguided pop order (descending
+        // enabled-step index).
+        successors.sort_by_key(|&(priority, _)| priority);
+        for (_, step) in successors.drain(..) {
             let mut next = world.clone();
             if !next.step(&step) {
                 continue;

@@ -587,12 +587,20 @@ impl<'p> World<'p> {
 
     // --- step enumeration ---------------------------------------------------
 
-    /// All steps currently enabled.
+    /// All steps currently enabled, in [`World::each_step`]'s order.
     #[must_use]
     pub fn enabled_steps(&self) -> Vec<Step> {
         let mut out = Vec::new();
+        self.each_step(|step| out.push(step));
+        out
+    }
+
+    /// Emit every enabled step, in a fixed order: task advances by task
+    /// index, then the main looper's events when it is idle, then each
+    /// idle custom looper's dequeue. A world holding an NPE enables none.
+    pub(crate) fn each_step(&self, mut emit: impl FnMut(Step)) {
         if self.npe.is_some() {
-            return out;
+            return;
         }
         for (i, t) in self.tasks.iter().enumerate() {
             if t.frames.is_empty() || t.done {
@@ -602,36 +610,31 @@ impl<'p> World<'p> {
             if self.blocked_on_monitor(tid) {
                 continue;
             }
-            if self.at_choice(tid) {
-                if self.choice_false_allowed(tid) {
-                    out.push(Step::Advance {
-                        task: tid,
-                        choice: false,
-                    });
-                }
-                out.push(Step::Advance {
-                    task: tid,
-                    choice: true,
-                });
-            } else {
-                out.push(Step::Advance {
+            let at_choice = self.at_choice(tid);
+            if !at_choice || self.choice_false_allowed(tid) {
+                emit(Step::Advance {
                     task: tid,
                     choice: false,
                 });
             }
+            if at_choice {
+                emit(Step::Advance {
+                    task: tid,
+                    choice: true,
+                });
+            }
         }
         if self.looper_idle() {
-            self.each_event(|e| out.push(Step::Dispatch(e)));
+            self.each_event(|e| emit(Step::Dispatch(e)));
         }
         // Custom loopers drain their own queues when idle (the main
         // looper's queue is one of its events, gated on it being idle).
         for looper in 1..self.posts.len() {
             let looper = TaskId(looper as u32);
             if self.dequeue_enabled(looper) {
-                out.push(Step::Dispatch(Event::DequeuePost { looper }));
+                emit(Step::Dispatch(Event::DequeuePost { looper }));
             }
         }
-        out
     }
 
     fn at_choice(&self, tid: TaskId) -> bool {

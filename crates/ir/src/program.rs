@@ -402,7 +402,9 @@ impl Program {
 
     /// Whether a component is reachable from the manifest; see
     /// [`Program::reachable_components`], which answers for every class
-    /// in one pass.
+    /// in one pass. Each call walks every method body to build that
+    /// table, so a caller asking about several components builds it
+    /// once and indexes it.
     #[must_use]
     pub fn component_reachable(&self, component: ClassId) -> bool {
         self.reachable_components()[component.index()]

@@ -44,7 +44,11 @@
 #    report (both ConnectBot UAFs confirmed); then the run-report smoke:
 #    `nadroid analyze --report` on ConnectBot must write a file that
 #    `nadroid check-json` accepts, whose `spans` array holds every
-#    layer's time (spans are the only clock),
+#    layer's time (spans are the only clock), and with `--validate` the
+#    confirm stages' spans too: the directed search, minimization and
+#    verify replay on ConnectBot (both pairs confirm in the directed
+#    phase), and the fallback on a small app whose pair only a complete
+#    drain answers,
 # 6. perf/drift gate: re-measure the timing suite and run
 #    `nadroid perf gate` against the committed BENCH_timing.json record —
 #    deterministic counters compare exactly, wall/CPU times under the
@@ -181,7 +185,33 @@ for span in parse modeling hb hb.closure detection pointsto escape detect filter
     echo "$report_spans" | grep -qF "{\"name\": \"$span\"," || {
         echo "ci.sh: run report has no $span span:"; cat "$report_file"; exit 1; }
 done
-rm -f "$report_file"
+# With --validate the confirmation runs under the same recorder.
+"$bin" analyze apps/connectbot.dsl --validate --report "$report_file" > /dev/null
+"$bin" check-json "$report_file"
+report_spans=$(sed -n '/"spans": \[/,/\]/p' "$report_file")
+for span in confirm.directed confirm.minimize confirm.verify; do
+    echo "$report_spans" | grep -qF "{\"name\": \"$span\"," || {
+        echo "ci.sh: validated run report has no $span span:"; cat "$report_file"; exit 1; }
+done
+# FIFO delivery runs the use before the free, so the directed phase
+# cannot answer the pair and the fallback drains the space.
+fifo_app=$(mktemp --suffix=.dsl)
+cat > "$fifo_app" <<'DSL'
+app FifoPost
+service Main {
+    field f: Main
+    cb onCreate { f = new Main  post UseR  post FreeR }
+}
+runnable UseR in Main { cb run { use outer.f } }
+runnable FreeR in Main { cb run { outer.f = null } }
+DSL
+fifo_out=$("$bin" analyze "$fifo_app" --validate --report "$report_file")
+echo "$fifo_out" | grep -q 'confirmed 0, unconfirmed 0, infeasible 1' || {
+    echo "ci.sh: the FIFO post pair was not proven infeasible:"; echo "$fifo_out"; exit 1; }
+"$bin" check-json "$report_file"
+sed -n '/"spans": \[/,/\]/p' "$report_file" | grep -qF '{"name": "confirm.fallback",' || {
+    echo "ci.sh: validated run report has no confirm.fallback span:"; cat "$report_file"; exit 1; }
+rm -f "$report_file" "$fifo_app"
 
 # --- perf/drift gate ---
 # Re-measure the suite and compare it against the committed
