@@ -88,13 +88,10 @@ impl Default for ConfirmConfig {
     }
 }
 
-/// The evidence-derived scheduling guide for one warning: a relevance
-/// set (classes and methods of the use/free threads and their spawn
-/// lineage) plus step priorities that explore the claimed interleaving
-/// — free before use — first.
-///
-/// Both are held as dense score tables, indexed by class and by method
-/// id, so scoring a step is a table lookup.
+/// The evidence-derived scheduling guide for one warning: dense score
+/// tables, indexed by class and by method id, that mark the classes and
+/// methods of the use/free threads and their spawn lineage relevant and
+/// explore the claimed interleaving — free before use — first.
 ///
 /// In pruning mode only *dispatch* steps are filtered (an admitted
 /// event may legitimately call through helper code, so task advancement
@@ -154,59 +151,46 @@ impl<'p> EvidenceGuide<'p> {
             prune,
         }
     }
+}
 
-    fn class_score(&self, c: ClassId) -> i32 {
-        self.class_scores[c.index()]
-    }
-
-    fn method_score(&self, m: MethodId) -> i32 {
-        self.method_scores[m.index()]
-    }
-
-    fn step_score(&self, world: &World<'_>, step: &Step) -> i32 {
+impl Guide for EvidenceGuide<'_> {
+    fn score(&self, world: &World<'_>, step: &Step) -> Option<i32> {
         use nadroid_dynamic::Event;
-        match step {
+        let class = |c: ClassId| self.class_scores[c.index()];
+        let method = |m: MethodId| self.method_scores[m.index()];
+        let score = match step {
             Step::Advance { task, .. } => world
                 .tasks
                 .get(task.0 as usize)
                 .into_iter()
                 .flat_map(|t| &t.frames)
-                .map(|f| self.method_score(f.method))
+                .map(|f| method(f.method))
                 .max()
                 .unwrap_or(0),
             Step::Dispatch(e) => match e {
-                Event::Lifecycle { activity, kind } => {
-                    // The owner of every scored method scores, so an
-                    // unscored class has no scored callback.
-                    let class = self.class_score(*activity);
-                    if class == 0 {
-                        return 0;
-                    }
-                    callback_method(self.program, *activity, *kind)
-                        .map_or(class, |m| self.method_score(m).max(class))
-                }
-                Event::Entry { method, .. } => self.method_score(*method),
+                // The owner of every scored method scores, so an
+                // unscored class has no scored callback.
+                Event::Lifecycle { activity, kind } => match class(*activity) {
+                    0 => 0,
+                    c => callback_method(self.program, *activity, *kind)
+                        .map_or(c, |m| method(m).max(c)),
+                },
+                Event::Entry { method: m, .. } => method(*m),
                 Event::DequeuePost { looper } => world
                     .posts
                     .get(looper.0 as usize)
                     .and_then(std::collections::VecDeque::front)
-                    .map_or(0, |p| self.method_score(p.method)),
+                    .map_or(0, |p| method(p.method)),
                 Event::ServiceConnect { conn } | Event::ServiceDisconnect { conn } => {
-                    self.class_score(world.heap.class_of(*conn))
+                    class(world.heap.class_of(*conn))
                 }
-                Event::Broadcast { receiver } => self.class_score(world.heap.class_of(*receiver)),
+                Event::Broadcast { receiver } => class(world.heap.class_of(*receiver)),
                 Event::TaskPost { run } => world
                     .async_runs
                     .get(*run)
-                    .map_or(0, |r| self.class_score(world.heap.class_of(r.obj))),
+                    .map_or(0, |r| class(world.heap.class_of(r.obj))),
             },
-        }
-    }
-}
-
-impl Guide for EvidenceGuide<'_> {
-    fn score(&self, world: &World<'_>, step: &Step) -> Option<i32> {
-        let score = self.step_score(world, step);
+        };
         // Only events are pruned: blocking a mid-execution task would
         // strand admitted work inside helper methods.
         let admitted = !self.prune || score > 0 || matches!(step, Step::Advance { .. });
@@ -325,34 +309,26 @@ fn confirm_uncounted(analysis: &Analysis<'_>, w: &UafWarning, cfg: &ConfirmConfi
         use_instr: w.use_access.instr,
         free_instr: w.free_access.instr,
     };
-    let mut states_total: u64 = 0;
+    let search = |span: &str, prune: bool, bounds: ExploreConfig| {
+        let _span = nadroid_obs::span(span);
+        let guide = EvidenceGuide::from_warning(analysis, w, prune);
+        explore_guided(program, goal, bounds, Some(&guide))
+    };
 
     // Directed phase: evidence-pruned, free-side-first search.
-    let directed = {
-        let _span = nadroid_obs::span("confirm.directed");
-        let guide = EvidenceGuide::from_warning(analysis, w, true);
-        explore_guided(program, goal, cfg.directed, Some(&guide))
-    };
-    match directed {
+    let directed_states = match search("confirm.directed", true, cfg.directed) {
         Exploration::Witness(witness) => {
-            return confirmed(program, w, &witness, states_total, "directed search");
+            return confirmed(program, w, &witness, 0, "directed search");
         }
-        Exploration::Exhausted { states, .. } => {
-            // A pruned search can never prove infeasibility; fall
-            // through to the complete phase either way.
-            states_total += states as u64;
-        }
-    }
+        // A pruned search can never prove infeasibility; fall through
+        // to the complete phase either way.
+        Exploration::Exhausted { states, .. } => states as u64,
+    };
 
     // Fallback: full bounded exploration, evidence priorities kept.
-    let fallback = {
-        let _span = nadroid_obs::span("confirm.fallback");
-        let guide = EvidenceGuide::from_warning(analysis, w, false);
-        explore_guided(program, goal, cfg.fallback, Some(&guide))
-    };
-    match fallback {
+    match search("confirm.fallback", false, cfg.fallback) {
         Exploration::Witness(witness) => {
-            confirmed(program, w, &witness, states_total, "bounded fallback")
+            confirmed(program, w, &witness, directed_states, "bounded fallback")
         }
         Exploration::Exhausted {
             states,
@@ -361,7 +337,7 @@ fn confirm_uncounted(analysis: &Analysis<'_>, w: &UafWarning, cfg: &ConfirmConfi
             format!(
                 "bounded exploration drained the reachable state space ({states} states) without manifesting the pair"
             ),
-            states_total + states as u64,
+            directed_states + states as u64,
         ),
         Exploration::Exhausted {
             states,
@@ -375,7 +351,7 @@ fn confirm_uncounted(analysis: &Analysis<'_>, w: &UafWarning, cfg: &ConfirmConfi
             } else {
                 format!("the {}-event and {}-step path bounds", f.max_events, f.max_steps)
             };
-            let total = states_total + states as u64;
+            let total = directed_states + states as u64;
             unconfirmed(
                 format!("{limit} stopped the fallback without a witness ({total} states in total)"),
                 total,

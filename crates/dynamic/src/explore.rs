@@ -81,12 +81,11 @@ impl Goal {
     }
 }
 
-/// A scheduling guide for [`explore_guided`]: scores each enabled step
-/// once. `None` prunes the step from the search; a score orders the
-/// admitted ones (higher explored first, ties in the interpreter's
-/// deterministic enabled-step order). The confirm subsystem derives
-/// guides from a warning's happens-before evidence; an unguided search
-/// scores every step 0, which is plain [`explore`].
+/// A scheduling guide for [`explore_guided`], which scores each enabled
+/// step once: higher scores are explored first, ties in the
+/// interpreter's deterministic enabled-step order. The confirm subsystem
+/// derives guides from a warning's happens-before evidence; an unguided
+/// search scores every step 0, which is plain [`explore`].
 pub trait Guide {
     /// The step's exploration priority, or `None` to reject it.
     /// Rejecting a step restricts the search space, so an exhausted
@@ -204,9 +203,7 @@ fn search<'p>(
                 states,
             };
         }
-        if world.npe.is_some() {
-            continue;
-        }
+        // A world holding an NPE enables no step, so it ends here.
         if world.steps >= cfg.max_steps {
             world.each_step(|_| complete = false);
             continue;

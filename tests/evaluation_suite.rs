@@ -31,10 +31,8 @@ fn all_27_apps_match_planted_ground_truth() {
 
 /// FNV-1a digests of each app's `nadroid-confirm/1` document: every
 /// survivor's verdict, reason, state count, minimized schedule and NPE
-/// site. A change to the search, the guide or the minimizer must leave
-/// them as they are; one that moves a verdict or a schedule on purpose
-/// re-pins them and states why. The failure message prints the table.
-#[rustfmt::skip]
+/// site. A change that moves one on purpose re-pins these and states
+/// why; the failure message prints the full current table.
 const CONFIRM_DIGESTS: [(&str, u64); 6] = [
     ("Aard", 0xb60e_caa0_187b_b460),
     ("ConnectBot", 0x959a_82f7_d45d_d9e4),
@@ -69,9 +67,7 @@ fn measured_verdicts_match_the_planted_labels() {
     if digests != CONFIRM_DIGESTS {
         let mut table = String::new();
         for (name, digest) in &digests {
-            let hex = format!("{digest:016x}");
-            let groups: Vec<&str> = (0..4).map(|i| &hex[i * 4..i * 4 + 4]).collect();
-            table.push_str(&format!("    (\"{name}\", 0x{}),\n", groups.join("_")));
+            table.push_str(&format!("    (\"{name}\", {digest:#018x}),\n"));
         }
         panic!("confirmation documents drifted; the current digests are:\n{table}");
     }
