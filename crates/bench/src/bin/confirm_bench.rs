@@ -27,7 +27,6 @@
 use nadroid_bench::analyze_program;
 use nadroid_bench::measure::commit_bench_record;
 use nadroid_confirm::{confirm_survivors, pair_verdicts, ConfirmConfig, ConfirmOutcome};
-use nadroid_core::warning_population_digest;
 use nadroid_corpus::{generate, spec_for, table1_rows, PaperRow};
 use nadroid_detector::warning_id;
 use nadroid_dynamic::{decode_schedule, replay};
@@ -45,9 +44,8 @@ struct AppRow {
     infeasible: usize,
     states: u64,
     micros: u128,
-    /// Sorted confirmed warning ids and their order-invariant digest.
-    confirmed_ids: Vec<String>,
-    digest: String,
+    /// The confirmed warning ids.
+    population: AppPopulation,
     /// Set when the verdict columns differ from the planted labels.
     oracle_mismatch: Option<String>,
 }
@@ -86,8 +84,6 @@ fn run_app(row: &PaperRow, cfg: &ConfirmConfig) -> (AppRow, Vec<String>) {
             nadroid_core::ConfirmVerdict::Infeasible => infeasible += 1,
         }
     }
-    confirmed_ids.sort_unstable();
-    let digest = warning_population_digest(&confirmed_ids);
     (
         AppRow {
             name: row.name,
@@ -97,8 +93,7 @@ fn run_app(row: &PaperRow, cfg: &ConfirmConfig) -> (AppRow, Vec<String>) {
             infeasible,
             states,
             micros,
-            confirmed_ids,
-            digest,
+            population: AppPopulation::new(row.name, confirmed_ids),
             oracle_mismatch,
         },
         failures,
@@ -233,11 +228,7 @@ fn main() {
             rec.counters.insert(app(k), n as u64);
         }
         rec.counters.insert(app("states"), a.states);
-        populations.push(AppPopulation {
-            app: a.name.to_string(),
-            digest: a.digest.clone(),
-            ids: a.confirmed_ids.clone(),
-        });
+        populations.push(a.population.clone());
     }
     populations.sort_by(|a, b| a.app.cmp(&b.app));
     rec.population = Some(Population {

@@ -7,6 +7,7 @@ use nadroid_bench::{analyze_program, filter_effectiveness, render_table, FilterE
 use nadroid_corpus::{generate, spec_for, table1_rows, AppGroup};
 use nadroid_detector::warning_id;
 use nadroid_filters::FilterKind;
+use nadroid_ledger::AppPopulation;
 
 fn main() {
     let rows = table1_rows();
@@ -123,17 +124,12 @@ fn main() {
     println!();
     println!("per-app population digests (as recorded in Result/ledger.jsonl):");
     for (app, analysis) in apps.iter().zip(&analyses) {
-        let mut ids: Vec<String> = analysis
+        let ids = analysis
             .survivors()
             .iter()
             .map(|w| warning_id(&app.program, analysis.threads(), w))
             .collect();
-        ids.sort_unstable();
-        println!(
-            "  {}  {} ({} warning(s))",
-            nadroid_core::warning_population_digest(&ids),
-            app.program.name(),
-            ids.len()
-        );
+        let p = AppPopulation::new(app.program.name(), ids);
+        println!("  {}  {} ({} warning(s))", p.digest, p.app, p.ids.len());
     }
 }

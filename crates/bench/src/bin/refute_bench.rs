@@ -22,7 +22,6 @@
 
 use nadroid_bench::analyze_program;
 use nadroid_bench::measure::commit_bench_record;
-use nadroid_core::warning_population_digest;
 use nadroid_corpus::{generate, refute_specs, AppSpec, Expectation, PatternKind};
 use nadroid_detector::warning_id;
 use nadroid_filters::refute::RefutationReason;
@@ -41,9 +40,8 @@ struct AppRow {
     after_refutation: usize,
     reasons: BTreeMap<&'static str, usize>,
     micros: u128,
-    /// Sorted post-refutation surviving ids and their digest.
-    surviving_ids: Vec<String>,
-    digest: String,
+    /// The post-refutation surviving ids.
+    population: AppPopulation,
 }
 
 /// What a spec's certified expectations predict for its sweep.
@@ -90,13 +88,11 @@ fn run_app(spec: &AppSpec) -> (AppRow, Vec<String>) {
     }
     let program = analysis.program();
     let threads = analysis.threads();
-    let mut surviving_ids: Vec<String> = analysis
+    let surviving_ids = analysis
         .survivors()
         .iter()
         .map(|w| warning_id(program, threads, w))
         .collect();
-    surviving_ids.sort_unstable();
-    let digest = warning_population_digest(&surviving_ids);
 
     let expected = expected_of(spec);
     let mut violations = Vec::new();
@@ -129,8 +125,7 @@ fn run_app(spec: &AppSpec) -> (AppRow, Vec<String>) {
             after_refutation: s.after_refutation,
             reasons,
             micros,
-            surviving_ids,
-            digest,
+            population: AppPopulation::new(spec.name.clone(), surviving_ids),
         },
         violations,
     )
@@ -241,11 +236,7 @@ fn main() {
         ] {
             rec.counters.insert(app(k), n as u64);
         }
-        populations.push(AppPopulation {
-            app: a.name.clone(),
-            digest: a.digest.clone(),
-            ids: a.surviving_ids.clone(),
-        });
+        populations.push(a.population.clone());
     }
     populations.sort_by(|a, b| a.app.cmp(&b.app));
     rec.population = Some(Population {

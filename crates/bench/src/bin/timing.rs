@@ -9,13 +9,15 @@
 //! dominates; absolute times are not comparable (simulator substrate).
 //!
 //! `BENCH_timing.json` is one `nadroid-ledger/1` record of kind
-//! `timing`, also appended to `Result/ledger.jsonl`; its keys are
-//! listed in the "Run ledger & perf gate" section of
-//! `docs/observability.md`.
+//! `timing`, also appended to `Result/ledger.jsonl`: the phase times,
+//! the summed counters, and Table 1's warning population (each app's
+//! surviving ids and the Figure-5 tallies). Its keys are listed in the
+//! "Run ledger & perf gate" section of `docs/observability.md`.
 //!
 //! Run with `cargo run --release -p nadroid-bench --bin timing` (it
-//! takes no arguments). `nadroid perf gate --against BENCH_timing.json`
-//! is the CI regression guard.
+//! takes no arguments). The CI regression guard gates the fresh record
+//! against the committed one: `nadroid perf gate --against <committed
+//! BENCH_timing.json> --current last`.
 
 use nadroid_bench::measure::{commit_bench_record, measure_suite};
 

@@ -1,12 +1,12 @@
-//! Suite measurement shared by the `timing` driver and the `nadroid
-//! perf` family: the §8.8 phase-time breakdown as a `timing` ledger
-//! record, full `suite` records for the run ledger, and the one-step
-//! write every bench driver ends with.
+//! The `timing` driver's suite measurement: the §8.8 phase-time
+//! breakdown and Table 1's warning population as one `timing` ledger
+//! record, plus the one-step write every bench driver ends with.
 
-use crate::{render_table, run_row, run_row_timed, AppRun};
+use crate::{render_table, run_row_timed, AppRun};
+use nadroid_core::Summary;
 use nadroid_corpus::table1_rows;
 use nadroid_ledger as ledger;
-use nadroid_obs::Histogram;
+use std::collections::BTreeMap;
 use std::path::Path;
 use std::time::{Duration, Instant};
 
@@ -36,14 +36,14 @@ fn span_sum(runs: &[AppRun], name: &str) -> Duration {
     runs.iter().map(|run| run.recorder.span_total(name)).sum()
 }
 
-/// A ledger record of `kind` holding what every suite run measures:
-/// wall and CPU seconds, per-phase seconds summed across the app runs,
-/// the app count, and every recorder counter summed over the apps.
-/// Every time but the suite's wall clock is a sum of the apps' span
-/// totals.
-fn suite_record(kind: ledger::Kind, runs: &[AppRun], wall: Duration) -> ledger::Record {
+/// The `timing` ledger record of a suite run: wall and CPU seconds,
+/// per-phase seconds summed across the app runs, the app count, every
+/// recorder counter summed over the apps, and the warning population
+/// (each app's surviving ids, and the Figure-5 tallies). Every time but
+/// the suite's wall clock is a sum of the apps' span totals.
+fn suite_record(runs: &[AppRun], wall: Duration) -> ledger::Record {
     let total: Duration = TOP_PHASES.iter().map(|name| span_sum(runs, name)).sum();
-    let mut rec = ledger::Record::new(kind);
+    let mut rec = ledger::Record::new(ledger::Kind::Timing);
     rec.times
         .insert("suite.wall_secs".into(), wall.as_secs_f64());
     rec.times
@@ -64,6 +64,25 @@ fn suite_record(kind: ledger::Kind, runs: &[AppRun], wall: Duration) -> ledger::
             *rec.counters.entry(name).or_insert(0) += v;
         }
     }
+
+    let mut tallies: BTreeMap<String, u64> = rec
+        .counters
+        .iter()
+        .filter(|(name, _)| name.starts_with("filter.") && name.ends_with(".killed"))
+        .map(|(name, &v)| (name.clone(), v))
+        .collect();
+    let sum = |stage: fn(&Summary) -> usize| -> u64 {
+        runs.iter().map(|run| stage(&run.summary) as u64).sum()
+    };
+    tallies.insert("potential".into(), sum(|s| s.potential));
+    tallies.insert("after_sound".into(), sum(|s| s.after_sound));
+    tallies.insert("after_unsound".into(), sum(|s| s.after_unsound));
+    let mut apps: Vec<ledger::AppPopulation> = runs
+        .iter()
+        .map(|run| ledger::AppPopulation::new(run.row.name, run.surviving_ids.clone()))
+        .collect();
+    apps.sort_by(|a, b| a.app.cmp(&b.app));
+    rec.population = Some(ledger::Population { apps, tallies });
     rec
 }
 
@@ -80,8 +99,7 @@ pub struct SuiteMeasurement {
 
 /// Run the timed suite (provenance off — the §8.8 baseline workload)
 /// and record it. The `timing` driver commits this record as
-/// `BENCH_timing.json`, and the gate's fresh measurements use it too,
-/// so current and baseline always describe the same workload.
+/// `BENCH_timing.json`.
 ///
 /// The apps run one after another, so each phase time is that layer's
 /// own time, not time spent preempted by the other apps' threads.
@@ -92,7 +110,7 @@ pub fn measure_suite() -> SuiteMeasurement {
     // analysis pipeline, not the post-run debugging exporter.
     let runs: Vec<AppRun> = table1_rows().iter().map(run_row_timed).collect();
     let suite_wall = suite_start.elapsed();
-    let record = suite_record(ledger::Kind::Timing, &runs, suite_wall);
+    let record = suite_record(&runs, suite_wall);
 
     let header: Vec<&str> = std::iter::once("app").chain(PHASES).collect();
     let rows: Vec<Vec<String>> = runs
@@ -140,58 +158,6 @@ pub fn measure_suite() -> SuiteMeasurement {
     }
 }
 
-/// Run the full suite (provenance *on*, so surviving warning ids are
-/// available) and build a complete ledger record: the suite record
-/// [`measure_suite`] also starts from, plus per-phase latency
-/// histograms across the 27 apps and the warning population with
-/// per-app digests and the Figure-5 tallies. The apps run one after
-/// another, as in [`measure_suite`].
-#[must_use]
-pub fn suite_ledger_record(kind: ledger::Kind) -> ledger::Record {
-    let start = Instant::now();
-    let runs: Vec<AppRun> = table1_rows().iter().map(run_row).collect();
-    let mut rec = suite_record(kind, &runs, start.elapsed());
-
-    for name in PHASES {
-        let mut h = Histogram::new();
-        for run in &runs {
-            h.record(u64::try_from(run.recorder.span_total(name).as_micros()).unwrap_or(u64::MAX));
-        }
-        rec.hists.insert(format!("phase_us.{name}"), h);
-    }
-
-    let mut tallies = std::collections::BTreeMap::new();
-    for (name, pick) in [
-        (
-            "potential",
-            (|r: &AppRun| r.summary.potential) as fn(&AppRun) -> usize,
-        ),
-        ("after_sound", |r| r.summary.after_sound),
-        ("after_unsound", |r| r.summary.after_unsound),
-    ] {
-        tallies.insert(name.to_string(), runs.iter().map(|r| pick(r) as u64).sum());
-    }
-    for (name, v) in &rec.counters {
-        if name.starts_with("filter.") && name.ends_with(".killed") {
-            tallies.insert(name.clone(), *v);
-        }
-    }
-    let apps = runs
-        .iter()
-        .map(|run| {
-            let mut ids = run.surviving_ids.clone();
-            ids.sort_unstable();
-            ledger::AppPopulation {
-                app: run.row.name.to_string(),
-                digest: nadroid_core::warning_population_digest(&ids),
-                ids,
-            }
-        })
-        .collect();
-    rec.population = Some(ledger::Population { apps, tallies });
-    rec
-}
-
 /// Write `rec` as the one-line `BENCH_*.json` artifact at `out`, then
 /// append the same record to the repository's run ledger
 /// ([`ledger::DEFAULT_PATH`] under the repo root): refreshing a
@@ -219,18 +185,43 @@ pub fn commit_bench_record(rec: &ledger::Record, out: &Path) -> Result<(), Strin
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analyze_program;
+    use nadroid_corpus::{generate, spec_for};
 
-    /// The timing record and the ledger's suite record analyze one
-    /// population with one configuration: their counters agree key for
-    /// key, and the detector's racy pairs are Table 1's potential count.
+    /// The timing record pins Table 1's population: the suite totals,
+    /// the detector's racy pairs as the potential count, no histograms,
+    /// and for each app the ids its provenance reports as surviving.
     #[test]
-    fn timing_and_suite_records_count_one_population() {
-        let timing = measure_suite().record;
-        let suite = suite_ledger_record(ledger::Kind::Suite);
-        assert_eq!(timing.counters, suite.counters);
-        let potential = suite.population.expect("suite population").tallies["potential"];
-        assert_eq!(potential, 2320, "Table 1's potential total");
-        assert_eq!(timing.counters["detector.racy_pairs"], potential);
+    fn timing_record_pins_the_table1_population() {
+        let rec = measure_suite().record;
+        assert!(rec.hists.is_empty(), "{:?}", rec.hists.keys());
+        let pop = rec.population.expect("timing population");
+        let totals = [
+            ("potential", 2320),
+            ("after_sound", 481),
+            ("after_unsound", 120),
+        ];
+        for (stage, n) in totals {
+            assert_eq!(pop.tallies[stage], n, "Table 1's {stage} total");
+        }
+        assert_eq!(rec.counters["detector.racy_pairs"], 2320);
+        let mhb = "filter.MHB.killed";
+        assert_eq!(pop.tallies[mhb], rec.counters[mhb]);
+
+        let rows = table1_rows();
+        assert_eq!(pop.apps.len(), rows.len());
+        for row in &rows {
+            let app = generate(&spec_for(row));
+            let analysis = analyze_program(&app.program);
+            let ids = analysis
+                .warning_provenances()
+                .into_iter()
+                .filter(|p| p.survived)
+                .map(|p| p.id)
+                .collect();
+            let recorded = pop.apps.iter().find(|a| a.app == row.name);
+            assert_eq!(recorded, Some(&ledger::AppPopulation::new(row.name, ids)));
+        }
     }
 
     /// Every suite time is read from the apps' spans. On K-9 the
@@ -246,11 +237,7 @@ mod tests {
         }
         assert!(span("pointsto") + span("escape") + span("detect") <= span("detection"));
 
-        let rec = suite_record(
-            ledger::Kind::Timing,
-            std::slice::from_ref(&run),
-            Duration::ZERO,
-        );
+        let rec = suite_record(std::slice::from_ref(&run), Duration::ZERO);
         let phases: f64 = TOP_PHASES
             .iter()
             .map(|p| rec.times[&format!("phase.{p}")])

@@ -208,17 +208,17 @@ impl RequestMode {
 /// A `nadroid perf` subcommand. All variants read or write the run
 /// ledger, `Result/ledger.jsonl` unless `--ledger` overrides it; see
 /// docs/observability.md for the record schema and diff semantics.
+/// `perf` measures nothing itself: the bench drivers write the records
+/// it reads, each as a `BENCH_*.json` artifact and a ledger line.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PerfCommand {
-    /// Append one record: a fresh 27-app suite measurement, or the
-    /// record a committed `BENCH_*.json` artifact holds.
+    /// Append the record a `BENCH_*.json` artifact holds.
     Record {
-        /// BENCH file to copy the record from; `None` measures the
-        /// suite afresh.
-        from: Option<String>,
+        /// BENCH file to copy the record from.
+        from: String,
         /// Override the record kind (`timing`, `serve_bench`, `suite`,
-        /// `ci`, `confirm`, `refute`). Defaults to `suite` for fresh
-        /// measurements and to the BENCH record's own kind.
+        /// `ci`, `confirm`, `refute`). Defaults to the BENCH record's
+        /// own kind.
         kind: Option<String>,
         /// Free-form annotation stored on the record.
         note: Option<String>,
@@ -249,11 +249,8 @@ pub enum PerfCommand {
     Gate {
         /// Baseline: a `BENCH_*.json` path or a ledger selector.
         against: String,
-        /// Current record, same syntax; `None` measures the suite
-        /// afresh (the same workload `BENCH_timing.json` records).
-        current: Option<String>,
-        /// Also append the current record to the ledger.
-        record: bool,
+        /// Current record, same syntax.
+        current: String,
         /// Extra relative effect size for latency moves, as in
         /// `perf diff` (raw user string, validated at parse time).
         min_effect: Option<String>,
@@ -305,11 +302,10 @@ USAGE:
                     | --confirm | --stats | --metrics | --metrics-text
                     | --shutdown]
     nadroid check-json <file> [--lines] [--expect-schema <name>]
-    nadroid perf record [--from <BENCH.json>] [--kind <k>] [--note <s>]
+    nadroid perf record --from <BENCH.json> [--kind <k>] [--note <s>]
     nadroid perf list
     nadroid perf diff <a> <b> [--min-effect <frac>]
-    nadroid perf gate --against <ref> [--current <ref>] [--record]
-                      [--min-effect <frac>]
+    nadroid perf gate --against <ref> --current <ref> [--min-effect <frac>]
 
 `analyze` may be omitted when the first argument is a flag or a .dsl
 file: `nadroid --trace out.json app.dsl`.
@@ -345,23 +341,23 @@ RUN LEDGER (see docs/observability.md):
     `perf` manages the append-only run ledger (nadroid-ledger/1 JSONL,
     default Result/ledger.jsonl; override with --ledger <file>). Each
     record carries an environment fingerprint, wall/CPU and per-phase
-    timings, the deterministic counters, histogram snapshots, and the
-    per-app warning-population digests. Record selectors are `last`,
-    `prev`, a 1-based index from the oldest, or `-N` from the newest.
-    perf record       append a record: a fresh 27-app suite
-                      measurement, or --from <BENCH.json> to copy the
-                      record a committed BENCH_*.json artifact holds
+    timings, the deterministic counters, latency percentiles, and the
+    per-app warning-population digests. The bench drivers write the
+    records (`cargo run --release -p nadroid-bench --bin timing`
+    measures the 27-app suite); `perf` only reads, lists, diffs and
+    gates them. Record selectors are `last`, `prev`, a 1-based index
+    from the oldest, or `-N` from the newest.
+    perf record       append the record a BENCH_*.json artifact holds
     perf list         one summary line per ledger record
     perf diff <a> <b> compare two records, each a BENCH_*.json path or
                       a selector: counters and populations exactly,
                       timings/latencies under the noise model
                       (histogram quantization bound + --min-effect)
     perf gate         diff --against <ref> vs --current <ref> (each a
-                      BENCH_*.json path or a selector; default current:
-                      a fresh suite measurement); exits nonzero on regression
-                      or unacknowledged drift, naming the exact
-                      counter, percentile, or warning ids that moved;
-                      --record also appends the current record
+                      BENCH_*.json path or a selector); exits nonzero
+                      on regression or unacknowledged drift, naming the
+                      exact counter, percentile, or warning ids that
+                      moved
 
 OBSERVABILITY (see docs/observability.md):
     --trace <file>    Chrome trace_event JSON — open in chrome://tracing
@@ -758,8 +754,8 @@ fn parse_request(args: impl Iterator<Item = String>) -> Result<Command, CliError
 }
 
 fn parse_perf(args: impl Iterator<Item = String>) -> Result<Command, CliError> {
-    const PERF_USAGE: &str =
-        "perf needs a subcommand: record | list | diff <a> <b> | gate --against <ref>";
+    const PERF_USAGE: &str = "perf needs a subcommand: record --from <BENCH.json> | list \
+         | diff <a> <b> | gate --against <ref> --current <ref>";
     let mut args = args;
     let Some(sub) = args.next() else {
         return Err(CliError(PERF_USAGE.into()));
@@ -768,13 +764,7 @@ fn parse_perf(args: impl Iterator<Item = String>) -> Result<Command, CliError> {
         "record" => &["--from", "--kind", "--note", "--ledger"],
         "list" => &["--ledger"],
         "diff" => &["--min-effect", "--ledger"],
-        "gate" => &[
-            "--against",
-            "--current",
-            "--record",
-            "--min-effect",
-            "--ledger",
-        ],
+        "gate" => &["--against", "--current", "--min-effect", "--ledger"],
         other => {
             return Err(CliError(format!(
                 "unknown perf subcommand `{other}`\n{PERF_USAGE}"
@@ -788,7 +778,6 @@ fn parse_perf(args: impl Iterator<Item = String>) -> Result<Command, CliError> {
     let mut ledger_over = None;
     let mut against = None;
     let mut current = None;
-    let mut record = false;
     let mut min_effect = None;
     while let Some(a) = args.next() {
         let mut value = |flag: &str| {
@@ -811,7 +800,6 @@ fn parse_perf(args: impl Iterator<Item = String>) -> Result<Command, CliError> {
             "--ledger" => ledger_over = Some(value("--ledger")?),
             "--against" => against = Some(value("--against")?),
             "--current" => current = Some(value("--current")?),
-            "--record" => record = true,
             "--min-effect" => {
                 let v = value("--min-effect")?;
                 let parsed: f64 = v
@@ -836,6 +824,8 @@ fn parse_perf(args: impl Iterator<Item = String>) -> Result<Command, CliError> {
     match sub.as_str() {
         "record" => {
             no_positionals(&positionals)?;
+            let from =
+                from.ok_or_else(|| CliError("perf record needs --from <BENCH.json>".into()))?;
             Ok(Command::Perf(PerfCommand::Record {
                 from,
                 kind,
@@ -867,10 +857,11 @@ fn parse_perf(args: impl Iterator<Item = String>) -> Result<Command, CliError> {
             no_positionals(&positionals)?;
             let against =
                 against.ok_or_else(|| CliError("perf gate needs --against <ref>".into()))?;
+            let current =
+                current.ok_or_else(|| CliError("perf gate needs --current <ref>".into()))?;
             Ok(Command::Perf(PerfCommand::Gate {
                 against,
                 current,
-                record,
                 min_effect,
                 ledger: ledger_over,
             }))
@@ -1266,7 +1257,6 @@ baseline: {suppressed} suppressed, {} new
                     slow_us: *slow_us,
                     log_sample: *log_sample,
                 },
-                ..ServeConfig::default()
             })
             .map_err(|e| CliError(format!("cannot start server on {addr}: {e}")))?;
             // Announce readiness before blocking; scripts poll for this
@@ -1427,18 +1417,8 @@ fn run_perf(perf: &PerfCommand) -> Result<String, CliError> {
             note,
             ledger: over,
         } => {
-            let mut rec = match from {
-                Some(f) => {
-                    let mut rec = bench_record(f)?;
-                    rec.note = format!("perf record --from {f}");
-                    rec
-                }
-                None => {
-                    let mut rec = nadroid_bench::measure::suite_ledger_record(ledger::Kind::Suite);
-                    rec.note = "perf record (fresh suite measurement)".to_string();
-                    rec
-                }
-            };
+            let mut rec = bench_record(from)?;
+            rec.note = format!("perf record --from {from}");
             if let Some(k) = kind {
                 rec.kind = ledger::Kind::from_str(k).map_err(CliError::from)?;
             }
@@ -1479,27 +1459,12 @@ fn run_perf(perf: &PerfCommand) -> Result<String, CliError> {
         PerfCommand::Gate {
             against,
             current,
-            record,
             min_effect,
             ledger: over,
         } => {
             let path = ledger_path(over.as_deref());
             let (base, base_label) = resolve_record(&path, against)?;
-            // The current side: a chosen record, or a fresh measurement
-            // of the same workload the timing driver records, so
-            // counters line up exactly with BENCH_timing.
-            let (cur, cur_label) = match current {
-                Some(sel) => resolve_record(&path, sel)?,
-                None => {
-                    let mut rec = nadroid_bench::measure::measure_suite().record;
-                    rec.kind = ledger::Kind::Ci;
-                    rec.note = format!("perf gate --against {against}");
-                    (rec, "fresh suite measurement".to_string())
-                }
-            };
-            if *record {
-                ledger::append(&path, &cur).map_err(CliError::from)?;
-            }
+            let (cur, cur_label) = resolve_record(&path, current)?;
             let verdict = ledger::gate(&base, &cur, min_effect_of(min_effect.as_deref()));
             let mut out = ledger::render_diff(&base_label, &cur_label, &verdict.deltas);
             out.push_str(&verdict.summary());
@@ -2387,7 +2352,7 @@ activity M { cb onClick { } }",
         assert_eq!(
             parse_args(args(&["perf", "record", "--from", "BENCH_timing.json"])).unwrap(),
             Command::Perf(PerfCommand::Record {
-                from: Some("BENCH_timing.json".into()),
+                from: "BENCH_timing.json".into(),
                 kind: None,
                 note: None,
                 ledger: None,
@@ -2395,11 +2360,12 @@ activity M { cb onClick { } }",
         );
         assert_eq!(
             parse_args(args(&[
-                "perf", "record", "--kind", "ci", "--note", "nightly", "--ledger", "l.jsonl",
+                "perf", "record", "--from", "B.json", "--kind", "ci", "--note", "nightly",
+                "--ledger", "l.jsonl",
             ]))
             .unwrap(),
             Command::Perf(PerfCommand::Record {
-                from: None,
+                from: "B.json".into(),
                 kind: Some("ci".into()),
                 note: Some("nightly".into()),
                 ledger: Some("l.jsonl".into()),
@@ -2432,13 +2398,13 @@ activity M { cb onClick { } }",
                 "gate",
                 "--against",
                 "BENCH_timing.json",
-                "--record",
+                "--current",
+                "last",
             ]))
             .unwrap(),
             Command::Perf(PerfCommand::Gate {
                 against: "BENCH_timing.json".into(),
-                current: None,
-                record: true,
+                current: "last".into(),
                 min_effect: None,
                 ledger: None,
             })
@@ -2451,8 +2417,17 @@ activity M { cb onClick { } }",
             "two selectors"
         );
         assert!(
-            parse_args(args(&["perf", "gate"])).is_err(),
+            parse_args(args(&["perf", "gate", "--current", "last"])).is_err(),
             "needs --against"
+        );
+        // `perf` only reads records: it measures nothing itself.
+        let err = |argv: &[&str]| parse_args(args(argv)).unwrap_err().to_string();
+        let (record, gate) = (["perf", "record"], ["perf", "gate", "--against", "a"]);
+        assert_eq!(err(&record), "perf record needs --from <BENCH.json>");
+        assert_eq!(err(&gate), "perf gate needs --current <ref>");
+        assert_eq!(
+            err(&[&gate[..], &["--current", "b", "--record"]].concat()),
+            "unexpected argument `--record` for `perf gate`"
         );
         assert!(parse_args(args(&["perf", "record", "--kind", "wat"])).is_err());
         assert!(parse_args(args(&["perf", "diff", "a", "b", "--min-effect", "-1"])).is_err());

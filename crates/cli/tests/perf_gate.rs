@@ -28,14 +28,9 @@ fn fixed_env() -> Env {
 }
 
 fn population(ids: &[&str]) -> Population {
-    let mut ids: Vec<String> = ids.iter().map(|s| (*s).to_string()).collect();
-    ids.sort_unstable();
+    let ids = ids.iter().map(|s| (*s).to_string()).collect();
     Population {
-        apps: vec![AppPopulation {
-            app: "connectbot".to_string(),
-            digest: nadroid_core::warning_population_digest(&ids),
-            ids,
-        }],
+        apps: vec![AppPopulation::new("connectbot", ids)],
         tallies: std::collections::BTreeMap::new(),
     }
 }

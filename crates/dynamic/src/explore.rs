@@ -23,8 +23,6 @@ pub struct ExploreConfig {
     pub max_steps: usize,
     /// Global budget of explored states.
     pub max_states: usize,
-    /// Loop unrolling bound.
-    pub max_loop_iters: u32,
 }
 
 impl Default for ExploreConfig {
@@ -33,7 +31,6 @@ impl Default for ExploreConfig {
             max_events: 8,
             max_steps: 400,
             max_states: 200_000,
-            max_loop_iters: 1,
         }
     }
 }
@@ -177,9 +174,7 @@ fn search<'p>(
     guide: Option<&dyn Guide>,
     is_goal: impl Fn(&World<'p>) -> bool,
 ) -> Search<'p> {
-    let mut initial = World::new(program);
-    initial.max_loop_iters = cfg.max_loop_iters;
-    let mut stack: Vec<World<'p>> = vec![initial];
+    let mut stack: Vec<World<'p>> = vec![World::new(program)];
     let mut visited: HashSet<u64> = HashSet::new();
     let mut states = 0usize;
     // Stays true only while every reachable step was actually taken:

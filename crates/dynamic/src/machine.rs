@@ -318,8 +318,8 @@ pub struct Frame {
     pub provenance: Vec<Prov>,
     /// Destination local in the *caller* for the return value.
     pub ret_dst: Option<Local>,
-    /// Loop iterations entered per loop head, in pc order (the explorer
-    /// bounds them by `max_loop_iters`).
+    /// Loop iterations entered per loop head, in pc order (the world
+    /// bounds them by its `MAX_LOOP_ITERS`).
     pub loop_budget: Vec<(usize, u32)>,
 }
 

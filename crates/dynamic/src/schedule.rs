@@ -93,7 +93,8 @@ fn lifecycle_kind(name: &str, token: &str) -> Result<CallbackKind, String> {
 pub fn decode_schedule(text: &str) -> Result<Vec<Step>, String> {
     let mut out = Vec::new();
     for token in text.split_whitespace() {
-        let (tag, rest) = token.split_at(1);
+        // The tag is the first character, which need not be one byte.
+        let (tag, rest) = token.split_at(token.chars().next().map_or(0, char::len_utf8));
         let step = match tag {
             "a" => {
                 let (task, choice) = rest
@@ -193,6 +194,8 @@ mod tests {
         for bad in ["z9", "a3", "a3.7", "l0.onFrobnicate", "exyz", "q", "a.1"] {
             assert!(decode_schedule(bad).is_err(), "{bad:?} should not decode");
         }
+        // A tag that is not one byte long is an error, not a panic.
+        assert!(decode_schedule("é1").is_err());
         assert_eq!(decode_schedule("").unwrap(), Vec::new());
         assert_eq!(decode_schedule("  \n ").unwrap(), Vec::new());
     }

@@ -18,6 +18,11 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt;
 use std::rc::Rc;
 
+/// How many times a frame may fall through one `Choice` into its loop
+/// body or then-arm: the interpreter's one loop-unrolling bound, so a
+/// replayed schedule meets the bound its search did.
+const MAX_LOOP_ITERS: u32 = 1;
+
 /// Identifier of a task (0 = the looper).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TaskId(pub u32);
@@ -320,8 +325,6 @@ pub struct World<'p> {
     pub record_events: bool,
     /// Next post sequence number (trace identity of enqueued work).
     pub next_post_seq: u32,
-    /// Per-frame loop iteration bound.
-    pub max_loop_iters: u32,
 }
 
 impl fmt::Debug for World<'_> {
@@ -471,7 +474,6 @@ impl<'p> World<'p> {
             events_log: Vec::new(),
             record_events: false,
             next_post_seq: 0,
-            max_loop_iters: 1,
         }
     }
 
@@ -644,11 +646,11 @@ impl<'p> World<'p> {
     }
 
     /// Falling through a `Choice` (into a loop body or then-arm) is
-    /// allowed only `max_loop_iters` times per choice site per frame,
+    /// allowed only [`MAX_LOOP_ITERS`] times per choice site per frame,
     /// which bounds loop unrolling; jumping out is always allowed.
     fn choice_false_allowed(&self, tid: TaskId) -> bool {
         let f = self.tasks[tid.0 as usize].frames.last().expect("frames");
-        f.loop_iters(f.pc) < self.max_loop_iters
+        f.loop_iters(f.pc) < MAX_LOOP_ITERS
     }
 
     fn blocked_on_monitor(&self, tid: TaskId) -> bool {

@@ -63,9 +63,11 @@ pub enum Kind {
     Timing,
     /// The `serve_bench` end-to-end serving driver.
     ServeBench,
-    /// A fresh 27-app suite run recorded directly (e.g. `perf record`).
+    /// A 27-app suite run that `perf record` measured itself. No command
+    /// writes this kind any more; it stays so older ledgers still read.
     Suite,
-    /// A CI gate run.
+    /// A suite run that `perf gate` measured itself. No command writes
+    /// this kind any more; it stays so older ledgers still read.
     Ci,
     /// The `confirm_bench` schedule-synthesis driver.
     Confirm,
@@ -154,6 +156,19 @@ pub struct AppPopulation {
     /// The surviving warning ids themselves (sorted), kept so a digest
     /// change can be explained as concrete added/removed ids.
     pub ids: Vec<String>,
+}
+
+impl AppPopulation {
+    /// The population of `app`: `ids`, sorted, and their digest.
+    #[must_use]
+    pub fn new(app: impl Into<String>, mut ids: Vec<String>) -> AppPopulation {
+        ids.sort_unstable();
+        AppPopulation {
+            app: app.into(),
+            digest: nadroid_core::warning_population_digest(&ids),
+            ids,
+        }
+    }
 }
 
 /// The suite-wide warning population: per-app id sets plus the

@@ -47,6 +47,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
+/// The backoff, in milliseconds, a `rejected` response suggests.
+const RETRY_AFTER_MS: u64 = 50;
+
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
@@ -66,8 +69,6 @@ pub struct ServeConfig {
     pub queue_cap: usize,
     /// Deadline applied when a request carries none (`None` = no limit).
     pub default_deadline_ms: Option<u64>,
-    /// Backoff suggested to rejected clients.
-    pub retry_after_ms: u64,
     /// Access log / slow capture / sampling knobs.
     pub telemetry: TelemetryConfig,
 }
@@ -81,7 +82,6 @@ impl Default for ServeConfig {
             cache_bytes: 64 << 20,
             queue_cap: 16,
             default_deadline_ms: None,
-            retry_after_ms: 50,
             telemetry: TelemetryConfig::default(),
         }
     }
@@ -798,7 +798,7 @@ fn dispatch(
         Submit::Full(_) => {
             obs::counter("serve.rejected", 1);
             let resp = Response::Rejected {
-                retry_after_ms: shared.cfg.retry_after_ms,
+                retry_after_ms: RETRY_AFTER_MS,
             };
             shared.observe(
                 &ReqCtx {

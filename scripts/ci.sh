@@ -3,18 +3,20 @@
 #
 #   ./scripts/ci.sh
 #
-# The serve, confirm and refute benches below rewrite BENCH_serve.json,
-# BENCH_confirm.json and BENCH_refute.json, and every build of the
-# repository benchmark rewrites its Cargo.lock (the committed one still
-# lists dependencies the crates no longer have); every later gate reads
-# the fresh files, and the script puts the committed ones back on exit,
-# pass or fail.
+# The timing, serve, confirm and refute benches below rewrite
+# BENCH_timing.json, BENCH_serve.json, BENCH_confirm.json and
+# BENCH_refute.json, and every build of the repository benchmark
+# rewrites its Cargo.lock (the committed one still lists dependencies
+# the crates no longer have); every later gate reads the fresh files,
+# and the script puts the committed ones back on exit, pass or fail.
 #
 # 1. release build of the whole workspace, then
-#    a dependency check: nadroid-datalog, the tests' simple reference
-#    evaluator, must stay off every shipped path, so `cargo tree` must
-#    not find it among nadroid-cli's normal dependencies (the `nadroid`
-#    binary links core, serve, confirm, ledger and bench),
+#    a dependency check: `cargo tree` must not find nadroid-datalog (the
+#    tests' simple reference evaluator), nadroid-bench (the benchmark
+#    harness) or nadroid-corpus (the synthetic app generator) among
+#    nadroid-cli's normal dependencies (the `nadroid` binary links core,
+#    serve, confirm and ledger; it reads bench records, it does not
+#    make them),
 # 2. the full test suite — run at NADROID_THREADS=4 so every analysis
 #    in tier-1 exercises the parallel detection and filtering paths
 #    (output is byte-identical by construction; the determinism suites
@@ -49,13 +51,14 @@
 #    verify replay on ConnectBot (both pairs confirm in the directed
 #    phase), and the fallback on a small app whose pair only a complete
 #    drain answers,
-# 6. perf/drift gate: re-measure the timing suite and run
-#    `nadroid perf gate` against the committed BENCH_timing.json record —
-#    deterministic counters compare exactly, wall/CPU times under the
-#    documented noise budget (3x + 0.25s) — with the fresh run appended
-#    to the run ledger (Result/ledger.jsonl, schema nadroid-ledger/1) as
-#    a `ci` record; the verdict names the exact counter, percentile, or
-#    warning ids that moved,
+# 6. timing drift gate: the `timing` driver re-measures the 27-app
+#    suite, rewrites BENCH_timing.json and appends a `timing` record to
+#    the run ledger (Result/ledger.jsonl, schema nadroid-ledger/1), and
+#    `nadroid perf gate` compares that record against the committed
+#    baseline snapshotted at the start — counters, per-app surviving
+#    populations and the Figure-5 tallies are drift-exact, wall/CPU
+#    times stay under the documented noise budget (3x + 0.25s); the
+#    verdict names the exact counter, time, or warning ids that moved,
 # 7. serve smoke gate: start the daemon with --threads 2 (inner
 #    parallelism under admission control) plus an access log and a
 #    zero slow-capture threshold, cold request, warm request (must hit
@@ -69,10 +72,15 @@
 #    missed, and the confirm found only the entry the cold analyze
 #    wrote, so it ran the searches) and 1 error — then the 10-line JSONL
 #    access log and a slow-request trace must validate under
-#    `nadroid check-json`, and the serve load bench rewrites
-#    BENCH_serve.json (host fingerprint included) and enforces the 20x
+#    `nadroid check-json`; then the serve drift gate: the serve load
+#    bench rewrites BENCH_serve.json (host fingerprint included),
+#    appends a `serve_bench` ledger record and enforces the 20x
 #    warm-vs-cold ConnectBot speedup plus its telemetry-agreement
-#    self-checks,
+#    self-checks, and `nadroid perf gate` compares that record against
+#    the committed baseline — request, cache and rejection counters are
+#    drift-exact, and only an order-of-magnitude latency move gates
+#    (`--min-effect 9`: one pass's percentiles on a shared host moved
+#    up to 4x between runs of one build),
 # 8. confirmation drift gate: confirm_bench re-runs dynamic
 #    confirmation over the whole corpus (its own self-checks require
 #    >=1 confirmed, >=1 infeasible, and every confirmed schedule to
@@ -98,7 +106,8 @@ cd "$(dirname "$0")/.."
 
 bench_snap=$(mktemp -d)
 bench_lock=crates/bench/src/bin/benchmark/Cargo.lock
-cp BENCH_serve.json BENCH_confirm.json BENCH_refute.json "$bench_lock" "$bench_snap/"
+cp BENCH_timing.json BENCH_serve.json BENCH_confirm.json BENCH_refute.json "$bench_lock" \
+    "$bench_snap/"
 restore_benches() {
     cp "$bench_snap"/BENCH_*.json .
     cp "$bench_snap/Cargo.lock" "$bench_lock"
@@ -108,12 +117,14 @@ trap restore_benches EXIT
 
 cargo build --workspace --release
 # cargo tree fails with "did not match any packages" when nadroid-cli
-# does not depend on nadroid-datalog; any other outcome fails the gate.
-if tree_out=$(cargo tree --offline -e normal -p nadroid-cli -i nadroid-datalog 2>&1); then
-    echo "ci.sh: nadroid-cli depends on nadroid-datalog:"; echo "$tree_out"; exit 1
-fi
-echo "$tree_out" | grep -q 'did not match any packages' || {
-    echo "ci.sh: cargo tree failed:"; echo "$tree_out"; exit 1; }
+# does not depend on the package; any other outcome fails the gate.
+for pkg in nadroid-datalog nadroid-bench nadroid-corpus; do
+    if tree_out=$(cargo tree --offline -e normal -p nadroid-cli -i "$pkg" 2>&1); then
+        echo "ci.sh: nadroid-cli depends on $pkg:"; echo "$tree_out"; exit 1
+    fi
+    echo "$tree_out" | grep -q 'did not match any packages' || {
+        echo "ci.sh: cargo tree failed:"; echo "$tree_out"; exit 1; }
+done
 NADROID_THREADS=4 cargo test -q --workspace
 cargo clippy --workspace --all-targets -- -D warnings
 cargo fmt --all -- --check
@@ -213,11 +224,14 @@ sed -n '/"spans": \[/,/\]/p' "$report_file" | grep -qF '{"name": "confirm.fallba
     echo "ci.sh: validated run report has no confirm.fallback span:"; cat "$report_file"; exit 1; }
 rm -f "$report_file" "$fifo_app"
 
-# --- perf/drift gate ---
-# Re-measure the suite and compare it against the committed
-# BENCH_timing.json record under the noise model; the fresh run lands
-# in Result/ledger.jsonl as a `ci` record either way.
-"$bin" perf gate --against BENCH_timing.json --record
+# --- timing drift gate ---
+# Re-measure the 27-app suite, then compare the fresh `timing` ledger
+# record against the committed baseline snapshotted at the start:
+# counters, per-app surviving populations and the Figure-5 tallies are
+# deterministic, so any delta is drift; times compare under the noise
+# model.
+cargo run --release -p nadroid-bench --bin timing
+"$bin" perf gate --against "$bench_snap/BENCH_timing.json" --current last
 
 # --- serve smoke gate ---
 serve_out=$(mktemp)
@@ -330,7 +344,16 @@ trap restore_benches EXIT
 rm -f "$serve_out"
 rm -rf "$telem_dir"
 
+# --- serve drift gate ---
+# Same shape as the timing, confirmation and refutation gates: re-run
+# the load bench (its self-checks enforce the warm-vs-cold speedup and
+# the telemetry agreement), then compare the fresh `serve_bench` ledger
+# record against the committed snapshot. Request, cache and rejection
+# counters are deterministic; one pass's latency percentiles are not,
+# so only a move past about 10x (the quantization bound plus a minimum
+# effect of 9) counts.
 cargo run --release -p nadroid-bench --bin serve_bench -- --concurrency 2
+"$bin" perf gate --against "$bench_snap/BENCH_serve.json" --current last --min-effect 9
 
 # --- confirmation drift gate ---
 # Re-run the corpus sweep (its self-checks enforce >=1 confirmed, >=1
@@ -370,10 +393,10 @@ echo "$refute_explain" | grep -q 'status: survived all filters' || {
 echo "$refute_explain" | grep -q 'no witness exists' || {
     echo "ci.sh: gallery refutation chains missing contradiction" >&2; exit 1; }
 
-# Schema pins: every BENCH artifact (three of them rewritten above) is
-# one nadroid-ledger/1 record, and the run ledger — which now holds at
-# least the `ci` gate record plus the serve_bench, confirm_bench, and
-# refute_bench records from this very run — must validate line by line.
+# Schema pins: every BENCH artifact (each rewritten above) is one
+# nadroid-ledger/1 record, and the run ledger — which now holds at least
+# the timing, serve_bench, confirm_bench and refute_bench records from
+# this very run — must validate line by line.
 for bench in BENCH_*.json; do
     "$bin" check-json "$bench" --expect-schema nadroid-ledger/1
 done
